@@ -8,7 +8,7 @@ from gram.dataset import Batch, Dataset, GenConfig, Item, UserSequence, \
     batch_iter, boost_ratio, compute_stats, generate_synthetic
 from gram.instrument import speed_report
 from gram.model import ModelConfig
-from gram.training import TrainConfig, e2e_step, gram_step, init_trainer, train
+from gram.training import TrainConfig, init_trainer, train, train_step
 
 
 def toy_batch():
@@ -31,8 +31,8 @@ def main():
     model = ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=40)
     sg = init_trainer(toy, "gram", TrainConfig(model=model))
     se = init_trainer(toy, "e2e", TrainConfig(model=model))
-    gram_step(batch, sg)
-    e2e_step(batch, se)
+    train_step(batch, sg)
+    train_step(batch, se)
     print(f"encoder forwards: joint {se.counters.ce_forward_calls}, "
           f"cached {sg.counters.ce_forward_calls} "
           f"(ratio {Fraction(se.counters.ce_forward_calls, sg.counters.ce_forward_calls)})")
@@ -45,8 +45,8 @@ def main():
     sg = init_trainer(dataset, "gram", cfg, accum_steps=steps)  # window = epoch
     se = init_trainer(dataset, "e2e", cfg)
     for b in batch_iter(dataset.users, cfg.cf_batch_size, shuffle_seed=1):
-        gram_step(b, sg)
-        e2e_step(b, se)
+        train_step(b, sg)
+        train_step(b, se)
     print(f"\none epoch over {st.n_users} users: joint encodes "
           f"{se.counters.ce_forward_calls} times (= every occurrence), the "
           f"epoch-window cache {sg.counters.ce_forward_calls} times (= every item)")

@@ -10,7 +10,7 @@ Subcommands
     Run one training mode on a dataset directory. Writes ``report.json``
     (full machine-readable run report), ``history.csv`` (per-epoch
     curve), ``report.txt`` (the human table also printed to stdout) and,
-    for modes with an encoder, ``checkpoint.npz``.
+    for modes with an encoder, ``checkpoint.npz`` (a numpy archive).
 ``verify``
     Gradient and trajectory equivalence of joint backprop vs the cached
     single-step scheme on one dataset. Exits 2 when the measured error
@@ -45,23 +45,23 @@ from dataclasses import replace
 from .dataset import (
     GenConfig,
     batch_iter,
-    cold_start_split,
     compute_stats,
     generate_synthetic,
     load_dataset,
     save_dataset,
-    split_users,
     stats_from_metadata,
 )
 from .instrument import speed_report
 from .model import ModelConfig, save_checkpoint
 from .report import RunReport
 from .training import (
+    MODES,
     ConfigError,
     NumericalAbort,
     OptimizerState,
     TrainConfig,
     accumulation_latency,
+    plan_run,
     seed_streams,
     train,
     verify_equivalence,
@@ -206,9 +206,10 @@ def parse_latency(value: str):
 
 def _mode_arg(value: str) -> str:
     mode = value.replace("-", "_")
-    if mode not in ("e2e", "gram", "no_content", "no_finetune"):
+    if mode not in MODES:
         raise argparse.ArgumentTypeError(
-            f"unknown mode {value!r}; expected e2e | gram | no-content | no-finetune")
+            f"unknown mode {value!r}; expected "
+            + " | ".join(m.replace("_", "-") for m in MODES))
     return mode
 
 
@@ -311,27 +312,20 @@ def expected_forward_counts(dataset, cfg: TrainConfig, epochs: int):
     """Dry scan of the exact batch stream a run will see: occurrence
     count (joint backprop forwards) and per-window distinct-item count
     (cached forwards)."""
-    seeds = seed_streams(cfg.seed)
-    train_ds, _, _ = cold_start_split(dataset, cfg.n_cs_items, seeds["split"],
-                                      cfg.test_frac)
-    users, _ = split_users(train_ds.users, cfg.val_frac, seeds["val"])
-    steps_per_epoch = -(-len(users) // cfg.cf_batch_size)
-    if cfg.latency is not None:
-        accum = accumulation_latency(cfg.latency, steps_per_epoch)
-    else:
-        accum = cfg.accum_steps
+    plan = plan_run(dataset, cfg)
+    shuffle = seed_streams(cfg.seed)["shuffle"]
     occurrences = 0
     window_misses = 0
     cached: set = set()
     t = 0
     for epoch in range(epochs):
-        for b in batch_iter(users, cfg.cf_batch_size,
-                            shuffle_seed=[seeds["shuffle"], epoch]):
+        for b in batch_iter(plan.train_users, cfg.cf_batch_size,
+                            shuffle_seed=[shuffle, epoch]):
             occurrences += b.n_interactions()
             window_misses += sum(1 for i in b.unique_items if i not in cached)
             cached.update(b.unique_items)
             t += 1
-            if t % accum == 0:
+            if t % plan.accum_steps == 0:
                 cached.clear()
     return occurrences, window_misses
 

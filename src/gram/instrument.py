@@ -12,7 +12,7 @@ the activation memory a step keeps alive.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 class ActivationAccountant:
@@ -51,14 +51,7 @@ class CostCounters:
     wall_clock_ns: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "ce_forward_calls": self.ce_forward_calls,
-            "ce_backward_calls": self.ce_backward_calls,
-            "cf_forward_calls": self.cf_forward_calls,
-            "activation_elements_peak": self.activation_elements_peak,
-            "flop_estimate": self.flop_estimate,
-            "wall_clock_ns": self.wall_clock_ns,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -117,14 +110,7 @@ class SpeedReport:
     ce_phase_ns: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "measured_call_ratio": self.measured_call_ratio,
-            "theoretical_r": self.theoretical_r,
-            "e2e_wall_ns": self.e2e_wall_ns,
-            "gram_wall_ns": self.gram_wall_ns,
-            "cf_phase_ns": self.cf_phase_ns,
-            "ce_phase_ns": self.ce_phase_ns,
-        }
+        return asdict(self)
 
 
 def speed_report(e2e_counters: CostCounters, gram_counters: CostCounters,

@@ -34,7 +34,7 @@ fan_out)); bias vectors start at zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -525,50 +525,31 @@ def batch_scores(users, row_of, enc: Tensor, p: CfParams):
 # ---------------------------------------------------------------------------
 
 
-def _cfg_dict(cfg: ModelConfig) -> dict:
-    return {
-        "d": cfg.d, "d_ff": cfg.d_ff, "l_ce": cfg.l_ce, "d_h": cfg.d_h,
-        "vocab_size": cfg.vocab_size, "max_token_len": cfg.max_token_len,
-        "max_interactions": cfg.max_interactions, "cf_variant": cfg.cf_variant,
-        "positional_encoding": cfg.positional_encoding,
-    }
-
-
 def save_checkpoint(path, ce: CeParams, cf: CfParams) -> None:
-    """Write both modules' parameters as versioned JSON.
-
-    Values are serialized with Python float repr, which round-trips f64
-    exactly.
-    """
-    blob = {
-        "format": CHECKPOINT_FORMAT,
-        "config": _cfg_dict(ce.cfg),
-        "ce": {k: {"shape": list(v.shape), "data": v.data.ravel().tolist()}
-               for k, v in ce.named().items()},
-        "cf": {k: {"shape": list(v.shape), "data": v.data.ravel().tolist()}
-               for k, v in cf.named().items()},
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(blob, f)
-        f.write("\n")
+    """Write both modules' parameters, the format tag and the model config
+    as a ``.npz`` archive at exactly ``path`` (no suffix is added)."""
+    arrays = {f"ce.{k}": v.data for k, v in ce.named().items()}
+    arrays.update({f"cf.{k}": v.data for k, v in cf.named().items()})
+    with open(path, "wb") as f:
+        np.savez(f, format=np.array(CHECKPOINT_FORMAT),
+                 config=np.array(json.dumps(asdict(ce.cfg))), **arrays)
 
 
 def load_checkpoint(path) -> tuple[CeParams, CfParams]:
     """Rebuild (CeParams, CfParams) from a checkpoint file."""
-    with open(path, encoding="utf-8") as f:
-        blob = json.load(f)
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {blob.get('format')!r}")
-    cfg = ModelConfig(**blob["config"]).validate()
-    ce, cf = init_params(cfg, seed=0)
-    for params, section in ((ce, blob["ce"]), (cf, blob["cf"])):
-        named = params.named()
-        if set(named) != set(section):
-            raise ValueError("checkpoint parameter names do not match config")
-        for name, rec in section.items():
-            t = named[name]
-            arr = np.array(rec["data"], dtype=ad.default_dtype()).reshape(rec["shape"])
-            if arr.shape != t.data.shape:
-                raise ValueError(f"checkpoint shape mismatch for {name}")
-            t.data[...] = arr
+    with np.load(path, allow_pickle=False) as blob:
+        fmt = str(blob["format"]) if "format" in blob.files else None
+        if fmt != CHECKPOINT_FORMAT:
+            raise ValueError(f"unrecognized checkpoint format {fmt!r}")
+        cfg = ModelConfig(**json.loads(str(blob["config"]))).validate()
+        ce, cf = init_params(cfg, seed=0)
+        for prefix, params in (("ce.", ce), ("cf.", cf)):
+            named = params.named()
+            if {prefix + k for k in named} != {k for k in blob.files if k.startswith(prefix)}:
+                raise ValueError("checkpoint parameter names do not match config")
+            for name, t in named.items():
+                arr = blob[prefix + name].astype(ad.default_dtype())
+                if arr.shape != t.data.shape:
+                    raise ValueError(f"checkpoint shape mismatch for {name}")
+                t.data[...] = arr
     return ce, cf

@@ -37,11 +37,7 @@ class RunReport:
                  "counters", "speed", "history")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, {"version": "version", "mode": "mode",
-                                  "config": "config", "best_epoch": "best_epoch",
-                                  "final_metrics": "final_metrics",
-                                  "counters": "counters", "speed": "speed",
-                                  "history": "history"}[k]) for k in self.KEY_ORDER}
+        return {k: getattr(self, k) for k in self.KEY_ORDER}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -52,7 +48,4 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        d = json.loads(text)
-        return cls(mode=d["mode"], config=d["config"], history=d["history"],
-                   final_metrics=d["final_metrics"], counters=d["counters"],
-                   speed=d["speed"], best_epoch=d["best_epoch"], version=d["version"])
+        return cls(**json.loads(text))

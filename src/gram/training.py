@@ -1,6 +1,5 @@
-"""Trainers: end-to-end backprop, accumulated alternating training with a
-pseudo-target cache, two content-free baselines, optimizers, and the
-gradient-equivalence verifier.
+"""Trainers: one training step for four modes, optimizers, the training
+loop, and the gradient-equivalence verifier.
 
 Training modes
 --------------
@@ -21,17 +20,23 @@ Training modes
 ``no_finetune``
     Encoder outputs are computed once at init and frozen as CF inputs.
 
+All four share ``train_step``: a per-mode builder supplies the CF's item
+representations, one backward runs through the batch loss, and each
+trained module is clipped and stepped on its own optimizer.
+
 With ``accum_steps == 1`` the encoder gradient of the regression loss
 equals the end-to-end encoder gradient at equal parameters, so the two
-trainers walk the same trajectory; ``verify_equivalence`` measures this.
-Larger windows trade representation staleness for fewer encoder calls
-and make no equivalence claim.
+trainers walk the same trajectory; ``verify_equivalence`` measures this
+through the same encoding and regression helpers the step uses. Larger
+windows trade representation staleness for fewer encoder calls and make
+no equivalence claim.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,7 +213,7 @@ class TrainConfig:
     recompute_encodings: bool = False
     opt_ce: OptimizerState = field(default_factory=OptimizerState)
     opt_cf: OptimizerState = field(default_factory=OptimizerState)
-    clip_norm: float | None = None
+    clip_norm: float | None = None   # max gradient L2 norm, per module (CE and CF each)
     max_epochs: int = 50
     patience: int = 10
     val_frac: float = 0.15
@@ -261,46 +266,32 @@ def accumulation_latency(preset: str, steps_per_epoch: int) -> int:
     raise ConfigError(f"unknown latency preset {preset!r}")
 
 
+class RunPlan(NamedTuple):
+    """What ``plan_run`` resolves for one run."""
+
+    train_users: list
+    val_users: list
+    test_users: list
+    cs_items: set
+    steps_per_epoch: int
+    accum_steps: int       # window size N after resolving ``latency``
+
+
+def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
+    """The splits, steps per epoch and window a run of ``cfg`` will use."""
+    seeds = seed_streams(cfg.seed)
+    train_ds, test_ds, cs_items = cold_start_split(
+        dataset, cfg.n_cs_items, seeds["split"], cfg.test_frac)
+    train_users, val_users = split_users(train_ds.users, cfg.val_frac, seeds["val"])
+    steps = math.ceil(len(train_users) / cfg.cf_batch_size)
+    accum = (accumulation_latency(cfg.latency, steps) if cfg.latency is not None
+             else cfg.accum_steps)
+    return RunPlan(train_users, val_users, test_ds.users, cs_items, steps, accum)
+
+
 # ---------------------------------------------------------------------------
 # Trainer state
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CacheEntry:
-    h: np.ndarray        # representation the CF graph saw this window
-    h_tilde: np.ndarray  # h minus the accumulated loss gradient
-    first_step: int
-    touch_count: int = 1
-
-
-class PseudoTargetCache:
-    """Item-keyed pseudo-target store for one accumulation window.
-
-    Entries keep first-touch order; the regression phase walks them in
-    that order and ``clear`` empties the cache exactly once per window.
-    """
-
-    def __init__(self):
-        self.entries: dict[int, CacheEntry] = {}
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __contains__(self, item_id):
-        return item_id in self.entries
-
-    def get(self, item_id: int) -> CacheEntry:
-        return self.entries[item_id]
-
-    def put(self, item_id: int, entry: CacheEntry) -> None:
-        self.entries[item_id] = entry
-
-    def item_ids(self) -> list:
-        return list(self.entries)
-
-    def clear(self) -> None:
-        self.entries.clear()
 
 
 @dataclass
@@ -316,7 +307,8 @@ class TrainerState:
     item_tokens: dict
     accum_steps: int = 1
     t: int = 0                      # batches processed so far
-    cache: PseudoTargetCache = field(default_factory=PseudoTargetCache)
+    # gram: item -> pseudo-target h~ of the open window, in first-touch order
+    cache: dict = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
     accountant: ActivationAccountant = field(default_factory=ActivationAccountant)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
@@ -370,120 +362,144 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     return state
 
 
-def _require_mode(state: TrainerState, mode: str) -> None:
-    if state.mode != mode:
-        raise ConfigError(f"{mode}_step called on a {state.mode!r} trainer")
-
-
 # ---------------------------------------------------------------------------
-# Steps
+# The training step
 # ---------------------------------------------------------------------------
 
 
-def e2e_step(batch: Batch, state: TrainerState) -> dict:
-    """One joint step: encoder forward per interaction occurrence, a
-    single backward, simultaneous update of both modules."""
-    _require_mode(state, "e2e")
+def _encode_occurrences(users, item_tokens: dict, ce: CeParams):
+    """One grad-tracked encoder row per interaction *occurrence*, so
+    gradients flow into the encoder once per occurrence.
+
+    Returns (users renumbered to their rows, row_of, enc, token lengths).
+    """
+    rows, rewritten, lens = [], [], []
+    for u in users:
+        renumbered = []
+        for item_id, resp in u.interactions:
+            tokens = item_tokens[item_id]
+            renumbered.append((len(rows), resp))
+            rows.append(ce_encode(tokens, ce))
+            lens.append(min(len(tokens), ce.cfg.max_token_len))
+        rewritten.append(UserSequence(u.user_id, tuple(renumbered)))
+    return rewritten, {k: k for k in range(len(rows))}, ad.concat(rows, axis=0), lens
+
+
+def _cache_leaves(items, cache: dict, ce: CeParams, item_tokens: dict,
+                  recompute: bool = False):
+    """A grad-enabled leaf per item, stacked into the CF's input.
+
+    A cache hit reuses the carried pseudo-target as its representation; a
+    miss (or every item, with ``recompute``) is encoded without grad, and a
+    new item's encoding seeds its cache entry. Returns (leaves, row_of,
+    enc, encoder forwards).
+    """
+    leaves, n_encoded = {}, 0
+    for i in items:
+        if i in cache and not recompute:
+            h = cache[i]
+        else:
+            with ad.no_grad():
+                h = ce_encode(item_tokens[i], ce).data
+            n_encoded += 1
+            cache.setdefault(i, h)
+        leaves[i] = Tensor(h, grad_enabled=True)
+    row_of = {item_id: k for k, item_id in enumerate(items)}
+    return leaves, row_of, ad.concat([leaves[i] for i in items], axis=0), n_encoded
+
+
+def _write_back(cache: dict, leaves: dict, gmap: dict) -> None:
+    """Accumulate h~ = h - sum of dL/dh over the window into the cache."""
+    for i, leaf in leaves.items():
+        g = gmap.get(leaf)
+        if g is not None:
+            cache[i] = cache[i] - g.data
+            if not np.all(np.isfinite(cache[i])):
+                raise NonFiniteError(f"pseudo-target for item {i} is non-finite")
+
+
+def _regress(ce: CeParams, item_tokens: dict, chunk, targets: dict):
+    """(loss, backward gradients) of the half squared error between the
+    encoder's outputs for ``chunk`` and their pseudo-targets."""
+    outs = [ce_encode(item_tokens[i], ce) for i in chunk]
+    pred = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
+    target = Tensor(np.concatenate([targets[i] for i in chunk], axis=0))
+    ploss = ad.mse_half(target, pred)
+    return ploss, ad.backward(ploss)
+
+
+def _apply_updates(groups, gmap: dict, clip_norm: float | None) -> None:
+    """Clip each module's gradients on its own, then step its optimizer;
+    ``groups`` holds one (optimizer, named parameters) pair per module."""
+    for opt, named in groups:
+        grads = _named_grads(named, gmap)
+        if clip_norm is not None:
+            grads = clip_by_global_norm(grads, clip_norm)
+        optimizer_apply(opt, named, grads)
+
+
+def _step_inputs(batch: Batch, state: TrainerState):
+    """(users, row_of, enc, gram leaves, trained groups) for one step.
+
+    ``enc`` holds the representations the CF reads, the gram leaves
+    are the ones whose gradients become pseudo-targets, and each trained
+    group is an (optimizer, named parameters) pair.
+    """
     c = state.counters
-    with state.timer.measure("e2e"), ad.track_activations(state.accountant):
-        try:
-            rows, rewritten, lens = [], [], []
-            occ = 0
-            for u in batch.users:
-                renumbered = []
-                for item_id, resp in u.interactions:
-                    tokens = state.item_tokens[item_id]
-                    rows.append(ce_encode(tokens, state.ce))
-                    lens.append(min(len(tokens), state.ce.cfg.max_token_len))
-                    renumbered.append((occ, resp))
-                    occ += 1
-                rewritten.append(UserSequence(u.user_id, tuple(renumbered)))
-            # each occurrence owns an encoding row, so gradients flow into
-            # the encoder once per occurrence
-            enc = ad.concat(rows, axis=0)
-            loss, n_preds = batch_sequence_loss(
-                rewritten, {k: k for k in range(occ)}, enc, state.cf)
-            gmap = ad.backward(loss)
-        except NonFiniteError as e:
-            raise NumericalAbort(f"e2e step {state.t}: {e}") from e
-        grads = _named_grads(state.ce.named(), gmap)
-        grads.update(_named_grads(state.cf.named(), gmap))
-        if state.cfg.clip_norm is not None:
-            grads = clip_by_global_norm(grads, state.cfg.clip_norm)
-        optimizer_apply(state.opt_ce, state.ce.named(), grads)
-        optimizer_apply(state.opt_cf, state.cf.named(), grads)
-    c.ce_forward_calls += occ
-    c.ce_backward_calls += occ
-    c.cf_forward_calls += len(batch.users)
-    c.flop_estimate += e2e_ce_flops_per_batch(
-        len(batch.users), occ / len(batch.users), float(np.mean(lens)), state.ce.cfg.d)
-    c.activation_elements_peak = state.accountant.peak
-    state.t += 1
-    return {"loss": loss.item(), "n_predictions": n_preds, "step": state.t,
-            "grads_applied": len(grads)}
+    cf_group = (state.opt_cf, state.cf.named())
+    if state.mode == "e2e":
+        users, row_of, enc, lens = _encode_occurrences(batch.users, state.item_tokens, state.ce)
+        c.ce_forward_calls += len(lens)
+        c.ce_backward_calls += len(lens)
+        c.flop_estimate += e2e_ce_flops_per_batch(
+            len(users), len(lens) / len(users), float(np.mean(lens)), state.ce.cfg.d)
+        return users, row_of, enc, {}, [(state.opt_ce, state.ce.named()), cf_group]
+    if state.mode == "gram":
+        leaves, row_of, enc, n_encoded = _cache_leaves(
+            batch.unique_items, state.cache, state.ce, state.item_tokens,
+            state.cfg.recompute_encodings)
+        c.ce_forward_calls += n_encoded
+        return batch.users, row_of, enc, leaves, [cf_group]
+    order = batch.unique_items
+    row_of = {item_id: k for k, item_id in enumerate(order)}
+    if state.mode == "no_content":
+        rows = np.array([state.embed_row[i] for i in order])
+        table = (state.opt_ce, {"item_embedding": state.item_embedding})
+        return batch.users, row_of, ad.gather(state.item_embedding, rows), {}, [cf_group, table]
+    rows = np.array([state.frozen_row[i] for i in order])
+    return batch.users, row_of, Tensor(state.frozen_enc.data[rows]), {}, [cf_group]
 
 
-def gram_step(batch: Batch, state: TrainerState) -> dict:
-    """One accumulated step.
+def train_step(batch: Batch, state: TrainerState) -> dict:
+    """One training step of ``state.mode`` on one batch.
 
-    In order: (1) encode cache-missing items (hits reuse the carried
-    pseudo-target as their representation), (2) one backward through the
-    CF graph over the batch, (3) CF optimizer step, (4) store
-    h~ = h - dL/dh per item, (5) advance the clock and, at a window
+    In order: (1) build the CF's item representations, (2) one backward
+    through the batch's sequence loss, (3) in ``gram``, store
+    h~ = h - dL/dh per item, (4) clip and step each trained module on its
+    own optimizer, (5) in ``gram``, advance the clock and, at a window
     boundary, regress the encoder onto the cached pseudo-targets and
     clear the cache.
     """
-    _require_mode(state, "gram")
-    c = state.counters
-    cache = state.cache
-    with state.timer.measure("cf"), ad.track_activations(state.accountant):
+    with state.timer.measure("e2e" if state.mode == "e2e" else "cf"), \
+            ad.track_activations(state.accountant):
         try:
-            leaves = {}
-            for item_id in batch.unique_items:
-                if item_id in cache and not state.cfg.recompute_encodings:
-                    entry = cache.get(item_id)
-                    entry.h = entry.h_tilde      # carried representation
-                    entry.touch_count += 1
-                else:
-                    with ad.no_grad():
-                        h = ce_encode(state.item_tokens[item_id], state.ce).data
-                    c.ce_forward_calls += 1
-                    if item_id in cache:         # recompute-encodings refresh
-                        entry = cache.get(item_id)
-                        entry.h = h
-                        entry.touch_count += 1
-                    else:
-                        cache.put(item_id, CacheEntry(
-                            h=h, h_tilde=h, first_step=state.t))
-                leaves[item_id] = Tensor(cache.get(item_id).h, grad_enabled=True)
-            order = list(batch.unique_items)
-            enc = ad.concat([leaves[i] for i in order], axis=0)
-            row_of = {item_id: k for k, item_id in enumerate(order)}
-            loss, n_preds = batch_sequence_loss(batch.users, row_of, enc, state.cf)
+            users, row_of, enc, leaves, groups = _step_inputs(batch, state)
+            loss, n_preds = batch_sequence_loss(users, row_of, enc, state.cf)
             gmap = ad.backward(loss)
+            _write_back(state.cache, leaves, gmap)
         except NonFiniteError as e:
-            raise NumericalAbort(f"gram step {state.t}: {e}") from e
-        cf_grads = _named_grads(state.cf.named(), gmap)
-        if state.cfg.clip_norm is not None:
-            cf_grads = clip_by_global_norm(cf_grads, state.cfg.clip_norm)
-        optimizer_apply(state.opt_cf, state.cf.named(), cf_grads)
-        for item_id, leaf in leaves.items():
-            entry = cache.get(item_id)
-            g = gmap.get(leaf)
-            h_tilde = entry.h - g.data if g is not None else entry.h
-            if not np.all(np.isfinite(h_tilde)):
-                raise NumericalAbort(
-                    f"gram step {state.t}: pseudo-target for item {item_id} is non-finite")
-            entry.h_tilde = h_tilde
-    c.cf_forward_calls += len(batch.users)
+            raise NumericalAbort(f"{state.mode} step {state.t}: {e}") from e
+        _apply_updates(groups, gmap, state.cfg.clip_norm)
+    state.counters.cf_forward_calls += len(batch.users)
     state.t += 1
-    report = {"loss": loss.item(), "n_predictions": n_preds, "step": state.t,
-              "cache_size": len(cache), "window_closed": False}
-    if state.t % state.accum_steps == 0:
-        with state.timer.measure("ce"), ad.track_activations(state.accountant):
-            report.update(_ce_update_phase(state))
-        report["window_closed"] = True
-    c.activation_elements_peak = state.accountant.peak
+    report = {"loss": loss.item(), "n_predictions": n_preds, "step": state.t}
+    if state.mode == "gram":
+        closed = state.t % state.accum_steps == 0
+        report.update(cache_size=len(state.cache), window_closed=closed)
+        if closed:
+            with state.timer.measure("ce"), ad.track_activations(state.accountant):
+                report.update(_ce_update_phase(state))
+    state.counters.activation_elements_peak = state.accountant.peak
     return report
 
 
@@ -493,98 +509,31 @@ def _ce_update_phase(state: TrainerState) -> dict:
     One optimizer step per mini-batch of ``ce_batch_size`` items (0 =
     whole cache at once), ``ce_passes`` passes over the cache.
     """
-    cache = state.cache
-    ids = cache.item_ids()
+    ids = list(state.cache)
     if not ids:
         return {"ce_items": 0, "ce_opt_steps": 0}
     bs = state.cfg.ce_batch_size or len(ids)
+    groups = [(state.opt_ce, state.ce.named())]
     opt_steps = 0
     last_loss = 0.0
     for _ in range(state.cfg.ce_passes):
         for lo in range(0, len(ids), bs):
             chunk = ids[lo:lo + bs]
             try:
-                outs = [ce_encode(state.item_tokens[i], state.ce) for i in chunk]
-                pred = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
-                target = Tensor(np.concatenate(
-                    [cache.get(i).h_tilde for i in chunk], axis=0))
-                ploss = ad.mse_half(target, pred)
-                gmap = ad.backward(ploss)
+                ploss, gmap = _regress(state.ce, state.item_tokens, chunk, state.cache)
             except NonFiniteError as e:
                 raise NumericalAbort(
                     f"encoder regression at step {state.t} "
                     f"(items {chunk[0]}..{chunk[-1]}): {e}") from e
-            grads = _named_grads(state.ce.named(), gmap)
-            if state.cfg.clip_norm is not None:
-                grads = clip_by_global_norm(grads, state.cfg.clip_norm)
-            optimizer_apply(state.opt_ce, state.ce.named(), grads)
+            _apply_updates(groups, gmap, state.cfg.clip_norm)
             state.counters.ce_backward_calls += len(chunk)
             opt_steps += 1
             last_loss = ploss.item()
     lens = [min(len(state.item_tokens[i]), state.ce.cfg.max_token_len) for i in ids]
     state.counters.flop_estimate += gram_ce_flops_per_batch(
         len(ids), float(np.mean(lens)), state.ce.cfg.d)
-    n_items = len(ids)
-    cache.clear()
-    return {"ce_items": n_items, "ce_opt_steps": opt_steps, "pseudo_loss": last_loss}
-
-
-def no_content_step(batch: Batch, state: TrainerState) -> dict:
-    """Baseline step: gather rows of the trainable item table instead of
-    running any encoder; the table trains on the CE optimizer."""
-    _require_mode(state, "no_content")
-    with state.timer.measure("cf"), ad.track_activations(state.accountant):
-        try:
-            rows = np.array([state.embed_row[i] for i in batch.unique_items])
-            enc = ad.gather(state.item_embedding, rows)
-            row_of = {item_id: k for k, item_id in enumerate(batch.unique_items)}
-            loss, n_preds = batch_sequence_loss(batch.users, row_of, enc, state.cf)
-            gmap = ad.backward(loss)
-        except NonFiniteError as e:
-            raise NumericalAbort(f"no_content step {state.t}: {e}") from e
-        cf_grads = _named_grads(state.cf.named(), gmap)
-        table = {"item_embedding": state.item_embedding}
-        table_grads = _named_grads(table, gmap)
-        if state.cfg.clip_norm is not None:
-            cf_grads = clip_by_global_norm(cf_grads, state.cfg.clip_norm)
-            table_grads = clip_by_global_norm(table_grads, state.cfg.clip_norm)
-        optimizer_apply(state.opt_cf, state.cf.named(), cf_grads)
-        optimizer_apply(state.opt_ce, table, table_grads)
-    state.counters.cf_forward_calls += len(batch.users)
-    state.counters.activation_elements_peak = state.accountant.peak
-    state.t += 1
-    return {"loss": loss.item(), "n_predictions": n_preds, "step": state.t}
-
-
-def no_finetune_step(batch: Batch, state: TrainerState) -> dict:
-    """Baseline step: frozen init-time encodings feed the CF; only the CF
-    trains."""
-    _require_mode(state, "no_finetune")
-    with state.timer.measure("cf"), ad.track_activations(state.accountant):
-        try:
-            rows = np.array([state.frozen_row[i] for i in batch.unique_items])
-            enc = Tensor(state.frozen_enc.data[rows])
-            row_of = {item_id: k for k, item_id in enumerate(batch.unique_items)}
-            loss, n_preds = batch_sequence_loss(batch.users, row_of, enc, state.cf)
-            gmap = ad.backward(loss)
-        except NonFiniteError as e:
-            raise NumericalAbort(f"no_finetune step {state.t}: {e}") from e
-        cf_grads = _named_grads(state.cf.named(), gmap)
-        if state.cfg.clip_norm is not None:
-            cf_grads = clip_by_global_norm(cf_grads, state.cfg.clip_norm)
-        optimizer_apply(state.opt_cf, state.cf.named(), cf_grads)
-    state.counters.cf_forward_calls += len(batch.users)
-    state.counters.activation_elements_peak = state.accountant.peak
-    state.t += 1
-    return {"loss": loss.item(), "n_predictions": n_preds, "step": state.t}
-
-
-_STEP_FNS = {"e2e": e2e_step, "gram": gram_step,
-             "no_content": no_content_step, "no_finetune": no_finetune_step}
-
-
-def train_step(batch: Batch, state: TrainerState) -> dict:
-    return _STEP_FNS[state.mode](batch, state)
+    state.cache.clear()
+    return {"ce_items": len(ids), "ce_opt_steps": opt_steps, "pseudo_loss": last_loss}
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +615,11 @@ def _restore(state: TrainerState, snap: dict) -> None:
 
 
 def _config_echo(cfg: TrainConfig, mode: str, accum_steps: int) -> dict:
-    m = cfg.model
     return {
         "mode": mode,
         "seed": cfg.seed,
         "precision": cfg.precision,
-        "model": {"d": m.d, "d_ff": m.d_ff, "l_ce": m.l_ce, "d_h": m.d_h,
-                  "vocab_size": m.vocab_size, "max_token_len": m.max_token_len,
-                  "max_interactions": m.max_interactions,
-                  "cf_variant": m.cf_variant,
-                  "positional_encoding": m.positional_encoding},
+        "model": asdict(cfg.model),
         "accum_steps": accum_steps,
         "latency": cfg.latency,
         "cf_batch_size": cfg.cf_batch_size,
@@ -709,17 +653,11 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
     prev_dtype = ad.default_dtype()
     ad.set_default_dtype(np.float64 if cfg.precision == "f64" else np.float32)
     try:
-        train_ds, test_ds, cs_items = cold_start_split(
-            dataset, cfg.n_cs_items, seeds["split"], cfg.test_frac)
-        train_users, val_users = split_users(train_ds.users, cfg.val_frac, seeds["val"])
-        steps_per_epoch = math.ceil(len(train_users) / cfg.cf_batch_size)
-        if cfg.latency is not None:
-            accum = accumulation_latency(cfg.latency, steps_per_epoch)
-        else:
-            accum = cfg.accum_steps
-        if mode == "gram" and accum > steps_per_epoch:
+        plan = plan_run(dataset, cfg)
+        accum = plan.accum_steps
+        if mode == "gram" and accum > plan.steps_per_epoch:
             raise ConfigError(
-                f"accumulation window {accum} exceeds {steps_per_epoch} steps per epoch")
+                f"accumulation window {accum} exceeds {plan.steps_per_epoch} steps per epoch")
 
         state = init_trainer(dataset, mode, cfg, accum_steps=accum)
         history = []
@@ -727,13 +665,13 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
         best_params = _snapshot(state)
         for epoch in range(cfg.max_epochs):
             loss_sum, pred_sum = 0.0, 0
-            for batch in batch_iter(train_users, cfg.cf_batch_size,
+            for batch in batch_iter(plan.train_users, cfg.cf_batch_size,
                                     shuffle_seed=[seeds["shuffle"], epoch]):
                 rep = train_step(batch, state)
                 loss_sum += rep["loss"]
                 pred_sum += rep["n_predictions"]
             with state.timer.measure("eval"):
-                val = evaluate(state, val_users)
+                val = evaluate(state, plan.val_users)
             history.append({
                 "epoch": epoch,
                 "train_loss": loss_sum / max(1, pred_sum),
@@ -751,7 +689,7 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
         _restore(state, best_params)
 
         with state.timer.measure("eval"):
-            final = evaluate(state, test_ds.users, cs_items=cs_items)
+            final = evaluate(state, plan.test_users, cs_items=plan.cs_items)
         final["val_auc"] = best_auc
         c = state.counters
         c.wall_clock_ns = state.train_wall_ns()
@@ -789,24 +727,17 @@ def max_rel_err(a: dict, b: dict) -> float:
     return worst
 
 
+def _prefixed(prefix: str, params, gmap: dict) -> dict:
+    return {prefix + k: v for k, v in _named_grads(params.named(), gmap).items()}
+
+
 def e2e_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
     """Loss and named parameter gradients of one joint-backprop batch,
     without applying any update."""
-    rows, rewritten = [], []
-    occ = 0
-    for u in batch.users:
-        renumbered = []
-        for item_id, resp in u.interactions:
-            rows.append(ce_encode(item_tokens[item_id], ce))
-            renumbered.append((occ, resp))
-            occ += 1
-        rewritten.append(UserSequence(u.user_id, tuple(renumbered)))
-    enc = ad.concat(rows, axis=0)
-    loss, _ = batch_sequence_loss(rewritten, {k: k for k in range(occ)}, enc, cf)
+    users, row_of, enc, _ = _encode_occurrences(batch.users, item_tokens, ce)
+    loss, _ = batch_sequence_loss(users, row_of, enc, cf)
     gmap = ad.backward(loss)
-    grads = {f"ce.{k}": v for k, v in _named_grads(ce.named(), gmap).items()}
-    grads.update({f"cf.{k}": v for k, v in _named_grads(cf.named(), gmap).items()})
-    return loss.item(), grads
+    return loss.item(), {**_prefixed("ce.", ce, gmap), **_prefixed("cf.", cf, gmap)}
 
 
 def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
@@ -816,26 +747,13 @@ def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
     pseudo-target regression loss over the whole batch in one chunk.
     Returns (loss, named grads) shaped like ``e2e_gradients`` output.
     """
-    order = list(batch.unique_items)
-    with ad.no_grad():
-        h_data = {i: ce_encode(item_tokens[i], ce).data for i in order}
-    leaves = {i: Tensor(h_data[i], grad_enabled=True) for i in order}
-    enc = ad.concat([leaves[i] for i in order], axis=0)
-    row_of = {item_id: k for k, item_id in enumerate(order)}
+    cache = {}
+    leaves, row_of, enc, _ = _cache_leaves(batch.unique_items, cache, ce, item_tokens)
     loss, _ = batch_sequence_loss(batch.users, row_of, enc, cf)
     gmap = ad.backward(loss)
-    grads = {f"cf.{k}": v for k, v in _named_grads(cf.named(), gmap).items()}
-
-    h_tilde = {}
-    for i in order:
-        g = gmap.get(leaves[i])
-        h_tilde[i] = h_data[i] - g.data if g is not None else h_data[i]
-    outs = [ce_encode(item_tokens[i], ce) for i in order]
-    pred = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
-    target = Tensor(np.concatenate([h_tilde[i] for i in order], axis=0))
-    pmap = ad.backward(ad.mse_half(target, pred))
-    grads.update({f"ce.{k}": v for k, v in _named_grads(ce.named(), pmap).items()})
-    return loss.item(), grads
+    _write_back(cache, leaves, gmap)
+    _, pmap = _regress(ce, item_tokens, batch.unique_items, cache)
+    return loss.item(), {**_prefixed("cf.", cf, gmap), **_prefixed("ce.", ce, pmap)}
 
 
 def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int) -> dict:

@@ -31,13 +31,12 @@ from gram.training import (
     TrainConfig,
     accumulation_latency,
     e2e_gradients,
-    e2e_step,
     gram_gradients,
-    gram_step,
     init_trainer,
     max_rel_err,
     seed_streams,
     train,
+    train_step,
     verify_equivalence,
 )
 
@@ -275,8 +274,8 @@ def test_acceptance_4_boost_ratio_counters(desk_dataset, capsys):
     small = ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=60)
     sg = init_trainer(toy, "gram", TrainConfig(model=small, cf_batch_size=4))
     se = init_trainer(toy, "e2e", TrainConfig(model=small, cf_batch_size=4))
-    gram_step(batch, sg)
-    e2e_step(batch, se)
+    train_step(batch, sg)
+    train_step(batch, se)
     toy_ratio = Fraction(se.counters.ce_forward_calls, sg.counters.ce_forward_calls)
     toy_ok = (toy_ratio == Fraction(12, 5) == boost_ratio(batch)
               and se.counters.ce_forward_calls == 12
@@ -291,8 +290,8 @@ def test_acceptance_4_boost_ratio_counters(desk_dataset, capsys):
     distinct = set()
     for b in batch_iter(desk_dataset.users, cfg.cf_batch_size,
                         shuffle_seed=[MASTER_SEED, 0]):
-        gram_step(b, sg)
-        e2e_step(b, se)
+        train_step(b, sg)
+        train_step(b, se)
         distinct.update(b.unique_items)
     epoch_ok = (sg.counters.ce_forward_calls == len(distinct) == stats.n_items
                 and se.counters.ce_forward_calls == stats.n_interactions

@@ -57,6 +57,31 @@ def test_train_writes_report_history_checkpoint(workdir, capsys):
     assert (out / "report.txt").read_text() in capsys.readouterr().out + "\n"
 
 
+def test_train_checkpoint_is_an_npz_of_every_parameter(workdir):
+    import numpy as np
+    from gram.dataset import load_dataset
+    from gram.model import load_checkpoint
+    from gram.training import train
+    rc = cli.main(["train", "--data", str(workdir / "data"), "--mode", "e2e",
+                   "--config", str(workdir / "cfg.json"),
+                   "--out", str(workdir / "runs")])
+    assert rc == 0
+    # the same run in-process gives the parameters the file must hold
+    _, _, _, tcfg = cli.load_run_config(str(workdir / "cfg.json"))
+    _, state = train(load_dataset(str(workdir / "data")), "e2e", tcfg)
+    params = {f"ce.{k}": t.data for k, t in state.ce.named().items()}
+    params.update({f"cf.{k}": t.data for k, t in state.cf.named().items()})
+    path = workdir / "runs" / "e2e" / "checkpoint.npz"
+    with np.load(path, allow_pickle=False) as blob:
+        assert set(blob.files) == set(params) | {"format", "config"}
+        for name, arr in params.items():
+            assert np.array_equal(blob[name], arr), name
+    ce, cf = load_checkpoint(path)
+    for prefix, loaded in (("ce.", ce), ("cf.", cf)):
+        for k, t in loaded.named().items():
+            assert np.array_equal(t.data, params[prefix + k]), k
+
+
 def test_train_reports_identical_across_reruns(workdir):
     for name in ("a", "b"):
         rc = cli.main(["train", "--data", str(workdir / "data"), "--mode", "e2e",

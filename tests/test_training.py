@@ -9,7 +9,6 @@ from gram.autodiff import Tensor
 from gram.dataset import Batch, Dataset, GenConfig, Item, UserSequence, batch_iter, generate_synthetic
 from gram.model import ModelConfig, init_params
 from gram.training import (
-    CacheEntry,
     ConfigError,
     NumericalAbort,
     OptimizerState,
@@ -17,9 +16,7 @@ from gram.training import (
     accumulation_latency,
     clip_by_global_norm,
     e2e_gradients,
-    e2e_step,
     gram_gradients,
-    gram_step,
     init_trainer,
     max_rel_err,
     optimizer_apply,
@@ -198,7 +195,7 @@ def test_e2e_counts_per_occurrence():
     ds, _ = dup_heavy_batch()
     user = UserSequence(0, ((0, 1), (1, 0)))
     state = init_trainer(ds, "e2e", small_config())
-    e2e_step(Batch(users=[user]), state)
+    train_step(Batch(users=[user]), state)
     assert state.counters.ce_forward_calls == 2
     assert state.counters.ce_backward_calls == 2
     assert state.counters.cf_forward_calls == 1
@@ -209,8 +206,8 @@ def test_e2e_zero_lr_leaves_params_and_loss_fixed():
     zero = OptimizerState(kind="sgd", lr=0.0)
     state = init_trainer(ds, "e2e", small_config(opt_ce=zero, opt_cf=zero.fresh()))
     before = {k: v.data.copy() for k, v in {**state.ce.named(), **state.cf.named()}.items()}
-    first = e2e_step(batch, state)
-    second = e2e_step(batch, state)
+    first = train_step(batch, state)
+    second = train_step(batch, state)
     assert first["loss"] == second["loss"]
     for k, v in state.ce.named().items():
         assert np.array_equal(v.data, before[k])
@@ -237,7 +234,7 @@ def test_e2e_five_step_losses_decrease_and_match_golden():
     seeds = seed_streams(cfg.seed)
     losses = []
     for batch in batch_iter(ds.users, cfg.cf_batch_size, shuffle_seed=[seeds["shuffle"], 0]):
-        rep = e2e_step(batch, state)
+        rep = train_step(batch, state)
         losses.append(rep["loss"] / rep["n_predictions"])
         if len(losses) == 5:
             break
@@ -253,9 +250,9 @@ def test_e2e_five_step_losses_decrease_and_match_golden():
 def test_gram_dup_heavy_batch_counts():
     ds, batch = dup_heavy_batch()
     sg = init_trainer(ds, "gram", small_config())
-    rep = gram_step(batch, sg)
+    rep = train_step(batch, sg)
     se = init_trainer(ds, "e2e", small_config())
-    e2e_step(batch, se)
+    train_step(batch, se)
     assert sg.counters.ce_forward_calls == 5
     assert se.counters.ce_forward_calls == 12
     assert rep["window_closed"] and rep["ce_items"] == 5
@@ -266,7 +263,7 @@ def test_gram_window_fires_every_n_steps():
     state = init_trainer(ds, "gram", small_config(accum_steps=3))
     closed = []
     for _ in range(7):
-        rep = gram_step(batch, state)
+        rep = train_step(batch, state)
         closed.append(rep["window_closed"])
     assert closed == [False, False, True, False, False, True, False]
     assert len(state.cache) == 5          # step 7 repopulated the cache
@@ -277,20 +274,38 @@ def test_gram_window_fires_every_n_steps():
 def test_gram_cache_hits_skip_encoder():
     ds, batch = dup_heavy_batch()
     state = init_trainer(ds, "gram", small_config(accum_steps=4))
-    gram_step(batch, state)
+    train_step(batch, state)
     assert state.counters.ce_forward_calls == 5
-    gram_step(batch, state)               # all hits
+    train_step(batch, state)               # all hits
     assert state.counters.ce_forward_calls == 5
-    for item_id in batch.unique_items:
-        assert state.cache.get(item_id).touch_count == 2
 
 
 def test_recompute_flag_encodes_every_step():
     ds, batch = dup_heavy_batch()
     state = init_trainer(ds, "gram", small_config(accum_steps=4, recompute_encodings=True))
-    gram_step(batch, state)
-    gram_step(batch, state)
+    train_step(batch, state)
+    train_step(batch, state)
     assert state.counters.ce_forward_calls == 10
+
+
+def test_recompute_keeps_gradients_accumulated_in_the_window():
+    # both modules frozen, so two identical steps see the same leaf gradient;
+    # refreshing the representation must not drop the first step's share
+    ds, batch = dup_heavy_batch()
+    zero = OptimizerState(kind="sgd", lr=0.0)
+    cfg = small_config(opt_ce=zero, opt_cf=zero.fresh(), accum_steps=4,
+                       recompute_encodings=True)
+    once, twice = init_trainer(ds, "gram", cfg), init_trainer(ds, "gram", cfg)
+    train_step(batch, once)
+    train_step(batch, twice)
+    train_step(batch, twice)
+    from gram.model import ce_encode
+    with ad.no_grad():
+        h = {i: ce_encode(once.item_tokens[i], once.ce).data for i in batch.unique_items}
+    for i in batch.unique_items:
+        g = h[i] - once.cache[i]
+        assert np.any(g != 0.0)
+        assert np.allclose(h[i] - twice.cache[i], 2.0 * g, rtol=1e-12, atol=1e-15)
 
 
 def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
@@ -307,29 +322,25 @@ def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
     with ad.no_grad():
         from gram.model import ce_encode
         h = {i: ce_encode(state.item_tokens[i], ce0).data for i in batch.unique_items}
-    gram_step(batch, state)
+    train_step(batch, state)
     for i in batch.unique_items:
-        entry = state.cache.get(i)
-        assert np.array_equal(entry.h, h[i])
-        # h_tilde differs from h by the raw gradient (no lr scaling): check
-        # it reproduces h when the gradient is added back via the CE phase
-        assert entry.h_tilde.shape == entry.h.shape
-        assert not np.array_equal(entry.h_tilde, entry.h)
+        # the pseudo-target differs from h by the raw gradient (no lr scaling)
+        assert state.cache[i].shape == h[i].shape
+        assert not np.array_equal(state.cache[i], h[i])
 
 
 def test_untouched_cache_entry_keeps_pseudo_target():
     ds, batch = dup_heavy_batch()
     state = init_trainer(ds, "gram", small_config(accum_steps=5))
-    gram_step(batch, state)
-    kept = state.cache.get(4).h_tilde.copy()
+    train_step(batch, state)
+    kept = state.cache[4].copy()
     sub = Batch(users=[UserSequence(9, ((0, 1), (1, 0), (2, 1)))])
-    gram_step(sub, state)
-    assert np.array_equal(state.cache.get(4).h_tilde, kept)
-    assert state.cache.get(4).touch_count == 1
+    train_step(sub, state)
+    assert np.array_equal(state.cache[4], kept)
 
 
 def test_perfect_pseudo_targets_give_zero_ce_gradient():
-    # if h_tilde equals the current encoder output, the regression loss and
+    # if the pseudo-target equals the current encoder output, the regression loss and
     # its gradient vanish (items with zero loss gradient contribute nothing)
     from gram.model import ce_encode
     from gram.training import _ce_update_phase
@@ -339,7 +350,7 @@ def test_perfect_pseudo_targets_give_zero_ce_gradient():
     with ad.no_grad():
         for i in batch.unique_items:
             h = ce_encode(state.item_tokens[i], state.ce).data
-            state.cache.put(i, CacheEntry(h=h, h_tilde=h.copy(), first_step=0))
+            state.cache[i] = h.copy()
     rep = _ce_update_phase(state)
     assert rep["pseudo_loss"] == 0.0
     for k, v in state.ce.named().items():
@@ -387,7 +398,7 @@ def test_numerical_abort_names_the_step():
     state = init_trainer(ds, "gram", small_config(opt_ce=huge, opt_cf=huge.fresh()))
     with pytest.raises(NumericalAbort), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(4):
-            gram_step(batch, state)
+            train_step(batch, state)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +455,15 @@ def test_max_rel_err_basics():
         max_rel_err(a, {"y": np.array([1.0])})
 
 
-@pytest.mark.parametrize("variant", ["recurrent", "attention"])
-def test_verifier_reports_tiny_errors(variant):
+@pytest.mark.parametrize("variant,clip_norm", [
+    ("recurrent", None), ("attention", None), ("recurrent", 0.5), ("attention", 0.5)],
+    ids=["recurrent", "attention", "recurrent-clip0.5", "attention-clip0.5"])
+def test_verifier_reports_tiny_errors(variant, clip_norm):
+    # clipping keeps the equivalence only because each module is clipped on
+    # its own in every mode
     ds = tiny_dataset(seed=9, n_users=16, n_items=8)
     model = ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=60, cf_variant=variant)
-    cfg = TrainConfig(model=model, cf_batch_size=4, seed=3)
+    cfg = TrainConfig(model=model, cf_batch_size=4, seed=3, clip_norm=clip_norm)
     rep = verify_equivalence(ds, cfg, n_trials=3, k_steps=10)
     assert rep["max_param_grad_rel_err"] <= 1e-10
     assert rep["max_trajectory_rel_err_sgd"] <= 1e-8
@@ -464,6 +479,29 @@ def test_verifier_requires_f64():
 # ---------------------------------------------------------------------------
 # The train loop
 # ---------------------------------------------------------------------------
+
+
+def test_train_sends_steps_and_evaluations_through_module_names(monkeypatch):
+    # the benchmark times train() by replacing these two module globals, so
+    # train() must look both up at call time
+    from gram import training
+    calls = {"train_step": 0, "evaluate": 0}
+
+    def counting(name):
+        fn = getattr(training, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(training, name, counting(name))
+    ds = tiny_dataset(n_users=30)
+    cfg = small_config(max_epochs=2, patience=0, n_cs_items=2)
+    report, state = train(ds, "gram", cfg)
+    assert calls["train_step"] == state.t == 2 * training.plan_run(ds, cfg).steps_per_epoch
+    assert calls["evaluate"] == len(report.history) + 1 == 3
 
 
 def test_train_reports_are_deterministic():
