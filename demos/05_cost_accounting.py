@@ -64,7 +64,7 @@ def main():
     pe = rep_e.counters["activation_elements_peak"]
     print(f"\npeak live activation elements, one epoch: cached {pg}, joint {pe} "
           f"({pg / pe:.0%})")
-    print("joint backprop keeps one encoder graph alive per occurrence; the")
+    print("joint backprop keeps the encoder activations of every occurrence alive; the")
     print("cached scheme's peak is one predictor batch plus one encoder chunk")
 
 

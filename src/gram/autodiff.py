@@ -381,34 +381,39 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
+    """Matrix product of two 2-D tensors, or of two 3-D stacks of matrices
+    with equal batch size ((B, m, k) @ (B, k, n) -> (B, m, n))."""
     _check_dtypes("matmul", a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    nd = a.data.ndim
+    if nd not in (2, 3) or b.data.ndim != nd:
+        raise ShapeError(f"matmul: needs two 2-D or two 3-D operands, got {a.shape} and {b.shape}")
+    if nd == 3 and a.shape[0] != b.shape[0]:
+        raise ShapeError(f"matmul: batch sizes disagree, {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
 
     def bw():
         ad, bd = a.data, b.data
 
         def run(g, acc):
-            acc(a, g @ bd.T)
-            acc(b, ad.T @ g)
+            acc(a, g @ np.swapaxes(bd, -1, -2))
+            acc(b, np.swapaxes(ad, -1, -2) @ g)
         return run
 
     return _result(a.data @ b.data, (a, b), bw, saved=(a, b), op="matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: needs a 2-D tensor, got {a.shape}")
+    """Swap the last two axes of a 2-D or 3-D tensor."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose: needs a 2-D or 3-D tensor, got {a.shape}")
 
     def bw():
         def run(g, acc):
-            acc(a, np.ascontiguousarray(g.T))
+            acc(a, np.ascontiguousarray(np.swapaxes(g, -1, -2)))
         return run
 
-    return _result(np.ascontiguousarray(a.data.T), (a,), bw, op="transpose")
+    return _result(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), bw, op="transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -311,7 +311,8 @@ def cmd_verify(args) -> int:
 def expected_forward_counts(dataset, cfg: TrainConfig, epochs: int):
     """Dry scan of the exact batch stream a run will see: occurrence
     count (joint backprop forwards) and per-window distinct-item count
-    (cached forwards)."""
+    (cached forwards; per-step distinct items with
+    ``recompute_encodings``)."""
     plan = plan_run(dataset, cfg)
     shuffle = seed_streams(cfg.seed)["shuffle"]
     occurrences = 0
@@ -322,7 +323,8 @@ def expected_forward_counts(dataset, cfg: TrainConfig, epochs: int):
         for b in batch_iter(plan.train_users, cfg.cf_batch_size,
                             shuffle_seed=[shuffle, epoch]):
             occurrences += b.n_interactions()
-            window_misses += sum(1 for i in b.unique_items if i not in cached)
+            window_misses += sum(1 for i in b.unique_items
+                                 if cfg.recompute_encodings or i not in cached)
             cached.update(b.unique_items)
             t += 1
             if t % plan.accum_steps == 0:

@@ -5,7 +5,11 @@ Two modules cooperate:
 * the content encoder (CE) maps an item's token sequence to a length-d
   encoding: embedding lookup -> ``l_ce`` blocks of residual single-head
   self-attention plus a residual two-layer feed-forward -> mean pooling
-  over the token axis -> output projection;
+  over the token axis -> output projection. ``ce_encode`` takes a list of
+  items and returns one row per item: items of equal (truncated) token
+  length share one graph, whose projections and feed-forward are 2-D
+  matmuls over all their tokens and whose attention is a (B, L, L)
+  batched matmul, with no padding or mask;
 * the collaborative filter (CF) maps a user's interaction history plus a
   candidate encoding to a response probability. Two variants:
 
@@ -249,33 +253,52 @@ def positional_table(n: int, d: int, dtype) -> np.ndarray:
     return pe.astype(dtype)
 
 
-def ce_encode(tokens, p: CeParams) -> Tensor:
-    """Encode one item's token-id sequence to a (1, d) representation.
+def ce_encode(token_seqs, p: CeParams) -> Tensor:
+    """Encode a list of items' token-id sequences to an (n, d) tensor.
 
-    Inputs longer than ``max_token_len`` are truncated; an empty sequence
-    is an error.
+    Row k encodes ``token_seqs[k]`` truncated to ``max_token_len``; a single
+    item is ``ce_encode([tokens], p)``. Items are grouped by truncated
+    length and each group runs as one graph over (B*L, d) rows, with a
+    (B, L, L) batched attention inside, so no row is padded or masked and
+    each op saves exactly the elements per-item graphs would. One gather
+    restores input order when the grouping changed it. An empty list or an
+    empty sequence is an error.
     """
-    toks = list(tokens)
-    if not toks:
-        raise ValueError("ce_encode: empty token sequence")
-    toks = toks[: p.cfg.max_token_len]
+    seqs = [list(toks)[: p.cfg.max_token_len] for toks in token_seqs]
+    if not seqs:
+        raise ValueError("ce_encode: no token sequences")
+    groups: dict[int, list[int]] = {}
+    for k, toks in enumerate(seqs):
+        if not toks:
+            raise ValueError(f"ce_encode: empty token sequence at position {k}")
+        groups.setdefault(len(toks), []).append(k)
 
-    x = ad.gather(p.token_embedding, toks)
-    if p.cfg.positional_encoding:
-        pe = Tensor(positional_table(len(toks), p.cfg.d, x.dtype))
-        x = ad.add(x, pe)
-    inv_sqrt_d = 1.0 / np.sqrt(p.cfg.d)
-    for lay in p.layers:
-        q = ad.matmul(x, lay.wq)
-        k = ad.matmul(x, lay.wk)
-        v = ad.matmul(x, lay.wv)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_d)
-        attended = ad.matmul(ad.softmax(scores, axis=-1), v)
-        x = ad.add(x, ad.matmul(attended, lay.wo))
-        ff = ad.matmul(ad.relu(ad.matmul(x, lay.w_ff1)), lay.w_ff2)
-        x = ad.add(x, ff)
-    pooled = ad.reshape(ad.mean_pool(x, axis=0), (1, p.cfg.d))
-    return ad.matmul(pooled, p.w_out)
+    d = p.cfg.d
+    inv_sqrt_d = 1.0 / np.sqrt(d)
+    outs = []
+    for length, members in groups.items():
+        b = len(members)
+        x = ad.gather(p.token_embedding, np.array([seqs[k] for k in members]).reshape(-1))
+        if p.cfg.positional_encoding:
+            pe = np.tile(positional_table(length, d, x.dtype), (b, 1))
+            x = ad.add(x, Tensor(pe))
+        for lay in p.layers:
+            q = ad.reshape(ad.matmul(x, lay.wq), (b, length, d))
+            k = ad.reshape(ad.matmul(x, lay.wk), (b, length, d))
+            v = ad.reshape(ad.matmul(x, lay.wv), (b, length, d))
+            scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_d)
+            attended = ad.reshape(ad.matmul(ad.softmax(scores, axis=-1), v), (b * length, d))
+            x = ad.add(x, ad.matmul(attended, lay.wo))
+            ff = ad.matmul(ad.relu(ad.matmul(x, lay.w_ff1)), lay.w_ff2)
+            x = ad.add(x, ff)
+        pooled = ad.mean_pool(ad.reshape(x, (b, length, d)), axis=1)
+        outs.append(ad.matmul(pooled, p.w_out))
+
+    out = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
+    order = [k for members in groups.values() for k in members]
+    if order == list(range(len(seqs))):
+        return out
+    return ad.gather(out, np.argsort(order))   # argsort inverts the permutation
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +560,10 @@ def save_checkpoint(path, ce: CeParams, cf: CfParams) -> None:
 
 def load_checkpoint(path) -> tuple[CeParams, CfParams]:
     """Rebuild (CeParams, CfParams) from a checkpoint file."""
-    with np.load(path, allow_pickle=False) as blob:
+    blob = np.load(path, allow_pickle=False)
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a checkpoint archive (a single array)")
+    with blob:
         fmt = str(blob["format"]) if "format" in blob.files else None
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"unrecognized checkpoint format {fmt!r}")

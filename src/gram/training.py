@@ -355,8 +355,7 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
         state.ce = None
     elif mode == "no_finetune":
         with ad.no_grad():
-            rows = [ce_encode(state.item_tokens[i], ce).data for i in ids]
-        state.frozen_enc = Tensor(np.concatenate(rows, axis=0))
+            state.frozen_enc = ce_encode([state.item_tokens[i] for i in ids], ce)
         state.frozen_row = {i: k for k, i in enumerate(ids)}
         state.counters.ce_forward_calls += len(ids)
     return state
@@ -369,43 +368,44 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
 
 def _encode_occurrences(users, item_tokens: dict, ce: CeParams):
     """One grad-tracked encoder row per interaction *occurrence*, so
-    gradients flow into the encoder once per occurrence.
+    gradients flow into the encoder once per occurrence; all rows come
+    from one batched encoder call.
 
     Returns (users renumbered to their rows, row_of, enc, token lengths).
     """
-    rows, rewritten, lens = [], [], []
+    seqs, rewritten = [], []
     for u in users:
         renumbered = []
         for item_id, resp in u.interactions:
-            tokens = item_tokens[item_id]
-            renumbered.append((len(rows), resp))
-            rows.append(ce_encode(tokens, ce))
-            lens.append(min(len(tokens), ce.cfg.max_token_len))
+            renumbered.append((len(seqs), resp))
+            seqs.append(item_tokens[item_id])
         rewritten.append(UserSequence(u.user_id, tuple(renumbered)))
-    return rewritten, {k: k for k in range(len(rows))}, ad.concat(rows, axis=0), lens
+    lens = [min(len(toks), ce.cfg.max_token_len) for toks in seqs]
+    return rewritten, {k: k for k in range(len(seqs))}, ce_encode(seqs, ce), lens
 
 
 def _cache_leaves(items, cache: dict, ce: CeParams, item_tokens: dict,
                   recompute: bool = False):
     """A grad-enabled leaf per item, stacked into the CF's input.
 
-    A cache hit reuses the carried pseudo-target as its representation; a
-    miss (or every item, with ``recompute``) is encoded without grad, and a
-    new item's encoding seeds its cache entry. Returns (leaves, row_of,
-    enc, encoder forwards).
+    A cache hit reuses the carried pseudo-target as its representation;
+    the misses (or every item, with ``recompute``) are encoded in one
+    no-grad call, and a new item's encoding seeds its cache entry. Returns
+    (leaves, row_of, enc, encoder forwards).
     """
-    leaves, n_encoded = {}, 0
+    misses = [i for i in items if recompute or i not in cache]
+    fresh = {}
+    if misses:
+        with ad.no_grad():
+            enc = ce_encode([item_tokens[i] for i in misses], ce).data
+        fresh = {i: enc[k:k + 1] for k, i in enumerate(misses)}
+    leaves = {}
     for i in items:
-        if i in cache and not recompute:
-            h = cache[i]
-        else:
-            with ad.no_grad():
-                h = ce_encode(item_tokens[i], ce).data
-            n_encoded += 1
-            cache.setdefault(i, h)
+        h = fresh[i] if i in fresh else cache[i]
+        cache.setdefault(i, h)
         leaves[i] = Tensor(h, grad_enabled=True)
     row_of = {item_id: k for k, item_id in enumerate(items)}
-    return leaves, row_of, ad.concat([leaves[i] for i in items], axis=0), n_encoded
+    return leaves, row_of, ad.concat([leaves[i] for i in items], axis=0), len(misses)
 
 
 def _write_back(cache: dict, leaves: dict, gmap: dict) -> None:
@@ -421,8 +421,7 @@ def _write_back(cache: dict, leaves: dict, gmap: dict) -> None:
 def _regress(ce: CeParams, item_tokens: dict, chunk, targets: dict):
     """(loss, backward gradients) of the half squared error between the
     encoder's outputs for ``chunk`` and their pseudo-targets."""
-    outs = [ce_encode(item_tokens[i], ce) for i in chunk]
-    pred = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
+    pred = ce_encode([item_tokens[i] for i in chunk], ce)
     target = Tensor(np.concatenate([targets[i] for i in chunk], axis=0))
     ploss = ad.mse_half(target, pred)
     return ploss, ad.backward(ploss)
@@ -554,8 +553,8 @@ def eval_encodings(state: TrainerState):
         return state.frozen_row, state.frozen_enc
     ids = sorted(state.item_tokens)
     with ad.no_grad():
-        rows = [ce_encode(state.item_tokens[i], state.ce).data for i in ids]
-    return {i: k for k, i in enumerate(ids)}, Tensor(np.concatenate(rows, axis=0))
+        enc = ce_encode([state.item_tokens[i] for i in ids], state.ce)
+    return {i: k for k, i in enumerate(ids)}, enc
 
 
 def scored_pairs(users, row_of, enc: Tensor, cf: CfParams, batch_size: int = 64):

@@ -73,6 +73,34 @@ def test_matmul_shape_error():
         matmul(tensor(np.ones((2, 3))), tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
         matmul(tensor(np.ones(3)), tensor(np.ones((3, 2))))
+    with pytest.raises(ShapeError):   # unequal batch sizes
+        matmul(tensor(np.ones((2, 3, 4))), tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ShapeError):   # batched inner dimensions disagree
+        matmul(tensor(np.ones((2, 3, 4))), tensor(np.ones((2, 3, 5))))
+    with pytest.raises(ShapeError):   # 2-D with 3-D
+        matmul(tensor(np.ones((3, 4))), tensor(np.ones((2, 4, 5))))
+    with pytest.raises(ShapeError):   # 3-D with 2-D
+        matmul(tensor(np.ones((2, 3, 4))), tensor(np.ones((4, 5))))
+    with pytest.raises(ShapeError):   # 4-D
+        matmul(tensor(np.ones((1, 2, 3, 4))), tensor(np.ones((1, 2, 4, 3))))
+
+
+def test_transpose_shape_error():
+    with pytest.raises(ShapeError):
+        transpose(tensor(np.ones((1, 2, 3, 4))))
+    with pytest.raises(ShapeError):
+        transpose(tensor(np.ones(3)))
+
+
+def test_batched_matmul_and_transpose_match_per_matrix_results():
+    rng = np.random.default_rng(3)
+    a = tensor(rng.standard_normal((3, 2, 4)))
+    b = tensor(rng.standard_normal((3, 4, 5)))
+    out = matmul(a, b)
+    assert out.shape == (3, 2, 5)
+    for i in range(3):
+        assert np.array_equal(out.data[i], a.data[i] @ b.data[i])
+        assert np.array_equal(transpose(a).data[i], a.data[i].T)
 
 
 def test_sigmoid_at_zero():
@@ -216,6 +244,24 @@ def test_fd_matmul_right_operand():
     run_trials(make_f, lambda rng: leaf(rng, (4, 2)))
 
 
+def test_fd_batched_matmul():
+    def make_f(rng):
+        b = Tensor(rng.standard_normal((2, 4, 3)))
+        c = Tensor(rng.standard_normal((2, 3, 3)))
+        return lambda x: sum_all(mul(matmul(x, b), c))
+
+    run_trials(make_f, lambda rng: leaf(rng, (2, 3, 4)))
+
+
+def test_fd_batched_matmul_right_operand():
+    def make_f(rng):
+        a = Tensor(rng.standard_normal((2, 3, 4)))
+        c = Tensor(rng.standard_normal((2, 3, 2)))
+        return lambda x: sum_all(mul(matmul(a, x), c))
+
+    run_trials(make_f, lambda rng: leaf(rng, (2, 4, 2)))
+
+
 def test_fd_add_sub_mul():
     def make_f(rng):
         other = Tensor(rng.standard_normal((3, 4)))
@@ -299,6 +345,18 @@ def test_fd_transpose_reshape():
         )
 
     run_trials(make_f, lambda rng: leaf(rng, (3, 4)))
+
+
+def test_fd_batched_transpose_mean_pool():
+    def make_f(rng):
+        c = Tensor(rng.standard_normal((2, 4, 3)))
+        c2 = Tensor(rng.standard_normal((2, 4)))
+        return lambda x: add(
+            sum_all(mul(transpose(x), c)),
+            sum_all(mul(mean_pool(x, axis=1), c2)),
+        )
+
+    run_trials(make_f, lambda rng: leaf(rng, (2, 3, 4)))
 
 
 def test_fd_concat_stack():

@@ -184,6 +184,24 @@ def test_bench_checks_call_ratio(workdir, capsys):
     assert set(payload["modes"]) == {"e2e", "gram"}
 
 
+@pytest.mark.parametrize("recompute", [False, True])
+def test_expected_forward_counts_match_a_cached_run(recompute):
+    # with recompute on, every distinct item of every step is a forward,
+    # not only the first touch in each window
+    from gram.dataset import GenConfig, generate_synthetic
+    from gram.model import ModelConfig
+    from gram.training import TrainConfig, train
+    gen = GenConfig(n_users=60, n_items=12, n_topics=3, vocab_size=70,
+                    seq_len_range=(5, 12), token_len_range=(3, 7))
+    dataset, _ = generate_synthetic(gen, seed=5)
+    cfg = TrainConfig(model=ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=70),
+                      latency="1E", cf_batch_size=8, n_cs_items=2, max_epochs=1,
+                      patience=0, recompute_encodings=recompute)
+    _, cached = cli.expected_forward_counts(dataset, cfg, epochs=1)
+    report, _ = train(dataset, "gram", cfg)
+    assert report.counters["ce_forward_calls"] == cached
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and bad input
 # ---------------------------------------------------------------------------

@@ -70,21 +70,21 @@ def zeroed_ce(cfg):
 
 def test_ce_zero_weights_single_token_is_embedding_row():
     ce = zeroed_ce(SMALL)
-    out = M.ce_encode([3], ce)
+    out = M.ce_encode([[3]], ce)
     assert np.allclose(out.data[0], ce.token_embedding.data[3])
 
 
 def test_ce_duplicate_tokens_match_single_token():
     ce, _ = small_params(seed=2)
-    one = M.ce_encode([5], ce)
-    two = M.ce_encode([5, 5], ce)
+    one = M.ce_encode([[5]], ce)
+    two = M.ce_encode([[5, 5]], ce)
     assert np.allclose(one.data, two.data, atol=1e-12)
 
 
 def test_ce_permutation_invariant_without_positions():
     ce, _ = small_params(seed=3)
-    a = M.ce_encode([1, 4, 7, 2], ce)
-    b = M.ce_encode([7, 2, 1, 4], ce)
+    a = M.ce_encode([[1, 4, 7, 2]], ce)
+    b = M.ce_encode([[7, 2, 1, 4]], ce)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -92,22 +92,23 @@ def test_ce_positional_encoding_breaks_permutation_invariance():
     cfg = M.ModelConfig(d=4, d_ff=6, l_ce=1, d_h=4, vocab_size=12,
                         max_token_len=8, positional_encoding=True)
     ce, _ = M.init_params(cfg, seed=3)
-    a = M.ce_encode([1, 4, 7, 2], ce)
-    b = M.ce_encode([7, 2, 1, 4], ce)
+    a = M.ce_encode([[1, 4, 7, 2]], ce)
+    b = M.ce_encode([[7, 2, 1, 4]], ce)
     assert not np.allclose(a.data, b.data)
 
 
 def test_ce_empty_tokens_rejected():
     ce, _ = small_params()
-    with pytest.raises(ValueError):
-        M.ce_encode([], ce)
+    for seqs in ([[]], [], [[1, 2], []]):
+        with pytest.raises(ValueError):
+            M.ce_encode(seqs, ce)
 
 
 def test_ce_truncates_long_input():
     ce, _ = small_params(seed=4)
     base = list(range(8))
-    assert np.allclose(M.ce_encode(base + [9, 9], ce).data,
-                       M.ce_encode(base, ce).data)
+    assert np.allclose(M.ce_encode([base + [9, 9]], ce).data,
+                       M.ce_encode([base], ce).data)
 
 
 def test_ce_gradient_vs_finite_differences():
@@ -117,13 +118,70 @@ def test_ce_gradient_vs_finite_differences():
     readout = Tensor(rng.standard_normal((1, SMALL.d)))
 
     def forward():
-        return sum_all(mul(M.ce_encode(tokens, ce), readout))
+        return sum_all(mul(M.ce_encode([tokens], ce), readout))
 
     for name in ce.named():
         f = swapped_forward(ce, name, forward)
         x = Tensor(get_param(ce, name).data.copy(), grad_enabled=True)
         err = grad_check(f, x)
         assert err <= 1e-5, f"{name}: {err:.2e}"
+
+
+# mixed lengths: two of length 3 (one repeated), a 5, an exact 8, and a 10
+# that truncates into the length-8 group
+MIXED = [[1, 4, 7], [2, 2, 9, 0, 5], [1, 4, 7], [3, 1, 2, 6, 8, 0, 11, 5],
+         [6, 5, 4], list(range(10))]
+
+
+def rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("positions", [False, True])
+def test_ce_batched_rows_match_single_item_calls(positions):
+    cfg = M.ModelConfig(d=4, d_ff=6, l_ce=2, d_h=4, vocab_size=12,
+                        max_token_len=8, positional_encoding=positions)
+    ce, _ = M.init_params(cfg, seed=7)
+    batched = M.ce_encode(MIXED, ce).data
+    assert batched.shape == (len(MIXED), cfg.d)
+    for k, toks in enumerate(MIXED):
+        assert rel_gap(batched[k], M.ce_encode([toks], ce).data[0]) <= 1e-12, k
+    assert rel_gap(batched[2], batched[0]) <= 1e-12   # a repeated item
+
+
+def test_ce_batched_rows_follow_input_order():
+    ce, _ = small_params(seed=8)
+    forward = M.ce_encode(MIXED, ce).data
+    backward_order = M.ce_encode(MIXED[::-1], ce).data
+    assert rel_gap(backward_order[::-1], forward) <= 1e-12
+    # rows of distinct items differ, so a wrong order cannot pass
+    assert not np.allclose(forward[0], forward[1])
+
+
+def test_ce_batched_gradients_equal_sum_of_per_item_gradients():
+    rng = np.random.default_rng(9)
+    ce, _ = small_params(seed=9, l_ce=2)
+    readout = rng.standard_normal((len(MIXED), SMALL.d))
+    gmap = backward(sum_all(mul(M.ce_encode(MIXED, ce), Tensor(readout))))
+    total = {name: np.zeros_like(t.data) for name, t in ce.named().items()}
+    for k, toks in enumerate(MIXED):
+        g_k = backward(sum_all(mul(M.ce_encode([toks], ce), Tensor(readout[k:k + 1]))))
+        for name, t in ce.named().items():
+            total[name] += g_k[t].data
+    for name, t in ce.named().items():
+        assert rel_gap(gmap[t].data, total[name]) <= 1e-12, name
+
+
+def test_ce_batched_call_saves_as_many_elements_as_per_item_calls():
+    from gram.instrument import ActivationAccountant
+    ce, _ = small_params(seed=10, l_ce=2)
+    batched, per_item = ActivationAccountant(), ActivationAccountant()
+    with ad.track_activations(batched):
+        M.ce_encode(MIXED, ce)
+    with ad.track_activations(per_item):
+        for toks in MIXED:
+            M.ce_encode([toks], ce)
+    assert batched.current == per_item.current > 0
 
 
 # ---------------------------------------------------------------------------
@@ -378,5 +436,13 @@ def test_checkpoint_round_trip(tmp_path, variant):
 def test_checkpoint_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else"}')
+    with pytest.raises(ValueError):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_single_array_file(tmp_path):
+    path = tmp_path / "weights.npy"
+    with open(path, "wb") as f:
+        np.save(f, np.zeros(3))
     with pytest.raises(ValueError):
         M.load_checkpoint(path)

@@ -301,7 +301,7 @@ def test_recompute_keeps_gradients_accumulated_in_the_window():
     train_step(batch, twice)
     from gram.model import ce_encode
     with ad.no_grad():
-        h = {i: ce_encode(once.item_tokens[i], once.ce).data for i in batch.unique_items}
+        h = {i: ce_encode([once.item_tokens[i]], once.ce).data for i in batch.unique_items}
     for i in batch.unique_items:
         g = h[i] - once.cache[i]
         assert np.any(g != 0.0)
@@ -321,7 +321,7 @@ def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
     # reconstruct the leaf gradients the same way gram_gradients does
     with ad.no_grad():
         from gram.model import ce_encode
-        h = {i: ce_encode(state.item_tokens[i], ce0).data for i in batch.unique_items}
+        h = {i: ce_encode([state.item_tokens[i]], ce0).data for i in batch.unique_items}
     train_step(batch, state)
     for i in batch.unique_items:
         # the pseudo-target differs from h by the raw gradient (no lr scaling)
@@ -347,10 +347,12 @@ def test_perfect_pseudo_targets_give_zero_ce_gradient():
     ds, batch = dup_heavy_batch()
     state = init_trainer(ds, "gram", small_config())
     before = {k: v.data.copy() for k, v in state.ce.named().items()}
+    # one call over the same items _regress encodes in one chunk, so the
+    # targets match its outputs bit for bit
     with ad.no_grad():
-        for i in batch.unique_items:
-            h = ce_encode(state.item_tokens[i], state.ce).data
-            state.cache[i] = h.copy()
+        h = ce_encode([state.item_tokens[i] for i in batch.unique_items], state.ce).data
+    for k, i in enumerate(batch.unique_items):
+        state.cache[i] = h[k:k + 1].copy()
     rep = _ce_update_phase(state)
     assert rep["pseudo_loss"] == 0.0
     for k, v in state.ce.named().items():
