@@ -8,16 +8,16 @@ pathway actually matters (cold-start items)."""
 import time
 
 from gram.dataset import GenConfig, generate_synthetic
-from gram.training import OptimizerState, TrainConfig, train
+from gram.training import OptimizerConfig, TrainConfig, train
 
 
-def run_config(latency=None):
+def run_config(latency="1S"):
     # ce_batch_size=0 regresses the whole cache in one optimizer step, so
     # the window-1 cached run takes exactly the updates joint backprop
     # takes; with chunked regression the trajectories only track closely
     return TrainConfig(
-        opt_ce=OptimizerState(kind="adam", lr=1e-3),
-        opt_cf=OptimizerState(kind="adam", lr=1e-3),
+        opt_ce=OptimizerConfig(kind="adam", lr=1e-3),
+        opt_cf=OptimizerConfig(kind="adam", lr=1e-3),
         cf_batch_size=16, ce_batch_size=0, max_epochs=15, latency=latency, seed=3,
     )
 
@@ -27,11 +27,11 @@ def main():
 
     rows = []
     for label, mode, latency in [
-        ("joint backprop", "e2e", None),
-        ("cached, window 1", "gram", None),
+        ("joint backprop", "e2e", "1S"),
+        ("cached, window 1", "gram", "1S"),
         ("cached, window 1 epoch", "gram", "1E"),
-        ("id-embedding only", "no_content", None),
-        ("frozen encoder", "no_finetune", None),
+        ("id-embedding only", "no_content", "1S"),
+        ("frozen encoder", "no_finetune", "1S"),
     ]:
         t0 = time.time()
         report, _ = train(dataset, mode, run_config(latency))

@@ -42,7 +42,8 @@ def main():
     st = compute_stats(dataset)
     cfg = TrainConfig(cf_batch_size=16)
     steps = -(-len(dataset.users) // cfg.cf_batch_size)
-    sg = init_trainer(dataset, "gram", cfg, accum_steps=steps)  # window = epoch
+    sg = init_trainer(dataset, "gram", replace(cfg, latency="1E"),  # window = epoch
+                      steps_per_epoch=steps)
     se = init_trainer(dataset, "e2e", cfg)
     for b in batch_iter(dataset.users, cfg.cf_batch_size, shuffle_seed=1):
         train_step(b, sg)

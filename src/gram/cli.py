@@ -26,7 +26,7 @@ Subcommands
 Run configuration files are JSON with top-level keys ``seed``,
 ``out_dir``, ``precision``, ``gen``, ``model`` and ``train``; every
 field has a default (the dataclass defaults of GenConfig / ModelConfig /
-TrainConfig / OptimizerState) and unknown keys are rejected. Flags
+TrainConfig / OptimizerConfig) and unknown keys are rejected. Flags
 override file values; the ``GRAM_OUT_DIR`` environment variable
 overrides the configured output directory.
 
@@ -58,9 +58,8 @@ from .training import (
     MODES,
     ConfigError,
     NumericalAbort,
-    OptimizerState,
+    OptimizerConfig,
     TrainConfig,
-    accumulation_latency,
     plan_run,
     seed_streams,
     train,
@@ -114,7 +113,7 @@ def parse_run_config(data: dict, where: str = "config"):
                           "top-level 'model' section")
     for opt_key in ("opt_ce", "opt_cf"):
         if opt_key in tdata:
-            tdata[opt_key] = _build(OptimizerState, tdata[opt_key],
+            tdata[opt_key] = _build(OptimizerConfig, tdata[opt_key],
                                     f"{where}.train.{opt_key}")
     tcfg = _build(TrainConfig, tdata, f"{where}.train")
     tcfg = replace(tcfg, model=model)
@@ -189,21 +188,6 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def parse_latency(value: str):
-    """'1S' | '10S' | '0.5E' | '1E' → latency preset; 'N=<int>' → window
-    size in steps. Returns (latency, accum_steps)."""
-    if value.startswith("N="):
-        try:
-            n = int(value[2:])
-        except ValueError:
-            raise ConfigError(f"bad window size {value!r}; expected N=<int>")
-        if n < 1:
-            raise ConfigError("window size must be >= 1")
-        return None, n
-    accumulation_latency(value, 1)      # validates the preset name
-    return value, 1
-
-
 def _mode_arg(value: str) -> str:
     mode = value.replace("-", "_")
     if mode not in MODES:
@@ -243,8 +227,7 @@ def cmd_train(args) -> int:
     if args.max_epochs is not None:
         tcfg = replace(tcfg, max_epochs=args.max_epochs)
     if args.latency is not None:
-        latency, accum = parse_latency(args.latency)
-        tcfg = replace(tcfg, latency=latency, accum_steps=accum)
+        tcfg = replace(tcfg, latency=args.latency)
     dataset = load_dataset(args.data)
     report, state = train(dataset, args.mode, tcfg)
 
@@ -345,8 +328,7 @@ def cmd_bench(args) -> int:
     if args.seed is not None:
         tcfg = replace(tcfg, seed=args.seed)
     if args.latency is not None:
-        latency, accum = parse_latency(args.latency)
-        tcfg = replace(tcfg, latency=latency, accum_steps=accum)
+        tcfg = replace(tcfg, latency=args.latency)
     # fixed-length runs so counters are comparable across modes
     tcfg = replace(tcfg, max_epochs=args.epochs, patience=0,
                    recompute_encodings=args.recompute)
@@ -436,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--mode", required=True, type=_mode_arg,
                    help="e2e | gram | no-content | no-finetune")
     t.add_argument("--config", help="run-config JSON")
-    t.add_argument("--latency", help="window: 1S | 10S | 0.5E | 1E | N=<int>")
+    t.add_argument("--latency", help="gram window: <k>S steps or <f>E of an epoch "
+                   "(paper: 1S, 10S, 0.5E, 1E)")
     t.add_argument("--seed", type=int, help="master seed override")
     t.add_argument("--max-epochs", type=int, help="epoch budget override")
     t.add_argument("--out", help="output directory (default $GRAM_OUT_DIR or ./runs)")
@@ -457,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated (default e2e,gram)")
     b.add_argument("--config", help="run-config JSON")
     b.add_argument("--epochs", type=int, default=3, help="fixed epochs per mode (default 3)")
-    b.add_argument("--latency", help="window for the cached mode: preset or N=<int>")
+    b.add_argument("--latency", help="window for the cached mode: <k>S or <f>E")
     b.add_argument("--recompute", action="store_true",
                    help="re-encode cached items every step (ablation)")
     b.add_argument("--seed", type=int, help="master seed override")

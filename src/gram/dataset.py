@@ -72,10 +72,6 @@ class Dataset:
                 if item not in known:
                     raise ValueError(f"user {u.user_id} references unknown item {item}")
 
-    @property
-    def item_map(self) -> dict[int, Item]:
-        return {it.item_id: it for it in self.items}
-
     def n_interactions(self) -> int:
         return sum(len(u) for u in self.users)
 

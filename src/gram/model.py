@@ -25,11 +25,11 @@ from interactions 0..n-1 only (no leakage), and the loss is the sum of the
 per-position binary cross-entropy terms.
 
 ``batch_sequence_loss`` is the hot path: it advances every user of a batch
-through time in lockstep on (n_users x dim) matrices, freezing finished
-users with constant 0/1 masks and selecting the valid prediction slots by
-gather, so padded slots get exactly zero gradient. ``sequence_loss`` is
-the plain per-user reference; the two agree to float64 roundoff (addition
-order differs) and a test pins that.
+through time in lockstep on (n_users x dim) matrices and selects the valid
+prediction slots by gather. A finished user's row keeps running on filler
+inputs, but no valid slot reads it, so it gets exactly zero gradient.
+``sequence_loss`` is the plain per-user reference; the two agree to
+float64 roundoff (addition order differs) and a test pins that.
 
 All weight matrices are initialized uniform(-a, a), a = sqrt(6 / (fan_in +
 fan_out)); bias vectors start at zero.
@@ -443,17 +443,18 @@ def _batch_layout(users):
                                     np.array(labels), np.array(item_ids), np.array(user_idx, dtype=np.intp))
 
 
-def _recurrent_batch_logits(inters, lengths, t_max, row_of, enc: Tensor, p: RecurrentCfParams) -> Tensor:
+def _recurrent_batch_logits(inters, t_max, row_of, enc: Tensor, p: RecurrentCfParams) -> Tensor:
     """Step-major logits for all (step, user) slots, shape (b*(t_max-1), 1).
 
-    Finished users are frozen by 0/1 masks; their slots are later dropped
-    by gather, so they receive exactly zero gradient.
+    A finished user's row keeps stepping on filler inputs; each row depends
+    only on its own user, and ``batch_logits`` gathers the finished users'
+    slots away, so those rows receive exactly zero gradient.
     """
     b = len(inters)
     dh = p.cfg.d_h
     dt = enc.dtype
     # item row / response per (user, step); step >= length repeats row 0,
-    # which is harmless because masked updates discard it
+    # which only finished users' rows, never a valid slot, read
     item_rows = np.zeros((t_max, b), dtype=np.intp)
     resps = np.zeros((t_max, b), dtype=np.intp)
     for u, it in enumerate(inters):
@@ -476,14 +477,7 @@ def _recurrent_batch_logits(inters, lengths, t_max, row_of, enc: Tensor, p: Recu
         r = ad.sigmoid(ad.add(ad.gather(xg, gate_rows[0]), ad.gather(hg, gate_rows[0])))
         z = ad.sigmoid(ad.add(ad.gather(xg, gate_rows[1]), ad.gather(hg, gate_rows[1])))
         cnd = ad.tanh(ad.add(ad.gather(xg, gate_rows[2]), ad.mul(r, ad.gather(hg, gate_rows[2]))))
-        h_new = ad.add(cnd, ad.mul(z, ad.sub(h, cnd)))
-        active = lengths > n
-        if active.all():
-            h = h_new
-        else:
-            m = Tensor(np.repeat(active.astype(dt)[:, None], dh, axis=1))
-            im = Tensor(np.repeat((~active).astype(dt)[:, None], dh, axis=1))
-            h = ad.add(ad.mul(m, h_new), ad.mul(im, h))
+        h = ad.add(cnd, ad.mul(z, ad.sub(h, cnd)))
     flat = ad.concat(step_logits, axis=0)       # ((t_max-1)*b,), step-major
     return ad.reshape(flat, (flat.shape[0], 1))
 
@@ -515,8 +509,12 @@ def batch_logits(users, row_of, enc: Tensor, p: CfParams):
     item_ids, user index arrays), one entry per predicted position.
     """
     inters, lengths, t_max, (slots, labels, item_ids, user_idx) = _batch_layout(users)
+    if t_max > p.cfg.max_interactions:
+        u = int(np.argmax(lengths))
+        raise ValueError(f"user at batch index {u} has {lengths[u]} interactions, "
+                         f"more than max_interactions {p.cfg.max_interactions}")
     if p.variant == "recurrent":
-        all_logits = _recurrent_batch_logits(inters, lengths, t_max, row_of, enc, p)
+        all_logits = _recurrent_batch_logits(inters, t_max, row_of, enc, p)
     else:
         all_logits = _attention_batch_logits(inters, row_of, enc, p)
     picked = ad.gather(all_logits, slots)

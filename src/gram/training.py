@@ -10,11 +10,11 @@ Training modes
     Alternating: the collaborative filter trains on item representations
     held as grad-enabled leaves. Each step stores the pseudo-target
     h~ = h - dL/dh (plain subtraction: SGD on the representation with
-    learning rate exactly 1). Every ``accum_steps`` batches the encoder
-    regresses onto the accumulated pseudo-targets and the cache is
-    cleared. Within a window a re-encountered item reuses its carried
-    h~ as the representation, so the encoder runs once per *distinct*
-    item per window.
+    learning rate exactly 1). Every N batches, the window that
+    ``latency`` resolves to, the encoder regresses onto the accumulated
+    pseudo-targets and the cache is cleared. Within a window a
+    re-encountered item reuses its carried h~ as the representation, so
+    the encoder runs once per *distinct* item per window.
 ``no_content``
     A trainable item-embedding table replaces the encoder entirely.
 ``no_finetune``
@@ -24,18 +24,20 @@ All four share ``train_step``: a per-mode builder supplies the CF's item
 representations, one backward runs through the batch loss, and each
 trained module is clipped and stepped on its own optimizer.
 
-With ``accum_steps == 1`` the encoder gradient of the regression loss
-equals the end-to-end encoder gradient at equal parameters, so the two
-trainers walk the same trajectory; ``verify_equivalence`` measures this
-through the same encoding and regression helpers the step uses. Larger
-windows trade representation staleness for fewer encoder calls and make
-no equivalence claim.
+With a one-step window (latency ``1S``) the encoder gradient of the
+regression loss equals the end-to-end encoder gradient at equal
+parameters, so the two trainers walk the same trajectory;
+``verify_equivalence`` measures this through the same encoding and
+regression helpers the step uses. Larger windows trade representation
+staleness for fewer encoder calls and make no equivalence claim.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass, field, replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +65,6 @@ from .model import (
 from .report import RunReport
 
 MODES = ("e2e", "gram", "no_content", "no_finetune")
-LATENCY_PRESETS = ("1S", "10S", "0.5E", "1E")
 
 # Training-phase timer keys; eval time is tracked but not part of the
 # run's wall_clock_ns counter.
@@ -83,9 +84,9 @@ class NumericalAbort(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OptimizerState:
-    """One optimizer: update rule, learning-rate schedule, moment buffers.
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """One optimizer's settings: update rule and learning-rate schedule.
 
     ``kind`` is "sgd" or "adam". The "noam" schedule is
     lr * model_dim^-0.5 * min(step^-0.5, step * warmup^-1.5), which peaks
@@ -100,11 +101,8 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
-    def validate(self) -> "OptimizerState":
+    def validate(self) -> "OptimizerConfig":
         if self.kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.schedule not in ("constant", "noam"):
@@ -115,14 +113,21 @@ class OptimizerState:
             raise ConfigError("warmup and model_dim must be positive")
         return self
 
-    def fresh(self) -> "OptimizerState":
-        """A zeroed copy (step 0, empty moments) of the same settings."""
-        return replace(self, step=0, m={}, v={})
-
     def lr_at(self, step: int) -> float:
         if self.schedule == "noam":
             return self.lr * self.model_dim ** -0.5 * min(step ** -0.5, step * self.warmup ** -1.5)
         return self.lr
+
+
+@dataclass
+class OptimizerState:
+    """One optimizer's run state: its settings, the step count and Adam's
+    moment buffers (name -> array, created on first use)."""
+
+    cfg: OptimizerConfig
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
 
 
 def optimizer_apply(opt: OptimizerState, params: dict, grads: dict) -> dict:
@@ -132,8 +137,9 @@ def optimizer_apply(opt: OptimizerState, params: dict, grads: dict) -> dict:
     parameters without a gradient entry are left untouched. Parameter
     arrays are replaced, not mutated, so consumed graphs stay valid.
     """
+    cfg = opt.cfg
     opt.step += 1
-    lr = opt.lr_at(opt.step)
+    lr = cfg.lr_at(opt.step)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -141,7 +147,7 @@ def optimizer_apply(opt: OptimizerState, params: dict, grads: dict) -> dict:
         if np.shape(g) != p.data.shape:
             raise ConfigError(
                 f"gradient shape {np.shape(g)} does not match parameter {name} {p.data.shape}")
-        if opt.kind == "sgd":
+        if cfg.kind == "sgd":
             p.data = p.data - lr * g
             continue
         m = opt.m.get(name)
@@ -149,13 +155,13 @@ def optimizer_apply(opt: OptimizerState, params: dict, grads: dict) -> dict:
             m = opt.m[name] = np.zeros_like(p.data)
             opt.v[name] = np.zeros_like(p.data)
         v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        m_hat = m / (1.0 - opt.beta1 ** opt.step)
-        v_hat = v / (1.0 - opt.beta2 ** opt.step)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        m_hat = m / (1.0 - cfg.beta1 ** opt.step)
+        v_hat = v / (1.0 - cfg.beta2 ** opt.step)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
     return params
 
 
@@ -200,19 +206,19 @@ class TrainConfig:
 
     ``seed`` is the master seed; init / shuffle / split streams derive
     from it via ``seed_streams`` so different modes see identical splits
-    and initial parameters. ``ce_batch_size`` 0 means the whole cache is
+    and initial parameters. ``latency`` is the gradient-update latency of
+    ``gram``, the window between encoder updates (see
+    ``accumulation_latency``). ``ce_batch_size`` 0 means the whole cache is
     regressed in a single optimizer step.
     """
 
     model: ModelConfig = field(default_factory=ModelConfig)
-    accum_steps: int = 1           # window size N; 1 = single-step
-    latency: str | None = None     # optional preset overriding accum_steps
+    latency: str = "1S"            # <k>S steps or <f>E of an epoch
     cf_batch_size: int = 16
     ce_batch_size: int = 8
-    ce_passes: int = 1             # regression passes over the cache per window
     recompute_encodings: bool = False
-    opt_ce: OptimizerState = field(default_factory=OptimizerState)
-    opt_cf: OptimizerState = field(default_factory=OptimizerState)
+    opt_ce: OptimizerConfig = field(default_factory=OptimizerConfig)
+    opt_cf: OptimizerConfig = field(default_factory=OptimizerConfig)
     clip_norm: float | None = None   # max gradient L2 norm, per module (CE and CF each)
     max_epochs: int = 50
     patience: int = 10
@@ -221,7 +227,6 @@ class TrainConfig:
     # cold-start AUC is a noisy statistic of few held-out items; 24 gives
     # it enough pairs to be a meaningful chance-level check
     n_cs_items: int = 24
-    eval_batch_size: int = 64
     precision: str = "f64"
     seed: int = 2024
 
@@ -229,17 +234,11 @@ class TrainConfig:
         self.model.validate()
         self.opt_ce.validate()
         self.opt_cf.validate()
-        if self.accum_steps < 1:
-            raise ConfigError("accum_steps must be >= 1")
-        if self.latency is not None and self.latency not in LATENCY_PRESETS:
-            raise ConfigError(f"unknown latency preset {self.latency!r}; "
-                              f"expected one of {LATENCY_PRESETS}")
-        if self.cf_batch_size < 1 or self.eval_batch_size < 1:
-            raise ConfigError("batch sizes must be positive")
+        accumulation_latency(self.latency, 1)      # checks the syntax
+        if self.cf_batch_size < 1:
+            raise ConfigError("cf_batch_size must be positive")
         if self.ce_batch_size < 0:
             raise ConfigError("ce_batch_size must be >= 0 (0 = whole cache)")
-        if self.ce_passes < 1:
-            raise ConfigError("ce_passes must be >= 1")
         if not (0.0 < self.val_frac < 1.0 and 0.0 < self.test_frac < 1.0):
             raise ConfigError("val_frac and test_frac must lie in (0, 1)")
         if self.max_epochs < 1 or self.patience < 0:
@@ -251,19 +250,25 @@ class TrainConfig:
         return self
 
 
-def accumulation_latency(preset: str, steps_per_epoch: int) -> int:
-    """Window size N for a named latency preset."""
-    if steps_per_epoch < 1:
+def accumulation_latency(latency: str, steps_per_epoch: int | None = None) -> int:
+    """Window size N, in steps, of a gradient-update latency.
+
+    ``<k>S`` is k steps (k >= 1). ``<f>E`` is ceil(f * steps_per_epoch)
+    steps for 0 < f <= 1 of an epoch and needs ``steps_per_epoch``. The
+    paper's settings are 1S (single-step) and 10S, 0.5E, 1E (multi-step).
+    """
+    m = re.fullmatch(r"(\d+)S|(\d*\.?\d+)E", latency) if isinstance(latency, str) else None
+    if m is None or (m[1] and int(m[1]) < 1) or (m[2] and not 0 < Fraction(m[2]) <= 1):
+        raise ConfigError(f"bad latency {latency!r}; expected <k>S with k >= 1 "
+                          "or <f>E with 0 < f <= 1")
+    if steps_per_epoch is not None and steps_per_epoch < 1:
         raise ConfigError("steps_per_epoch must be positive")
-    if preset == "1S":
-        return 1
-    if preset == "10S":
-        return 10
-    if preset == "0.5E":
-        return math.ceil(steps_per_epoch / 2)
-    if preset == "1E":
-        return steps_per_epoch
-    raise ConfigError(f"unknown latency preset {preset!r}")
+    if m[1]:
+        return int(m[1])
+    if steps_per_epoch is None:
+        raise ConfigError(f"latency {latency!r} is a share of an epoch: "
+                          "it needs steps_per_epoch")
+    return math.ceil(Fraction(m[2]) * steps_per_epoch)
 
 
 class RunPlan(NamedTuple):
@@ -274,7 +279,7 @@ class RunPlan(NamedTuple):
     test_users: list
     cs_items: set
     steps_per_epoch: int
-    accum_steps: int       # window size N after resolving ``latency``
+    accum_steps: int       # window size N resolved from ``latency``
 
 
 def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
@@ -284,9 +289,8 @@ def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
         dataset, cfg.n_cs_items, seeds["split"], cfg.test_frac)
     train_users, val_users = split_users(train_ds.users, cfg.val_frac, seeds["val"])
     steps = math.ceil(len(train_users) / cfg.cf_batch_size)
-    accum = (accumulation_latency(cfg.latency, steps) if cfg.latency is not None
-             else cfg.accum_steps)
-    return RunPlan(train_users, val_users, test_ds.users, cs_items, steps, accum)
+    return RunPlan(train_users, val_users, test_ds.users, cs_items, steps,
+                   accumulation_latency(cfg.latency, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +309,7 @@ class TrainerState:
     opt_ce: OptimizerState
     opt_cf: OptimizerState
     item_tokens: dict
-    accum_steps: int = 1
+    accum_steps: int                # gram window size N, resolved from cfg.latency
     t: int = 0                      # batches processed so far
     # gram: item -> pseudo-target h~ of the open window, in first-touch order
     cache: dict = field(default_factory=dict)
@@ -324,11 +328,13 @@ class TrainerState:
 
 
 def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
-                 accum_steps: int | None = None) -> TrainerState:
+                 steps_per_epoch: int | None = None) -> TrainerState:
     """Build a TrainerState: parameters, optimizers, mode-specific extras.
 
     ``dataset`` supplies the item universe (tokens for every item the run
-    may ever encode, including evaluation-only items).
+    may ever encode, including evaluation-only items). ``steps_per_epoch``
+    resolves an epoch-relative ``cfg.latency``; without it such a latency
+    is a ConfigError.
     """
     cfg.validate()
     if mode not in MODES:
@@ -337,12 +343,10 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     ce, cf = init_params(cfg.model, seeds["init"])
     state = TrainerState(
         mode=mode, cfg=cfg, ce=ce, cf=cf,
-        opt_ce=cfg.opt_ce.fresh(), opt_cf=cfg.opt_cf.fresh(),
+        opt_ce=OptimizerState(cfg.opt_ce), opt_cf=OptimizerState(cfg.opt_cf),
         item_tokens={it.item_id: it.tokens for it in dataset.items},
-        accum_steps=accum_steps if accum_steps is not None else cfg.accum_steps,
+        accum_steps=accumulation_latency(cfg.latency, steps_per_epoch),
     )
-    if state.accum_steps < 1:
-        raise ConfigError("accumulation window must be >= 1 step")
     ids = sorted(state.item_tokens)
     if mode == "no_content":
         # Xavier-style table; rows of items never seen in training stay at
@@ -506,7 +510,7 @@ def _ce_update_phase(state: TrainerState) -> dict:
     """Regress the encoder onto the cached pseudo-targets, then clear.
 
     One optimizer step per mini-batch of ``ce_batch_size`` items (0 =
-    whole cache at once), ``ce_passes`` passes over the cache.
+    whole cache at once), one pass over the cache.
     """
     ids = list(state.cache)
     if not ids:
@@ -515,19 +519,18 @@ def _ce_update_phase(state: TrainerState) -> dict:
     groups = [(state.opt_ce, state.ce.named())]
     opt_steps = 0
     last_loss = 0.0
-    for _ in range(state.cfg.ce_passes):
-        for lo in range(0, len(ids), bs):
-            chunk = ids[lo:lo + bs]
-            try:
-                ploss, gmap = _regress(state.ce, state.item_tokens, chunk, state.cache)
-            except NonFiniteError as e:
-                raise NumericalAbort(
-                    f"encoder regression at step {state.t} "
-                    f"(items {chunk[0]}..{chunk[-1]}): {e}") from e
-            _apply_updates(groups, gmap, state.cfg.clip_norm)
-            state.counters.ce_backward_calls += len(chunk)
-            opt_steps += 1
-            last_loss = ploss.item()
+    for lo in range(0, len(ids), bs):
+        chunk = ids[lo:lo + bs]
+        try:
+            ploss, gmap = _regress(state.ce, state.item_tokens, chunk, state.cache)
+        except NonFiniteError as e:
+            raise NumericalAbort(
+                f"encoder regression at step {state.t} "
+                f"(items {chunk[0]}..{chunk[-1]}): {e}") from e
+        _apply_updates(groups, gmap, state.cfg.clip_norm)
+        state.counters.ce_backward_calls += len(chunk)
+        opt_steps += 1
+        last_loss = ploss.item()
     lens = [min(len(state.item_tokens[i]), state.ce.cfg.max_token_len) for i in ids]
     state.counters.flop_estimate += gram_ce_flops_per_batch(
         len(ids), float(np.mean(lens)), state.ce.cfg.d)
@@ -573,7 +576,7 @@ def scored_pairs(users, row_of, enc: Tensor, cf: CfParams, batch_size: int = 64)
 def evaluate(state: TrainerState, users, cs_items=None) -> dict:
     """AUC (optionally cold-start AUC) plus per-user ranking metrics."""
     row_of, enc = eval_encodings(state)
-    pairs = scored_pairs(users, row_of, enc, state.cf, state.cfg.eval_batch_size)
+    pairs = scored_pairs(users, row_of, enc, state.cf)
     out = {"auc": auc(pairs), "n_predictions": len(pairs)}
     if cs_items is not None:
         try:
@@ -613,31 +616,6 @@ def _restore(state: TrainerState, snap: dict) -> None:
         state.item_embedding.data = snap["item_embedding"].copy()
 
 
-def _config_echo(cfg: TrainConfig, mode: str, accum_steps: int) -> dict:
-    return {
-        "mode": mode,
-        "seed": cfg.seed,
-        "precision": cfg.precision,
-        "model": asdict(cfg.model),
-        "accum_steps": accum_steps,
-        "latency": cfg.latency,
-        "cf_batch_size": cfg.cf_batch_size,
-        "ce_batch_size": cfg.ce_batch_size,
-        "ce_passes": cfg.ce_passes,
-        "recompute_encodings": cfg.recompute_encodings,
-        "opt_ce": {"kind": cfg.opt_ce.kind, "lr": cfg.opt_ce.lr,
-                   "schedule": cfg.opt_ce.schedule, "warmup": cfg.opt_ce.warmup},
-        "opt_cf": {"kind": cfg.opt_cf.kind, "lr": cfg.opt_cf.lr,
-                   "schedule": cfg.opt_cf.schedule, "warmup": cfg.opt_cf.warmup},
-        "clip_norm": cfg.clip_norm,
-        "max_epochs": cfg.max_epochs,
-        "patience": cfg.patience,
-        "val_frac": cfg.val_frac,
-        "test_frac": cfg.test_frac,
-        "n_cs_items": cfg.n_cs_items,
-    }
-
-
 def train(dataset: Dataset, mode: str, cfg: TrainConfig):
     """Full run: split, epoch loop with validation-AUC early stopping,
     best-checkpoint restore, final test metrics.
@@ -653,12 +631,11 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
     ad.set_default_dtype(np.float64 if cfg.precision == "f64" else np.float32)
     try:
         plan = plan_run(dataset, cfg)
-        accum = plan.accum_steps
-        if mode == "gram" and accum > plan.steps_per_epoch:
-            raise ConfigError(
-                f"accumulation window {accum} exceeds {plan.steps_per_epoch} steps per epoch")
+        if mode == "gram" and plan.accum_steps > plan.steps_per_epoch:
+            raise ConfigError(f"accumulation window {plan.accum_steps} exceeds "
+                              f"{plan.steps_per_epoch} steps per epoch")
 
-        state = init_trainer(dataset, mode, cfg, accum_steps=accum)
+        state = init_trainer(dataset, mode, cfg, steps_per_epoch=plan.steps_per_epoch)
         history = []
         best_auc, best_epoch, bad_epochs = -1.0, -1, 0
         best_params = _snapshot(state)
@@ -695,7 +672,8 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
         c.activation_elements_peak = state.accountant.peak
         report = RunReport(
             mode=mode,
-            config=_config_echo(cfg, mode, accum),
+            # the settings as given, plus the mode and the resolved window
+            config={"mode": mode, **asdict(cfg), "accum_steps": plan.accum_steps},
             history=history,
             final_metrics=final,
             counters=c.as_dict(),
@@ -812,9 +790,8 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
         # single-step windows, whole cache in one regression step, so each
         # trainer applies exactly one optimizer step per module per batch
         for kind, lr in (("sgd", sgd_lr), ("adam", adam_lr)):
-            opt = OptimizerState(kind=kind, lr=lr, schedule="constant")
-            tcfg = replace(cfg, accum_steps=1, ce_batch_size=0, latency=None,
-                           opt_ce=opt, opt_cf=replace(opt))
+            opt = OptimizerConfig(kind=kind, lr=lr, schedule="constant")
+            tcfg = replace(cfg, latency="1S", ce_batch_size=0, opt_ce=opt, opt_cf=opt)
             ref = _run_steps(dataset, "e2e", tcfg, k_steps)
             alt = _run_steps(dataset, "gram", tcfg, k_steps)
             out[f"max_trajectory_rel_err_{kind}"] = max_rel_err(ref, alt)

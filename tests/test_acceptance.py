@@ -5,6 +5,7 @@ budgets stated inline."""
 
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from gram.dataset import (
 from gram.instrument import speed_report
 from gram.model import ModelConfig, ce_encode, init_params
 from gram.training import (
-    OptimizerState,
+    OptimizerConfig,
     TrainConfig,
     accumulation_latency,
     e2e_gradients,
@@ -50,18 +51,15 @@ MASTER_SEED = 20260814
 # conditions this configuration must satisfy jointly)
 DATASET_SEED = 2024
 ACCEPT_TRAIN = dict(
-    opt_ce=OptimizerState(kind="adam", lr=1e-3),
-    opt_cf=OptimizerState(kind="adam", lr=1e-3),
+    opt_ce=OptimizerConfig(kind="adam", lr=1e-3),
+    opt_cf=OptimizerConfig(kind="adam", lr=1e-3),
     cf_batch_size=16,
     seed=3,
 )
 
 
 def accept_config(**overrides):
-    kw = {k: (v.fresh() if isinstance(v, OptimizerState) else v)
-          for k, v in ACCEPT_TRAIN.items()}
-    kw.update(overrides)
-    return TrainConfig(**kw)
+    return TrainConfig(**{**ACCEPT_TRAIN, **overrides})
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +283,7 @@ def test_acceptance_4_boost_ratio_counters(desk_dataset, capsys):
     stats = compute_stats(desk_dataset)
     cfg = accept_config()
     steps = -(-len(desk_dataset.users) // cfg.cf_batch_size)
-    sg = init_trainer(desk_dataset, "gram", cfg, accum_steps=steps)
+    sg = init_trainer(desk_dataset, "gram", replace(cfg, latency="1E"), steps_per_epoch=steps)
     se = init_trainer(desk_dataset, "e2e", cfg)
     distinct = set()
     for b in batch_iter(desk_dataset.users, cfg.cf_batch_size,
@@ -344,10 +342,10 @@ def test_acceptance_5_activation_memory(desk_dataset, capsys):
 def test_acceptance_6_learning_sanity(desk_dataset, capsys):
     t0 = time.monotonic()
     runs = {}
-    for key, mode, latency in [("e2e", "e2e", None), ("gram_1s", "gram", None),
+    for key, mode, latency in [("e2e", "e2e", "1S"), ("gram_1s", "gram", "1S"),
                                ("gram_1e", "gram", "1E"),
-                               ("no_content", "no_content", None),
-                               ("no_finetune", "no_finetune", None)]:
+                               ("no_content", "no_content", "1S"),
+                               ("no_finetune", "no_finetune", "1S")]:
         rep, _ = train(desk_dataset, mode, accept_config(latency=latency))
         runs[key] = rep.final_metrics
     elapsed = time.monotonic() - t0

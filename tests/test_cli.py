@@ -104,10 +104,11 @@ def test_no_content_run_skips_checkpoint(workdir):
 
 def test_latency_window_flag(workdir):
     rc = cli.main(["train", "--data", str(workdir / "data"), "--mode", "gram",
-                   "--config", str(workdir / "cfg.json"), "--latency", "N=2",
-                   "--out", str(workdir / "n2")])
+                   "--config", str(workdir / "cfg.json"), "--latency", "2S",
+                   "--out", str(workdir / "two")])
     assert rc == 0
-    report = json.loads((workdir / "n2" / "gram" / "report.json").read_text())
+    report = json.loads((workdir / "two" / "gram" / "report.json").read_text())
+    assert report["config"]["latency"] == "2S"
     assert report["config"]["accum_steps"] == 2
     rc = cli.main(["train", "--data", str(workdir / "data"), "--mode", "gram",
                    "--config", str(workdir / "cfg.json"), "--latency", "1E",
@@ -116,6 +117,27 @@ def test_latency_window_flag(workdir):
     report = json.loads((workdir / "oneE" / "gram" / "report.json").read_text())
     assert report["config"]["latency"] == "1E"
     assert report["config"]["accum_steps"] > 1
+
+
+def test_old_window_syntax_exits_1(workdir, capsys):
+    rc = cli.main(["train", "--data", str(workdir / "data"), "--mode", "gram",
+                   "--config", str(workdir / "cfg.json"), "--latency", "N=2",
+                   "--out", str(workdir / "n2")])
+    assert rc == 1
+    assert "bad latency 'N=2'" in capsys.readouterr().err
+
+
+def test_report_config_echoes_every_setting(workdir):
+    from dataclasses import fields
+    from gram.training import OptimizerConfig, TrainConfig
+    rc = cli.main(["train", "--data", str(workdir / "data"), "--mode", "e2e",
+                   "--config", str(workdir / "cfg.json"), "--out", str(workdir / "r")])
+    assert rc == 0
+    config = json.loads((workdir / "r" / "e2e" / "report.json").read_text())["config"]
+    assert set(config) == {"mode", "accum_steps"} | {f.name for f in fields(TrainConfig)}
+    assert config["latency"] == "1S" and config["accum_steps"] == 1
+    assert config["opt_ce"] == {**{f.name: f.default for f in fields(OptimizerConfig)},
+                                "kind": "adam", "lr": 1e-3}
 
 
 def test_out_dir_env_override(workdir, monkeypatch):
@@ -224,6 +246,15 @@ def test_unknown_nested_key_exits_1(tmp_path, capsys):
     rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(p)])
     assert rc == 1
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [
+    ("opt_ce", "step"), ("opt_ce", "m"), ("opt_ce", "v"),
+    (None, "accum_steps"), (None, "ce_passes"), (None, "eval_batch_size")])
+def test_config_rejects_run_state_and_removed_settings(section, key):
+    train = {key: 1} if section is None else {section: {key: 1}}
+    with pytest.raises(cli.ConfigError, match="unknown keys"):
+        cli.parse_run_config({"train": train})
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):

@@ -381,7 +381,7 @@ def test_batch_gradients_match_per_user(variant):
 
 
 def test_batch_scores_match_cf_predict():
-    # masked lockstep scoring must agree with the per-user reference at
+    # lockstep scoring must agree with the per-user reference at
     # every (user, position) slot, including after short users finish
     rng = np.random.default_rng(18)
     _, cf = small_params(seed=18)
@@ -413,6 +413,23 @@ def test_batch_rejects_all_singleton_users():
     enc = leaf_encodings(np.random.default_rng(1), cf.cfg.d, [0])
     with pytest.raises(ValueError):
         M.batch_sequence_loss([[(0, 1)]], {0: 0}, enc[0], cf)
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_batch_rejects_sequences_longer_than_max_interactions(variant):
+    # the bound cf_predict enforces on a history holds in the lockstep path too
+    cfg = M.ModelConfig(d=4, d_ff=6, d_h=4, vocab_size=12, max_token_len=8,
+                        max_interactions=3, cf_variant=variant)
+    _, cf = M.init_params(cfg, 20)
+    enc = leaf_encodings(np.random.default_rng(2), cf.cfg.d, [0, 1])
+    stack = ad.concat([enc[0], enc[1]], axis=0)
+    fits = [[(0, 1), (1, 0)], [(0, 1), (1, 0), (0, 1)]]
+    M.batch_sequence_loss(fits, {0: 0, 1: 1}, stack, cf)
+    too_long = fits + [[(0, 1), (1, 0), (0, 1), (1, 1)]]
+    with pytest.raises(ValueError, match="batch index 2 has 4 interactions"):
+        M.batch_sequence_loss(too_long, {0: 0, 1: 1}, stack, cf)
+    with pytest.raises(ValueError, match="max_interactions 3"):
+        M.batch_scores(too_long, {0: 0, 1: 1}, stack, cf)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from gram.model import ModelConfig, init_params
 from gram.training import (
     ConfigError,
     NumericalAbort,
+    OptimizerConfig,
     OptimizerState,
     TrainConfig,
     accumulation_latency,
@@ -62,7 +63,7 @@ def test_sgd_lr_one_is_plain_subtraction():
     # the same rule the pseudo-target update uses
     p = Tensor(np.array([1.0, 2.0, 3.0]), grad_enabled=True)
     g = np.array([0.5, -1.0, 2.0])
-    opt = OptimizerState(kind="sgd", lr=1.0)
+    opt = OptimizerState(OptimizerConfig(kind="sgd", lr=1.0))
     optimizer_apply(opt, {"p": p}, {"p": g})
     assert np.array_equal(p.data, np.array([0.5, 3.0, 1.0]))
 
@@ -70,7 +71,7 @@ def test_sgd_lr_one_is_plain_subtraction():
 def test_sgd_zero_lr_keeps_params():
     p = Tensor(np.array([1.0, 2.0]), grad_enabled=True)
     before = p.data.copy()
-    optimizer_apply(OptimizerState(kind="sgd", lr=0.0), {"p": p}, {"p": np.ones(2)})
+    optimizer_apply(OptimizerState(OptimizerConfig(kind="sgd", lr=0.0)), {"p": p}, {"p": np.ones(2)})
     assert np.array_equal(p.data, before)
 
 
@@ -78,7 +79,7 @@ def test_adam_first_step_magnitude():
     # bias correction makes the first update ~lr per component when |g| >> eps
     p = Tensor(np.zeros(4), grad_enabled=True)
     g = np.array([1.0, -2.0, 0.5, 10.0])
-    opt = OptimizerState(kind="adam", lr=1e-3)
+    opt = OptimizerState(OptimizerConfig(kind="adam", lr=1e-3))
     optimizer_apply(opt, {"p": p}, {"p": g})
     assert np.allclose(np.abs(p.data), 1e-3, rtol=1e-6)
     assert np.array_equal(np.sign(p.data), -np.sign(g))
@@ -86,7 +87,7 @@ def test_adam_first_step_magnitude():
 
 def test_adam_moment_buffers_mirror_shapes():
     p = Tensor(np.zeros((3, 2)), grad_enabled=True)
-    opt = OptimizerState(kind="adam", lr=1e-3)
+    opt = OptimizerState(OptimizerConfig(kind="adam", lr=1e-3))
     optimizer_apply(opt, {"p": p}, {"p": np.ones((3, 2))})
     assert opt.m["p"].shape == (3, 2) and opt.v["p"].shape == (3, 2)
     assert opt.step == 1
@@ -95,7 +96,7 @@ def test_adam_moment_buffers_mirror_shapes():
 
 
 def test_noam_peaks_at_warmup():
-    opt = OptimizerState(kind="sgd", lr=1.0, schedule="noam", model_dim=16, warmup=50)
+    opt = OptimizerConfig(kind="sgd", lr=1.0, schedule="noam", model_dim=16, warmup=50)
     lrs = [opt.lr_at(s) for s in range(1, 200)]
     assert int(np.argmax(lrs)) + 1 == 50
     assert lrs[49] == pytest.approx(1.0 * 16 ** -0.5 * 50 ** -0.5)
@@ -104,13 +105,15 @@ def test_noam_peaks_at_warmup():
 def test_optimizer_rejects_shape_mismatch():
     p = Tensor(np.zeros(()), grad_enabled=True)
     with pytest.raises(ConfigError):
-        optimizer_apply(OptimizerState(kind="sgd"), {"p": p}, {"p": np.ones(1)})
+        optimizer_apply(OptimizerState(OptimizerConfig(kind="sgd")), {"p": p},
+                        {"p": np.ones(1)})
 
 
 def test_optimizer_skips_missing_grads():
     p = Tensor(np.ones(2), grad_enabled=True)
     q = Tensor(np.ones(2), grad_enabled=True)
-    optimizer_apply(OptimizerState(kind="sgd", lr=1.0), {"p": p, "q": q}, {"p": np.ones(2)})
+    optimizer_apply(OptimizerState(OptimizerConfig(kind="sgd", lr=1.0)), {"p": p, "q": q},
+                    {"p": np.ones(2)})
     assert np.array_equal(q.data, np.ones(2))
     assert np.array_equal(p.data, np.zeros(2))
 
@@ -126,12 +129,16 @@ def test_clip_by_global_norm():
     assert same["a"] is grads["a"]
 
 
-def test_fresh_resets_buffers():
-    opt = OptimizerState(kind="adam")
-    p = Tensor(np.zeros(2), grad_enabled=True)
-    optimizer_apply(opt, {"p": p}, {"p": np.ones(2)})
-    f = opt.fresh()
-    assert f.step == 0 and not f.m and not f.v and f.kind == "adam"
+def test_each_trainer_starts_with_zeroed_optimizer_state():
+    # the config holds settings only; every trainer gets its own run state
+    ds, batch = dup_heavy_batch()
+    cfg = small_config(opt_ce=OptimizerConfig(kind="adam"))
+    first = init_trainer(ds, "e2e", cfg)
+    train_step(batch, first)
+    assert first.opt_ce.step == 1 and first.opt_ce.m
+    second = init_trainer(ds, "e2e", cfg)
+    assert second.opt_ce.step == 0 and not second.opt_ce.m and not second.opt_ce.v
+    assert second.opt_ce.cfg is cfg.opt_ce
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +156,7 @@ def test_seed_streams_deterministic_and_distinct():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        TrainConfig(accum_steps=0).validate()
+        TrainConfig(latency="0S").validate()
     with pytest.raises(ConfigError):
         TrainConfig(latency="2E").validate()
     with pytest.raises(ConfigError):
@@ -157,7 +164,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         TrainConfig(val_frac=0.0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(opt_ce=OptimizerState(kind="rmsprop")).validate()
+        TrainConfig(opt_ce=OptimizerConfig(kind="rmsprop")).validate()
     TrainConfig().validate()
 
 
@@ -179,9 +186,36 @@ def test_latency_rejects_unknown():
         accumulation_latency("1S", 0)
 
 
+# 0.1 of 30 steps is 3 exactly, not ceil(0.1 * 30) = ceil(3.0000000000000004) = 4
+@pytest.mark.parametrize("latency,steps,expected", [
+    ("3S", 37, 3), ("0.25E", 37, 10), (".5E", 37, 19), ("0.1E", 37, 4), ("0.1E", 30, 3)])
+def test_latency_counts_steps_or_a_share_of_an_epoch(latency, steps, expected):
+    assert accumulation_latency(latency, steps) == expected
+
+
+@pytest.mark.parametrize("latency", ["0S", "1.5S", "0E", "1.5E", "N=2", "S", "E", "1s", "", None])
+def test_latency_rejects_bad_syntax(latency):
+    with pytest.raises(ConfigError):
+        accumulation_latency(latency, 37)
+    with pytest.raises(ConfigError):
+        TrainConfig(latency=latency).validate()
+
+
+def test_init_trainer_resolves_the_latency():
+    ds, _ = dup_heavy_batch()
+    assert init_trainer(ds, "gram", small_config(latency="10S")).accum_steps == 10
+    assert init_trainer(ds, "gram", small_config(latency="1E"), steps_per_epoch=22).accum_steps == 22
+
+
+def test_init_trainer_needs_steps_per_epoch_for_an_epoch_latency():
+    ds, _ = dup_heavy_batch()
+    with pytest.raises(ConfigError, match="steps_per_epoch"):
+        init_trainer(ds, "gram", small_config(latency="1E"))
+
+
 def test_window_longer_than_epoch_rejected():
     ds = tiny_dataset(n_users=12)
-    cfg = small_config(accum_steps=50, max_epochs=1, n_cs_items=2)
+    cfg = small_config(latency="50S", max_epochs=1, n_cs_items=2)
     with pytest.raises(ConfigError):
         train(ds, "gram", cfg)
 
@@ -203,8 +237,8 @@ def test_e2e_counts_per_occurrence():
 
 def test_e2e_zero_lr_leaves_params_and_loss_fixed():
     ds, batch = dup_heavy_batch()
-    zero = OptimizerState(kind="sgd", lr=0.0)
-    state = init_trainer(ds, "e2e", small_config(opt_ce=zero, opt_cf=zero.fresh()))
+    zero = OptimizerConfig(kind="sgd", lr=0.0)
+    state = init_trainer(ds, "e2e", small_config(opt_ce=zero, opt_cf=zero))
     before = {k: v.data.copy() for k, v in {**state.ce.named(), **state.cf.named()}.items()}
     first = train_step(batch, state)
     second = train_step(batch, state)
@@ -228,8 +262,8 @@ GOLDEN_E2E_LOSSES = [
 
 def test_e2e_five_step_losses_decrease_and_match_golden():
     ds, _ = generate_synthetic(GenConfig(), seed=2024)
-    sgd = OptimizerState(kind="sgd", lr=1e-2)
-    cfg = TrainConfig(opt_ce=sgd, opt_cf=sgd.fresh(), cf_batch_size=16, seed=7)
+    sgd = OptimizerConfig(kind="sgd", lr=1e-2)
+    cfg = TrainConfig(opt_ce=sgd, opt_cf=sgd, cf_batch_size=16, seed=7)
     state = init_trainer(ds, "e2e", cfg)
     seeds = seed_streams(cfg.seed)
     losses = []
@@ -260,7 +294,7 @@ def test_gram_dup_heavy_batch_counts():
 
 def test_gram_window_fires_every_n_steps():
     ds, batch = dup_heavy_batch()
-    state = init_trainer(ds, "gram", small_config(accum_steps=3))
+    state = init_trainer(ds, "gram", small_config(latency="3S"))
     closed = []
     for _ in range(7):
         rep = train_step(batch, state)
@@ -273,7 +307,7 @@ def test_gram_window_fires_every_n_steps():
 
 def test_gram_cache_hits_skip_encoder():
     ds, batch = dup_heavy_batch()
-    state = init_trainer(ds, "gram", small_config(accum_steps=4))
+    state = init_trainer(ds, "gram", small_config(latency="4S"))
     train_step(batch, state)
     assert state.counters.ce_forward_calls == 5
     train_step(batch, state)               # all hits
@@ -282,7 +316,7 @@ def test_gram_cache_hits_skip_encoder():
 
 def test_recompute_flag_encodes_every_step():
     ds, batch = dup_heavy_batch()
-    state = init_trainer(ds, "gram", small_config(accum_steps=4, recompute_encodings=True))
+    state = init_trainer(ds, "gram", small_config(latency="4S", recompute_encodings=True))
     train_step(batch, state)
     train_step(batch, state)
     assert state.counters.ce_forward_calls == 10
@@ -292,8 +326,8 @@ def test_recompute_keeps_gradients_accumulated_in_the_window():
     # both modules frozen, so two identical steps see the same leaf gradient;
     # refreshing the representation must not drop the first step's share
     ds, batch = dup_heavy_batch()
-    zero = OptimizerState(kind="sgd", lr=0.0)
-    cfg = small_config(opt_ce=zero, opt_cf=zero.fresh(), accum_steps=4,
+    zero = OptimizerConfig(kind="sgd", lr=0.0)
+    cfg = small_config(opt_ce=zero, opt_cf=zero, latency="4S",
                        recompute_encodings=True)
     once, twice = init_trainer(ds, "gram", cfg), init_trainer(ds, "gram", cfg)
     train_step(batch, once)
@@ -312,9 +346,9 @@ def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
     # representation update uses learning rate exactly 1 even though the
     # CF optimizer uses its own lr
     ds, batch = dup_heavy_batch()
-    zero = OptimizerState(kind="sgd", lr=0.0)
-    cfg = small_config(opt_ce=zero, opt_cf=OptimizerState(kind="sgd", lr=0.37),
-                       accum_steps=2)
+    zero = OptimizerConfig(kind="sgd", lr=0.0)
+    cfg = small_config(opt_ce=zero, opt_cf=OptimizerConfig(kind="sgd", lr=0.37),
+                       latency="2S")
     state = init_trainer(ds, "gram", cfg)
     ce0, cf0 = init_params(cfg.model, seed_streams(cfg.seed)["init"])
     _, ref = gram_gradients(batch, ce0, cf0, state.item_tokens)
@@ -331,7 +365,7 @@ def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
 
 def test_untouched_cache_entry_keeps_pseudo_target():
     ds, batch = dup_heavy_batch()
-    state = init_trainer(ds, "gram", small_config(accum_steps=5))
+    state = init_trainer(ds, "gram", small_config(latency="5S"))
     train_step(batch, state)
     kept = state.cache[4].copy()
     sub = Batch(users=[UserSequence(9, ((0, 1), (1, 0), (2, 1)))])
@@ -387,8 +421,8 @@ def test_duplicate_occurrences_accumulate_like_joint_backprop():
 def test_multi_step_never_more_forwards_than_single_step():
     ds = tiny_dataset(n_users=40)
     for n in (2, 5):
-        c1 = small_config(accum_steps=1, max_epochs=2, n_cs_items=2)
-        cn = small_config(accum_steps=n, max_epochs=2, n_cs_items=2)
+        c1 = small_config(latency="1S", max_epochs=2, n_cs_items=2)
+        cn = small_config(latency=f"{n}S", max_epochs=2, n_cs_items=2)
         r1, _ = train(ds, "gram", c1)
         rn, _ = train(ds, "gram", cn)
         assert rn.counters["ce_forward_calls"] <= r1.counters["ce_forward_calls"]
@@ -396,8 +430,8 @@ def test_multi_step_never_more_forwards_than_single_step():
 
 def test_numerical_abort_names_the_step():
     ds, batch = dup_heavy_batch()
-    huge = OptimizerState(kind="sgd", lr=1e200)
-    state = init_trainer(ds, "gram", small_config(opt_ce=huge, opt_cf=huge.fresh()))
+    huge = OptimizerConfig(kind="sgd", lr=1e200)
+    state = init_trainer(ds, "gram", small_config(opt_ce=huge, opt_cf=huge))
     with pytest.raises(NumericalAbort), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(4):
             train_step(batch, state)
@@ -423,8 +457,8 @@ def test_no_content_trains_only_touched_rows():
     extra = Item(99, (7, 8))      # never interacted with
     ds2 = Dataset(items=ds.items + [extra], users=ds.users)
     state = init_trainer(ds2, "no_content", small_config(
-        opt_ce=OptimizerState(kind="sgd", lr=0.1),
-        opt_cf=OptimizerState(kind="sgd", lr=0.1)))
+        opt_ce=OptimizerConfig(kind="sgd", lr=0.1),
+        opt_cf=OptimizerConfig(kind="sgd", lr=0.1)))
     before = state.item_embedding.data.copy()
     train_step(batch, state)
     row99 = state.embed_row[99]
