@@ -8,13 +8,15 @@ frees the tape. A graph can be consumed exactly once.
 
 Design constraints, chosen to keep gradient code honest at desk scale:
 
-* float64 by default; float32 is opt-in via ``set_default_dtype``.
+* float64 by default; float32 is opt-in via ``set_default_dtype``, per
+  thread.
 * No broadcasting beyond scalar-with-tensor and row-wise bias add. All
   other shape mismatches raise ``ShapeError``.
 * Every primitive validates that its output is finite; NaN/Inf raises
   ``NonFiniteError`` immediately instead of propagating.
-* Single-threaded per graph. Grad mode and the activation accountant are
-  thread-local, so independent graphs may live on independent threads.
+* Single-threaded per graph. Grad mode, the default dtype and the
+  activation accountant are thread-local, so independent graphs may live
+  on independent threads.
 
 Activation accounting: when an accountant is installed via
 ``track_activations``, each node reports the element count of non-leaf
@@ -90,23 +92,21 @@ class GraphConsumedError(AutodiffError):
 
 
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-_DEFAULT_DTYPE = np.dtype(np.float64)
+
+_STATE = threading.local()
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly created tensors (float64 or float32)."""
-    global _DEFAULT_DTYPE
+    """Set the dtype this thread uses for newly created tensors (float64
+    or float32); other threads keep their own."""
     dt = np.dtype(dtype)
     if dt not in _FLOAT_DTYPES:
         raise ValueError(f"unsupported dtype {dt}; use float64 or float32")
-    _DEFAULT_DTYPE = dt
+    _STATE.dtype = dt
 
 
 def default_dtype() -> np.dtype:
-    return _DEFAULT_DTYPE
-
-
-_STATE = threading.local()
+    return getattr(_STATE, "dtype", _FLOAT_DTYPES[0])
 
 
 def is_grad_enabled() -> bool:
@@ -160,7 +160,7 @@ class Tensor:
         elif isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
             arr = data
         else:
-            arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+            arr = np.asarray(data, dtype=default_dtype())
         if arr.dtype not in _FLOAT_DTYPES:
             raise ValueError(f"unsupported dtype {arr.dtype}; use float64 or float32")
         if not np.all(np.isfinite(arr)):
@@ -247,7 +247,7 @@ def tensor(data, grad: bool = False, dtype=None) -> Tensor:
 
 
 def zeros(shape, grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.dtype(dtype) if dtype else _DEFAULT_DTYPE), grad_enabled=grad)
+    return Tensor(np.zeros(shape, dtype=np.dtype(dtype) if dtype else default_dtype()), grad_enabled=grad)
 
 
 def _check_dtypes(op: str, *ts: Tensor) -> None:

@@ -24,12 +24,16 @@ Sequence losses do next-response prediction: position n >= 1 is predicted
 from interactions 0..n-1 only (no leakage), and the loss is the sum of the
 per-position binary cross-entropy terms.
 
-``batch_sequence_loss`` is the hot path: it advances every user of a batch
-through time in lockstep on (n_users x dim) matrices and selects the valid
-prediction slots by gather. A finished user's row keeps running on filler
-inputs, but no valid slot reads it, so it gets exactly zero gradient.
-``sequence_loss`` is the plain per-user reference; the two agree to
-float64 roundoff (addition order differs) and a test pins that.
+``batch_sequence_loss`` is the hot path. The recurrent CF advances every
+user of a batch through time in lockstep on (n_users x dim) matrices and
+selects the valid prediction slots by gather; a finished user's row keeps
+running on filler inputs, but no valid slot reads it, so it gets exactly
+zero gradient. The attention CF runs one graph per prefix length n over
+the users longer than n: (B_n*n, 2d) history rows, a (B_n, n, n) batched
+attention and pooling over axis 1, with no padding or mask, so it saves
+the elements the per-user graphs would. ``sequence_loss`` and
+``cf_predict`` are the plain per-user reference; the batched paths agree
+with them to float64 roundoff (addition order differs) and tests pin that.
 
 All weight matrices are initialized uniform(-a, a), a = sqrt(6 / (fan_in +
 fan_out)); bias vectors start at zero.
@@ -448,7 +452,9 @@ def _recurrent_batch_logits(inters, t_max, row_of, enc: Tensor, p: RecurrentCfPa
 
     A finished user's row keeps stepping on filler inputs; each row depends
     only on its own user, and ``batch_logits`` gathers the finished users'
-    slots away, so those rows receive exactly zero gradient.
+    slots away, so those rows receive exactly zero gradient. The cell runs
+    t_max - 1 updates: the one after the last interaction would feed no
+    logit.
     """
     b = len(inters)
     dh = p.cfg.d_h
@@ -466,47 +472,66 @@ def _recurrent_batch_logits(inters, t_max, row_of, enc: Tensor, p: RecurrentCfPa
     gate_rows = [np.arange(b, dtype=np.intp) * 3 + k for k in range(3)]
     h = Tensor(np.zeros((b, dh), dtype=dt))
     step_logits = []
-    for n in range(t_max):
-        if n >= 1:
-            cand = ad.gather(readout, item_rows[n])
-            step_logits.append(_row_dot(h, cand))
-        x = ad.concat([ad.gather(enc, item_rows[n]),
-                       ad.gather(p.resp_embedding, resps[n])], axis=1)
+    for n in range(1, t_max):
+        x = ad.concat([ad.gather(enc, item_rows[n - 1]),
+                       ad.gather(p.resp_embedding, resps[n - 1])], axis=1)
         xg = ad.reshape(ad.add(ad.matmul(x, p.w_ih), p.b_ih), (3 * b, dh))
         hg = ad.reshape(ad.add(ad.matmul(h, p.w_hh), p.b_hh), (3 * b, dh))
         r = ad.sigmoid(ad.add(ad.gather(xg, gate_rows[0]), ad.gather(hg, gate_rows[0])))
         z = ad.sigmoid(ad.add(ad.gather(xg, gate_rows[1]), ad.gather(hg, gate_rows[1])))
         cnd = ad.tanh(ad.add(ad.gather(xg, gate_rows[2]), ad.mul(r, ad.gather(hg, gate_rows[2]))))
         h = ad.add(cnd, ad.mul(z, ad.sub(h, cnd)))
+        step_logits.append(_row_dot(h, ad.gather(readout, item_rows[n])))
     flat = ad.concat(step_logits, axis=0)       # ((t_max-1)*b,), step-major
     return ad.reshape(flat, (flat.shape[0], 1))
 
 
-def _attention_batch_logits(inters, row_of, enc: Tensor, p: AttentionCfParams):
-    """Per-user per-position logits for the attention variant, returned
-    step-major to match the recurrent layout."""
-    b = len(inters)
-    t_max = max(len(it) for it in inters)
-    slots: dict[tuple[int, int], Tensor] = {}
-    for u, it in enumerate(inters):
-        xs = []
-        for n, (item, resp) in enumerate(it):
-            e = ad.gather(enc, [row_of[item]])
-            if n >= 1:
-                pooled = _attend_pool(xs, p)
-                slots[(n, u)] = ad.add(ad.sum_all(ad.mul(pooled, e)), p.bias)
-            xs.append(ad.concat([e, ad.gather(p.resp_embedding, [resp])], axis=1))
-    zero = Tensor(np.zeros((), dtype=enc.dtype))
-    flat = ad.stack([slots.get((n, u), zero) for n in range(1, t_max) for u in range(b)])
+def _attention_batch_logits(inters, t_max, row_of, enc: Tensor, p: AttentionCfParams) -> Tensor:
+    """Logits of the valid slots only, in ``_batch_layout``'s step-major
+    order (prefix length n ascending, then user), shape (n_slots, 1).
+
+    The (encoding (+) response embedding) row of every (user, position) is
+    built once. Each prefix length n then runs as one graph over the B_n
+    users longer than n: their (B_n*n, 2d) history rows go through 2-D
+    projections, a (B_n, n, n) batched attention, additive pooling over
+    axis 1 to (B_n, d) user vectors, and a row-wise dot with the
+    candidates. No row is padded or masked, so each op saves exactly the
+    elements the per-user ``_attend_pool`` graphs save.
+    """
+    d, dh = p.cfg.d, p.cfg.d_h
+    lengths = np.array([len(it) for it in inters], dtype=np.intp)
+    first = np.concatenate([[0], np.cumsum(lengths)[:-1]])   # row of (u, 0)
+    item_rows = np.array([row_of[item] for it in inters for item, _ in it], dtype=np.intp)
+    resps = np.array([resp for it in inters for _, resp in it], dtype=np.intp)
+    x_all = ad.concat([ad.gather(enc, item_rows), ad.gather(p.resp_embedding, resps)], axis=1)
+    inv_sqrt_dh = 1.0 / np.sqrt(dh)
+    logits = []
+    for n in range(1, t_max):
+        starts = first[lengths > n]
+        b = starts.size
+        x = ad.gather(x_all, (starts[:, None] + np.arange(n)).reshape(-1))
+        q = ad.reshape(ad.matmul(x, p.wq), (b, n, dh))
+        k = ad.reshape(ad.matmul(x, p.wk), (b, n, dh))
+        v = ad.reshape(ad.matmul(x, p.wv), (b, n, d))
+        scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_dh)
+        ctx = ad.matmul(ad.softmax(scores, axis=-1), v)               # (b, n, d)
+        pre = ad.matmul(ad.tanh(ad.matmul(ad.reshape(ctx, (b * n, d)), p.w_pool)), p.v_pool)
+        w = ad.softmax(ad.reshape(pre, (b, n, 1)), axis=1)
+        u = ad.reshape(ad.matmul(ad.transpose(w), ctx), (b, d))
+        logits.append(ad.add(_row_dot(u, ad.gather(enc, item_rows[starts + n])), p.bias))
+    flat = ad.concat(logits, axis=0)
     return ad.reshape(flat, (flat.shape[0], 1))
 
 
 def batch_logits(users, row_of, enc: Tensor, p: CfParams):
-    """Lockstep forward over a batch.
+    """Forward over a batch.
 
     ``row_of`` maps item_id -> row of ``enc`` (the (n_unique, d) stack of
     item encodings). Returns (valid logits as an (n, 1) tensor, labels,
-    item_ids, user index arrays), one entry per predicted position.
+    item_ids, user index arrays), one entry per predicted position, in
+    ``_batch_layout``'s step-major order. The recurrent CF scores every
+    (step, user) slot and gathers the valid ones; the attention CF builds
+    the valid slots only, already in that order.
     """
     inters, lengths, t_max, (slots, labels, item_ids, user_idx) = _batch_layout(users)
     if t_max > p.cfg.max_interactions:
@@ -514,11 +539,10 @@ def batch_logits(users, row_of, enc: Tensor, p: CfParams):
         raise ValueError(f"user at batch index {u} has {lengths[u]} interactions, "
                          f"more than max_interactions {p.cfg.max_interactions}")
     if p.variant == "recurrent":
-        all_logits = _recurrent_batch_logits(inters, t_max, row_of, enc, p)
+        logits = ad.gather(_recurrent_batch_logits(inters, t_max, row_of, enc, p), slots)
     else:
-        all_logits = _attention_batch_logits(inters, row_of, enc, p)
-    picked = ad.gather(all_logits, slots)
-    return picked, labels, item_ids, user_idx
+        logits = _attention_batch_logits(inters, t_max, row_of, enc, p)
+    return logits, labels, item_ids, user_idx
 
 
 def batch_sequence_loss(users, row_of, enc: Tensor, p: CfParams):

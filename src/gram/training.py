@@ -282,12 +282,28 @@ class RunPlan(NamedTuple):
     accum_steps: int       # window size N resolved from ``latency``
 
 
+def _require_both_classes(split: str, users) -> None:
+    """AUC needs a positive and a negative among the predicted positions."""
+    labels = [r for u in users for _, r in u.interactions[1:]]
+    pos = sum(labels)
+    if pos == 0 or pos == len(labels):
+        raise ConfigError(f"{split} split has {pos} positive and {len(labels) - pos} "
+                          "negative responses at its predicted positions; "
+                          "its AUC needs both classes")
+
+
 def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
-    """The splits, steps per epoch and window a run of ``cfg`` will use."""
+    """The splits, steps per epoch and window a run of ``cfg`` will use.
+
+    A validation or test split whose predicted positions hold a single
+    class is a ConfigError, since no AUC could be computed on it.
+    """
     seeds = seed_streams(cfg.seed)
     train_ds, test_ds, cs_items = cold_start_split(
         dataset, cfg.n_cs_items, seeds["split"], cfg.test_frac)
     train_users, val_users = split_users(train_ds.users, cfg.val_frac, seeds["val"])
+    _require_both_classes("validation", val_users)
+    _require_both_classes("test", test_ds.users)
     steps = math.ceil(len(train_users) / cfg.cf_batch_size)
     return RunPlan(train_users, val_users, test_ds.users, cs_items, steps,
                    accumulation_latency(cfg.latency, steps))

@@ -5,6 +5,8 @@ Hand-computed values pin down the easy cases; central finite differences
 rule on batches of seeded random inputs.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -551,6 +553,27 @@ def test_float32_mode():
         assert out.dtype == np.float32
         g = backward(sum_all(out))[x]
         assert g.dtype == np.float32
+    finally:
+        ad.set_default_dtype(np.float64)
+
+
+def test_default_dtype_is_per_thread():
+    # a thread that switches to float32 leaves the main thread at float64
+    seen = []
+
+    def worker():
+        ad.set_default_dtype(np.float32)
+        seen.extend([ad.default_dtype(), tensor([1.0]).dtype, ad.zeros(2).dtype])
+
+    t = threading.Thread(target=worker)
+    t.start()
+    t.join()
+    try:
+        assert seen == [np.float32] * 3
+        assert ad.default_dtype() == np.float64
+        assert tensor([1.0]).dtype == np.float64
+        assert ad.zeros(2).dtype == np.float64
+        assert Tensor(np.array([1, 2])).dtype == np.float64
     finally:
         ad.set_default_dtype(np.float64)
 

@@ -3,6 +3,7 @@ outputs, exit codes, and report determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -274,6 +275,19 @@ def test_missing_dataset_exits_1(workdir, capsys):
     rc = cli.main(["train", "--data", str(workdir / "nope"), "--mode", "gram",
                    "--config", str(workdir / "cfg.json")])
     assert rc == 1
+
+
+def test_single_class_dataset_exits_1_before_training(workdir, capsys):
+    # every response 1: the validation split has no AUC, so the run stops
+    # at planning with the split named, before any step or output
+    path = workdir / "data" / "interactions.tsv"
+    path.write_text(re.sub(r":0(?=[,\n])", ":1", path.read_text()))
+    rc = cli.main(["train", "--data", str(workdir / "data"), "--mode", "gram",
+                   "--config", str(workdir / "cfg.json"), "--out", str(workdir / "ones")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.search(r"config error: validation split has \d+ positive and 0 negative", err)
+    assert not (workdir / "ones").exists()
 
 
 def test_numerical_abort_exits_3(workdir, tmp_path, capsys):

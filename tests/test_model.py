@@ -380,11 +380,12 @@ def test_batch_gradients_match_per_user(variant):
         assert np.allclose(g_batch[t].data, grads_ref[t], rtol=1e-9, atol=1e-12), name
 
 
-def test_batch_scores_match_cf_predict():
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_batch_scores_match_cf_predict(variant):
     # lockstep scoring must agree with the per-user reference at
     # every (user, position) slot, including after short users finish
     rng = np.random.default_rng(18)
-    _, cf = small_params(seed=18)
+    _, cf = small_params(seed=18, variant=variant)
     items = [0, 1, 2, 3, 4]
     users = [
         [(0, 1), (1, 0)],
@@ -398,14 +399,62 @@ def test_batch_scores_match_cf_predict():
 
     assert probs.shape == labels.shape == item_ids.shape == user_idx.shape
     assert len(probs) == sum(len(u) - 1 for u in users)
+    # slots come prefix length first, so each user's positions ascend
+    position = [0] * len(users)
     for prob, label, item, u in zip(probs, labels, item_ids, user_idx):
-        # find this slot's position in the user's sequence
+        position[u] += 1
         seq = users[u]
-        positions = [n for n in range(1, len(seq)) if seq[n][0] == item and seq[n][1] == label]
-        hist = [(enc[it], r) for it, r in seq[:positions[0]]]
-        ref = M.cf_predict(hist, enc[item], cf).item()
-        if len(positions) == 1:
-            assert prob == pytest.approx(ref, rel=1e-9)
+        assert (item, label) == seq[position[u]]
+        hist = [(enc[it], r) for it, r in seq[:position[u]]]
+        assert prob == pytest.approx(M.cf_predict(hist, enc[item], cf).item(), rel=1e-9)
+    assert position == [len(u) - 1 for u in users]
+
+
+# users of length 2, one user alone at the longest length, repeated items
+MIXED_USERS = [
+    [(3, 1), (1, 1)],
+    [(2, 1), (3, 0), (4, 1), (0, 0), (1, 1), (4, 0), (2, 1)],
+    [(4, 0), (4, 1), (4, 0)],
+    [(0, 0), (0, 1)],
+    [(1, 1), (2, 0), (1, 0), (2, 1)],
+]
+
+
+def test_attention_batch_logits_match_per_prefix_logits():
+    rng = np.random.default_rng(23)
+    _, cf = small_params(seed=23, variant="attention")
+    items = [0, 1, 2, 3, 4]
+    enc = leaf_encodings(rng, cf.cfg.d, items)
+    stack = ad.concat([enc[i] for i in items], axis=0)
+    logits, labels, item_ids, user_idx = M.batch_logits(
+        MIXED_USERS, {i: i for i in items}, stack, cf)
+    expected = []
+    for n in range(1, max(len(u) for u in MIXED_USERS)):
+        for u, seq in enumerate(MIXED_USERS):
+            if n < len(seq):
+                hist = [(enc[it], r) for it, r in seq[:n]]
+                expected.append((u, seq[n], M._cf_logit(hist, enc[seq[n][0]], cf).item()))
+    assert logits.shape == (len(expected), 1)
+    assert list(user_idx) == [u for u, _, _ in expected]
+    assert list(zip(item_ids, labels)) == [slot for _, slot, _ in expected]
+    ref = np.array([logit for _, _, logit in expected])
+    assert rel_gap(logits.data[:, 0], ref) <= 1e-9
+
+
+@pytest.mark.parametrize("variant,peak", [("recurrent", 1446), ("attention", 2082)])
+def test_batch_loss_saved_activations(variant, peak):
+    # attention: the figure one graph per user per prefix saves, so batching
+    # may cut ops but not saved elements; after backward nothing may stay
+    # counted, which an op no logit reads would
+    from gram.instrument import ActivationAccountant
+    _, cf = small_params(seed=22, variant=variant)
+    enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
+    acct = ActivationAccountant()
+    with ad.track_activations(acct):
+        loss, _ = M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+        assert acct.peak == peak
+        backward(loss)
+    assert acct.current == 0
 
 
 def test_batch_rejects_all_singleton_users():

@@ -1,6 +1,8 @@
 """Trainer tests: optimizers, cache/window mechanics, counters,
 gradient equivalence, baselines, and the train loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -540,6 +542,27 @@ def test_train_sends_steps_and_evaluations_through_module_names(monkeypatch):
     assert calls["evaluate"] == len(report.history) + 1 == 3
 
 
+@pytest.mark.parametrize("split", ["validation", "test"])
+def test_single_class_split_is_rejected_before_training(monkeypatch, split):
+    # a one-class split has no AUC: that is a config error before the first
+    # step, not a crash after a whole epoch
+    from gram import training
+    ds = tiny_dataset(n_users=30)
+    cfg = small_config(n_cs_items=2)
+    plan = training.plan_run(ds, cfg)
+    members = plan.val_users if split == "validation" else plan.test_users
+    flip = {u.user_id for u in members}
+    # the splits depend on seeds and items only, so flipping responses keeps them
+    users = [UserSequence(u.user_id, tuple((i, 1) for i, _ in u.interactions))
+             if u.user_id in flip else u for u in ds.users]
+    n_pos = sum(len(u) - 1 for u in members)
+    steps = []
+    monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match=f"{split} split has {n_pos} positive and 0 negative"):
+        train(Dataset(items=ds.items, users=users), "gram", cfg)
+    assert steps == []
+
+
 def test_train_reports_are_deterministic():
     ds = tiny_dataset(n_users=30)
     cfg = small_config(max_epochs=3, n_cs_items=2)
@@ -588,3 +611,17 @@ def test_gram_memory_peak_below_e2e():
     rg, _ = train(ds, "gram", cfg)
     re_, _ = train(ds, "e2e", cfg)
     assert rg.counters["activation_elements_peak"] < re_.counters["activation_elements_peak"]
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+@pytest.mark.parametrize("mode", ["e2e", "gram"])
+def test_every_step_releases_what_it_saved(mode, variant):
+    # backward releases only nodes the loss reaches, so an op no logit
+    # reads would stay counted and pile up across steps
+    ds = tiny_dataset(n_users=30)
+    cfg = small_config(model=replace(SMALL_MODEL, cf_variant=variant), latency="2S")
+    state = init_trainer(ds, mode, cfg)
+    for batch in batch_iter(ds.users, cfg.cf_batch_size):
+        train_step(batch, state)
+        assert state.accountant.current == 0, f"step {state.t}"
+    assert state.accountant.peak > 0
