@@ -294,8 +294,8 @@ def cmd_verify(args) -> int:
 def expected_forward_counts(dataset, cfg: TrainConfig, epochs: int):
     """Dry scan of the exact batch stream a run will see: occurrence
     count (joint backprop forwards) and per-window distinct-item count
-    (cached forwards; per-step distinct items with
-    ``recompute_encodings``)."""
+    (cached forwards, one per item at its first touch in each window).
+    ``plan_run`` rejects a bad config, as it does for ``train``."""
     plan = plan_run(dataset, cfg)
     shuffle = seed_streams(cfg.seed)["shuffle"]
     occurrences = 0
@@ -306,8 +306,7 @@ def expected_forward_counts(dataset, cfg: TrainConfig, epochs: int):
         for b in batch_iter(plan.train_users, cfg.cf_batch_size,
                             shuffle_seed=[shuffle, epoch]):
             occurrences += b.n_interactions()
-            window_misses += sum(1 for i in b.unique_items
-                                 if cfg.recompute_encodings or i not in cached)
+            window_misses += sum(1 for i in b.unique_items if i not in cached)
             cached.update(b.unique_items)
             t += 1
             if t % plan.accum_steps == 0:
@@ -330,10 +329,11 @@ def cmd_bench(args) -> int:
     if args.latency is not None:
         tcfg = replace(tcfg, latency=args.latency)
     # fixed-length runs so counters are comparable across modes
-    tcfg = replace(tcfg, max_epochs=args.epochs, patience=0,
-                   recompute_encodings=args.recompute)
+    tcfg = replace(tcfg, max_epochs=args.epochs, patience=0)
     modes = [_mode_arg(m) for m in args.modes.split(",")]
     dataset = load_dataset(args.data)
+    # the dry scan plans the run, so a bad config fails before any training
+    e2e_fwd, gram_fwd = expected_forward_counts(dataset, tcfg, args.epochs)
 
     results = {}
     for mode in modes:
@@ -349,11 +349,9 @@ def cmd_bench(args) -> int:
     payload = {"config": results[modes[0]][0].config,
                "modes": {m: results[m][0].to_dict() for m in modes}}
     if "e2e" in results and "gram" in results:
-        e2e_fwd, gram_fwd = expected_forward_counts(dataset, tcfg, args.epochs)
         sp = speed_report(
             results["e2e"][1].counters, results["gram"][1].counters,
             theoretical_r=e2e_fwd / gram_fwd,
-            cached=not args.recompute,
             cf_phase_ns=results["gram"][1].timer.totals_ns.get("cf", 0),
             ce_phase_ns=results["gram"][1].timer.totals_ns.get("ce", 0),
         )
@@ -441,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--config", help="run-config JSON")
     b.add_argument("--epochs", type=int, default=3, help="fixed epochs per mode (default 3)")
     b.add_argument("--latency", help="window for the cached mode: <k>S or <f>E")
-    b.add_argument("--recompute", action="store_true",
-                   help="re-encode cached items every step (ablation)")
     b.add_argument("--seed", type=int, help="master seed override")
     b.add_argument("--out", help="write bench.json/bench.txt here")
     b.set_defaults(func=cmd_bench)

@@ -114,18 +114,18 @@ class SpeedReport:
 
 
 def speed_report(e2e_counters: CostCounters, gram_counters: CostCounters,
-                 theoretical_r: float, cached: bool = True,
-                 cf_phase_ns: int = 0, ce_phase_ns: int = 0) -> SpeedReport:
+                 theoretical_r: float, cf_phase_ns: int = 0,
+                 ce_phase_ns: int = 0) -> SpeedReport:
     """Combine two runs' counters into a comparison.
 
-    In cached mode the measured forward-call ratio must equal the
-    theoretical interactions-per-item ratio exactly; any mismatch means
-    the counters or the cache are broken, so it raises.
+    The cached run encodes each item once per window, so the measured
+    forward-call ratio must equal the theoretical ratio exactly; any
+    mismatch means the counters or the cache are broken, so it raises.
     """
     if gram_counters.ce_forward_calls <= 0:
         raise ValueError("speed_report: cached run performed no CE forwards")
     measured = e2e_counters.ce_forward_calls / gram_counters.ce_forward_calls
-    if cached and abs(measured - theoretical_r) > 1e-9 * max(1.0, abs(theoretical_r)):
+    if abs(measured - theoretical_r) > 1e-9 * max(1.0, abs(theoretical_r)):
         raise AssertionError(
             f"cached-mode call ratio {measured!r} != theoretical {theoretical_r!r}")
     return SpeedReport(

@@ -7,14 +7,14 @@ Training modes
     One joint graph per batch: the content encoder runs once per
     interaction *occurrence* and both modules step simultaneously.
 ``gram``
-    Alternating: the collaborative filter trains on item representations
-    held as grad-enabled leaves. Each step stores the pseudo-target
-    h~ = h - dL/dh (plain subtraction: SGD on the representation with
-    learning rate exactly 1). Every N batches, the window that
-    ``latency`` resolves to, the encoder regresses onto the accumulated
-    pseudo-targets and the cache is cleared. Within a window a
-    re-encountered item reuses its carried h~ as the representation, so
-    the encoder runs once per *distinct* item per window.
+    Alternating: the collaborative filter reads one grad-enabled leaf of
+    item encodings. Within a window of N steps, the window ``latency``
+    resolves to, every touch of an item reads the encoding h of its first
+    touch, so the encoder runs once per *distinct* item per window, and
+    subtracts its dL/dh from the item's pseudo-target h~ = h - sum dL/dh
+    (SGD on the representation with learning rate exactly 1). When the
+    window closes the encoder regresses onto the pseudo-targets and both
+    the encodings and the targets are cleared.
 ``no_content``
     A trainable item-embedding table replaces the encoder entirely.
 ``no_finetune``
@@ -216,7 +216,6 @@ class TrainConfig:
     latency: str = "1S"            # <k>S steps or <f>E of an epoch
     cf_batch_size: int = 16
     ce_batch_size: int = 8
-    recompute_encodings: bool = False
     opt_ce: OptimizerConfig = field(default_factory=OptimizerConfig)
     opt_cf: OptimizerConfig = field(default_factory=OptimizerConfig)
     clip_norm: float | None = None   # max gradient L2 norm, per module (CE and CF each)
@@ -296,7 +295,8 @@ def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
     """The splits, steps per epoch and window a run of ``cfg`` will use.
 
     A validation or test split whose predicted positions hold a single
-    class is a ConfigError, since no AUC could be computed on it.
+    class is a ConfigError, since no AUC could be computed on it; so is a
+    window longer than an epoch, in every mode.
     """
     seeds = seed_streams(cfg.seed)
     train_ds, test_ds, cs_items = cold_start_split(
@@ -305,8 +305,10 @@ def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
     _require_both_classes("validation", val_users)
     _require_both_classes("test", test_ds.users)
     steps = math.ceil(len(train_users) / cfg.cf_batch_size)
-    return RunPlan(train_users, val_users, test_ds.users, cs_items, steps,
-                   accumulation_latency(cfg.latency, steps))
+    window = accumulation_latency(cfg.latency, steps)
+    if window > steps:
+        raise ConfigError(f"accumulation window {window} exceeds {steps} steps per epoch")
+    return RunPlan(train_users, val_users, test_ds.users, cs_items, steps, window)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,9 @@ class TrainerState:
     item_tokens: dict
     accum_steps: int                # gram window size N, resolved from cfg.latency
     t: int = 0                      # batches processed so far
-    # gram: item -> pseudo-target h~ of the open window, in first-touch order
+    # gram, open window, in first-touch order: item -> its first-touch
+    # encoding, which every touch reads, and item -> its pseudo-target h~
+    encodings: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
     accountant: ActivationAccountant = field(default_factory=ActivationAccountant)
@@ -404,38 +408,35 @@ def _encode_occurrences(users, item_tokens: dict, ce: CeParams):
     return rewritten, {k: k for k in range(len(seqs))}, ce_encode(seqs, ce), lens
 
 
-def _cache_leaves(items, cache: dict, ce: CeParams, item_tokens: dict,
-                  recompute: bool = False):
-    """A grad-enabled leaf per item, stacked into the CF's input.
+def _cache_leaves(items, encodings: dict, cache: dict, ce: CeParams, item_tokens: dict):
+    """The CF's input for a gram step: one grad-enabled (n, d) leaf whose
+    row k is the window-start encoding of ``items[k]``.
 
-    A cache hit reuses the carried pseudo-target as its representation;
-    the misses (or every item, with ``recompute``) are encoded in one
-    no-grad call, and a new item's encoding seeds its cache entry. Returns
-    (leaves, row_of, enc, encoder forwards).
+    Items touched for the first time in the window are encoded in one
+    no-grad call; that encoding is what every later touch reads, and it
+    seeds the item's pseudo-target. Returns (leaf, row_of, encoder
+    forwards).
     """
-    misses = [i for i in items if recompute or i not in cache]
-    fresh = {}
+    misses = [i for i in items if i not in encodings]
     if misses:
         with ad.no_grad():
             enc = ce_encode([item_tokens[i] for i in misses], ce).data
-        fresh = {i: enc[k:k + 1] for k, i in enumerate(misses)}
-    leaves = {}
-    for i in items:
-        h = fresh[i] if i in fresh else cache[i]
-        cache.setdefault(i, h)
-        leaves[i] = Tensor(h, grad_enabled=True)
-    row_of = {item_id: k for k, item_id in enumerate(items)}
-    return leaves, row_of, ad.concat([leaves[i] for i in items], axis=0), len(misses)
+        for k, i in enumerate(misses):
+            encodings[i] = cache[i] = enc[k:k + 1]
+    leaf = Tensor(np.concatenate([encodings[i] for i in items], axis=0), grad_enabled=True)
+    return leaf, {item_id: k for k, item_id in enumerate(items)}, len(misses)
 
 
-def _write_back(cache: dict, leaves: dict, gmap: dict) -> None:
-    """Accumulate h~ = h - sum of dL/dh over the window into the cache."""
-    for i, leaf in leaves.items():
-        g = gmap.get(leaf)
-        if g is not None:
-            cache[i] = cache[i] - g.data
-            if not np.all(np.isfinite(cache[i])):
-                raise NonFiniteError(f"pseudo-target for item {i} is non-finite")
+def _write_back(cache: dict, row_of: dict, leaf: Tensor, gmap: dict) -> None:
+    """Accumulate h~ = h - sum of dL/dh over the window into the cache:
+    item i's target loses row ``row_of[i]`` of the leaf's gradient."""
+    g = gmap.get(leaf)
+    if g is None:
+        return
+    for i, k in row_of.items():
+        cache[i] = cache[i] - g.data[k:k + 1]
+        if not np.all(np.isfinite(cache[i])):
+            raise NonFiniteError(f"pseudo-target for item {i} is non-finite")
 
 
 def _regress(ce: CeParams, item_tokens: dict, chunk, targets: dict):
@@ -458,11 +459,11 @@ def _apply_updates(groups, gmap: dict, clip_norm: float | None) -> None:
 
 
 def _step_inputs(batch: Batch, state: TrainerState):
-    """(users, row_of, enc, gram leaves, trained groups) for one step.
+    """(users, row_of, enc, trained groups) for one step.
 
-    ``enc`` holds the representations the CF reads, the gram leaves
-    are the ones whose gradients become pseudo-targets, and each trained
-    group is an (optimizer, named parameters) pair.
+    ``enc`` holds the representations the CF reads; in ``gram`` it is the
+    leaf whose gradient goes into the pseudo-targets. Each trained group
+    is an (optimizer, named parameters) pair.
     """
     c = state.counters
     cf_group = (state.opt_cf, state.cf.named())
@@ -472,40 +473,40 @@ def _step_inputs(batch: Batch, state: TrainerState):
         c.ce_backward_calls += len(lens)
         c.flop_estimate += e2e_ce_flops_per_batch(
             len(users), len(lens) / len(users), float(np.mean(lens)), state.ce.cfg.d)
-        return users, row_of, enc, {}, [(state.opt_ce, state.ce.named()), cf_group]
+        return users, row_of, enc, [(state.opt_ce, state.ce.named()), cf_group]
     if state.mode == "gram":
-        leaves, row_of, enc, n_encoded = _cache_leaves(
-            batch.unique_items, state.cache, state.ce, state.item_tokens,
-            state.cfg.recompute_encodings)
+        leaf, row_of, n_encoded = _cache_leaves(
+            batch.unique_items, state.encodings, state.cache, state.ce, state.item_tokens)
         c.ce_forward_calls += n_encoded
-        return batch.users, row_of, enc, leaves, [cf_group]
+        return batch.users, row_of, leaf, [cf_group]
     order = batch.unique_items
     row_of = {item_id: k for k, item_id in enumerate(order)}
     if state.mode == "no_content":
         rows = np.array([state.embed_row[i] for i in order])
         table = (state.opt_ce, {"item_embedding": state.item_embedding})
-        return batch.users, row_of, ad.gather(state.item_embedding, rows), {}, [cf_group, table]
+        return batch.users, row_of, ad.gather(state.item_embedding, rows), [cf_group, table]
     rows = np.array([state.frozen_row[i] for i in order])
-    return batch.users, row_of, Tensor(state.frozen_enc.data[rows]), {}, [cf_group]
+    return batch.users, row_of, Tensor(state.frozen_enc.data[rows]), [cf_group]
 
 
 def train_step(batch: Batch, state: TrainerState) -> dict:
     """One training step of ``state.mode`` on one batch.
 
     In order: (1) build the CF's item representations, (2) one backward
-    through the batch's sequence loss, (3) in ``gram``, store
-    h~ = h - dL/dh per item, (4) clip and step each trained module on its
-    own optimizer, (5) in ``gram``, advance the clock and, at a window
+    through the batch's sequence loss, (3) in ``gram``, subtract dL/dh
+    from each item's pseudo-target, (4) clip and step each trained module
+    on its own optimizer, (5) in ``gram``, advance the clock and, at a window
     boundary, regress the encoder onto the cached pseudo-targets and
-    clear the cache.
+    clear the window's encodings and targets.
     """
     with state.timer.measure("e2e" if state.mode == "e2e" else "cf"), \
             ad.track_activations(state.accountant):
         try:
-            users, row_of, enc, leaves, groups = _step_inputs(batch, state)
+            users, row_of, enc, groups = _step_inputs(batch, state)
             loss, n_preds = batch_sequence_loss(users, row_of, enc, state.cf)
             gmap = ad.backward(loss)
-            _write_back(state.cache, leaves, gmap)
+            if state.mode == "gram":
+                _write_back(state.cache, row_of, enc, gmap)
         except NonFiniteError as e:
             raise NumericalAbort(f"{state.mode} step {state.t}: {e}") from e
         _apply_updates(groups, gmap, state.cfg.clip_norm)
@@ -523,7 +524,8 @@ def train_step(batch: Batch, state: TrainerState) -> dict:
 
 
 def _ce_update_phase(state: TrainerState) -> dict:
-    """Regress the encoder onto the cached pseudo-targets, then clear.
+    """Regress the encoder onto the cached pseudo-targets, then clear the
+    window's targets and encodings.
 
     One optimizer step per mini-batch of ``ce_batch_size`` items (0 =
     whole cache at once), one pass over the cache.
@@ -551,6 +553,7 @@ def _ce_update_phase(state: TrainerState) -> dict:
     state.counters.flop_estimate += gram_ce_flops_per_batch(
         len(ids), float(np.mean(lens)), state.ce.cfg.d)
     state.cache.clear()
+    state.encodings.clear()
     return {"ce_items": len(ids), "ce_opt_steps": opt_steps, "pseudo_loss": last_loss}
 
 
@@ -647,10 +650,6 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
     ad.set_default_dtype(np.float64 if cfg.precision == "f64" else np.float32)
     try:
         plan = plan_run(dataset, cfg)
-        if mode == "gram" and plan.accum_steps > plan.steps_per_epoch:
-            raise ConfigError(f"accumulation window {plan.accum_steps} exceeds "
-                              f"{plan.steps_per_epoch} steps per epoch")
-
         state = init_trainer(dataset, mode, cfg, steps_per_epoch=plan.steps_per_epoch)
         history = []
         best_auc, best_epoch, bad_epochs = -1.0, -1, 0
@@ -741,10 +740,10 @@ def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
     Returns (loss, named grads) shaped like ``e2e_gradients`` output.
     """
     cache = {}
-    leaves, row_of, enc, _ = _cache_leaves(batch.unique_items, cache, ce, item_tokens)
-    loss, _ = batch_sequence_loss(batch.users, row_of, enc, cf)
+    leaf, row_of, _ = _cache_leaves(batch.unique_items, {}, cache, ce, item_tokens)
+    loss, _ = batch_sequence_loss(batch.users, row_of, leaf, cf)
     gmap = ad.backward(loss)
-    _write_back(cache, leaves, gmap)
+    _write_back(cache, row_of, leaf, gmap)
     _, pmap = _regress(ce, item_tokens, batch.unique_items, cache)
     return loss.item(), {**_prefixed("cf.", cf, gmap), **_prefixed("ce.", ce, pmap)}
 

@@ -128,6 +128,24 @@ def test_old_window_syntax_exits_1(workdir, capsys):
     assert "bad latency 'N=2'" in capsys.readouterr().err
 
 
+def test_removed_bench_recompute_flag_exits_1(workdir):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["bench", "--data", str(workdir / "data"), "--recompute"])
+    assert e.value.code == 1
+
+
+def test_bench_window_longer_than_epoch_exits_1_before_training(workdir, monkeypatch, capsys):
+    def no_training(*a, **k):
+        raise AssertionError("trained despite a bad window")
+    monkeypatch.setattr(cli, "train", no_training)
+    rc = cli.main(["bench", "--data", str(workdir / "data"), "--modes", "e2e,gram",
+                   "--config", str(workdir / "cfg.json"), "--latency", "1000S",
+                   "--out", str(workdir / "long")])
+    assert rc == 1
+    assert "accumulation window 1000 exceeds" in capsys.readouterr().err
+    assert not (workdir / "long").exists()
+
+
 def test_report_config_echoes_every_setting(workdir):
     from dataclasses import fields
     from gram.training import OptimizerConfig, TrainConfig
@@ -207,10 +225,8 @@ def test_bench_checks_call_ratio(workdir, capsys):
     assert set(payload["modes"]) == {"e2e", "gram"}
 
 
-@pytest.mark.parametrize("recompute", [False, True])
-def test_expected_forward_counts_match_a_cached_run(recompute):
-    # with recompute on, every distinct item of every step is a forward,
-    # not only the first touch in each window
+def test_expected_forward_counts_match_a_cached_run():
+    # one forward per distinct item per window, at its first touch
     from gram.dataset import GenConfig, generate_synthetic
     from gram.model import ModelConfig
     from gram.training import TrainConfig, train
@@ -219,7 +235,7 @@ def test_expected_forward_counts_match_a_cached_run(recompute):
     dataset, _ = generate_synthetic(gen, seed=5)
     cfg = TrainConfig(model=ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=70),
                       latency="1E", cf_batch_size=8, n_cs_items=2, max_epochs=1,
-                      patience=0, recompute_encodings=recompute)
+                      patience=0)
     _, cached = cli.expected_forward_counts(dataset, cfg, epochs=1)
     report, _ = train(dataset, "gram", cfg)
     assert report.counters["ce_forward_calls"] == cached
@@ -251,7 +267,8 @@ def test_unknown_nested_key_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("section,key", [
     ("opt_ce", "step"), ("opt_ce", "m"), ("opt_ce", "v"),
-    (None, "accum_steps"), (None, "ce_passes"), (None, "eval_batch_size")])
+    (None, "accum_steps"), (None, "ce_passes"), (None, "eval_batch_size"),
+    (None, "recompute_encodings")])
 def test_config_rejects_run_state_and_removed_settings(section, key):
     train = {key: 1} if section is None else {section: {key: 1}}
     with pytest.raises(cli.ConfigError, match="unknown keys"):

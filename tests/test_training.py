@@ -23,6 +23,7 @@ from gram.training import (
     init_trainer,
     max_rel_err,
     optimizer_apply,
+    plan_run,
     seed_streams,
     train,
     train_step,
@@ -218,8 +219,11 @@ def test_init_trainer_needs_steps_per_epoch_for_an_epoch_latency():
 def test_window_longer_than_epoch_rejected():
     ds = tiny_dataset(n_users=12)
     cfg = small_config(latency="50S", max_epochs=1, n_cs_items=2)
-    with pytest.raises(ConfigError):
-        train(ds, "gram", cfg)
+    for mode in ("gram", "e2e"):
+        with pytest.raises(ConfigError, match="exceeds"):
+            train(ds, mode, cfg)
+    with pytest.raises(ConfigError, match="exceeds"):
+        plan_run(ds, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +320,13 @@ def test_gram_cache_hits_skip_encoder():
     assert state.counters.ce_forward_calls == 5
 
 
-def test_recompute_flag_encodes_every_step():
-    ds, batch = dup_heavy_batch()
-    state = init_trainer(ds, "gram", small_config(latency="4S", recompute_encodings=True))
-    train_step(batch, state)
-    train_step(batch, state)
-    assert state.counters.ce_forward_calls == 10
-
-
-def test_recompute_keeps_gradients_accumulated_in_the_window():
-    # both modules frozen, so two identical steps see the same leaf gradient;
-    # refreshing the representation must not drop the first step's share
+def test_window_reads_first_touch_encoding_and_accumulates_gradients():
+    # both modules frozen, so a second identical step in the window reads
+    # the same first-touch encoding and sees the same leaf gradient g; a
+    # read of the carried h - g would give a different second gradient
     ds, batch = dup_heavy_batch()
     zero = OptimizerConfig(kind="sgd", lr=0.0)
-    cfg = small_config(opt_ce=zero, opt_cf=zero, latency="4S",
-                       recompute_encodings=True)
+    cfg = small_config(opt_ce=zero, opt_cf=zero, latency="4S")
     once, twice = init_trainer(ds, "gram", cfg), init_trainer(ds, "gram", cfg)
     train_step(batch, once)
     train_step(batch, twice)
@@ -342,6 +338,7 @@ def test_recompute_keeps_gradients_accumulated_in_the_window():
         g = h[i] - once.cache[i]
         assert np.any(g != 0.0)
         assert np.allclose(h[i] - twice.cache[i], 2.0 * g, rtol=1e-12, atol=1e-15)
+        assert np.allclose(twice.encodings[i], h[i], rtol=1e-12, atol=1e-15)
 
 
 def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
