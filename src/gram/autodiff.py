@@ -4,7 +4,9 @@ The engine is a dynamic tape: each op on grad-enabled tensors records its
 parents and a backward closure on the output tensor. ``backward`` walks the
 recorded graph once in reverse topological order, accumulates gradients for
 every grad-enabled leaf (and any explicitly retained intermediate), then
-frees the tape. A graph can be consumed exactly once.
+frees the tape. A graph can be consumed exactly once. An op computes its
+output array, defines one ``run(g, acc)`` closure that passes each parent's
+share of the output gradient ``g`` to ``acc``, and hands both to ``_result``.
 
 Design constraints, chosen to keep gradient code honest at desk scale:
 
@@ -260,16 +262,16 @@ def _check_dtypes(op: str, *ts: Tensor) -> None:
 def _result(
     arr: np.ndarray,
     parents: Sequence[Tensor],
-    make_backward,
+    backward_fn: Callable,
     saved: Sequence[Tensor] = (),
     saves_output: bool = False,
     op: str = "op",
 ) -> Tensor:
     """Finalize an op: finiteness check, then tape recording if needed.
 
-    *make_backward* is a zero-arg callable returning the backward closure;
-    it is only invoked when the output actually joins a graph, so no-grad
-    forwards pay nothing for closure setup.
+    *backward_fn* is the op's ``run(g, acc)`` closure. It is stored as the
+    output's ``_backward`` only when the output joins a graph; a no-grad
+    forward builds it and drops it.
     """
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{op} produced non-finite values")
@@ -278,7 +280,7 @@ def _result(
     out = Tensor._wrap(arr)
     out.grad_enabled = True
     out._parents = tuple(parents)
-    out._backward = make_backward()
+    out._backward = backward_fn
     acct = _accountant()
     if acct is not None:
         n = sum(t.data.size for t in saved if not t.is_leaf())
@@ -296,53 +298,42 @@ def _result(
 # ---------------------------------------------------------------------------
 
 
+def _reduce_to(t: Tensor, g: np.ndarray) -> np.ndarray:
+    """Reduce gradient *g* of a broadcast binary op to operand *t*'s shape:
+    as is for equal rank, summed for a 0-d operand, summed over rows for a
+    row bias."""
+    nd = t.data.ndim
+    if nd == g.ndim:
+        return g
+    return np.sum(g) if nd == 0 else g.sum(axis=0)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b. Accepts equal shapes, a scalar operand, or a row-wise bias
     (a of shape (m, n) plus b of shape (n,))."""
     _check_dtypes("add", a, b)
-    if a.shape == b.shape:
-        def bw():
-            def run(g, acc):
-                acc(a, g)
-                acc(b, g)
-            return run
-        return _result(a.data + b.data, (a, b), bw, op="add")
-    if b.data.ndim == 0:
-        def bw():
-            def run(g, acc):
-                acc(a, g)
-                acc(b, np.sum(g))
-            return run
-        return _result(a.data + b.data, (a, b), bw, op="add")
-    if a.data.ndim == 0:
-        def bw():
-            def run(g, acc):
-                acc(a, np.sum(g))
-                acc(b, g)
-            return run
-        return _result(a.data + b.data, (a, b), bw, op="add")
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        def bw():
-            def run(g, acc):
-                acc(a, g)
-                acc(b, g.sum(axis=0))
-            return run
-        return _result(a.data + b.data[None, :], (a, b), bw, op="add")
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    if not (a.shape == b.shape or a.data.ndim == 0 or b.data.ndim == 0
+            or (a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0])):
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def run(g, acc):
+        acc(a, _reduce_to(a, g))
+        acc(b, _reduce_to(b, g))
+
+    return _result(a.data + b.data, (a, b), run, op="add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     """a - b for equal shapes or a scalar operand."""
     _check_dtypes("sub", a, b)
-    if a.shape == b.shape or a.data.ndim == 0 or b.data.ndim == 0:
-        def bw():
-            def run(g, acc):
-                acc(a, np.sum(g) if a.data.ndim == 0 and g.ndim > 0 else g)
-                gb = -g
-                acc(b, np.sum(gb) if b.data.ndim == 0 and g.ndim > 0 else gb)
-            return run
-        return _result(a.data - b.data, (a, b), bw, op="sub")
-    raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+    if not (a.shape == b.shape or a.data.ndim == 0 or b.data.ndim == 0):
+        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+
+    def run(g, acc):
+        acc(a, _reduce_to(a, g))
+        acc(b, _reduce_to(b, -g))
+
+    return _result(a.data - b.data, (a, b), run, op="sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -350,30 +341,23 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes("mul", a, b)
     if not (a.shape == b.shape or a.data.ndim == 0 or b.data.ndim == 0):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
 
-    def bw():
-        ad, bd = a.data, b.data
+    def run(g, acc):
+        acc(a, _reduce_to(a, g * bd))
+        acc(b, _reduce_to(b, g * ad))
 
-        def run(g, acc):
-            ga = g * bd
-            acc(a, np.sum(ga) if ad.ndim == 0 and ga.ndim > 0 else ga)
-            gb = g * ad
-            acc(b, np.sum(gb) if bd.ndim == 0 and gb.ndim > 0 else gb)
-        return run
-
-    return _result(a.data * b.data, (a, b), bw, saved=(a, b), op="mul")
+    return _result(ad * bd, (a, b), run, saved=(a, b), op="mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     """a * c for a Python scalar c (recorded as a constant)."""
     c = float(c)
 
-    def bw():
-        def run(g, acc):
-            acc(a, g * c)
-        return run
+    def run(g, acc):
+        acc(a, g * c)
 
-    return _result(a.data * c, (a,), bw, op="scale")
+    return _result(a.data * c, (a,), run, op="scale")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -391,16 +375,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: batch sizes disagree, {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
 
-    def bw():
-        ad, bd = a.data, b.data
+    def run(g, acc):
+        acc(a, g @ np.swapaxes(bd, -1, -2))
+        acc(b, np.swapaxes(ad, -1, -2) @ g)
 
-        def run(g, acc):
-            acc(a, g @ np.swapaxes(bd, -1, -2))
-            acc(b, np.swapaxes(ad, -1, -2) @ g)
-        return run
-
-    return _result(a.data @ b.data, (a, b), bw, saved=(a, b), op="matmul")
+    return _result(ad @ bd, (a, b), run, saved=(a, b), op="matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -408,29 +389,23 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim not in (2, 3):
         raise ShapeError(f"transpose: needs a 2-D or 3-D tensor, got {a.shape}")
 
-    def bw():
-        def run(g, acc):
-            acc(a, np.ascontiguousarray(np.swapaxes(g, -1, -2)))
-        return run
+    def run(g, acc):
+        acc(a, np.ascontiguousarray(np.swapaxes(g, -1, -2)))
 
-    return _result(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), bw, op="transpose")
+    return _result(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), run, op="transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-
-    def bw():
-        old = a.data.shape
-
-        def run(g, acc):
-            acc(a, g.reshape(old))
-        return run
-
     try:
         out = a.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from e
-    return _result(np.ascontiguousarray(out), (a,), bw, op="reshape")
+
+    def run(g, acc):
+        acc(a, g.reshape(a.data.shape))
+
+    return _result(np.ascontiguousarray(out), (a,), run, op="reshape")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -448,17 +423,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if d != ax and t.shape[d] != ts[0].shape[d]:
                 raise ShapeError(f"concat: shape mismatch off axis {ax}: {t.shape} vs {ts[0].shape}")
 
-    def bw():
-        sizes = [t.shape[ax] for t in ts]
-        bounds = np.cumsum([0] + sizes)
+    def run(g, acc):
+        bounds = np.cumsum([0] + [t.shape[ax] for t in ts])
+        for t, lo, hi in zip(ts, bounds[:-1], bounds[1:]):
+            idx = tuple(slice(None) if d != ax else slice(lo, hi) for d in range(ndim))
+            acc(t, np.ascontiguousarray(g[idx]))
 
-        def run(g, acc):
-            for t, lo, hi in zip(ts, bounds[:-1], bounds[1:]):
-                idx = tuple(slice(None) if d != ax else slice(lo, hi) for d in range(ndim))
-                acc(t, np.ascontiguousarray(g[idx]))
-        return run
-
-    return _result(np.concatenate([t.data for t in ts], axis=ax), ts, bw, op="concat")
+    return _result(np.concatenate([t.data for t in ts], axis=ax), ts, run, op="concat")
 
 
 def stack(tensors: Sequence[Tensor]) -> Tensor:
@@ -472,15 +443,13 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
         if t.shape != shp:
             raise ShapeError(f"stack: shape mismatch {t.shape} vs {shp}")
 
-    def bw():
-        def run(g, acc):
-            for i, t in enumerate(ts):
-                # asarray, not ascontiguousarray: the latter would promote
-                # scalar slices to shape (1,)
-                acc(t, np.asarray(g[i]))
-        return run
+    def run(g, acc):
+        for i, t in enumerate(ts):
+            # asarray, not ascontiguousarray: the latter would promote
+            # scalar slices to shape (1,)
+            acc(t, np.asarray(g[i]))
 
-    return _result(np.stack([t.data for t in ts]), ts, bw, op="stack")
+    return _result(np.stack([t.data for t in ts]), ts, run, op="stack")
 
 
 def gather(table: Tensor, ids) -> Tensor:
@@ -495,31 +464,21 @@ def gather(table: Tensor, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= v):
         raise IndexError(f"gather: id out of range [0, {v})")
 
-    def bw():
-        vshape = table.data.shape
-        dt = table.data.dtype
+    def run(g, acc):
+        gt = np.zeros(table.data.shape, dtype=table.data.dtype)
+        np.add.at(gt, idx, g)
+        acc(table, gt)
 
-        def run(g, acc):
-            gt = np.zeros(vshape, dtype=dt)
-            np.add.at(gt, idx, g)
-            acc(table, gt)
-        return run
-
-    return _result(table.data[idx], (table,), bw, op="gather")
+    return _result(table.data[idx], (table,), run, op="gather")
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
 
-    def bw():
-        shp = a.data.shape
-        dt = a.data.dtype
+    def run(g, acc):
+        acc(a, np.full(a.data.shape, g, dtype=a.data.dtype))
 
-        def run(g, acc):
-            acc(a, np.full(shp, g, dtype=dt))
-        return run
-
-    return _result(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), bw, op="sum_all")
+    return _result(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), run, op="sum_all")
 
 
 def add_n(tensors: Sequence[Tensor]) -> Tensor:
@@ -538,13 +497,11 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
     for t in ts[1:]:
         out += t.data
 
-    def bw():
-        def run(g, acc):
-            for t in ts:
-                acc(t, g)
-        return run
+    def run(g, acc):
+        for t in ts:
+            acc(t, g)
 
-    return _result(out, ts, bw, op="add_n")
+    return _result(out, ts, run, op="add_n")
 
 
 def mean_pool(a: Tensor, axis: int = 0) -> Tensor:
@@ -553,15 +510,11 @@ def mean_pool(a: Tensor, axis: int = 0) -> Tensor:
         raise ShapeError("mean_pool: needs at least 1-D input")
     ax = axis if axis >= 0 else axis + a.data.ndim
 
-    def bw():
+    def run(g, acc):
         shp = a.data.shape
-        inv = 1.0 / shp[ax]
+        acc(a, np.broadcast_to(np.expand_dims(g * (1.0 / shp[ax]), ax), shp).copy())
 
-        def run(g, acc):
-            acc(a, np.broadcast_to(np.expand_dims(g * inv, ax), shp).copy())
-        return run
-
-    return _result(a.data.mean(axis=ax), (a,), bw, op="mean_pool")
+    return _result(a.data.mean(axis=ax), (a,), run, op="mean_pool")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -572,34 +525,28 @@ def sigmoid(a: Tensor) -> Tensor:
         out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
     out = np.asarray(out, dtype=x.dtype)
 
-    def bw():
-        def run(g, acc):
-            acc(a, g * out * (1.0 - out))
-        return run
+    def run(g, acc):
+        acc(a, g * out * (1.0 - out))
 
-    return _result(out, (a,), bw, saves_output=True, op="sigmoid")
+    return _result(out, (a,), run, saves_output=True, op="sigmoid")
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
-    def bw():
-        def run(g, acc):
-            acc(a, g * (1.0 - out * out))
-        return run
+    def run(g, acc):
+        acc(a, g * (1.0 - out * out))
 
-    return _result(out, (a,), bw, saves_output=True, op="tanh")
+    return _result(out, (a,), run, saves_output=True, op="tanh")
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
-    def bw():
-        def run(g, acc):
-            acc(a, g * (out > 0))
-        return run
+    def run(g, acc):
+        acc(a, g * (out > 0))
 
-    return _result(out, (a,), bw, saves_output=True, op="relu")
+    return _result(out, (a,), run, saves_output=True, op="relu")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -609,13 +556,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(x - x.max(axis=ax, keepdims=True))
     out = e / e.sum(axis=ax, keepdims=True)
 
-    def bw():
-        def run(g, acc):
-            dot = (g * out).sum(axis=ax, keepdims=True)
-            acc(a, out * (g - dot))
-        return run
+    def run(g, acc):
+        dot = (g * out).sum(axis=ax, keepdims=True)
+        acc(a, out * (g - dot))
 
-    return _result(out, (a,), bw, saves_output=True, op="softmax")
+    return _result(out, (a,), run, saves_output=True, op="softmax")
 
 
 # ---------------------------------------------------------------------------
@@ -648,15 +593,12 @@ def bce_loss(p: Tensor, y: Tensor, reduction: str = "mean") -> Tensor:
     n = max(pd.size, 1)
     value = total / n if reduction == "mean" else total
 
-    def bw():
+    def run(g, acc):
         inside = (pd > BCE_EPS) & (pd < 1.0 - BCE_EPS)
         coeff = 1.0 / n if reduction == "mean" else 1.0
+        acc(p, g * coeff * inside * (pc - yd) / (pc * (1.0 - pc)))
 
-        def run(g, acc):
-            acc(p, g * coeff * inside * (pc - yd) / (pc * (1.0 - pc)))
-        return run
-
-    return _result(np.asarray(value, dtype=pd.dtype), (p, y), bw, saved=(p,), op="bce_loss")
+    return _result(np.asarray(value, dtype=pd.dtype), (p, y), run, saved=(p,), op="bce_loss")
 
 
 def mse_half(a: Tensor, b: Tensor) -> Tensor:
@@ -670,13 +612,11 @@ def mse_half(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mse_half: shape mismatch {a.shape} vs {b.shape}")
     diff = a.data - b.data
 
-    def bw():
-        def run(g, acc):
-            acc(a, g * diff)
-            acc(b, -g * diff)
-        return run
+    def run(g, acc):
+        acc(a, g * diff)
+        acc(b, -g * diff)
 
-    return _result(np.asarray(0.5 * np.sum(diff * diff), dtype=a.data.dtype), (a, b), bw, saved=(a, b), op="mse_half")
+    return _result(np.asarray(0.5 * np.sum(diff * diff), dtype=a.data.dtype), (a, b), run, saved=(a, b), op="mse_half")
 
 
 # ---------------------------------------------------------------------------

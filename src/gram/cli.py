@@ -162,8 +162,8 @@ def _write_json(path, obj):
 def _stats_table(st) -> str:
     lines = ["metric               value",
              "-------------------  ----------"]
-    for key in st.KEY_ORDER:
-        val = getattr(st, key)
+    for f in dataclasses.fields(st):
+        key, val = f.name, getattr(st, f.name)
         shown = f"{val:g}" if isinstance(val, float) else str(val)
         lines.append(f"{key:<19s}  {shown}")
     lines.append(f"epoch boost ratio R={st.epoch_boost_ratio:g}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -104,12 +104,8 @@ class DatasetStats:
     avg_l_i: float
     epoch_boost_ratio: float
 
-    KEY_ORDER = ("n_users", "n_items", "n_interactions", "avg_l_t", "avg_l_i",
-                 "epoch_boost_ratio")
-
     def to_json(self) -> str:
-        pairs = ", ".join(f'"{k}": {getattr(self, k)}' for k in self.KEY_ORDER)
-        return "{" + pairs + "}"
+        return json.dumps(asdict(self))
 
 
 def compute_stats(d: Dataset) -> DatasetStats:

@@ -11,6 +11,7 @@ the activation memory a step keeps alive.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -60,20 +61,15 @@ class PhaseTimer:
 
     totals_ns: dict = field(default_factory=dict)
 
+    @contextlib.contextmanager
     def measure(self, phase: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter_ns()
-                return self
-
-            def __exit__(self, *exc):
-                timer.totals_ns[phase] = timer.totals_ns.get(phase, 0) + (
-                    time.perf_counter_ns() - self.t0)
-                return False
-
-        return _Ctx()
+        """Add the wall time of the ``with`` body to *phase*, also when the
+        body raises."""
+        t0 = time.perf_counter_ns()
+        try:
+            yield
+        finally:
+            self.totals_ns[phase] = self.totals_ns.get(phase, 0) + (time.perf_counter_ns() - t0)
 
     def total(self) -> int:
         return sum(self.totals_ns.values())

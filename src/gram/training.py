@@ -107,8 +107,12 @@ class OptimizerConfig:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.schedule not in ("constant", "noam"):
             raise ConfigError(f"unknown lr schedule {self.schedule!r}")
-        if self.lr < 0:
-            raise ConfigError("learning rate must be non-negative")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"learning rate must be finite and non-negative, got {self.lr}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must lie in [0, 1), got {self.beta1} and {self.beta2}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.warmup < 1 or self.model_dim < 1:
             raise ConfigError("warmup and model_dim must be positive")
         return self
@@ -246,6 +250,8 @@ class TrainConfig:
             raise ConfigError("n_cs_items must be positive")
         if self.precision not in ("f64", "f32"):
             raise ConfigError(f"precision must be f64 or f32, got {self.precision!r}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be positive (or null for no clipping), got {self.clip_norm}")
         return self
 
 
@@ -779,6 +785,9 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     cfg.validate()
     if cfg.precision != "f64":
         raise ConfigError("equivalence verification requires f64 precision")
+    if n_trials < 1 or (trajectory and k_steps < 1):
+        raise ConfigError(f"equivalence verification needs >= 1 trial and >= 1 trajectory step, "
+                          f"got {n_trials} trials and {k_steps} steps")
     item_tokens = {it.item_id: it.tokens for it in dataset.items}
     max_ce = 0.0
     max_cf = 0.0

@@ -291,12 +291,18 @@ def test_fd_scale_neg():
 
 
 def test_fd_scalar_broadcast():
-    def make_f(rng):
-        m = Tensor(rng.standard_normal((3, 3)))
-        c = Tensor(rng.standard_normal((3, 3)))
-        return lambda x: sum_all(mul(mul(m, x), c))
+    # the 0-d grad leaf on either side of each broadcasting binary op; the
+    # readout c makes the upstream gradient non-uniform before it is summed
+    for op in (add, sub, mul):
+        for left in (True, False):
+            def make_f(rng, op=op, left=left):
+                m = Tensor(rng.standard_normal((3, 3)))
+                c = Tensor(rng.standard_normal((3, 3)))
+                if left:
+                    return lambda x: sum_all(mul(op(x, m), c))
+                return lambda x: sum_all(mul(op(m, x), c))
 
-    run_trials(make_f, lambda rng: tensor(rng.standard_normal(()), grad=True))
+            run_trials(make_f, lambda rng: tensor(rng.standard_normal(()), grad=True))
 
 
 def test_fd_sigmoid():

@@ -211,6 +211,18 @@ def test_verify_failure_exits_2(workdir, monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trials,steps", [("0", "5"), ("2", "0"), ("-3", "-1")])
+def test_verify_without_trials_or_steps_is_a_config_error(workdir, capsys, trials, steps):
+    # zero comparisons would print all-zero errors and PASS
+    rc = cli.main(["verify", "--config", str(workdir / "cfg.json"),
+                   "--data", str(workdir / "data"),
+                   "--trials", trials, "--steps", steps])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "gram: config error:" in captured.err
+
+
 def test_bench_checks_call_ratio(workdir, capsys):
     rc = cli.main(["bench", "--data", str(workdir / "data"),
                    "--config", str(workdir / "cfg.json"),

@@ -51,6 +51,12 @@ def test_phase_timer_accumulates():
     assert t.totals_ns["cf"] >= 6_000_000
     assert t.totals_ns["ce"] >= 2_000_000
     assert t.total() == t.totals_ns["cf"] + t.totals_ns["ce"]
+    # a body that raises still counts, and the error propagates
+    with pytest.raises(KeyError):
+        with t.measure("eval"):
+            time.sleep(0.002)
+            raise KeyError("x")
+    assert t.totals_ns["eval"] >= 2_000_000
 
 
 def test_counters_as_dict_keys():

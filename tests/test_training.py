@@ -168,7 +168,18 @@ def test_config_validation_errors():
         TrainConfig(val_frac=0.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(opt_ce=OptimizerConfig(kind="rmsprop")).validate()
+    # beta1 = 1 divides by zero in Adam's bias correction; the error must
+    # name the setting, not the first op that meets a non-finite parameter
+    for bad in ({"lr": float("nan")}, {"lr": float("inf")}, {"beta1": 1.0}, {"beta1": -0.1},
+                {"beta2": 1.0}, {"beta2": float("nan")}, {"eps": 0.0}, {"eps": -1e-8}):
+        with pytest.raises(ConfigError):
+            TrainConfig(opt_cf=OptimizerConfig(**bad)).validate()
+    # a clip that never runs must not be echoed in the report as if it did
+    for clip in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            TrainConfig(clip_norm=clip).validate()
     TrainConfig().validate()
+    TrainConfig(clip_norm=0.5, opt_ce=OptimizerConfig(beta1=0.0, lr=0.0)).validate()
 
 
 def test_unknown_mode_rejected():
