@@ -165,7 +165,7 @@ class Tensor:
             arr = np.asarray(data, dtype=default_dtype())
         if arr.dtype not in _FLOAT_DTYPES:
             raise ValueError(f"unsupported dtype {arr.dtype}; use float64 or float32")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor data contains NaN or Inf")
         self.data = arr
         self.grad_enabled = bool(grad_enabled)
@@ -273,7 +273,7 @@ def _result(
     output's ``_backward`` only when the output joins a graph; a no-grad
     forward builds it and drops it.
     """
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
     if not is_grad_enabled() or not any(p.grad_enabled for p in parents):
         return Tensor._wrap(arr)

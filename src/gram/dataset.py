@@ -121,17 +121,21 @@ def compute_stats(d: Dataset) -> DatasetStats:
 
 
 def stats_from_metadata(path) -> DatasetStats:
-    """Stats from a metadata JSON (for corpora we do not ship): keys
-    n_users, n_items, n_interactions, optional avg_l_t / avg_l_i."""
+    """Stats from a metadata JSON (for corpora we do not ship): integer
+    keys n_users and n_items (>= 1) and n_interactions (>= 0), optional
+    avg_l_t / avg_l_i."""
     with open(path, encoding="utf-8") as f:
         meta = json.load(f)
-    for key in ("n_users", "n_items", "n_interactions"):
+    for key, least in (("n_users", 1), ("n_items", 1), ("n_interactions", 0)):
         if key not in meta:
             raise ValueError(f"metadata {path}: missing key {key!r}")
+        v = meta[key]
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            raise ValueError(f"metadata {path}: {key!r} must be an integer >= {least}, got {v!r}")
     return DatasetStats(
-        n_users=int(meta["n_users"]),
-        n_items=int(meta["n_items"]),
-        n_interactions=int(meta["n_interactions"]),
+        n_users=meta["n_users"],
+        n_items=meta["n_items"],
+        n_interactions=meta["n_interactions"],
         avg_l_t=float(meta.get("avg_l_t", 0.0)),
         avg_l_i=float(meta.get("avg_l_i", meta["n_interactions"] / meta["n_users"])),
         epoch_boost_ratio=meta["n_interactions"] / meta["n_items"],

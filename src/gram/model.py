@@ -25,15 +25,18 @@ from interactions 0..n-1 only (no leakage), and the loss is the sum of the
 per-position binary cross-entropy terms.
 
 ``batch_sequence_loss`` is the hot path. The recurrent CF advances every
-user of a batch through time in lockstep on (n_users x dim) matrices and
-selects the valid prediction slots by gather; a finished user's row keeps
+user of a batch through time in lockstep on (n_users x dim) matrices. Only
+the h-side of the cell runs in the time loop: the input-side gate
+preactivations of every (step, user) slot come from one matmul before it,
+and the readout is one row-dot over all hidden states after it. The valid
+prediction slots are selected by gather; a finished user's row keeps
 running on filler inputs, but no valid slot reads it, so it gets exactly
 zero gradient. The attention CF runs one graph per prefix length n over
 the users longer than n: (B_n*n, 2d) history rows, a (B_n, n, n) batched
 attention and pooling over axis 1, with no padding or mask, so it saves
-the elements the per-user graphs would. ``sequence_loss`` and
-``cf_predict`` are the plain per-user reference; the batched paths agree
-with them to float64 roundoff (addition order differs) and tests pin that.
+the elements the per-user graphs would. The per-user reference CF lives
+in ``tests/reference_cf.py``; the batched paths agree with it to float64
+roundoff (addition order differs) and tests pin that.
 
 All weight matrices are initialized uniform(-a, a), a = sqrt(6 / (fan_in +
 fan_out)); bias vectors start at zero.
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -306,7 +310,7 @@ def ce_encode(token_seqs, p: CeParams) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Collaborative filter, per-user reference paths
+# Collaborative filter, batched lockstep paths (training and evaluation)
 # ---------------------------------------------------------------------------
 
 
@@ -316,22 +320,9 @@ def _check_response(r) -> int:
     return int(r)
 
 
-def _interaction_input(enc: Tensor, resp: int, p) -> Tensor:
-    """(1, 2d) row: encoding concatenated with the response embedding."""
-    remb = ad.gather(p.resp_embedding, [_check_response(resp)])
-    return ad.concat([enc, remb], axis=1)
-
-
-def _gru_step(h: Tensor, x: Tensor, p: RecurrentCfParams) -> Tensor:
-    """One cell update; h and the return value are (1, d_h)."""
-    dh = p.cfg.d_h
-    xg = ad.reshape(ad.add(ad.matmul(x, p.w_ih), p.b_ih), (3, dh))
-    hg = ad.reshape(ad.add(ad.matmul(h, p.w_hh), p.b_hh), (3, dh))
-    r = ad.sigmoid(ad.add(ad.gather(xg, [0]), ad.gather(hg, [0])))
-    z = ad.sigmoid(ad.add(ad.gather(xg, [1]), ad.gather(hg, [1])))
-    n = ad.tanh(ad.add(ad.gather(xg, [2]), ad.mul(r, ad.gather(hg, [2]))))
-    # h' = (1 - z) * n + z * h, written as n + z * (h - n)
-    return ad.add(n, ad.mul(z, ad.sub(h, n)))
+def _interactions_of(user):
+    inter = getattr(user, "interactions", user)
+    return [(item, _check_response(resp)) for item, resp in inter]
 
 
 def _row_dot(a: Tensor, b: Tensor) -> Tensor:
@@ -340,153 +331,91 @@ def _row_dot(a: Tensor, b: Tensor) -> Tensor:
     return ad.scale(ad.mean_pool(ad.mul(a, b), axis=1), float(k))
 
 
-def _attend_pool(xs: list[Tensor], p: AttentionCfParams) -> Tensor:
-    """Self-attend over history rows and pool to a (1, d) user vector."""
-    x = ad.concat(xs, axis=0) if len(xs) > 1 else xs[0]
-    q = ad.matmul(x, p.wq)
-    k = ad.matmul(x, p.wk)
-    v = ad.matmul(x, p.wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(p.cfg.d_h))
-    ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
-    w = ad.softmax(ad.matmul(ad.tanh(ad.matmul(ctx, p.w_pool)), p.v_pool), axis=0)
-    return ad.matmul(ad.transpose(w), ctx)
+class _Layout(NamedTuple):
+    """Index layout of one batch. Interactions are numbered user by user:
+    position n of user u is interaction first[u] + n."""
+
+    lengths: np.ndarray     # interactions per user
+    first: np.ndarray       # interaction index of each user's position 0
+    rows: np.ndarray        # row of ``enc`` per interaction
+    resps: np.ndarray       # response per interaction
+    t_max: int
 
 
-def _cf_logit(history, candidate: Tensor, p) -> Tensor:
-    """Pre-sigmoid score of *candidate* after the given history; scalar."""
-    if p.variant == "recurrent":
-        h = Tensor(np.zeros((1, p.cfg.d_h), dtype=candidate.dtype))
-        for enc, resp in history:
-            h = _gru_step(h, _interaction_input(enc, resp, p), p)
-        return ad.sum_all(ad.mul(h, ad.matmul(candidate, p.w_readout)))
-    if not history:
-        return ad.scale(p.bias, 1.0)  # pooled user vector of an empty history is 0
-    xs = [_interaction_input(enc, resp, p) for enc, resp in history]
-    u = _attend_pool(xs, p)
-    return ad.add(ad.sum_all(ad.mul(u, candidate)), p.bias)
-
-
-def cf_predict(history, candidate: Tensor, p: CfParams) -> Tensor:
-    """Probability that the user responds 1 to *candidate* given the
-    (encoding, response) history. Output is strictly inside (0, 1)."""
-    hist = list(history)
-    if len(hist) > p.cfg.max_interactions:
-        raise ValueError(
-            f"history length {len(hist)} exceeds max_interactions {p.cfg.max_interactions}")
-    return ad.sigmoid(_cf_logit(hist, candidate, p))
-
-
-def _interactions_of(user):
-    inter = getattr(user, "interactions", user)
-    return [(item, _check_response(resp)) for item, resp in inter]
-
-
-def sequence_loss(user, encodings, p: CfParams) -> Tensor:
-    """Next-response prediction loss for one user: sum over positions
-    n >= 1 of BCE(predict(prefix 0..n-1, candidate e_n), r_n).
-
-    ``encodings`` maps item_id -> (1, d) tensor; gradients flow into those
-    tensors (and through them into whatever produced them), accumulating
-    one contribution per occurrence.
-    """
-    inter = _interactions_of(user)
-    if len(inter) < 2:
-        raise ValueError("sequence_loss: need at least 2 interactions")
-    for item, _ in inter:
-        if item not in encodings:
-            raise KeyError(f"sequence_loss: no encoding for item {item}")
-
-    logits = []
-    if p.variant == "recurrent":
-        h = Tensor(np.zeros((1, p.cfg.d_h), dtype=encodings[inter[0][0]].dtype))
-        for n, (item, resp) in enumerate(inter):
-            if n >= 1:
-                cand = ad.matmul(encodings[item], p.w_readout)
-                logits.append(ad.sum_all(ad.mul(h, cand)))
-            h = _gru_step(h, _interaction_input(encodings[item], resp, p), p)
-    else:
-        xs = []
-        for n, (item, resp) in enumerate(inter):
-            if n >= 1:
-                u = _attend_pool(xs, p)
-                logits.append(ad.add(ad.sum_all(ad.mul(u, encodings[item])), p.bias))
-            xs.append(_interaction_input(encodings[item], resp, p))
-
-    probs = ad.sigmoid(ad.stack(logits))
-    labels = Tensor(np.array([float(r) for _, r in inter[1:]], dtype=probs.dtype))
-    return ad.bce_loss(probs, labels, reduction="sum")
-
-
-# ---------------------------------------------------------------------------
-# Batched lockstep paths (hot loop for training and evaluation)
-# ---------------------------------------------------------------------------
-
-
-def _batch_layout(users):
+def _batch_layout(users, row_of):
     """Shared index layout for the lockstep paths.
 
-    Returns (interactions per user, lengths, max length, and the flat slot
-    ids / labels / item ids of every valid prediction). Slot (n, u) of the
-    step-major score concat has flat index (n-1) * n_users + u.
+    Returns (layout, and the flat slot ids / labels / item ids / user index
+    of every valid prediction). Slot (n, u) of the step-major score concat
+    has flat index (n-1) * n_users + u.
     """
     inters = [_interactions_of(u) for u in users]
     lengths = np.array([len(it) for it in inters], dtype=np.intp)
     if lengths.size == 0 or int(lengths.max(initial=0)) < 2:
         raise ValueError("batch requires at least one user with >= 2 interactions")
-    b = len(inters)
     t_max = int(lengths.max())
-    valid_slots, labels, item_ids, user_idx = [], [], [], []
-    for n in range(1, t_max):
-        for u, it in enumerate(inters):
-            if n < lengths[u]:
-                valid_slots.append((n - 1) * b + u)
-                labels.append(float(it[n][1]))
-                item_ids.append(it[n][0])
-                user_idx.append(u)
-    return inters, lengths, t_max, (np.array(valid_slots, dtype=np.intp),
-                                    np.array(labels), np.array(item_ids), np.array(user_idx, dtype=np.intp))
+    items = np.array([item for it in inters for item, _ in it])
+    rows = np.array([row_of[item] for it in inters for item, _ in it], dtype=np.intp)
+    resps = np.array([resp for it in inters for _, resp in it], dtype=np.intp)
+    first = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    step, user_idx = np.nonzero(np.arange(1, t_max)[:, None] < lengths)   # slot (step+1, u)
+    at = first[user_idx] + step + 1
+    return (_Layout(lengths, first, rows, resps, t_max),
+            (step * len(inters) + user_idx, resps[at].astype(np.float64), items[at], user_idx))
 
 
-def _recurrent_batch_logits(inters, t_max, row_of, enc: Tensor, p: RecurrentCfParams) -> Tensor:
+def _recurrent_batch_logits(lay: _Layout, enc: Tensor, p: RecurrentCfParams) -> Tensor:
     """Step-major logits for all (step, user) slots, shape (b*(t_max-1), 1).
 
-    A finished user's row keeps stepping on filler inputs; each row depends
-    only on its own user, and ``batch_logits`` gathers the finished users'
-    slots away, so those rows receive exactly zero gradient. The cell runs
-    t_max - 1 updates: the one after the last interaction would feed no
-    logit.
+    Only the h-side of the cell runs in the time loop. The input-side gate
+    preactivations of all t_max - 1 updates come from one ((t_max-1)*b,
+    2d) @ (2d, 3*d_h) matmul before it, and the readout is one row-dot of
+    the concatenated hidden states with the candidates' readout rows after
+    it. Each update gathers its (3b, d_h) block of input-side gate rows
+    once and takes the gates from that small tensor, since every gather
+    from the large table costs a table-sized gradient in backward. The
+    reset and update gates read one sum of both sides; the candidate gate
+    scales the h-side by r first. A finished user's row keeps stepping on
+    filler inputs; each row depends only on its own user, and
+    ``batch_logits`` gathers the finished users' slots away, so those rows
+    receive exactly zero gradient. The cell runs t_max - 1 updates: the one
+    after the last interaction would feed no logit.
     """
-    b = len(inters)
+    b, t_max = lay.lengths.size, lay.t_max
     dh = p.cfg.d_h
-    dt = enc.dtype
-    # item row / response per (user, step); step >= length repeats row 0,
-    # which only finished users' rows, never a valid slot, read
-    item_rows = np.zeros((t_max, b), dtype=np.intp)
-    resps = np.zeros((t_max, b), dtype=np.intp)
-    for u, it in enumerate(inters):
-        for n, (item, resp) in enumerate(it):
-            item_rows[n, u] = row_of[item]
-            resps[n, u] = resp
+    # item row / response per (step, user); step >= length reads row 0 and
+    # response 0, which only finished users' rows, never a valid slot, read
+    pos = np.arange(t_max)[:, None]
+    live = pos < lay.lengths
+    at = np.where(live, lay.first + pos, 0)
+    item_rows = np.where(live, lay.rows[at], 0)
+    resps = np.where(live, lay.resps[at], 0)
 
-    readout = ad.matmul(enc, p.w_readout)       # per unique item, reused
-    gate_rows = [np.arange(b, dtype=np.intp) * 3 + k for k in range(3)]
-    h = Tensor(np.zeros((b, dh), dtype=dt))
-    step_logits = []
+    # input side of every update, row (n-1)*b + u for update n of user u
+    x = ad.concat([ad.gather(enc, item_rows[:-1].reshape(-1)),
+                   ad.gather(p.resp_embedding, resps[:-1].reshape(-1))], axis=1)
+    # row (n-1)*3b + 3u + k holds gate k of that slot
+    xg_all = ad.reshape(ad.add(ad.matmul(x, p.w_ih), p.b_ih), (3 * (t_max - 1) * b, dh))
+    step_rows = np.arange(3 * b, dtype=np.intp)
+    gate_rows = [step_rows[k::3] for k in range(3)]
+    h = Tensor(np.zeros((b, dh), dtype=enc.dtype))
+    hs = []
     for n in range(1, t_max):
-        x = ad.concat([ad.gather(enc, item_rows[n - 1]),
-                       ad.gather(p.resp_embedding, resps[n - 1])], axis=1)
-        xg = ad.reshape(ad.add(ad.matmul(x, p.w_ih), p.b_ih), (3 * b, dh))
+        xg = ad.gather(xg_all, (n - 1) * 3 * b + step_rows)
         hg = ad.reshape(ad.add(ad.matmul(h, p.w_hh), p.b_hh), (3 * b, dh))
-        r = ad.sigmoid(ad.add(ad.gather(xg, gate_rows[0]), ad.gather(hg, gate_rows[0])))
-        z = ad.sigmoid(ad.add(ad.gather(xg, gate_rows[1]), ad.gather(hg, gate_rows[1])))
+        pre = ad.add(xg, hg)                    # reset and update rows read this
+        r = ad.sigmoid(ad.gather(pre, gate_rows[0]))
+        z = ad.sigmoid(ad.gather(pre, gate_rows[1]))
         cnd = ad.tanh(ad.add(ad.gather(xg, gate_rows[2]), ad.mul(r, ad.gather(hg, gate_rows[2]))))
         h = ad.add(cnd, ad.mul(z, ad.sub(h, cnd)))
-        step_logits.append(_row_dot(h, ad.gather(readout, item_rows[n])))
-    flat = ad.concat(step_logits, axis=0)       # ((t_max-1)*b,), step-major
+        hs.append(h)
+    h_all = ad.concat(hs, axis=0) if len(hs) > 1 else hs[0]
+    cand = ad.gather(ad.matmul(enc, p.w_readout), item_rows[1:].reshape(-1))
+    flat = _row_dot(h_all, cand)                # ((t_max-1)*b,), step-major
     return ad.reshape(flat, (flat.shape[0], 1))
 
 
-def _attention_batch_logits(inters, t_max, row_of, enc: Tensor, p: AttentionCfParams) -> Tensor:
+def _attention_batch_logits(lay: _Layout, enc: Tensor, p: AttentionCfParams) -> Tensor:
     """Logits of the valid slots only, in ``_batch_layout``'s step-major
     order (prefix length n ascending, then user), shape (n_slots, 1).
 
@@ -496,18 +425,14 @@ def _attention_batch_logits(inters, t_max, row_of, enc: Tensor, p: AttentionCfPa
     projections, a (B_n, n, n) batched attention, additive pooling over
     axis 1 to (B_n, d) user vectors, and a row-wise dot with the
     candidates. No row is padded or masked, so each op saves exactly the
-    elements the per-user ``_attend_pool`` graphs save.
+    elements the per-user reference graphs save.
     """
     d, dh = p.cfg.d, p.cfg.d_h
-    lengths = np.array([len(it) for it in inters], dtype=np.intp)
-    first = np.concatenate([[0], np.cumsum(lengths)[:-1]])   # row of (u, 0)
-    item_rows = np.array([row_of[item] for it in inters for item, _ in it], dtype=np.intp)
-    resps = np.array([resp for it in inters for _, resp in it], dtype=np.intp)
-    x_all = ad.concat([ad.gather(enc, item_rows), ad.gather(p.resp_embedding, resps)], axis=1)
+    x_all = ad.concat([ad.gather(enc, lay.rows), ad.gather(p.resp_embedding, lay.resps)], axis=1)
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
     logits = []
-    for n in range(1, t_max):
-        starts = first[lengths > n]
+    for n in range(1, lay.t_max):
+        starts = lay.first[lay.lengths > n]
         b = starts.size
         x = ad.gather(x_all, (starts[:, None] + np.arange(n)).reshape(-1))
         q = ad.reshape(ad.matmul(x, p.wq), (b, n, dh))
@@ -518,7 +443,7 @@ def _attention_batch_logits(inters, t_max, row_of, enc: Tensor, p: AttentionCfPa
         pre = ad.matmul(ad.tanh(ad.matmul(ad.reshape(ctx, (b * n, d)), p.w_pool)), p.v_pool)
         w = ad.softmax(ad.reshape(pre, (b, n, 1)), axis=1)
         u = ad.reshape(ad.matmul(ad.transpose(w), ctx), (b, d))
-        logits.append(ad.add(_row_dot(u, ad.gather(enc, item_rows[starts + n])), p.bias))
+        logits.append(ad.add(_row_dot(u, ad.gather(enc, lay.rows[starts + n])), p.bias))
     flat = ad.concat(logits, axis=0)
     return ad.reshape(flat, (flat.shape[0], 1))
 
@@ -533,15 +458,15 @@ def batch_logits(users, row_of, enc: Tensor, p: CfParams):
     (step, user) slot and gathers the valid ones; the attention CF builds
     the valid slots only, already in that order.
     """
-    inters, lengths, t_max, (slots, labels, item_ids, user_idx) = _batch_layout(users)
-    if t_max > p.cfg.max_interactions:
-        u = int(np.argmax(lengths))
-        raise ValueError(f"user at batch index {u} has {lengths[u]} interactions, "
+    lay, (slots, labels, item_ids, user_idx) = _batch_layout(users, row_of)
+    if lay.t_max > p.cfg.max_interactions:
+        u = int(np.argmax(lay.lengths))
+        raise ValueError(f"user at batch index {u} has {lay.lengths[u]} interactions, "
                          f"more than max_interactions {p.cfg.max_interactions}")
     if p.variant == "recurrent":
-        logits = ad.gather(_recurrent_batch_logits(inters, t_max, row_of, enc, p), slots)
+        logits = ad.gather(_recurrent_batch_logits(lay, enc, p), slots)
     else:
-        logits = _attention_batch_logits(inters, t_max, row_of, enc, p)
+        logits = _attention_batch_logits(lay, enc, p)
     return logits, labels, item_ids, user_idx
 
 

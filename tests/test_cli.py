@@ -186,6 +186,17 @@ def test_stats_metadata_ratios(name, ratio, capsys):
     assert float(row.split()[-1]) == pytest.approx(ratio, abs=0.05)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_items", 0), ("n_users", 0), ("n_interactions", -1), ("n_users", "5")])
+def test_stats_metadata_rejects_bad_counts(tmp_path, capsys, key, value):
+    meta = {"n_users": 5, "n_items": 3, "n_interactions": 10, key: value}
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps(meta))
+    assert cli.main(["stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gram: error:") and str(path) in err and repr(key) in err
+
+
 def test_verify_passes_on_tiny_config(workdir, capsys):
     rc = cli.main(["verify", "--config", str(workdir / "cfg.json"),
                    "--data", str(workdir / "data"),

@@ -2,13 +2,14 @@
 
 Covers hand-checkable special cases (zeroed weights, empty histories),
 finite-difference gradient checks through both forwards, agreement of the
-lockstep batched paths with the per-user reference paths, and checkpoint
-round-trips.
+lockstep batched paths with the per-user reference in ``reference_cf``,
+and checkpoint round-trips.
 """
 
 import numpy as np
 import pytest
 
+import reference_cf as R
 from gram import autodiff as ad
 from gram import model as M
 from gram.autodiff import Tensor, backward, grad_check, sum_all, mul
@@ -203,7 +204,7 @@ def test_cf_predict_in_open_interval(variant):
     _, cf = small_params(seed=8, variant=variant)
     for n in (0, 1, 5):
         cand = Tensor(rng.standard_normal((1, cf.cfg.d)))
-        prob = M.cf_predict(random_history(rng, cf, n), cand, cf).item()
+        prob = R.cf_predict(random_history(rng, cf, n), cand, cf).item()
         assert 0.0 < prob < 1.0
 
 
@@ -213,7 +214,7 @@ def test_cf_empty_history_scores_half(variant):
     rng = np.random.default_rng(9)
     _, cf = small_params(seed=9, variant=variant)
     cand = Tensor(rng.standard_normal((1, cf.cfg.d)))
-    assert M.cf_predict([], cand, cf).item() == pytest.approx(0.5)
+    assert R.cf_predict([], cand, cf).item() == pytest.approx(0.5)
 
 
 def test_cf_recurrent_zero_cell_ignores_history():
@@ -222,8 +223,8 @@ def test_cf_recurrent_zero_cell_ignores_history():
     for name in ("w_ih", "w_hh", "b_ih", "b_hh", "resp_embedding"):
         get_param(cf, name).data[...] = 0.0
     cand = Tensor(rng.standard_normal((1, cf.cfg.d)))
-    p0 = M.cf_predict([], cand, cf).item()
-    p5 = M.cf_predict(random_history(rng, cf, 5), cand, cf).item()
+    p0 = R.cf_predict([], cand, cf).item()
+    p5 = R.cf_predict(random_history(rng, cf, 5), cand, cf).item()
     assert p0 == pytest.approx(p5)
     assert p0 == pytest.approx(0.5)
 
@@ -233,10 +234,10 @@ def test_cf_rejects_bad_response_and_long_history():
     _, cf = small_params(seed=11)
     cand = Tensor(rng.standard_normal((1, cf.cfg.d)))
     with pytest.raises(ValueError):
-        M.cf_predict([(cand, 2)], cand, cf)
+        R.cf_predict([(cand, 2)], cand, cf)
     too_long = random_history(rng, cf, cf.cfg.max_interactions + 1)
     with pytest.raises(ValueError):
-        M.cf_predict(too_long, cand, cf)
+        R.cf_predict(too_long, cand, cf)
 
 
 @pytest.mark.parametrize("variant", ["recurrent", "attention"])
@@ -246,7 +247,7 @@ def test_cf_candidate_gradient_vs_finite_differences(variant):
     hist = random_history(rng, cf, 4)
 
     def f(x):
-        return M.cf_predict(hist, x, cf)
+        return R.cf_predict(hist, x, cf)
 
     for _ in range(5):
         x = Tensor(rng.standard_normal((1, cf.cfg.d)), grad_enabled=True)
@@ -261,7 +262,7 @@ def test_cf_parameter_gradients_vs_finite_differences(variant):
     cand = Tensor(rng.standard_normal((1, cf.cfg.d)))
 
     def forward():
-        return M.cf_predict(hist, cand, cf)
+        return R.cf_predict(hist, cand, cf)
 
     for name in cf.named():
         f = swapped_forward(cf, name, forward)
@@ -300,14 +301,14 @@ def test_sequence_loss_needs_two_interactions():
     _, cf = small_params(seed=14)
     enc = leaf_encodings(np.random.default_rng(0), cf.cfg.d, [1])
     with pytest.raises(ValueError):
-        M.sequence_loss([(1, 0)], enc, cf)
+        R.sequence_loss([(1, 0)], enc, cf)
 
 
 def test_sequence_loss_missing_encoding():
     _, cf = small_params(seed=14)
     enc = leaf_encodings(np.random.default_rng(0), cf.cfg.d, [1])
     with pytest.raises(KeyError):
-        M.sequence_loss([(1, 0), (2, 1)], enc, cf)
+        R.sequence_loss([(1, 0), (2, 1)], enc, cf)
 
 
 @pytest.mark.parametrize("variant", ["recurrent", "attention"])
@@ -318,12 +319,12 @@ def test_encoding_grad_accumulates_per_occurrence(variant):
     _, cf = small_params(seed=15, variant=variant)
     inter = [(7, 1), (3, 0), (7, 1), (3, 1), (7, 0)]
     enc = leaf_encodings(rng, cf.cfg.d, [7, 3])
-    g = backward(M.sequence_loss(inter, enc, cf))
+    g = backward(R.sequence_loss(inter, enc, cf))
 
     rep_inter = [(n, r) for n, (_, r) in enumerate(inter)]
     rep_enc = {n: Tensor(enc[item].data.copy(), grad_enabled=True)
                for n, (item, _) in enumerate(inter)}
-    g_rep = backward(M.sequence_loss(rep_inter, rep_enc, cf))
+    g_rep = backward(R.sequence_loss(rep_inter, rep_enc, cf))
 
     for item in (7, 3):
         total = sum(g_rep[rep_enc[n]].data for n, (it, _) in enumerate(inter) if it == item)
@@ -341,7 +342,7 @@ def test_batch_loss_matches_per_user_sum(variant):
                       for _ in range(length)])
     enc = leaf_encodings(rng, cf.cfg.d, items)
 
-    per_user = sum(M.sequence_loss(u, enc, cf).item() for u in users)
+    per_user = sum(R.sequence_loss(u, enc, cf).item() for u in users)
     rows = [enc[i] for i in items]
     row_of = {i: k for k, i in enumerate(items)}
     loss, n_terms = M.batch_sequence_loss(users, row_of, ad.concat(rows, axis=0), cf)
@@ -363,7 +364,7 @@ def test_batch_gradients_match_per_user(variant):
 
     grads_ref = {}
     for u in users:
-        g = backward(M.sequence_loss(u, enc, cf))
+        g = backward(R.sequence_loss(u, enc, cf))
         for t, gt in g.items():
             grads_ref[t] = grads_ref.get(t, 0) + gt.data
 
@@ -406,7 +407,7 @@ def test_batch_scores_match_cf_predict(variant):
         seq = users[u]
         assert (item, label) == seq[position[u]]
         hist = [(enc[it], r) for it, r in seq[:position[u]]]
-        assert prob == pytest.approx(M.cf_predict(hist, enc[item], cf).item(), rel=1e-9)
+        assert prob == pytest.approx(R.cf_predict(hist, enc[item], cf).item(), rel=1e-9)
     assert position == [len(u) - 1 for u in users]
 
 
@@ -433,7 +434,7 @@ def test_attention_batch_logits_match_per_prefix_logits():
         for u, seq in enumerate(MIXED_USERS):
             if n < len(seq):
                 hist = [(enc[it], r) for it, r in seq[:n]]
-                expected.append((u, seq[n], M._cf_logit(hist, enc[seq[n][0]], cf).item()))
+                expected.append((u, seq[n], R.cf_logit(hist, enc[seq[n][0]], cf).item()))
     assert logits.shape == (len(expected), 1)
     assert list(user_idx) == [u for u, _, _ in expected]
     assert list(zip(item_ids, labels)) == [slot for _, slot, _ in expected]
@@ -455,6 +456,45 @@ def test_batch_loss_saved_activations(variant, peak):
         assert acct.peak == peak
         backward(loss)
     assert acct.current == 0
+
+
+def test_recurrent_batch_graph_keeps_h_independent_ops_out_of_the_time_loop():
+    # 6 updates x 17 h-side ops, plus 16 ops run once per batch: the input
+    # projection (gather, gather, concat, matmul, add, reshape), the
+    # readout (matmul, gather, concat, row-dot of 3, reshape), the slot
+    # gather, the sigmoid and the loss. Moving any h-independent op back
+    # into the loop adds one node per update and fails this.
+    _, cf = small_params(seed=22)
+    enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
+    loss, _ = M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+    seen, todo = set(), [loss]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen and not t.is_leaf():
+            seen.add(id(t))
+            todo.extend(t._parents)
+    assert len(seen) == 118
+
+
+def test_recurrent_filler_rows_get_no_gradient():
+    # no sequence holds item 0, so only finished users' filler inputs and
+    # filler readout slots read enc row 0
+    rng = np.random.default_rng(24)
+    _, cf = small_params(seed=24)
+    users = [[(item + 1, r) for item, r in seq] for seq in MIXED_USERS]
+    enc = Tensor(rng.standard_normal((6, cf.cfg.d)), grad_enabled=True)
+    g_batch = backward(M.batch_sequence_loss(users, {i: i for i in range(6)}, enc, cf)[0])
+    assert np.all(g_batch[enc].data[0] == 0.0)
+
+    ref_enc = {i: Tensor(enc.data[i:i + 1].copy(), grad_enabled=True) for i in range(1, 6)}
+    grads_ref = {}
+    for u in users:
+        for t, gt in backward(R.sequence_loss(u, ref_enc, cf)).items():
+            grads_ref[t] = grads_ref.get(t, 0) + gt.data
+    for i in range(1, 6):
+        assert np.allclose(g_batch[enc].data[i], grads_ref[ref_enc[i]][0], rtol=1e-9, atol=1e-12), i
+    for name, t in cf.named().items():
+        assert np.allclose(g_batch[t].data, grads_ref[t], rtol=1e-9, atol=1e-12), name
 
 
 def test_batch_rejects_all_singleton_users():
