@@ -8,6 +8,13 @@ frees the tape. A graph can be consumed exactly once. An op computes its
 output array, defines one ``run(g, acc)`` closure that passes each parent's
 share of the output gradient ``g`` to ``acc``, and hands both to ``_result``.
 
+Every op is one primitive except ``gru_scan``, the one fused op: it runs a
+whole gated recurrence as a numpy loop inside a single node and
+backpropagates through time by hand, since a node per step made the
+Python cost of the ops, not their arithmetic, the cost of a recurrent
+batch. Its values and gradients are those of the per-step primitives, in
+the same order of operations.
+
 Design constraints, chosen to keep gradient code honest at desk scale:
 
 * float64 by default; float32 is opt-in via ``set_default_dtype``, per
@@ -70,6 +77,7 @@ __all__ = [
     "softmax",
     "bce_loss",
     "mse_half",
+    "gru_scan",
     "backward",
     "grad_check",
 ]
@@ -266,12 +274,14 @@ def _result(
     saved: Sequence[Tensor] = (),
     saves_output: bool = False,
     op: str = "op",
+    saved_elements: int = 0,
 ) -> Tensor:
     """Finalize an op: finiteness check, then tape recording if needed.
 
     *backward_fn* is the op's ``run(g, acc)`` closure. It is stored as the
     output's ``_backward`` only when the output joins a graph; a no-grad
-    forward builds it and drops it.
+    forward builds it and drops it. *saved_elements* counts arrays the op
+    computed and keeps for its backward beyond its parents and output.
     """
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
@@ -286,6 +296,7 @@ def _result(
         n = sum(t.data.size for t in saved if not t.is_leaf())
         if saves_output:
             n += arr.size
+        n += saved_elements
         if n:
             acct.acquire(n)
             out._saved = n
@@ -517,13 +528,15 @@ def mean_pool(a: Tensor, axis: int = 0) -> Tensor:
     return _result(a.data.mean(axis=ax), (a,), run, op="mean_pool")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(-|x|) never overflows, so both np.where branches are safe to
+    # evaluate; each branch is the stable form for its sign of x
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    # np.where evaluates both branches; errstate hides the spurious
-    # overflow/invalid in the branch that is not selected.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-    out = np.asarray(out, dtype=x.dtype)
+    out = _sigmoid(a.data)
 
     def run(g, acc):
         acc(a, g * out * (1.0 - out))
@@ -561,6 +574,93 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         acc(a, out * (g - dot))
 
     return _result(out, (a,), run, saves_output=True, op="softmax")
+
+
+# ---------------------------------------------------------------------------
+# Fused recurrence
+# ---------------------------------------------------------------------------
+
+
+def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, b: int) -> Tensor:
+    """A gated recurrent cell over every step of a batch of b rows, as one
+    node.
+
+    *xg* holds the input-side gate preactivations of all T steps,
+    step-major: rows n*b .. n*b + b - 1 are step n, with the gates side by
+    side in the column order [reset | update | candidate], each d_h wide.
+    From h = 0, each step computes hg = h @ w_hh + b_hh, pre = xg_n + hg,
+    r and z = sigmoid of pre's reset and update columns,
+    c = tanh(xg_c + r * hg_c) and h = c + z * (h - c). Returns the (T*b,
+    d_h) hidden states, step-major.
+
+    Backward runs backprop through time over the saved r, z, c, hg_c and
+    hidden states, and sums w_hh's and b_hh's per-step gradients from the
+    last step to the first. Under no_grad nothing is kept per step.
+    """
+    _check_dtypes("gru_scan", xg, w_hh, b_hh)
+    x, w, bias = xg.data, w_hh.data, b_hh.data
+    if w.ndim != 2 or w.shape[1] != 3 * w.shape[0]:
+        raise ShapeError(f"gru_scan: w_hh must be (d_h, 3*d_h), got {w.shape}")
+    dh = w.shape[0]
+    if bias.shape != (3 * dh,) or x.ndim != 2 or x.shape[1] != 3 * dh:
+        raise ShapeError(f"gru_scan: xg {x.shape} and b_hh {bias.shape} do not fit w_hh {w.shape}")
+    if b < 1 or x.shape[0] == 0 or x.shape[0] % b:
+        raise ShapeError(f"gru_scan: xg rows {x.shape[0]} are not a positive multiple of b={b}")
+    steps = x.shape[0] // b
+    record = is_grad_enabled() and (xg.grad_enabled or w_hh.grad_enabled or b_hh.grad_enabled)
+    h0 = np.zeros((b, dh), dtype=x.dtype)
+    out = np.empty((x.shape[0], dh), dtype=x.dtype)
+    saved = []      # (r and z, c, hg_c) per step; hg_c is copied so the rest of hg is freed
+    h = h0
+    for n in range(steps):
+        xn = x[n * b:(n + 1) * b]
+        hg = h @ w + bias
+        pre = xn + hg
+        if not np.isfinite(pre).all():
+            raise NonFiniteError(f"gru_scan produced non-finite gate preactivations at step {n}")
+        rz = _sigmoid(pre[:, :2 * dh])
+        r, z = rz[:, :dh], rz[:, dh:]
+        hg_c = hg[:, 2 * dh:]
+        c = xn[:, 2 * dh:] + r * hg_c
+        if not np.isfinite(c).all():
+            raise NonFiniteError(f"gru_scan produced non-finite candidate preactivations at step {n}")
+        c = np.tanh(c)
+        h_prev, h = h, out[n * b:(n + 1) * b]
+        np.add(c, z * (h_prev - c), out=h)
+        if record:
+            saved.append((rz, c, hg_c.copy()))
+
+    def run(g, acc):
+        # each expression, and each sum's order, is the one backward takes
+        # through the per-step primitives (matmul, add, sigmoid, tanh, mul,
+        # sub), so the gradients equal theirs bit for bit
+        dx = np.empty_like(x)
+        dw = db = None
+        dh_n = g[(steps - 1) * b:]
+        for n in range(steps - 1, -1, -1):
+            rz, c, hg_c = saved[n]
+            r, z = rz[:, :dh], rz[:, dh:]
+            h_prev = out[(n - 1) * b:n * b] if n else h0
+            ds = dh_n * z
+            da = (dh_n - ds) * (1.0 - c * c)
+            drz = np.concatenate((da * hg_c, dh_n * (h_prev - c)), axis=1)
+            dx_n = dx[n * b:(n + 1) * b]
+            dx_n[:, :2 * dh] = drz * rz * (1.0 - rz)
+            dx_n[:, 2 * dh:] = da
+            dhg = dx_n.copy()
+            dhg[:, 2 * dh:] = da * r
+            gw = np.swapaxes(h_prev, -1, -2) @ dhg
+            gb = dhg.sum(axis=0)
+            dw = gw if dw is None else dw + gw
+            db = gb if db is None else db + gb
+            if n:
+                dh_n = (g[(n - 1) * b:n * b] + ds) + dhg @ np.swapaxes(w, -1, -2)
+        acc(xg, dx)
+        acc(w_hh, dw)
+        acc(b_hh, db)
+
+    return _result(out, (xg, w_hh, b_hh), run, saves_output=True, op="gru_scan",
+                   saved_elements=4 * out.size)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ from interactions 0..n-1 only (no leakage), and the loss is the sum of the
 per-position binary cross-entropy terms.
 
 ``batch_sequence_loss`` is the hot path. The recurrent CF advances every
-user of a batch through time in lockstep on (n_users x dim) matrices. Only
-the h-side of the cell runs in the time loop: the input-side gate
-preactivations of every (step, user) slot come from one matmul before it,
-and the readout is one row-dot over all hidden states after it. The valid
+user of a batch through time in lockstep on (n_users x dim) matrices. The
+input-side gate preactivations of every (step, user) slot come from one
+matmul, the time loop is one fused ``autodiff.gru_scan`` node with a
+hand-written backward, and the readout is one row-dot over all hidden
+states, so the graph has the same nodes for any sequence length. The valid
 prediction slots are selected by gather; a finished user's row keeps
 running on filler inputs, but no valid slot reads it, so it gets exactly
 zero gradient. The attention CF runs one graph per prefix length n over
@@ -367,22 +368,18 @@ def _batch_layout(users, row_of):
 def _recurrent_batch_logits(lay: _Layout, enc: Tensor, p: RecurrentCfParams) -> Tensor:
     """Step-major logits for all (step, user) slots, shape (b*(t_max-1), 1).
 
-    Only the h-side of the cell runs in the time loop. The input-side gate
-    preactivations of all t_max - 1 updates come from one ((t_max-1)*b,
-    2d) @ (2d, 3*d_h) matmul before it, and the readout is one row-dot of
-    the concatenated hidden states with the candidates' readout rows after
-    it. Each update gathers its (3b, d_h) block of input-side gate rows
-    once and takes the gates from that small tensor, since every gather
-    from the large table costs a table-sized gradient in backward. The
-    reset and update gates read one sum of both sides; the candidate gate
-    scales the h-side by r first. A finished user's row keeps stepping on
-    filler inputs; each row depends only on its own user, and
-    ``batch_logits`` gathers the finished users' slots away, so those rows
-    receive exactly zero gradient. The cell runs t_max - 1 updates: the one
-    after the last interaction would feed no logit.
+    Three nodes do the work. The input-side gate preactivations of all
+    t_max - 1 updates are one ((t_max-1)*b, 2d) @ (2d, 3*d_h) matmul; the
+    whole time loop is one ``gru_scan`` node, which runs the h-side of the
+    cell step by step in numpy and returns every hidden state; the readout
+    is one row-dot of those states with the candidates' readout rows. A
+    finished user's row keeps stepping on filler inputs; each row depends
+    only on its own user, and ``batch_logits`` gathers the finished users'
+    slots away, so those rows receive exactly zero gradient. The cell runs
+    t_max - 1 updates: the one after the last interaction would feed no
+    logit.
     """
     b, t_max = lay.lengths.size, lay.t_max
-    dh = p.cfg.d_h
     # item row / response per (step, user); step >= length reads row 0 and
     # response 0, which only finished users' rows, never a valid slot, read
     pos = np.arange(t_max)[:, None]
@@ -394,22 +391,7 @@ def _recurrent_batch_logits(lay: _Layout, enc: Tensor, p: RecurrentCfParams) -> 
     # input side of every update, row (n-1)*b + u for update n of user u
     x = ad.concat([ad.gather(enc, item_rows[:-1].reshape(-1)),
                    ad.gather(p.resp_embedding, resps[:-1].reshape(-1))], axis=1)
-    # row (n-1)*3b + 3u + k holds gate k of that slot
-    xg_all = ad.reshape(ad.add(ad.matmul(x, p.w_ih), p.b_ih), (3 * (t_max - 1) * b, dh))
-    step_rows = np.arange(3 * b, dtype=np.intp)
-    gate_rows = [step_rows[k::3] for k in range(3)]
-    h = Tensor(np.zeros((b, dh), dtype=enc.dtype))
-    hs = []
-    for n in range(1, t_max):
-        xg = ad.gather(xg_all, (n - 1) * 3 * b + step_rows)
-        hg = ad.reshape(ad.add(ad.matmul(h, p.w_hh), p.b_hh), (3 * b, dh))
-        pre = ad.add(xg, hg)                    # reset and update rows read this
-        r = ad.sigmoid(ad.gather(pre, gate_rows[0]))
-        z = ad.sigmoid(ad.gather(pre, gate_rows[1]))
-        cnd = ad.tanh(ad.add(ad.gather(xg, gate_rows[2]), ad.mul(r, ad.gather(hg, gate_rows[2]))))
-        h = ad.add(cnd, ad.mul(z, ad.sub(h, cnd)))
-        hs.append(h)
-    h_all = ad.concat(hs, axis=0) if len(hs) > 1 else hs[0]
+    h_all = ad.gru_scan(ad.add(ad.matmul(x, p.w_ih), p.b_ih), p.w_hh, p.b_hh, b)
     cand = ad.gather(ad.matmul(enc, p.w_readout), item_rows[1:].reshape(-1))
     flat = _row_dot(h_all, cand)                # ((t_max-1)*b,), step-major
     return ad.reshape(flat, (flat.shape[0], 1))

@@ -167,6 +167,8 @@ def _primitive_checks():
                 grad_enabled=True)    # kept away from the relu kink
     probs_w = const((5, 4))
     labels = Tensor((rng.random(5) > 0.5).astype(float))
+    xg = Tensor(0.5 * rng.standard_normal((6, 6)), grad_enabled=True)   # 3 steps of 2 rows, d_h 2
+    w_hh, b_hh, w62 = Tensor(0.5 * rng.standard_normal((2, 6))), const((6,)), const((6, 2))
 
     return {
         "add": (lambda v: lin(ad.add(v, c), w), x),
@@ -195,6 +197,7 @@ def _primitive_checks():
             probs_w, ad.reshape(ad.mean_pool(v, axis=0), (4, 1))), (5,))),
             labels, reduction="sum"), x),
         "mse_half": (lambda v: ad.mse_half(v, c), x),
+        "gru_scan": (lambda v: lin(ad.gru_scan(v, w_hh, b_hh, 2), w62), xg),
     }
 
 

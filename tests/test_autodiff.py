@@ -23,6 +23,7 @@ from gram.autodiff import (
     concat,
     gather,
     grad_check,
+    gru_scan,
     matmul,
     mean_pool,
     mse_half,
@@ -118,6 +119,21 @@ def test_sigmoid_extreme_inputs_stay_finite():
     assert np.all(np.isfinite(out.data))
     assert out.data[0] == pytest.approx(0.0, abs=1e-12)
     assert out.data[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sigmoid_one_exp_matches_two_exp_formula_bitwise():
+    # exp(-|x|) never overflows: no overflow or invalid is raised, and the
+    # values are the bytes of the formula that evaluates exp(-x) and exp(x)
+    # under errstate; exp(-800) underflows to 0 in both, as numpy allows
+    x = np.array([800.0, -800.0, 1e-300, -1e-300, 0.0])
+    for dt in (np.float64, np.float32):
+        xd = x.astype(dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-xd)), np.exp(xd) / (1.0 + np.exp(xd)))
+        with np.errstate(all="raise", under="ignore"):
+            out = sigmoid(tensor(xd)).data
+        assert out.dtype == dt
+        assert out.tobytes() == old.astype(dt).tobytes()
 
 
 def test_gather_repeated_ids_accumulate():
@@ -540,6 +556,87 @@ def test_determinism_bit_identical():
     assert np.array_equal(l1, l2)
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
+
+
+# gru_scan over b=2 rows and 4 steps with d_h=3
+GRU_SHAPES = {"xg": (8, 9), "w_hh": (3, 9), "b_hh": (9,)}
+
+
+def gru_operand(rng, name, dtype=np.float64):
+    # Scaled so the gates do not saturate: a saturated gate's gradient is
+    # so small that central differences measure mostly rounding. For the
+    # same reason b_hh keeps away from 0: from h = 0 the first step's
+    # reset-gate gradient is proportional to b_hh's candidate part.
+    v = 0.5 * rng.standard_normal(GRU_SHAPES[name])
+    if name == "b_hh":
+        v = np.sign(v) * (0.5 + np.abs(v))
+    return tensor(v.astype(dtype), grad=True)
+
+
+def gru_args(rng, dtype=np.float64):
+    return {k: gru_operand(rng, k, dtype) for k in GRU_SHAPES}
+
+
+@pytest.mark.parametrize("wrt", list(GRU_SHAPES))
+def test_fd_gru_scan(wrt):
+    def make_f(rng):
+        args = gru_args(rng)
+        c = Tensor(rng.standard_normal((8, 3)))
+
+        def f(x):
+            a = dict(args, **{wrt: x})
+            return sum_all(mul(gru_scan(a["xg"], a["w_hh"], a["b_hh"], 2), c))
+
+        return f
+
+    run_trials(make_f, lambda rng: gru_operand(rng, wrt))
+
+
+def test_gru_scan_float32_outputs_and_gradients():
+    args = gru_args(np.random.default_rng(3), np.float32)
+    h = gru_scan(args["xg"], args["w_hh"], args["b_hh"], 2)
+    assert h.shape == (8, 3) and h.dtype == np.float32
+    grads = backward(sum_all(h))
+    assert all(grads[t].dtype == np.float32 and grads[t].shape == t.shape for t in args.values())
+
+
+def test_gru_scan_rejects_mixed_dtypes_and_bad_shapes():
+    rng = np.random.default_rng(4)
+    a = gru_args(rng)
+    with pytest.raises(TypeError):
+        gru_scan(a["xg"], tensor(a["w_hh"].data.astype(np.float32)), a["b_hh"], 2)
+    bad = [
+        (a["xg"], a["w_hh"], a["b_hh"], 3),                   # 8 rows, not a multiple of 3
+        (a["xg"], a["w_hh"], a["b_hh"], 0),
+        (tensor(np.zeros((0, 9))), a["w_hh"], a["b_hh"], 2),  # no step
+        (a["xg"], tensor(np.zeros((3, 6))), a["b_hh"], 2),    # w_hh not (d_h, 3*d_h)
+        (a["xg"], a["w_hh"], tensor(np.zeros(6)), 2),
+        (tensor(np.zeros((8, 6))), a["w_hh"], a["b_hh"], 2),
+    ]
+    for args in bad:
+        with pytest.raises(ShapeError):
+            gru_scan(*args)
+
+
+def test_gru_scan_raises_naming_its_step():
+    # h @ w_hh + b_hh is finite; adding the input side overflows at step 0
+    a = gru_args(np.random.default_rng(5))
+    big = tensor(np.full(9, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="gru_scan .* step 0"):
+        gru_scan(tensor(np.full((8, 9), 1e308)), a["w_hh"], big, 2)
+
+
+def test_gru_scan_accounts_saved_arrays_and_keeps_none_under_no_grad():
+    a = gru_args(np.random.default_rng(6))
+    acct = CountingAccountant()
+    with track_activations(acct):
+        with no_grad():
+            gru_scan(a["xg"], a["w_hh"], a["b_hh"], 2)
+        assert acct.peak == 0
+        loss = sum_all(gru_scan(a["xg"], a["w_hh"], a["b_hh"], 2))
+    assert acct.current == 5 * 8 * 3        # r, z, c, hg_c and h per step
+    backward(loss)
+    assert acct.current == 0
 
 
 def test_nonfinite_op_raises():

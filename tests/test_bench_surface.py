@@ -25,3 +25,15 @@ def test_tracer_installs_on_every_named_function_and_restores():
         tracer.restore()
     assert all(getattr(autodiff, op) is before[op] for op in harness.OPS)
     assert tracer.aggregate()["autodiff.op.add"][0] == 1
+
+
+# names in autodiff.__all__ that are not ops, so the benchmark never wraps them
+NOT_OPS = {"AutodiffError", "ShapeError", "NonFiniteError", "GraphConsumedError", "Tensor",
+           "tensor", "zeros", "set_default_dtype", "default_dtype", "no_grad",
+           "is_grad_enabled", "track_activations", "backward", "grad_check"}
+
+
+def test_ops_the_benchmark_does_not_wrap():
+    # a traced run neither times nor counts these, so its ops_per_interaction
+    # leaves them out; adding an op to harness.OPS updates this set
+    assert set(autodiff.__all__) - NOT_OPS - set(harness.OPS) == {"gru_scan"}

@@ -442,11 +442,12 @@ def test_attention_batch_logits_match_per_prefix_logits():
     assert rel_gap(logits.data[:, 0], ref) <= 1e-9
 
 
-@pytest.mark.parametrize("variant,peak", [("recurrent", 1446), ("attention", 2082)])
+@pytest.mark.parametrize("variant,peak", [("recurrent", 1106), ("attention", 2082)])
 def test_batch_loss_saved_activations(variant, peak):
     # attention: the figure one graph per user per prefix saves, so batching
-    # may cut ops but not saved elements; after backward nothing may stay
-    # counted, which an op no logit reads would
+    # may cut ops but not saved elements; recurrent: gru_scan keeps five
+    # (b, d_h) arrays per update (r, z, c, hg_c, h), 600 of the 1106; after
+    # backward nothing may stay counted, which an op no logit reads would
     from gram.instrument import ActivationAccountant
     _, cf = small_params(seed=22, variant=variant)
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
@@ -458,22 +459,50 @@ def test_batch_loss_saved_activations(variant, peak):
     assert acct.current == 0
 
 
-def test_recurrent_batch_graph_keeps_h_independent_ops_out_of_the_time_loop():
-    # 6 updates x 17 h-side ops, plus 16 ops run once per batch: the input
-    # projection (gather, gather, concat, matmul, add, reshape), the
-    # readout (matmul, gather, concat, row-dot of 3, reshape), the slot
-    # gather, the sigmoid and the loss. Moving any h-independent op back
-    # into the loop adds one node per update and fails this.
-    _, cf = small_params(seed=22)
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_batch_scores_saves_no_activations(variant):
+    from gram.instrument import ActivationAccountant
+    _, cf = small_params(seed=22, variant=variant)
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
-    loss, _ = M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+    acct = ActivationAccountant()
+    with ad.track_activations(acct):
+        M.batch_scores(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+    assert acct.peak == 0
+
+
+def test_recurrent_batch_loss_raises_on_overflowing_gate_preactivations():
+    # each bias alone is finite; their sum in the reset/update/candidate
+    # preactivations is not
+    _, cf = small_params(seed=22)
+    cf.b_ih.data[...] = 1e308
+    cf.b_hh.data[...] = 1e308
+    enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
+        M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+
+
+def graph_nodes(loss):
     seen, todo = set(), [loss]
     while todo:
         t = todo.pop()
         if id(t) not in seen and not t.is_leaf():
             seen.add(id(t))
             todo.extend(t._parents)
-    assert len(seen) == 118
+    return len(seen)
+
+
+def test_recurrent_batch_graph_keeps_h_independent_ops_out_of_the_time_loop():
+    # the whole time loop is one gru_scan node, so a user three times as
+    # long as MIXED_USERS' longest adds no node; an op recorded per update
+    # would add one per extra step
+    _, cf = small_params(seed=22)
+    enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
+    row_of = {i: i for i in range(5)}
+    longest = max(MIXED_USERS, key=len)
+    longer = MIXED_USERS + [longest * 3]
+    nodes = [graph_nodes(M.batch_sequence_loss(users, row_of, enc, cf)[0])
+             for users in (MIXED_USERS, longer)]
+    assert nodes[0] == nodes[1]
 
 
 def test_recurrent_filler_rows_get_no_gradient():
