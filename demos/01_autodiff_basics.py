@@ -15,11 +15,12 @@ def main():
     x = Tensor(rng.standard_normal((5, 4)))
     y = Tensor((rng.random(5) > 0.4).astype(float))
 
-    # a tiny logistic regression: p = sigmoid(x @ w . v)
+    # a tiny logistic regression: p = sigmoid(x @ w . v); bce_loss takes
+    # the logits and sums the cross-entropy over the five examples
     v = Tensor(rng.standard_normal((3, 1)), grad_enabled=True)
     logits = ad.reshape(ad.matmul(ad.matmul(x, w), v), (5,))
-    loss = ad.bce_loss(ad.sigmoid(logits), y)
-    print(f"loss = {loss.item():.6f}")
+    loss = ad.bce_loss(logits, y)
+    print(f"summed loss = {loss.item():.6f}")
 
     grads = ad.backward(loss)
     print(f"dL/dw has shape {grads[w].shape}, |dL/dw| = {np.abs(grads[w].data).max():.4f}")
@@ -31,8 +32,7 @@ def main():
     print(f"second graph over the same leaf: |dL2/dw| = {np.abs(grads2[w].data).max():.4f}")
 
     # finite differences confirm any scalar-valued composition
-    f = lambda t: ad.bce_loss(ad.sigmoid(ad.reshape(
-        ad.matmul(ad.matmul(x, t), v), (5,))), y)
+    f = lambda t: ad.bce_loss(ad.reshape(ad.matmul(ad.matmul(x, t), v), (5,)), y)
     print(f"fd check on w: max rel err = {grad_check(f, w):.2e}")
 
     # no_grad turns the engine off for pure evaluation

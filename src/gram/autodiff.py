@@ -3,10 +3,10 @@
 The engine is a dynamic tape: each op on grad-enabled tensors records its
 parents and a backward closure on the output tensor. ``backward`` walks the
 recorded graph once in reverse topological order, accumulates gradients for
-every grad-enabled leaf (and any explicitly retained intermediate), then
-frees the tape. A graph can be consumed exactly once. An op computes its
-output array, defines one ``run(g, acc)`` closure that passes each parent's
-share of the output gradient ``g`` to ``acc``, and hands both to ``_result``.
+every grad-enabled leaf, then frees the tape. A graph can be consumed
+exactly once. An op computes its output array, defines one ``run(g, acc)``
+closure that passes each parent's share of the output gradient ``g`` to
+``acc``, and hands both to ``_result``.
 
 Every op is one primitive except ``gru_scan``, the one fused op: it runs a
 whole gated recurrence as a numpy loop inside a single node and
@@ -14,6 +14,11 @@ backpropagates through time by hand, since a node per step made the
 Python cost of the ops, not their arithmetic, the cost of a recurrent
 batch. Its values and gradients are those of the per-step primitives, in
 the same order of operations.
+
+The training loss ``bce_loss`` takes logits, not probabilities: it sums
+the binary cross-entropy of their sigmoid in softplus form, so it is
+finite for every finite logit in either dtype and needs no probability
+clamp, and its gradient sigmoid(x) - y is never zeroed.
 
 Design constraints, chosen to keep gradient code honest at desk scale:
 
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,8 +86,6 @@ __all__ = [
     "backward",
     "grad_check",
 ]
-
-BCE_EPS = 1e-12  # probability clamp inside bce_loss
 
 
 class AutodiffError(Exception):
@@ -668,37 +671,30 @@ def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, b: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def bce_loss(p: Tensor, y: Tensor, reduction: str = "mean") -> Tensor:
-    """Binary cross-entropy between probabilities p and labels y in {0, 1}.
+def bce_loss(logits: Tensor, y: Tensor) -> Tensor:
+    """Summed binary cross-entropy between sigmoid(logits) and labels y in
+    {0, 1}.
 
-    Probabilities are clamped to [BCE_EPS, 1 - BCE_EPS]. ``reduction`` is
-    "mean" or "sum" over all elements. Gradients flow to p only; labels
-    are data.
+    Each term is computed from the logit x in softplus form,
+    max(x, 0) - y*x + log1p(exp(-|x|)), which is finite for every finite
+    x, and its gradient sigmoid(x) - y is never clipped. Gradients flow to
+    the logits only; labels are data.
     """
-    if p.shape != y.shape:
-        raise ShapeError(f"bce_loss: shape mismatch {p.shape} vs {y.shape}")
+    if logits.shape != y.shape:
+        raise ShapeError(f"bce_loss: shape mismatch {logits.shape} vs {y.shape}")
     if y.grad_enabled:
         raise ValueError("bce_loss: labels must not require grad")
     yd = y.data
     if not np.all((yd == 0.0) | (yd == 1.0)):
         raise ValueError("bce_loss: labels must be exactly 0 or 1")
-    pd = p.data
-    if pd.size and (pd.min() < 0.0 or pd.max() > 1.0):
-        raise ValueError("bce_loss: probabilities must lie in [0, 1]")
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"bce_loss: unknown reduction {reduction!r}")
-    pc = np.clip(pd, BCE_EPS, 1.0 - BCE_EPS)
-    terms = -(yd * np.log(pc) + (1.0 - yd) * np.log1p(-pc))
-    total = terms.sum()
-    n = max(pd.size, 1)
-    value = total / n if reduction == "mean" else total
+    x = logits.data
+    terms = np.maximum(x, 0.0) - yd * x + np.log1p(np.exp(-np.abs(x)))
 
     def run(g, acc):
-        inside = (pd > BCE_EPS) & (pd < 1.0 - BCE_EPS)
-        coeff = 1.0 / n if reduction == "mean" else 1.0
-        acc(p, g * coeff * inside * (pc - yd) / (pc * (1.0 - pc)))
+        acc(logits, g * (_sigmoid(x) - yd))
 
-    return _result(np.asarray(value, dtype=pd.dtype), (p, y), run, saved=(p,), op="bce_loss")
+    return _result(np.asarray(terms.sum(), dtype=x.dtype), (logits,), run,
+                   saved=(logits,), op="bce_loss")
 
 
 def mse_half(a: Tensor, b: Tensor) -> Tensor:
@@ -724,13 +720,13 @@ def mse_half(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def backward(loss: Tensor, retain: Iterable[Tensor] = ()) -> dict[Tensor, Tensor]:
+def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     """Reverse-mode gradients of a scalar loss.
 
-    Returns a map from every grad-enabled leaf reachable from *loss* (plus
-    any tensor listed in *retain*) to its gradient. The graph is consumed:
-    saved activations are released and a second backward over any of its
-    nodes raises ``GraphConsumedError``.
+    Returns a map from every grad-enabled leaf reachable from *loss* to
+    its gradient. The graph is consumed: saved activations are released
+    and a second backward over any of its nodes raises
+    ``GraphConsumedError``.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -767,15 +763,12 @@ def backward(loss: Tensor, retain: Iterable[Tensor] = ()) -> dict[Tensor, Tensor
         cur = grads.get(k)
         grads[k] = g if cur is None else cur + g
 
-    retained_ids = {id(t) for t in retain}
     result: dict[Tensor, Tensor] = {}
     for node in reversed(topo):
         g = grads.pop(id(node))
         if node._backward is None:
             result[node] = Tensor._wrap(np.asarray(g))
             continue
-        if id(node) in retained_ids:
-            result[node] = Tensor._wrap(np.asarray(g).copy())
         node._backward(g, acc)
         node._consumed = True
         node._backward = None

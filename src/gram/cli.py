@@ -206,7 +206,7 @@ def _final_metrics_line(metrics: dict) -> str:
     return "  ".join(parts)
 
 
-def _train_table(report: RunReport, out_dir: str) -> str:
+def _train_table(report: RunReport) -> str:
     c = report.counters
     lines = [
         f"mode {report.mode}  seed {report.config['seed']}  "
@@ -236,15 +236,13 @@ def cmd_train(args) -> int:
     _write_text(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
     with open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8",
               newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "train_loss", "val_auc", "ce_forward_calls", "wall_ns"])
-        for row in report.history:
-            w.writerow([row["epoch"], row["train_loss"], row["val_auc"],
-                        row["ce_forward_calls"], row["wall_ns"]])
+        w = csv.DictWriter(f, fieldnames=list(report.history[0]))
+        w.writeheader()
+        w.writerows(report.history)
     if state.ce is not None:
         save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), state.ce, state.cf)
 
-    table = _train_table(report, out_dir)
+    table = _train_table(report)
     _write_text(os.path.join(out_dir, "report.txt"), table + "\n")
     print(table)
     print(f"wrote {out_dir}/report.json")

@@ -82,14 +82,10 @@ class Dataset:
 @dataclass
 class Batch:
     users: list[UserSequence]
-    unique_items: tuple[int, ...] = field(default=None)
+    unique_items: tuple[int, ...] = field(init=False)    # sorted ids the users reference
 
     def __post_init__(self):
-        referenced = sorted({item for u in self.users for item, _ in u.interactions})
-        if self.unique_items is None:
-            self.unique_items = tuple(referenced)
-        elif tuple(referenced) != tuple(self.unique_items):
-            raise ValueError("unique_items does not match referenced items")
+        self.unique_items = tuple(sorted({item for u in self.users for item, _ in u.interactions}))
 
     def n_interactions(self) -> int:
         return sum(len(u) for u in self.users)

@@ -22,7 +22,9 @@ Two modules cooperate:
 
 Sequence losses do next-response prediction: position n >= 1 is predicted
 from interactions 0..n-1 only (no leakage), and the loss is the sum of the
-per-position binary cross-entropy terms.
+per-position binary cross-entropy terms, computed by ``autodiff.bce_loss``
+from the logits, so a training graph has no sigmoid node. Only evaluation
+applies the sigmoid, to report probabilities.
 
 ``batch_sequence_loss`` is the hot path. The recurrent CF advances every
 user of a batch through time in lockstep on (n_users x dim) matrices. The
@@ -459,7 +461,7 @@ def batch_sequence_loss(users, row_of, enc: Tensor, p: CfParams):
     """
     logits, labels, _, _ = batch_logits(users, row_of, enc, p)
     y = Tensor(labels.reshape(-1, 1).astype(enc.dtype))
-    loss = ad.bce_loss(ad.sigmoid(logits), y, reduction="sum")
+    loss = ad.bce_loss(logits, y)
     return loss, labels.size
 
 

@@ -70,6 +70,10 @@ MODES = ("e2e", "gram", "no_content", "no_finetune")
 # run's wall_clock_ns counter.
 _TRAIN_PHASES = ("e2e", "cf", "ce")
 
+EVAL_BATCH_SIZE = 64       # users per no-grad scoring batch
+VERIFY_SGD_LR = 1e-2       # verify_equivalence's trajectory learning rates
+VERIFY_ADAM_LR = 1e-3
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -342,12 +346,11 @@ class TrainerState:
     counters: CostCounters = field(default_factory=CostCounters)
     accountant: ActivationAccountant = field(default_factory=ActivationAccountant)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
-    # no_content extras
-    item_embedding: Tensor | None = None
-    embed_row: dict | None = None
-    # no_finetune extras
-    frozen_enc: Tensor | None = None
-    frozen_row: dict | None = None
+    # baselines: one row per item in sorted id order, read in place of
+    # the encoder; no_content's is trained on opt_ce, no_finetune's is the
+    # initial encoder's output, frozen
+    table: Tensor | None = None
+    table_row: dict | None = None
 
     def train_wall_ns(self) -> int:
         return sum(self.timer.totals_ns.get(k, 0) for k in _TRAIN_PHASES)
@@ -380,14 +383,14 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
         rng = np.random.default_rng([seeds["init"], 1])
         a = math.sqrt(6.0 / (len(ids) + cfg.model.d))
         table = rng.uniform(-a, a, size=(len(ids), cfg.model.d))
-        state.item_embedding = Tensor(table.astype(ad.default_dtype()), grad_enabled=True)
-        state.embed_row = {i: k for k, i in enumerate(ids)}
+        state.table = Tensor(table.astype(ad.default_dtype()), grad_enabled=True)
         state.ce = None
     elif mode == "no_finetune":
         with ad.no_grad():
-            state.frozen_enc = ce_encode([state.item_tokens[i] for i in ids], ce)
-        state.frozen_row = {i: k for k, i in enumerate(ids)}
+            state.table = ce_encode([state.item_tokens[i] for i in ids], ce)
         state.counters.ce_forward_calls += len(ids)
+    if state.table is not None:
+        state.table_row = {i: k for k, i in enumerate(ids)}
     return state
 
 
@@ -487,12 +490,11 @@ def _step_inputs(batch: Batch, state: TrainerState):
         return batch.users, row_of, leaf, [cf_group]
     order = batch.unique_items
     row_of = {item_id: k for k, item_id in enumerate(order)}
-    if state.mode == "no_content":
-        rows = np.array([state.embed_row[i] for i in order])
-        table = (state.opt_ce, {"item_embedding": state.item_embedding})
-        return batch.users, row_of, ad.gather(state.item_embedding, rows), [cf_group, table]
-    rows = np.array([state.frozen_row[i] for i in order])
-    return batch.users, row_of, Tensor(state.frozen_enc.data[rows]), [cf_group]
+    rows = np.array([state.table_row[i] for i in order])
+    groups = [cf_group]
+    if state.table.grad_enabled:
+        groups.append((state.opt_ce, {"table": state.table}))
+    return batch.users, row_of, ad.gather(state.table, rows), groups
 
 
 def train_step(batch: Batch, state: TrainerState) -> dict:
@@ -572,24 +574,22 @@ def eval_encodings(state: TrainerState):
     """(row_of, enc) giving each known item's current representation.
 
     For encoder-bearing modes this re-encodes every item with the current
-    parameters (what deployment would serve); baselines use their table /
-    frozen matrix. Never touches the cost counters.
+    parameters (what deployment would serve); baselines use their item
+    table. Never touches the cost counters.
     """
-    if state.mode == "no_content":
-        return state.embed_row, state.item_embedding
-    if state.mode == "no_finetune":
-        return state.frozen_row, state.frozen_enc
+    if state.table is not None:
+        return state.table_row, state.table
     ids = sorted(state.item_tokens)
     with ad.no_grad():
         enc = ce_encode([state.item_tokens[i] for i in ids], state.ce)
     return {i: k for k, i in enumerate(ids)}, enc
 
 
-def scored_pairs(users, row_of, enc: Tensor, cf: CfParams, batch_size: int = 64):
+def scored_pairs(users, row_of, enc: Tensor, cf: CfParams):
     """Model scores for every predictable position, grouped per user."""
     pairs = []
     base = 0
-    for b in batch_iter(users, batch_size):
+    for b in batch_iter(users, EVAL_BATCH_SIZE):
         probs, labels, item_ids, user_idx = batch_scores(b.users, row_of, enc, cf)
         pairs.extend(
             ScoredLabel(float(s), int(y), item_id=int(i), group_id=base + int(u))
@@ -626,8 +626,8 @@ def _snapshot(state: TrainerState) -> dict:
     if state.ce is not None:
         params.update({f"ce.{k}": v.data.copy() for k, v in state.ce.named().items()})
     params.update({f"cf.{k}": v.data.copy() for k, v in state.cf.named().items()})
-    if state.item_embedding is not None:
-        params["item_embedding"] = state.item_embedding.data.copy()
+    if state.table is not None:
+        params["table"] = state.table.data.copy()
     return params
 
 
@@ -637,8 +637,8 @@ def _restore(state: TrainerState, snap: dict) -> None:
             v.data = snap[f"ce.{k}"].copy()
     for k, v in state.cf.named().items():
         v.data = snap[f"cf.{k}"].copy()
-    if state.item_embedding is not None:
-        state.item_embedding.data = snap["item_embedding"].copy()
+    if state.table is not None:
+        state.table.data = snap["table"].copy()
 
 
 def train(dataset: Dataset, mode: str, cfg: TrainConfig):
@@ -772,20 +772,19 @@ def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int) -> d
 
 
 def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
-                       k_steps: int = 50, sgd_lr: float = 1e-2,
-                       adam_lr: float = 1e-3, trajectory: bool = True) -> dict:
+                       k_steps: int = 50) -> dict:
     """Measure how closely accumulated single-step training matches
     end-to-end backprop on this dataset/config.
 
     Per trial: fresh parameters, one batch, both gradient paths compared
-    per tensor. Then (optionally) two k-step trajectory comparisons, one
-    with plain SGD on both modules and one with Adam. All numbers are
-    worst-case relative errors; exact arithmetic would give zeros.
+    per tensor. Then two k-step trajectory comparisons, one with plain SGD
+    on both modules and one with Adam. All numbers are worst-case relative
+    errors; exact arithmetic would give zeros.
     """
     cfg.validate()
     if cfg.precision != "f64":
         raise ConfigError("equivalence verification requires f64 precision")
-    if n_trials < 1 or (trajectory and k_steps < 1):
+    if n_trials < 1 or k_steps < 1:
         raise ConfigError(f"equivalence verification needs >= 1 trial and >= 1 trajectory step, "
                           f"got {n_trials} trials and {k_steps} steps")
     item_tokens = {it.item_id: it.tokens for it in dataset.items}
@@ -810,16 +809,15 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
         "max_cf_grad_rel_err": max_cf,
         "max_param_grad_rel_err": max(max_ce, max_cf),
     }
-    if trajectory:
-        # single-step windows, whole cache in one regression step, so each
-        # trainer applies exactly one optimizer step per module per batch
-        for kind, lr in (("sgd", sgd_lr), ("adam", adam_lr)):
-            opt = OptimizerConfig(kind=kind, lr=lr, schedule="constant")
-            tcfg = replace(cfg, latency="1S", ce_batch_size=0, opt_ce=opt, opt_cf=opt)
-            ref = _run_steps(dataset, "e2e", tcfg, k_steps)
-            alt = _run_steps(dataset, "gram", tcfg, k_steps)
-            out[f"max_trajectory_rel_err_{kind}"] = max_rel_err(ref, alt)
-        out["k_steps"] = k_steps
-        out["max_trajectory_rel_err"] = max(out["max_trajectory_rel_err_sgd"],
-                                            out["max_trajectory_rel_err_adam"])
+    # single-step windows, whole cache in one regression step, so each
+    # trainer applies exactly one optimizer step per module per batch
+    for kind, lr in (("sgd", VERIFY_SGD_LR), ("adam", VERIFY_ADAM_LR)):
+        opt = OptimizerConfig(kind=kind, lr=lr, schedule="constant")
+        tcfg = replace(cfg, latency="1S", ce_batch_size=0, opt_ce=opt, opt_cf=opt)
+        ref = _run_steps(dataset, "e2e", tcfg, k_steps)
+        alt = _run_steps(dataset, "gram", tcfg, k_steps)
+        out[f"max_trajectory_rel_err_{kind}"] = max_rel_err(ref, alt)
+    out["k_steps"] = k_steps
+    out["max_trajectory_rel_err"] = max(out["max_trajectory_rel_err_sgd"],
+                                        out["max_trajectory_rel_err_adam"])
     return out

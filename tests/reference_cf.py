@@ -99,6 +99,6 @@ def sequence_loss(user, encodings, p: CfParams) -> Tensor:
                 logits.append(ad.add(ad.sum_all(ad.mul(u, encodings[item])), p.bias))
             xs.append(_interaction_input(encodings[item], resp, p))
 
-    probs = ad.sigmoid(ad.stack(logits))
-    labels = Tensor(np.array([float(r) for _, r in inter[1:]], dtype=probs.dtype))
-    return ad.bce_loss(probs, labels, reduction="sum")
+    stacked = ad.stack(logits)
+    labels = Tensor(np.array([float(r) for _, r in inter[1:]], dtype=stacked.dtype))
+    return ad.bce_loss(stacked, labels)

@@ -165,7 +165,7 @@ def _primitive_checks():
     w64, w4, w2 = const((6, 4)), const((4,)), const((2,))
     xr = Tensor(rng.standard_normal((3, 4)) + np.sign(rng.standard_normal((3, 4))),
                 grad_enabled=True)    # kept away from the relu kink
-    probs_w = const((5, 4))
+    logits_w = const((5, 4))
     labels = Tensor((rng.random(5) > 0.5).astype(float))
     xg = Tensor(0.5 * rng.standard_normal((6, 6)), grad_enabled=True)   # 3 steps of 2 rows, d_h 2
     w_hh, b_hh, w62 = Tensor(0.5 * rng.standard_normal((2, 6))), const((6,)), const((6, 2))
@@ -190,12 +190,8 @@ def _primitive_checks():
         "tanh": (lambda v: lin(ad.tanh(v), w), x),
         "relu": (lambda v: lin(ad.relu(v), w), xr),
         "softmax": (lambda v: lin(ad.softmax(v, axis=-1), w), x),
-        "bce_loss_mean": (lambda v: ad.bce_loss(ad.sigmoid(ad.reshape(ad.matmul(
-            probs_w, ad.reshape(ad.mean_pool(v, axis=0), (4, 1))), (5,))),
-            labels, reduction="mean"), x),
-        "bce_loss_sum": (lambda v: ad.bce_loss(ad.sigmoid(ad.reshape(ad.matmul(
-            probs_w, ad.reshape(ad.mean_pool(v, axis=0), (4, 1))), (5,))),
-            labels, reduction="sum"), x),
+        "bce_loss": (lambda v: ad.bce_loss(ad.reshape(ad.matmul(
+            logits_w, ad.reshape(ad.mean_pool(v, axis=0), (4, 1))), (5,)), labels), x),
         "mse_half": (lambda v: ad.mse_half(v, c), x),
         "gru_scan": (lambda v: lin(ad.gru_scan(v, w_hh, b_hh, 2), w62), xg),
     }

@@ -49,11 +49,6 @@ def test_boost_ratio_empty_batch():
         D.boost_ratio(D.Batch(users=[]))
 
 
-def test_batch_unique_items_verified():
-    with pytest.raises(ValueError):
-        D.Batch(users=[u(0, [(0, 1), (1, 0)])], unique_items=(0,))
-
-
 def test_metadata_epoch_ratios():
     data_dir = os.path.join(os.path.dirname(__file__), "data")
     expected = {"spanish.json": 60.45, "toeic.json": 10096.9, "mind.json": 36.10}

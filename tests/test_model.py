@@ -442,11 +442,11 @@ def test_attention_batch_logits_match_per_prefix_logits():
     assert rel_gap(logits.data[:, 0], ref) <= 1e-9
 
 
-@pytest.mark.parametrize("variant,peak", [("recurrent", 1106), ("attention", 2082)])
+@pytest.mark.parametrize("variant,peak", [("recurrent", 1093), ("attention", 2069)])
 def test_batch_loss_saved_activations(variant, peak):
     # attention: the figure one graph per user per prefix saves, so batching
     # may cut ops but not saved elements; recurrent: gru_scan keeps five
-    # (b, d_h) arrays per update (r, z, c, hg_c, h), 600 of the 1106; after
+    # (b, d_h) arrays per update (r, z, c, hg_c, h), 600 of the 1093; after
     # backward nothing may stay counted, which an op no logit reads would
     from gram.instrument import ActivationAccountant
     _, cf = small_params(seed=22, variant=variant)
@@ -468,6 +468,35 @@ def test_batch_scores_saves_no_activations(variant):
     with ad.track_activations(acct):
         M.batch_scores(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
     assert acct.peak == 0
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_batch_loss_graph_has_no_sigmoid_node(variant, monkeypatch):
+    # bce_loss takes the logits; only evaluation applies the sigmoid
+    def refuse(_):
+        raise AssertionError("sigmoid op in a training graph")
+
+    monkeypatch.setattr(ad, "sigmoid", refuse)
+    _, cf = small_params(seed=22, variant=variant)
+    enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
+    backward(M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)[0])
+
+
+def test_float32_recurrent_batch_loss_is_finite_at_confident_logits():
+    # at the default widths, large weights and encodings push several
+    # logits past 17, where a float32 sigmoid rounds to exactly 1
+    rng = np.random.default_rng(25)
+    ad.set_default_dtype(np.float32)
+    try:
+        _, cf = M.init_params(M.ModelConfig(), 25)
+        for t in cf.named().values():
+            t.data += rng.normal(0.0, 0.5, t.shape).astype(np.float32)
+        enc = Tensor(rng.normal(0.0, 3.0, (5, cf.cfg.d)).astype(np.float32), grad_enabled=True)
+        loss, _ = M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+        assert loss.dtype == np.float32 and np.isfinite(loss.item())
+        assert np.isfinite(backward(loss)[enc].data).all()
+    finally:
+        ad.set_default_dtype(np.float64)
 
 
 def test_recurrent_batch_loss_raises_on_overflowing_gate_preactivations():

@@ -469,12 +469,12 @@ def test_no_content_trains_only_touched_rows():
     state = init_trainer(ds2, "no_content", small_config(
         opt_ce=OptimizerConfig(kind="sgd", lr=0.1),
         opt_cf=OptimizerConfig(kind="sgd", lr=0.1)))
-    before = state.item_embedding.data.copy()
+    before = state.table.data.copy()
     train_step(batch, state)
-    row99 = state.embed_row[99]
-    assert np.array_equal(state.item_embedding.data[row99], before[row99])
-    changed = [state.embed_row[i] for i in batch.unique_items]
-    assert not np.array_equal(state.item_embedding.data[changed], before[changed])
+    row99 = state.table_row[99]
+    assert np.array_equal(state.table.data[row99], before[row99])
+    changed = [state.table_row[i] for i in batch.unique_items]
+    assert not np.array_equal(state.table.data[changed], before[changed])
 
 
 def test_no_finetune_encodes_once_at_init():
