@@ -455,6 +455,15 @@ def test_fd_bce():
     run_trials(make_f, lambda rng: tensor(3.0 * rng.standard_normal(6), grad=True))
 
 
+def test_fd_bce_sum():
+    # the loss sums over every element of a (batch, labels) block of logits
+    def make_f(rng):
+        y = Tensor((rng.random((4, 5)) < 0.5).astype(np.float64))
+        return lambda x: bce_loss(x, y)
+
+    run_trials(make_f, lambda rng: leaf(rng, (4, 5)))
+
+
 def test_fd_mse_half():
     def make_f(rng):
         a = Tensor(rng.standard_normal((7,)))
