@@ -8,12 +8,16 @@ exactly once. An op computes its output array, defines one ``run(g, acc)``
 closure that passes each parent's share of the output gradient ``g`` to
 ``acc``, and hands both to ``_result``.
 
-Every op is one primitive except ``gru_scan``, the one fused op: it runs a
-whole gated recurrence as a numpy loop inside a single node and
-backpropagates through time by hand, since a node per step made the
-Python cost of the ops, not their arithmetic, the cost of a recurrent
-batch. Its values and gradients are those of the per-step primitives, in
-the same order of operations.
+Every op is one primitive except two fused ops, which run a numpy loop
+inside a single node with a hand-written backward, since a node per loop
+iteration made the Python cost of the ops, not their arithmetic, the cost
+of a batch. ``gru_scan`` runs a whole gated recurrence and backpropagates
+through time over the states it saved; its values and gradients are those
+of the per-step primitives, in the same order of operations.
+``prefix_attention`` runs softmax attention and additive pooling over
+every proper prefix of every user's history; it saves nothing beyond its
+operands and recomputes each prefix's softmaxes in backward, so its
+activation memory does not grow with the number of prefixes.
 
 The training loss ``bce_loss`` takes logits, not probabilities: it sums
 the binary cross-entropy of their sigmoid in softplus form, so it is
@@ -83,6 +87,7 @@ __all__ = [
     "bce_loss",
     "mse_half",
     "gru_scan",
+    "prefix_attention",
     "backward",
     "grad_check",
 ]
@@ -479,9 +484,11 @@ def gather(table: Tensor, ids) -> Tensor:
         raise IndexError(f"gather: id out of range [0, {v})")
 
     def run(g, acc):
-        gt = np.zeros(table.data.shape, dtype=table.data.dtype)
-        np.add.at(gt, idx, g)
-        acc(table, gt)
+        # one bincount over flattened (row, column) bins adds in np.add.at's
+        # order, so float64 sums are bit-identical to it, and is faster
+        d = table.shape[1]
+        flat = np.bincount((idx[:, None] * d + np.arange(d)).ravel(), g.ravel(), minlength=v * d)
+        acc(table, flat.reshape(v, d).astype(table.data.dtype, copy=False))
 
     return _result(table.data[idx], (table,), run, op="gather")
 
@@ -664,6 +671,126 @@ def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, b: int) -> Tensor:
 
     return _result(out, (xg, w_hh, b_hh), run, saves_output=True, op="gru_scan",
                    saved_elements=4 * out.size)
+
+
+# ---------------------------------------------------------------------------
+# Fused prefix attention
+# ---------------------------------------------------------------------------
+
+
+def prefix_attention(q_all: Tensor, k_all: Tensor, v_all: Tensor, w_pool: Tensor,
+                     v_pool: Tensor, first, lengths) -> Tensor:
+    """Self-attention plus additive pooling over every proper prefix of
+    every user's history, as one node.
+
+    Rows of *q_all* (N, d_h), *k_all* (N, d_h) and *v_all* (N, d) are the
+    projected interactions; user u owns rows first[u] .. first[u] +
+    lengths[u] - 1, and no two users share a row. For each prefix length
+    n = 1 .. max(lengths) - 1, the B_n users longer than n attend over
+    their first n rows: a = softmax(q k^T / sqrt(d_h)) over each row,
+    ctx = a v, pooling weights w = softmax over the n positions of
+    tanh(ctx @ w_pool) @ v_pool, and the user vector is w^T ctx. Returns
+    the (n_slots, d) user vectors, prefix length ascending, then user.
+    The scores of each prefix are checked to be finite, so an overflow
+    names its prefix length.
+
+    Backward keeps nothing beyond the operands: it recomputes each prefix's
+    attention and pooling, adds each prefix's q/k/v gradients into padded
+    per-user buffers, and scatters those to the rows once; no row belongs
+    to two users, so the scatter is an assignment.
+    """
+    _check_dtypes("prefix_attention", q_all, k_all, v_all, w_pool, v_pool)
+    q, k, v, wp, vp = q_all.data, k_all.data, v_all.data, w_pool.data, v_pool.data
+    if q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]:
+        raise ShapeError(f"prefix_attention: q {q.shape}, k {k.shape} and v {v.shape} "
+                         "must be (N, d_h), (N, d_h) and (N, d)")
+    dh, d = q.shape[1], v.shape[1]
+    if wp.shape != (d, dh) or vp.shape != (dh, 1):
+        raise ShapeError(f"prefix_attention: w_pool {wp.shape} and v_pool {vp.shape} "
+                         f"must be ({d}, {dh}) and ({dh}, 1)")
+    first = np.asarray(first, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if first.ndim != 1 or lengths.shape != first.shape:
+        raise ShapeError(f"prefix_attention: first {first.shape} and lengths {lengths.shape} "
+                         "must be equal 1-D shapes")
+    by_first = np.argsort(first, kind="stable")
+    lo, hi = first[by_first], first[by_first] + lengths[by_first]
+    if (lengths.size and (lo[0] < 0 or hi.max() > q.shape[0] or lengths.min() < 0)
+            or np.any(hi[:-1] > lo[1:])):
+        raise ShapeError(f"prefix_attention: user row spans must be disjoint and "
+                         f"inside [0, {q.shape[0]})")
+    t_max = int(lengths.max(initial=0))
+    if t_max < 2:
+        raise ShapeError("prefix_attention: no user has a proper prefix (length >= 2)")
+    scale_qk = dh ** -0.5       # a Python float keeps float32 operands float32
+    # Users go longest first into padded (B, t_max - 1, .) operands, so
+    # the B_n users longer than n are their first B_n rows and prefix n is
+    # the basic slice [:B_n, :n]. Padding is never read.
+    by_len = np.argsort(-lengths, kind="stable")
+    counts = [int(np.count_nonzero(lengths > n)) for n in range(1, t_max)]
+    pos = np.arange(t_max - 1)
+    live = pos < lengths[by_len, None]
+    rows = np.where(live, first[by_len, None] + pos, 0)
+    # output slot of each padded-order slot: within a prefix length, users
+    # ascending
+    ats = np.cumsum([0] + counts)
+    perm = np.concatenate([at + np.argsort(by_len[:b]) for at, b in zip(ats, counts)])
+
+    def attend(n, b, qs, kp, vpad):
+        qn, kn, vn = qs[:b, :n], kp[:b, :n], vpad[:b, :n]
+        s = qn @ kn.transpose(0, 2, 1)
+        if not np.isfinite(s).all():
+            raise NonFiniteError(f"prefix_attention produced non-finite attention scores "
+                                 f"at prefix length {n}")
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        a = e / e.sum(axis=-1, keepdims=True)
+        ctx = a @ vn
+        t = np.tanh(ctx.reshape(b * n, d) @ wp)
+        pre = (t @ vp).reshape(b, 1, n)
+        e = np.exp(pre - pre.max(axis=-1, keepdims=True))
+        return qn, kn, vn, a, ctx, t, e / e.sum(axis=-1, keepdims=True)     # w is (b, 1, n)
+
+    out = np.empty((int(ats[-1]), d), dtype=q.dtype)
+    qs, kp, vpad = q[rows] * scale_qk, k[rows], v[rows]
+    for n, (at, b) in enumerate(zip(ats, counts), 1):
+        *_, ctx, _, w = attend(n, b, qs, kp, vpad)
+        out[at:at + b] = (w @ ctx).reshape(b, d)
+    out = out[perm]
+
+    def run(g, acc):
+        # each expression follows the backward of the primitive it fuses
+        # (matmul, softmax, tanh, reshape, transpose)
+        gs = np.empty_like(g)
+        gs[perm] = g
+        qs, kp, vpad = q[rows] * scale_qk, k[rows], v[rows]
+        dqs, dkp, dvpad = np.zeros_like(qs), np.zeros_like(kp), np.zeros_like(vpad)
+        dwp, dvp = np.zeros_like(wp), np.zeros_like(vp)
+        wp_t, vp_t = wp.T, vp.T
+        for n, (at, b) in enumerate(zip(ats, counts), 1):
+            qn, kn, vn, a, ctx, t, w = attend(n, b, qs, kp, vpad)
+            gu = gs[at:at + b].reshape(b, 1, d)
+            dw = gu @ ctx.transpose(0, 2, 1)
+            dctx = w.transpose(0, 2, 1) @ gu
+            dpre = (w * (dw - (dw * w).sum(axis=-1, keepdims=True))).reshape(b * n, 1)
+            dvp += t.T @ dpre
+            dht = (dpre @ vp_t) * (1.0 - t * t)
+            dwp += ctx.reshape(b * n, d).T @ dht
+            dctx += (dht @ wp_t).reshape(b, n, d)
+            da = dctx @ vn.transpose(0, 2, 1)
+            ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+            dqs[:b, :n] += ds @ kn
+            dkp[:b, :n] += ds.transpose(0, 2, 1) @ qn
+            dvpad[:b, :n] += a.transpose(0, 2, 1) @ dctx
+        # each live row is one interaction of one user, so assignment scatters
+        for t_all, dpad in ((q_all, dqs * scale_qk), (k_all, dkp), (v_all, dvpad)):
+            grad = np.zeros_like(t_all.data)
+            grad[rows[live]] = dpad[live]
+            acc(t_all, grad)
+        acc(w_pool, dwp)
+        acc(v_pool, dvp)
+
+    return _result(out, (q_all, k_all, v_all, w_pool, v_pool), run,
+                   saved=(q_all, k_all, v_all), op="prefix_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,16 @@ hand-written backward, and the readout is one row-dot over all hidden
 states, so the graph has the same nodes for any sequence length. The valid
 prediction slots are selected by gather; a finished user's row keeps
 running on filler inputs, but no valid slot reads it, so it gets exactly
-zero gradient. The attention CF runs one graph per prefix length n over
-the users longer than n: (B_n*n, 2d) history rows, a (B_n, n, n) batched
-attention and pooling over axis 1, with no padding or mask, so it saves
-the elements the per-user graphs would. The per-user reference CF lives
-in ``tests/reference_cf.py``; the batched paths agree with it to float64
-roundoff (addition order differs) and tests pin that.
+zero gradient. The attention CF projects every interaction row to
+queries, keys and values with three matmuls, and one fused
+``autodiff.prefix_attention`` node runs the loop over prefix lengths n:
+for the users longer than n, a (B_n, n, n) batched attention and pooling
+over the n axis, with no padding or mask. That node keeps only its
+operands and recomputes each prefix in backward, so neither the node
+count nor the saved activations grow with the number of prefixes. The
+per-user reference CF lives in ``tests/reference_cf.py``; the batched
+paths agree with it to float64 roundoff (addition order differs) and
+tests pin that.
 
 All weight matrices are initialized uniform(-a, a), a = sqrt(6 / (fan_in +
 fan_out)); bias vectors start at zero.
@@ -342,6 +346,7 @@ class _Layout(NamedTuple):
     first: np.ndarray       # interaction index of each user's position 0
     rows: np.ndarray        # row of ``enc`` per interaction
     resps: np.ndarray       # response per interaction
+    targets: np.ndarray     # interaction predicted at each valid slot
     t_max: int
 
 
@@ -363,7 +368,7 @@ def _batch_layout(users, row_of):
     first = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     step, user_idx = np.nonzero(np.arange(1, t_max)[:, None] < lengths)   # slot (step+1, u)
     at = first[user_idx] + step + 1
-    return (_Layout(lengths, first, rows, resps, t_max),
+    return (_Layout(lengths, first, rows, resps, at, t_max),
             (step * len(inters) + user_idx, resps[at].astype(np.float64), items[at], user_idx))
 
 
@@ -404,31 +409,18 @@ def _attention_batch_logits(lay: _Layout, enc: Tensor, p: AttentionCfParams) -> 
     order (prefix length n ascending, then user), shape (n_slots, 1).
 
     The (encoding (+) response embedding) row of every (user, position) is
-    built once. Each prefix length n then runs as one graph over the B_n
-    users longer than n: their (B_n*n, 2d) history rows go through 2-D
-    projections, a (B_n, n, n) batched attention, additive pooling over
-    axis 1 to (B_n, d) user vectors, and a row-wise dot with the
-    candidates. No row is padded or masked, so each op saves exactly the
-    elements the per-user reference graphs save.
+    built once and projected to queries, keys and values by three 2-D
+    matmuls. One ``prefix_attention`` node then runs, for each prefix
+    length n, the (B_n, n, n) attention and the additive pooling of the
+    B_n users longer than n, and returns every slot's user vector; it
+    keeps only its operands and recomputes each prefix in backward. One
+    row-wise dot with the candidates' encodings and one bias add finish,
+    so the graph has the same nodes for any sequence length.
     """
-    d, dh = p.cfg.d, p.cfg.d_h
     x_all = ad.concat([ad.gather(enc, lay.rows), ad.gather(p.resp_embedding, lay.resps)], axis=1)
-    inv_sqrt_dh = 1.0 / np.sqrt(dh)
-    logits = []
-    for n in range(1, lay.t_max):
-        starts = lay.first[lay.lengths > n]
-        b = starts.size
-        x = ad.gather(x_all, (starts[:, None] + np.arange(n)).reshape(-1))
-        q = ad.reshape(ad.matmul(x, p.wq), (b, n, dh))
-        k = ad.reshape(ad.matmul(x, p.wk), (b, n, dh))
-        v = ad.reshape(ad.matmul(x, p.wv), (b, n, d))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_dh)
-        ctx = ad.matmul(ad.softmax(scores, axis=-1), v)               # (b, n, d)
-        pre = ad.matmul(ad.tanh(ad.matmul(ad.reshape(ctx, (b * n, d)), p.w_pool)), p.v_pool)
-        w = ad.softmax(ad.reshape(pre, (b, n, 1)), axis=1)
-        u = ad.reshape(ad.matmul(ad.transpose(w), ctx), (b, d))
-        logits.append(ad.add(_row_dot(u, ad.gather(enc, lay.rows[starts + n])), p.bias))
-    flat = ad.concat(logits, axis=0)
+    u = ad.prefix_attention(ad.matmul(x_all, p.wq), ad.matmul(x_all, p.wk),
+                            ad.matmul(x_all, p.wv), p.w_pool, p.v_pool, lay.first, lay.lengths)
+    flat = ad.add(_row_dot(u, ad.gather(enc, lay.rows[lay.targets])), p.bias)
     return ad.reshape(flat, (flat.shape[0], 1))
 
 

@@ -169,6 +169,11 @@ def _primitive_checks():
     labels = Tensor((rng.random(5) > 0.5).astype(float))
     xg = Tensor(0.5 * rng.standard_normal((6, 6)), grad_enabled=True)   # 3 steps of 2 rows, d_h 2
     w_hh, b_hh, w62 = Tensor(0.5 * rng.standard_normal((2, 6))), const((6,)), const((6, 2))
+    qa = t((9, 3))      # users of 2 and 7 interactions, d_h 3, d 4: 7 slots
+    ka, va, w74 = const((9, 3)), const((9, 4)), const((7, 4))
+    w_pool = Tensor(0.5 * rng.standard_normal((4, 3)))
+    vp = rng.standard_normal((3, 1))
+    v_pool = Tensor(np.sign(vp) * (0.5 + np.abs(vp)))     # away from 0, as in test_autodiff
 
     return {
         "add": (lambda v: lin(ad.add(v, c), w), x),
@@ -194,6 +199,8 @@ def _primitive_checks():
             logits_w, ad.reshape(ad.mean_pool(v, axis=0), (4, 1))), (5,)), labels), x),
         "mse_half": (lambda v: ad.mse_half(v, c), x),
         "gru_scan": (lambda v: lin(ad.gru_scan(v, w_hh, b_hh, 2), w62), xg),
+        "prefix_attention": (lambda v: lin(ad.prefix_attention(
+            v, ka, va, w_pool, v_pool, [0, 2], [2, 7]), w74), qa),
     }
 
 

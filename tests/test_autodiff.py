@@ -30,6 +30,7 @@ from gram.autodiff import (
     mul,
     neg,
     no_grad,
+    prefix_attention,
     relu,
     reshape,
     scale,
@@ -145,6 +146,20 @@ def test_gather_repeated_ids_accumulate():
     assert np.array_equal(g[2], [2.0, 2.0, 2.0])
     assert np.array_equal(g[0], [1.0, 1.0, 1.0])
     assert np.array_equal(g[1], [0.0, 0.0, 0.0])
+
+
+def test_gather_backward_equals_add_at_and_keeps_the_table_dtype():
+    rng = np.random.default_rng(11)
+    ids = rng.integers(0, 20, size=300)        # every row repeats
+    table = tensor(rng.standard_normal((20, 5)), grad=True)
+    c = rng.standard_normal((300, 5))
+    g = backward(sum_all(mul(gather(table, ids), Tensor(c))))[table].data
+    expected = np.zeros((20, 5))
+    np.add.at(expected, ids, c)
+    assert g.tobytes() == expected.tobytes()
+    t32 = tensor(table.data.astype(np.float32), grad=True)
+    g32 = backward(sum_all(mul(gather(t32, ids), Tensor(c.astype(np.float32)))))[t32].data
+    assert g32.dtype == np.float32 and np.allclose(g32, expected, rtol=1e-5, atol=1e-5)
 
 
 def test_gather_out_of_range():
@@ -639,6 +654,100 @@ def test_gru_scan_accounts_saved_arrays_and_keeps_none_under_no_grad():
         assert acct.peak == 0
         loss = sum_all(gru_scan(a["xg"], a["w_hh"], a["b_hh"], 2))
     assert acct.current == 5 * 8 * 3        # r, z, c, hg_c and h per step
+    backward(loss)
+    assert acct.current == 0
+
+
+# prefix_attention over users of 2 and 7 interactions (rows 0-1 and 2-8)
+# with d_h=3 and d=4: prefix lengths 1 .. 6 give 2 + 5 * 1 slots. The
+# 2-interaction user appears only at n=1, where both softmaxes have one
+# element and pass no gradient to q, k or the pooling weights.
+PA_FIRST, PA_LENGTHS = np.array([0, 2]), np.array([2, 7])
+PA_SHAPES = {"q_all": (9, 3), "k_all": (9, 3), "v_all": (9, 4), "w_pool": (4, 3), "v_pool": (3, 1)}
+
+
+def pa_operand(rng, name, dtype=np.float64):
+    # w_pool is halved so tanh does not saturate. v_pool keeps away from 0:
+    # column j of w_pool's gradient is proportional to v_pool[j], and a
+    # near-zero column is so small that central differences measure
+    # mostly rounding.
+    v = rng.standard_normal(PA_SHAPES[name])
+    if name == "w_pool":
+        v = 0.5 * v
+    if name == "v_pool":
+        v = np.sign(v) * (0.5 + np.abs(v))
+    return tensor(v.astype(dtype), grad=True)
+
+
+def pa_args(rng, dtype=np.float64):
+    return {k: pa_operand(rng, k, dtype) for k in PA_SHAPES}
+
+
+def pa(a, first=PA_FIRST, lengths=PA_LENGTHS):
+    return prefix_attention(a["q_all"], a["k_all"], a["v_all"], a["w_pool"], a["v_pool"],
+                            first, lengths)
+
+
+@pytest.mark.parametrize("wrt", list(PA_SHAPES))
+def test_fd_prefix_attention(wrt):
+    def make_f(rng):
+        args = pa_args(rng)
+        c = Tensor(rng.standard_normal((7, 4)))
+        return lambda x: sum_all(mul(pa(dict(args, **{wrt: x})), c))
+
+    run_trials(make_f, lambda rng: pa_operand(rng, wrt))
+
+
+def test_prefix_attention_float32_outputs_and_gradients():
+    args = pa_args(np.random.default_rng(7), np.float32)
+    u = pa(args)
+    assert u.shape == (7, 4) and u.dtype == np.float32
+    grads = backward(sum_all(u))
+    assert all(grads[t].dtype == np.float32 and grads[t].shape == t.shape for t in args.values())
+
+
+def test_prefix_attention_rejects_mixed_dtypes_and_bad_shapes():
+    a = pa_args(np.random.default_rng(8))
+    with pytest.raises(TypeError):
+        pa(dict(a, v_pool=tensor(a["v_pool"].data.astype(np.float32))))
+    bad = [
+        (dict(a, k_all=tensor(np.zeros((8, 3)))), PA_FIRST, PA_LENGTHS),
+        (dict(a, v_all=tensor(np.zeros((8, 4)))), PA_FIRST, PA_LENGTHS),
+        (dict(a, q_all=tensor(np.zeros(9)), k_all=tensor(np.zeros(9))), PA_FIRST, PA_LENGTHS),
+        (dict(a, w_pool=tensor(np.zeros((3, 4)))), PA_FIRST, PA_LENGTHS),
+        (dict(a, v_pool=tensor(np.zeros(3))), PA_FIRST, PA_LENGTHS),
+        (a, PA_FIRST, PA_LENGTHS[:1]),
+        (a, np.array([0, 3]), PA_LENGTHS),          # user 1 runs past row 8
+        (a, np.array([0, 1]), PA_LENGTHS),          # the users share row 1
+        (a, np.array([-1, 2]), PA_LENGTHS),
+        (a, PA_FIRST, np.array([1, 1])),            # no proper prefix
+        (a, PA_FIRST[:0], PA_LENGTHS[:0]),
+    ]
+    for args, first, lengths in bad:
+        with pytest.raises(ShapeError):
+            pa(args, first, lengths)
+
+
+def test_prefix_attention_raises_naming_its_prefix_length():
+    # row 3 is read first by user 1's length-2 prefix, where its q.k overflows
+    a = pa_args(np.random.default_rng(9))
+    for name in ("q_all", "k_all"):
+        a[name].data[3] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="prefix length 2"):
+        pa(a)
+
+
+def test_prefix_attention_saves_only_its_operands_and_nothing_under_no_grad():
+    a = pa_args(np.random.default_rng(10))
+    acct = CountingAccountant()
+    with track_activations(acct):
+        with no_grad():
+            pa(a)
+        assert acct.peak == 0
+        # non-leaf operands, so the op's own count shows
+        q, k, v = (scale(a[n], 1.0) for n in ("q_all", "k_all", "v_all"))
+        loss = sum_all(pa(dict(a, q_all=q, k_all=k, v_all=v)))
+    assert acct.current == 9 * 3 + 9 * 3 + 9 * 4       # q, k and v; no per-prefix array
     backward(loss)
     assert acct.current == 0
 

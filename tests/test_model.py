@@ -442,12 +442,13 @@ def test_attention_batch_logits_match_per_prefix_logits():
     assert rel_gap(logits.data[:, 0], ref) <= 1e-9
 
 
-@pytest.mark.parametrize("variant,peak", [("recurrent", 1093), ("attention", 2069)])
+@pytest.mark.parametrize("variant,peak", [("recurrent", 1093), ("attention", 765)])
 def test_batch_loss_saved_activations(variant, peak):
-    # attention: the figure one graph per user per prefix saves, so batching
-    # may cut ops but not saved elements; recurrent: gru_scan keeps five
-    # (b, d_h) arrays per update (r, z, c, hg_c, h), 600 of the 1093; after
-    # backward nothing may stay counted, which an op no logit reads would
+    # attention: prefix_attention keeps only its q/k/v operands and
+    # recomputes every prefix in backward, so no per-prefix array is
+    # counted; recurrent: gru_scan keeps five (b, d_h) arrays per update
+    # (r, z, c, hg_c, h), 600 of the 1093; after backward nothing may stay
+    # counted, which an op no logit reads would
     from gram.instrument import ActivationAccountant
     _, cf = small_params(seed=22, variant=variant)
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
@@ -520,18 +521,33 @@ def graph_nodes(loss):
     return len(seen)
 
 
+def node_counts_with_a_longer_user(variant):
+    """Loss-graph node counts for MIXED_USERS, then with a user three
+    times as long as its longest added."""
+    _, cf = small_params(seed=22, variant=variant)
+    enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
+    row_of = {i: i for i in range(5)}
+    longer = MIXED_USERS + [max(MIXED_USERS, key=len) * 3]
+    return [graph_nodes(M.batch_sequence_loss(users, row_of, enc, cf)[0])
+            for users in (MIXED_USERS, longer)]
+
+
 def test_recurrent_batch_graph_keeps_h_independent_ops_out_of_the_time_loop():
     # the whole time loop is one gru_scan node, so a user three times as
     # long as MIXED_USERS' longest adds no node; an op recorded per update
     # would add one per extra step
-    _, cf = small_params(seed=22)
-    enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
-    row_of = {i: i for i in range(5)}
-    longest = max(MIXED_USERS, key=len)
-    longer = MIXED_USERS + [longest * 3]
-    nodes = [graph_nodes(M.batch_sequence_loss(users, row_of, enc, cf)[0])
-             for users in (MIXED_USERS, longer)]
+    nodes = node_counts_with_a_longer_user("recurrent")
     assert nodes[0] == nodes[1]
+
+
+def test_attention_batch_graph_has_constant_size():
+    # every prefix length runs inside one prefix_attention node, so a user
+    # three times as long as MIXED_USERS' longest adds no node; an op
+    # recorded per prefix would add one per extra prefix length; the 14 are
+    # two gathers and a concat, three matmuls, prefix_attention, the
+    # candidate gather, the four ops of the row-dot and bias, a reshape and
+    # bce_loss
+    assert node_counts_with_a_longer_user("attention") == [14, 14]
 
 
 def test_recurrent_filler_rows_get_no_gradient():
