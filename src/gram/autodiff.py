@@ -8,7 +8,7 @@ exactly once. An op computes its output array, defines one ``run(g, acc)``
 closure that passes each parent's share of the output gradient ``g`` to
 ``acc``, and hands both to ``_result``.
 
-Every op is one primitive except two fused ops, which run a numpy loop
+Every op is one primitive except four fused ops. Three run a numpy loop
 inside a single node with a hand-written backward, since a node per loop
 iteration made the Python cost of the ops, not their arithmetic, the cost
 of a batch. ``gru_scan`` runs a whole gated recurrence and backpropagates
@@ -17,7 +17,12 @@ of the per-step primitives, in the same order of operations.
 ``prefix_attention`` runs softmax attention and additive pooling over
 every proper prefix of every user's history; it saves nothing beyond its
 operands and recomputes each prefix's softmaxes in backward, so its
-activation memory does not grow with the number of prefixes.
+activation memory does not grow with the number of prefixes. ``ce_block``
+runs one residual encoder layer over the ragged token rows of many items,
+looping only over the length groups of its attention; it saves its
+intermediates and recomputes nothing, so a joint backward stays a plain
+no-recompute backprop. The fourth, ``segment_mean``, mean-pools ragged
+runs of rows in one node.
 
 The training loss ``bce_loss`` takes logits, not probabilities: it sums
 the binary cross-entropy of their sigmoid in softplus form, so it is
@@ -88,6 +93,8 @@ __all__ = [
     "mse_half",
     "gru_scan",
     "prefix_attention",
+    "ce_block",
+    "segment_mean",
     "backward",
     "grad_check",
 ]
@@ -572,16 +579,23 @@ def relu(a: Tensor) -> Tensor:
     return _result(out, (a,), run, saves_output=True, op="relu")
 
 
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_backward(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Gradient at the input of a softmax whose output is *out*."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along *axis* (max-subtracted)."""
     ax = axis if axis >= 0 else axis + a.data.ndim
-    x = a.data
-    e = np.exp(x - x.max(axis=ax, keepdims=True))
-    out = e / e.sum(axis=ax, keepdims=True)
+    out = _softmax(a.data, ax)
 
     def run(g, acc):
-        dot = (g * out).sum(axis=ax, keepdims=True)
-        acc(a, out * (g - dot))
+        acc(a, _softmax_backward(out, g, ax))
 
     return _result(out, (a,), run, saves_output=True, op="softmax")
 
@@ -678,36 +692,34 @@ def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, b: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def prefix_attention(q_all: Tensor, k_all: Tensor, v_all: Tensor, w_pool: Tensor,
-                     v_pool: Tensor, first, lengths) -> Tensor:
+def prefix_attention(qkv: Tensor, w_pool: Tensor, v_pool: Tensor, first, lengths) -> Tensor:
     """Self-attention plus additive pooling over every proper prefix of
     every user's history, as one node.
 
-    Rows of *q_all* (N, d_h), *k_all* (N, d_h) and *v_all* (N, d) are the
-    projected interactions; user u owns rows first[u] .. first[u] +
-    lengths[u] - 1, and no two users share a row. For each prefix length
-    n = 1 .. max(lengths) - 1, the B_n users longer than n attend over
-    their first n rows: a = softmax(q k^T / sqrt(d_h)) over each row,
-    ctx = a v, pooling weights w = softmax over the n positions of
-    tanh(ctx @ w_pool) @ v_pool, and the user vector is w^T ctx. Returns
-    the (n_slots, d) user vectors, prefix length ascending, then user.
-    The scores of each prefix are checked to be finite, so an overflow
-    names its prefix length.
+    Rows of *qkv* (N, 2*d_h + d) are the projected interactions, with the
+    query, key and value side by side in the column order [q | k | v],
+    d_h, d_h and d wide; d and d_h are *w_pool*'s shape. User u owns rows
+    first[u] .. first[u] + lengths[u] - 1, and no two users share a row.
+    For each prefix length n = 1 .. max(lengths) - 1, the B_n users longer
+    than n attend over their first n rows: a = softmax(q k^T / sqrt(d_h))
+    over each row, ctx = a v, pooling weights w = softmax over the n
+    positions of tanh(ctx @ w_pool) @ v_pool, and the user vector is
+    w^T ctx. Returns the (n_slots, d) user vectors, prefix length
+    ascending, then user. The scores of each prefix are checked to be
+    finite, so an overflow names its prefix length.
 
     Backward keeps nothing beyond the operands: it recomputes each prefix's
     attention and pooling, adds each prefix's q/k/v gradients into padded
     per-user buffers, and scatters those to the rows once; no row belongs
     to two users, so the scatter is an assignment.
     """
-    _check_dtypes("prefix_attention", q_all, k_all, v_all, w_pool, v_pool)
-    q, k, v, wp, vp = q_all.data, k_all.data, v_all.data, w_pool.data, v_pool.data
-    if q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]:
-        raise ShapeError(f"prefix_attention: q {q.shape}, k {k.shape} and v {v.shape} "
-                         "must be (N, d_h), (N, d_h) and (N, d)")
-    dh, d = q.shape[1], v.shape[1]
-    if wp.shape != (d, dh) or vp.shape != (dh, 1):
-        raise ShapeError(f"prefix_attention: w_pool {wp.shape} and v_pool {vp.shape} "
-                         f"must be ({d}, {dh}) and ({dh}, 1)")
+    _check_dtypes("prefix_attention", qkv, w_pool, v_pool)
+    x, wp, vp = qkv.data, w_pool.data, v_pool.data
+    d, dh = wp.shape if wp.ndim == 2 else (0, 0)
+    if x.ndim != 2 or dh == 0 or x.shape[1] != 2 * dh + d or vp.shape != (dh, 1):
+        raise ShapeError(f"prefix_attention: qkv {x.shape}, w_pool {wp.shape} and v_pool "
+                         f"{vp.shape} must be (N, 2*d_h + d), (d, d_h) and (d_h, 1)")
+    q, k, v = x[:, :dh], x[:, dh:2 * dh], x[:, 2 * dh:]
     first = np.asarray(first, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
     if first.ndim != 1 or lengths.shape != first.shape:
@@ -715,10 +727,10 @@ def prefix_attention(q_all: Tensor, k_all: Tensor, v_all: Tensor, w_pool: Tensor
                          "must be equal 1-D shapes")
     by_first = np.argsort(first, kind="stable")
     lo, hi = first[by_first], first[by_first] + lengths[by_first]
-    if (lengths.size and (lo[0] < 0 or hi.max() > q.shape[0] or lengths.min() < 0)
+    if (lengths.size and (lo[0] < 0 or hi.max() > x.shape[0] or lengths.min() < 0)
             or np.any(hi[:-1] > lo[1:])):
         raise ShapeError(f"prefix_attention: user row spans must be disjoint and "
-                         f"inside [0, {q.shape[0]})")
+                         f"inside [0, {x.shape[0]})")
     t_max = int(lengths.max(initial=0))
     if t_max < 2:
         raise ShapeError("prefix_attention: no user has a proper prefix (length >= 2)")
@@ -742,15 +754,12 @@ def prefix_attention(q_all: Tensor, k_all: Tensor, v_all: Tensor, w_pool: Tensor
         if not np.isfinite(s).all():
             raise NonFiniteError(f"prefix_attention produced non-finite attention scores "
                                  f"at prefix length {n}")
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        a = e / e.sum(axis=-1, keepdims=True)
+        a = _softmax(s)
         ctx = a @ vn
         t = np.tanh(ctx.reshape(b * n, d) @ wp)
-        pre = (t @ vp).reshape(b, 1, n)
-        e = np.exp(pre - pre.max(axis=-1, keepdims=True))
-        return qn, kn, vn, a, ctx, t, e / e.sum(axis=-1, keepdims=True)     # w is (b, 1, n)
+        return qn, kn, vn, a, ctx, t, _softmax((t @ vp).reshape(b, 1, n))     # w is (b, 1, n)
 
-    out = np.empty((int(ats[-1]), d), dtype=q.dtype)
+    out = np.empty((int(ats[-1]), d), dtype=x.dtype)
     qs, kp, vpad = q[rows] * scale_qk, k[rows], v[rows]
     for n, (at, b) in enumerate(zip(ats, counts), 1):
         *_, ctx, _, w = attend(n, b, qs, kp, vpad)
@@ -771,26 +780,134 @@ def prefix_attention(q_all: Tensor, k_all: Tensor, v_all: Tensor, w_pool: Tensor
             gu = gs[at:at + b].reshape(b, 1, d)
             dw = gu @ ctx.transpose(0, 2, 1)
             dctx = w.transpose(0, 2, 1) @ gu
-            dpre = (w * (dw - (dw * w).sum(axis=-1, keepdims=True))).reshape(b * n, 1)
+            dpre = _softmax_backward(w, dw).reshape(b * n, 1)
             dvp += t.T @ dpre
             dht = (dpre @ vp_t) * (1.0 - t * t)
             dwp += ctx.reshape(b * n, d).T @ dht
             dctx += (dht @ wp_t).reshape(b, n, d)
             da = dctx @ vn.transpose(0, 2, 1)
-            ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+            ds = _softmax_backward(a, da)
             dqs[:b, :n] += ds @ kn
             dkp[:b, :n] += ds.transpose(0, 2, 1) @ qn
             dvpad[:b, :n] += a.transpose(0, 2, 1) @ dctx
         # each live row is one interaction of one user, so assignment scatters
-        for t_all, dpad in ((q_all, dqs * scale_qk), (k_all, dkp), (v_all, dvpad)):
-            grad = np.zeros_like(t_all.data)
-            grad[rows[live]] = dpad[live]
-            acc(t_all, grad)
+        grad, at = np.zeros_like(x), rows[live]
+        grad[at, :dh] = (dqs * scale_qk)[live]
+        grad[at, dh:2 * dh] = dkp[live]
+        grad[at, 2 * dh:] = dvpad[live]
+        acc(qkv, grad)
         acc(w_pool, dwp)
         acc(v_pool, dvp)
 
-    return _result(out, (q_all, k_all, v_all, w_pool, v_pool), run,
-                   saved=(q_all, k_all, v_all), op="prefix_attention")
+    return _result(out, (qkv, w_pool, v_pool), run, saved=(qkv,), op="prefix_attention")
+
+
+# ---------------------------------------------------------------------------
+# Fused content-encoder block
+# ---------------------------------------------------------------------------
+
+
+def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: Tensor,
+             w_ff2: Tensor, lengths) -> Tensor:
+    """One residual encoder layer over the token rows of many items, as one
+    node.
+
+    Rows of *x* (N, d) are tokens; item i owns the next lengths[i] rows,
+    items in order. Each item's tokens attend over that item's tokens only:
+    a = softmax(q k^T / sqrt(d)) with q, k, v = x @ wq, x @ wk, x @ wv,
+    x1 = x + (a v) @ wo, and the output is x1 + relu(x1 @ w_ff1) @ w_ff2.
+    The q/k/v projection is one matmul against the three weights side by
+    side, and the feed-forward two matmuls, over all N rows. Only the
+    (b, L, L) attention loops in numpy, once per run of consecutive items
+    of equal length L; nothing is padded or masked. The scores of each run
+    are checked to be finite, so an overflow names its token length.
+
+    Backward recomputes nothing: the node keeps x, the q/k/v projection,
+    the attention probabilities, the attended values, x1 and the relu
+    output, and its gradients are those of the per-op graph, up to the
+    order of additions.
+    """
+    ts = (x, wq, wk, wv, wo, w_ff1, w_ff2)
+    _check_dtypes("ce_block", *ts)
+    xd = x.data
+    d = xd.shape[1] if xd.ndim == 2 else 0
+    dff = w_ff1.shape[-1] if w_ff1.data.ndim else 0
+    if (xd.ndim != 2 or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
+            or w_ff1.shape != (d, dff) or w_ff2.shape != (dff, d)):
+        raise ShapeError(f"ce_block: x {xd.shape} needs (d, d) wq/wk/wv/wo, (d, d_ff) w_ff1 "
+                         f"and (d_ff, d) w_ff2, got {[t.shape for t in ts[1:]]}")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != xd.shape[0]:
+        raise ShapeError(f"ce_block: lengths must be positive and sum to the {xd.shape[0]} rows "
+                         f"of x, got {lengths}")
+    # (first row, items, length) of each run of consecutive equal lengths
+    starts = np.flatnonzero(np.diff(lengths, prepend=0))
+    row0 = np.concatenate(([0], np.cumsum(lengths)))
+    runs = [(int(row0[s]), int(e - s), int(lengths[s]))
+            for s, e in zip(starts, np.append(starts[1:], lengths.size))]
+    scale_qk = d ** -0.5        # a Python float keeps float32 operands float32
+
+    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    qkv = xd @ w_qkv
+    attended = np.empty_like(xd)
+    probs = []
+    for r0, b, n in runs:
+        blk = qkv[r0:r0 + b * n].reshape(b, n, 3 * d)
+        s = (blk[..., :d] @ blk[..., d:2 * d].transpose(0, 2, 1)) * scale_qk
+        if not np.isfinite(s).all():
+            raise NonFiniteError(f"ce_block produced non-finite attention scores at token "
+                                 f"length {n}")
+        a = _softmax(s)
+        attended[r0:r0 + b * n] = (a @ blk[..., 2 * d:]).reshape(b * n, d)
+        probs.append(a)
+    x1 = xd + attended @ wo.data
+    h = np.maximum(x1 @ w_ff1.data, 0.0)
+    out = x1 + h @ w_ff2.data
+
+    def run(g, acc):
+        # each expression follows the backward of the primitive it fuses
+        # (matmul, softmax, scale, relu, add)
+        dpre = (g @ w_ff2.data.T) * (h > 0)
+        acc(w_ff2, h.T @ g)
+        acc(w_ff1, x1.T @ dpre)
+        dx1 = g + dpre @ w_ff1.data.T
+        acc(wo, attended.T @ dx1)
+        dat = dx1 @ wo.data.T
+        dqkv = np.empty_like(qkv)
+        for (r0, b, n), a in zip(runs, probs):
+            blk = qkv[r0:r0 + b * n].reshape(b, n, 3 * d)
+            dblk = dqkv[r0:r0 + b * n].reshape(b, n, 3 * d)
+            gat = dat[r0:r0 + b * n].reshape(b, n, d)
+            da = gat @ blk[..., 2 * d:].transpose(0, 2, 1)
+            ds = _softmax_backward(a, da) * scale_qk
+            dblk[..., :d] = ds @ blk[..., d:2 * d]
+            dblk[..., d:2 * d] = ds.transpose(0, 2, 1) @ blk[..., :d]
+            dblk[..., 2 * d:] = a.transpose(0, 2, 1) @ gat
+        dw = xd.T @ dqkv
+        acc(wq, dw[:, :d])
+        acc(wk, dw[:, d:2 * d])
+        acc(wv, dw[:, 2 * d:])
+        acc(x, dx1 + dqkv @ w_qkv.T)
+
+    saved = qkv.size + sum(a.size for a in probs) + attended.size + x1.size + h.size
+    return _result(out, ts, run, saved=(x,), op="ce_block", saved_elements=saved)
+
+
+def segment_mean(x: Tensor, lengths) -> Tensor:
+    """Mean of each run of rows: item i owns the next lengths[i] rows of
+    *x* (N, d), items in order; returns the (len(lengths), d) means."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if (x.data.ndim != 2 or lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1
+            or lengths.sum() != x.shape[0]):
+        raise ShapeError(f"segment_mean: lengths must be positive and sum to the rows of a "
+                         f"2-D x, got {lengths} for {x.shape}")
+    n = lengths.astype(x.data.dtype)[:, None]
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+
+    def run(g, acc):
+        acc(x, np.repeat(g / n, lengths, axis=0))
+
+    return _result(np.add.reduceat(x.data, starts, axis=0) / n, (x,), run, op="segment_mean")
 
 
 # ---------------------------------------------------------------------------

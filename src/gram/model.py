@@ -6,10 +6,13 @@ Two modules cooperate:
   encoding: embedding lookup -> ``l_ce`` blocks of residual single-head
   self-attention plus a residual two-layer feed-forward -> mean pooling
   over the token axis -> output projection. ``ce_encode`` takes a list of
-  items and returns one row per item: items of equal (truncated) token
-  length share one graph, whose projections and feed-forward are 2-D
-  matmuls over all their tokens and whose attention is a (B, L, L)
-  batched matmul, with no padding or mask;
+  items and returns one row per item from one graph of about six nodes,
+  whatever mix of token lengths the call holds: each block is one fused
+  ``autodiff.ce_block`` node over the ragged token rows of every item,
+  whose projections and feed-forward are 2-D matmuls over all rows and
+  whose attention loops over length groups in numpy, with no padding or
+  mask, and the pooling is one ``autodiff.segment_mean``. The per-op
+  encoder it replaced lives in ``tests/reference_ce.py`` as its oracle;
 * the collaborative filter (CF) maps a user's interaction history plus a
   candidate encoding to a response probability. Two variants:
 
@@ -35,7 +38,8 @@ states, so the graph has the same nodes for any sequence length. The valid
 prediction slots are selected by gather; a finished user's row keeps
 running on filler inputs, but no valid slot reads it, so it gets exactly
 zero gradient. The attention CF projects every interaction row to
-queries, keys and values with three matmuls, and one fused
+queries, keys and values with one matmul against the three weights side
+by side, and one fused
 ``autodiff.prefix_attention`` node runs the loop over prefix lengths n:
 for the users longer than n, a (B_n, n, n) batched attention and pooling
 over the n axis, with no padding or mask. That node keeps only its
@@ -272,46 +276,33 @@ def ce_encode(token_seqs, p: CeParams) -> Tensor:
     """Encode a list of items' token-id sequences to an (n, d) tensor.
 
     Row k encodes ``token_seqs[k]`` truncated to ``max_token_len``; a single
-    item is ``ce_encode([tokens], p)``. Items are grouped by truncated
-    length and each group runs as one graph over (B*L, d) rows, with a
-    (B, L, L) batched attention inside, so no row is padded or masked and
-    each op saves exactly the elements per-item graphs would. One gather
-    restores input order when the grouping changed it. An empty list or an
-    empty sequence is an error.
+    item is ``ce_encode([tokens], p)``. Items are sorted by truncated
+    length (stably), so items of equal length are adjacent, and the whole
+    call is one graph over the ragged (total tokens, d) rows: one gather of
+    token embeddings, the positional add if configured, one
+    ``autodiff.ce_block`` per layer, one ``autodiff.segment_mean`` and the
+    output matmul. One gather restores input order when the sort changed
+    it. Nothing is padded or masked, and the node count does not depend on
+    how many lengths the call mixes. An empty list or an empty sequence is
+    an error; a token id outside the vocabulary raises ``IndexError``.
     """
     seqs = [list(toks)[: p.cfg.max_token_len] for toks in token_seqs]
     if not seqs:
         raise ValueError("ce_encode: no token sequences")
-    groups: dict[int, list[int]] = {}
     for k, toks in enumerate(seqs):
         if not toks:
             raise ValueError(f"ce_encode: empty token sequence at position {k}")
-        groups.setdefault(len(toks), []).append(k)
-
-    d = p.cfg.d
-    inv_sqrt_d = 1.0 / np.sqrt(d)
-    outs = []
-    for length, members in groups.items():
-        b = len(members)
-        x = ad.gather(p.token_embedding, np.array([seqs[k] for k in members]).reshape(-1))
-        if p.cfg.positional_encoding:
-            pe = np.tile(positional_table(length, d, x.dtype), (b, 1))
-            x = ad.add(x, Tensor(pe))
-        for lay in p.layers:
-            q = ad.reshape(ad.matmul(x, lay.wq), (b, length, d))
-            k = ad.reshape(ad.matmul(x, lay.wk), (b, length, d))
-            v = ad.reshape(ad.matmul(x, lay.wv), (b, length, d))
-            scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_d)
-            attended = ad.reshape(ad.matmul(ad.softmax(scores, axis=-1), v), (b * length, d))
-            x = ad.add(x, ad.matmul(attended, lay.wo))
-            ff = ad.matmul(ad.relu(ad.matmul(x, lay.w_ff1)), lay.w_ff2)
-            x = ad.add(x, ff)
-        pooled = ad.mean_pool(ad.reshape(x, (b, length, d)), axis=1)
-        outs.append(ad.matmul(pooled, p.w_out))
-
-    out = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
-    order = [k for members in groups.values() for k in members]
-    if order == list(range(len(seqs))):
+    lengths = np.array([len(toks) for toks in seqs], dtype=np.intp)
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    x = ad.gather(p.token_embedding, np.concatenate([seqs[k] for k in order]))
+    if p.cfg.positional_encoding:
+        pos = np.concatenate([np.arange(n) for n in lengths])
+        x = ad.add(x, Tensor(positional_table(int(lengths[-1]), p.cfg.d, x.dtype)[pos]))
+    for lay in p.layers:
+        x = ad.ce_block(x, lay.wq, lay.wk, lay.wv, lay.wo, lay.w_ff1, lay.w_ff2, lengths)
+    out = ad.matmul(ad.segment_mean(x, lengths), p.w_out)
+    if np.array_equal(order, np.arange(len(seqs))):
         return out
     return ad.gather(out, np.argsort(order))   # argsort inverts the permutation
 
@@ -409,8 +400,9 @@ def _attention_batch_logits(lay: _Layout, enc: Tensor, p: AttentionCfParams) -> 
     order (prefix length n ascending, then user), shape (n_slots, 1).
 
     The (encoding (+) response embedding) row of every (user, position) is
-    built once and projected to queries, keys and values by three 2-D
-    matmuls. One ``prefix_attention`` node then runs, for each prefix
+    built once and projected to queries, keys and values by one 2-D
+    matmul against the concatenated weights, so x_all is kept once for
+    backward. One ``prefix_attention`` node then runs, for each prefix
     length n, the (B_n, n, n) attention and the additive pooling of the
     B_n users longer than n, and returns every slot's user vector; it
     keeps only its operands and recomputes each prefix in backward. One
@@ -418,8 +410,8 @@ def _attention_batch_logits(lay: _Layout, enc: Tensor, p: AttentionCfParams) -> 
     so the graph has the same nodes for any sequence length.
     """
     x_all = ad.concat([ad.gather(enc, lay.rows), ad.gather(p.resp_embedding, lay.resps)], axis=1)
-    u = ad.prefix_attention(ad.matmul(x_all, p.wq), ad.matmul(x_all, p.wk),
-                            ad.matmul(x_all, p.wv), p.w_pool, p.v_pool, lay.first, lay.lengths)
+    qkv = ad.matmul(x_all, ad.concat([p.wq, p.wk, p.wv], axis=1))
+    u = ad.prefix_attention(qkv, p.w_pool, p.v_pool, lay.first, lay.lengths)
     flat = ad.add(_row_dot(u, ad.gather(enc, lay.rows[lay.targets])), p.bias)
     return ad.reshape(flat, (flat.shape[0], 1))
 

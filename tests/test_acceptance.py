@@ -174,6 +174,9 @@ def _primitive_checks():
     w_pool = Tensor(0.5 * rng.standard_normal((4, 3)))
     vp = rng.standard_normal((3, 1))
     v_pool = Tensor(np.sign(vp) * (0.5 + np.abs(vp)))     # away from 0, as in test_autodiff
+    xt = t((7, 4))      # token rows of items of 3 and 4 tokens, d 4, d_ff 5
+    w_ce = [Tensor(0.5 * rng.standard_normal(s)) for s in [(4, 4)] * 4 + [(4, 5), (5, 4)]]
+    w42 = const((2, 4))
 
     return {
         "add": (lambda v: lin(ad.add(v, c), w), x),
@@ -200,7 +203,9 @@ def _primitive_checks():
         "mse_half": (lambda v: ad.mse_half(v, c), x),
         "gru_scan": (lambda v: lin(ad.gru_scan(v, w_hh, b_hh, 2), w62), xg),
         "prefix_attention": (lambda v: lin(ad.prefix_attention(
-            v, ka, va, w_pool, v_pool, [0, 2], [2, 7]), w74), qa),
+            ad.concat([v, ka, va], axis=1), w_pool, v_pool, [0, 2], [2, 7]), w74), qa),
+        "ce_block": (lambda v: lin(ad.ce_block(v, *w_ce, [3, 4]), w74), xt),
+        "segment_mean": (lambda v: lin(ad.segment_mean(v, [3, 4]), w42), xt),
     }
 
 

@@ -661,7 +661,9 @@ def test_gru_scan_accounts_saved_arrays_and_keeps_none_under_no_grad():
 # prefix_attention over users of 2 and 7 interactions (rows 0-1 and 2-8)
 # with d_h=3 and d=4: prefix lengths 1 .. 6 give 2 + 5 * 1 slots. The
 # 2-interaction user appears only at n=1, where both softmaxes have one
-# element and pass no gradient to q, k or the pooling weights.
+# element and pass no gradient to q, k or the pooling weights. The op's
+# (9, 3 + 3 + 4) qkv operand is built by concat from q_all, k_all and
+# v_all, so each finite-difference check covers one column block of it.
 PA_FIRST, PA_LENGTHS = np.array([0, 2]), np.array([2, 7])
 PA_SHAPES = {"q_all": (9, 3), "k_all": (9, 3), "v_all": (9, 4), "w_pool": (4, 3), "v_pool": (3, 1)}
 
@@ -684,8 +686,8 @@ def pa_args(rng, dtype=np.float64):
 
 
 def pa(a, first=PA_FIRST, lengths=PA_LENGTHS):
-    return prefix_attention(a["q_all"], a["k_all"], a["v_all"], a["w_pool"], a["v_pool"],
-                            first, lengths)
+    qkv = concat([a["q_all"], a["k_all"], a["v_all"]], axis=1)
+    return prefix_attention(qkv, a["w_pool"], a["v_pool"], first, lengths)
 
 
 @pytest.mark.parametrize("wrt", list(PA_SHAPES))
@@ -711,10 +713,10 @@ def test_prefix_attention_rejects_mixed_dtypes_and_bad_shapes():
     with pytest.raises(TypeError):
         pa(dict(a, v_pool=tensor(a["v_pool"].data.astype(np.float32))))
     bad = [
-        (dict(a, k_all=tensor(np.zeros((8, 3)))), PA_FIRST, PA_LENGTHS),
-        (dict(a, v_all=tensor(np.zeros((8, 4)))), PA_FIRST, PA_LENGTHS),
-        (dict(a, q_all=tensor(np.zeros(9)), k_all=tensor(np.zeros(9))), PA_FIRST, PA_LENGTHS),
+        (dict(a, k_all=tensor(np.zeros((9, 2)))), PA_FIRST, PA_LENGTHS),  # qkv not 2*d_h + d wide
+        (dict(a, v_all=tensor(np.zeros((9, 5)))), PA_FIRST, PA_LENGTHS),
         (dict(a, w_pool=tensor(np.zeros((3, 4)))), PA_FIRST, PA_LENGTHS),
+        (dict(a, w_pool=tensor(np.zeros(12))), PA_FIRST, PA_LENGTHS),
         (dict(a, v_pool=tensor(np.zeros(3))), PA_FIRST, PA_LENGTHS),
         (a, PA_FIRST, PA_LENGTHS[:1]),
         (a, np.array([0, 3]), PA_LENGTHS),          # user 1 runs past row 8
@@ -726,6 +728,8 @@ def test_prefix_attention_rejects_mixed_dtypes_and_bad_shapes():
     for args, first, lengths in bad:
         with pytest.raises(ShapeError):
             pa(args, first, lengths)
+    with pytest.raises(ShapeError):                 # a 1-D qkv
+        prefix_attention(tensor(np.zeros(10)), a["w_pool"], a["v_pool"], PA_FIRST, PA_LENGTHS)
 
 
 def test_prefix_attention_raises_naming_its_prefix_length():
@@ -744,12 +748,140 @@ def test_prefix_attention_saves_only_its_operands_and_nothing_under_no_grad():
         with no_grad():
             pa(a)
         assert acct.peak == 0
-        # non-leaf operands, so the op's own count shows
-        q, k, v = (scale(a[n], 1.0) for n in ("q_all", "k_all", "v_all"))
-        loss = sum_all(pa(dict(a, q_all=q, k_all=k, v_all=v)))
-    assert acct.current == 9 * 3 + 9 * 3 + 9 * 4       # q, k and v; no per-prefix array
+        # pa's concat makes qkv a non-leaf operand, so the op's own count shows
+        loss = sum_all(pa(a))
+    assert acct.current == 9 * 10       # q, k and v in one array; no per-prefix array
     backward(loss)
     assert acct.current == 0
+
+
+# ce_block over items of 3, 3, 1 and 4 tokens with d=4 and d_ff=5: the two
+# 3-token items form one run of the attention loop, the 1-token item's
+# softmax has one element, and the 4-token item follows a shorter one
+CB_LENGTHS = np.array([3, 3, 1, 4])
+CB_SHAPES = {"x": (11, 4), "wq": (4, 4), "wk": (4, 4), "wv": (4, 4), "wo": (4, 4),
+             "w_ff1": (4, 5), "w_ff2": (5, 4)}
+
+
+def cb_operand(rng, name, dtype=np.float64):
+    # weights scaled like the encoder's init, so the softmax does not
+    # saturate and few relu inputs sit near the kink
+    v = rng.standard_normal(CB_SHAPES[name])
+    if name != "x":
+        v = 0.5 * v
+    return tensor(v.astype(dtype), grad=True)
+
+
+def cb_args(rng, dtype=np.float64):
+    return {k: cb_operand(rng, k, dtype) for k in CB_SHAPES}
+
+
+def cb(a, lengths=CB_LENGTHS):
+    return ad.ce_block(*(a[k] for k in CB_SHAPES), lengths)
+
+
+@pytest.mark.parametrize("wrt", list(CB_SHAPES))
+def test_fd_ce_block(wrt):
+    def make_f(rng):
+        args = cb_args(rng)
+        c = Tensor(rng.standard_normal((11, 4)))
+        return lambda x: sum_all(mul(cb(dict(args, **{wrt: x})), c))
+
+    run_trials(make_f, lambda rng: cb_operand(rng, wrt))
+
+
+def test_ce_block_matches_per_op_layer_in_any_item_order():
+    # the primitives of one encoder layer, per item: values and every
+    # gradient agree to roundoff, also when equal lengths are not adjacent
+    lengths = np.array([3, 1, 3, 4])
+    a = cb_args(np.random.default_rng(11))
+    c = Tensor(np.random.default_rng(12).standard_normal((11, 4)))
+    fused = sum_all(mul(cb(a, lengths), c))
+    rows, lo = [], 0
+    for n in lengths:
+        x = gather(a["x"], np.arange(lo, lo + n))
+        q, k, v = (matmul(x, a[w]) for w in ("wq", "wk", "wv"))
+        att = matmul(softmax(scale(matmul(q, transpose(k)), 1.0 / np.sqrt(4)), axis=-1), v)
+        x1 = add(x, matmul(att, a["wo"]))
+        rows.append(add(x1, matmul(relu(matmul(x1, a["w_ff1"])), a["w_ff2"])))
+        lo += n
+    per_op = sum_all(mul(concat(rows, axis=0), c))
+    assert fused.item() == pytest.approx(per_op.item(), rel=1e-13)
+    g_fused, g_ref = backward(fused), backward(per_op)
+    for name, t in a.items():
+        gap = np.max(np.abs(g_fused[t].data - g_ref[t].data)) / np.max(np.abs(g_ref[t].data))
+        assert gap <= 1e-13, name
+
+
+def test_ce_block_float32_outputs_and_gradients():
+    args = cb_args(np.random.default_rng(13), np.float32)
+    out = cb(args)
+    assert out.shape == (11, 4) and out.dtype == np.float32
+    grads = backward(sum_all(out))
+    assert all(grads[t].dtype == np.float32 and grads[t].shape == t.shape for t in args.values())
+
+
+def test_ce_block_rejects_mixed_dtypes_and_bad_shapes():
+    a = cb_args(np.random.default_rng(14))
+    with pytest.raises(TypeError):
+        cb(dict(a, wo=tensor(a["wo"].data.astype(np.float32))))
+    bad = [
+        (dict(a, wk=tensor(np.zeros((4, 5)))), CB_LENGTHS),
+        (dict(a, w_ff1=tensor(np.zeros((5, 5)))), CB_LENGTHS),
+        (dict(a, w_ff2=tensor(np.zeros((4, 4)))), CB_LENGTHS),     # d_ff disagrees
+        (dict(a, x=tensor(np.zeros(44))), CB_LENGTHS),
+        (a, np.array([3, 3, 1, 3])),        # 10 of 11 rows
+        (a, np.array([3, 3, 0, 5])),        # an empty item
+        (a, CB_LENGTHS[:0]),
+    ]
+    for args, lengths in bad:
+        with pytest.raises(ShapeError):
+            cb(args, lengths)
+
+
+def test_ce_block_raises_naming_its_token_length():
+    # a row of the 4-token item overflows its q.k; the shorter items are fine
+    a = cb_args(np.random.default_rng(15))
+    a["x"].data[8] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match="ce_block .* token length 4"):
+        cb(a)
+
+
+def test_ce_block_accounts_saved_arrays_and_keeps_none_under_no_grad():
+    a = cb_args(np.random.default_rng(16))
+    acct = CountingAccountant()
+    with track_activations(acct):
+        with no_grad():
+            cb(a)
+        assert acct.peak == 0
+        loss = sum_all(cb(dict(a, x=scale(a["x"], 1.0))))
+    # x, the (11, 12) q/k/v, the 3*3 + 3*3 + 1 + 4*4 probabilities, the
+    # attended values, x1 and the (11, 5) relu output
+    assert acct.current == 44 + 132 + 35 + 44 + 44 + 55
+    backward(loss)
+    assert acct.current == 0
+
+
+def test_fd_segment_mean():
+    lengths = np.array([2, 1, 3])
+
+    def make_f(rng):
+        c = Tensor(rng.standard_normal((3, 4)))
+        return lambda x: sum_all(mul(ad.segment_mean(x, lengths), c))
+
+    run_trials(make_f, lambda rng: leaf(rng, (6, 4)))
+
+
+def test_segment_mean_values_dtype_and_bad_lengths():
+    x = tensor(np.arange(12.0).reshape(6, 2).astype(np.float32), grad=True)
+    out = ad.segment_mean(x, [2, 1, 3])
+    assert out.dtype == np.float32
+    assert np.array_equal(out.data, [[1, 2], [4, 5], [8, 9]])
+    assert backward(sum_all(out))[x].dtype == np.float32
+    for lengths in ([2, 1, 2], [2, 0, 4], [], [[2, 1, 3]]):
+        with pytest.raises(ShapeError):
+            ad.segment_mean(x, lengths)
 
 
 def test_nonfinite_op_raises():

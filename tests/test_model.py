@@ -3,12 +3,14 @@
 Covers hand-checkable special cases (zeroed weights, empty histories),
 finite-difference gradient checks through both forwards, agreement of the
 lockstep batched paths with the per-user reference in ``reference_cf``,
+agreement of the fused encoder with the per-op one in ``reference_ce``,
 and checkpoint round-trips.
 """
 
 import numpy as np
 import pytest
 
+import reference_ce as RC
 import reference_cf as R
 from gram import autodiff as ad
 from gram import model as M
@@ -51,6 +53,16 @@ def swapped_forward(params, name, forward):
             set_param(params, name, old)
 
     return f
+
+
+def graph_nodes(loss):
+    seen, todo = set(), [loss]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen and not t.is_leaf():
+            seen.add(id(t))
+            todo.extend(t._parents)
+    return len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +195,80 @@ def test_ce_batched_call_saves_as_many_elements_as_per_item_calls():
         for toks in MIXED:
             M.ce_encode([toks], ce)
     assert batched.current == per_item.current > 0
+
+
+def ce_config(l_ce=2, positions=False):
+    return M.ModelConfig(d=4, d_ff=6, l_ce=l_ce, d_h=4, vocab_size=12, max_token_len=8,
+                         positional_encoding=positions)
+
+
+@pytest.mark.parametrize("l_ce", [1, 2])
+@pytest.mark.parametrize("positions", [False, True])
+def test_ce_encode_matches_per_op_reference(l_ce, positions):
+    # values and every parameter gradient, MIXED's truncation included
+    ce, _ = M.init_params(ce_config(l_ce, positions), seed=11)
+    readout = Tensor(np.random.default_rng(11).standard_normal((len(MIXED), 4)))
+    fused, ref = M.ce_encode(MIXED, ce), RC.ce_encode(MIXED, ce)
+    assert rel_gap(fused.data, ref.data) <= 1e-12
+    g_fused = backward(sum_all(mul(fused, readout)))
+    g_ref = backward(sum_all(mul(ref, readout)))
+    for name, t in ce.named().items():
+        assert rel_gap(g_fused[t].data, g_ref[t].data) <= 1e-12, name
+
+
+def test_ce_float32_outputs_and_gradients_stay_float32():
+    ad.set_default_dtype(np.float32)
+    try:
+        ce, _ = M.init_params(ce_config(positions=True), seed=12)
+        out = M.ce_encode(MIXED, ce)
+        assert out.dtype == np.float32
+        grads = backward(sum_all(out))
+        assert all(grads[t].dtype == np.float32 for t in ce.named().values())
+    finally:
+        ad.set_default_dtype(np.float64)
+
+
+def test_ce_token_id_outside_the_vocabulary_raises():
+    ce, _ = small_params()
+    for bad in (-1, SMALL.vocab_size):
+        with pytest.raises(IndexError):
+            M.ce_encode([[1, 2], [3, bad, 4]], ce)
+
+
+def test_ce_overflowing_embedding_names_the_op_and_token_length():
+    # only token 9 overflows; the one item holding it has 5 tokens
+    ce, _ = small_params(seed=13)
+    ce.token_embedding.data[9] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ad.NonFiniteError, match="ce_block .* token length 5"):
+        M.ce_encode(MIXED, ce)
+
+
+def test_ce_saved_elements_are_pinned_and_below_the_per_op_graphs():
+    # per layer ce_block keeps x, the q/k/v projection, the probabilities,
+    # the attended values, x1 and the relu output: 30 elements per token
+    # (30 tokens) plus sum(L^2) = 180; the output matmul keeps the (6, 4)
+    # pooled rows. The per-op graphs keep x three times, q, k and v again,
+    # the probabilities twice and the relu output twice.
+    from gram.instrument import ActivationAccountant
+    ce, _ = small_params(seed=10, l_ce=2)
+    fused, per_op = ActivationAccountant(), ActivationAccountant()
+    with ad.track_activations(fused):
+        M.ce_encode(MIXED, ce)
+    with ad.track_activations(per_op):
+        RC.ce_encode(MIXED, ce)
+    assert fused.peak == 2 * (30 * 30 + 180) + 24 == 2184
+    assert per_op.peak == 3384
+
+
+def test_ce_graph_size_does_not_grow_with_distinct_lengths():
+    # one length, then MIXED's three truncated lengths, then eight: a
+    # gather, two ce_blocks, segment_mean, the output matmul, and the
+    # gather back to input order whenever the sort moved a row
+    ce, _ = small_params(seed=14, l_ce=2)
+    calls = ([[1, 2, 3]] * 4, MIXED, [list(range(n)) for n in range(8, 0, -1)])
+    nodes = [graph_nodes(M.ce_encode(seqs, ce)) for seqs in calls]
+    assert nodes == [5, 6, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +528,12 @@ def test_attention_batch_logits_match_per_prefix_logits():
     assert rel_gap(logits.data[:, 0], ref) <= 1e-9
 
 
-@pytest.mark.parametrize("variant,peak", [("recurrent", 1093), ("attention", 765)])
+@pytest.mark.parametrize("variant,peak", [("recurrent", 1093), ("attention", 573)])
 def test_batch_loss_saved_activations(variant, peak):
-    # attention: prefix_attention keeps only its q/k/v operands and
-    # recomputes every prefix in backward, so no per-prefix array is
-    # counted; recurrent: gru_scan keeps five (b, d_h) arrays per update
+    # attention: the one q/k/v matmul keeps the (18, 8) x_all once (144)
+    # and the (8, 12) concatenated weights (96), and prefix_attention keeps
+    # only its (18, 12) qkv operand (216) and recomputes every prefix in
+    # backward, so no per-prefix array is counted; recurrent: gru_scan keeps five (b, d_h) arrays per update
     # (r, z, c, hg_c, h), 600 of the 1093; after backward nothing may stay
     # counted, which an op no logit reads would
     from gram.instrument import ActivationAccountant
@@ -511,16 +598,6 @@ def test_recurrent_batch_loss_raises_on_overflowing_gate_preactivations():
         M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
 
 
-def graph_nodes(loss):
-    seen, todo = set(), [loss]
-    while todo:
-        t = todo.pop()
-        if id(t) not in seen and not t.is_leaf():
-            seen.add(id(t))
-            todo.extend(t._parents)
-    return len(seen)
-
-
 def node_counts_with_a_longer_user(variant):
     """Loss-graph node counts for MIXED_USERS, then with a user three
     times as long as its longest added."""
@@ -543,11 +620,11 @@ def test_recurrent_batch_graph_keeps_h_independent_ops_out_of_the_time_loop():
 def test_attention_batch_graph_has_constant_size():
     # every prefix length runs inside one prefix_attention node, so a user
     # three times as long as MIXED_USERS' longest adds no node; an op
-    # recorded per prefix would add one per extra prefix length; the 14 are
-    # two gathers and a concat, three matmuls, prefix_attention, the
-    # candidate gather, the four ops of the row-dot and bias, a reshape and
-    # bce_loss
-    assert node_counts_with_a_longer_user("attention") == [14, 14]
+    # recorded per prefix would add one per extra prefix length; the 13 are
+    # two gathers and a concat, the concat of the q/k/v weights and one
+    # matmul, prefix_attention, the candidate gather, the four ops of the
+    # row-dot and bias, a reshape and bce_loss
+    assert node_counts_with_a_longer_user("attention") == [13, 13]
 
 
 def test_recurrent_filler_rows_get_no_gradient():
