@@ -52,7 +52,7 @@ from .instrument import (
     e2e_ce_flops_per_batch,
     gram_ce_flops_per_batch,
 )
-from .metrics import ScoredLabel, UndefinedMetricError, auc, cs_auc, group_by, mrr, ndcg_at_k
+from .metrics import UndefinedMetricError, auc, check_predictions, cs_auc, group_by, mrr, ndcg_at_k
 from .model import (
     CeParams,
     CfParams,
@@ -586,33 +586,37 @@ def eval_encodings(state: TrainerState):
 
 
 def scored_pairs(users, row_of, enc: Tensor, cf: CfParams):
-    """Model scores for every predictable position, grouped per user."""
-    pairs = []
+    """Model scores for every predictable position as four arrays:
+    float64 probabilities, labels, item ids and group ids, a prediction's
+    group id being its user's index in ``users``."""
+    # typed empty columns, so no predictions at all reach auc's UndefinedMetricError
+    columns = [(np.empty(0), np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp))]
     base = 0
     for b in batch_iter(users, EVAL_BATCH_SIZE):
         probs, labels, item_ids, user_idx = batch_scores(b.users, row_of, enc, cf)
-        pairs.extend(
-            ScoredLabel(float(s), int(y), item_id=int(i), group_id=base + int(u))
-            for s, y, i, u in zip(probs, labels, item_ids, user_idx))
+        columns.append((probs.astype(np.float64), labels, item_ids, base + user_idx))
         base += len(b.users)
-    return pairs
+    scores, labels, item_ids, group_ids = (np.concatenate(c) for c in zip(*columns))
+    check_predictions(scores, labels, group_ids)
+    return scores, labels, item_ids, group_ids
 
 
 def evaluate(state: TrainerState, users, cs_items=None) -> dict:
     """AUC (optionally cold-start AUC) plus per-user ranking metrics."""
     row_of, enc = eval_encodings(state)
-    pairs = scored_pairs(users, row_of, enc, state.cf)
-    out = {"auc": auc(pairs), "n_predictions": len(pairs)}
+    scores, labels, item_ids, group_ids = scored_pairs(users, row_of, enc, state.cf)
+    out = {"auc": auc(scores, labels), "n_predictions": len(scores)}
     if cs_items is not None:
         try:
-            out["cs_auc"] = cs_auc(pairs, cs_items)
+            out["cs_auc"] = cs_auc(scores, labels, item_ids, cs_items)
         except UndefinedMetricError:
             out["cs_auc"] = None
-    groups = [g for g in group_by(pairs) if any(p.label == 1 for p in g)]
-    if groups:
-        out["mrr"] = mrr(groups)
-        out["ndcg@5"] = ndcg_at_k(groups, 5)
-        out["ndcg@10"] = ndcg_at_k(groups, 10)
+    # AUC found a positive, so at least one group has one; rank only those
+    ranked = np.isin(group_ids, group_ids[labels == 1])
+    groups = group_by(scores[ranked], labels[ranked], group_ids[ranked])
+    out["mrr"] = mrr(groups)
+    out["ndcg@5"] = ndcg_at_k(groups, 5)
+    out["ndcg@10"] = ndcg_at_k(groups, 10)
     return out
 
 

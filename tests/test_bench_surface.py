@@ -38,3 +38,27 @@ def test_ops_the_benchmark_does_not_wrap():
     # leaves them out; adding an op to harness.OPS updates this set
     assert set(autodiff.__all__) - NOT_OPS - set(harness.OPS) == {
         "gru_scan", "prefix_attention", "ce_block", "segment_mean"}
+
+
+def test_traced_evaluation_records_every_metric_span():
+    # the traced metrics.auc.s and metrics.ranking.s sum these spans, so an
+    # evaluate that stopped calling one would read 0 there without failing
+    from gram import training
+    from gram.dataset import GenConfig, generate_synthetic
+    from gram.model import ModelConfig
+    gen = GenConfig(n_users=24, n_items=10, n_topics=3, vocab_size=60,
+                    seq_len_range=(4, 10), token_len_range=(3, 8))
+    ds, _ = generate_synthetic(gen, seed=5)
+    cfg = training.TrainConfig(model=ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=60))
+    state = training.init_trainer(ds, "gram", cfg)
+    cs_items = {ds.users[0].interactions[1][0]}
+    tracer = Tracer()
+    try:
+        harness.install_tracer(tracer)
+        training.evaluate(state, ds.users, cs_items)
+    finally:
+        tracer.restore()
+    spans = tracer.aggregate()
+    for name in ("training.evaluate", "model.batch_scores", "metrics.auc", "metrics.cs_auc",
+                 "metrics.group_by", "metrics.mrr", "metrics.ndcg_at_k"):
+        assert spans.get(name, (0,))[0] >= 1, name

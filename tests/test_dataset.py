@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gram import dataset as D
-from gram.metrics import ScoredLabel, auc
+from gram.metrics import auc
 
 
 def u(uid, pairs):
@@ -74,9 +74,10 @@ def test_epoch_ratio_equals_whole_dataset_batch_ratio():
 
 
 def oracle_auc(d, latents):
-    pairs = [ScoredLabel(latents.response_prob(user.user_id, item), r, item, user.user_id)
-             for user in d.users for item, r in user.interactions]
-    return auc(pairs)
+    scores = [latents.response_prob(user.user_id, item)
+              for user in d.users for item, _ in user.interactions]
+    labels = [r for user in d.users for _, r in user.interactions]
+    return auc(np.array(scores, dtype=np.float64), np.array(labels))
 
 
 def test_generator_is_deterministic(tmp_path):

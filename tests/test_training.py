@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_metrics as RM
 from gram import autodiff as ad
 from gram.autodiff import Tensor
 from gram.dataset import Batch, Dataset, GenConfig, Item, UserSequence, batch_iter, generate_synthetic
@@ -19,6 +20,7 @@ from gram.training import (
     accumulation_latency,
     clip_by_global_norm,
     e2e_gradients,
+    evaluate,
     gram_gradients,
     init_trainer,
     max_rel_err,
@@ -520,6 +522,48 @@ def test_verifier_requires_f64():
     ds = tiny_dataset()
     with pytest.raises(ConfigError):
         verify_equivalence(ds, small_config(precision="f32"), n_trials=1)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_evaluate_equals_the_per_prediction_oracle(variant):
+    ds = tiny_dataset(n_users=80)
+    cfg = small_config(model=replace(SMALL_MODEL, cf_variant=variant), max_epochs=1, n_cs_items=2)
+    _, state = train(ds, "gram", cfg)
+    plan = plan_run(ds, cfg)
+    # every third user answers every item wrong, so its group has no positive;
+    # 80 users make two scoring batches
+    some_without = [UserSequence(u.user_id, tuple((i, 0) for i, _ in u.interactions))
+                    if k % 3 == 0 else u for k, u in enumerate(ds.users)]
+    for users, cs_items in ((plan.test_users, plan.cs_items), (plan.test_users, None),
+                            (some_without, plan.cs_items)):
+        got = evaluate(state, users, cs_items)
+        assert got == RM.evaluate(state, users, cs_items)
+        assert ("cs_auc" in got) == (cs_items is not None)
+
+
+def test_evaluate_names_the_first_non_finite_prediction(monkeypatch):
+    from gram import training
+    ds = tiny_dataset(n_users=80)
+    state = init_trainer(ds, "gram", small_config())
+    real, seen = training.batch_scores, []
+
+    def poisoned(*args):
+        out = real(*args)
+        seen.append(out)
+        if len(seen) == 2:
+            out[0][3] = np.nan
+        return out
+
+    monkeypatch.setattr(training, "batch_scores", poisoned)
+    with pytest.raises(ValueError) as err:
+        evaluate(state, ds.users)
+    index, group = len(seen[0][0]) + 3, training.EVAL_BATCH_SIZE + seen[1][3][3]
+    assert str(err.value) == f"prediction {index} (group {group}): score nan is not finite"
 
 
 # ---------------------------------------------------------------------------
