@@ -26,9 +26,10 @@ Subcommands
 Run configuration files are JSON with top-level keys ``seed``,
 ``out_dir``, ``precision``, ``gen``, ``model`` and ``train``; every
 field has a default (the dataclass defaults of GenConfig / ModelConfig /
-TrainConfig / OptimizerConfig) and unknown keys are rejected. Flags
-override file values; the ``GRAM_OUT_DIR`` environment variable
-overrides the configured output directory.
+TrainConfig / OptimizerConfig), and unknown keys and values of another
+type than the field's are rejected. Flags override file values; the
+``GRAM_OUT_DIR`` environment variable overrides the configured output
+directory.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
 failure, 3 numerical abort.
@@ -40,11 +41,12 @@ import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import replace
 
 from .dataset import (
     GenConfig,
-    batch_iter,
     compute_stats,
     generate_synthetic,
     load_dataset,
@@ -58,10 +60,11 @@ from .training import (
     MODES,
     ConfigError,
     NumericalAbort,
-    OptimizerConfig,
+    VERIFY_CE_BATCH_SIZE,
+    VERIFY_LATENCY,
     TrainConfig,
+    epoch_batches,
     plan_run,
-    seed_streams,
     train,
     verify_equivalence,
 )
@@ -80,16 +83,45 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 
 
-def _build(cls, data: dict, where: str, coerce=()):
-    """Construct a config dataclass from a dict, rejecting unknown keys."""
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - fields)
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a config field's annotated type. A bool is
+    no number, an int is a float, and a tuple's items are checked."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_type(value, hint, where: str) -> None:
+    if not _fits(value, hint):
+        shown = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ConfigError(f"{where}: expected {shown}, got {value!r}")
+
+
+def _build(cls, data, where: str):
+    """Construct a config dataclass from a JSON object, rejecting unknown
+    keys and values of the wrong type. An object builds the config class
+    its field holds, and a list becomes a tuple field's tuple."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
-    kwargs = dict(data)
-    for key in coerce:
-        if key in kwargs and isinstance(kwargs[key], list):
-            kwargs[key] = tuple(kwargs[key])
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _build(hint, value, f"{where}.{key}")
+        elif typing.get_origin(hint) is tuple and isinstance(value, list):
+            value = tuple(value)
+        _check_type(value, hint, f"{where}.{key}")
+        kwargs[key] = value
     return cls(**kwargs)
 
 
@@ -104,26 +136,23 @@ def parse_run_config(data: dict, where: str = "config"):
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown top-level keys {unknown}")
-    gen = _build(GenConfig, data.get("gen", {}), f"{where}.gen",
-                 coerce=("seq_len_range", "token_len_range"))
+    gen = _build(GenConfig, data.get("gen", {}), f"{where}.gen")
     model = _build(ModelConfig, data.get("model", {}), f"{where}.model")
-    tdata = dict(data.get("train", {}))
-    if "model" in tdata:
+    tdata = data.get("train", {})
+    if isinstance(tdata, dict) and "model" in tdata:
         raise ConfigError(f"{where}.train: put model settings in the "
                           "top-level 'model' section")
-    for opt_key in ("opt_ce", "opt_cf"):
-        if opt_key in tdata:
-            tdata[opt_key] = _build(OptimizerConfig, tdata[opt_key],
-                                    f"{where}.train.{opt_key}")
-    tcfg = _build(TrainConfig, tdata, f"{where}.train")
-    tcfg = replace(tcfg, model=model)
-    if "seed" in data:
-        tcfg = replace(tcfg, seed=int(data["seed"]))
-    if "precision" in data:
-        tcfg = replace(tcfg, precision=data["precision"])
+    tcfg = replace(_build(TrainConfig, tdata, f"{where}.train"), model=model)
+    hints = typing.get_type_hints(TrainConfig)
+    for key in ("seed", "precision"):
+        if key in data:
+            _check_type(data[key], hints[key], f"{where}.{key}")
+            tcfg = replace(tcfg, **{key: data[key]})
+    out_dir = data.get("out_dir")
+    _check_type(out_dir, str | None, f"{where}.out_dir")
     gen.validate()
     tcfg.validate()
-    return int(data.get("seed", tcfg.seed)), data.get("out_dir"), gen, tcfg
+    return tcfg.seed, out_dir, gen, tcfg
 
 
 def load_run_config(path):
@@ -264,8 +293,10 @@ def cmd_verify(args) -> int:
         dataset, _ = generate_synthetic(gen, seed=tcfg.seed)
     rep = verify_equivalence(dataset, tcfg, n_trials=args.trials,
                              k_steps=args.steps)
+    rep.update(trajectory_latency=VERIFY_LATENCY, trajectory_ce_batch_size=VERIFY_CE_BATCH_SIZE)
     lines = [
-        f"equivalence over {rep['n_trials']} trials, {rep['k_steps']} steps",
+        f"equivalence over {rep['n_trials']} trials, {rep['k_steps']} steps "
+        f"at latency {VERIFY_LATENCY}, ce_batch_size {VERIFY_CE_BATCH_SIZE}",
         f"max encoder-gradient rel err   {rep['max_ce_grad_rel_err']:.3e}",
         f"max predictor-gradient rel err {rep['max_cf_grad_rel_err']:.3e}",
         f"max trajectory rel err (sgd)   {rep['max_trajectory_rel_err_sgd']:.3e}",
@@ -275,6 +306,9 @@ def cmd_verify(args) -> int:
           and rep["max_trajectory_rel_err"] <= TRAJ_TOL)
     lines.append("PASS" if ok else
                  f"FAIL (tolerances: grad {GRAD_TOL:g}, trajectory {TRAJ_TOL:g})")
+    if (tcfg.latency, tcfg.ce_batch_size) != (VERIFY_LATENCY, VERIFY_CE_BATCH_SIZE):
+        lines.append(f"this config (latency {tcfg.latency}, ce_batch_size {tcfg.ce_batch_size}) "
+                     "makes no exactness claim; only the setting above was verified")
     table = "\n".join(lines)
     print(table)
     if args.out is not None:
@@ -295,14 +329,12 @@ def expected_forward_counts(dataset, cfg: TrainConfig, epochs: int):
     (cached forwards, one per item at its first touch in each window).
     ``plan_run`` rejects a bad config, as it does for ``train``."""
     plan = plan_run(dataset, cfg)
-    shuffle = seed_streams(cfg.seed)["shuffle"]
     occurrences = 0
     window_misses = 0
     cached: set = set()
     t = 0
     for epoch in range(epochs):
-        for b in batch_iter(plan.train_users, cfg.cf_batch_size,
-                            shuffle_seed=[shuffle, epoch]):
+        for b in epoch_batches(plan.train_users, cfg, epoch):
             occurrences += b.n_interactions()
             window_misses += sum(1 for i in b.unique_items if i not in cached)
             cached.update(b.unique_items)

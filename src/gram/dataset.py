@@ -154,11 +154,6 @@ def boost_ratio(b: Batch) -> Fraction:
     return Fraction(b.n_interactions(), len(b.unique_items))
 
 
-def epoch_boost_ratio(stats: DatasetStats) -> float:
-    """Dataset-wide interactions-per-item ratio."""
-    return stats.n_interactions / stats.n_items
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generation
 # ---------------------------------------------------------------------------

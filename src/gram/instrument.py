@@ -71,9 +71,6 @@ class PhaseTimer:
         finally:
             self.totals_ns[phase] = self.totals_ns.get(phase, 0) + (time.perf_counter_ns() - t0)
 
-    def total(self) -> int:
-        return sum(self.totals_ns.values())
-
 
 # ---------------------------------------------------------------------------
 # FLOP estimates (closed forms, constant 2 per multiply-add)

@@ -56,7 +56,7 @@ fan_out)); bias vectors start at zero.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -104,8 +104,28 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=ad.default_dtype()), grad_enabled=True)
 
 
+class _Params:
+    """A module's parameters. ``named()`` lists its tensors in field order,
+    the key order of checkpoints, Adam state and the clip-norm sum; a list
+    of layers gives each layer's tensors as ``layer<i>.<name>``."""
+
+    def named(self) -> dict[str, Tensor]:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out[f.name] = value
+            elif isinstance(value, list):
+                for i, layer in enumerate(value):
+                    out.update({f"layer{i}.{k}": t for k, t in layer.named().items()})
+        return out
+
+    def param_count(self) -> int:
+        return sum(t.size for t in self.named().values())
+
+
 @dataclass
-class CeLayer:
+class CeLayer(_Params):
     wq: Tensor
     wk: Tensor
     wv: Tensor
@@ -115,26 +135,15 @@ class CeLayer:
 
 
 @dataclass
-class CeParams:
+class CeParams(_Params):
     cfg: ModelConfig
     token_embedding: Tensor
     layers: list[CeLayer]
     w_out: Tensor
 
-    def named(self) -> dict[str, Tensor]:
-        out = {"token_embedding": self.token_embedding}
-        for i, lay in enumerate(self.layers):
-            for nm in ("wq", "wk", "wv", "wo", "w_ff1", "w_ff2"):
-                out[f"layer{i}.{nm}"] = getattr(lay, nm)
-        out["w_out"] = self.w_out
-        return out
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.named().values())
-
 
 @dataclass
-class RecurrentCfParams:
+class RecurrentCfParams(_Params):
     """Gated recurrent cell over inputs of width 2d, hidden width d_h.
 
     ``w_ih``/``w_hh`` hold the three gates side by side in the fixed column
@@ -151,22 +160,9 @@ class RecurrentCfParams:
     w_readout: Tensor           # (d, d_h)
     variant: str = field(default="recurrent", init=False)
 
-    def named(self) -> dict[str, Tensor]:
-        return {
-            "resp_embedding": self.resp_embedding,
-            "w_ih": self.w_ih,
-            "w_hh": self.w_hh,
-            "b_ih": self.b_ih,
-            "b_hh": self.b_hh,
-            "w_readout": self.w_readout,
-        }
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.named().values())
-
 
 @dataclass
-class AttentionCfParams:
+class AttentionCfParams(_Params):
     """Self-attention over history interaction vectors plus additive
     pooling; the pooled user vector scores candidates by dot product."""
 
@@ -180,22 +176,16 @@ class AttentionCfParams:
     bias: Tensor                # scalar
     variant: str = field(default="attention", init=False)
 
-    def named(self) -> dict[str, Tensor]:
-        return {
-            "resp_embedding": self.resp_embedding,
-            "wq": self.wq,
-            "wk": self.wk,
-            "wv": self.wv,
-            "w_pool": self.w_pool,
-            "v_pool": self.v_pool,
-            "bias": self.bias,
-        }
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.named().values())
-
 
 CfParams = RecurrentCfParams | AttentionCfParams
+
+
+def named_params(ce: CeParams | None, cf: CfParams) -> dict[str, Tensor]:
+    """Both modules' parameters under their checkpoint names, ``ce.<name>``
+    then ``cf.<name>``; a run without an encoder passes ``ce`` None."""
+    out = {} if ce is None else {f"ce.{k}": t for k, t in ce.named().items()}
+    out.update({f"cf.{k}": t for k, t in cf.named().items()})
+    return out
 
 
 def ce_param_count(cfg: ModelConfig) -> int:
@@ -354,7 +344,8 @@ def _batch_layout(users, row_of):
         raise ValueError("batch requires at least one user with >= 2 interactions")
     t_max = int(lengths.max())
     items = np.array([item for it in inters for item, _ in it])
-    rows = np.array([row_of[item] for it in inters for item, _ in it], dtype=np.intp)
+    rows = (np.arange(items.size, dtype=np.intp) if row_of is None
+            else np.array([row_of[item] for item in items.tolist()], dtype=np.intp))
     resps = np.array([resp for it in inters for _, resp in it], dtype=np.intp)
     first = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     step, user_idx = np.nonzero(np.arange(1, t_max)[:, None] < lengths)   # slot (step+1, u)
@@ -420,8 +411,10 @@ def batch_logits(users, row_of, enc: Tensor, p: CfParams):
     """Forward over a batch.
 
     ``row_of`` maps item_id -> row of ``enc`` (the (n_unique, d) stack of
-    item encodings). Returns (valid logits as an (n, 1) tensor, labels,
-    item_ids, user index arrays), one entry per predicted position, in
+    item encodings); None means row k of ``enc`` encodes the batch's
+    interaction k, numbered user by user. Returns (valid logits as an
+    (n, 1) tensor, labels, item_ids, user index arrays), one entry per
+    predicted position, in
     ``_batch_layout``'s step-major order. The recurrent CF scores every
     (step, user) slot and gathers the valid ones; the attention CF builds
     the valid slots only, already in that order.
@@ -466,8 +459,7 @@ def batch_scores(users, row_of, enc: Tensor, p: CfParams):
 def save_checkpoint(path, ce: CeParams, cf: CfParams) -> None:
     """Write both modules' parameters, the format tag and the model config
     as a ``.npz`` archive at exactly ``path`` (no suffix is added)."""
-    arrays = {f"ce.{k}": v.data for k, v in ce.named().items()}
-    arrays.update({f"cf.{k}": v.data for k, v in cf.named().items()})
+    arrays = {k: v.data for k, v in named_params(ce, cf).items()}
     with open(path, "wb") as f:
         np.savez(f, format=np.array(CHECKPOINT_FORMAT),
                  config=np.array(json.dumps(asdict(ce.cfg))), **arrays)
@@ -484,13 +476,12 @@ def load_checkpoint(path) -> tuple[CeParams, CfParams]:
             raise ValueError(f"unrecognized checkpoint format {fmt!r}")
         cfg = ModelConfig(**json.loads(str(blob["config"]))).validate()
         ce, cf = init_params(cfg, seed=0)
-        for prefix, params in (("ce.", ce), ("cf.", cf)):
-            named = params.named()
-            if {prefix + k for k in named} != {k for k in blob.files if k.startswith(prefix)}:
-                raise ValueError("checkpoint parameter names do not match config")
-            for name, t in named.items():
-                arr = blob[prefix + name].astype(ad.default_dtype())
-                if arr.shape != t.data.shape:
-                    raise ValueError(f"checkpoint shape mismatch for {name}")
-                t.data[...] = arr
+        named = named_params(ce, cf)
+        if set(named) != set(blob.files) - {"format", "config"}:
+            raise ValueError("checkpoint parameter names do not match config")
+        for name, t in named.items():
+            arr = blob[name].astype(ad.default_dtype())
+            if arr.shape != t.data.shape:
+                raise ValueError(f"checkpoint shape mismatch for {name}")
+            t.data[...] = arr
     return ce, cf

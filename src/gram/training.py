@@ -34,6 +34,7 @@ staleness for fewer encoder calls and make no equivalence claim.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import asdict, dataclass, field, replace
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
-from .dataset import Batch, Dataset, UserSequence, batch_iter, cold_start_split, split_users
+from .dataset import Batch, Dataset, batch_iter, cold_start_split, split_users
 from .instrument import (
     ActivationAccountant,
     CostCounters,
@@ -61,6 +62,7 @@ from .model import (
     batch_sequence_loss,
     ce_encode,
     init_params,
+    named_params,
 )
 from .report import RunReport
 
@@ -73,6 +75,11 @@ _TRAIN_PHASES = ("e2e", "cf", "ce")
 EVAL_BATCH_SIZE = 64       # users per no-grad scoring batch
 VERIFY_SGD_LR = 1e-2       # verify_equivalence's trajectory learning rates
 VERIFY_ADAM_LR = 1e-3
+# the setting verify_equivalence's trajectories run at, whatever the config
+# says: single-step windows, whole cache in one regression step, so each
+# trainer applies exactly one optimizer step per module per batch
+VERIFY_LATENCY = "1S"
+VERIFY_CE_BATCH_SIZE = 0
 
 
 class ConfigError(ValueError):
@@ -217,7 +224,10 @@ class TrainConfig:
     and initial parameters. ``latency`` is the gradient-update latency of
     ``gram``, the window between encoder updates (see
     ``accumulation_latency``). ``ce_batch_size`` 0 means the whole cache is
-    regressed in a single optimizer step.
+    regressed in a single optimizer step; that is the setting at which
+    ``latency`` 1S follows joint backprop exactly, and the one
+    ``verify_equivalence`` runs at. The default of 8 steps the encoder
+    once per chunk of 8 cached items, so a default 1S run is not exact.
     """
 
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -321,6 +331,13 @@ def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
     return RunPlan(train_users, val_users, test_ds.users, cs_items, steps, window)
 
 
+def epoch_batches(users, cfg: TrainConfig, epoch: int):
+    """The training batches of epoch ``epoch`` of a run of ``cfg``: ``users``
+    in an order drawn from the ``shuffle`` seed stream and the epoch."""
+    return batch_iter(users, cfg.cf_batch_size,
+                      shuffle_seed=[seed_streams(cfg.seed)["shuffle"], epoch])
+
+
 # ---------------------------------------------------------------------------
 # Trainer state
 # ---------------------------------------------------------------------------
@@ -402,19 +419,14 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
 def _encode_occurrences(users, item_tokens: dict, ce: CeParams):
     """One grad-tracked encoder row per interaction *occurrence*, so
     gradients flow into the encoder once per occurrence; all rows come
-    from one batched encoder call.
+    from one batched encoder call, and row k encodes the batch's
+    interaction k (the CF reads it with ``row_of`` None).
 
-    Returns (users renumbered to their rows, row_of, enc, token lengths).
+    Returns (enc, token lengths).
     """
-    seqs, rewritten = [], []
-    for u in users:
-        renumbered = []
-        for item_id, resp in u.interactions:
-            renumbered.append((len(seqs), resp))
-            seqs.append(item_tokens[item_id])
-        rewritten.append(UserSequence(u.user_id, tuple(renumbered)))
+    seqs = [item_tokens[item_id] for u in users for item_id, _ in u.interactions]
     lens = [min(len(toks), ce.cfg.max_token_len) for toks in seqs]
-    return rewritten, {k: k for k in range(len(seqs))}, ce_encode(seqs, ce), lens
+    return ce_encode(seqs, ce), lens
 
 
 def _cache_leaves(items, encodings: dict, cache: dict, ce: CeParams, item_tokens: dict):
@@ -468,33 +480,34 @@ def _apply_updates(groups, gmap: dict, clip_norm: float | None) -> None:
 
 
 def _step_inputs(batch: Batch, state: TrainerState):
-    """(users, row_of, enc, trained groups) for one step.
+    """(row_of, enc, trained groups) for one step.
 
     ``enc`` holds the representations the CF reads; in ``gram`` it is the
-    leaf whose gradient goes into the pseudo-targets. Each trained group
-    is an (optimizer, named parameters) pair.
+    leaf whose gradient goes into the pseudo-targets, and in ``e2e``, where
+    ``row_of`` is None, its row k encodes the batch's interaction k. Each
+    trained group is an (optimizer, named parameters) pair.
     """
     c = state.counters
     cf_group = (state.opt_cf, state.cf.named())
     if state.mode == "e2e":
-        users, row_of, enc, lens = _encode_occurrences(batch.users, state.item_tokens, state.ce)
+        enc, lens = _encode_occurrences(batch.users, state.item_tokens, state.ce)
         c.ce_forward_calls += len(lens)
         c.ce_backward_calls += len(lens)
         c.flop_estimate += e2e_ce_flops_per_batch(
-            len(users), len(lens) / len(users), float(np.mean(lens)), state.ce.cfg.d)
-        return users, row_of, enc, [(state.opt_ce, state.ce.named()), cf_group]
+            len(batch.users), len(lens) / len(batch.users), float(np.mean(lens)), state.ce.cfg.d)
+        return None, enc, [(state.opt_ce, state.ce.named()), cf_group]
     if state.mode == "gram":
         leaf, row_of, n_encoded = _cache_leaves(
             batch.unique_items, state.encodings, state.cache, state.ce, state.item_tokens)
         c.ce_forward_calls += n_encoded
-        return batch.users, row_of, leaf, [cf_group]
+        return row_of, leaf, [cf_group]
     order = batch.unique_items
     row_of = {item_id: k for k, item_id in enumerate(order)}
     rows = np.array([state.table_row[i] for i in order])
     groups = [cf_group]
     if state.table.grad_enabled:
         groups.append((state.opt_ce, {"table": state.table}))
-    return batch.users, row_of, ad.gather(state.table, rows), groups
+    return row_of, ad.gather(state.table, rows), groups
 
 
 def train_step(batch: Batch, state: TrainerState) -> dict:
@@ -510,8 +523,8 @@ def train_step(batch: Batch, state: TrainerState) -> dict:
     with state.timer.measure("e2e" if state.mode == "e2e" else "cf"), \
             ad.track_activations(state.accountant):
         try:
-            users, row_of, enc, groups = _step_inputs(batch, state)
-            loss, n_preds = batch_sequence_loss(users, row_of, enc, state.cf)
+            row_of, enc, groups = _step_inputs(batch, state)
+            loss, n_preds = batch_sequence_loss(batch.users, row_of, enc, state.cf)
             gmap = ad.backward(loss)
             if state.mode == "gram":
                 _write_back(state.cache, row_of, enc, gmap)
@@ -626,21 +639,15 @@ def evaluate(state: TrainerState, users, cs_items=None) -> dict:
 
 
 def _snapshot(state: TrainerState) -> dict:
-    params = {}
-    if state.ce is not None:
-        params.update({f"ce.{k}": v.data.copy() for k, v in state.ce.named().items()})
-    params.update({f"cf.{k}": v.data.copy() for k, v in state.cf.named().items()})
+    params = {k: v.data.copy() for k, v in named_params(state.ce, state.cf).items()}
     if state.table is not None:
         params["table"] = state.table.data.copy()
     return params
 
 
 def _restore(state: TrainerState, snap: dict) -> None:
-    if state.ce is not None:
-        for k, v in state.ce.named().items():
-            v.data = snap[f"ce.{k}"].copy()
-    for k, v in state.cf.named().items():
-        v.data = snap[f"cf.{k}"].copy()
+    for k, v in named_params(state.ce, state.cf).items():
+        v.data = snap[k].copy()
     if state.table is not None:
         state.table.data = snap["table"].copy()
 
@@ -655,7 +662,6 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
     cfg.validate()
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    seeds = seed_streams(cfg.seed)
     prev_dtype = ad.default_dtype()
     ad.set_default_dtype(np.float64 if cfg.precision == "f64" else np.float32)
     try:
@@ -666,8 +672,7 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
         best_params = _snapshot(state)
         for epoch in range(cfg.max_epochs):
             loss_sum, pred_sum = 0.0, 0
-            for batch in batch_iter(plan.train_users, cfg.cf_batch_size,
-                                    shuffle_seed=[seeds["shuffle"], epoch]):
+            for batch in epoch_batches(plan.train_users, cfg, epoch):
                 rep = train_step(batch, state)
                 loss_sum += rep["loss"]
                 pred_sum += rep["n_predictions"]
@@ -729,17 +734,13 @@ def max_rel_err(a: dict, b: dict) -> float:
     return worst
 
 
-def _prefixed(prefix: str, params, gmap: dict) -> dict:
-    return {prefix + k: v for k, v in _named_grads(params.named(), gmap).items()}
-
-
 def e2e_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
     """Loss and named parameter gradients of one joint-backprop batch,
     without applying any update."""
-    users, row_of, enc, _ = _encode_occurrences(batch.users, item_tokens, ce)
-    loss, _ = batch_sequence_loss(users, row_of, enc, cf)
+    enc, _ = _encode_occurrences(batch.users, item_tokens, ce)
+    loss, _ = batch_sequence_loss(batch.users, None, enc, cf)
     gmap = ad.backward(loss)
-    return loss.item(), {**_prefixed("ce.", ce, gmap), **_prefixed("cf.", cf, gmap)}
+    return loss.item(), _named_grads(named_params(ce, cf), gmap)
 
 
 def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
@@ -755,23 +756,16 @@ def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
     gmap = ad.backward(loss)
     _write_back(cache, row_of, leaf, gmap)
     _, pmap = _regress(ce, item_tokens, batch.unique_items, cache)
-    return loss.item(), {**_prefixed("cf.", cf, gmap), **_prefixed("ce.", ce, pmap)}
+    return loss.item(), _named_grads(named_params(ce, cf), {**gmap, **pmap})
 
 
 def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int) -> dict:
     """k training steps over cycling epochs; returns the parameter snapshot."""
     state = init_trainer(dataset, mode, cfg)
-    done = 0
-    epoch = 0
-    seeds = seed_streams(cfg.seed)
-    while done < k_steps:
-        for batch in batch_iter(dataset.users, cfg.cf_batch_size,
-                                shuffle_seed=[seeds["shuffle"], epoch]):
-            train_step(batch, state)
-            done += 1
-            if done == k_steps:
-                break
-        epoch += 1
+    batches = itertools.chain.from_iterable(
+        epoch_batches(dataset.users, cfg, epoch) for epoch in itertools.count())
+    for batch in itertools.islice(batches, k_steps):
+        train_step(batch, state)
     return _snapshot(state)
 
 
@@ -791,9 +785,10 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     if n_trials < 1 or k_steps < 1:
         raise ConfigError(f"equivalence verification needs >= 1 trial and >= 1 trajectory step, "
                           f"got {n_trials} trials and {k_steps} steps")
+    if not dataset.users:
+        raise ConfigError("equivalence verification needs users to batch; the dataset has none")
     item_tokens = {it.item_id: it.tokens for it in dataset.items}
-    max_ce = 0.0
-    max_cf = 0.0
+    worst = {"ce.": 0.0, "cf.": 0.0}    # per module, by parameter-name prefix
     for trial in range(n_trials):
         init_seed = int(np.random.SeedSequence([cfg.seed, trial]).generate_state(1)[0])
         ce, cf = init_params(cfg.model, init_seed)
@@ -801,23 +796,20 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
                                 shuffle_seed=[init_seed, 1]))
         _, ref = e2e_gradients(batch, ce, cf, item_tokens)
         _, alt = gram_gradients(batch, ce, cf, item_tokens)
-        ce_names = [k for k in ref if k.startswith("ce.")]
-        cf_names = [k for k in ref if k.startswith("cf.")]
-        max_ce = max(max_ce, max_rel_err({k: ref[k] for k in ce_names},
-                                         {k: alt[k] for k in ce_names}))
-        max_cf = max(max_cf, max_rel_err({k: ref[k] for k in cf_names},
-                                         {k: alt[k] for k in cf_names}))
+        for prefix in worst:
+            names = [k for k in ref if k.startswith(prefix)]
+            err = max_rel_err({k: ref[k] for k in names}, {k: alt[k] for k in names})
+            worst[prefix] = max(worst[prefix], err)
     out = {
         "n_trials": n_trials,
-        "max_ce_grad_rel_err": max_ce,
-        "max_cf_grad_rel_err": max_cf,
-        "max_param_grad_rel_err": max(max_ce, max_cf),
+        "max_ce_grad_rel_err": worst["ce."],
+        "max_cf_grad_rel_err": worst["cf."],
+        "max_param_grad_rel_err": max(worst.values()),
     }
-    # single-step windows, whole cache in one regression step, so each
-    # trainer applies exactly one optimizer step per module per batch
     for kind, lr in (("sgd", VERIFY_SGD_LR), ("adam", VERIFY_ADAM_LR)):
         opt = OptimizerConfig(kind=kind, lr=lr, schedule="constant")
-        tcfg = replace(cfg, latency="1S", ce_batch_size=0, opt_ce=opt, opt_cf=opt)
+        tcfg = replace(cfg, latency=VERIFY_LATENCY, ce_batch_size=VERIFY_CE_BATCH_SIZE,
+                       opt_ce=opt, opt_cf=opt)
         ref = _run_steps(dataset, "e2e", tcfg, k_steps)
         alt = _run_steps(dataset, "gram", tcfg, k_steps)
         out[f"max_trajectory_rel_err_{kind}"] = max_rel_err(ref, alt)

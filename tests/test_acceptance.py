@@ -26,7 +26,7 @@ from gram.dataset import (
     stats_from_metadata,
 )
 from gram.instrument import speed_report
-from gram.model import ModelConfig, ce_encode, init_params
+from gram.model import ModelConfig, ce_encode, init_params, named_params
 from gram.training import (
     OptimizerConfig,
     TrainConfig,
@@ -222,10 +222,8 @@ def _model_fd_check(variant: str, rng, n_coords=3):
     batch = Batch(users=users)
     ce, cf = init_params(cfg, int(rng.integers(0, 2 ** 31)))
     _, grads = e2e_gradients(batch, ce, cf, tokens)
-    named = {f"ce.{k}": v for k, v in ce.named().items()}
-    named.update({f"cf.{k}": v for k, v in cf.named().items()})
     worst = 0.0
-    for key, param in named.items():
+    for key, param in named_params(ce, cf).items():
         g = np.asarray(grads[key]).ravel()
         flat = param.data.ravel()
         for i in np.argsort(-np.abs(g))[:n_coords]:

@@ -62,3 +62,25 @@ def test_traced_evaluation_records_every_metric_span():
     for name in ("training.evaluate", "model.batch_scores", "metrics.auc", "metrics.cs_auc",
                  "metrics.group_by", "metrics.mrr", "metrics.ndcg_at_k"):
         assert spans.get(name, (0,))[0] >= 1, name
+
+
+def test_prepare_and_equivalence_gates_run_on_a_tiny_single_step_workload():
+    # the benchmark reads cli.expected_forward_counts, training.seed_streams,
+    # cli.GRAD_TOL/TRAJ_TOL and verify_equivalence's keys; a rename of any
+    # of them fails here
+    from gram import training
+    from gram.dataset import GenConfig
+    from gram.model import ModelConfig
+    gen = GenConfig(n_users=40, n_items=12, n_topics=3, vocab_size=70,
+                    seq_len_range=(5, 12), token_len_range=(3, 7))
+    cfg = training.TrainConfig(model=ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=70),
+                               latency="1S", ce_batch_size=0, cf_batch_size=8,
+                               n_cs_items=2, max_epochs=1, patience=0)
+    w = harness.Workload("tiny-1S", "gram", gen, cfg, datasets=1)
+    (p,) = harness.prepare(w, seed=1)
+    assert p.cfg.seed == 1 and 0 < p.expected_ce_forwards < p.occurrences
+    gates = harness.Gates()
+    report, _ = training.train(p.data, w.mode, p.cfg)
+    harness.check_report(gates, w, p, report, {})
+    harness.check_equivalence(gates, w, [p])
+    assert gates.attempted == 4 and gates.failures == []

@@ -208,6 +208,34 @@ def test_verify_passes_on_tiny_config(workdir, capsys):
     assert rep["max_param_grad_rel_err"] <= 1e-8
 
 
+@pytest.mark.parametrize("train,claims", [({}, False), ({"ce_batch_size": 0}, True),
+                                          ({"ce_batch_size": 0, "latency": "2S"}, False)])
+def test_verify_names_the_setting_it_verified(workdir, capsys, train, claims):
+    # the trajectories always run at 1S with the whole cache in one
+    # regression step; a config elsewhere is told it makes no claim
+    cfg = dict(TINY_CFG, train={**TINY_CFG["train"], **train})
+    (workdir / "cfg2.json").write_text(json.dumps(cfg))
+    rc = cli.main(["verify", "--config", str(workdir / "cfg2.json"),
+                   "--data", str(workdir / "data"), "--trials", "1", "--steps", "2",
+                   "--out", str(workdir / "v")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "at latency 1S, ce_batch_size 0" in out.splitlines()[0]
+    assert ("makes no exactness claim" in out) is not claims
+    rep = json.loads((workdir / "v" / "verify.json").read_text())
+    assert rep["trajectory_latency"] == "1S" and rep["trajectory_ce_batch_size"] == 0
+    assert (workdir / "v" / "verify.txt").read_text() == out
+
+
+def test_verify_on_a_dataset_without_users_is_a_config_error(workdir, capsys):
+    (workdir / "data" / "interactions.tsv").write_text("")
+    rc = cli.main(["verify", "--config", str(workdir / "cfg.json"),
+                   "--data", str(workdir / "data"), "--trials", "1", "--steps", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gram: config error:") and "has none" in err
+
+
 def test_verify_failure_exits_2(workdir, monkeypatch, capsys):
     fake = {"n_trials": 1, "k_steps": 1,
             "max_ce_grad_rel_err": 0.5, "max_cf_grad_rel_err": 0.5,
@@ -296,6 +324,43 @@ def test_config_rejects_run_state_and_removed_settings(section, key):
     train = {key: 1} if section is None else {section: {key: 1}}
     with pytest.raises(cli.ConfigError, match="unknown keys"):
         cli.parse_run_config({"train": train})
+
+
+@pytest.mark.parametrize("data,where", [
+    ({"train": {"cf_batch_size": 16.5}}, "train.cf_batch_size"),
+    ({"train": {"max_epochs": "2"}}, "train.max_epochs"),
+    ({"train": {"patience": True}}, "train.patience"),
+    ({"train": {"val_frac": False}}, "train.val_frac"),
+    ({"train": {"clip_norm": "1.0"}}, "train.clip_norm"),
+    ({"train": {"opt_ce": {"lr": "0.1"}}}, "train.opt_ce.lr"),
+    ({"train": {"opt_cf": 3}}, "train.opt_cf"),
+    ({"train": [1]}, "train"),
+    ({"model": {"d": 8.0}}, "model.d"),
+    ({"gen": {"per_topic_ability": 1}}, "gen.per_topic_ability"),
+    ({"gen": {"seq_len_range": [2.5, 10]}}, "gen.seq_len_range"),
+    ({"gen": {"seq_len_range": [2, 5, 10]}}, "gen.seq_len_range"),
+    ({"seed": 1.7}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"precision": 64}, "precision"),
+    ({"out_dir": 5}, "out_dir"),
+])
+def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, data, where):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(cli.ConfigError, match=re.escape(f"{p}.{where}: expected")):
+        cli.load_run_config(str(p))
+    rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"gram: config error: {p}.{where}: expected")
+
+
+def test_config_types_that_stay_valid():
+    seed, _, gen, tcfg = cli.parse_run_config(
+        {"seed": 3, "gen": {"seq_len_range": [3, 9], "noise": 0},
+         "train": {"clip_norm": None, "val_frac": 0.2, "opt_ce": {"lr": 1}}})
+    assert seed == tcfg.seed == 3
+    assert gen.seq_len_range == (3, 9) and gen.noise == 0
+    assert tcfg.clip_norm is None and tcfg.opt_ce.lr == 1
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_metadata_epoch_ratios():
     expected = {"spanish.json": 60.45, "toeic.json": 10096.9, "mind.json": 36.10}
     for fname, ratio in expected.items():
         stats = D.stats_from_metadata(os.path.join(data_dir, fname))
-        assert D.epoch_boost_ratio(stats) == pytest.approx(ratio, abs=0.05)
+        assert stats.epoch_boost_ratio == pytest.approx(ratio, abs=0.05)
 
 
 def test_epoch_ratio_equals_whole_dataset_batch_ratio():
@@ -63,9 +63,9 @@ def test_epoch_ratio_equals_whole_dataset_batch_ratio():
     whole = D.Batch(users=d.users)
     # every item must occur for the two to coincide
     if len(whole.unique_items) == len(d.items):
-        assert D.epoch_boost_ratio(stats) == pytest.approx(float(D.boost_ratio(whole)))
+        assert stats.epoch_boost_ratio == pytest.approx(float(D.boost_ratio(whole)))
     else:
-        assert float(D.boost_ratio(whole)) > D.epoch_boost_ratio(stats)
+        assert float(D.boost_ratio(whole)) > stats.epoch_boost_ratio
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_phase_timer_accumulates():
         time.sleep(0.002)
     assert t.totals_ns["cf"] >= 6_000_000
     assert t.totals_ns["ce"] >= 2_000_000
-    assert t.total() == t.totals_ns["cf"] + t.totals_ns["ce"]
+    assert set(t.totals_ns) == {"cf", "ce"}
     # a body that raises still counts, and the error propagates
     with pytest.raises(KeyError):
         with t.measure("eval"):

@@ -677,6 +677,21 @@ def test_batch_rejects_sequences_longer_than_max_interactions(variant):
 # ---------------------------------------------------------------------------
 
 
+def test_parameter_names_follow_field_order():
+    # checkpoints, Adam state and the clip-norm sum all iterate in this order
+    layer = ["wq", "wk", "wv", "wo", "w_ff1", "w_ff2"]
+    ce, rec = small_params(variant="recurrent", l_ce=2)
+    _, att = small_params(variant="attention")
+    assert list(ce.named()) == (["token_embedding"] + [f"layer0.{n}" for n in layer]
+                                + [f"layer1.{n}" for n in layer] + ["w_out"])
+    assert list(rec.named()) == ["resp_embedding", "w_ih", "w_hh", "b_ih", "b_hh", "w_readout"]
+    assert list(att.named()) == ["resp_embedding", "wq", "wk", "wv", "w_pool", "v_pool", "bias"]
+    assert ce.named()["layer1.wo"] is ce.layers[1].wo
+    named = M.named_params(ce, rec)
+    assert list(named) == [f"ce.{k}" for k in ce.named()] + [f"cf.{k}" for k in rec.named()]
+    assert list(M.named_params(None, att)) == [f"cf.{k}" for k in att.named()]
+
+
 @pytest.mark.parametrize("variant", ["recurrent", "attention"])
 def test_checkpoint_round_trip(tmp_path, variant):
     ce, cf = small_params(seed=20, variant=variant)
