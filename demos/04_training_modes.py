@@ -12,13 +12,10 @@ from gram.training import OptimizerConfig, TrainConfig, train
 
 
 def run_config(latency="1S"):
-    # ce_batch_size=0 regresses the whole cache in one optimizer step, so
-    # the window-1 cached run takes exactly the updates joint backprop
-    # takes; with chunked regression the trajectories only track closely
     return TrainConfig(
         opt_ce=OptimizerConfig(kind="adam", lr=1e-3),
         opt_cf=OptimizerConfig(kind="adam", lr=1e-3),
-        cf_batch_size=16, ce_batch_size=0, max_epochs=15, latency=latency, seed=3,
+        cf_batch_size=16, max_epochs=15, latency=latency, seed=3,
     )
 
 

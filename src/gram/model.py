@@ -87,9 +87,10 @@ class ModelConfig:
     positional_encoding: bool = False
 
     def validate(self) -> "ModelConfig":
-        if min(self.d, self.d_ff, self.l_ce, self.d_h, self.vocab_size,
-               self.max_token_len, self.max_interactions) < 1:
-            raise ValueError("all model dimensions must be positive")
+        for name in ("d", "d_ff", "l_ce", "d_h", "vocab_size", "max_token_len",
+                     "max_interactions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.cf_variant not in CF_VARIANTS:
             raise ValueError(f"unknown cf_variant {self.cf_variant!r}")
         return self
@@ -186,21 +187,6 @@ def named_params(ce: CeParams | None, cf: CfParams) -> dict[str, Tensor]:
     out = {} if ce is None else {f"ce.{k}": t for k, t in ce.named().items()}
     out.update({f"cf.{k}": t for k, t in cf.named().items()})
     return out
-
-
-def ce_param_count(cfg: ModelConfig) -> int:
-    """Closed-form CE parameter count from the config dims."""
-    d, dff = cfg.d, cfg.d_ff
-    per_layer = 4 * d * d + d * dff + dff * d
-    return cfg.vocab_size * d + cfg.l_ce * per_layer + d * d
-
-
-def cf_param_count(cfg: ModelConfig) -> int:
-    """Closed-form CF parameter count for the configured variant."""
-    d, dh = cfg.d, cfg.d_h
-    if cfg.cf_variant == "recurrent":
-        return 2 * d + (2 * d) * 3 * dh + dh * 3 * dh + 3 * dh + 3 * dh + d * dh
-    return 2 * d + 2 * ((2 * d) * dh) + (2 * d) * d + d * dh + dh + 1
 
 
 def init_params(cfg: ModelConfig, seed: int) -> tuple[CeParams, CfParams]:

@@ -24,10 +24,13 @@ All four share ``train_step``: a per-mode builder supplies the CF's item
 representations, one backward runs through the batch loss, and each
 trained module is clipped and stepped on its own optimizer.
 
+The regression runs ``ce_batch_size`` cached items per graph and sums
+the chunks' gradients into one encoder step per window, so the chunk
+size bounds the encoder graph's memory and leaves the trajectory alone.
 With a one-step window (latency ``1S``) the encoder gradient of the
 regression loss equals the end-to-end encoder gradient at equal
-parameters, so the two trainers walk the same trajectory;
-``verify_equivalence`` measures this through the same encoding and
+parameters, so the two trainers walk the same trajectory at any chunk
+size; ``verify_equivalence`` measures this through the same encoding and
 regression helpers the step uses. Larger windows trade representation
 staleness for fewer encoder calls and make no equivalence claim.
 """
@@ -75,11 +78,10 @@ _TRAIN_PHASES = ("e2e", "cf", "ce")
 EVAL_BATCH_SIZE = 64       # users per no-grad scoring batch
 VERIFY_SGD_LR = 1e-2       # verify_equivalence's trajectory learning rates
 VERIFY_ADAM_LR = 1e-3
-# the setting verify_equivalence's trajectories run at, whatever the config
-# says: single-step windows, whole cache in one regression step, so each
-# trainer applies exactly one optimizer step per module per batch
+# the window verify_equivalence's trajectories run at, whatever the config
+# says: with single-step windows each trainer applies exactly one optimizer
+# step per module per batch
 VERIFY_LATENCY = "1S"
-VERIFY_CE_BATCH_SIZE = 0
 
 
 class ConfigError(ValueError):
@@ -223,11 +225,10 @@ class TrainConfig:
     from it via ``seed_streams`` so different modes see identical splits
     and initial parameters. ``latency`` is the gradient-update latency of
     ``gram``, the window between encoder updates (see
-    ``accumulation_latency``). ``ce_batch_size`` 0 means the whole cache is
-    regressed in a single optimizer step; that is the setting at which
-    ``latency`` 1S follows joint backprop exactly, and the one
-    ``verify_equivalence`` runs at. The default of 8 steps the encoder
-    once per chunk of 8 cached items, so a default 1S run is not exact.
+    ``accumulation_latency``). ``ce_batch_size`` is the number of cached
+    items the encoder regression puts in one graph (0 = the whole cache);
+    it bounds that graph's memory only, since the chunks' gradients are
+    summed into one encoder step per window.
     """
 
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -460,23 +461,34 @@ def _write_back(cache: dict, row_of: dict, leaf: Tensor, gmap: dict) -> None:
             raise NonFiniteError(f"pseudo-target for item {i} is non-finite")
 
 
-def _regress(ce: CeParams, item_tokens: dict, chunk, targets: dict):
-    """(loss, backward gradients) of the half squared error between the
-    encoder's outputs for ``chunk`` and their pseudo-targets."""
-    pred = ce_encode([item_tokens[i] for i in chunk], ce)
-    target = Tensor(np.concatenate([targets[i] for i in chunk], axis=0))
-    ploss = ad.mse_half(target, pred)
-    return ploss, ad.backward(ploss)
+def _regress(ce: CeParams, item_tokens: dict, ids, targets: dict, chunk_size: int):
+    """(loss, encoder gradients by name) of the half squared error between
+    the encoder's outputs for ``ids`` and their pseudo-targets.
+
+    ``chunk_size`` items are encoded and backpropagated per graph (0 = all
+    at once), so one chunk's activations are alive at a time; the loss and
+    the gradients are summed over the chunks.
+    """
+    named = ce.named()
+    loss, grads = 0.0, {}
+    size = chunk_size or len(ids)
+    for lo in range(0, len(ids), size):
+        chunk = ids[lo:lo + size]
+        pred = ce_encode([item_tokens[i] for i in chunk], ce)
+        target = Tensor(np.concatenate([targets[i] for i in chunk], axis=0))
+        ploss = ad.mse_half(target, pred)
+        for name, g in _named_grads(named, ad.backward(ploss)).items():
+            grads[name] = grads[name] + g if name in grads else g
+        loss += ploss.item()
+    return loss, grads
 
 
-def _apply_updates(groups, gmap: dict, clip_norm: float | None) -> None:
-    """Clip each module's gradients on its own, then step its optimizer;
-    ``groups`` holds one (optimizer, named parameters) pair per module."""
-    for opt, named in groups:
-        grads = _named_grads(named, gmap)
-        if clip_norm is not None:
-            grads = clip_by_global_norm(grads, clip_norm)
-        optimizer_apply(opt, named, grads)
+def _apply_updates(opt: OptimizerState, named: dict, grads: dict,
+                   clip_norm: float | None) -> None:
+    """Clip one module's gradients on their own, then step its optimizer."""
+    if clip_norm is not None:
+        grads = clip_by_global_norm(grads, clip_norm)
+    optimizer_apply(opt, named, grads)
 
 
 def _step_inputs(batch: Batch, state: TrainerState):
@@ -530,7 +542,8 @@ def train_step(batch: Batch, state: TrainerState) -> dict:
                 _write_back(state.cache, row_of, enc, gmap)
         except NonFiniteError as e:
             raise NumericalAbort(f"{state.mode} step {state.t}: {e}") from e
-        _apply_updates(groups, gmap, state.cfg.clip_norm)
+        for opt, named in groups:
+            _apply_updates(opt, named, _named_grads(named, gmap), state.cfg.clip_norm)
     state.counters.cf_forward_calls += len(batch.users)
     state.t += 1
     report = {"loss": loss.item(), "n_predictions": n_preds, "step": state.t}
@@ -545,37 +558,26 @@ def train_step(batch: Batch, state: TrainerState) -> dict:
 
 
 def _ce_update_phase(state: TrainerState) -> dict:
-    """Regress the encoder onto the cached pseudo-targets, then clear the
-    window's targets and encodings.
-
-    One optimizer step per mini-batch of ``ce_batch_size`` items (0 =
-    whole cache at once), one pass over the cache.
-    """
+    """Regress the encoder onto the cached pseudo-targets in one optimizer
+    step on the summed gradients of the cache's chunks, then clear the
+    window's targets and encodings."""
     ids = list(state.cache)
     if not ids:
-        return {"ce_items": 0, "ce_opt_steps": 0}
-    bs = state.cfg.ce_batch_size or len(ids)
-    groups = [(state.opt_ce, state.ce.named())]
-    opt_steps = 0
-    last_loss = 0.0
-    for lo in range(0, len(ids), bs):
-        chunk = ids[lo:lo + bs]
-        try:
-            ploss, gmap = _regress(state.ce, state.item_tokens, chunk, state.cache)
-        except NonFiniteError as e:
-            raise NumericalAbort(
-                f"encoder regression at step {state.t} "
-                f"(items {chunk[0]}..{chunk[-1]}): {e}") from e
-        _apply_updates(groups, gmap, state.cfg.clip_norm)
-        state.counters.ce_backward_calls += len(chunk)
-        opt_steps += 1
-        last_loss = ploss.item()
+        return {"ce_items": 0}
+    try:
+        loss, grads = _regress(state.ce, state.item_tokens, ids, state.cache,
+                               state.cfg.ce_batch_size)
+    except NonFiniteError as e:
+        raise NumericalAbort(f"encoder regression at step {state.t} "
+                             f"(items {ids[0]}..{ids[-1]}): {e}") from e
+    _apply_updates(state.opt_ce, state.ce.named(), grads, state.cfg.clip_norm)
+    state.counters.ce_backward_calls += len(ids)
     lens = [min(len(state.item_tokens[i]), state.ce.cfg.max_token_len) for i in ids]
     state.counters.flop_estimate += gram_ce_flops_per_batch(
         len(ids), float(np.mean(lens)), state.ce.cfg.d)
     state.cache.clear()
     state.encodings.clear()
-    return {"ce_items": len(ids), "ce_opt_steps": opt_steps, "pseudo_loss": last_loss}
+    return {"ce_items": len(ids), "pseudo_loss": loss}
 
 
 # ---------------------------------------------------------------------------
@@ -743,20 +745,24 @@ def e2e_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
     return loss.item(), _named_grads(named_params(ce, cf), gmap)
 
 
-def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
+def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict,
+                   ce_batch_size: int = 0):
     """Gradients of one accumulated step at unchanged parameters.
 
     CF gradients come from the leaf-encoding graph; CE gradients from the
-    pseudo-target regression loss over the whole batch in one chunk.
-    Returns (loss, named grads) shaped like ``e2e_gradients`` output.
+    pseudo-target regression over the batch's items, ``ce_batch_size`` per
+    chunk as in training. Returns (loss, named grads) shaped like
+    ``e2e_gradients`` output.
     """
     cache = {}
     leaf, row_of, _ = _cache_leaves(batch.unique_items, {}, cache, ce, item_tokens)
     loss, _ = batch_sequence_loss(batch.users, row_of, leaf, cf)
     gmap = ad.backward(loss)
     _write_back(cache, row_of, leaf, gmap)
-    _, pmap = _regress(ce, item_tokens, batch.unique_items, cache)
-    return loss.item(), _named_grads(named_params(ce, cf), {**gmap, **pmap})
+    _, ce_grads = _regress(ce, item_tokens, batch.unique_items, cache, ce_batch_size)
+    grads = _named_grads(named_params(None, cf), gmap)
+    grads.update((f"ce.{k}", g) for k, g in ce_grads.items())
+    return loss.item(), grads
 
 
 def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int) -> dict:
@@ -795,7 +801,7 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
         batch = next(batch_iter(dataset.users, cfg.cf_batch_size,
                                 shuffle_seed=[init_seed, 1]))
         _, ref = e2e_gradients(batch, ce, cf, item_tokens)
-        _, alt = gram_gradients(batch, ce, cf, item_tokens)
+        _, alt = gram_gradients(batch, ce, cf, item_tokens, cfg.ce_batch_size)
         for prefix in worst:
             names = [k for k in ref if k.startswith(prefix)]
             err = max_rel_err({k: ref[k] for k in names}, {k: alt[k] for k in names})
@@ -808,8 +814,7 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     }
     for kind, lr in (("sgd", VERIFY_SGD_LR), ("adam", VERIFY_ADAM_LR)):
         opt = OptimizerConfig(kind=kind, lr=lr, schedule="constant")
-        tcfg = replace(cfg, latency=VERIFY_LATENCY, ce_batch_size=VERIFY_CE_BATCH_SIZE,
-                       opt_ce=opt, opt_cf=opt)
+        tcfg = replace(cfg, latency=VERIFY_LATENCY, opt_ce=opt, opt_cf=opt)
         ref = _run_steps(dataset, "e2e", tcfg, k_steps)
         alt = _run_steps(dataset, "gram", tcfg, k_steps)
         out[f"max_trajectory_rel_err_{kind}"] = max_rel_err(ref, alt)

@@ -79,6 +79,9 @@ def announce(capsys, criterion, ok, detail):
 # ---------------------------------------------------------------------------
 
 
+CHUNK = 3      # a ce_batch_size below most batches' distinct items
+
+
 def _random_trial(trial: int):
     rng = np.random.default_rng(np.random.SeedSequence([MASTER_SEED, trial]))
     d = int(rng.choice([4, 8, 16]))
@@ -100,26 +103,34 @@ def _random_trial(trial: int):
     ce, cf = init_params(cfg, int(rng.integers(0, 2 ** 31)))
     batch = Batch(users=users)
     _, ref = e2e_gradients(batch, ce, cf, tokens)
-    _, alt = gram_gradients(batch, ce, cf, tokens)
     subset = lambda g, pre: {k: v for k, v in g.items() if k.startswith(pre)}
-    return (max_rel_err(subset(ref, "ce."), subset(alt, "ce.")),
-            max_rel_err(subset(ref, "cf."), subset(alt, "cf.")))
+    worst_ce = worst_cf = 0.0
+    # the whole cache in one regression graph, and in chunks of 3 items
+    for ce_batch_size in (0, CHUNK):
+        _, alt = gram_gradients(batch, ce, cf, tokens, ce_batch_size)
+        worst_ce = max(worst_ce, max_rel_err(subset(ref, "ce."), subset(alt, "ce.")))
+        worst_cf = max(worst_cf, max_rel_err(subset(ref, "cf."), subset(alt, "cf.")))
+    return worst_ce, worst_cf, len(batch.unique_items) > CHUNK
 
 
 def test_acceptance_1_gradient_equivalence(capsys):
     t0 = time.monotonic()
     n_trials = 120
     worst_ce = worst_cf = 0.0
+    n_chunked = 0
     for trial in range(n_trials):
-        ce_err, cf_err = _random_trial(trial)
+        ce_err, cf_err, chunked = _random_trial(trial)
         worst_ce, worst_cf = max(worst_ce, ce_err), max(worst_cf, cf_err)
+        n_chunked += chunked
     elapsed = time.monotonic() - t0
-    ok = worst_ce <= 1e-8 and elapsed < 120
+    ok = worst_ce <= 1e-8 and n_chunked > 0 and elapsed < 120
     announce(capsys, 1, ok,
              f"{n_trials} trials (d in 4/8/16, both predictor variants, forced "
-             f"duplicates): max encoder-grad rel err {worst_ce:.2e} (tol 1e-8), "
-             f"predictor {worst_cf:.2e}, {elapsed:.0f}s (budget 120s)")
-    assert worst_ce <= 1e-8
+             f"duplicates, regression whole and in chunks of {CHUNK}, {n_chunked} "
+             f"trials with more items than a chunk): max encoder-grad rel err "
+             f"{worst_ce:.2e} (tol 1e-8), predictor {worst_cf:.2e}, {elapsed:.0f}s "
+             f"(budget 120s)")
+    assert worst_ce <= 1e-8 and n_chunked > 0
     assert elapsed < 120
 
 
@@ -130,13 +141,19 @@ def test_acceptance_1_gradient_equivalence(capsys):
 
 def test_acceptance_2_trajectory_equivalence(desk_dataset, capsys):
     t0 = time.monotonic()
-    cfg = TrainConfig(seed=MASTER_SEED)
-    rep = verify_equivalence(desk_dataset, cfg, n_trials=1, k_steps=50)
+    sgd = adam = 0.0
+    # whole cache, chunks of 3 and the default chunk of 8; a batch of the
+    # desk dataset touches more distinct items than either chunk holds
+    for ce_batch_size in (0, CHUNK, TrainConfig.ce_batch_size):
+        cfg = TrainConfig(seed=MASTER_SEED, ce_batch_size=ce_batch_size)
+        rep = verify_equivalence(desk_dataset, cfg, n_trials=1, k_steps=50)
+        sgd = max(sgd, rep["max_trajectory_rel_err_sgd"])
+        adam = max(adam, rep["max_trajectory_rel_err_adam"])
     elapsed = time.monotonic() - t0
-    sgd, adam = rep["max_trajectory_rel_err_sgd"], rep["max_trajectory_rel_err_adam"]
     ok = sgd <= 1e-6 and adam <= 1e-6 and elapsed < 120
     announce(capsys, 2, ok,
-             f"50-step divergence: sgd {sgd:.2e}, adam {adam:.2e} "
+             f"50-step divergence at ce_batch_size 0, {CHUNK} and "
+             f"{TrainConfig.ce_batch_size}: sgd {sgd:.2e}, adam {adam:.2e} "
              f"(tol 1e-6 each), {elapsed:.0f}s (budget 120s)")
     assert sgd <= 1e-6 and adam <= 1e-6
     assert elapsed < 120

@@ -208,22 +208,25 @@ def test_verify_passes_on_tiny_config(workdir, capsys):
     assert rep["max_param_grad_rel_err"] <= 1e-8
 
 
-@pytest.mark.parametrize("train,claims", [({}, False), ({"ce_batch_size": 0}, True),
-                                          ({"ce_batch_size": 0, "latency": "2S"}, False)])
+@pytest.mark.parametrize("train,claims", [({}, True), ({"ce_batch_size": 0}, True),
+                                          ({"ce_batch_size": 0, "latency": "2S"}, False),
+                                          ({"ce_batch_size": 3}, True)])
 def test_verify_names_the_setting_it_verified(workdir, capsys, train, claims):
-    # the trajectories always run at 1S with the whole cache in one
-    # regression step; a config elsewhere is told it makes no claim
+    # the trajectories always run at 1S, at the config's own ce_batch_size;
+    # a config with a longer window is told it makes no claim
     cfg = dict(TINY_CFG, train={**TINY_CFG["train"], **train})
+    ce_batch_size = train.get("ce_batch_size", cli.TrainConfig.ce_batch_size)
     (workdir / "cfg2.json").write_text(json.dumps(cfg))
     rc = cli.main(["verify", "--config", str(workdir / "cfg2.json"),
                    "--data", str(workdir / "data"), "--trials", "1", "--steps", "2",
                    "--out", str(workdir / "v")])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "at latency 1S, ce_batch_size 0" in out.splitlines()[0]
+    assert f"at latency 1S, ce_batch_size {ce_batch_size}" in out.splitlines()[0]
+    assert "PASS" in out
     assert ("makes no exactness claim" in out) is not claims
     rep = json.loads((workdir / "v" / "verify.json").read_text())
-    assert rep["trajectory_latency"] == "1S" and rep["trajectory_ce_batch_size"] == 0
+    assert rep["trajectory_latency"] == "1S" and "trajectory_ce_batch_size" not in rep
     assert (workdir / "v" / "verify.txt").read_text() == out
 
 
@@ -352,6 +355,21 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, data, wh
     rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(p)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"gram: config error: {p}.{where}: expected")
+
+
+@pytest.mark.parametrize("data,where,message", [
+    ({"model": {"d": 0}}, "model", "d must be positive, got 0"),
+    ({"model": {"max_interactions": -1}}, "model", "max_interactions must be positive, got -1"),
+    ({"gen": {"noise": 2}}, "gen", "noise must lie in [0, 1]"),
+    ({"train": {"cf_batch_size": 0}}, "train", "cf_batch_size must be positive"),
+])
+def test_config_value_out_of_range_names_its_file_and_section(tmp_path, capsys, data, where,
+                                                               message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"gram: config error: {p}.{where}: {message}\n"
 
 
 def test_config_types_that_stay_valid():

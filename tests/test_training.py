@@ -10,7 +10,7 @@ import reference_metrics as RM
 from gram import autodiff as ad
 from gram.autodiff import Tensor
 from gram.dataset import Batch, Dataset, GenConfig, Item, UserSequence, batch_iter, generate_synthetic
-from gram.model import ModelConfig, init_params
+from gram.model import ModelConfig, init_params, named_params
 from gram.training import (
     ConfigError,
     NumericalAbort,
@@ -20,6 +20,7 @@ from gram.training import (
     accumulation_latency,
     clip_by_global_norm,
     e2e_gradients,
+    epoch_batches,
     evaluate,
     gram_gradients,
     init_trainer,
@@ -438,6 +439,62 @@ def test_multi_step_never_more_forwards_than_single_step():
         r1, _ = train(ds, "gram", c1)
         rn, _ = train(ds, "gram", cn)
         assert rn.counters["ce_forward_calls"] <= r1.counters["ce_forward_calls"]
+
+
+# ---------------------------------------------------------------------------
+# Chunked encoder regression
+# ---------------------------------------------------------------------------
+
+
+def chunk_dataset():
+    """Batches of 8 of its users touch more distinct items than a chunk of
+    3 or 8 holds."""
+    return tiny_dataset(seed=7, n_users=60, n_items=20)
+
+
+def run_epochs(ds, mode, cfg, epochs):
+    """(parameters, counters, step reports) after ``epochs`` epochs."""
+    steps = -(-len(ds.users) // cfg.cf_batch_size)
+    state = init_trainer(ds, mode, cfg, steps_per_epoch=steps)
+    reps = [train_step(b, state) for e in range(epochs) for b in epoch_batches(ds.users, cfg, e)]
+    params = {k: v.data.copy() for k, v in named_params(state.ce, state.cf).items()}
+    return params, state.counters.as_dict(), reps
+
+
+@pytest.mark.parametrize("ce_batch_size", [3, 8])
+@pytest.mark.parametrize("kind,lr", [("sgd", 1e-2), ("adam", 1e-3)])
+def test_gram_1s_follows_e2e_at_any_chunk_size(kind, lr, ce_batch_size):
+    ds = chunk_dataset()
+    opt = OptimizerConfig(kind=kind, lr=lr)
+    cfg = small_config(cf_batch_size=8, ce_batch_size=ce_batch_size, opt_ce=opt, opt_cf=opt)
+    ref, _, _ = run_epochs(ds, "e2e", cfg, 4)
+    alt, _, reps = run_epochs(ds, "gram", cfg, 4)
+    assert len(reps) >= 30
+    assert max(r["ce_items"] for r in reps) > ce_batch_size
+    assert max_rel_err(ref, alt) <= 1e-12
+
+
+@pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["noclip", "clip1e-3"])
+@pytest.mark.parametrize("latency", ["1E", "2S"])
+def test_chunk_size_bounds_memory_only(latency, clip_norm):
+    # one encoder step on the summed chunk gradients per window, clipped
+    # once: the chunk size moves only the activation peak
+    ds = chunk_dataset()
+    cfg = small_config(cf_batch_size=8, latency=latency, clip_norm=clip_norm)
+    runs = {bs: run_epochs(ds, "gram", replace(cfg, ce_batch_size=bs), 2) for bs in (0, 3, 8)}
+    params, counters, _ = runs[0]
+    peaks = {bs: c.pop("activation_elements_peak") for bs, (_, c, _) in runs.items()}
+    for bs in (3, 8):
+        assert max_rel_err(params, runs[bs][0]) <= 1e-12
+        assert runs[bs][1] == counters
+    assert peaks[3] <= peaks[8] <= peaks[0]
+
+
+def test_pseudo_loss_sums_the_window_chunks():
+    ds, batch = dup_heavy_batch()       # 5 distinct items: chunks of 2, 2 and 1
+    whole = train_step(batch, init_trainer(ds, "gram", small_config(ce_batch_size=0)))
+    chunked = train_step(batch, init_trainer(ds, "gram", small_config(ce_batch_size=2)))
+    assert chunked["pseudo_loss"] == pytest.approx(whole["pseudo_loss"], rel=1e-12, abs=0)
 
 
 def test_numerical_abort_names_the_step():
