@@ -11,9 +11,15 @@ closure that passes each parent's share of the output gradient ``g`` to
 Every op is one primitive except four fused ops. Three run a numpy loop
 inside a single node with a hand-written backward, since a node per loop
 iteration made the Python cost of the ops, not their arithmetic, the cost
-of a batch. ``gru_scan`` runs a whole gated recurrence and backpropagates
-through time over the states it saved; its values and gradients are those
-of the per-step primitives, in the same order of operations.
+of a batch. All four take one ragged convention: user (or item) i owns
+the next lengths[i] rows of the operand, and nothing is padded or masked.
+``gru_scan`` and ``prefix_attention`` share one longest-first slot
+layout: step n runs only on the users longer than n + 1, a leading slice
+of that order, and each returns one row per predicted slot.
+``gru_scan`` runs a whole gated recurrence and backpropagates through
+time over the states it saved; it follows the per-step primitives'
+expressions, and its values and gradients agree with the per-user
+reference in ``tests/reference_cf.py`` to float64 rounding.
 ``prefix_attention`` runs softmax attention and additive pooling over
 every proper prefix of every user's history; it saves nothing beyond its
 operands and recomputes each prefix's softmaxes in backward, so its
@@ -601,25 +607,65 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fused recurrence
+# Fused ops over users' interaction rows
 # ---------------------------------------------------------------------------
 
 
-def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, b: int) -> Tensor:
-    """A gated recurrent cell over every step of a batch of b rows, as one
-    node.
+def _slots(op: str, n_rows: int, lengths):
+    """Longest-first slot layout shared by ``gru_scan`` and
+    ``prefix_attention``.
 
-    *xg* holds the input-side gate preactivations of all T steps,
-    step-major: rows n*b .. n*b + b - 1 are step n, with the gates side by
-    side in the column order [reset | update | candidate], each d_h wide.
-    From h = 0, each step computes hg = h @ w_hh + b_hh, pre = xg_n + hg,
-    r and z = sigmoid of pre's reset and update columns,
-    c = tanh(xg_c + r * hg_c) and h = c + z * (h - c). Returns the (T*b,
-    d_h) hidden states, step-major.
+    User i owns the next lengths[i] of the operand's *n_rows* rows, users
+    in order, and has one slot per step n = 0 .. lengths[i] - 2: the slot
+    that reads its rows 0..n and predicts its row n + 1. Users are taken
+    longest first, so the users live at step n are a leading run of that
+    order and a step's slots are a basic slice. Returns (rows, live,
+    counts, ats, perm):
 
-    Backward runs backprop through time over the saved r, z, c, hg_c and
-    hidden states, and sums w_hh's and b_hh's per-step gradients from the
-    last step to the first. Under no_grad nothing is kept per step.
+    * rows[n, j] is the j-th longest user's row at position n, the row its
+      step n adds (0 where the user has no slot), and live[n, j] marks
+      its slots; both are (steps, users of length >= 2);
+    * counts[n] and ats[n] are step n's slot count and its offset in the
+      step-major packed order, as Python ints;
+    * perm maps each output slot, step ascending then user ascending (the
+      order the loss reads), to its packed slot.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.min(initial=0) < 0 or lengths.sum() != n_rows:
+        raise ShapeError(f"{op}: lengths must be non-negative and sum to the operand's "
+                         f"{n_rows} rows, got {lengths}")
+    steps = int(lengths.max(initial=0)) - 1
+    if steps < 1:
+        raise ShapeError(f"{op}: no user has a proper prefix (length >= 2)")
+    by_len = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths > 1)]
+    step = np.arange(steps)[:, None]
+    live = step < lengths[by_len] - 1
+    rows = np.where(live, (np.cumsum(lengths) - lengths)[by_len] + step, 0)
+    counts = np.count_nonzero(live, axis=1)
+    ats = np.concatenate(([0], np.cumsum(counts))).tolist()
+    n, j = np.nonzero(live)
+    perm = np.argsort(n * lengths.size + by_len[j])
+    return rows, live, counts.tolist(), ats, perm
+
+
+def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
+    """A gated recurrent cell over every user's interactions, as one node.
+
+    Rows of *xg* are the interactions' input-side gate preactivations, in
+    the column order [reset | update | candidate], each d_h wide; user i
+    owns the next lengths[i] rows. From h = 0, step n reads row n of each
+    user longer than n + 1 and computes hg = h @ w_hh + b_hh, pre = xg_n +
+    hg, r and z = sigmoid of pre's reset and update columns,
+    c = tanh(xg_c + r * hg_c) and h = c + z * (h - c). The state after
+    step n predicts the user's row n + 1, so a user's last row feeds no
+    step. Returns the (n_slots, d_h) states in ``_slots``' output order:
+    step ascending, then user.
+
+    Users run longest first, so step n updates a leading slice of step
+    n - 1's states and nothing is padded. Backward runs backprop through
+    time over the saved r, z, c, hg_c and states, and sums w_hh's and
+    b_hh's per-step gradients from the last step to the first; a row no
+    step reads gets zero gradient. Under no_grad nothing is kept per step.
     """
     _check_dtypes("gru_scan", xg, w_hh, b_hh)
     x, w, bias = xg.data, w_hh.data, b_hh.data
@@ -628,17 +674,16 @@ def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, b: int) -> Tensor:
     dh = w.shape[0]
     if bias.shape != (3 * dh,) or x.ndim != 2 or x.shape[1] != 3 * dh:
         raise ShapeError(f"gru_scan: xg {x.shape} and b_hh {bias.shape} do not fit w_hh {w.shape}")
-    if b < 1 or x.shape[0] == 0 or x.shape[0] % b:
-        raise ShapeError(f"gru_scan: xg rows {x.shape[0]} are not a positive multiple of b={b}")
-    steps = x.shape[0] // b
+    rows, live, counts, ats, perm = _slots("gru_scan", x.shape[0], lengths)
+    at_rows = rows[live]        # row of each packed slot, step-major
     record = is_grad_enabled() and (xg.grad_enabled or w_hh.grad_enabled or b_hh.grad_enabled)
-    h0 = np.zeros((b, dh), dtype=x.dtype)
-    out = np.empty((x.shape[0], dh), dtype=x.dtype)
+    xs = x[at_rows]
+    hs = np.empty((ats[-1], dh), dtype=x.dtype)     # packed states
     saved = []      # (r and z, c, hg_c) per step; hg_c is copied so the rest of hg is freed
-    h = h0
-    for n in range(steps):
-        xn = x[n * b:(n + 1) * b]
-        hg = h @ w + bias
+    h0 = h = np.zeros((counts[0], dh), dtype=x.dtype)
+    for n, b in enumerate(counts):
+        xn = xs[ats[n]:ats[n] + b]
+        hg = h[:b] @ w + bias
         pre = xn + hg
         if not np.isfinite(pre).all():
             raise NonFiniteError(f"gru_scan produced non-finite gate preactivations at step {n}")
@@ -649,7 +694,7 @@ def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, b: int) -> Tensor:
         if not np.isfinite(c).all():
             raise NonFiniteError(f"gru_scan produced non-finite candidate preactivations at step {n}")
         c = np.tanh(c)
-        h_prev, h = h, out[n * b:(n + 1) * b]
+        h_prev, h = h[:b], hs[ats[n]:ats[n] + b]
         np.add(c, z * (h_prev - c), out=h)
         if record:
             saved.append((rz, c, hg_c.copy()))
@@ -657,61 +702,64 @@ def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, b: int) -> Tensor:
     def run(g, acc):
         # each expression, and each sum's order, is the one backward takes
         # through the per-step primitives (matmul, add, sigmoid, tanh, mul,
-        # sub), so the gradients equal theirs bit for bit
-        dx = np.empty_like(x)
+        # sub); only the number of rows per matmul differs
+        gs = np.empty_like(g)
+        gs[perm] = g
+        dxs = np.empty((ats[-1], 3 * dh), dtype=g.dtype)
         dw = db = None
-        dh_n = g[(steps - 1) * b:]
-        for n in range(steps - 1, -1, -1):
+        dh_n = gs[ats[-2]:]
+        for n in range(len(counts) - 1, -1, -1):
+            at, b = ats[n], counts[n]
             rz, c, hg_c = saved[n]
             r, z = rz[:, :dh], rz[:, dh:]
-            h_prev = out[(n - 1) * b:n * b] if n else h0
+            h_prev = hs[ats[n - 1]:ats[n - 1] + b] if n else h0
             ds = dh_n * z
             da = (dh_n - ds) * (1.0 - c * c)
             drz = np.concatenate((da * hg_c, dh_n * (h_prev - c)), axis=1)
-            dx_n = dx[n * b:(n + 1) * b]
+            dx_n = dxs[at:at + b]
             dx_n[:, :2 * dh] = drz * rz * (1.0 - rz)
             dx_n[:, 2 * dh:] = da
             dhg = dx_n.copy()
             dhg[:, 2 * dh:] = da * r
-            gw = np.swapaxes(h_prev, -1, -2) @ dhg
+            gw = h_prev.T @ dhg
             gb = dhg.sum(axis=0)
             dw = gw if dw is None else dw + gw
             db = gb if db is None else db + gb
             if n:
-                dh_n = (g[(n - 1) * b:n * b] + ds) + dhg @ np.swapaxes(w, -1, -2)
+                # users past their last step pass on only their own slot's gradient
+                dh_n = gs[ats[n - 1]:at].copy()
+                dh_n[:b] += ds
+                dh_n[:b] += dhg @ w.T
+        dx = np.zeros_like(x)
+        dx[at_rows] = dxs       # each row is one slot's, so assignment scatters
         acc(xg, dx)
         acc(w_hh, dw)
         acc(b_hh, db)
 
-    return _result(out, (xg, w_hh, b_hh), run, saves_output=True, op="gru_scan",
-                   saved_elements=4 * out.size)
+    return _result(hs[perm], (xg, w_hh, b_hh), run, op="gru_scan", saved_elements=5 * hs.size)
 
 
-# ---------------------------------------------------------------------------
-# Fused prefix attention
-# ---------------------------------------------------------------------------
-
-
-def prefix_attention(qkv: Tensor, w_pool: Tensor, v_pool: Tensor, first, lengths) -> Tensor:
+def prefix_attention(qkv: Tensor, w_pool: Tensor, v_pool: Tensor, lengths) -> Tensor:
     """Self-attention plus additive pooling over every proper prefix of
     every user's history, as one node.
 
     Rows of *qkv* (N, 2*d_h + d) are the projected interactions, with the
     query, key and value side by side in the column order [q | k | v],
-    d_h, d_h and d wide; d and d_h are *w_pool*'s shape. User u owns rows
-    first[u] .. first[u] + lengths[u] - 1, and no two users share a row.
-    For each prefix length n = 1 .. max(lengths) - 1, the B_n users longer
-    than n attend over their first n rows: a = softmax(q k^T / sqrt(d_h))
-    over each row, ctx = a v, pooling weights w = softmax over the n
-    positions of tanh(ctx @ w_pool) @ v_pool, and the user vector is
-    w^T ctx. Returns the (n_slots, d) user vectors, prefix length
-    ascending, then user. The scores of each prefix are checked to be
-    finite, so an overflow names its prefix length.
+    d_h, d_h and d wide; d and d_h are *w_pool*'s shape. User i owns the
+    next lengths[i] rows. For each prefix length n = 1 .. max(lengths) - 1,
+    the B_n users longer than n attend over their first n rows:
+    a = softmax(q k^T / sqrt(d_h)) over each row, ctx = a v, pooling
+    weights w = softmax over the n positions of tanh(ctx @ w_pool) @ v_pool,
+    and the user vector is w^T ctx. Returns the (n_slots, d) user vectors
+    in ``_slots``' output order: prefix length ascending, then user. The
+    scores of each prefix are checked to be finite, so an overflow names
+    its prefix length.
 
     Backward keeps nothing beyond the operands: it recomputes each prefix's
     attention and pooling, adds each prefix's q/k/v gradients into padded
     per-user buffers, and scatters those to the rows once; no row belongs
-    to two users, so the scatter is an assignment.
+    to two users, so the scatter is an assignment, and a user's last row
+    gets zero gradient.
     """
     _check_dtypes("prefix_attention", qkv, w_pool, v_pool)
     x, wp, vp = qkv.data, w_pool.data, v_pool.data
@@ -720,33 +768,11 @@ def prefix_attention(qkv: Tensor, w_pool: Tensor, v_pool: Tensor, first, lengths
         raise ShapeError(f"prefix_attention: qkv {x.shape}, w_pool {wp.shape} and v_pool "
                          f"{vp.shape} must be (N, 2*d_h + d), (d, d_h) and (d_h, 1)")
     q, k, v = x[:, :dh], x[:, dh:2 * dh], x[:, 2 * dh:]
-    first = np.asarray(first, dtype=np.intp)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if first.ndim != 1 or lengths.shape != first.shape:
-        raise ShapeError(f"prefix_attention: first {first.shape} and lengths {lengths.shape} "
-                         "must be equal 1-D shapes")
-    by_first = np.argsort(first, kind="stable")
-    lo, hi = first[by_first], first[by_first] + lengths[by_first]
-    if (lengths.size and (lo[0] < 0 or hi.max() > x.shape[0] or lengths.min() < 0)
-            or np.any(hi[:-1] > lo[1:])):
-        raise ShapeError(f"prefix_attention: user row spans must be disjoint and "
-                         f"inside [0, {x.shape[0]})")
-    t_max = int(lengths.max(initial=0))
-    if t_max < 2:
-        raise ShapeError("prefix_attention: no user has a proper prefix (length >= 2)")
+    rows, live, counts, ats, perm = _slots("prefix_attention", x.shape[0], lengths)
+    # padded (B, steps, .) operands, users longest first: prefix n is the
+    # basic slice [:B_n, :n], and padding is never read
+    rows, live = rows.T, live.T
     scale_qk = dh ** -0.5       # a Python float keeps float32 operands float32
-    # Users go longest first into padded (B, t_max - 1, .) operands, so
-    # the B_n users longer than n are their first B_n rows and prefix n is
-    # the basic slice [:B_n, :n]. Padding is never read.
-    by_len = np.argsort(-lengths, kind="stable")
-    counts = [int(np.count_nonzero(lengths > n)) for n in range(1, t_max)]
-    pos = np.arange(t_max - 1)
-    live = pos < lengths[by_len, None]
-    rows = np.where(live, first[by_len, None] + pos, 0)
-    # output slot of each padded-order slot: within a prefix length, users
-    # ascending
-    ats = np.cumsum([0] + counts)
-    perm = np.concatenate([at + np.argsort(by_len[:b]) for at, b in zip(ats, counts)])
 
     def attend(n, b, qs, kp, vpad):
         qn, kn, vn = qs[:b, :n], kp[:b, :n], vpad[:b, :n]
@@ -759,7 +785,7 @@ def prefix_attention(qkv: Tensor, w_pool: Tensor, v_pool: Tensor, first, lengths
         t = np.tanh(ctx.reshape(b * n, d) @ wp)
         return qn, kn, vn, a, ctx, t, _softmax((t @ vp).reshape(b, 1, n))     # w is (b, 1, n)
 
-    out = np.empty((int(ats[-1]), d), dtype=x.dtype)
+    out = np.empty((ats[-1], d), dtype=x.dtype)
     qs, kp, vpad = q[rows] * scale_qk, k[rows], v[rows]
     for n, (at, b) in enumerate(zip(ats, counts), 1):
         *_, ctx, _, w = attend(n, b, qs, kp, vpad)

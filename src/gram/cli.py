@@ -124,6 +124,13 @@ def _build(cls, data, where: str):
     return cls(**kwargs)
 
 
+def _validate(cfg, where: str):
+    try:
+        return cfg.validate()
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def parse_run_config(data: dict, where: str = "config"):
     """(seed, out_dir, gen_config, train_config) from a parsed JSON dict.
 
@@ -142,18 +149,16 @@ def parse_run_config(data: dict, where: str = "config"):
         raise ConfigError(f"{where}.train: put model settings in the "
                           "top-level 'model' section")
     tcfg = replace(_build(TrainConfig, tdata, f"{where}.train"), model=model)
+    out_dir = data.get("out_dir")
+    _check_type(out_dir, str | None, f"{where}.out_dir")
+    for section, cfg in (("gen", gen), ("model", model), ("train", tcfg)):
+        _validate(cfg, f"{where}.{section}")
+    # a top-level key's error names that key, not the section it fills
     hints = typing.get_type_hints(TrainConfig)
     for key in ("seed", "precision"):
         if key in data:
             _check_type(data[key], hints[key], f"{where}.{key}")
-            tcfg = replace(tcfg, **{key: data[key]})
-    out_dir = data.get("out_dir")
-    _check_type(out_dir, str | None, f"{where}.out_dir")
-    for section, cfg in (("gen", gen), ("model", model), ("train", tcfg)):
-        try:
-            cfg.validate()
-        except ValueError as e:
-            raise ConfigError(f"{where}.{section}: {e}") from e
+            tcfg = _validate(replace(tcfg, **{key: data[key]}), f"{where}.{key}")
     return tcfg.seed, out_dir, gen, tcfg
 
 

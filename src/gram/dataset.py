@@ -75,9 +75,6 @@ class Dataset:
     def n_interactions(self) -> int:
         return sum(len(u) for u in self.users)
 
-    def __eq__(self, other):
-        return isinstance(other, Dataset) and self.items == other.items and self.users == other.users
-
 
 @dataclass
 class Batch:

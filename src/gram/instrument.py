@@ -42,7 +42,16 @@ class ActivationAccountant:
 class CostCounters:
     """Per-run counters. Forward/backward CE counts are the quantities the
     boost ratio speaks about: encoding-producing forwards, and gradient
-    computations through the encoder."""
+    computations through the encoder, one per item row.
+
+    In ``e2e`` every interaction occurrence is one forward and one
+    backward, and ``flop_estimate`` costs that joint pass. In ``gram`` an
+    item is encoded without grad at its first touch in a window, and only
+    those forwards count in ``ce_forward_calls``. At window close the
+    regression encodes every cached item again, with grad; that re-encode
+    is not a counted forward, but its backward is what
+    ``ce_backward_calls`` counts, and ``flop_estimate`` costs only this
+    regression pass, not the first-touch forwards."""
 
     ce_forward_calls: int = 0
     ce_backward_calls: int = 0

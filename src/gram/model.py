@@ -29,22 +29,22 @@ per-position binary cross-entropy terms, computed by ``autodiff.bce_loss``
 from the logits, so a training graph has no sigmoid node. Only evaluation
 applies the sigmoid, to report probabilities.
 
-``batch_sequence_loss`` is the hot path. The recurrent CF advances every
-user of a batch through time in lockstep on (n_users x dim) matrices. The
-input-side gate preactivations of every (step, user) slot come from one
-matmul, the time loop is one fused ``autodiff.gru_scan`` node with a
-hand-written backward, and the readout is one row-dot over all hidden
-states, so the graph has the same nodes for any sequence length. The valid
-prediction slots are selected by gather; a finished user's row keeps
-running on filler inputs, but no valid slot reads it, so it gets exactly
-zero gradient. The attention CF projects every interaction row to
-queries, keys and values with one matmul against the three weights side
-by side, and one fused
-``autodiff.prefix_attention`` node runs the loop over prefix lengths n:
-for the users longer than n, a (B_n, n, n) batched attention and pooling
-over the n axis, with no padding or mask. That node keeps only its
+``batch_sequence_loss`` is the hot path. Both variants build a batch the
+same way: one (encoding (+) response) row per interaction, numbered user
+by user, one matmul projecting every row, one fused op over the users'
+ragged rows, and one row-dot against the candidates, so each loss graph
+has the same 13 nodes for any sequence length. Nothing is padded: step n
+of a fused op reads interactions 0..n of each user longer than n + 1 and
+predicts interaction n + 1, the users run longest first so each step's
+users are a leading slice, and the op returns one row per predicted slot.
+The recurrent CF's ``autodiff.gru_scan`` runs the h-side of the cell over
+the w_ih-projected rows with a hand-written backprop through time. The
+attention CF's ``autodiff.prefix_attention`` runs, for each prefix length
+n, a (B_n, n, n) batched attention and pooling over the n axis, keeps only its
 operands and recomputes each prefix in backward, so neither the node
-count nor the saved activations grow with the number of prefixes. The
+count nor the saved activations grow with the number of prefixes. A
+user's last interaction and a 1-interaction user's row feed no step, so
+they get exactly zero gradient through the CF's history side. The
 per-user reference CF lives in ``tests/reference_cf.py``; the batched
 paths agree with it to float64 roundoff (addition order differs) and
 tests pin that.
@@ -284,7 +284,7 @@ def ce_encode(token_seqs, p: CeParams) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Collaborative filter, batched lockstep paths (training and evaluation)
+# Collaborative filter, batched paths (training and evaluation)
 # ---------------------------------------------------------------------------
 
 
@@ -306,91 +306,31 @@ def _row_dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 class _Layout(NamedTuple):
-    """Index layout of one batch. Interactions are numbered user by user:
-    position n of user u is interaction first[u] + n."""
+    """Index layout of one batch. Interactions are numbered user by user,
+    so user u owns the next lengths[u] of them."""
 
     lengths: np.ndarray     # interactions per user
-    first: np.ndarray       # interaction index of each user's position 0
     rows: np.ndarray        # row of ``enc`` per interaction
     resps: np.ndarray       # response per interaction
-    targets: np.ndarray     # interaction predicted at each valid slot
-    t_max: int
+    targets: np.ndarray     # interaction predicted at each slot
 
 
 def _batch_layout(users, row_of):
-    """Shared index layout for the lockstep paths.
-
-    Returns (layout, and the flat slot ids / labels / item ids / user index
-    of every valid prediction). Slot (n, u) of the step-major score concat
-    has flat index (n-1) * n_users + u.
-    """
+    """Index layout of a batch, and the labels / item ids / user index of
+    every slot. Slots come step-major: position n >= 1 ascending, then
+    user, the order the fused CF ops return."""
     inters = [_interactions_of(u) for u in users]
     lengths = np.array([len(it) for it in inters], dtype=np.intp)
     if lengths.size == 0 or int(lengths.max(initial=0)) < 2:
         raise ValueError("batch requires at least one user with >= 2 interactions")
-    t_max = int(lengths.max())
     items = np.array([item for it in inters for item, _ in it])
     rows = (np.arange(items.size, dtype=np.intp) if row_of is None
             else np.array([row_of[item] for item in items.tolist()], dtype=np.intp))
     resps = np.array([resp for it in inters for _, resp in it], dtype=np.intp)
-    first = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    step, user_idx = np.nonzero(np.arange(1, t_max)[:, None] < lengths)   # slot (step+1, u)
-    at = first[user_idx] + step + 1
-    return (_Layout(lengths, first, rows, resps, at, t_max),
-            (step * len(inters) + user_idx, resps[at].astype(np.float64), items[at], user_idx))
-
-
-def _recurrent_batch_logits(lay: _Layout, enc: Tensor, p: RecurrentCfParams) -> Tensor:
-    """Step-major logits for all (step, user) slots, shape (b*(t_max-1), 1).
-
-    Three nodes do the work. The input-side gate preactivations of all
-    t_max - 1 updates are one ((t_max-1)*b, 2d) @ (2d, 3*d_h) matmul; the
-    whole time loop is one ``gru_scan`` node, which runs the h-side of the
-    cell step by step in numpy and returns every hidden state; the readout
-    is one row-dot of those states with the candidates' readout rows. A
-    finished user's row keeps stepping on filler inputs; each row depends
-    only on its own user, and ``batch_logits`` gathers the finished users'
-    slots away, so those rows receive exactly zero gradient. The cell runs
-    t_max - 1 updates: the one after the last interaction would feed no
-    logit.
-    """
-    b, t_max = lay.lengths.size, lay.t_max
-    # item row / response per (step, user); step >= length reads row 0 and
-    # response 0, which only finished users' rows, never a valid slot, read
-    pos = np.arange(t_max)[:, None]
-    live = pos < lay.lengths
-    at = np.where(live, lay.first + pos, 0)
-    item_rows = np.where(live, lay.rows[at], 0)
-    resps = np.where(live, lay.resps[at], 0)
-
-    # input side of every update, row (n-1)*b + u for update n of user u
-    x = ad.concat([ad.gather(enc, item_rows[:-1].reshape(-1)),
-                   ad.gather(p.resp_embedding, resps[:-1].reshape(-1))], axis=1)
-    h_all = ad.gru_scan(ad.add(ad.matmul(x, p.w_ih), p.b_ih), p.w_hh, p.b_hh, b)
-    cand = ad.gather(ad.matmul(enc, p.w_readout), item_rows[1:].reshape(-1))
-    flat = _row_dot(h_all, cand)                # ((t_max-1)*b,), step-major
-    return ad.reshape(flat, (flat.shape[0], 1))
-
-
-def _attention_batch_logits(lay: _Layout, enc: Tensor, p: AttentionCfParams) -> Tensor:
-    """Logits of the valid slots only, in ``_batch_layout``'s step-major
-    order (prefix length n ascending, then user), shape (n_slots, 1).
-
-    The (encoding (+) response embedding) row of every (user, position) is
-    built once and projected to queries, keys and values by one 2-D
-    matmul against the concatenated weights, so x_all is kept once for
-    backward. One ``prefix_attention`` node then runs, for each prefix
-    length n, the (B_n, n, n) attention and the additive pooling of the
-    B_n users longer than n, and returns every slot's user vector; it
-    keeps only its operands and recomputes each prefix in backward. One
-    row-wise dot with the candidates' encodings and one bias add finish,
-    so the graph has the same nodes for any sequence length.
-    """
-    x_all = ad.concat([ad.gather(enc, lay.rows), ad.gather(p.resp_embedding, lay.resps)], axis=1)
-    qkv = ad.matmul(x_all, ad.concat([p.wq, p.wk, p.wv], axis=1))
-    u = ad.prefix_attention(qkv, p.w_pool, p.v_pool, lay.first, lay.lengths)
-    flat = ad.add(_row_dot(u, ad.gather(enc, lay.rows[lay.targets])), p.bias)
-    return ad.reshape(flat, (flat.shape[0], 1))
+    step, user_idx = np.nonzero(np.arange(1, int(lengths.max()))[:, None] < lengths)
+    at = np.cumsum(lengths)[user_idx] - lengths[user_idx] + step + 1
+    return (_Layout(lengths, rows, resps, at),
+            (resps[at].astype(np.float64), items[at], user_idx))
 
 
 def batch_logits(users, row_of, enc: Tensor, p: CfParams):
@@ -398,27 +338,36 @@ def batch_logits(users, row_of, enc: Tensor, p: CfParams):
 
     ``row_of`` maps item_id -> row of ``enc`` (the (n_unique, d) stack of
     item encodings); None means row k of ``enc`` encodes the batch's
-    interaction k, numbered user by user. Returns (valid logits as an
-    (n, 1) tensor, labels, item_ids, user index arrays), one entry per
-    predicted position, in
-    ``_batch_layout``'s step-major order. The recurrent CF scores every
-    (step, user) slot and gathers the valid ones; the attention CF builds
-    the valid slots only, already in that order.
+    interaction k, numbered user by user. Returns (logits as an (n, 1)
+    tensor, labels, item_ids, user index arrays), one entry per predicted
+    position, in ``_batch_layout``'s step-major order.
+
+    Both variants build the (encoding (+) response embedding) row of every
+    interaction once, project all of them with one matmul, run one fused
+    op over the users' ragged rows, and take one row-wise dot with the
+    candidates: the recurrent CF's ``gru_scan`` returns the hidden state
+    that predicts each slot, dotted with the candidate's readout row; the
+    attention CF's ``prefix_attention`` returns the pooled user vector,
+    dotted with the candidate's encoding, plus a bias.
     """
-    lay, (slots, labels, item_ids, user_idx) = _batch_layout(users, row_of)
-    if lay.t_max > p.cfg.max_interactions:
+    lay, (labels, item_ids, user_idx) = _batch_layout(users, row_of)
+    if lay.lengths.max() > p.cfg.max_interactions:
         u = int(np.argmax(lay.lengths))
         raise ValueError(f"user at batch index {u} has {lay.lengths[u]} interactions, "
                          f"more than max_interactions {p.cfg.max_interactions}")
+    x = ad.concat([ad.gather(enc, lay.rows), ad.gather(p.resp_embedding, lay.resps)], axis=1)
     if p.variant == "recurrent":
-        logits = ad.gather(_recurrent_batch_logits(lay, enc, p), slots)
+        h = ad.gru_scan(ad.add(ad.matmul(x, p.w_ih), p.b_ih), p.w_hh, p.b_hh, lay.lengths)
+        flat = _row_dot(h, ad.gather(ad.matmul(enc, p.w_readout), lay.rows[lay.targets]))
     else:
-        logits = _attention_batch_logits(lay, enc, p)
-    return logits, labels, item_ids, user_idx
+        qkv = ad.matmul(x, ad.concat([p.wq, p.wk, p.wv], axis=1))
+        u = ad.prefix_attention(qkv, p.w_pool, p.v_pool, lay.lengths)
+        flat = ad.add(_row_dot(u, ad.gather(enc, lay.rows[lay.targets])), p.bias)
+    return ad.reshape(flat, (flat.shape[0], 1)), labels, item_ids, user_idx
 
 
 def batch_sequence_loss(users, row_of, enc: Tensor, p: CfParams):
-    """Sum of all users' sequence losses, computed in lockstep.
+    """Sum of all users' sequence losses, computed as one batch.
 
     Returns (loss tensor, number of predicted positions).
     """

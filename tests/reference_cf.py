@@ -2,7 +2,7 @@
 
 Each user's history runs as its own graph, one interaction at a time: the
 recurrent CF as one cell update per interaction, the attention CF as one
-attention graph per prefix. The library's batched lockstep paths
+attention graph per prefix. The library's batched paths
 (``batch_logits``, ``batch_sequence_loss``, ``batch_scores``) must agree
 with these to float64 roundoff; only the order of additions differs.
 """

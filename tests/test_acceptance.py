@@ -184,8 +184,8 @@ def _primitive_checks():
                 grad_enabled=True)    # kept away from the relu kink
     logits_w = const((5, 4))
     labels = Tensor((rng.random(5) > 0.5).astype(float))
-    xg = Tensor(0.5 * rng.standard_normal((6, 6)), grad_enabled=True)   # 3 steps of 2 rows, d_h 2
-    w_hh, b_hh, w62 = Tensor(0.5 * rng.standard_normal((2, 6))), const((6,)), const((6, 2))
+    xg = Tensor(0.5 * rng.standard_normal((6, 6)), grad_enabled=True)   # users of 1, 3, 2 rows, d_h 2
+    w_hh, b_hh = Tensor(0.5 * rng.standard_normal((2, 6))), const((6,))  # 3 slots, read by w32
     qa = t((9, 3))      # users of 2 and 7 interactions, d_h 3, d 4: 7 slots
     ka, va, w74 = const((9, 3)), const((9, 4)), const((7, 4))
     w_pool = Tensor(0.5 * rng.standard_normal((4, 3)))
@@ -218,9 +218,9 @@ def _primitive_checks():
         "bce_loss": (lambda v: ad.bce_loss(ad.reshape(ad.matmul(
             logits_w, ad.reshape(ad.mean_pool(v, axis=0), (4, 1))), (5,)), labels), x),
         "mse_half": (lambda v: ad.mse_half(v, c), x),
-        "gru_scan": (lambda v: lin(ad.gru_scan(v, w_hh, b_hh, 2), w62), xg),
+        "gru_scan": (lambda v: lin(ad.gru_scan(v, w_hh, b_hh, [1, 3, 2]), w32), xg),
         "prefix_attention": (lambda v: lin(ad.prefix_attention(
-            ad.concat([v, ka, va], axis=1), w_pool, v_pool, [0, 2], [2, 7]), w74), qa),
+            ad.concat([v, ka, va], axis=1), w_pool, v_pool, [2, 7]), w74), qa),
         "ce_block": (lambda v: lin(ad.ce_block(v, *w_ce, [3, 4]), w74), xt),
         "segment_mean": (lambda v: lin(ad.segment_mean(v, [3, 4]), w42), xt),
     }

@@ -577,8 +577,12 @@ def test_determinism_bit_identical():
     assert np.array_equal(gw1, gw2)
 
 
-# gru_scan over b=2 rows and 4 steps with d_h=3
-GRU_SHAPES = {"xg": (8, 9), "w_hh": (3, 9), "b_hh": (9,)}
+# gru_scan over users of 2, 4, 1 and 3 interactions (rows 0-1, 2-5, 6 and
+# 7-9) with d_h=3: steps 0 .. 2 give 3 + 2 + 1 slots. The users are out of
+# length order, so the op's longest-first packing permutes them, and the
+# 1-interaction user has no slot.
+GRU_LENGTHS = np.array([2, 4, 1, 3])
+GRU_SHAPES = {"xg": (10, 9), "w_hh": (3, 9), "b_hh": (9,)}
 
 
 def gru_operand(rng, name, dtype=np.float64):
@@ -596,25 +600,42 @@ def gru_args(rng, dtype=np.float64):
     return {k: gru_operand(rng, k, dtype) for k in GRU_SHAPES}
 
 
+def gru(a, lengths=GRU_LENGTHS):
+    return gru_scan(a["xg"], a["w_hh"], a["b_hh"], lengths)
+
+
 @pytest.mark.parametrize("wrt", list(GRU_SHAPES))
 def test_fd_gru_scan(wrt):
     def make_f(rng):
         args = gru_args(rng)
-        c = Tensor(rng.standard_normal((8, 3)))
-
-        def f(x):
-            a = dict(args, **{wrt: x})
-            return sum_all(mul(gru_scan(a["xg"], a["w_hh"], a["b_hh"], 2), c))
-
-        return f
+        c = Tensor(rng.standard_normal((6, 3)))
+        return lambda x: sum_all(mul(gru(dict(args, **{wrt: x})), c))
 
     run_trials(make_f, lambda rng: gru_operand(rng, wrt))
 
 
+def test_gru_scan_matches_a_per_user_loop():
+    # the cell run user by user from h = 0, slots ordered step then user
+    a = gru_args(np.random.default_rng(2))
+    x, w, b = (a[k].data for k in GRU_SHAPES)
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    slots, first = [], np.cumsum(GRU_LENGTHS) - GRU_LENGTHS
+    for u, (f, n_u) in enumerate(zip(first, GRU_LENGTHS)):
+        h = np.zeros(3)
+        for n in range(n_u - 1):
+            hg = h @ w + b
+            r, z = sig(x[f + n, :3] + hg[:3]), sig(x[f + n, 3:6] + hg[3:6])
+            c = np.tanh(x[f + n, 6:] + r * hg[6:])
+            h = c + z * (h - c)
+            slots.append((n, u, h))
+    expected = np.array([h for *_, h in sorted(slots, key=lambda s: s[:2])])
+    assert np.allclose(gru(a).data, expected, rtol=1e-12, atol=1e-14)
+
+
 def test_gru_scan_float32_outputs_and_gradients():
     args = gru_args(np.random.default_rng(3), np.float32)
-    h = gru_scan(args["xg"], args["w_hh"], args["b_hh"], 2)
-    assert h.shape == (8, 3) and h.dtype == np.float32
+    h = gru(args)
+    assert h.shape == (6, 3) and h.dtype == np.float32
     grads = backward(sum_all(h))
     assert all(grads[t].dtype == np.float32 and grads[t].shape == t.shape for t in args.values())
 
@@ -623,26 +644,29 @@ def test_gru_scan_rejects_mixed_dtypes_and_bad_shapes():
     rng = np.random.default_rng(4)
     a = gru_args(rng)
     with pytest.raises(TypeError):
-        gru_scan(a["xg"], tensor(a["w_hh"].data.astype(np.float32)), a["b_hh"], 2)
+        gru(dict(a, w_hh=tensor(a["w_hh"].data.astype(np.float32))))
     bad = [
-        (a["xg"], a["w_hh"], a["b_hh"], 3),                   # 8 rows, not a multiple of 3
-        (a["xg"], a["w_hh"], a["b_hh"], 0),
-        (tensor(np.zeros((0, 9))), a["w_hh"], a["b_hh"], 2),  # no step
-        (a["xg"], tensor(np.zeros((3, 6))), a["b_hh"], 2),    # w_hh not (d_h, 3*d_h)
-        (a["xg"], a["w_hh"], tensor(np.zeros(6)), 2),
-        (tensor(np.zeros((8, 6))), a["w_hh"], a["b_hh"], 2),
+        (dict(a, w_hh=tensor(np.zeros((3, 6)))), GRU_LENGTHS),   # w_hh not (d_h, 3*d_h)
+        (dict(a, b_hh=tensor(np.zeros(6))), GRU_LENGTHS),
+        (dict(a, xg=tensor(np.zeros((10, 6)))), GRU_LENGTHS),
+        (a, np.array([1] * 10)),                                 # no step
+        (dict(a, xg=tensor(np.zeros((0, 9)))), GRU_LENGTHS[:0]),
+        (a, GRU_LENGTHS[None]),
     ]
-    for args in bad:
-        with pytest.raises(ShapeError):
-            gru_scan(*args)
+    for args, lengths in bad:
+        with pytest.raises(ShapeError, match="gru_scan"):
+            gru(args, lengths)
+    for lengths in ([2, 4, 1, 2], [2, 4, 1, 4], [2, 5, -1, 4]):
+        with pytest.raises(ShapeError, match="gru_scan: lengths must .* sum to .* 10 rows"):
+            gru(a, np.array(lengths))
 
 
 def test_gru_scan_raises_naming_its_step():
     # h @ w_hh + b_hh is finite; adding the input side overflows at step 0
     a = gru_args(np.random.default_rng(5))
-    big = tensor(np.full(9, 1e308))
+    a.update(xg=tensor(np.full((10, 9), 1e308)), b_hh=tensor(np.full(9, 1e308)))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="gru_scan .* step 0"):
-        gru_scan(tensor(np.full((8, 9), 1e308)), a["w_hh"], big, 2)
+        gru(a)
 
 
 def test_gru_scan_accounts_saved_arrays_and_keeps_none_under_no_grad():
@@ -650,10 +674,10 @@ def test_gru_scan_accounts_saved_arrays_and_keeps_none_under_no_grad():
     acct = CountingAccountant()
     with track_activations(acct):
         with no_grad():
-            gru_scan(a["xg"], a["w_hh"], a["b_hh"], 2)
+            gru(a)
         assert acct.peak == 0
-        loss = sum_all(gru_scan(a["xg"], a["w_hh"], a["b_hh"], 2))
-    assert acct.current == 5 * 8 * 3        # r, z, c, hg_c and h per step
+        loss = sum_all(gru(a))
+    assert acct.current == 5 * 6 * 3        # r, z, c, hg_c and h per slot
     backward(loss)
     assert acct.current == 0
 
@@ -664,7 +688,7 @@ def test_gru_scan_accounts_saved_arrays_and_keeps_none_under_no_grad():
 # element and pass no gradient to q, k or the pooling weights. The op's
 # (9, 3 + 3 + 4) qkv operand is built by concat from q_all, k_all and
 # v_all, so each finite-difference check covers one column block of it.
-PA_FIRST, PA_LENGTHS = np.array([0, 2]), np.array([2, 7])
+PA_LENGTHS = np.array([2, 7])
 PA_SHAPES = {"q_all": (9, 3), "k_all": (9, 3), "v_all": (9, 4), "w_pool": (4, 3), "v_pool": (3, 1)}
 
 
@@ -685,9 +709,9 @@ def pa_args(rng, dtype=np.float64):
     return {k: pa_operand(rng, k, dtype) for k in PA_SHAPES}
 
 
-def pa(a, first=PA_FIRST, lengths=PA_LENGTHS):
+def pa(a, lengths=PA_LENGTHS):
     qkv = concat([a["q_all"], a["k_all"], a["v_all"]], axis=1)
-    return prefix_attention(qkv, a["w_pool"], a["v_pool"], first, lengths)
+    return prefix_attention(qkv, a["w_pool"], a["v_pool"], lengths)
 
 
 @pytest.mark.parametrize("wrt", list(PA_SHAPES))
@@ -713,23 +737,22 @@ def test_prefix_attention_rejects_mixed_dtypes_and_bad_shapes():
     with pytest.raises(TypeError):
         pa(dict(a, v_pool=tensor(a["v_pool"].data.astype(np.float32))))
     bad = [
-        (dict(a, k_all=tensor(np.zeros((9, 2)))), PA_FIRST, PA_LENGTHS),  # qkv not 2*d_h + d wide
-        (dict(a, v_all=tensor(np.zeros((9, 5)))), PA_FIRST, PA_LENGTHS),
-        (dict(a, w_pool=tensor(np.zeros((3, 4)))), PA_FIRST, PA_LENGTHS),
-        (dict(a, w_pool=tensor(np.zeros(12))), PA_FIRST, PA_LENGTHS),
-        (dict(a, v_pool=tensor(np.zeros(3))), PA_FIRST, PA_LENGTHS),
-        (a, PA_FIRST, PA_LENGTHS[:1]),
-        (a, np.array([0, 3]), PA_LENGTHS),          # user 1 runs past row 8
-        (a, np.array([0, 1]), PA_LENGTHS),          # the users share row 1
-        (a, np.array([-1, 2]), PA_LENGTHS),
-        (a, PA_FIRST, np.array([1, 1])),            # no proper prefix
-        (a, PA_FIRST[:0], PA_LENGTHS[:0]),
+        (dict(a, k_all=tensor(np.zeros((9, 2)))), PA_LENGTHS),  # qkv not 2*d_h + d wide
+        (dict(a, v_all=tensor(np.zeros((9, 5)))), PA_LENGTHS),
+        (dict(a, w_pool=tensor(np.zeros((3, 4)))), PA_LENGTHS),
+        (dict(a, w_pool=tensor(np.zeros(12))), PA_LENGTHS),
+        (dict(a, v_pool=tensor(np.zeros(3))), PA_LENGTHS),
+        (a, np.array([1] * 9)),                                 # no proper prefix
+        (a, PA_LENGTHS[None]),
     ]
-    for args, first, lengths in bad:
-        with pytest.raises(ShapeError):
-            pa(args, first, lengths)
+    for args, lengths in bad:
+        with pytest.raises(ShapeError, match="prefix_attention"):
+            pa(args, lengths)
     with pytest.raises(ShapeError):                 # a 1-D qkv
-        prefix_attention(tensor(np.zeros(10)), a["w_pool"], a["v_pool"], PA_FIRST, PA_LENGTHS)
+        prefix_attention(tensor(np.zeros(10)), a["w_pool"], a["v_pool"], PA_LENGTHS)
+    for lengths in ([2], [2, 6], [2, 8], [-1, 10], []):
+        with pytest.raises(ShapeError, match="prefix_attention: lengths must .* sum to .* 9 rows"):
+            pa(a, np.array(lengths, dtype=int))
 
 
 def test_prefix_attention_raises_naming_its_prefix_length():
@@ -753,6 +776,41 @@ def test_prefix_attention_saves_only_its_operands_and_nothing_under_no_grad():
     assert acct.current == 9 * 10       # q, k and v in one array; no per-prefix array
     backward(loss)
     assert acct.current == 0
+
+
+# Both fused ops over users of 3, 1, 0 and 2 interactions: rows 0-2, 3 and
+# 4-5. A user's last row predicts nothing and is read by no step or
+# prefix, so it gets exactly zero gradient, as does the 1-interaction
+# user's only row; the 0-interaction user owns no row and no slot.
+FUSED_LENGTHS = np.array([3, 1, 0, 2])
+
+
+def fused_outputs(op, lengths, x):
+    rng = np.random.default_rng(12)
+    if op == "gru_scan":
+        w_hh, b_hh = Tensor(0.5 * rng.standard_normal((3, 9))), Tensor(rng.standard_normal(9))
+        return gru_scan(x, w_hh, b_hh, lengths)
+    w_pool, v_pool = Tensor(0.5 * rng.standard_normal((4, 3))), Tensor(rng.standard_normal((3, 1)))
+    return prefix_attention(x, w_pool, v_pool, lengths)
+
+
+@pytest.mark.parametrize("op,width", [("gru_scan", 9), ("prefix_attention", 10)])
+def test_fused_ops_pass_no_gradient_to_unread_rows(op, width):
+    x = leaf(np.random.default_rng(11), (6, width))
+    out = fused_outputs(op, FUSED_LENGTHS, x)
+    assert out.shape[0] == 2 + 1            # slots: steps 0 and 1 of user 0, step 0 of user 3
+    g = backward(sum_all(mul(out, Tensor(np.random.default_rng(13).standard_normal(out.shape)))))
+    dx = g[x].data
+    assert np.all(dx[[2, 3, 5]] == 0.0)     # user 0's last row, the 1-row user, user 3's last
+    assert np.all(np.abs(dx[[0, 1, 4]]).sum(axis=1) > 0)
+
+
+@pytest.mark.parametrize("op,width", [("gru_scan", 9), ("prefix_attention", 10)])
+def test_fused_ops_accept_users_without_interactions(op, width):
+    # dropping the 0-interaction user leaves every slot's value unchanged
+    x = tensor(np.random.default_rng(14).standard_normal((6, width)))
+    with_empty = fused_outputs(op, FUSED_LENGTHS, x).data
+    assert np.array_equal(with_empty, fused_outputs(op, FUSED_LENGTHS[[0, 1, 3]], x).data)
 
 
 # ce_block over items of 3, 3, 1 and 4 tokens with d=4 and d_ff=5: the two

@@ -2,7 +2,7 @@
 
 Covers hand-checkable special cases (zeroed weights, empty histories),
 finite-difference gradient checks through both forwards, agreement of the
-lockstep batched paths with the per-user reference in ``reference_cf``,
+batched paths with the per-user reference in ``reference_cf``,
 agreement of the fused encoder with the per-op one in ``reference_ce``,
 and checkpoint round-trips.
 """
@@ -484,7 +484,7 @@ def test_batch_gradients_match_per_user(variant):
 
 @pytest.mark.parametrize("variant", ["recurrent", "attention"])
 def test_batch_scores_match_cf_predict(variant):
-    # lockstep scoring must agree with the per-user reference at
+    # batched scoring must agree with the per-user reference at
     # every (user, position) slot, including after short users finish
     rng = np.random.default_rng(18)
     _, cf = small_params(seed=18, variant=variant)
@@ -522,9 +522,10 @@ MIXED_USERS = [
 ]
 
 
-def test_attention_batch_logits_match_per_prefix_logits():
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_batch_logits_match_per_prefix_logits(variant):
     rng = np.random.default_rng(23)
-    _, cf = small_params(seed=23, variant="attention")
+    _, cf = small_params(seed=23, variant=variant)
     items = [0, 1, 2, 3, 4]
     enc = leaf_encodings(rng, cf.cfg.d, items)
     stack = ad.concat([enc[i] for i in items], axis=0)
@@ -543,14 +544,16 @@ def test_attention_batch_logits_match_per_prefix_logits():
     assert rel_gap(logits.data[:, 0], ref) <= 1e-9
 
 
-@pytest.mark.parametrize("variant,peak", [("recurrent", 1093), ("attention", 573)])
+@pytest.mark.parametrize("variant,peak", [("recurrent", 521), ("attention", 573)])
 def test_batch_loss_saved_activations(variant, peak):
-    # attention: the one q/k/v matmul keeps the (18, 8) x_all once (144)
-    # and the (8, 12) concatenated weights (96), and prefix_attention keeps
-    # only its (18, 12) qkv operand (216) and recomputes every prefix in
-    # backward, so no per-prefix array is counted; recurrent: gru_scan keeps five (b, d_h) arrays per update
-    # (r, z, c, hg_c, h), 600 of the 1093; after backward nothing may stay
-    # counted, which an op no logit reads would
+    # both: the projecting matmul keeps the (18, 8) interaction rows once
+    # (144), the row-dot's mul keeps two (13, 4) operands (104) and
+    # bce_loss the 13 logits; attention: the matmul also keeps the (8, 12)
+    # concatenated weights (96), and prefix_attention keeps only its
+    # (18, 12) qkv operand (216) and recomputes every prefix in backward;
+    # recurrent: gru_scan keeps five (13, 4) arrays, one row per slot (r,
+    # z, c, hg_c, h: 260); after backward nothing may stay counted, which
+    # an op no logit reads would
     from gram.instrument import ActivationAccountant
     _, cf = small_params(seed=22, variant=variant)
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
@@ -627,9 +630,10 @@ def node_counts_with_a_longer_user(variant):
 def test_recurrent_batch_graph_keeps_h_independent_ops_out_of_the_time_loop():
     # the whole time loop is one gru_scan node, so a user three times as
     # long as MIXED_USERS' longest adds no node; an op recorded per update
-    # would add one per extra step
-    nodes = node_counts_with_a_longer_user("recurrent")
-    assert nodes[0] == nodes[1]
+    # would add one per extra step; the 13 are two gathers and a concat,
+    # the w_ih matmul and bias add, gru_scan, the readout matmul and the
+    # candidate gather, the three ops of the row-dot, a reshape and bce_loss
+    assert node_counts_with_a_longer_user("recurrent") == [13, 13]
 
 
 def test_attention_batch_graph_has_constant_size():
@@ -642,9 +646,9 @@ def test_attention_batch_graph_has_constant_size():
     assert node_counts_with_a_longer_user("attention") == [13, 13]
 
 
-def test_recurrent_filler_rows_get_no_gradient():
-    # no sequence holds item 0, so only finished users' filler inputs and
-    # filler readout slots read enc row 0
+def test_recurrent_unread_encoding_row_gets_no_gradient():
+    # no sequence holds item 0, so no slot reads enc row 0; every other
+    # row and every parameter gets the per-user reference's gradient
     rng = np.random.default_rng(24)
     _, cf = small_params(seed=24)
     users = [[(item + 1, r) for item, r in seq] for seq in MIXED_USERS]
@@ -672,7 +676,7 @@ def test_batch_rejects_all_singleton_users():
 
 @pytest.mark.parametrize("variant", ["recurrent", "attention"])
 def test_batch_rejects_sequences_longer_than_max_interactions(variant):
-    # the bound cf_predict enforces on a history holds in the lockstep path too
+    # the bound cf_predict enforces on a history holds in the batched path too
     cfg = M.ModelConfig(d=4, d_ff=6, d_h=4, vocab_size=12, max_token_len=8,
                         max_interactions=3, cf_variant=variant)
     _, cf = M.init_params(cfg, 20)
