@@ -233,6 +233,14 @@ def _mode_arg(value: str) -> str:
     return mode
 
 
+def _modes_arg(value: str) -> list[str]:
+    modes = [_mode_arg(m) for m in value.split(",")]
+    for k, mode in enumerate(modes):
+        if mode in modes[:k]:
+            raise argparse.ArgumentTypeError(f"mode {mode.replace('_', '-')!r} given twice")
+    return modes
+
+
 def _final_metrics_line(metrics: dict) -> str:
     parts = []
     for key in ("auc", "cs_auc", "mrr", "ndcg@5", "ndcg@10", "val_auc"):
@@ -367,7 +375,7 @@ def cmd_bench(args) -> int:
         tcfg = replace(tcfg, latency=args.latency)
     # fixed-length runs so counters are comparable across modes
     tcfg = replace(tcfg, max_epochs=args.epochs, patience=0)
-    modes = [_mode_arg(m) for m in args.modes.split(",")]
+    modes = args.modes
     dataset = load_dataset(args.data)
     # the dry scan plans the run, so a bad config fails before any training
     e2e_fwd, gram_fwd = expected_forward_counts(dataset, tcfg, args.epochs)
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="side-by-side cost comparison of modes")
     b.add_argument("--data", required=True, help="dataset directory")
-    b.add_argument("--modes", default="e2e,gram",
+    b.add_argument("--modes", default="e2e,gram", type=_modes_arg,
                    help="comma-separated (default e2e,gram)")
     b.add_argument("--config", help="run-config JSON")
     b.add_argument("--epochs", type=int, default=3, help="fixed epochs per mode (default 3)")

@@ -45,6 +45,9 @@ class Item:
 
 @dataclass(frozen=True)
 class UserSequence:
+    """One user's (item_id, response) pairs in temporal order. Each response
+    is checked to be 0 or 1 here, once; nothing downstream checks it again."""
+
     user_id: int
     interactions: tuple[tuple[int, int], ...]  # (item_id, response) pairs
 
@@ -76,16 +79,28 @@ class Dataset:
         return sum(len(u) for u in self.users)
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
+    """A batch of users and their interactions as arrays, built once.
+    Interactions are numbered user by user, so user u owns the next
+    ``lengths[u]`` of them, and ``unique_items[inverse[k]] == items[k]``."""
+
     users: list[UserSequence]
-    unique_items: tuple[int, ...] = field(init=False)    # sorted ids the users reference
+    lengths: np.ndarray = field(init=False)         # interactions per user
+    items: np.ndarray = field(init=False)           # item id of interaction k
+    resps: np.ndarray = field(init=False)           # response (0 or 1) of interaction k
+    unique_items: np.ndarray = field(init=False)    # sorted distinct ids of items
+    inverse: np.ndarray = field(init=False)         # index in unique_items of interaction k's item
 
     def __post_init__(self):
-        self.unique_items = tuple(sorted({item for u in self.users for item, _ in u.interactions}))
+        pairs = [pair for u in self.users for pair in u.interactions]
+        self.lengths = np.array([len(u) for u in self.users], dtype=np.intp)
+        self.items = np.array([item for item, _ in pairs], dtype=np.intp)
+        self.resps = np.array([resp for _, resp in pairs], dtype=np.intp)
+        self.unique_items, self.inverse = np.unique(self.items, return_inverse=True)
 
     def n_interactions(self) -> int:
-        return sum(len(u) for u in self.users)
+        return self.items.size
 
 
 @dataclass

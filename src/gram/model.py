@@ -29,14 +29,20 @@ per-position binary cross-entropy terms, computed by ``autodiff.bce_loss``
 from the logits, so a training graph has no sigmoid node. Only evaluation
 applies the sigmoid, to report probabilities.
 
-``batch_sequence_loss`` is the hot path. Both variants build a batch the
-same way: one (encoding (+) response) row per interaction, numbered user
-by user, one matmul projecting every row, one fused op over the users'
-ragged rows, and one row-dot against the candidates, so each loss graph
-has the same 13 nodes for any sequence length. Nothing is padded: step n
-of a fused op reads interactions 0..n of each user longer than n + 1 and
-predicts interaction n + 1, the users run longest first so each step's
-users are a leading slice, and the op returns one row per predicted slot.
+``batch_sequence_loss`` is the hot path. It takes a ``dataset.Batch``,
+whose arrays number the interactions user by user, and reads encodings
+by row index: ``batch_sequence_loss(batch, rows, enc, p)`` finds
+interaction k's encoding at ``enc[rows[k]]``. Joint backprop passes one
+row per interaction (``rows = arange(n)``); the cached and table modes
+pass one row per distinct item (``rows = batch.inverse``), so every
+occurrence of an item reads the same row. Both variants build a batch the
+same way: one (encoding (+) response) row per interaction, one matmul
+projecting every row, one fused op over the users' ragged rows, and one
+row-dot against the candidates, so each loss graph has the same 13 nodes
+for any sequence length. Nothing is padded: step n of a fused op reads
+interactions 0..n of each user longer than n + 1 and predicts interaction
+n + 1, the users run longest first so each step's users are a leading
+slice, and the op returns one row per predicted slot.
 The recurrent CF's ``autodiff.gru_scan`` runs the h-side of the cell over
 the w_ih-projected rows with a hand-written backprop through time. The
 attention CF's ``autodiff.prefix_attention`` runs, for each prefix length
@@ -57,12 +63,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .dataset import Batch
 
 CHECKPOINT_FORMAT = "gram-checkpoint-v1"
 
@@ -288,100 +294,62 @@ def ce_encode(token_seqs, p: CeParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _check_response(r) -> int:
-    if r not in (0, 1):
-        raise ValueError(f"response must be 0 or 1, got {r!r}")
-    return int(r)
-
-
-def _interactions_of(user):
-    inter = getattr(user, "interactions", user)
-    return [(item, _check_response(resp)) for item, resp in inter]
-
-
 def _row_dot(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise dot product of two (m, k) tensors -> (m,)."""
     k = a.shape[1]
     return ad.scale(ad.mean_pool(ad.mul(a, b), axis=1), float(k))
 
 
-class _Layout(NamedTuple):
-    """Index layout of one batch. Interactions are numbered user by user,
-    so user u owns the next lengths[u] of them."""
-
-    lengths: np.ndarray     # interactions per user
-    rows: np.ndarray        # row of ``enc`` per interaction
-    resps: np.ndarray       # response per interaction
-    targets: np.ndarray     # interaction predicted at each slot
-
-
-def _batch_layout(users, row_of):
-    """Index layout of a batch, and the labels / item ids / user index of
-    every slot. Slots come step-major: position n >= 1 ascending, then
-    user, the order the fused CF ops return."""
-    inters = [_interactions_of(u) for u in users]
-    lengths = np.array([len(it) for it in inters], dtype=np.intp)
-    if lengths.size == 0 or int(lengths.max(initial=0)) < 2:
-        raise ValueError("batch requires at least one user with >= 2 interactions")
-    items = np.array([item for it in inters for item, _ in it])
-    rows = (np.arange(items.size, dtype=np.intp) if row_of is None
-            else np.array([row_of[item] for item in items.tolist()], dtype=np.intp))
-    resps = np.array([resp for it in inters for _, resp in it], dtype=np.intp)
-    step, user_idx = np.nonzero(np.arange(1, int(lengths.max()))[:, None] < lengths)
-    at = np.cumsum(lengths)[user_idx] - lengths[user_idx] + step + 1
-    return (_Layout(lengths, rows, resps, at),
-            (resps[at].astype(np.float64), items[at], user_idx))
-
-
-def batch_logits(users, row_of, enc: Tensor, p: CfParams):
+def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     """Forward over a batch.
 
-    ``row_of`` maps item_id -> row of ``enc`` (the (n_unique, d) stack of
-    item encodings); None means row k of ``enc`` encodes the batch's
-    interaction k, numbered user by user. Returns (logits as an (n, 1)
-    tensor, labels, item_ids, user index arrays), one entry per predicted
-    position, in ``_batch_layout``'s step-major order.
-
-    Both variants build the (encoding (+) response embedding) row of every
-    interaction once, project all of them with one matmul, run one fused
-    op over the users' ragged rows, and take one row-wise dot with the
-    candidates: the recurrent CF's ``gru_scan`` returns the hidden state
-    that predicts each slot, dotted with the candidate's readout row; the
-    attention CF's ``prefix_attention`` returns the pooled user vector,
-    dotted with the candidate's encoding, plus a bias.
+    ``enc[rows[k]]`` encodes the batch's interaction k, numbered user by
+    user as in ``Batch``. Returns (logits as an (n, 1) tensor, labels,
+    item_ids, user index arrays), one entry per predicted position. Slots
+    come step-major, position n >= 1 ascending and then user, the order
+    the fused CF ops return. The recurrent CF dots ``gru_scan``'s state
+    for each slot with the candidate's readout row; the attention CF dots
+    ``prefix_attention``'s pooled user vector with the candidate's
+    encoding and adds a bias.
     """
-    lay, (labels, item_ids, user_idx) = _batch_layout(users, row_of)
-    if lay.lengths.max() > p.cfg.max_interactions:
-        u = int(np.argmax(lay.lengths))
-        raise ValueError(f"user at batch index {u} has {lay.lengths[u]} interactions, "
+    lengths = batch.lengths
+    longest = int(lengths.max(initial=0))
+    if longest < 2:
+        raise ValueError("batch requires at least one user with >= 2 interactions")
+    if longest > p.cfg.max_interactions:
+        u = int(np.argmax(lengths))
+        raise ValueError(f"user at batch index {u} has {lengths[u]} interactions, "
                          f"more than max_interactions {p.cfg.max_interactions}")
-    x = ad.concat([ad.gather(enc, lay.rows), ad.gather(p.resp_embedding, lay.resps)], axis=1)
+    step, user_idx = np.nonzero(np.arange(1, longest)[:, None] < lengths)
+    targets = np.cumsum(lengths)[user_idx] - lengths[user_idx] + step + 1
+    x = ad.concat([ad.gather(enc, rows), ad.gather(p.resp_embedding, batch.resps)], axis=1)
     if p.variant == "recurrent":
-        h = ad.gru_scan(ad.add(ad.matmul(x, p.w_ih), p.b_ih), p.w_hh, p.b_hh, lay.lengths)
-        flat = _row_dot(h, ad.gather(ad.matmul(enc, p.w_readout), lay.rows[lay.targets]))
+        h = ad.gru_scan(ad.add(ad.matmul(x, p.w_ih), p.b_ih), p.w_hh, p.b_hh, lengths)
+        flat = _row_dot(h, ad.gather(ad.matmul(enc, p.w_readout), rows[targets]))
     else:
         qkv = ad.matmul(x, ad.concat([p.wq, p.wk, p.wv], axis=1))
-        u = ad.prefix_attention(qkv, p.w_pool, p.v_pool, lay.lengths)
-        flat = ad.add(_row_dot(u, ad.gather(enc, lay.rows[lay.targets])), p.bias)
-    return ad.reshape(flat, (flat.shape[0], 1)), labels, item_ids, user_idx
+        u = ad.prefix_attention(qkv, p.w_pool, p.v_pool, lengths)
+        flat = ad.add(_row_dot(u, ad.gather(enc, rows[targets])), p.bias)
+    labels = batch.resps[targets].astype(np.float64)
+    return ad.reshape(flat, (flat.shape[0], 1)), labels, batch.items[targets], user_idx
 
 
-def batch_sequence_loss(users, row_of, enc: Tensor, p: CfParams):
+def batch_sequence_loss(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     """Sum of all users' sequence losses, computed as one batch.
 
     Returns (loss tensor, number of predicted positions).
     """
-    logits, labels, _, _ = batch_logits(users, row_of, enc, p)
+    logits, labels, _, _ = batch_logits(batch, rows, enc, p)
     y = Tensor(labels.reshape(-1, 1).astype(enc.dtype))
     loss = ad.bce_loss(logits, y)
     return loss, labels.size
 
 
-def batch_scores(users, row_of, enc: Tensor, p: CfParams):
+def batch_scores(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     """Evaluation scores: (probabilities, labels, item_ids, user_idx) as
     plain arrays, one entry per predicted position. Run under no_grad."""
     with ad.no_grad():
-        logits, labels, item_ids, user_idx = batch_logits(users, row_of, enc, p)
+        logits, labels, item_ids, user_idx = batch_logits(batch, rows, enc, p)
         probs = ad.sigmoid(logits).data[:, 0]
     return probs, labels, item_ids, user_idx
 

@@ -355,6 +355,7 @@ class TrainerState:
     opt_ce: OptimizerState
     opt_cf: OptimizerState
     item_tokens: dict
+    item_ids: np.ndarray            # sorted ids of item_tokens; row k of a table is item_ids[k]
     accum_steps: int                # gram window size N, resolved from cfg.latency
     t: int = 0                      # batches processed so far
     # gram, open window, in first-touch order: item -> its first-touch
@@ -364,11 +365,10 @@ class TrainerState:
     counters: CostCounters = field(default_factory=CostCounters)
     accountant: ActivationAccountant = field(default_factory=ActivationAccountant)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
-    # baselines: one row per item in sorted id order, read in place of
-    # the encoder; no_content's is trained on opt_ce, no_finetune's is the
+    # baselines: one row per item of item_ids, read in place of the
+    # encoder; no_content's is trained on opt_ce, no_finetune's is the
     # initial encoder's output, frozen
     table: Tensor | None = None
-    table_row: dict | None = None
 
     def train_wall_ns(self) -> int:
         return sum(self.timer.totals_ns.get(k, 0) for k in _TRAIN_PHASES)
@@ -392,9 +392,10 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
         mode=mode, cfg=cfg, ce=ce, cf=cf,
         opt_ce=OptimizerState(cfg.opt_ce), opt_cf=OptimizerState(cfg.opt_cf),
         item_tokens={it.item_id: it.tokens for it in dataset.items},
+        item_ids=np.array(sorted(it.item_id for it in dataset.items), dtype=np.intp),
         accum_steps=accumulation_latency(cfg.latency, steps_per_epoch),
     )
-    ids = sorted(state.item_tokens)
+    ids = state.item_ids.tolist()
     if mode == "no_content":
         # Xavier-style table; rows of items never seen in training stay at
         # their random init, which is the point of this baseline.
@@ -407,8 +408,6 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
         with ad.no_grad():
             state.table = ce_encode([state.item_tokens[i] for i in ids], ce)
         state.counters.ce_forward_calls += len(ids)
-    if state.table is not None:
-        state.table_row = {i: k for k, i in enumerate(ids)}
     return state
 
 
@@ -417,15 +416,15 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
-def _encode_occurrences(users, item_tokens: dict, ce: CeParams):
+def _encode_occurrences(batch: Batch, item_tokens: dict, ce: CeParams):
     """One grad-tracked encoder row per interaction *occurrence*, so
     gradients flow into the encoder once per occurrence; all rows come
     from one batched encoder call, and row k encodes the batch's
-    interaction k (the CF reads it with ``row_of`` None).
+    interaction k (the CF reads it with ``rows`` = arange(n)).
 
     Returns (enc, token lengths).
     """
-    seqs = [item_tokens[item_id] for u in users for item_id, _ in u.interactions]
+    seqs = [item_tokens[item_id] for item_id in batch.items.tolist()]
     lens = [min(len(toks), ce.cfg.max_token_len) for toks in seqs]
     return ce_encode(seqs, ce), lens
 
@@ -436,8 +435,7 @@ def _cache_leaves(items, encodings: dict, cache: dict, ce: CeParams, item_tokens
 
     Items touched for the first time in the window are encoded in one
     no-grad call; that encoding is what every later touch reads, and it
-    seeds the item's pseudo-target. Returns (leaf, row_of, encoder
-    forwards).
+    seeds the item's pseudo-target. Returns (leaf, encoder forwards).
     """
     misses = [i for i in items if i not in encodings]
     if misses:
@@ -446,16 +444,16 @@ def _cache_leaves(items, encodings: dict, cache: dict, ce: CeParams, item_tokens
         for k, i in enumerate(misses):
             encodings[i] = cache[i] = enc[k:k + 1]
     leaf = Tensor(np.concatenate([encodings[i] for i in items], axis=0), grad_enabled=True)
-    return leaf, {item_id: k for k, item_id in enumerate(items)}, len(misses)
+    return leaf, len(misses)
 
 
-def _write_back(cache: dict, row_of: dict, leaf: Tensor, gmap: dict) -> None:
+def _write_back(cache: dict, items, leaf: Tensor, gmap: dict) -> None:
     """Accumulate h~ = h - sum of dL/dh over the window into the cache:
-    item i's target loses row ``row_of[i]`` of the leaf's gradient."""
+    ``items[k]``'s target loses row k of the leaf's gradient."""
     g = gmap.get(leaf)
     if g is None:
         return
-    for i, k in row_of.items():
+    for k, i in enumerate(items):
         cache[i] = cache[i] - g.data[k:k + 1]
         if not np.all(np.isfinite(cache[i])):
             raise NonFiniteError(f"pseudo-target for item {i} is non-finite")
@@ -491,35 +489,43 @@ def _apply_updates(opt: OptimizerState, named: dict, grads: dict,
     optimizer_apply(opt, named, grads)
 
 
-def _step_inputs(batch: Batch, state: TrainerState):
-    """(row_of, enc, trained groups) for one step.
+def _item_rows(item_ids: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Row of each of ``items`` in the sorted ``item_ids``; an item that is
+    not among them is a ValueError naming it."""
+    unknown = ~np.isin(items, item_ids)
+    if unknown.any():
+        raise ValueError(f"item {items[np.argmax(unknown)]} is not in the dataset")
+    return np.searchsorted(item_ids, items)
 
-    ``enc`` holds the representations the CF reads; in ``gram`` it is the
-    leaf whose gradient goes into the pseudo-targets, and in ``e2e``, where
-    ``row_of`` is None, its row k encodes the batch's interaction k. Each
-    trained group is an (optimizer, named parameters) pair.
+
+def _step_inputs(batch: Batch, state: TrainerState):
+    """(rows, enc, trained groups) for one step.
+
+    ``enc`` holds the representations the CF reads, ``enc[rows[k]]`` the
+    batch's interaction k's. In ``e2e`` row k encodes interaction k; in the
+    other modes row j is ``batch.unique_items[j]``'s, and in ``gram`` it is
+    the leaf whose gradient goes into the pseudo-targets. Each trained
+    group is an (optimizer, named parameters) pair.
     """
     c = state.counters
     cf_group = (state.opt_cf, state.cf.named())
     if state.mode == "e2e":
-        enc, lens = _encode_occurrences(batch.users, state.item_tokens, state.ce)
+        enc, lens = _encode_occurrences(batch, state.item_tokens, state.ce)
         c.ce_forward_calls += len(lens)
         c.ce_backward_calls += len(lens)
         c.flop_estimate += e2e_ce_flops_per_batch(
             len(batch.users), len(lens) / len(batch.users), float(np.mean(lens)), state.ce.cfg.d)
-        return None, enc, [(state.opt_ce, state.ce.named()), cf_group]
+        return np.arange(len(lens)), enc, [(state.opt_ce, state.ce.named()), cf_group]
     if state.mode == "gram":
-        leaf, row_of, n_encoded = _cache_leaves(
-            batch.unique_items, state.encodings, state.cache, state.ce, state.item_tokens)
+        leaf, n_encoded = _cache_leaves(batch.unique_items.tolist(), state.encodings,
+                                        state.cache, state.ce, state.item_tokens)
         c.ce_forward_calls += n_encoded
-        return row_of, leaf, [cf_group]
-    order = batch.unique_items
-    row_of = {item_id: k for k, item_id in enumerate(order)}
-    rows = np.array([state.table_row[i] for i in order])
+        return batch.inverse, leaf, [cf_group]
     groups = [cf_group]
     if state.table.grad_enabled:
         groups.append((state.opt_ce, {"table": state.table}))
-    return row_of, ad.gather(state.table, rows), groups
+    enc = ad.gather(state.table, _item_rows(state.item_ids, batch.unique_items))
+    return batch.inverse, enc, groups
 
 
 def train_step(batch: Batch, state: TrainerState) -> dict:
@@ -535,11 +541,11 @@ def train_step(batch: Batch, state: TrainerState) -> dict:
     with state.timer.measure("e2e" if state.mode == "e2e" else "cf"), \
             ad.track_activations(state.accountant):
         try:
-            row_of, enc, groups = _step_inputs(batch, state)
-            loss, n_preds = batch_sequence_loss(batch.users, row_of, enc, state.cf)
+            rows, enc, groups = _step_inputs(batch, state)
+            loss, n_preds = batch_sequence_loss(batch, rows, enc, state.cf)
             gmap = ad.backward(loss)
             if state.mode == "gram":
-                _write_back(state.cache, row_of, enc, gmap)
+                _write_back(state.cache, batch.unique_items.tolist(), enc, gmap)
         except NonFiniteError as e:
             raise NumericalAbort(f"{state.mode} step {state.t}: {e}") from e
         for opt, named in groups:
@@ -585,31 +591,33 @@ def _ce_update_phase(state: TrainerState) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def eval_encodings(state: TrainerState):
-    """(row_of, enc) giving each known item's current representation.
+def eval_encodings(state: TrainerState) -> Tensor:
+    """Each known item's current representation, row k for
+    ``state.item_ids[k]``.
 
     For encoder-bearing modes this re-encodes every item with the current
     parameters (what deployment would serve); baselines use their item
     table. Never touches the cost counters.
     """
     if state.table is not None:
-        return state.table_row, state.table
-    ids = sorted(state.item_tokens)
+        return state.table
     with ad.no_grad():
-        enc = ce_encode([state.item_tokens[i] for i in ids], state.ce)
-    return {i: k for k, i in enumerate(ids)}, enc
+        return ce_encode([state.item_tokens[i] for i in state.item_ids.tolist()], state.ce)
 
 
-def scored_pairs(users, row_of, enc: Tensor, cf: CfParams):
+def scored_pairs(users, item_ids: np.ndarray, enc: Tensor, cf: CfParams):
     """Model scores for every predictable position as four arrays:
     float64 probabilities, labels, item ids and group ids, a prediction's
-    group id being its user's index in ``users``."""
+    group id being its user's index in ``users``. Row k of ``enc`` encodes
+    ``item_ids[k]``; only users with a predictable position (>= 2
+    interactions) are batched."""
     # typed empty columns, so no predictions at all reach auc's UndefinedMetricError
     columns = [(np.empty(0), np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp))]
+    index = np.array([k for k, u in enumerate(users) if len(u) >= 2], dtype=np.intp)
     base = 0
-    for b in batch_iter(users, EVAL_BATCH_SIZE):
-        probs, labels, item_ids, user_idx = batch_scores(b.users, row_of, enc, cf)
-        columns.append((probs.astype(np.float64), labels, item_ids, base + user_idx))
+    for b in batch_iter([users[k] for k in index], EVAL_BATCH_SIZE):
+        probs, labels, items, user_idx = batch_scores(b, _item_rows(item_ids, b.items), enc, cf)
+        columns.append((probs.astype(np.float64), labels, items, index[base + user_idx]))
         base += len(b.users)
     scores, labels, item_ids, group_ids = (np.concatenate(c) for c in zip(*columns))
     check_predictions(scores, labels, group_ids)
@@ -618,8 +626,8 @@ def scored_pairs(users, row_of, enc: Tensor, cf: CfParams):
 
 def evaluate(state: TrainerState, users, cs_items=None) -> dict:
     """AUC (optionally cold-start AUC) plus per-user ranking metrics."""
-    row_of, enc = eval_encodings(state)
-    scores, labels, item_ids, group_ids = scored_pairs(users, row_of, enc, state.cf)
+    scores, labels, item_ids, group_ids = scored_pairs(
+        users, state.item_ids, eval_encodings(state), state.cf)
     out = {"auc": auc(scores, labels), "n_predictions": len(scores)}
     if cs_items is not None:
         try:
@@ -739,8 +747,8 @@ def max_rel_err(a: dict, b: dict) -> float:
 def e2e_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
     """Loss and named parameter gradients of one joint-backprop batch,
     without applying any update."""
-    enc, _ = _encode_occurrences(batch.users, item_tokens, ce)
-    loss, _ = batch_sequence_loss(batch.users, None, enc, cf)
+    enc, _ = _encode_occurrences(batch, item_tokens, ce)
+    loss, _ = batch_sequence_loss(batch, np.arange(batch.n_interactions()), enc, cf)
     gmap = ad.backward(loss)
     return loss.item(), _named_grads(named_params(ce, cf), gmap)
 
@@ -754,12 +762,12 @@ def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict,
     chunk as in training. Returns (loss, named grads) shaped like
     ``e2e_gradients`` output.
     """
-    cache = {}
-    leaf, row_of, _ = _cache_leaves(batch.unique_items, {}, cache, ce, item_tokens)
-    loss, _ = batch_sequence_loss(batch.users, row_of, leaf, cf)
+    cache, items = {}, batch.unique_items.tolist()
+    leaf, _ = _cache_leaves(items, {}, cache, ce, item_tokens)
+    loss, _ = batch_sequence_loss(batch, batch.inverse, leaf, cf)
     gmap = ad.backward(loss)
-    _write_back(cache, row_of, leaf, gmap)
-    _, ce_grads = _regress(ce, item_tokens, batch.unique_items, cache, ce_batch_size)
+    _write_back(cache, items, leaf, gmap)
+    _, ce_grads = _regress(ce, item_tokens, items, cache, ce_batch_size)
     grads = _named_grads(named_params(None, cf), gmap)
     grads.update((f"ce.{k}", g) for k, g in ce_grads.items())
     return loss.item(), grads

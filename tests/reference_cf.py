@@ -11,7 +11,19 @@ import numpy as np
 
 from gram import autodiff as ad
 from gram.autodiff import Tensor
-from gram.model import AttentionCfParams, CfParams, RecurrentCfParams, _check_response, _interactions_of
+from gram.model import AttentionCfParams, CfParams, RecurrentCfParams
+
+
+def _check_response(r) -> int:
+    if r not in (0, 1):
+        raise ValueError(f"response must be 0 or 1, got {r!r}")
+    return int(r)
+
+
+def _interactions_of(user):
+    """(item, response) pairs of a ``UserSequence`` or of a raw list."""
+    inter = getattr(user, "interactions", user)
+    return [(item, _check_response(resp)) for item, resp in inter]
 
 
 def _interaction_input(enc: Tensor, resp: int, p) -> Tensor:

@@ -132,11 +132,12 @@ def ndcg_at_k(groups, k: int) -> float:
 
 def evaluate(state, users, cs_items=None) -> dict:
     """``training.evaluate`` built from one ScoredLabel per prediction."""
-    row_of, enc = eval_encodings(state)
+    enc = eval_encodings(state)
     pairs = []
     base = 0
     for b in batch_iter(users, EVAL_BATCH_SIZE):
-        probs, labels, item_ids, user_idx = batch_scores(b.users, row_of, enc, state.cf)
+        rows = np.searchsorted(state.item_ids, b.items)
+        probs, labels, item_ids, user_idx = batch_scores(b, rows, enc, state.cf)
         pairs.extend(
             ScoredLabel(float(s), int(y), item_id=int(i), group_id=base + int(u))
             for s, y, i, u in zip(probs, labels, item_ids, user_idx))

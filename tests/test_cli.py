@@ -134,6 +134,15 @@ def test_removed_bench_recompute_flag_exits_1(workdir):
     assert e.value.code == 1
 
 
+@pytest.mark.parametrize("modes,named", [("e2e,foo", "unknown mode 'foo'"),
+                                         ("gram,e2e,gram", "mode 'gram' given twice")])
+def test_bad_bench_modes_exit_1_naming_the_mode(workdir, capsys, modes, named):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["bench", "--data", str(workdir / "data"), "--modes", modes])
+    assert e.value.code == 1
+    assert f"gram bench: error: argument --modes: {named}" in capsys.readouterr().err
+
+
 def test_bench_window_longer_than_epoch_exits_1_before_training(workdir, monkeypatch, capsys):
     def no_training(*a, **k):
         raise AssertionError("trained despite a bad window")

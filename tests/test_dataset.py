@@ -49,6 +49,25 @@ def test_boost_ratio_empty_batch():
         D.boost_ratio(D.Batch(users=[]))
 
 
+def test_batch_arrays_follow_its_users():
+    b = D.Batch(users=[u(0, [(3, 1), (1, 0), (3, 0)]), u(1, [(7, 1)]),
+                       u(2, [(1, 1), (7, 0)]), u(3, [(3, 0)])])
+    assert b.lengths.tolist() == [3, 1, 2, 1]
+    assert b.lengths.sum() == b.n_interactions() == 7
+    assert b.items.tolist() == [3, 1, 3, 7, 1, 7, 3]
+    assert b.resps.tolist() == [1, 0, 0, 1, 1, 0, 0]
+    assert b.unique_items.tolist() == [1, 3, 7]
+    assert np.array_equal(b.unique_items[b.inverse], b.items)
+
+
+def test_empty_batch_has_empty_arrays():
+    b = D.Batch(users=[])
+    assert b.n_interactions() == 0
+    for a in (b.lengths, b.items, b.resps, b.unique_items, b.inverse):
+        assert a.shape == (0,)
+    assert np.array_equal(b.unique_items[b.inverse], b.items)
+
+
 def test_metadata_epoch_ratios():
     data_dir = os.path.join(os.path.dirname(__file__), "data")
     expected = {"spanish.json": 60.45, "toeic.json": 10096.9, "mind.json": 36.10}

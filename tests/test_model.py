@@ -15,6 +15,7 @@ import reference_cf as R
 from gram import autodiff as ad
 from gram import model as M
 from gram.autodiff import Tensor, backward, grad_check, sum_all, mul
+from gram.dataset import Batch, UserSequence
 
 
 SMALL = M.ModelConfig(d=4, d_ff=6, l_ce=1, d_h=4, vocab_size=12, max_token_len=8)
@@ -398,6 +399,14 @@ def leaf_encodings(rng, d, item_ids):
     return {i: Tensor(rng.standard_normal((1, d)), grad_enabled=True) for i in item_ids}
 
 
+def batch_of(seqs):
+    """(batch, rows) for the batched paths: a Batch of the raw (item,
+    response) lists ``seqs``, read from an ``enc`` whose row i encodes
+    item i."""
+    batch = Batch([UserSequence(u, tuple(seq)) for u, seq in enumerate(seqs)])
+    return batch, batch.items
+
+
 def test_sequence_loss_needs_two_interactions():
     _, cf = small_params(seed=14)
     enc = leaf_encodings(np.random.default_rng(0), cf.cfg.d, [1])
@@ -445,8 +454,7 @@ def test_batch_loss_matches_per_user_sum(variant):
 
     per_user = sum(R.sequence_loss(u, enc, cf).item() for u in users)
     rows = [enc[i] for i in items]
-    row_of = {i: k for k, i in enumerate(items)}
-    loss, n_terms = M.batch_sequence_loss(users, row_of, ad.concat(rows, axis=0), cf)
+    loss, n_terms = M.batch_sequence_loss(*batch_of(users), ad.concat(rows, axis=0), cf)
     assert n_terms == sum(len(u) - 1 for u in users)
     assert loss.item() == pytest.approx(per_user, rel=1e-10)
 
@@ -471,8 +479,7 @@ def test_batch_gradients_match_per_user(variant):
 
     enc2 = {i: Tensor(enc[i].data.copy(), grad_enabled=True) for i in items}
     rows = [enc2[i] for i in items]
-    loss, _ = M.batch_sequence_loss(users, {i: k for k, i in enumerate(items)},
-                                    ad.concat(rows, axis=0), cf)
+    loss, _ = M.batch_sequence_loss(*batch_of(users), ad.concat(rows, axis=0), cf)
     g_batch = backward(loss)
 
     for i in items:
@@ -497,7 +504,7 @@ def test_batch_scores_match_cf_predict(variant):
     enc = leaf_encodings(rng, cf.cfg.d, items)
     rows = [enc[i] for i in items]
     probs, labels, item_ids, user_idx = M.batch_scores(
-        users, {i: k for k, i in enumerate(items)}, ad.concat(rows, axis=0), cf)
+        *batch_of(users), ad.concat(rows, axis=0), cf)
 
     assert probs.shape == labels.shape == item_ids.shape == user_idx.shape
     assert len(probs) == sum(len(u) - 1 for u in users)
@@ -529,8 +536,7 @@ def test_batch_logits_match_per_prefix_logits(variant):
     items = [0, 1, 2, 3, 4]
     enc = leaf_encodings(rng, cf.cfg.d, items)
     stack = ad.concat([enc[i] for i in items], axis=0)
-    logits, labels, item_ids, user_idx = M.batch_logits(
-        MIXED_USERS, {i: i for i in items}, stack, cf)
+    logits, labels, item_ids, user_idx = M.batch_logits(*batch_of(MIXED_USERS), stack, cf)
     expected = []
     for n in range(1, max(len(u) for u in MIXED_USERS)):
         for u, seq in enumerate(MIXED_USERS):
@@ -559,7 +565,7 @@ def test_batch_loss_saved_activations(variant, peak):
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
     acct = ActivationAccountant()
     with ad.track_activations(acct):
-        loss, _ = M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+        loss, _ = M.batch_sequence_loss(*batch_of(MIXED_USERS), enc, cf)
         assert acct.peak == peak
         backward(loss)
     assert acct.current == 0
@@ -572,7 +578,7 @@ def test_batch_scores_saves_no_activations(variant):
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
     acct = ActivationAccountant()
     with ad.track_activations(acct):
-        M.batch_scores(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+        M.batch_scores(*batch_of(MIXED_USERS), enc, cf)
     assert acct.peak == 0
 
 
@@ -585,7 +591,7 @@ def test_batch_loss_graph_has_no_sigmoid_node(variant, monkeypatch):
     monkeypatch.setattr(ad, "sigmoid", refuse)
     _, cf = small_params(seed=22, variant=variant)
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
-    backward(M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)[0])
+    backward(M.batch_sequence_loss(*batch_of(MIXED_USERS), enc, cf)[0])
 
 
 def test_float32_recurrent_batch_loss_is_finite_at_confident_logits():
@@ -598,7 +604,7 @@ def test_float32_recurrent_batch_loss_is_finite_at_confident_logits():
         for t in cf.named().values():
             t.data += rng.normal(0.0, 0.5, t.shape).astype(np.float32)
         enc = Tensor(rng.normal(0.0, 3.0, (5, cf.cfg.d)).astype(np.float32), grad_enabled=True)
-        loss, _ = M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+        loss, _ = M.batch_sequence_loss(*batch_of(MIXED_USERS), enc, cf)
         assert loss.dtype == np.float32 and np.isfinite(loss.item())
         assert np.isfinite(backward(loss)[enc].data).all()
     finally:
@@ -613,7 +619,7 @@ def test_recurrent_batch_loss_raises_on_overflowing_gate_preactivations():
     cf.b_hh.data[...] = 1e308
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
     with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
-        M.batch_sequence_loss(MIXED_USERS, {i: i for i in range(5)}, enc, cf)
+        M.batch_sequence_loss(*batch_of(MIXED_USERS), enc, cf)
 
 
 def node_counts_with_a_longer_user(variant):
@@ -621,9 +627,8 @@ def node_counts_with_a_longer_user(variant):
     times as long as its longest added."""
     _, cf = small_params(seed=22, variant=variant)
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
-    row_of = {i: i for i in range(5)}
     longer = MIXED_USERS + [max(MIXED_USERS, key=len) * 3]
-    return [graph_nodes(M.batch_sequence_loss(users, row_of, enc, cf)[0])
+    return [graph_nodes(M.batch_sequence_loss(*batch_of(users), enc, cf)[0])
             for users in (MIXED_USERS, longer)]
 
 
@@ -653,7 +658,7 @@ def test_recurrent_unread_encoding_row_gets_no_gradient():
     _, cf = small_params(seed=24)
     users = [[(item + 1, r) for item, r in seq] for seq in MIXED_USERS]
     enc = Tensor(rng.standard_normal((6, cf.cfg.d)), grad_enabled=True)
-    g_batch = backward(M.batch_sequence_loss(users, {i: i for i in range(6)}, enc, cf)[0])
+    g_batch = backward(M.batch_sequence_loss(*batch_of(users), enc, cf)[0])
     assert np.all(g_batch[enc].data[0] == 0.0)
 
     ref_enc = {i: Tensor(enc.data[i:i + 1].copy(), grad_enabled=True) for i in range(1, 6)}
@@ -671,7 +676,7 @@ def test_batch_rejects_all_singleton_users():
     _, cf = small_params(seed=19)
     enc = leaf_encodings(np.random.default_rng(1), cf.cfg.d, [0])
     with pytest.raises(ValueError):
-        M.batch_sequence_loss([[(0, 1)]], {0: 0}, enc[0], cf)
+        M.batch_sequence_loss(*batch_of([[(0, 1)]]), enc[0], cf)
 
 
 @pytest.mark.parametrize("variant", ["recurrent", "attention"])
@@ -683,12 +688,12 @@ def test_batch_rejects_sequences_longer_than_max_interactions(variant):
     enc = leaf_encodings(np.random.default_rng(2), cf.cfg.d, [0, 1])
     stack = ad.concat([enc[0], enc[1]], axis=0)
     fits = [[(0, 1), (1, 0)], [(0, 1), (1, 0), (0, 1)]]
-    M.batch_sequence_loss(fits, {0: 0, 1: 1}, stack, cf)
+    M.batch_sequence_loss(*batch_of(fits), stack, cf)
     too_long = fits + [[(0, 1), (1, 0), (0, 1), (1, 1)]]
     with pytest.raises(ValueError, match="batch index 2 has 4 interactions"):
-        M.batch_sequence_loss(too_long, {0: 0, 1: 1}, stack, cf)
+        M.batch_sequence_loss(*batch_of(too_long), stack, cf)
     with pytest.raises(ValueError, match="max_interactions 3"):
-        M.batch_scores(too_long, {0: 0, 1: 1}, stack, cf)
+        M.batch_scores(*batch_of(too_long), stack, cf)
 
 
 # ---------------------------------------------------------------------------

@@ -530,9 +530,10 @@ def test_no_content_trains_only_touched_rows():
         opt_cf=OptimizerConfig(kind="sgd", lr=0.1)))
     before = state.table.data.copy()
     train_step(batch, state)
-    row99 = state.table_row[99]
+    row99 = np.searchsorted(state.item_ids, 99)
+    assert state.item_ids[row99] == 99
     assert np.array_equal(state.table.data[row99], before[row99])
-    changed = [state.table_row[i] for i in batch.unique_items]
+    changed = np.searchsorted(state.item_ids, batch.unique_items)
     assert not np.array_equal(state.table.data[changed], before[changed])
 
 
@@ -601,6 +602,23 @@ def test_evaluate_equals_the_per_prediction_oracle(variant):
         got = evaluate(state, users, cs_items)
         assert got == RM.evaluate(state, users, cs_items)
         assert ("cs_auc" in got) == (cs_items is not None)
+
+
+def test_evaluate_skips_users_without_a_predictable_position():
+    # a scoring batch of single-interaction users has nothing to predict;
+    # skipping them leaves every metric as it is without them
+    ds, _ = generate_synthetic(GenConfig(n_users=300), 5)
+    state = init_trainer(ds, "gram", TrainConfig())
+    singles = [UserSequence(1000 + k, ((k % 80, k % 2),)) for k in range(100)]
+    assert evaluate(state, singles + ds.users) == evaluate(state, ds.users)
+
+
+def test_evaluate_names_an_item_outside_the_dataset():
+    ds = tiny_dataset()
+    state = init_trainer(ds, "gram", small_config())
+    stranger = UserSequence(99, ((0, 1), (77, 0), (1, 1)))
+    with pytest.raises(ValueError, match="item 77 is not in the dataset"):
+        evaluate(state, ds.users + [stranger])
 
 
 def test_evaluate_names_the_first_non_finite_prediction(monkeypatch):
