@@ -101,6 +101,7 @@ __all__ = [
     "prefix_attention",
     "ce_block",
     "segment_mean",
+    "slot_order",
     "backward",
     "grad_check",
 ]
@@ -611,6 +612,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def slot_order(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(step, user) of every slot of users owning lengths[i] interactions
+    each, step ascending and then user: user i has one slot per step
+    n = 0 .. lengths[i] - 2, the slot that reads its interactions 0..n and
+    predicts its interaction n + 1. ``gru_scan`` and ``prefix_attention``
+    return their slots in this order."""
+    lengths = np.asarray(lengths)
+    return np.nonzero(np.arange(1, lengths.max(initial=0))[:, None] < lengths)
+
+
 def _slots(op: str, n_rows: int, lengths):
     """Longest-first slot layout shared by ``gru_scan`` and
     ``prefix_attention``.
@@ -627,8 +638,7 @@ def _slots(op: str, n_rows: int, lengths):
       its slots; both are (steps, users of length >= 2);
     * counts[n] and ats[n] are step n's slot count and its offset in the
       step-major packed order, as Python ints;
-    * perm maps each output slot, step ascending then user ascending (the
-      order the loss reads), to its packed slot.
+    * perm maps each output slot, in ``slot_order``, to its packed slot.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.min(initial=0) < 0 or lengths.sum() != n_rows:
@@ -637,15 +647,18 @@ def _slots(op: str, n_rows: int, lengths):
     steps = int(lengths.max(initial=0)) - 1
     if steps < 1:
         raise ShapeError(f"{op}: no user has a proper prefix (length >= 2)")
-    by_len = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths > 1)]
+    order = np.argsort(-lengths, kind="stable")
+    by_len = order[:np.count_nonzero(lengths > 1)]
     step = np.arange(steps)[:, None]
     live = step < lengths[by_len] - 1
     rows = np.where(live, (np.cumsum(lengths) - lengths)[by_len] + step, 0)
     counts = np.count_nonzero(live, axis=1)
-    ats = np.concatenate(([0], np.cumsum(counts))).tolist()
-    n, j = np.nonzero(live)
-    perm = np.argsort(n * lengths.size + by_len[j])
-    return rows, live, counts.tolist(), ats, perm
+    ats = np.concatenate(([0], np.cumsum(counts)))
+    # step n's live users are the leading run of ``order``, so a slot's
+    # packed index is its step's offset plus its user's rank in ``order``
+    n, user = slot_order(lengths)
+    perm = ats[n] + np.argsort(order)[user]
+    return rows, live, counts.tolist(), ats.tolist(), perm
 
 
 def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:

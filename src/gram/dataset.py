@@ -21,6 +21,7 @@ Both round-trip exactly (``load(save(D)) == D``).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -203,6 +204,14 @@ class GenConfig:
             raise ValueError("noise must lie in [0, 1]")
         if not 0.0 < self.topic_token_frac < 1.0:
             raise ValueError("topic_token_frac must lie in (0, 1)")
+        for name in ("ability_std", "difficulty_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not math.isfinite(self.zipf_exponent):
+            raise ValueError(f"zipf_exponent must be finite, got {self.zipf_exponent!r}")
+        if self.n_difficulty_bands < 1:
+            raise ValueError(f"n_difficulty_bands must be positive, got {self.n_difficulty_bands}")
         if self.ability_dist not in ("bimodal", "normal"):
             raise ValueError(f"unknown ability_dist {self.ability_dist!r}")
         n_topic_tokens = int(self.vocab_size * self.topic_token_frac)
@@ -237,7 +246,24 @@ def _pools(cfg: GenConfig):
 
 
 def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
-    """Draw a dataset from the latent skill model. Deterministic per seed."""
+    """Draw a dataset from the latent skill model. Deterministic per seed.
+
+    The order of the draws from ``default_rng(seed)`` defines every
+    dataset, so it is fixed:
+
+    1. item topics, then item difficulties;
+    2. per item: its token count, its topic-or-band mask, then its tokens
+       from the topic pool and from the difficulty-band pool;
+    3. the user abilities, then the item popularity ranking;
+    4. per user: its length, then one ``random(3 * length)``. The first
+       ``length`` uniforms pick its items by inverse CDF of the popularity
+       (as ``Generator.choice(p=popularity)`` does with the same uniforms);
+       the rest come in pairs, interaction by interaction: the response
+       draw, then the label-flip draw.
+
+    ``tests/reference_data.py`` draws the same uniforms one call per value
+    and must give the same dataset.
+    """
     cfg.validate()
     rng = np.random.default_rng(seed)
     topic_pools, band_pools = _pools(cfg)
@@ -273,20 +299,22 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
     # Zipf-like popularity over a random item ranking
     ranks = rng.permutation(cfg.n_items) + 1
     weights = ranks.astype(np.float64) ** (-cfg.zipf_exponent)
-    popularity = weights / weights.sum()
+    total = weights.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"zipf_exponent {cfg.zipf_exponent} gives non-finite item popularity")
+    popularity = weights / total
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
 
     users = []
     for u in range(cfg.n_users):
         length = int(rng.integers(cfg.seq_len_range[0], cfg.seq_len_range[1] + 1))
-        chosen = rng.choice(cfg.n_items, size=length, p=popularity)
-        inter = []
-        for i in chosen:
-            p = 1.0 / (1.0 + np.exp(-(user_ability[u, item_topic[i]] - item_difficulty[i])))
-            r = int(rng.random() < p)
-            if rng.random() < cfg.noise:
-                r = 1 - r
-            inter.append((int(i), r))
-        users.append(UserSequence(user_id=u, interactions=tuple(inter)))
+        uniform = rng.random(3 * length)
+        chosen = cdf.searchsorted(uniform[:length], side="right")
+        p = 1.0 / (1.0 + np.exp(-(user_ability[u, item_topic[chosen]] - item_difficulty[chosen])))
+        resp = (uniform[length::2] < p) != (uniform[length + 1::2] < cfg.noise)
+        users.append(UserSequence(user_id=u, interactions=tuple(
+            zip(chosen.tolist(), resp.astype(int).tolist()))))
 
     return Dataset(items=items, users=users), Latents(item_topic, item_difficulty, user_ability)
 

@@ -320,7 +320,7 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
         u = int(np.argmax(lengths))
         raise ValueError(f"user at batch index {u} has {lengths[u]} interactions, "
                          f"more than max_interactions {p.cfg.max_interactions}")
-    step, user_idx = np.nonzero(np.arange(1, longest)[:, None] < lengths)
+    step, user_idx = ad.slot_order(lengths)
     targets = np.cumsum(lengths)[user_idx] - lengths[user_idx] + step + 1
     x = ad.concat([ad.gather(enc, rows), ad.gather(p.resp_embedding, batch.resps)], axis=1)
     if p.variant == "recurrent":

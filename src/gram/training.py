@@ -449,14 +449,17 @@ def _cache_leaves(items, encodings: dict, cache: dict, ce: CeParams, item_tokens
 
 def _write_back(cache: dict, items, leaf: Tensor, gmap: dict) -> None:
     """Accumulate h~ = h - sum of dL/dh over the window into the cache:
-    ``items[k]``'s target loses row k of the leaf's gradient."""
+    ``items[k]``'s target loses row k of the leaf's gradient. The first
+    item, in ``items``' order, whose new target is non-finite is a
+    NonFiniteError naming it."""
     g = gmap.get(leaf)
     if g is None:
         return
-    for k, i in enumerate(items):
-        cache[i] = cache[i] - g.data[k:k + 1]
-        if not np.all(np.isfinite(cache[i])):
-            raise NonFiniteError(f"pseudo-target for item {i} is non-finite")
+    targets = np.concatenate([cache[i] for i in items], axis=0) - g.data
+    bad = ~np.isfinite(targets).all(axis=1)
+    if bad.any():
+        raise NonFiniteError(f"pseudo-target for item {items[np.argmax(bad)]} is non-finite")
+    cache.update(zip(items, targets[:, None]))
 
 
 def _regress(ce: CeParams, item_tokens: dict, ids, targets: dict, chunk_size: int):

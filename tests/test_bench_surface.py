@@ -30,7 +30,7 @@ def test_tracer_installs_on_every_named_function_and_restores():
 # names in autodiff.__all__ that are not ops, so the benchmark never wraps them
 NOT_OPS = {"AutodiffError", "ShapeError", "NonFiniteError", "GraphConsumedError", "Tensor",
            "tensor", "zeros", "set_default_dtype", "default_dtype", "no_grad",
-           "is_grad_enabled", "track_activations", "backward", "grad_check"}
+           "is_grad_enabled", "track_activations", "slot_order", "backward", "grad_check"}
 
 
 def test_ops_the_benchmark_does_not_wrap():

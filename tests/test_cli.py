@@ -372,6 +372,9 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, data, wh
     ({"gen": {"noise": 2}}, "gen", "noise must lie in [0, 1]"),
     ({"train": {"cf_batch_size": 0}}, "train", "cf_batch_size must be positive"),
     ({"precision": "f16"}, "precision", "precision must be f64 or f32, got 'f16'"),
+    ({"gen": {"ability_std": float("nan")}}, "gen",
+     "ability_std must be finite and non-negative, got nan"),
+    ({"gen": {"n_difficulty_bands": 0}}, "gen", "n_difficulty_bands must be positive, got 0"),
 ])
 def test_config_value_out_of_range_names_its_file_and_section(tmp_path, capsys, data, where,
                                                                message):

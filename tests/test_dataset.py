@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference_data
 from gram import dataset as D
 from gram.metrics import auc
 
@@ -141,6 +142,53 @@ def test_generator_config_validation():
         D.GenConfig(seq_len_range=(1, 5)).validate()
     with pytest.raises(ValueError):
         D.GenConfig(noise=1.5).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("ability_std", float("nan")), ("ability_std", float("inf")), ("ability_std", -1.0),
+    ("difficulty_std", float("nan")), ("difficulty_std", -0.5),
+    ("zipf_exponent", float("nan")), ("zipf_exponent", float("-inf")),
+    ("n_difficulty_bands", 0),
+])
+def test_generator_config_rejects_bad_latent_scales(field, value):
+    cfg = D.GenConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        cfg.validate()
+    with pytest.raises(ValueError, match=field):
+        D.generate_synthetic(cfg, seed=0)
+
+
+def test_generator_rejects_an_exponent_with_non_finite_popularity():
+    # finite, so validate() passes, but ranks ** 2000 overflows
+    with pytest.raises(ValueError, match="zipf_exponent -2000"), np.errstate(over="ignore"):
+        D.generate_synthetic(D.GenConfig(zipf_exponent=-2000.0), seed=0)
+
+
+ORACLE_CASES = [(D.GenConfig(), seed) for seed in range(1000, 1005)] + [
+    (D.GenConfig(ability_dist="normal", per_topic_ability=True), 7),
+    (D.GenConfig(noise=0.0), 8),
+    (D.GenConfig(noise=1.0), 9),
+    (D.GenConfig(seq_len_range=(2, 3)), 10),
+    (D.GenConfig(zipf_exponent=0.0, n_items=300), 11),
+    (D.GenConfig(zipf_exponent=2.0, n_items=300), 12),
+]
+
+
+@pytest.mark.parametrize("cfg,seed", ORACLE_CASES)
+def test_generator_matches_the_per_interaction_reference(tmp_path, cfg, seed):
+    # seeds 1000-1004 at the default config are the benchmark's seed-1 datasets
+    d, latents = D.generate_synthetic(cfg, seed)
+    ref, ref_latents = reference_data.generate_synthetic(cfg, seed)
+    assert d.items == ref.items
+    assert d.users == ref.users
+    assert all(type(i) is int and type(r) is int
+               for user in d.users for i, r in user.interactions)
+    for name in ("item_topic", "item_difficulty", "user_ability"):
+        assert np.array_equal(getattr(latents, name), getattr(ref_latents, name))
+    D.save_dataset(d, tmp_path / "new")
+    D.save_dataset(ref, tmp_path / "ref")
+    for name in (D.ITEMS_FILENAME, D.INTERACTIONS_FILENAME):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_full_noise_destroys_signal():

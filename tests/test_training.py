@@ -497,6 +497,24 @@ def test_pseudo_loss_sums_the_window_chunks():
     assert chunked["pseudo_loss"] == pytest.approx(whole["pseudo_loss"], rel=1e-12, abs=0)
 
 
+def test_write_back_subtracts_each_row_and_names_a_non_finite_item():
+    from gram.training import _write_back
+    rng = np.random.default_rng(0)
+    before = {i: rng.standard_normal((1, 3)) for i in (2, 5, 9)}
+    items = [9, 2, 5]
+    leaf = Tensor(np.zeros((3, 3)), grad_enabled=True)
+    g = rng.standard_normal((3, 3))
+    cache = dict(before)
+    _write_back(cache, items, leaf, {leaf: Tensor(g)})
+    for k, i in enumerate(items):
+        assert cache[i].shape == (1, 3)
+        assert np.array_equal(cache[i], before[i] - g[k:k + 1])
+    grad = Tensor(g)        # a Tensor refuses non-finite data, so corrupt it after
+    grad.data[1, 0] = grad.data[2, 2] = np.inf
+    with pytest.raises(ad.NonFiniteError, match="pseudo-target for item 2 is non-finite"):
+        _write_back(dict(before), items, leaf, {leaf: grad})
+
+
 def test_numerical_abort_names_the_step():
     ds, batch = dup_heavy_batch()
     huge = OptimizerConfig(kind="sgd", lr=1e200)
