@@ -27,9 +27,10 @@ Run configuration files are JSON with top-level keys ``seed``,
 ``out_dir``, ``precision``, ``gen``, ``model`` and ``train``; every
 field has a default (the dataclass defaults of GenConfig / ModelConfig /
 TrainConfig / OptimizerConfig), and unknown keys and values of another
-type than the field's are rejected. Flags override file values; the
-``GRAM_OUT_DIR`` environment variable overrides the configured output
-directory.
+type than the field's are rejected. Each config checks its values when
+built, so an error names the section, key or flag that gave it. Flags
+override file values; the ``GRAM_OUT_DIR`` environment variable
+overrides the configured output directory.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
 failure, 3 numerical abort.
@@ -121,12 +122,15 @@ def _build(cls, data, where: str):
             value = tuple(value)
         _check_type(value, hint, f"{where}.{key}")
         kwargs[key] = value
-    return cls(**kwargs)
+    return _checked(where, cls, **kwargs)
 
 
-def _validate(cfg, where: str):
+def _checked(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)`` for a config class or ``replace``: the new
+    config checks itself, and a value it rejects is reported at ``where``,
+    the section, key or flag that gave it."""
     try:
-        return cfg.validate()
+        return make(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -151,14 +155,12 @@ def parse_run_config(data: dict, where: str = "config"):
     tcfg = replace(_build(TrainConfig, tdata, f"{where}.train"), model=model)
     out_dir = data.get("out_dir")
     _check_type(out_dir, str | None, f"{where}.out_dir")
-    for section, cfg in (("gen", gen), ("model", model), ("train", tcfg)):
-        _validate(cfg, f"{where}.{section}")
     # a top-level key's error names that key, not the section it fills
     hints = typing.get_type_hints(TrainConfig)
     for key in ("seed", "precision"):
         if key in data:
             _check_type(data[key], hints[key], f"{where}.{key}")
-            tcfg = _validate(replace(tcfg, **{key: data[key]}), f"{where}.{key}")
+            tcfg = _checked(f"{where}.{key}", replace, tcfg, **{key: data[key]})
     return tcfg.seed, out_dir, gen, tcfg
 
 
@@ -173,6 +175,18 @@ def load_run_config(path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return parse_run_config(data, where=path)
+
+
+def _run_config(args):
+    """(out_dir, gen_config, train_config): the command's config file with
+    its flags applied, a value the config rejects reported under its flag."""
+    _, out_dir, gen, tcfg = load_run_config(args.config)
+    for dest, key in (("seed", "seed"), ("latency", "latency"),
+                      ("max_epochs", "max_epochs"), ("epochs", "max_epochs")):
+        value = getattr(args, dest, None)
+        if value is not None:
+            tcfg = _checked("--" + dest.replace("_", "-"), replace, tcfg, **{key: value})
+    return out_dir, gen, tcfg
 
 
 def resolve_out_dir(flag_value, cfg_value):
@@ -207,14 +221,12 @@ def _stats_table(st) -> str:
 
 
 def cmd_gen_data(args) -> int:
-    seed, _, gen, _ = load_run_config(args.config)
-    if args.seed is not None:
-        seed = args.seed
-    dataset, _ = generate_synthetic(gen, seed=seed)
+    _, gen, tcfg = _run_config(args)
+    dataset, _ = generate_synthetic(gen, seed=tcfg.seed)
     save_dataset(dataset, args.out)
     st = compute_stats(dataset)
     _write_text(os.path.join(args.out, "stats.json"), st.to_json() + "\n")
-    print(f"wrote dataset to {args.out} (seed {seed})")
+    print(f"wrote dataset to {args.out} (seed {tcfg.seed})")
     print(_stats_table(st))
     return EXIT_OK
 
@@ -265,13 +277,7 @@ def _train_table(report: RunReport) -> str:
 
 
 def cmd_train(args) -> int:
-    _, cfg_out, _, tcfg = load_run_config(args.config)
-    if args.seed is not None:
-        tcfg = replace(tcfg, seed=args.seed)
-    if args.max_epochs is not None:
-        tcfg = replace(tcfg, max_epochs=args.max_epochs)
-    if args.latency is not None:
-        tcfg = replace(tcfg, latency=args.latency)
+    cfg_out, _, tcfg = _run_config(args)
     dataset = load_dataset(args.data)
     report, state = train(dataset, args.mode, tcfg)
 
@@ -299,9 +305,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _, _, gen, tcfg = load_run_config(args.config)
-    if args.seed is not None:
-        tcfg = replace(tcfg, seed=args.seed)
+    _, gen, tcfg = _run_config(args)
     if args.data is not None:
         dataset = load_dataset(args.data)
     else:
@@ -368,13 +372,9 @@ def _bench_row(mode, report) -> str:
 
 
 def cmd_bench(args) -> int:
-    _, cfg_out, _, tcfg = load_run_config(args.config)
-    if args.seed is not None:
-        tcfg = replace(tcfg, seed=args.seed)
-    if args.latency is not None:
-        tcfg = replace(tcfg, latency=args.latency)
+    cfg_out, _, tcfg = _run_config(args)
     # fixed-length runs so counters are comparable across modes
-    tcfg = replace(tcfg, max_epochs=args.epochs, patience=0)
+    tcfg = replace(tcfg, patience=0)
     modes = args.modes
     dataset = load_dataset(args.data)
     # the dry scan plans the run, so a bad config fails before any training

@@ -174,6 +174,10 @@ def boost_ratio(b: Batch) -> Fraction:
 
 @dataclass(frozen=True)
 class GenConfig:
+    """Size and latent scales of a synthetic dataset. The config checks
+    itself when built (``dataclasses.replace`` included): a value out of
+    range raises ValueError naming it."""
+
     n_users: int = 500
     n_items: int = 80
     n_topics: int = 10
@@ -191,7 +195,7 @@ class GenConfig:
     n_difficulty_bands: int = 4
     topic_token_frac: float = 0.7  # share of vocab (and of tokens) carrying topic
 
-    def validate(self) -> "GenConfig":
+    def __post_init__(self):
         if min(self.n_users, self.n_items, self.n_topics, self.vocab_size) < 1:
             raise ValueError("counts must be positive")
         if self.n_topics > self.n_items:
@@ -219,7 +223,6 @@ class GenConfig:
             raise ValueError("vocab too small to give every topic a token pool")
         if self.vocab_size - n_topic_tokens < self.n_difficulty_bands:
             raise ValueError("vocab too small to give every difficulty band a token pool")
-        return self
 
 
 @dataclass
@@ -264,7 +267,6 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
     ``tests/reference_data.py`` draws the same uniforms one call per value
     and must give the same dataset.
     """
-    cfg.validate()
     rng = np.random.default_rng(seed)
     topic_pools, band_pools = _pools(cfg)
 

@@ -79,7 +79,9 @@ CF_VARIANTS = ("recurrent", "attention")
 class ModelConfig:
     """Architecture dimensions shared by CE and CF.
 
-    Desk-scale defaults keep finite-difference checks cheap.
+    Desk-scale defaults keep finite-difference checks cheap. The config
+    checks itself when built (``dataclasses.replace`` included): a value
+    out of range raises ValueError naming it.
     """
 
     d: int = 16            # content embedding dimension
@@ -92,14 +94,13 @@ class ModelConfig:
     cf_variant: str = "recurrent"
     positional_encoding: bool = False
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         for name in ("d", "d_ff", "l_ce", "d_h", "vocab_size", "max_token_len",
                      "max_interactions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.cf_variant not in CF_VARIANTS:
             raise ValueError(f"unknown cf_variant {self.cf_variant!r}")
-        return self
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Tensor:
@@ -198,7 +199,6 @@ def named_params(ce: CeParams | None, cf: CfParams) -> dict[str, Tensor]:
 def init_params(cfg: ModelConfig, seed: int) -> tuple[CeParams, CfParams]:
     """Fresh parameters, uniform(-a, a) per matrix with Xavier bound a,
     biases zero. Matrix draw order is fixed, so a seed pins every value."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     d, dff, dh = cfg.d, cfg.d_ff, cfg.d_h
 
@@ -377,7 +377,7 @@ def load_checkpoint(path) -> tuple[CeParams, CfParams]:
         fmt = str(blob["format"]) if "format" in blob.files else None
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"unrecognized checkpoint format {fmt!r}")
-        cfg = ModelConfig(**json.loads(str(blob["config"]))).validate()
+        cfg = ModelConfig(**json.loads(str(blob["config"])))
         ce, cf = init_params(cfg, seed=0)
         named = named_params(ce, cf)
         if set(named) != set(blob.files) - {"format", "config"}:

@@ -1,14 +1,14 @@
 """Run reports: a fixed-key-order summary of one training run.
 
-Reports serialize to JSON deterministically (insertion order is the
-documented key order), so two runs with identical configs and seeds
+Reports serialize to JSON deterministically (the fields' declaration
+order is the key order), so two runs with identical configs and seeds
 produce byte-identical files once the wall-clock fields are stripped.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 
@@ -22,22 +22,21 @@ def strip_wall_clock(obj):
     return obj
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunReport:
+    """One run's report; the fields are declared in serialization order."""
+
+    version: str = __version__
     mode: str
     config: dict
-    history: list = field(default_factory=list)   # one dict per epoch
+    best_epoch: int = -1
     final_metrics: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
     speed: dict = field(default_factory=dict)
-    best_epoch: int = -1
-    version: str = __version__
-
-    KEY_ORDER = ("version", "mode", "config", "best_epoch", "final_metrics",
-                 "counters", "speed", "history")
+    history: list = field(default_factory=list)   # one dict per epoch
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.KEY_ORDER}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -103,7 +103,9 @@ class OptimizerConfig:
 
     ``kind`` is "sgd" or "adam". The "noam" schedule is
     lr * model_dim^-0.5 * min(step^-0.5, step * warmup^-1.5), which peaks
-    at step == warmup; "constant" ignores the step count.
+    at step == warmup; "constant" ignores the step count. The config
+    checks itself when built (``dataclasses.replace`` included): a value
+    out of range raises ConfigError.
     """
 
     kind: str = "adam"
@@ -115,7 +117,7 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def validate(self) -> "OptimizerConfig":
+    def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.schedule not in ("constant", "noam"):
@@ -128,7 +130,6 @@ class OptimizerConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.warmup < 1 or self.model_dim < 1:
             raise ConfigError("warmup and model_dim must be positive")
-        return self
 
     def lr_at(self, step: int) -> float:
         if self.schedule == "noam":
@@ -217,7 +218,7 @@ def seed_streams(master: int) -> dict:
     return {k: int(w) for k, w in zip(names, words)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Everything a run needs besides the dataset itself.
 
@@ -228,7 +229,9 @@ class TrainConfig:
     ``accumulation_latency``). ``ce_batch_size`` is the number of cached
     items the encoder regression puts in one graph (0 = the whole cache);
     it bounds that graph's memory only, since the chunks' gradients are
-    summed into one encoder step per window.
+    summed into one encoder step per window. The config is frozen and
+    checks itself when built (``dataclasses.replace`` included), as its
+    nested configs do: a value out of range raises ConfigError.
     """
 
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -248,10 +251,7 @@ class TrainConfig:
     precision: str = "f64"
     seed: int = 2024
 
-    def validate(self) -> "TrainConfig":
-        self.model.validate()
-        self.opt_ce.validate()
-        self.opt_cf.validate()
+    def __post_init__(self):
         accumulation_latency(self.latency, 1)      # checks the syntax
         if self.cf_batch_size < 1:
             raise ConfigError("cf_batch_size must be positive")
@@ -267,7 +267,6 @@ class TrainConfig:
             raise ConfigError(f"precision must be f64 or f32, got {self.precision!r}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive (or null for no clipping), got {self.clip_norm}")
-        return self
 
 
 def accumulation_latency(latency: str, steps_per_epoch: int | None = None) -> int:
@@ -383,7 +382,6 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     resolves an epoch-relative ``cfg.latency``; without it such a latency
     is a ConfigError.
     """
-    cfg.validate()
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     seeds = seed_streams(cfg.seed)
@@ -672,9 +670,6 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
     Returns (RunReport, TrainerState); the state carries the restored
     best parameters for checkpointing.
     """
-    cfg.validate()
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     prev_dtype = ad.default_dtype()
     ad.set_default_dtype(np.float64 if cfg.precision == "f64" else np.float32)
     try:
@@ -796,7 +791,6 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     on both modules and one with Adam. All numbers are worst-case relative
     errors; exact arithmetic would give zeros.
     """
-    cfg.validate()
     if cfg.precision != "f64":
         raise ConfigError("equivalence verification requires f64 precision")
     if n_trials < 1 or k_steps < 1:

@@ -14,7 +14,6 @@ from gram.dataset import Dataset, GenConfig, Item, Latents, UserSequence, _pools
 
 def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
     """Draw a dataset from the latent skill model. Deterministic per seed."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     topic_pools, band_pools = _pools(cfg)
 

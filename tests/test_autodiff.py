@@ -272,6 +272,14 @@ def run_trials(make_f, make_x, n=N_TRIALS, tol=FD_TOL):
     assert worst <= tol, f"worst relative error {worst:.3e}"
 
 
+def test_grad_check_measures_error_against_the_gradient_scale():
+    # the gradient (1, 1e-9) is exact, but the small component's central
+    # difference carries rounding of about 4e-4 of itself
+    c = Tensor(np.array([1.0, 1e-9]))
+    x = tensor(np.array([0.3, 0.7]), grad=True)
+    assert grad_check(lambda v: sum_all(mul(v, c)), x) < 1e-9
+
+
 def test_fd_matmul():
     def make_f(rng):
         b = Tensor(rng.standard_normal((4, 2)))

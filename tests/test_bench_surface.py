@@ -40,6 +40,19 @@ def test_ops_the_benchmark_does_not_wrap():
         "gru_scan", "prefix_attention", "ce_block", "segment_mean"}
 
 
+def test_workloads_build_through_the_run_config_parser():
+    # the benchmark builds its configs with cli.parse_run_config; these are
+    # the values its workloads and gates depend on
+    workloads = harness.load_workloads()
+    assert {name: (w.mode, w.cfg.latency, w.cfg.model.cf_variant)
+            for name, w in workloads.items()} == {
+        "joint-recurrent": ("e2e", "1S", "recurrent"),
+        "cached-attention": ("gram", "1E", "attention"),
+        "cached-1S-recurrent": ("gram", "1S", "recurrent")}
+    assert workloads["cached-1S-recurrent"].cfg.ce_batch_size == 0
+    assert all(w.cfg.max_epochs == 1 and w.cfg.patience == 0 for w in workloads.values())
+
+
 def test_traced_evaluation_records_every_metric_span():
     # the traced metrics.auc.s and metrics.ranking.s sum these spans, so an
     # evaluate that stopped calling one would read 0 there without failing

@@ -375,6 +375,8 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, data, wh
     ({"gen": {"ability_std": float("nan")}}, "gen",
      "ability_std must be finite and non-negative, got nan"),
     ({"gen": {"n_difficulty_bands": 0}}, "gen", "n_difficulty_bands must be positive, got 0"),
+    ({"train": {"opt_ce": {"lr": -1}}}, "train.opt_ce",
+     "learning rate must be finite and non-negative, got -1"),
 ])
 def test_config_value_out_of_range_names_its_file_and_section(tmp_path, capsys, data, where,
                                                                message):
@@ -383,6 +385,19 @@ def test_config_value_out_of_range_names_its_file_and_section(tmp_path, capsys, 
     rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(p)])
     assert rc == 1
     assert capsys.readouterr().err == f"gram: config error: {p}.{where}: {message}\n"
+
+
+@pytest.mark.parametrize("command,flag,message", [
+    (["train", "--mode", "gram", "--latency", "0S"], "--latency", "bad latency '0S'; expected"),
+    (["train", "--mode", "e2e", "--max-epochs", "0"], "--max-epochs", "max_epochs must be >= 1"),
+    (["bench", "--epochs", "0"], "--epochs", "max_epochs must be >= 1"),
+])
+def test_flag_value_out_of_range_names_the_flag(workdir, capsys, command, flag, message):
+    rc = cli.main(command + ["--data", str(workdir / "data"), "--config", str(workdir / "cfg.json"),
+                             "--out", str(workdir / "runs")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"gram: config error: {flag}: {message}")
+    assert not (workdir / "runs").exists()
 
 
 def test_config_types_that_stay_valid():

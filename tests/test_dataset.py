@@ -135,13 +135,13 @@ def test_generator_respects_ranges():
 
 def test_generator_config_validation():
     with pytest.raises(ValueError):
-        D.GenConfig(n_topics=30, n_items=10).validate()
+        D.GenConfig(n_topics=30, n_items=10)
     with pytest.raises(ValueError):
-        D.GenConfig(vocab_size=8, n_topics=7).validate()  # pools too small
+        D.GenConfig(vocab_size=8, n_topics=7)  # pools too small
     with pytest.raises(ValueError):
-        D.GenConfig(seq_len_range=(1, 5)).validate()
+        D.GenConfig(seq_len_range=(1, 5))
     with pytest.raises(ValueError):
-        D.GenConfig(noise=1.5).validate()
+        D.GenConfig(noise=1.5)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -151,15 +151,14 @@ def test_generator_config_validation():
     ("n_difficulty_bands", 0),
 ])
 def test_generator_config_rejects_bad_latent_scales(field, value):
-    cfg = D.GenConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
-        cfg.validate()
+        D.GenConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
-        D.generate_synthetic(cfg, seed=0)
+        D.generate_synthetic(D.GenConfig(**{field: value}), seed=0)
 
 
 def test_generator_rejects_an_exponent_with_non_finite_popularity():
-    # finite, so validate() passes, but ranks ** 2000 overflows
+    # finite, so GenConfig accepts it, but ranks ** 2000 overflows
     with pytest.raises(ValueError, match="zipf_exponent -2000"), np.errstate(over="ignore"):
         D.generate_synthetic(D.GenConfig(zipf_exponent=-2000.0), seed=0)
 

@@ -1,7 +1,7 @@
 """Trainer tests: optimizers, cache/window mechanics, counters,
 gradient equivalence, baselines, and the train loop."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -162,27 +162,33 @@ def test_seed_streams_deterministic_and_distinct():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        TrainConfig(latency="0S").validate()
+        TrainConfig(latency="0S")
     with pytest.raises(ConfigError):
-        TrainConfig(latency="2E").validate()
+        TrainConfig(latency="2E")
     with pytest.raises(ConfigError):
-        TrainConfig(precision="f16").validate()
+        TrainConfig(precision="f16")
     with pytest.raises(ConfigError):
-        TrainConfig(val_frac=0.0).validate()
+        TrainConfig(val_frac=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(opt_ce=OptimizerConfig(kind="rmsprop")).validate()
+        TrainConfig(opt_ce=OptimizerConfig(kind="rmsprop"))
     # beta1 = 1 divides by zero in Adam's bias correction; the error must
     # name the setting, not the first op that meets a non-finite parameter
     for bad in ({"lr": float("nan")}, {"lr": float("inf")}, {"beta1": 1.0}, {"beta1": -0.1},
                 {"beta2": 1.0}, {"beta2": float("nan")}, {"eps": 0.0}, {"eps": -1e-8}):
         with pytest.raises(ConfigError):
-            TrainConfig(opt_cf=OptimizerConfig(**bad)).validate()
+            TrainConfig(opt_cf=OptimizerConfig(**bad))
     # a clip that never runs must not be echoed in the report as if it did
     for clip in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError):
-            TrainConfig(clip_norm=clip).validate()
-    TrainConfig().validate()
-    TrainConfig(clip_norm=0.5, opt_ce=OptimizerConfig(beta1=0.0, lr=0.0)).validate()
+            TrainConfig(clip_norm=clip)
+    TrainConfig()
+    TrainConfig(clip_norm=0.5, opt_ce=OptimizerConfig(beta1=0.0, lr=0.0))
+
+
+def test_train_config_is_frozen():
+    cfg = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.max_epochs = 0
 
 
 def test_unknown_mode_rejected():
@@ -215,7 +221,7 @@ def test_latency_rejects_bad_syntax(latency):
     with pytest.raises(ConfigError):
         accumulation_latency(latency, 37)
     with pytest.raises(ConfigError):
-        TrainConfig(latency=latency).validate()
+        TrainConfig(latency=latency)
 
 
 def test_init_trainer_resolves_the_latency():
