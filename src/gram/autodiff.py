@@ -8,27 +8,32 @@ exactly once. An op computes its output array, defines one ``run(g, acc)``
 closure that passes each parent's share of the output gradient ``g`` to
 ``acc``, and hands both to ``_result``.
 
-Every op is one primitive except four fused ops. Three run a numpy loop
+Every op is one primitive except five fused ops. Three run a numpy loop
 inside a single node with a hand-written backward, since a node per loop
 iteration made the Python cost of the ops, not their arithmetic, the cost
-of a batch. All four take one ragged convention: user (or item) i owns
-the next lengths[i] rows of the operand, and nothing is padded or masked.
-``gru_scan`` and ``prefix_attention`` share one longest-first slot
-layout: step n runs only on the users longer than n + 1, a leading slice
-of that order, and each returns one row per predicted slot.
+of a batch. Four take one ragged convention: user (or item) i owns the
+next lengths[i] interaction (or token) rows, and nothing is padded or
+masked. ``gru_scan`` and ``prefix_attention`` share one longest-first
+slot layout: step n runs only on the users longer than n + 1, a leading
+slice of that order, and each returns one row per predicted slot.
 ``gru_scan`` runs a whole gated recurrence and backpropagates through
 time over the states it saved; it follows the per-step primitives'
 expressions, and its values and gradients agree with the per-user
 reference in ``tests/reference_cf.py`` to float64 rounding.
 ``prefix_attention`` runs softmax attention and additive pooling over
-every proper prefix of every user's history; it saves nothing beyond its
-operands and recomputes each prefix's softmaxes in backward, so its
-activation memory does not grow with the number of prefixes. ``ce_block``
-runs one residual encoder layer over the ragged token rows of many items,
-looping only over the length groups of its attention; it saves its
-intermediates and recomputes nothing, so a joint backward stays a plain
-no-recompute backprop. The fourth, ``segment_mean``, mean-pools ragged
-runs of rows in one node.
+every proper prefix of every user's history. It reads a table of
+projected rows through a per-interaction index, so interactions may
+share a row; it saves nothing beyond the table and recomputes each
+prefix's softmaxes in backward, so its activation memory does not grow
+with the number of prefixes. ``ce_block`` runs one residual encoder
+layer over the ragged token rows of many items, looping only over the
+length groups of its attention; it saves its intermediates and
+recomputes nothing, so a joint backward stays a plain no-recompute
+backprop. ``segment_mean`` mean-pools ragged runs of rows in one node,
+and ``row_dot`` takes row-wise dot products against rows of a table
+picked by an index, keeping the table rather than the picked rows.
+Every op that reads rows through an index (``gather``, ``row_dot``,
+``prefix_attention``) scatter-adds their gradients with one bincount.
 
 The training loss ``bce_loss`` takes logits, not probabilities: it sums
 the binary cross-entropy of their sigmoid in softplus form, so it is
@@ -88,6 +93,7 @@ __all__ = [
     "concat",
     "stack",
     "gather",
+    "row_dot",
     "sum_all",
     "add_n",
     "mean_pool",
@@ -481,26 +487,59 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     return _result(np.stack([t.data for t in ts]), ts, run, op="stack")
 
 
+def _row_ids(op: str, ids, n_rows: int) -> np.ndarray:
+    """*ids* as a 1-D index array into a table of *n_rows* rows."""
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"{op}: ids must be 1-D, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(f"{op}: id out of range [0, {n_rows})")
+    return idx
+
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row j of *g* added into row idx[j] of a zero array shaped like the
+    2-D *table*, in its dtype. One bincount over flattened (row, column)
+    bins adds in np.add.at's order, so float64 sums are bit-identical to
+    it, and is faster."""
+    v, d = table.shape
+    flat = np.bincount((idx[:, None] * d + np.arange(d)).ravel(), g.ravel(), minlength=v * d)
+    return flat.reshape(v, d).astype(table.dtype, copy=False)
+
+
 def gather(table: Tensor, ids) -> Tensor:
     """Select rows of a (V, d) table. Backward scatter-adds row gradients,
     so repeated ids accumulate their upstream gradients into one row."""
     if table.data.ndim != 2:
         raise ShapeError(f"gather: table must be 2-D, got {table.shape}")
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather: ids must be 1-D, got shape {idx.shape}")
-    v = table.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= v):
-        raise IndexError(f"gather: id out of range [0, {v})")
+    idx = _row_ids("gather", ids, table.shape[0])
 
     def run(g, acc):
-        # one bincount over flattened (row, column) bins adds in np.add.at's
-        # order, so float64 sums are bit-identical to it, and is faster
-        d = table.shape[1]
-        flat = np.bincount((idx[:, None] * d + np.arange(d)).ravel(), g.ravel(), minlength=v * d)
-        acc(table, flat.reshape(v, d).astype(table.data.dtype, copy=False))
+        acc(table, _scatter_rows(idx, g, table.data))
 
     return _result(table.data[idx], (table,), run, op="gather")
+
+
+def row_dot(a: Tensor, table: Tensor, ids) -> Tensor:
+    """Row-wise dot products of *a* (m, k) with rows of *table* (V, k):
+    out[j] = a[j] . table[ids[j]], an (m,) tensor. One node in place of a
+    gather and an elementwise product summed over rows; it keeps *a* and
+    the table, not the m gathered rows, and backward gathers again and
+    scatter-adds, so repeated ids accumulate into one table row."""
+    _check_dtypes("row_dot", a, table)
+    ad, td = a.data, table.data
+    if ad.ndim != 2 or td.ndim != 2 or ad.shape[1] != td.shape[1]:
+        raise ShapeError(f"row_dot: needs (m, k) and (V, k) operands, got {a.shape} and {table.shape}")
+    idx = _row_ids("row_dot", ids, td.shape[0])
+    if idx.size != ad.shape[0]:
+        raise ShapeError(f"row_dot: {idx.size} ids for {ad.shape[0]} rows")
+
+    def run(g, acc):
+        acc(a, g[:, None] * td[idx])
+        acc(table, _scatter_rows(idx, g[:, None] * ad, td))
+
+    return _result(np.einsum("ij,ij->i", ad, td[idx]), (a, table), run, saved=(a, table),
+                   op="row_dot")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -622,12 +661,12 @@ def _slots(op: str, n_rows: int, lengths):
     """Longest-first slot layout shared by ``gru_scan`` and
     ``prefix_attention``.
 
-    User i owns the next lengths[i] of the operand's *n_rows* rows, users
-    in order, and has one slot per step n = 0 .. lengths[i] - 2: the slot
-    that reads its rows 0..n and predicts its row n + 1. Users are taken
-    longest first, so the users live at step n are a leading run of that
-    order and a step's slots are a basic slice. Returns (rows, live,
-    counts, ats, perm):
+    User i owns the next lengths[i] of the *n_rows* interaction rows,
+    users in order, and has one slot per step n = 0 .. lengths[i] - 2:
+    the slot that reads its rows 0..n and predicts its row n + 1. Users
+    are taken longest first, so the users live at step n are a leading
+    run of that order and a step's slots are a basic slice. Returns
+    (rows, live, counts, ats, perm):
 
     * rows[n, j] is the j-th longest user's row at position n, the row its
       step n adds (0 where the user has no slot), and live[n, j] marks
@@ -638,7 +677,7 @@ def _slots(op: str, n_rows: int, lengths):
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.min(initial=0) < 0 or lengths.sum() != n_rows:
-        raise ShapeError(f"{op}: lengths must be non-negative and sum to the operand's "
+        raise ShapeError(f"{op}: lengths must be non-negative and sum to the interactions' "
                          f"{n_rows} rows, got {lengths}")
     steps = int(lengths.max(initial=0)) - 1
     if steps < 1:
@@ -748,40 +787,45 @@ def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     return _result(hs[perm], (xg, w_hh, b_hh), run, op="gru_scan", saved_elements=5 * hs.size)
 
 
-def prefix_attention(qkv: Tensor, w_pool: Tensor, v_pool: Tensor, lengths) -> Tensor:
+def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths) -> Tensor:
     """Self-attention plus additive pooling over every proper prefix of
     every user's history, as one node.
 
-    Rows of *qkv* (N, 2*d_h + d) are the projected interactions, with the
+    Rows of *qkv* (P, 2*d_h + d) are projected interactions, with the
     query, key and value side by side in the column order [q | k | v],
-    d_h, d_h and d wide; d and d_h are *w_pool*'s shape. User i owns the
-    next lengths[i] rows. For each prefix length n = 1 .. max(lengths) - 1,
-    the B_n users longer than n attend over their first n rows:
-    a = softmax(q k^T / sqrt(d_h)) over each row, ctx = a v, pooling
-    weights w = softmax over the n positions of tanh(ctx @ w_pool) @ v_pool,
-    and the user vector is w^T ctx. Returns the (n_slots, d) user vectors
-    in ``_slots``' output order: prefix length ascending, then user. The
-    scores of each prefix are checked to be finite, so an overflow names
-    its prefix length.
+    d_h, d_h and d wide; d and d_h are *w_pool*'s shape. Interaction j
+    reads row rows[j] of *qkv*, so interactions that share a projection
+    share a row; user i owns the next lengths[i] interactions. For each
+    prefix length n = 1 .. max(lengths) - 1, the B_n users longer than n
+    attend over their first n interactions: a = softmax(q k^T / sqrt(d_h))
+    over each row, ctx = a v, pooling weights w = softmax over the n
+    positions of tanh(ctx @ w_pool) @ v_pool, and the user vector is
+    w^T ctx. Returns the (n_slots, d) user vectors in ``_slots``' output
+    order: prefix length ascending, then user. The scores of each prefix
+    are checked to be finite, so an overflow names its prefix length.
 
-    Backward keeps nothing beyond the operands: it recomputes each prefix's
-    attention and pooling, adds each prefix's q/k/v gradients into padded
-    per-user buffers, and scatters those to the rows once; no row belongs
-    to two users, so the scatter is an assignment, and a user's last row
-    gets zero gradient.
+    Backward keeps nothing beyond the operands and the index: it gathers
+    through *rows* again, recomputes each prefix's attention and pooling,
+    adds each prefix's q/k/v gradients into padded per-user buffers, and
+    scatter-adds those to the table rows once, so a row several
+    interactions read sums their gradients. A user's last interaction is
+    read by no prefix and passes no gradient.
     """
     _check_dtypes("prefix_attention", qkv, w_pool, v_pool)
     x, wp, vp = qkv.data, w_pool.data, v_pool.data
     d, dh = wp.shape if wp.ndim == 2 else (0, 0)
     if x.ndim != 2 or dh == 0 or x.shape[1] != 2 * dh + d or vp.shape != (dh, 1):
         raise ShapeError(f"prefix_attention: qkv {x.shape}, w_pool {wp.shape} and v_pool "
-                         f"{vp.shape} must be (N, 2*d_h + d), (d, d_h) and (d_h, 1)")
-    q, k, v = x[:, :dh], x[:, dh:2 * dh], x[:, 2 * dh:]
-    rows, live, counts, ats, perm = _slots("prefix_attention", x.shape[0], lengths)
-    # padded (B, steps, .) operands, users longest first: prefix n is the
+                         f"{vp.shape} must be (P, 2*d_h + d), (d, d_h) and (d_h, 1)")
+    idx = _row_ids("prefix_attention", rows, x.shape[0])
+    slot_rows, live, counts, ats, perm = _slots("prefix_attention", idx.size, lengths)
+    # padded (B, steps) table rows, users longest first: prefix n is the
     # basic slice [:B_n, :n], and padding is never read
-    rows, live = rows.T, live.T
+    pad_rows, live = idx[slot_rows.T], live.T
     scale_qk = dh ** -0.5       # a Python float keeps float32 operands float32
+
+    def operands():
+        return x[pad_rows, :dh] * scale_qk, x[pad_rows, dh:2 * dh], x[pad_rows, 2 * dh:]
 
     def attend(n, b, qs, kp, vpad):
         qn, kn, vn = qs[:b, :n], kp[:b, :n], vpad[:b, :n]
@@ -795,7 +839,7 @@ def prefix_attention(qkv: Tensor, w_pool: Tensor, v_pool: Tensor, lengths) -> Te
         return qn, kn, vn, a, ctx, t, _softmax((t @ vp).reshape(b, 1, n))     # w is (b, 1, n)
 
     out = np.empty((ats[-1], d), dtype=x.dtype)
-    qs, kp, vpad = q[rows] * scale_qk, k[rows], v[rows]
+    qs, kp, vpad = operands()
     for n, (at, b) in enumerate(zip(ats, counts), 1):
         *_, ctx, _, w = attend(n, b, qs, kp, vpad)
         out[at:at + b] = (w @ ctx).reshape(b, d)
@@ -806,7 +850,7 @@ def prefix_attention(qkv: Tensor, w_pool: Tensor, v_pool: Tensor, lengths) -> Te
         # (matmul, softmax, tanh, reshape, transpose)
         gs = np.empty_like(g)
         gs[perm] = g
-        qs, kp, vpad = q[rows] * scale_qk, k[rows], v[rows]
+        qs, kp, vpad = operands()
         dqs, dkp, dvpad = np.zeros_like(qs), np.zeros_like(kp), np.zeros_like(vpad)
         dwp, dvp = np.zeros_like(wp), np.zeros_like(vp)
         wp_t, vp_t = wp.T, vp.T
@@ -825,12 +869,8 @@ def prefix_attention(qkv: Tensor, w_pool: Tensor, v_pool: Tensor, lengths) -> Te
             dqs[:b, :n] += ds @ kn
             dkp[:b, :n] += ds.transpose(0, 2, 1) @ qn
             dvpad[:b, :n] += a.transpose(0, 2, 1) @ dctx
-        # each live row is one interaction of one user, so assignment scatters
-        grad, at = np.zeros_like(x), rows[live]
-        grad[at, :dh] = (dqs * scale_qk)[live]
-        grad[at, dh:2 * dh] = dkp[live]
-        grad[at, 2 * dh:] = dvpad[live]
-        acc(qkv, grad)
+        dlive = np.concatenate(((dqs * scale_qk)[live], dkp[live], dvpad[live]), axis=1)
+        acc(qkv, _scatter_rows(pad_rows[live], dlive, x))
         acc(w_pool, dwp)
         acc(v_pool, dvp)
 

@@ -35,22 +35,43 @@ by row index: ``batch_sequence_loss(batch, rows, enc, p)`` finds
 interaction k's encoding at ``enc[rows[k]]``. Joint backprop passes one
 row per interaction (``rows = arange(n)``); the cached and table modes
 pass one row per distinct item (``rows = batch.inverse``), so every
-occurrence of an item reads the same row. Both variants build a batch the
-same way: one (encoding (+) response) row per interaction, one matmul
-projecting every row, one fused op over the users' ragged rows, and one
-row-dot against the candidates, so each loss graph has the same 13 nodes
-for any sequence length. Nothing is padded: step n of a fused op reads
-interactions 0..n of each user longer than n + 1 and predicts interaction
-n + 1, the users run longest first so each step's users are a leading
-slice, and the op returns one row per predicted slot.
-The recurrent CF's ``autodiff.gru_scan`` runs the h-side of the cell over
-the w_ih-projected rows with a hand-written backprop through time. The
-attention CF's ``autodiff.prefix_attention`` runs, for each prefix length
-n, a (B_n, n, n) batched attention and pooling over the n axis, keeps only its
-operands and recomputes each prefix in backward, so neither the node
-count nor the saved activations grow with the number of prefixes. A
-user's last interaction and a 1-interaction user's row feed no step, so
-they get exactly zero gradient through the CF's history side. The
+occurrence of an item reads the same row.
+
+Both variants build a batch the same way. Each distinct (encoding row,
+response) pair gets one (encoding (+) response) row and one projection,
+by ``w_ih`` or by the q/k/v weights side by side; an interaction reads
+its pair's projected row through an index, so the gradients of a pair's
+repeats add up in that index's scatter, as the cached modes add up an
+item's gradients in its encoding row. In the cached modes a batch holds
+far fewer pairs than interactions (about 72 for 249 on the benchmark's
+datasets), so the kept projections follow the pairs; in joint backprop
+every pair is distinct. One fused op then runs the users' ragged
+sequences, and one ``autodiff.row_dot`` scores every predicted slot
+against its candidate, so a loss graph has 12 nodes (recurrent) or 10
+(attention) for any sequence length. Nothing is padded: step n of a
+fused op reads interactions 0..n of each user longer than n + 1 and
+predicts interaction n + 1, the users run longest first so each step's
+users are a leading slice, and the op returns one row per predicted
+slot.
+
+* The recurrent CF gathers each interaction's projected row (joint
+  backprop, where each interaction is its own pair, skips the gather and
+  has 11 nodes) and feeds them to ``autodiff.gru_scan``, which runs the
+  h-side of the cell with a hand-written backprop through time; for its
+  backward it keeps five arrays per slot (r, z, the candidate, the
+  h-side candidate preactivation and the state) and no copy of its
+  input. The readout projects each distinct candidate row once by
+  ``w_readout``, and ``row_dot`` keeps the states and that projection.
+* The attention CF's ``autodiff.prefix_attention`` takes the table of
+  projected pairs and the per-interaction index, and runs, for each
+  prefix length n, a (B_n, n, n) batched attention and pooling over the
+  n axis. It keeps only the table and recomputes each prefix in
+  backward, so neither the node count nor the saved activations grow
+  with the number of prefixes. ``row_dot`` reads the candidates straight
+  from ``enc`` and keeps the pooled user vectors and ``enc``.
+
+A user's last interaction and a 1-interaction user's row feed no step,
+so they get exactly zero gradient through the CF's history side. The
 per-user reference CF lives in ``tests/reference_cf.py``; the batched
 paths agree with it to float64 roundoff (addition order differs) and
 tests pin that.
@@ -294,12 +315,6 @@ def ce_encode(token_seqs, p: CeParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _row_dot(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise dot product of two (m, k) tensors -> (m,)."""
-    k = a.shape[1]
-    return ad.scale(ad.mean_pool(ad.mul(a, b), axis=1), float(k))
-
-
 def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     """Forward over a batch.
 
@@ -307,8 +322,13 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     user as in ``Batch``. Returns (logits as an (n, 1) tensor, labels,
     item_ids, user index arrays), one entry per predicted position. Slots
     come step-major, position n >= 1 ascending and then user, the order
-    the fused CF ops return. The recurrent CF dots ``gru_scan``'s state
-    for each slot with the candidate's readout row; the attention CF dots
+    the fused CF ops return.
+
+    Each distinct (encoding row, response) pair is projected once, and the
+    fused op reads it through a per-interaction index, so the gradients of
+    a pair's repeats add up in the index's scatter. The recurrent CF dots
+    ``gru_scan``'s state for each slot with the candidate's readout row,
+    projecting each distinct candidate row once; the attention CF dots
     ``prefix_attention``'s pooled user vector with the candidate's
     encoding and adds a bias.
     """
@@ -322,14 +342,19 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
                          f"more than max_interactions {p.cfg.max_interactions}")
     step, user_idx = ad.slot_order(lengths)
     targets = np.cumsum(lengths)[user_idx] - lengths[user_idx] + step + 1
-    x = ad.concat([ad.gather(enc, rows), ad.gather(p.resp_embedding, batch.resps)], axis=1)
+    pairs, pair_of = np.unique(rows * 2 + batch.resps, return_inverse=True)
+    x = ad.concat([ad.gather(enc, pairs // 2), ad.gather(p.resp_embedding, pairs % 2)], axis=1)
     if p.variant == "recurrent":
-        h = ad.gru_scan(ad.add(ad.matmul(x, p.w_ih), p.b_ih), p.w_hh, p.b_hh, lengths)
-        flat = _row_dot(h, ad.gather(ad.matmul(enc, p.w_readout), rows[targets]))
+        xg = ad.add(ad.matmul(x, p.w_ih), p.b_ih)
+        if not np.array_equal(pair_of, np.arange(rows.size)):  # identity in joint backprop
+            xg = ad.gather(xg, pair_of)
+        h = ad.gru_scan(xg, p.w_hh, p.b_hh, lengths)
+        cands, cand_of = np.unique(rows[targets], return_inverse=True)
+        flat = ad.row_dot(h, ad.matmul(ad.gather(enc, cands), p.w_readout), cand_of)
     else:
         qkv = ad.matmul(x, ad.concat([p.wq, p.wk, p.wv], axis=1))
-        u = ad.prefix_attention(qkv, p.w_pool, p.v_pool, lengths)
-        flat = ad.add(_row_dot(u, ad.gather(enc, rows[targets])), p.bias)
+        u = ad.prefix_attention(qkv, pair_of, p.w_pool, p.v_pool, lengths)
+        flat = ad.add(ad.row_dot(u, enc, rows[targets]), p.bias)
     labels = batch.resps[targets].astype(np.float64)
     return ad.reshape(flat, (flat.shape[0], 1)), labels, batch.items[targets], user_idx
 

@@ -267,6 +267,8 @@ class TrainConfig:
             raise ConfigError(f"precision must be f64 or f32, got {self.precision!r}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive (or null for no clipping), got {self.clip_norm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def accumulation_latency(latency: str, steps_per_epoch: int | None = None) -> int:

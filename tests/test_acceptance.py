@@ -188,12 +188,14 @@ def _primitive_checks():
     w_hh, b_hh = Tensor(0.5 * rng.standard_normal((2, 6))), const((6,))  # 3 slots, read by w32
     qa = t((9, 3))      # users of 2 and 7 interactions, d_h 3, d 4: 7 slots
     ka, va, w74 = const((9, 3)), const((9, 4)), const((7, 4))
+    pa_rows = np.array([2, 0, 2, 3, 0, 4, 5, 3, 1])    # read rows 0-5 of the table; 2 and 3 twice
     w_pool = Tensor(0.5 * rng.standard_normal((4, 3)))
     vp = rng.standard_normal((3, 1))
     v_pool = Tensor(np.sign(vp) * (0.5 + np.abs(vp)))     # away from 0, as in test_autodiff
     xt = t((7, 4))      # token rows of items of 3 and 4 tokens, d 4, d_ff 5
     w_ce = [Tensor(0.5 * rng.standard_normal(s)) for s in [(4, 4)] * 4 + [(4, 5), (5, 4)]]
     w42 = const((2, 4))
+    w3 = const((3,))
 
     return {
         "add": (lambda v: lin(ad.add(v, c), w), x),
@@ -208,6 +210,8 @@ def _primitive_checks():
         "concat": (lambda v: lin(ad.concat([v, ad.mul(v, c)], axis=0), w64), x),
         "stack": (lambda v: lin(ad.stack([ad.sum_all(v), ad.sum_all(ad.mul(v, c))]), w2), x),
         "gather": (lambda v: lin(ad.gather(v, np.array([0, 2, 2])), c), x),
+        "row_dot": (lambda v: lin(ad.row_dot(c, v, np.array([1, 1, 0])), w3), x),
+        "row_dot_lhs": (lambda v: lin(ad.row_dot(v, c, np.array([2, 0, 2])), w3), x),
         "sum_all": (lambda v: ad.sum_all(v), x),
         "add_n": (lambda v: lin(ad.add_n([v, ad.mul(v, c), c]), w), x),
         "mean_pool": (lambda v: lin(ad.mean_pool(v, axis=0), w4), x),
@@ -220,7 +224,7 @@ def _primitive_checks():
         "mse_half": (lambda v: ad.mse_half(v, c), x),
         "gru_scan": (lambda v: lin(ad.gru_scan(v, w_hh, b_hh, [1, 3, 2]), w32), xg),
         "prefix_attention": (lambda v: lin(ad.prefix_attention(
-            ad.concat([v, ka, va], axis=1), w_pool, v_pool, [2, 7]), w74), qa),
+            ad.concat([v, ka, va], axis=1), pa_rows, w_pool, v_pool, [2, 7]), w74), qa),
         "ce_block": (lambda v: lin(ad.ce_block(v, *w_ce, [3, 4]), w74), xt),
         "segment_mean": (lambda v: lin(ad.segment_mean(v, [3, 4]), w42), xt),
     }

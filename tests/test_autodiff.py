@@ -33,6 +33,7 @@ from gram.autodiff import (
     prefix_attention,
     relu,
     reshape,
+    row_dot,
     scale,
     sigmoid,
     softmax,
@@ -451,6 +452,66 @@ def test_fd_gather():
     run_trials(make_f, lambda rng: leaf(rng, (5, 3)))
 
 
+# row_dot of 5 rows against a 4-row table: table rows 1 and 3 are read
+# twice, row 2 never
+RD_IDS = np.array([1, 3, 0, 3, 1])
+
+
+@pytest.mark.parametrize("wrt", ["a", "table"])
+def test_fd_row_dot(wrt):
+    def make_f(rng):
+        args = {"a": leaf(rng, (5, 3)), "table": leaf(rng, (4, 3))}
+        c = Tensor(rng.standard_normal(5))
+        return lambda x: sum_all(mul(row_dot(**dict(args, **{wrt: x}), ids=RD_IDS), c))
+
+    run_trials(make_f, lambda rng: leaf(rng, {"a": (5, 3), "table": (4, 3)}[wrt]))
+
+
+def test_row_dot_values_and_scatter_match_a_gathered_product():
+    rng = np.random.default_rng(31)
+    a, table = leaf(rng, (5, 3)), leaf(rng, (4, 3))
+    out = row_dot(a, table, RD_IDS)
+    assert out.shape == (5,)
+    assert np.allclose(out.data, (a.data * table.data[RD_IDS]).sum(axis=1), rtol=1e-14, atol=0)
+    c = rng.standard_normal(5)
+    g = backward(sum_all(mul(out, Tensor(c))))
+    expected = np.zeros((4, 3))
+    np.add.at(expected, RD_IDS, c[:, None] * a.data)
+    assert g[table].data.tobytes() == expected.tobytes()
+    assert np.all(g[table].data[2] == 0.0)
+    assert np.array_equal(g[a].data, c[:, None] * table.data[RD_IDS])
+
+
+def test_row_dot_float32_outputs_and_gradients():
+    rng = np.random.default_rng(32)
+    a = tensor(rng.standard_normal((5, 3)).astype(np.float32), grad=True)
+    table = tensor(rng.standard_normal((4, 3)).astype(np.float32), grad=True)
+    out = row_dot(a, table, RD_IDS)
+    assert out.dtype == np.float32
+    grads = backward(sum_all(out))
+    assert all(grads[t].dtype == np.float32 and grads[t].shape == t.shape for t in (a, table))
+
+
+def test_row_dot_rejects_mixed_dtypes_bad_shapes_and_out_of_range_ids():
+    rng = np.random.default_rng(33)
+    a, table = leaf(rng, (5, 3)), leaf(rng, (4, 3))
+    with pytest.raises(TypeError):
+        row_dot(a, tensor(table.data.astype(np.float32)), RD_IDS)
+    bad = [
+        (tensor(np.zeros(5)), table, RD_IDS),              # 1-D left operand
+        (a, tensor(np.zeros(12)), RD_IDS),                 # 1-D table
+        (a, tensor(np.zeros((4, 2))), RD_IDS),             # widths disagree
+        (a, table, RD_IDS[:4]),                            # one id short
+        (a, table, RD_IDS[None]),                          # 2-D ids
+    ]
+    for args in bad:
+        with pytest.raises(ShapeError, match="row_dot"):
+            row_dot(*args)
+    for ids in ([1, 3, 0, 3, 4], [1, 3, -1, 3, 1]):
+        with pytest.raises(IndexError, match="row_dot"):
+            row_dot(a, table, ids)
+
+
 def test_fd_mean_pool():
     def make_f(rng):
         c = Tensor(rng.standard_normal((4,)))
@@ -717,9 +778,10 @@ def pa_args(rng, dtype=np.float64):
     return {k: pa_operand(rng, k, dtype) for k in PA_SHAPES}
 
 
-def pa(a, lengths=PA_LENGTHS):
+def pa(a, lengths=PA_LENGTHS, rows=None):
     qkv = concat([a["q_all"], a["k_all"], a["v_all"]], axis=1)
-    return prefix_attention(qkv, a["w_pool"], a["v_pool"], lengths)
+    rows = np.arange(qkv.shape[0]) if rows is None else rows
+    return prefix_attention(qkv, rows, a["w_pool"], a["v_pool"], lengths)
 
 
 @pytest.mark.parametrize("wrt", list(PA_SHAPES))
@@ -730,6 +792,86 @@ def test_fd_prefix_attention(wrt):
         return lambda x: sum_all(mul(pa(dict(args, **{wrt: x})), c))
 
     run_trials(make_f, lambda rng: pa_operand(rng, wrt))
+
+
+# The same users reading a 6-row table through an index: table row 2 is
+# read by both users, row 3 twice by user 1, row 0 by user 1, and row 1
+# only by the two users' last interactions, which no prefix reads.
+PA_TABLE_ROWS = np.array([2, 0, 2, 3, 0, 4, 5, 3, 1])
+
+
+def pa_table_operand(rng, name):
+    t = pa_operand(rng, name)
+    return tensor(t.data[:6], grad=True) if name.endswith("_all") else t
+
+
+def pa_table_args(rng):
+    return {k: pa_table_operand(rng, k) for k in PA_SHAPES}
+
+
+@pytest.mark.parametrize("wrt", list(PA_SHAPES))
+def test_fd_prefix_attention_through_a_repeating_index(wrt):
+    def make_f(rng):
+        args = pa_table_args(rng)
+        c = Tensor(rng.standard_normal((7, 4)))
+        return lambda x: sum_all(mul(pa(dict(args, **{wrt: x}), rows=PA_TABLE_ROWS), c))
+
+    run_trials(make_f, lambda rng: pa_table_operand(rng, wrt))
+
+
+def test_prefix_attention_through_an_index_equals_attention_over_gathered_rows():
+    # reading the table through the index is reading its gather: the
+    # values agree, and the table's gradient is the gather's scatter-add
+    a = pa_table_args(np.random.default_rng(15))
+    qkv = tensor(concat([a["q_all"], a["k_all"], a["v_all"]], axis=1).data, grad=True)
+    c = Tensor(np.random.default_rng(16).standard_normal((7, 4)))
+    via_index = prefix_attention(qkv, PA_TABLE_ROWS, a["w_pool"], a["v_pool"], PA_LENGTHS)
+    via_gather = prefix_attention(gather(qkv, PA_TABLE_ROWS), np.arange(9), a["w_pool"],
+                                  a["v_pool"], PA_LENGTHS)
+    assert np.array_equal(via_index.data, via_gather.data)
+    g_index = backward(sum_all(mul(via_index, c)))[qkv].data
+    g_gather = backward(sum_all(mul(via_gather, c)))[qkv].data
+    assert np.allclose(g_index, g_gather, rtol=1e-12, atol=1e-15)
+    assert np.all(g_index[1] == 0.0) and np.all(np.abs(g_index[[0, 2, 3, 4, 5]]).sum(axis=1) > 0)
+
+
+def closure_arrays(fn):
+    """Every numpy array a closure holds, through nested functions, tuples,
+    lists and tensors."""
+    found, todo, seen = [], [c.cell_contents for c in fn.__closure__ or ()], set()
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, Tensor):
+            todo.append(v.data)
+        elif callable(v) and getattr(v, "__closure__", None):
+            todo.extend(c.cell_contents for c in v.__closure__)
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+    return found
+
+
+def test_prefix_attention_keeps_the_table_not_a_row_per_interaction():
+    # 9 interactions read a 6-row table: backward holds the table, index
+    # arrays and the weights, no float array with a row per interaction, and
+    # the accountant counts exactly the table
+    a = pa_table_args(np.random.default_rng(17))
+    qkv = concat([a["q_all"], a["k_all"], a["v_all"]], axis=1)    # non-leaf; concat keeps nothing
+    acct = CountingAccountant()
+    with track_activations(acct):
+        u = prefix_attention(qkv, PA_TABLE_ROWS, a["w_pool"], a["v_pool"], PA_LENGTHS)
+        assert acct.current == qkv.size == 6 * 10
+        floats = [arr for arr in closure_arrays(u._backward) if arr.dtype.kind == "f"]
+        weights = (qkv.data, a["w_pool"].data, a["v_pool"].data)
+        assert floats and all(any(arr is w for w in weights) for arr in floats)
+        assert all(arr.ndim == 0 or arr.shape[0] != 9 for arr in closure_arrays(u._backward)
+                   if arr.dtype.kind == "f")
+        backward(sum_all(u))
+    assert acct.current == 0
 
 
 def test_prefix_attention_float32_outputs_and_gradients():
@@ -757,10 +899,17 @@ def test_prefix_attention_rejects_mixed_dtypes_and_bad_shapes():
         with pytest.raises(ShapeError, match="prefix_attention"):
             pa(args, lengths)
     with pytest.raises(ShapeError):                 # a 1-D qkv
-        prefix_attention(tensor(np.zeros(10)), a["w_pool"], a["v_pool"], PA_LENGTHS)
+        prefix_attention(tensor(np.zeros(10)), np.arange(9), a["w_pool"], a["v_pool"], PA_LENGTHS)
+    with pytest.raises(ShapeError, match="prefix_attention: ids must be 1-D"):
+        pa(a, rows=np.arange(9)[None])
+    for rows in ([0, 1, 2, 3, 4, 5, 6, 7, 9], [-1, 1, 2, 3, 4, 5, 6, 7, 8]):
+        with pytest.raises(IndexError, match="prefix_attention: id out of range"):
+            pa(a, rows=np.array(rows))
     for lengths in ([2], [2, 6], [2, 8], [-1, 10], []):
         with pytest.raises(ShapeError, match="prefix_attention: lengths must .* sum to .* 9 rows"):
             pa(a, np.array(lengths, dtype=int))
+    with pytest.raises(ShapeError, match="prefix_attention: lengths must .* sum to .* 8 rows"):
+        pa(a, rows=np.arange(8))                    # an index one interaction short
 
 
 def test_prefix_attention_raises_naming_its_prefix_length():
@@ -799,7 +948,7 @@ def fused_outputs(op, lengths, x):
         w_hh, b_hh = Tensor(0.5 * rng.standard_normal((3, 9))), Tensor(rng.standard_normal(9))
         return gru_scan(x, w_hh, b_hh, lengths)
     w_pool, v_pool = Tensor(0.5 * rng.standard_normal((4, 3))), Tensor(rng.standard_normal((3, 1)))
-    return prefix_attention(x, w_pool, v_pool, lengths)
+    return prefix_attention(x, np.arange(x.shape[0]), w_pool, v_pool, lengths)
 
 
 @pytest.mark.parametrize("op,width", [("gru_scan", 9), ("prefix_attention", 10)])

@@ -37,7 +37,7 @@ def test_ops_the_benchmark_does_not_wrap():
     # a traced run neither times nor counts these, so its ops_per_interaction
     # leaves them out; adding an op to harness.OPS updates this set
     assert set(autodiff.__all__) - NOT_OPS - set(harness.OPS) == {
-        "gru_scan", "prefix_attention", "ce_block", "segment_mean"}
+        "gru_scan", "prefix_attention", "ce_block", "segment_mean", "row_dot"}
 
 
 def test_workloads_build_through_the_run_config_parser():

@@ -377,6 +377,7 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, data, wh
     ({"gen": {"n_difficulty_bands": 0}}, "gen", "n_difficulty_bands must be positive, got 0"),
     ({"train": {"opt_ce": {"lr": -1}}}, "train.opt_ce",
      "learning rate must be finite and non-negative, got -1"),
+    ({"seed": -1}, "seed", "seed must be >= 0, got -1"),
 ])
 def test_config_value_out_of_range_names_its_file_and_section(tmp_path, capsys, data, where,
                                                                message):
@@ -391,6 +392,7 @@ def test_config_value_out_of_range_names_its_file_and_section(tmp_path, capsys, 
     (["train", "--mode", "gram", "--latency", "0S"], "--latency", "bad latency '0S'; expected"),
     (["train", "--mode", "e2e", "--max-epochs", "0"], "--max-epochs", "max_epochs must be >= 1"),
     (["bench", "--epochs", "0"], "--epochs", "max_epochs must be >= 1"),
+    (["train", "--mode", "e2e", "--seed", "-1"], "--seed", "seed must be >= 0, got -1"),
 ])
 def test_flag_value_out_of_range_names_the_flag(workdir, capsys, command, flag, message):
     rc = cli.main(command + ["--data", str(workdir / "data"), "--config", str(workdir / "cfg.json"),
@@ -398,6 +400,14 @@ def test_flag_value_out_of_range_names_the_flag(workdir, capsys, command, flag, 
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"gram: config error: {flag}: {message}")
     assert not (workdir / "runs").exists()
+
+
+def test_gen_data_negative_seed_names_the_flag(tmp_path, capsys):
+    # numpy would reject it only when the generator seeds its RNG
+    rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "gram: config error: --seed: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "d").exists()
 
 
 def test_config_types_that_stay_valid():

@@ -550,16 +550,21 @@ def test_batch_logits_match_per_prefix_logits(variant):
     assert rel_gap(logits.data[:, 0], ref) <= 1e-9
 
 
-@pytest.mark.parametrize("variant,peak", [("recurrent", 521), ("attention", 573)])
+@pytest.mark.parametrize("variant,peak", [("recurrent", 445), ("attention", 361)])
 def test_batch_loss_saved_activations(variant, peak):
-    # both: the projecting matmul keeps the (18, 8) interaction rows once
-    # (144), the row-dot's mul keeps two (13, 4) operands (104) and
-    # bce_loss the 13 logits; attention: the matmul also keeps the (8, 12)
-    # concatenated weights (96), and prefix_attention keeps only its
-    # (18, 12) qkv operand (216) and recomputes every prefix in backward;
-    # recurrent: gru_scan keeps five (13, 4) arrays, one row per slot (r,
-    # z, c, hg_c, h: 260); after backward nothing may stay counted, which
-    # an op no logit reads would
+    # MIXED_USERS has 18 interactions, 13 predicted slots and 10 distinct
+    # (item, response) pairs; enc (5, 4) is a leaf, so nothing keeps it on
+    # the count. Both: the projecting matmul keeps the (10, 8) pair rows
+    # (80) and bce_loss the 13 logits; row_dot keeps its (13, 4) left
+    # operand (52) and its table. Recurrent: gru_scan keeps five (13, 4)
+    # arrays, one row per slot (r, z, c, hg_c, h: 260); the readout matmul
+    # keeps the (5, 4) gather of the 5 distinct candidate rows (20), and
+    # row_dot its (5, 4) projection (20): 80 + 260 + 20 + 52 + 20 + 13 =
+    # 445. Attention: the matmul also keeps the (8, 12) concatenated
+    # weights (96), prefix_attention keeps only its (10, 12) pair table
+    # (120) and recomputes every prefix in backward, and row_dot's table is
+    # enc itself: 80 + 96 + 120 + 52 + 13 = 361. After backward nothing may
+    # stay counted, which an op no logit reads would.
     from gram.instrument import ActivationAccountant
     _, cf = small_params(seed=22, variant=variant)
     enc = Tensor(np.random.default_rng(22).standard_normal((5, cf.cfg.d)), grad_enabled=True)
@@ -635,20 +640,21 @@ def node_counts_with_a_longer_user(variant):
 def test_recurrent_batch_graph_keeps_h_independent_ops_out_of_the_time_loop():
     # the whole time loop is one gru_scan node, so a user three times as
     # long as MIXED_USERS' longest adds no node; an op recorded per update
-    # would add one per extra step; the 13 are two gathers and a concat,
-    # the w_ih matmul and bias add, gru_scan, the readout matmul and the
-    # candidate gather, the three ops of the row-dot, a reshape and bce_loss
-    assert node_counts_with_a_longer_user("recurrent") == [13, 13]
+    # would add one per extra step; the 12 are the pair rows' two gathers
+    # and concat, the w_ih matmul and bias add, the gather of each
+    # interaction's projected row, gru_scan, the candidate rows' gather and
+    # readout matmul, row_dot, a reshape and bce_loss
+    assert node_counts_with_a_longer_user("recurrent") == [12, 12]
 
 
 def test_attention_batch_graph_has_constant_size():
     # every prefix length runs inside one prefix_attention node, so a user
     # three times as long as MIXED_USERS' longest adds no node; an op
-    # recorded per prefix would add one per extra prefix length; the 13 are
-    # two gathers and a concat, the concat of the q/k/v weights and one
-    # matmul, prefix_attention, the candidate gather, the four ops of the
-    # row-dot and bias, a reshape and bce_loss
-    assert node_counts_with_a_longer_user("attention") == [13, 13]
+    # recorded per prefix would add one per extra prefix length; the 10 are
+    # the pair rows' two gathers and concat, the concat of the q/k/v weights
+    # and one matmul, prefix_attention, row_dot and the bias add, a reshape
+    # and bce_loss
+    assert node_counts_with_a_longer_user("attention") == [10, 10]
 
 
 def test_recurrent_unread_encoding_row_gets_no_gradient():
