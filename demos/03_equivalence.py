@@ -13,6 +13,7 @@ from gram.training import (
     TrainConfig,
     e2e_gradients,
     gram_gradients,
+    index_items,
     max_rel_err,
     verify_equivalence,
 )
@@ -26,13 +27,13 @@ def main():
 
     # --- one batch, both gradient routes -------------------------------
     ce, cf = init_params(model, seed=5)
-    tokens = {it.item_id: it.tokens for it in dataset.items}
+    item_ids, tokens = index_items(dataset)
     batch = Batch(users=dataset.users[:8])
     print(f"batch: {batch.n_interactions()} occurrences of "
           f"{len(batch.unique_items)} unique items")
 
-    loss_ref, ref = e2e_gradients(batch, ce, cf, tokens)
-    loss_alt, alt = gram_gradients(batch, ce, cf, tokens)
+    loss_ref, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
+    loss_alt, alt = gram_gradients(batch, ce, cf, item_ids, tokens)
     ce_keys = [k for k in ref if k.startswith("ce.")]
     print(f"joint-backprop loss {loss_ref:.6f}")
     print(f"encoder-gradient max rel err: "

@@ -252,32 +252,6 @@ class Tensor:
         flag = ", grad" if self.grad_enabled else ""
         return f"Tensor(shape={self.shape}{flag})\n{self.data!r}"
 
-    # Operator sugar for tests and demos; library code calls the functions.
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
 
 def tensor(data, grad: bool = False, dtype=None) -> Tensor:
     """Create a leaf tensor; ``grad=True`` marks it a differentiable leaf."""

@@ -13,8 +13,8 @@ Training modes
     touch, so the encoder runs once per *distinct* item per window, and
     subtracts its dL/dh from the item's pseudo-target h~ = h - sum dL/dh
     (SGD on the representation with learning rate exactly 1). When the
-    window closes the encoder regresses onto the pseudo-targets and both
-    the encodings and the targets are cleared.
+    window closes the encoder regresses onto the pseudo-targets of the
+    window's items, in first-touch order, and the window empties.
 ``no_content``
     A trainable item-embedding table replaces the encoder entirely.
 ``no_finetune``
@@ -23,6 +23,10 @@ Training modes
 All four share ``train_step``: a per-mode builder supplies the CF's item
 representations, one backward runs through the batch loss, and each
 trained module is clipped and stepped on its own optimizer.
+
+An item is addressed one way, from init to loss: as its row k among the
+sorted item ids, found once per step. Row k holds its tokens, its
+baseline table row and, in ``gram``, its window encoding and target.
 
 The regression runs ``ce_batch_size`` cached items per graph and sums
 the chunks' gradients into one encoder step per window, so the chunk
@@ -345,6 +349,32 @@ def epoch_batches(users, cfg: TrainConfig, epoch: int):
 # ---------------------------------------------------------------------------
 
 
+def index_items(dataset: Dataset) -> tuple[np.ndarray, list]:
+    """(item_ids, tokens): the dataset's item ids, sorted, and the token
+    sequence of item ``item_ids[k]`` at ``tokens[k]``. Row k is how the
+    trainer addresses that item everywhere."""
+    items = sorted(dataset.items, key=lambda it: it.item_id)
+    return np.array([it.item_id for it in items], dtype=np.intp), [it.tokens for it in items]
+
+
+@dataclass
+class Window:
+    """``gram``'s open window over item rows: ``rows`` in first-touch order,
+    marked in ``touched``. Touched row r holds its first-touch encoding,
+    which every touch reads, in ``encodings[r]`` and its pseudo-target h~
+    in ``targets[r]``; other rows are stale and unread."""
+
+    encodings: np.ndarray           # (n_items, d)
+    targets: np.ndarray             # (n_items, d)
+    touched: np.ndarray             # (n_items,) bool
+    rows: list
+
+    @classmethod
+    def empty(cls, n_items: int, d: int) -> "Window":
+        dt = ad.default_dtype()
+        return cls(np.zeros((n_items, d), dt), np.zeros((n_items, d), dt), np.zeros(n_items, bool), [])
+
+
 @dataclass
 class TrainerState:
     """Mutable state of one training run (confined to one thread)."""
@@ -355,14 +385,11 @@ class TrainerState:
     cf: CfParams
     opt_ce: OptimizerState
     opt_cf: OptimizerState
-    item_tokens: dict
-    item_ids: np.ndarray            # sorted ids of item_tokens; row k of a table is item_ids[k]
+    item_ids: np.ndarray            # sorted item ids; row k of every per-item array is item_ids[k]
+    tokens: list                    # tokens[k]: the token ids of item_ids[k]
     accum_steps: int                # gram window size N, resolved from cfg.latency
     t: int = 0                      # batches processed so far
-    # gram, open window, in first-touch order: item -> its first-touch
-    # encoding, which every touch reads, and item -> its pseudo-target h~
-    encodings: dict = field(default_factory=dict)
-    cache: dict = field(default_factory=dict)
+    window: Window | None = None    # gram's open window
     counters: CostCounters = field(default_factory=CostCounters)
     accountant: ActivationAccountant = field(default_factory=ActivationAccountant)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
@@ -388,26 +415,28 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     seeds = seed_streams(cfg.seed)
     ce, cf = init_params(cfg.model, seeds["init"])
+    item_ids, tokens = index_items(dataset)
     state = TrainerState(
         mode=mode, cfg=cfg, ce=ce, cf=cf,
         opt_ce=OptimizerState(cfg.opt_ce), opt_cf=OptimizerState(cfg.opt_cf),
-        item_tokens={it.item_id: it.tokens for it in dataset.items},
-        item_ids=np.array(sorted(it.item_id for it in dataset.items), dtype=np.intp),
+        item_ids=item_ids, tokens=tokens,
         accum_steps=accumulation_latency(cfg.latency, steps_per_epoch),
     )
-    ids = state.item_ids.tolist()
-    if mode == "no_content":
+    n_items = len(tokens)
+    if mode == "gram":
+        state.window = Window.empty(n_items, cfg.model.d)
+    elif mode == "no_content":
         # Xavier-style table; rows of items never seen in training stay at
         # their random init, which is the point of this baseline.
         rng = np.random.default_rng([seeds["init"], 1])
-        a = math.sqrt(6.0 / (len(ids) + cfg.model.d))
-        table = rng.uniform(-a, a, size=(len(ids), cfg.model.d))
+        a = math.sqrt(6.0 / (n_items + cfg.model.d))
+        table = rng.uniform(-a, a, size=(n_items, cfg.model.d))
         state.table = Tensor(table.astype(ad.default_dtype()), grad_enabled=True)
         state.ce = None
     elif mode == "no_finetune":
         with ad.no_grad():
-            state.table = ce_encode([state.item_tokens[i] for i in ids], ce)
-        state.counters.ce_forward_calls += len(ids)
+            state.table = ce_encode(tokens, ce)
+        state.counters.ce_forward_calls += n_items
     return state
 
 
@@ -416,68 +445,54 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
-def _encode_occurrences(batch: Batch, item_tokens: dict, ce: CeParams):
-    """One grad-tracked encoder row per interaction *occurrence*, so
-    gradients flow into the encoder once per occurrence; all rows come
-    from one batched encoder call, and row k encodes the batch's
-    interaction k (the CF reads it with ``rows`` = arange(n)).
-
-    Returns (enc, token lengths).
-    """
-    seqs = [item_tokens[item_id] for item_id in batch.items.tolist()]
-    lens = [min(len(toks), ce.cfg.max_token_len) for toks in seqs]
-    return ce_encode(seqs, ce), lens
-
-
-def _cache_leaves(items, encodings: dict, cache: dict, ce: CeParams, item_tokens: dict):
+def _cache_leaves(rows: np.ndarray, window: Window, ce: CeParams, tokens: list):
     """The CF's input for a gram step: one grad-enabled (n, d) leaf whose
-    row k is the window-start encoding of ``items[k]``.
+    row k is the window-start encoding of item row ``rows[k]``.
 
-    Items touched for the first time in the window are encoded in one
-    no-grad call; that encoding is what every later touch reads, and it
-    seeds the item's pseudo-target. Returns (leaf, encoder forwards).
+    Rows new to the window are encoded in one no-grad call; that encoding
+    is what every later touch reads, and it seeds the row's pseudo-target.
+    Returns (leaf, encoder forwards).
     """
-    misses = [i for i in items if i not in encodings]
-    if misses:
+    new = rows[~window.touched[rows]]
+    if new.size:
         with ad.no_grad():
-            enc = ce_encode([item_tokens[i] for i in misses], ce).data
-        for k, i in enumerate(misses):
-            encodings[i] = cache[i] = enc[k:k + 1]
-    leaf = Tensor(np.concatenate([encodings[i] for i in items], axis=0), grad_enabled=True)
-    return leaf, len(misses)
+            window.encodings[new] = window.targets[new] = ce_encode(
+                [tokens[r] for r in new.tolist()], ce).data
+        window.touched[new] = True
+        window.rows.extend(new.tolist())
+    return Tensor(window.encodings[rows], grad_enabled=True), new.size
 
 
-def _write_back(cache: dict, items, leaf: Tensor, gmap: dict) -> None:
-    """Accumulate h~ = h - sum of dL/dh over the window into the cache:
-    ``items[k]``'s target loses row k of the leaf's gradient. The first
-    item, in ``items``' order, whose new target is non-finite is a
-    NonFiniteError naming it."""
+def _write_back(targets: np.ndarray, rows, item_ids, leaf: Tensor, gmap: dict) -> None:
+    """Accumulate h~ = h - sum of dL/dh over the window into ``targets``:
+    row ``rows[k]`` (distinct, so plain indexing scatters) loses row k of
+    the leaf's gradient. The first row, in ``rows``' order, whose new
+    target is non-finite is a NonFiniteError naming its item id."""
     g = gmap.get(leaf)
     if g is None:
         return
-    targets = np.concatenate([cache[i] for i in items], axis=0) - g.data
-    bad = ~np.isfinite(targets).all(axis=1)
+    new = targets[rows] - g.data
+    bad = ~np.isfinite(new).all(axis=1)
     if bad.any():
-        raise NonFiniteError(f"pseudo-target for item {items[np.argmax(bad)]} is non-finite")
-    cache.update(zip(items, targets[:, None]))
+        raise NonFiniteError(f"pseudo-target for item {item_ids[rows[np.argmax(bad)]]} is non-finite")
+    targets[rows] = new
 
 
-def _regress(ce: CeParams, item_tokens: dict, ids, targets: dict, chunk_size: int):
+def _regress(ce: CeParams, tokens: list, rows: list, targets: np.ndarray, chunk_size: int):
     """(loss, encoder gradients by name) of the half squared error between
-    the encoder's outputs for ``ids`` and their pseudo-targets.
+    the encoder's outputs for item ``rows`` and their ``targets`` rows.
 
-    ``chunk_size`` items are encoded and backpropagated per graph (0 = all
+    ``chunk_size`` rows are encoded and backpropagated per graph (0 = all
     at once), so one chunk's activations are alive at a time; the loss and
     the gradients are summed over the chunks.
     """
     named = ce.named()
     loss, grads = 0.0, {}
-    size = chunk_size or len(ids)
-    for lo in range(0, len(ids), size):
-        chunk = ids[lo:lo + size]
-        pred = ce_encode([item_tokens[i] for i in chunk], ce)
-        target = Tensor(np.concatenate([targets[i] for i in chunk], axis=0))
-        ploss = ad.mse_half(target, pred)
+    size = chunk_size or len(rows)
+    for lo in range(0, len(rows), size):
+        chunk = rows[lo:lo + size]
+        pred = ce_encode([tokens[r] for r in chunk], ce)
+        ploss = ad.mse_half(Tensor(targets[chunk]), pred)
         for name, g in _named_grads(named, ad.backward(ploss)).items():
             grads[name] = grads[name] + g if name in grads else g
         loss += ploss.item()
@@ -495,60 +510,64 @@ def _apply_updates(opt: OptimizerState, named: dict, grads: dict,
 def _item_rows(item_ids: np.ndarray, items: np.ndarray) -> np.ndarray:
     """Row of each of ``items`` in the sorted ``item_ids``; an item that is
     not among them is a ValueError naming it."""
-    unknown = ~np.isin(items, item_ids)
-    if unknown.any():
-        raise ValueError(f"item {items[np.argmax(unknown)]} is not in the dataset")
-    return np.searchsorted(item_ids, items)
+    rows = np.searchsorted(item_ids, items)
+    known = rows < item_ids.size
+    known[known] = item_ids[rows[known]] == items[known]
+    if not known.all():
+        raise ValueError(f"item {items[np.argmin(known)]} is not in the dataset")
+    return rows
 
 
-def _step_inputs(batch: Batch, state: TrainerState):
-    """(rows, enc, trained groups) for one step.
+def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
+    """(index, enc, trained groups) for one step, given the item rows of
+    ``batch.unique_items``.
 
-    ``enc`` holds the representations the CF reads, ``enc[rows[k]]`` the
+    ``enc`` holds the representations the CF reads, ``enc[index[k]]`` the
     batch's interaction k's. In ``e2e`` row k encodes interaction k; in the
-    other modes row j is ``batch.unique_items[j]``'s, and in ``gram`` it is
-    the leaf whose gradient goes into the pseudo-targets. Each trained
-    group is an (optimizer, named parameters) pair.
+    other modes row j is item row ``rows[j]``'s, and in ``gram`` it is the
+    leaf whose gradient goes into the pseudo-targets. Each trained group
+    is an (optimizer, named parameters) pair.
     """
     c = state.counters
     cf_group = (state.opt_cf, state.cf.named())
-    if state.mode == "e2e":
-        enc, lens = _encode_occurrences(batch, state.item_tokens, state.ce)
+    if state.mode == "e2e":     # one grad-tracked encoding per occurrence
+        seqs = [state.tokens[r] for r in rows[batch.inverse].tolist()]
+        lens = [min(len(toks), state.ce.cfg.max_token_len) for toks in seqs]
         c.ce_forward_calls += len(lens)
         c.ce_backward_calls += len(lens)
         c.flop_estimate += e2e_ce_flops_per_batch(
             len(batch.users), len(lens) / len(batch.users), float(np.mean(lens)), state.ce.cfg.d)
-        return np.arange(len(lens)), enc, [(state.opt_ce, state.ce.named()), cf_group]
+        return np.arange(len(lens)), ce_encode(seqs, state.ce), [(state.opt_ce, state.ce.named()), cf_group]
     if state.mode == "gram":
-        leaf, n_encoded = _cache_leaves(batch.unique_items.tolist(), state.encodings,
-                                        state.cache, state.ce, state.item_tokens)
+        leaf, n_encoded = _cache_leaves(rows, state.window, state.ce, state.tokens)
         c.ce_forward_calls += n_encoded
         return batch.inverse, leaf, [cf_group]
     groups = [cf_group]
     if state.table.grad_enabled:
         groups.append((state.opt_ce, {"table": state.table}))
-    enc = ad.gather(state.table, _item_rows(state.item_ids, batch.unique_items))
-    return batch.inverse, enc, groups
+    return batch.inverse, ad.gather(state.table, rows), groups
 
 
 def train_step(batch: Batch, state: TrainerState) -> dict:
     """One training step of ``state.mode`` on one batch.
 
-    In order: (1) build the CF's item representations, (2) one backward
-    through the batch's sequence loss, (3) in ``gram``, subtract dL/dh
-    from each item's pseudo-target, (4) clip and step each trained module
-    on its own optimizer, (5) in ``gram``, advance the clock and, at a window
-    boundary, regress the encoder onto the cached pseudo-targets and
-    clear the window's encodings and targets.
+    In order: (1) find the rows of the batch's items and build the CF's
+    item representations, (2) one backward through the batch's sequence
+    loss, (3) in ``gram``, subtract dL/dh from each item's pseudo-target,
+    (4) clip and step each trained module on its own optimizer, (5) in
+    ``gram``, advance the clock and, at a window boundary, regress the
+    encoder onto the window's pseudo-targets and empty the window. In
+    every mode an item the dataset lacks is a ValueError naming it.
     """
     with state.timer.measure("e2e" if state.mode == "e2e" else "cf"), \
             ad.track_activations(state.accountant):
         try:
-            rows, enc, groups = _step_inputs(batch, state)
-            loss, n_preds = batch_sequence_loss(batch, rows, enc, state.cf)
+            rows = _item_rows(state.item_ids, batch.unique_items)
+            index, enc, groups = _step_inputs(batch, rows, state)
+            loss, n_preds = batch_sequence_loss(batch, index, enc, state.cf)
             gmap = ad.backward(loss)
             if state.mode == "gram":
-                _write_back(state.cache, batch.unique_items.tolist(), enc, gmap)
+                _write_back(state.window.targets, rows, state.item_ids, enc, gmap)
         except NonFiniteError as e:
             raise NumericalAbort(f"{state.mode} step {state.t}: {e}") from e
         for opt, named in groups:
@@ -558,7 +577,7 @@ def train_step(batch: Batch, state: TrainerState) -> dict:
     report = {"loss": loss.item(), "n_predictions": n_preds, "step": state.t}
     if state.mode == "gram":
         closed = state.t % state.accum_steps == 0
-        report.update(cache_size=len(state.cache), window_closed=closed)
+        report.update(cache_size=len(state.window.rows), window_closed=closed)
         if closed:
             with state.timer.measure("ce"), ad.track_activations(state.accountant):
                 report.update(_ce_update_phase(state))
@@ -567,26 +586,26 @@ def train_step(batch: Batch, state: TrainerState) -> dict:
 
 
 def _ce_update_phase(state: TrainerState) -> dict:
-    """Regress the encoder onto the cached pseudo-targets in one optimizer
-    step on the summed gradients of the cache's chunks, then clear the
-    window's targets and encodings."""
-    ids = list(state.cache)
-    if not ids:
+    """Regress the encoder onto the window's pseudo-targets in one
+    optimizer step on the summed gradients of its chunks, then empty the
+    window."""
+    window = state.window
+    rows = window.rows
+    if not rows:
         return {"ce_items": 0}
     try:
-        loss, grads = _regress(state.ce, state.item_tokens, ids, state.cache,
-                               state.cfg.ce_batch_size)
+        loss, grads = _regress(state.ce, state.tokens, rows, window.targets, state.cfg.ce_batch_size)
     except NonFiniteError as e:
-        raise NumericalAbort(f"encoder regression at step {state.t} "
-                             f"(items {ids[0]}..{ids[-1]}): {e}") from e
+        raise NumericalAbort(f"encoder regression at step {state.t} (items "
+                             f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]}): {e}") from e
     _apply_updates(state.opt_ce, state.ce.named(), grads, state.cfg.clip_norm)
-    state.counters.ce_backward_calls += len(ids)
-    lens = [min(len(state.item_tokens[i]), state.ce.cfg.max_token_len) for i in ids]
+    state.counters.ce_backward_calls += len(rows)
+    lens = [min(len(state.tokens[r]), state.ce.cfg.max_token_len) for r in rows]
     state.counters.flop_estimate += gram_ce_flops_per_batch(
-        len(ids), float(np.mean(lens)), state.ce.cfg.d)
-    state.cache.clear()
-    state.encodings.clear()
-    return {"ce_items": len(ids), "pseudo_loss": loss}
+        len(rows), float(np.mean(lens)), state.ce.cfg.d)
+    window.touched[rows] = False
+    window.rows = []
+    return {"ce_items": len(rows), "pseudo_loss": loss}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +624,7 @@ def eval_encodings(state: TrainerState) -> Tensor:
     if state.table is not None:
         return state.table
     with ad.no_grad():
-        return ce_encode([state.item_tokens[i] for i in state.item_ids.tolist()], state.ce)
+        return ce_encode(state.tokens, state.ce)
 
 
 def scored_pairs(users, item_ids: np.ndarray, enc: Tensor, cf: CfParams):
@@ -744,17 +763,18 @@ def max_rel_err(a: dict, b: dict) -> float:
     return worst
 
 
-def e2e_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict):
+def e2e_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_ids: np.ndarray, tokens: list):
     """Loss and named parameter gradients of one joint-backprop batch,
-    without applying any update."""
-    enc, _ = _encode_occurrences(batch, item_tokens, ce)
+    without applying any update, over the items ``index_items`` gives."""
+    rows = _item_rows(item_ids, batch.unique_items)
+    enc = ce_encode([tokens[r] for r in rows[batch.inverse].tolist()], ce)
     loss, _ = batch_sequence_loss(batch, np.arange(batch.n_interactions()), enc, cf)
     gmap = ad.backward(loss)
     return loss.item(), _named_grads(named_params(ce, cf), gmap)
 
 
-def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict,
-                   ce_batch_size: int = 0):
+def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_ids: np.ndarray,
+                   tokens: list, ce_batch_size: int = 0):
     """Gradients of one accumulated step at unchanged parameters.
 
     CF gradients come from the leaf-encoding graph; CE gradients from the
@@ -762,12 +782,13 @@ def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_tokens: dict,
     chunk as in training. Returns (loss, named grads) shaped like
     ``e2e_gradients`` output.
     """
-    cache, items = {}, batch.unique_items.tolist()
-    leaf, _ = _cache_leaves(items, {}, cache, ce, item_tokens)
+    rows = _item_rows(item_ids, batch.unique_items)
+    window = Window.empty(len(tokens), ce.cfg.d)
+    leaf, _ = _cache_leaves(rows, window, ce, tokens)
     loss, _ = batch_sequence_loss(batch, batch.inverse, leaf, cf)
     gmap = ad.backward(loss)
-    _write_back(cache, items, leaf, gmap)
-    _, ce_grads = _regress(ce, item_tokens, items, cache, ce_batch_size)
+    _write_back(window.targets, rows, item_ids, leaf, gmap)
+    _, ce_grads = _regress(ce, tokens, window.rows, window.targets, ce_batch_size)
     grads = _named_grads(named_params(None, cf), gmap)
     grads.update((f"ce.{k}", g) for k, g in ce_grads.items())
     return loss.item(), grads
@@ -800,15 +821,15 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
                           f"got {n_trials} trials and {k_steps} steps")
     if not dataset.users:
         raise ConfigError("equivalence verification needs users to batch; the dataset has none")
-    item_tokens = {it.item_id: it.tokens for it in dataset.items}
+    item_ids, tokens = index_items(dataset)
     worst = {"ce.": 0.0, "cf.": 0.0}    # per module, by parameter-name prefix
     for trial in range(n_trials):
         init_seed = int(np.random.SeedSequence([cfg.seed, trial]).generate_state(1)[0])
         ce, cf = init_params(cfg.model, init_seed)
         batch = next(batch_iter(dataset.users, cfg.cf_batch_size,
                                 shuffle_seed=[init_seed, 1]))
-        _, ref = e2e_gradients(batch, ce, cf, item_tokens)
-        _, alt = gram_gradients(batch, ce, cf, item_tokens, cfg.ce_batch_size)
+        _, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
+        _, alt = gram_gradients(batch, ce, cf, item_ids, tokens, cfg.ce_batch_size)
         for prefix in worst:
             names = [k for k in ref if k.startswith(prefix)]
             err = max_rel_err({k: ref[k] for k in names}, {k: alt[k] for k in names})

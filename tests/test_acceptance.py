@@ -88,8 +88,10 @@ def _random_trial(trial: int):
     variant = ("recurrent", "attention")[trial % 2]
     cfg = ModelConfig(d=d, d_ff=2 * d, d_h=d, vocab_size=50, cf_variant=variant)
     n_items = int(rng.integers(4, 9))
-    tokens = {i: tuple(int(t) for t in rng.integers(1, 50, size=int(rng.integers(2, 7))))
-              for i in range(n_items)}
+    # item i is row i
+    item_ids = np.arange(n_items)
+    tokens = [tuple(int(t) for t in rng.integers(1, 50, size=int(rng.integers(2, 7))))
+              for _ in range(n_items)]
     users = []
     for u in range(int(rng.integers(3, 7))):
         ids = rng.integers(0, n_items, size=int(rng.integers(2, 8)))
@@ -102,12 +104,12 @@ def _random_trial(trial: int):
         users[0] = UserSequence(0, first + (first[0],))
     ce, cf = init_params(cfg, int(rng.integers(0, 2 ** 31)))
     batch = Batch(users=users)
-    _, ref = e2e_gradients(batch, ce, cf, tokens)
+    _, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
     subset = lambda g, pre: {k: v for k, v in g.items() if k.startswith(pre)}
     worst_ce = worst_cf = 0.0
     # the whole cache in one regression graph, and in chunks of 3 items
     for ce_batch_size in (0, CHUNK):
-        _, alt = gram_gradients(batch, ce, cf, tokens, ce_batch_size)
+        _, alt = gram_gradients(batch, ce, cf, item_ids, tokens, ce_batch_size)
         worst_ce = max(worst_ce, max_rel_err(subset(ref, "ce."), subset(alt, "ce.")))
         worst_cf = max(worst_cf, max_rel_err(subset(ref, "cf."), subset(alt, "cf.")))
     return worst_ce, worst_cf, len(batch.unique_items) > CHUNK
@@ -237,12 +239,13 @@ def _model_fd_check(variant: str, rng, n_coords=3):
     below ~1e-5 of the loss scale, so tiny coordinates would measure
     rounding noise, not correctness)."""
     cfg = ModelConfig(d=6, d_ff=10, d_h=6, vocab_size=30, cf_variant=variant)
-    tokens = {i: tuple(int(t) for t in rng.integers(1, 30, size=4)) for i in range(4)}
+    item_ids = np.arange(4)      # item i is row i
+    tokens = [tuple(int(t) for t in rng.integers(1, 30, size=4)) for _ in range(4)]
     users = [UserSequence(0, ((0, 1), (1, 0), (2, 1))),
              UserSequence(1, ((1, 1), (3, 0), (0, 0)))]
     batch = Batch(users=users)
     ce, cf = init_params(cfg, int(rng.integers(0, 2 ** 31)))
-    _, grads = e2e_gradients(batch, ce, cf, tokens)
+    _, grads = e2e_gradients(batch, ce, cf, item_ids, tokens)
     worst = 0.0
     for key, param in named_params(ce, cf).items():
         g = np.asarray(grads[key]).ravel()
@@ -252,9 +255,9 @@ def _model_fd_check(variant: str, rng, n_coords=3):
                 break           # below central-difference resolution
             old = flat[i]
             flat[i] = old + FD_EPS
-            lp, _ = e2e_gradients(batch, ce, cf, tokens)
+            lp, _ = e2e_gradients(batch, ce, cf, item_ids, tokens)
             flat[i] = old - FD_EPS
-            lm, _ = e2e_gradients(batch, ce, cf, tokens)
+            lm, _ = e2e_gradients(batch, ce, cf, item_ids, tokens)
             flat[i] = old
             num = (lp - lm) / (2 * FD_EPS)
             worst = max(worst, abs(g[i] - num) / (abs(g[i]) + abs(num) + 1e-12))

@@ -23,6 +23,7 @@ from gram.training import (
     epoch_batches,
     evaluate,
     gram_gradients,
+    index_items,
     init_trainer,
     max_rel_err,
     optimizer_apply,
@@ -326,7 +327,7 @@ def test_gram_window_fires_every_n_steps():
         rep = train_step(batch, state)
         closed.append(rep["window_closed"])
     assert closed == [False, False, True, False, False, True, False]
-    assert len(state.cache) == 5          # step 7 repopulated the cache
+    assert len(state.window.rows) == 5    # step 7 reopened the window
     # cache misses only at the first step of each window
     assert state.counters.ce_forward_calls == 15
 
@@ -352,13 +353,14 @@ def test_window_reads_first_touch_encoding_and_accumulates_gradients():
     train_step(batch, twice)
     train_step(batch, twice)
     from gram.model import ce_encode
+    rows = np.searchsorted(once.item_ids, batch.unique_items)
     with ad.no_grad():
-        h = {i: ce_encode([once.item_tokens[i]], once.ce).data for i in batch.unique_items}
-    for i in batch.unique_items:
-        g = h[i] - once.cache[i]
+        h = {r: ce_encode([once.tokens[r]], once.ce).data[0] for r in rows}
+    for r in rows:
+        g = h[r] - once.window.targets[r]
         assert np.any(g != 0.0)
-        assert np.allclose(h[i] - twice.cache[i], 2.0 * g, rtol=1e-12, atol=1e-15)
-        assert np.allclose(twice.encodings[i], h[i], rtol=1e-12, atol=1e-15)
+        assert np.allclose(h[r] - twice.window.targets[r], 2.0 * g, rtol=1e-12, atol=1e-15)
+        assert np.allclose(twice.window.encodings[r], h[r], rtol=1e-12, atol=1e-15)
 
 
 def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
@@ -370,26 +372,28 @@ def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
                        latency="2S")
     state = init_trainer(ds, "gram", cfg)
     ce0, cf0 = init_params(cfg.model, seed_streams(cfg.seed)["init"])
-    _, ref = gram_gradients(batch, ce0, cf0, state.item_tokens)
+    _, ref = gram_gradients(batch, ce0, cf0, state.item_ids, state.tokens)
     # reconstruct the leaf gradients the same way gram_gradients does
+    rows = np.searchsorted(state.item_ids, batch.unique_items)
     with ad.no_grad():
         from gram.model import ce_encode
-        h = {i: ce_encode([state.item_tokens[i]], ce0).data for i in batch.unique_items}
+        h = {r: ce_encode([state.tokens[r]], ce0).data[0] for r in rows}
     train_step(batch, state)
-    for i in batch.unique_items:
+    for r in rows:
         # the pseudo-target differs from h by the raw gradient (no lr scaling)
-        assert state.cache[i].shape == h[i].shape
-        assert not np.array_equal(state.cache[i], h[i])
+        assert state.window.targets[r].shape == h[r].shape
+        assert not np.array_equal(state.window.targets[r], h[r])
 
 
 def test_untouched_cache_entry_keeps_pseudo_target():
     ds, batch = dup_heavy_batch()
     state = init_trainer(ds, "gram", small_config(latency="5S"))
     train_step(batch, state)
-    kept = state.cache[4].copy()
+    row = np.searchsorted(state.item_ids, 4)
+    kept = state.window.targets[row].copy()
     sub = Batch(users=[UserSequence(9, ((0, 1), (1, 0), (2, 1)))])
     train_step(sub, state)
-    assert np.array_equal(state.cache[4], kept)
+    assert np.array_equal(state.window.targets[row], kept)
 
 
 def test_perfect_pseudo_targets_give_zero_ce_gradient():
@@ -402,15 +406,17 @@ def test_perfect_pseudo_targets_give_zero_ce_gradient():
     before = {k: v.data.copy() for k, v in state.ce.named().items()}
     # one call over the same items _regress encodes in one chunk, so the
     # targets match its outputs bit for bit
+    rows = np.searchsorted(state.item_ids, batch.unique_items)
     with ad.no_grad():
-        h = ce_encode([state.item_tokens[i] for i in batch.unique_items], state.ce).data
-    for k, i in enumerate(batch.unique_items):
-        state.cache[i] = h[k:k + 1].copy()
+        state.window.targets[rows] = ce_encode([state.tokens[r] for r in rows], state.ce).data
+    state.window.touched[rows] = True
+    state.window.rows.extend(rows.tolist())
     rep = _ce_update_phase(state)
     assert rep["pseudo_loss"] == 0.0
     for k, v in state.ce.named().items():
         assert np.array_equal(v.data, before[k])   # zero grad, zero update
-    assert len(state.cache) == 0                   # cleared exactly once
+    assert len(state.window.rows) == 0             # emptied exactly once
+    assert not state.window.touched.any()
 
 
 def test_single_occurrence_zero_cf_lr_gradient_equality():
@@ -422,18 +428,18 @@ def test_single_occurrence_zero_cf_lr_gradient_equality():
     ds = Dataset(items=items, users=users)
     batch = Batch(users=users)
     ce, cf = init_params(SMALL_MODEL, 3)
-    tokens = {it.item_id: it.tokens for it in ds.items}
-    _, ref = e2e_gradients(batch, ce, cf, tokens)
-    _, alt = gram_gradients(batch, ce, cf, tokens)
+    item_ids, tokens = index_items(ds)
+    _, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
+    _, alt = gram_gradients(batch, ce, cf, item_ids, tokens)
     assert max_rel_err(ref, alt) <= 1e-12
 
 
 def test_duplicate_occurrences_accumulate_like_joint_backprop():
     ds, batch = dup_heavy_batch()      # items repeat across users
     ce, cf = init_params(SMALL_MODEL, 8)
-    tokens = {it.item_id: it.tokens for it in ds.items}
-    _, ref = e2e_gradients(batch, ce, cf, tokens)
-    _, alt = gram_gradients(batch, ce, cf, tokens)
+    item_ids, tokens = index_items(ds)
+    _, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
+    _, alt = gram_gradients(batch, ce, cf, item_ids, tokens)
     assert max_rel_err(ref, alt) <= 1e-10
 
 
@@ -506,19 +512,22 @@ def test_pseudo_loss_sums_the_window_chunks():
 def test_write_back_subtracts_each_row_and_names_a_non_finite_item():
     from gram.training import _write_back
     rng = np.random.default_rng(0)
-    before = {i: rng.standard_normal((1, 3)) for i in (2, 5, 9)}
-    items = [9, 2, 5]
+    item_ids = np.array([2, 5, 9])
+    before = rng.standard_normal((3, 3))       # one target row per item
+    rows = np.array([2, 0, 1])                 # items 9, 2 and 5
     leaf = Tensor(np.zeros((3, 3)), grad_enabled=True)
     g = rng.standard_normal((3, 3))
-    cache = dict(before)
-    _write_back(cache, items, leaf, {leaf: Tensor(g)})
-    for k, i in enumerate(items):
-        assert cache[i].shape == (1, 3)
-        assert np.array_equal(cache[i], before[i] - g[k:k + 1])
+    targets = before.copy()
+    _write_back(targets, rows, item_ids, leaf, {leaf: Tensor(g)})
+    for k, r in enumerate(rows):
+        assert targets[r].shape == (3,)
+        assert np.array_equal(targets[r], before[r] - g[k])
     grad = Tensor(g)        # a Tensor refuses non-finite data, so corrupt it after
     grad.data[1, 0] = grad.data[2, 2] = np.inf
+    targets = before.copy()
     with pytest.raises(ad.NonFiniteError, match="pseudo-target for item 2 is non-finite"):
-        _write_back(dict(before), items, leaf, {leaf: grad})
+        _write_back(targets, rows, item_ids, leaf, {leaf: grad})
+    assert np.array_equal(targets, before)     # a failed write-back writes nothing
 
 
 def test_numerical_abort_names_the_step():
@@ -528,6 +537,26 @@ def test_numerical_abort_names_the_step():
     with pytest.raises(NumericalAbort), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(4):
             train_step(batch, state)
+
+
+@pytest.mark.parametrize("mode", ["e2e", "gram", "no_content", "no_finetune"])
+def test_unknown_item_fails_the_same_way_in_every_mode(mode):
+    ds, _ = dup_heavy_batch()
+    state = init_trainer(ds, mode, small_config())
+    batch = Batch(users=[UserSequence(0, ((0, 1), (999, 0), (2, 1)))])
+    with pytest.raises(ValueError, match="item 999 is not in the dataset"):
+        train_step(batch, state)
+
+
+def test_item_rows_finds_rows_and_names_an_unknown_item():
+    from gram.training import _item_rows
+    item_ids = np.array([2, 5, 9])
+    assert _item_rows(item_ids, np.array([9, 2, 5])).tolist() == [2, 0, 1]
+    for items, unknown in (([5, 7], 7), ([1, 2], 1), ([9, 10], 10)):
+        with pytest.raises(ValueError, match=f"item {unknown} is not in the dataset"):
+            _item_rows(item_ids, np.array(items))
+    with pytest.raises(ValueError, match="item 3 is not in the dataset"):
+        _item_rows(item_ids[:0], np.array([3]))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +571,7 @@ def test_no_content_never_touches_encoder():
     train_step(batch, state)
     assert state.counters.ce_forward_calls == 0
     assert state.counters.ce_backward_calls == 0
-    assert len(state.cache) == 0
+    assert state.window is None
 
 
 def test_no_content_trains_only_touched_rows():
