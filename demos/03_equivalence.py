@@ -11,10 +11,9 @@ from gram.dataset import Batch, GenConfig, generate_synthetic
 from gram.model import ModelConfig, init_params
 from gram.training import (
     TrainConfig,
-    e2e_gradients,
-    gram_gradients,
-    index_items,
+    init_trainer,
     max_rel_err,
+    step_gradients,
     verify_equivalence,
 )
 
@@ -25,22 +24,24 @@ def main():
     dataset, _ = generate_synthetic(gen, seed=11)
     model = ModelConfig(d=12, d_ff=24, d_h=12, vocab_size=100)
 
-    # --- one batch, both gradient routes -------------------------------
+    # --- one batch, both trainers' step up to the optimizers -----------
     ce, cf = init_params(model, seed=5)
-    item_ids, tokens = index_items(dataset)
     batch = Batch(users=dataset.users[:8])
     print(f"batch: {batch.n_interactions()} occurrences of "
           f"{len(batch.unique_items)} unique items")
 
-    loss_ref, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
-    loss_alt, alt = gram_gradients(batch, ce, cf, item_ids, tokens)
-    ce_keys = [k for k in ref if k.startswith("ce.")]
-    print(f"joint-backprop loss {loss_ref:.6f}")
-    print(f"encoder-gradient max rel err: "
-          f"{max_rel_err({k: ref[k] for k in ce_keys}, {k: alt[k] for k in ce_keys}):.2e}")
-    print("(the cached route encodes each unique item once, regresses the "
-          "encoder onto encoding-minus-gradient targets, and recovers the "
-          "same parameter gradients up to float rounding)")
+    step_cfg = TrainConfig(model=model, latency="1S")
+    out = {}
+    for mode in ("e2e", "gram"):
+        state = init_trainer(dataset, mode, step_cfg)
+        state.ce, state.cf = ce, cf         # both trainers hold the same parameters
+        out[mode] = step_gradients(batch, state)
+    (rep_ref, ref), (rep_alt, alt) = out["e2e"], out["gram"]
+    print(f"joint-backprop loss {rep_ref['loss']:.6f}, cached loss {rep_alt['loss']:.6f}")
+    print(f"encoder-gradient max rel err: {max_rel_err(ref['ce'], alt['ce']):.2e}")
+    print(f"(the cached step encodes each of the {rep_alt['ce_items']} unique items "
+          "once, regresses the encoder onto encoding-minus-gradient targets, "
+          "and recovers the same parameter gradients up to float rounding)")
 
     # --- gradients and trajectories, both optimizers -------------------
     cfg = TrainConfig(model=model, cf_batch_size=8, seed=3)

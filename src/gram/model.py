@@ -83,7 +83,7 @@ fan_out)); bias vectors start at zero.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -187,7 +187,6 @@ class RecurrentCfParams(_Params):
     b_ih: Tensor                # (3*d_h,)
     b_hh: Tensor                # (3*d_h,)
     w_readout: Tensor           # (d, d_h)
-    variant: str = field(default="recurrent", init=False)
 
 
 @dataclass
@@ -203,7 +202,6 @@ class AttentionCfParams(_Params):
     w_pool: Tensor              # (d, d_h)
     v_pool: Tensor              # (d_h, 1)
     bias: Tensor                # scalar
-    variant: str = field(default="attention", init=False)
 
 
 CfParams = RecurrentCfParams | AttentionCfParams
@@ -344,7 +342,7 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     targets = np.cumsum(lengths)[user_idx] - lengths[user_idx] + step + 1
     pairs, pair_of = np.unique(rows * 2 + batch.resps, return_inverse=True)
     x = ad.concat([ad.gather(enc, pairs // 2), ad.gather(p.resp_embedding, pairs % 2)], axis=1)
-    if p.variant == "recurrent":
+    if p.cfg.cf_variant == "recurrent":
         xg = ad.add(ad.matmul(x, p.w_ih), p.b_ih)
         if not np.array_equal(pair_of, np.arange(rows.size)):  # identity in joint backprop
             xg = ad.gather(xg, pair_of)

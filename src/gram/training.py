@@ -20,9 +20,12 @@ Training modes
 ``no_finetune``
     Encoder outputs are computed once at init and frozen as CF inputs.
 
-All four share ``train_step``: a per-mode builder supplies the CF's item
-representations, one backward runs through the batch loss, and each
-trained module is clipped and stepped on its own optimizer.
+All four share one step. ``step_gradients`` does everything up to the
+optimizers: a per-mode builder supplies the CF's item representations,
+one backward runs through the batch loss, and in ``gram`` the leaf's
+gradient goes into the pseudo-targets and a closing window regresses
+the encoder. It returns each trained module's unclipped gradients;
+``train_step`` then clips and steps each module on its own optimizer.
 
 An item is addressed one way, from init to loss: as its row k among the
 sorted item ids, found once per step. Row k holds its tokens, its
@@ -34,9 +37,11 @@ size bounds the encoder graph's memory and leaves the trajectory alone.
 With a one-step window (latency ``1S``) the encoder gradient of the
 regression loss equals the end-to-end encoder gradient at equal
 parameters, so the two trainers walk the same trajectory at any chunk
-size; ``verify_equivalence`` measures this through the same encoding and
-regression helpers the step uses. Larger windows trade representation
-staleness for fewer encoder calls and make no equivalence claim.
+size. ``verify_equivalence`` measures this on the trainer's own step: it
+compares the ``step_gradients`` of an ``e2e`` and a ``gram`` trainer that
+hold the same parameters, then the two modes' ``train_step``
+trajectories. Larger windows trade representation staleness for fewer
+encoder calls and make no equivalence claim.
 """
 
 from __future__ import annotations
@@ -80,7 +85,10 @@ MODES = ("e2e", "gram", "no_content", "no_finetune")
 _TRAIN_PHASES = ("e2e", "cf", "ce")
 
 EVAL_BATCH_SIZE = 64       # users per no-grad scoring batch
-VERIFY_SGD_LR = 1e-2       # verify_equivalence's trajectory learning rates
+# verify_equivalence's trajectory learning rates. The batch loss is a sum
+# over some 340 predictions at the default config, and SGD at 1e-2 on it
+# overflows the encoder within a few steps on some seeds.
+VERIFY_SGD_LR = 1e-3
 VERIFY_ADAM_LR = 1e-3
 # the window verify_equivalence's trajectories run at, whatever the config
 # says: with single-step windows each trainer applies exactly one optimizer
@@ -499,14 +507,6 @@ def _regress(ce: CeParams, tokens: list, rows: list, targets: np.ndarray, chunk_
     return loss, grads
 
 
-def _apply_updates(opt: OptimizerState, named: dict, grads: dict,
-                   clip_norm: float | None) -> None:
-    """Clip one module's gradients on their own, then step its optimizer."""
-    if clip_norm is not None:
-        grads = clip_by_global_norm(grads, clip_norm)
-    optimizer_apply(opt, named, grads)
-
-
 def _item_rows(item_ids: np.ndarray, items: np.ndarray) -> np.ndarray:
     """Row of each of ``items`` in the sorted ``item_ids``; an item that is
     not among them is a ValueError naming it."""
@@ -518,18 +518,25 @@ def _item_rows(item_ids: np.ndarray, items: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _module_params(state: TrainerState, module: str) -> dict:
+    """The named parameters of trained module ``module``: "cf" is the
+    collaborative filter, "ce" the encoder or ``no_content``'s table."""
+    if module == "cf":
+        return state.cf.named()
+    return {"table": state.table} if state.mode == "no_content" else state.ce.named()
+
+
 def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
-    """(index, enc, trained groups) for one step, given the item rows of
+    """(index, enc, modules) for one step, given the item rows of
     ``batch.unique_items``.
 
     ``enc`` holds the representations the CF reads, ``enc[index[k]]`` the
     batch's interaction k's. In ``e2e`` row k encodes interaction k; in the
     other modes row j is item row ``rows[j]``'s, and in ``gram`` it is the
-    leaf whose gradient goes into the pseudo-targets. Each trained group
-    is an (optimizer, named parameters) pair.
+    leaf whose gradient goes into the pseudo-targets. ``modules`` names
+    the trained modules whose gradients the batch loss's backward gives.
     """
     c = state.counters
-    cf_group = (state.opt_cf, state.cf.named())
     if state.mode == "e2e":     # one grad-tracked encoding per occurrence
         seqs = [state.tokens[r] for r in rows[batch.inverse].tolist()]
         lens = [min(len(toks), state.ce.cfg.max_token_len) for toks in seqs]
@@ -537,75 +544,88 @@ def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
         c.ce_backward_calls += len(lens)
         c.flop_estimate += e2e_ce_flops_per_batch(
             len(batch.users), len(lens) / len(batch.users), float(np.mean(lens)), state.ce.cfg.d)
-        return np.arange(len(lens)), ce_encode(seqs, state.ce), [(state.opt_ce, state.ce.named()), cf_group]
+        return np.arange(len(lens)), ce_encode(seqs, state.ce), ("ce", "cf")
     if state.mode == "gram":
         leaf, n_encoded = _cache_leaves(rows, state.window, state.ce, state.tokens)
         c.ce_forward_calls += n_encoded
-        return batch.inverse, leaf, [cf_group]
-    groups = [cf_group]
-    if state.table.grad_enabled:
-        groups.append((state.opt_ce, {"table": state.table}))
-    return batch.inverse, ad.gather(state.table, rows), groups
+        return batch.inverse, leaf, ("cf",)
+    modules = ("ce", "cf") if state.table.grad_enabled else ("cf",)
+    return batch.inverse, ad.gather(state.table, rows), modules
 
 
-def train_step(batch: Batch, state: TrainerState) -> dict:
-    """One training step of ``state.mode`` on one batch.
+def _step_phase(state: TrainerState, module: str) -> str:
+    """The timer phase that computes and applies ``module``'s update."""
+    if state.mode == "e2e":
+        return "e2e"
+    return "ce" if module == "ce" and state.mode == "gram" else "cf"
+
+
+def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
+    """One training step of ``state.mode`` on one batch, up to the
+    optimizers: (report, gradients).
 
     In order: (1) find the rows of the batch's items and build the CF's
     item representations, (2) one backward through the batch's sequence
     loss, (3) in ``gram``, subtract dL/dh from each item's pseudo-target,
-    (4) clip and step each trained module on its own optimizer, (5) in
-    ``gram``, advance the clock and, at a window boundary, regress the
-    encoder onto the window's pseudo-targets and empty the window. In
-    every mode an item the dataset lacks is a ValueError naming it.
+    advance the clock and, at a window boundary, regress the encoder onto
+    the window's pseudo-targets in one gradient summed over its chunks and
+    empty the window. The gradients are unclipped, by parameter name, per
+    trained module: "cf", and "ce" for the encoder (or ``no_content``'s
+    table) where this step updates it. In every mode an item the dataset
+    lacks is a ValueError naming it.
     """
-    with state.timer.measure("e2e" if state.mode == "e2e" else "cf"), \
+    with state.timer.measure(_step_phase(state, "cf")), \
             ad.track_activations(state.accountant):
         try:
             rows = _item_rows(state.item_ids, batch.unique_items)
-            index, enc, groups = _step_inputs(batch, rows, state)
+            index, enc, modules = _step_inputs(batch, rows, state)
             loss, n_preds = batch_sequence_loss(batch, index, enc, state.cf)
             gmap = ad.backward(loss)
             if state.mode == "gram":
                 _write_back(state.window.targets, rows, state.item_ids, enc, gmap)
         except NonFiniteError as e:
             raise NumericalAbort(f"{state.mode} step {state.t}: {e}") from e
-        for opt, named in groups:
-            _apply_updates(opt, named, _named_grads(named, gmap), state.cfg.clip_norm)
+        grads = {m: _named_grads(_module_params(state, m), gmap) for m in modules}
     state.counters.cf_forward_calls += len(batch.users)
     state.t += 1
     report = {"loss": loss.item(), "n_predictions": n_preds, "step": state.t}
     if state.mode == "gram":
+        window = state.window
         closed = state.t % state.accum_steps == 0
-        report.update(cache_size=len(state.window.rows), window_closed=closed)
-        if closed:
+        report.update(cache_size=len(window.rows), window_closed=closed)
+        if closed:      # the window holds this step's items, so it is not empty
+            rows = window.rows
+            report["ce_items"] = len(rows)
             with state.timer.measure("ce"), ad.track_activations(state.accountant):
-                report.update(_ce_update_phase(state))
+                try:
+                    report["pseudo_loss"], grads["ce"] = _regress(
+                        state.ce, state.tokens, rows, window.targets, state.cfg.ce_batch_size)
+                except NonFiniteError as e:
+                    raise NumericalAbort(
+                        f"encoder regression at step {state.t} (items "
+                        f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]}): {e}") from e
+            state.counters.ce_backward_calls += len(rows)
+            lens = [min(len(state.tokens[r]), state.ce.cfg.max_token_len) for r in rows]
+            state.counters.flop_estimate += gram_ce_flops_per_batch(
+                len(rows), float(np.mean(lens)), state.ce.cfg.d)
+            window.touched[rows] = False
+            window.rows = []
     state.counters.activation_elements_peak = state.accountant.peak
+    return report, grads
+
+
+def train_step(batch: Batch, state: TrainerState) -> dict:
+    """One training step of ``state.mode`` on one batch: ``step_gradients``,
+    then each trained module's gradients clipped on their own and applied
+    by its own optimizer. Returns the step's report."""
+    report, grads = step_gradients(batch, state)
+    for module, g in grads.items():
+        with state.timer.measure(_step_phase(state, module)):
+            if state.cfg.clip_norm is not None:
+                g = clip_by_global_norm(g, state.cfg.clip_norm)
+            opt = state.opt_ce if module == "ce" else state.opt_cf
+            optimizer_apply(opt, _module_params(state, module), g)
     return report
-
-
-def _ce_update_phase(state: TrainerState) -> dict:
-    """Regress the encoder onto the window's pseudo-targets in one
-    optimizer step on the summed gradients of its chunks, then empty the
-    window."""
-    window = state.window
-    rows = window.rows
-    if not rows:
-        return {"ce_items": 0}
-    try:
-        loss, grads = _regress(state.ce, state.tokens, rows, window.targets, state.cfg.ce_batch_size)
-    except NonFiniteError as e:
-        raise NumericalAbort(f"encoder regression at step {state.t} (items "
-                             f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]}): {e}") from e
-    _apply_updates(state.opt_ce, state.ce.named(), grads, state.cfg.clip_norm)
-    state.counters.ce_backward_calls += len(rows)
-    lens = [min(len(state.tokens[r]), state.ce.cfg.max_token_len) for r in rows]
-    state.counters.flop_estimate += gram_ce_flops_per_batch(
-        len(rows), float(np.mean(lens)), state.ce.cfg.d)
-    window.touched[rows] = False
-    window.rows = []
-    return {"ce_items": len(rows), "pseudo_loss": loss}
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +748,6 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
         final["val_auc"] = best_auc
         c = state.counters
         c.wall_clock_ns = state.train_wall_ns()
-        c.activation_elements_peak = state.accountant.peak
         report = RunReport(
             mode=mode,
             # the settings as given, plus the mode and the resolved window
@@ -763,37 +782,6 @@ def max_rel_err(a: dict, b: dict) -> float:
     return worst
 
 
-def e2e_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_ids: np.ndarray, tokens: list):
-    """Loss and named parameter gradients of one joint-backprop batch,
-    without applying any update, over the items ``index_items`` gives."""
-    rows = _item_rows(item_ids, batch.unique_items)
-    enc = ce_encode([tokens[r] for r in rows[batch.inverse].tolist()], ce)
-    loss, _ = batch_sequence_loss(batch, np.arange(batch.n_interactions()), enc, cf)
-    gmap = ad.backward(loss)
-    return loss.item(), _named_grads(named_params(ce, cf), gmap)
-
-
-def gram_gradients(batch: Batch, ce: CeParams, cf: CfParams, item_ids: np.ndarray,
-                   tokens: list, ce_batch_size: int = 0):
-    """Gradients of one accumulated step at unchanged parameters.
-
-    CF gradients come from the leaf-encoding graph; CE gradients from the
-    pseudo-target regression over the batch's items, ``ce_batch_size`` per
-    chunk as in training. Returns (loss, named grads) shaped like
-    ``e2e_gradients`` output.
-    """
-    rows = _item_rows(item_ids, batch.unique_items)
-    window = Window.empty(len(tokens), ce.cfg.d)
-    leaf, _ = _cache_leaves(rows, window, ce, tokens)
-    loss, _ = batch_sequence_loss(batch, batch.inverse, leaf, cf)
-    gmap = ad.backward(loss)
-    _write_back(window.targets, rows, item_ids, leaf, gmap)
-    _, ce_grads = _regress(ce, tokens, window.rows, window.targets, ce_batch_size)
-    grads = _named_grads(named_params(None, cf), gmap)
-    grads.update((f"ce.{k}", g) for k, g in ce_grads.items())
-    return loss.item(), grads
-
-
 def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int) -> dict:
     """k training steps over cycling epochs; returns the parameter snapshot."""
     state = init_trainer(dataset, mode, cfg)
@@ -809,7 +797,8 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     """Measure how closely accumulated single-step training matches
     end-to-end backprop on this dataset/config.
 
-    Per trial: fresh parameters, one batch, both gradient paths compared
+    Per trial: fresh parameters, one batch, and the ``step_gradients`` of
+    an ``e2e`` and a single-step ``gram`` trainer that hold them, compared
     per tensor. Then two k-step trajectory comparisons, one with plain SGD
     on both modules and one with Adam. All numbers are worst-case relative
     errors; exact arithmetic would give zeros.
@@ -821,23 +810,25 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
                           f"got {n_trials} trials and {k_steps} steps")
     if not dataset.users:
         raise ConfigError("equivalence verification needs users to batch; the dataset has none")
-    item_ids, tokens = index_items(dataset)
-    worst = {"ce.": 0.0, "cf.": 0.0}    # per module, by parameter-name prefix
+    step_cfg = replace(cfg, latency=VERIFY_LATENCY)
+    worst = {"ce": 0.0, "cf": 0.0}
     for trial in range(n_trials):
         init_seed = int(np.random.SeedSequence([cfg.seed, trial]).generate_state(1)[0])
         ce, cf = init_params(cfg.model, init_seed)
         batch = next(batch_iter(dataset.users, cfg.cf_batch_size,
                                 shuffle_seed=[init_seed, 1]))
-        _, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
-        _, alt = gram_gradients(batch, ce, cf, item_ids, tokens, cfg.ce_batch_size)
-        for prefix in worst:
-            names = [k for k in ref if k.startswith(prefix)]
-            err = max_rel_err({k: ref[k] for k in names}, {k: alt[k] for k in names})
-            worst[prefix] = max(worst[prefix], err)
+        grads = []
+        for mode in ("e2e", "gram"):
+            state = init_trainer(dataset, mode, step_cfg)
+            state.ce, state.cf = ce, cf
+            grads.append(step_gradients(batch, state)[1])
+        ref, alt = grads
+        for module in worst:
+            worst[module] = max(worst[module], max_rel_err(ref[module], alt[module]))
     out = {
         "n_trials": n_trials,
-        "max_ce_grad_rel_err": worst["ce."],
-        "max_cf_grad_rel_err": worst["cf."],
+        "max_ce_grad_rel_err": worst["ce"],
+        "max_cf_grad_rel_err": worst["cf"],
         "max_param_grad_rel_err": max(worst.values()),
     }
     for kind, lr in (("sgd", VERIFY_SGD_LR), ("adam", VERIFY_ADAM_LR)):

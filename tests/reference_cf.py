@@ -58,7 +58,7 @@ def _attend_pool(xs: list[Tensor], p: AttentionCfParams) -> Tensor:
 
 def cf_logit(history, candidate: Tensor, p) -> Tensor:
     """Pre-sigmoid score of *candidate* after the given history; scalar."""
-    if p.variant == "recurrent":
+    if p.cfg.cf_variant == "recurrent":
         h = Tensor(np.zeros((1, p.cfg.d_h), dtype=candidate.dtype))
         for enc, resp in history:
             h = _gru_step(h, _interaction_input(enc, resp, p), p)
@@ -96,7 +96,7 @@ def sequence_loss(user, encodings, p: CfParams) -> Tensor:
             raise KeyError(f"sequence_loss: no encoding for item {item}")
 
     logits = []
-    if p.variant == "recurrent":
+    if p.cfg.cf_variant == "recurrent":
         h = Tensor(np.zeros((1, p.cfg.d_h), dtype=encodings[inter[0][0]].dtype))
         for n, (item, resp) in enumerate(inter):
             if n >= 1:

@@ -31,11 +31,10 @@ from gram.training import (
     OptimizerConfig,
     TrainConfig,
     accumulation_latency,
-    e2e_gradients,
-    gram_gradients,
     init_trainer,
     max_rel_err,
     seed_streams,
+    step_gradients,
     train,
     train_step,
     verify_equivalence,
@@ -82,14 +81,20 @@ def announce(capsys, criterion, ok, detail):
 CHUNK = 3      # a ce_batch_size below most batches' distinct items
 
 
+def _trial_gradients(ds, mode, model, ce_batch_size, ce, cf, batch):
+    """``step_gradients`` of a fresh single-step ``mode`` trainer that
+    holds (ce, cf)."""
+    state = init_trainer(ds, mode, TrainConfig(model=model, ce_batch_size=ce_batch_size))
+    state.ce, state.cf = ce, cf
+    return step_gradients(batch, state)[1]
+
+
 def _random_trial(trial: int):
     rng = np.random.default_rng(np.random.SeedSequence([MASTER_SEED, trial]))
     d = int(rng.choice([4, 8, 16]))
     variant = ("recurrent", "attention")[trial % 2]
     cfg = ModelConfig(d=d, d_ff=2 * d, d_h=d, vocab_size=50, cf_variant=variant)
     n_items = int(rng.integers(4, 9))
-    # item i is row i
-    item_ids = np.arange(n_items)
     tokens = [tuple(int(t) for t in rng.integers(1, 50, size=int(rng.integers(2, 7))))
               for _ in range(n_items)]
     users = []
@@ -104,14 +109,15 @@ def _random_trial(trial: int):
         users[0] = UserSequence(0, first + (first[0],))
     ce, cf = init_params(cfg, int(rng.integers(0, 2 ** 31)))
     batch = Batch(users=users)
-    _, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
-    subset = lambda g, pre: {k: v for k, v in g.items() if k.startswith(pre)}
+    # item i is row i
+    ds = Dataset(items=[Item(i, toks) for i, toks in enumerate(tokens)], users=users)
+    ref = _trial_gradients(ds, "e2e", cfg, 0, ce, cf, batch)
     worst_ce = worst_cf = 0.0
     # the whole cache in one regression graph, and in chunks of 3 items
     for ce_batch_size in (0, CHUNK):
-        _, alt = gram_gradients(batch, ce, cf, item_ids, tokens, ce_batch_size)
-        worst_ce = max(worst_ce, max_rel_err(subset(ref, "ce."), subset(alt, "ce.")))
-        worst_cf = max(worst_cf, max_rel_err(subset(ref, "cf."), subset(alt, "cf.")))
+        alt = _trial_gradients(ds, "gram", cfg, ce_batch_size, ce, cf, batch)
+        worst_ce = max(worst_ce, max_rel_err(ref["ce"], alt["ce"]))
+        worst_cf = max(worst_cf, max_rel_err(ref["cf"], alt["cf"]))
     return worst_ce, worst_cf, len(batch.unique_items) > CHUNK
 
 
@@ -239,25 +245,29 @@ def _model_fd_check(variant: str, rng, n_coords=3):
     below ~1e-5 of the loss scale, so tiny coordinates would measure
     rounding noise, not correctness)."""
     cfg = ModelConfig(d=6, d_ff=10, d_h=6, vocab_size=30, cf_variant=variant)
-    item_ids = np.arange(4)      # item i is row i
     tokens = [tuple(int(t) for t in rng.integers(1, 30, size=4)) for _ in range(4)]
     users = [UserSequence(0, ((0, 1), (1, 0), (2, 1))),
              UserSequence(1, ((1, 1), (3, 0), (0, 0)))]
     batch = Batch(users=users)
     ce, cf = init_params(cfg, int(rng.integers(0, 2 ** 31)))
-    _, grads = e2e_gradients(batch, ce, cf, item_ids, tokens)
+    ds = Dataset(items=[Item(i, toks) for i, toks in enumerate(tokens)], users=users)
+    state = init_trainer(ds, "e2e", TrainConfig(model=cfg))
+    state.ce, state.cf = ce, cf
+    _, grads = step_gradients(batch, state)
+    loss = lambda: step_gradients(batch, state)[0]["loss"]
     worst = 0.0
     for key, param in named_params(ce, cf).items():
-        g = np.asarray(grads[key]).ravel()
+        module, name = key.split(".", 1)
+        g = np.asarray(grads[module][name]).ravel()
         flat = param.data.ravel()
         for i in np.argsort(-np.abs(g))[:n_coords]:
             if abs(g[i]) < 1e-5:
                 break           # below central-difference resolution
             old = flat[i]
             flat[i] = old + FD_EPS
-            lp, _ = e2e_gradients(batch, ce, cf, item_ids, tokens)
+            lp = loss()
             flat[i] = old - FD_EPS
-            lm, _ = e2e_gradients(batch, ce, cf, item_ids, tokens)
+            lm = loss()
             flat[i] = old
             num = (lp - lm) / (2 * FD_EPS)
             worst = max(worst, abs(g[i] - num) / (abs(g[i]) + abs(num) + 1e-12))

@@ -239,6 +239,12 @@ def test_verify_names_the_setting_it_verified(workdir, capsys, train, claims):
     assert (workdir / "v" / "verify.txt").read_text() == out
 
 
+def test_verify_passes_at_the_default_config_on_seed_2(capsys):
+    # SGD at the verifier's old lr 1e-2 overflowed the encoder at step 7 here
+    assert cli.main(["verify", "--seed", "2", "--trials", "1", "--steps", "10"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_verify_on_a_dataset_without_users_is_a_config_error(workdir, capsys):
     (workdir / "data" / "interactions.tsv").write_text("")
     rc = cli.main(["verify", "--config", str(workdir / "cfg.json"),

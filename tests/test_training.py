@@ -19,16 +19,14 @@ from gram.training import (
     TrainConfig,
     accumulation_latency,
     clip_by_global_norm,
-    e2e_gradients,
     epoch_batches,
     evaluate,
-    gram_gradients,
-    index_items,
     init_trainer,
     max_rel_err,
     optimizer_apply,
     plan_run,
     seed_streams,
+    step_gradients,
     train,
     train_step,
     verify_equivalence,
@@ -371,9 +369,10 @@ def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
     cfg = small_config(opt_ce=zero, opt_cf=OptimizerConfig(kind="sgd", lr=0.37),
                        latency="2S")
     state = init_trainer(ds, "gram", cfg)
-    ce0, cf0 = init_params(cfg.model, seed_streams(cfg.seed)["init"])
-    _, ref = gram_gradients(batch, ce0, cf0, state.item_ids, state.tokens)
-    # reconstruct the leaf gradients the same way gram_gradients does
+    # the same step, stopped before the optimizers, under another CF lr
+    ref = init_trainer(ds, "gram", replace(cfg, opt_cf=OptimizerConfig(kind="sgd", lr=1.0)))
+    step_gradients(batch, ref)
+    ce0, _ = init_params(cfg.model, seed_streams(cfg.seed)["init"])
     rows = np.searchsorted(state.item_ids, batch.unique_items)
     with ad.no_grad():
         from gram.model import ce_encode
@@ -383,6 +382,7 @@ def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
         # the pseudo-target differs from h by the raw gradient (no lr scaling)
         assert state.window.targets[r].shape == h[r].shape
         assert not np.array_equal(state.window.targets[r], h[r])
+        assert np.array_equal(state.window.targets[r], ref.window.targets[r])
 
 
 def test_untouched_cache_entry_keeps_pseudo_target():
@@ -399,24 +399,29 @@ def test_untouched_cache_entry_keeps_pseudo_target():
 def test_perfect_pseudo_targets_give_zero_ce_gradient():
     # if the pseudo-target equals the current encoder output, the regression loss and
     # its gradient vanish (items with zero loss gradient contribute nothing)
-    from gram.model import ce_encode
-    from gram.training import _ce_update_phase
     ds, batch = dup_heavy_batch()
     state = init_trainer(ds, "gram", small_config())
     before = {k: v.data.copy() for k, v in state.ce.named().items()}
-    # one call over the same items _regress encodes in one chunk, so the
-    # targets match its outputs bit for bit
-    rows = np.searchsorted(state.item_ids, batch.unique_items)
-    with ad.no_grad():
-        state.window.targets[rows] = ce_encode([state.tokens[r] for r in rows], state.ce).data
-    state.window.touched[rows] = True
-    state.window.rows.extend(rows.tolist())
-    rep = _ce_update_phase(state)
+    # a zero readout gives the leaf a zero gradient, so each pseudo-target
+    # stays the first-touch encoding: one call over the same items
+    # _regress encodes in one chunk, so the targets match its outputs bit
+    # for bit
+    state.cf.w_readout.data = np.zeros_like(state.cf.w_readout.data)
+    rep, grads = step_gradients(batch, state)
+    assert rep["window_closed"] and rep["ce_items"] == len(batch.unique_items)
     assert rep["pseudo_loss"] == 0.0
     for k, v in state.ce.named().items():
-        assert np.array_equal(v.data, before[k])   # zero grad, zero update
+        assert not grads["ce"][k].any()            # zero gradient
+        assert np.array_equal(v.data, before[k])
     assert len(state.window.rows) == 0             # emptied exactly once
     assert not state.window.touched.any()
+
+
+def _step_grads(ds, mode, cfg, ce, cf, batch):
+    """``step_gradients`` of a fresh ``mode`` trainer holding (ce, cf)."""
+    state = init_trainer(ds, mode, cfg)
+    state.ce, state.cf = ce, cf
+    return step_gradients(batch, state)[1]
 
 
 def test_single_occurrence_zero_cf_lr_gradient_equality():
@@ -428,19 +433,21 @@ def test_single_occurrence_zero_cf_lr_gradient_equality():
     ds = Dataset(items=items, users=users)
     batch = Batch(users=users)
     ce, cf = init_params(SMALL_MODEL, 3)
-    item_ids, tokens = index_items(ds)
-    _, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
-    _, alt = gram_gradients(batch, ce, cf, item_ids, tokens)
-    assert max_rel_err(ref, alt) <= 1e-12
+    cfg = small_config(ce_batch_size=0)
+    ref = _step_grads(ds, "e2e", cfg, ce, cf, batch)
+    alt = _step_grads(ds, "gram", cfg, ce, cf, batch)
+    for module in ("ce", "cf"):
+        assert max_rel_err(ref[module], alt[module]) <= 1e-12
 
 
 def test_duplicate_occurrences_accumulate_like_joint_backprop():
     ds, batch = dup_heavy_batch()      # items repeat across users
     ce, cf = init_params(SMALL_MODEL, 8)
-    item_ids, tokens = index_items(ds)
-    _, ref = e2e_gradients(batch, ce, cf, item_ids, tokens)
-    _, alt = gram_gradients(batch, ce, cf, item_ids, tokens)
-    assert max_rel_err(ref, alt) <= 1e-10
+    cfg = small_config(ce_batch_size=0)
+    ref = _step_grads(ds, "e2e", cfg, ce, cf, batch)
+    alt = _step_grads(ds, "gram", cfg, ce, cf, batch)
+    for module in ("ce", "cf"):
+        assert max_rel_err(ref[module], alt[module]) <= 1e-10
 
 
 def test_multi_step_never_more_forwards_than_single_step():
@@ -627,6 +634,50 @@ def test_verifier_reports_tiny_errors(variant, clip_norm):
     assert rep["max_param_grad_rel_err"] <= 1e-10
     assert rep["max_trajectory_rel_err_sgd"] <= 1e-8
     assert rep["max_trajectory_rel_err_adam"] <= 1e-8
+
+
+@pytest.mark.parametrize("mode", ["e2e", "gram", "no_content", "no_finetune"])
+def test_train_step_applies_what_step_gradients_returns(mode, monkeypatch):
+    import copy
+    from gram import training
+    ds, batch = dup_heavy_batch()
+    state = init_trainer(ds, mode, small_config())     # 1S: gram's window closes
+    _, expected = step_gradients(batch, copy.deepcopy(state))
+    calls = []
+    real = training.optimizer_apply
+
+    def spy(opt, params, grads):
+        calls.append(({id(state.opt_ce): "ce", id(state.opt_cf): "cf"}[id(opt)], grads))
+        return real(opt, params, grads)
+
+    monkeypatch.setattr(training, "optimizer_apply", spy)
+    train_step(batch, state)
+    assert set(expected) == ({"cf"} if mode == "no_finetune" else {"ce", "cf"})
+    assert sorted(module for module, _ in calls) == sorted(expected)
+    for module, applied in calls:
+        assert applied.keys() == expected[module].keys()
+        for name, g in expected[module].items():
+            assert np.array_equal(applied[name], g), (module, name)
+
+
+def test_verifier_gradients_catch_a_fault_in_the_gram_step_inputs(monkeypatch):
+    # the gradient trials run the trainer's own step, so a fault in how it
+    # builds gram's leaf shows in the gradient keys, not only the trajectories
+    from gram import training
+    real = training._step_inputs
+
+    def faulty(batch, rows, state):
+        index, enc, modules = real(batch, rows, state)
+        if state.mode == "gram":
+            enc.data = enc.data * 1.01
+        return index, enc, modules
+
+    ds = tiny_dataset(seed=9, n_users=16, n_items=8)
+    cfg = TrainConfig(model=SMALL_MODEL, cf_batch_size=4, seed=3)
+    monkeypatch.setattr(training, "_step_inputs", faulty)
+    rep = verify_equivalence(ds, cfg, n_trials=2, k_steps=1)
+    assert rep["max_ce_grad_rel_err"] > 1e-4
+    assert rep["max_cf_grad_rel_err"] > 1e-4
 
 
 def test_verifier_requires_f64():
