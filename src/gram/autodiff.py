@@ -15,25 +15,26 @@ of a batch. Four take one ragged convention: user (or item) i owns the
 next lengths[i] interaction (or token) rows, and nothing is padded or
 masked. ``gru_scan`` and ``prefix_attention`` share one longest-first
 slot layout: step n runs only on the users longer than n + 1, a leading
-slice of that order, and each returns one row per predicted slot.
-``gru_scan`` runs a whole gated recurrence and backpropagates through
-time over the states it saved; it follows the per-step primitives'
-expressions, and its values and gradients agree with the per-user
-reference in ``tests/reference_cf.py`` to float64 rounding.
-``prefix_attention`` runs softmax attention and additive pooling over
-every proper prefix of every user's history. It reads a table of
-projected rows through a per-interaction index, so interactions may
-share a row; it saves nothing beyond the table and recomputes each
-prefix's softmaxes in backward, so its activation memory does not grow
-with the number of prefixes. ``ce_block`` runs one residual encoder
-layer over the ragged token rows of many items, looping only over the
-length groups of its attention; it saves its intermediates and
+slice of that order, and each returns one row per predicted slot. Both
+read a table of projected rows through a per-interaction index, so
+interactions may share a row. ``gru_scan`` runs a whole gated
+recurrence and backpropagates through time over the states it saved;
+it follows the per-step primitives' expressions, and its values and
+gradients agree with the per-user reference in ``tests/reference_cf.py``
+to float64 rounding. ``prefix_attention`` runs softmax attention and
+additive pooling over every proper prefix of every user's history; it
+saves nothing beyond the table and recomputes each prefix's softmaxes in
+backward, so its activation memory does not grow with the number of
+prefixes. ``ce_block`` runs one residual encoder layer over the ragged
+token rows of many items, looping only over the length groups of its
+attention; it saves its intermediates and
 recomputes nothing, so a joint backward stays a plain no-recompute
 backprop. ``segment_mean`` mean-pools ragged runs of rows in one node,
 and ``row_dot`` takes row-wise dot products against rows of a table
 picked by an index, keeping the table rather than the picked rows.
 Every op that reads rows through an index (``gather``, ``row_dot``,
-``prefix_attention``) scatter-adds their gradients with one bincount.
+``gru_scan``, ``prefix_attention``) scatter-adds their gradients with
+one bincount.
 
 The training loss ``bce_loss`` takes logits, not probabilities: it sums
 the binary cross-entropy of their sigmoid in softplus form, so it is
@@ -670,24 +671,26 @@ def _slots(op: str, n_rows: int, lengths):
     return rows, live, counts.tolist(), ats.tolist(), perm
 
 
-def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
+def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     """A gated recurrent cell over every user's interactions, as one node.
 
-    Rows of *xg* are the interactions' input-side gate preactivations, in
-    the column order [reset | update | candidate], each d_h wide; user i
-    owns the next lengths[i] rows. From h = 0, step n reads row n of each
-    user longer than n + 1 and computes hg = h @ w_hh + b_hh, pre = xg_n +
-    hg, r and z = sigmoid of pre's reset and update columns,
-    c = tanh(xg_c + r * hg_c) and h = c + z * (h - c). The state after
-    step n predicts the user's row n + 1, so a user's last row feeds no
-    step. Returns the (n_slots, d_h) states in ``_slots``' output order:
-    step ascending, then user.
+    Rows of *xg* are input-side gate preactivations, in the column order
+    [reset | update | candidate], each d_h wide; interaction j reads row
+    rows[j], and user i owns the next lengths[i] interactions. From h = 0,
+    step n reads interaction n of each user longer than n + 1 and computes
+    hg = h @ w_hh + b_hh, pre = xg_n + hg, r and z = sigmoid of pre's
+    reset and update columns, c = tanh(xg_c + r * hg_c) and
+    h = c + z * (h - c). The state after step n predicts the user's
+    interaction n + 1, so a user's last one feeds no step. Returns the
+    (n_slots, d_h) states in ``_slots``' output order: step, then user.
 
     Users run longest first, so step n updates a leading slice of step
     n - 1's states and nothing is padded. Backward runs backprop through
-    time over the saved r, z, c, hg_c and states, and sums w_hh's and
-    b_hh's per-step gradients from the last step to the first; a row no
-    step reads gets zero gradient. Under no_grad nothing is kept per step.
+    time over the saved r, z, c, hg_c and states, sums w_hh's and b_hh's
+    per-step gradients from the last step to the first, and scatter-adds
+    the interactions' gradients into the rows they read, as ``gather``
+    does; a row no step reads gets zero gradient. Under no_grad nothing
+    is kept per step.
     """
     _check_dtypes("gru_scan", xg, w_hh, b_hh)
     x, w, bias = xg.data, w_hh.data, b_hh.data
@@ -696,10 +699,11 @@ def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     dh = w.shape[0]
     if bias.shape != (3 * dh,) or x.ndim != 2 or x.shape[1] != 3 * dh:
         raise ShapeError(f"gru_scan: xg {x.shape} and b_hh {bias.shape} do not fit w_hh {w.shape}")
-    rows, live, counts, ats, perm = _slots("gru_scan", x.shape[0], lengths)
-    at_rows = rows[live]        # row of each packed slot, step-major
+    idx = _row_ids("gru_scan", rows, x.shape[0])
+    slot_rows, live, counts, ats, perm = _slots("gru_scan", idx.size, lengths)
+    at_rows = slot_rows[live]   # interaction of each packed slot, step-major
     record = is_grad_enabled() and (xg.grad_enabled or w_hh.grad_enabled or b_hh.grad_enabled)
-    xs = x[at_rows]
+    xs = x[idx[at_rows]]
     hs = np.empty((ats[-1], dh), dtype=x.dtype)     # packed states
     saved = []      # (r and z, c, hg_c) per step; hg_c is copied so the rest of hg is freed
     h0 = h = np.zeros((counts[0], dh), dtype=x.dtype)
@@ -752,9 +756,9 @@ def gru_scan(xg: Tensor, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
                 dh_n = gs[ats[n - 1]:at].copy()
                 dh_n[:b] += ds
                 dh_n[:b] += dhg @ w.T
-        dx = np.zeros_like(x)
-        dx[at_rows] = dxs       # each row is one slot's, so assignment scatters
-        acc(xg, dx)
+        dx = np.zeros((idx.size, 3 * dh), dtype=x.dtype)
+        dx[at_rows] = dxs       # each interaction is one slot's, so assignment scatters
+        acc(xg, _scatter_rows(idx, dx, x))
         acc(w_hh, dw)
         acc(b_hh, db)
 

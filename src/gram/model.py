@@ -33,9 +33,9 @@ applies the sigmoid, to report probabilities.
 whose arrays number the interactions user by user, and reads encodings
 by row index: ``batch_sequence_loss(batch, rows, enc, p)`` finds
 interaction k's encoding at ``enc[rows[k]]``. Joint backprop passes one
-row per interaction (``rows = arange(n)``); the cached and table modes
-pass one row per distinct item (``rows = batch.inverse``), so every
-occurrence of an item reads the same row.
+row per interaction (``rows = arange(n)``); the other modes pass one row
+per item, the batch's in ``gram`` and the item table's in the
+baselines, so every occurrence of an item reads the same row.
 
 Both variants build a batch the same way. Each distinct (encoding row,
 response) pair gets one (encoding (+) response) row and one projection,
@@ -47,21 +47,20 @@ far fewer pairs than interactions (about 72 for 249 on the benchmark's
 datasets), so the kept projections follow the pairs; in joint backprop
 every pair is distinct. One fused op then runs the users' ragged
 sequences, and one ``autodiff.row_dot`` scores every predicted slot
-against its candidate, so a loss graph has 12 nodes (recurrent) or 10
-(attention) for any sequence length. Nothing is padded: step n of a
-fused op reads interactions 0..n of each user longer than n + 1 and
-predicts interaction n + 1, the users run longest first so each step's
-users are a leading slice, and the op returns one row per predicted
-slot.
+against its candidate, so a loss graph has 10 nodes (recurrent) or 9
+(attention) in every mode and for any sequence length. Nothing is
+padded: step n of a fused op reads interactions 0..n of each user longer
+than n + 1 and predicts interaction n + 1, the users run longest first
+so each step's users are a leading slice, and the op returns one row per
+predicted slot.
 
-* The recurrent CF gathers each interaction's projected row (joint
-  backprop, where each interaction is its own pair, skips the gather and
-  has 11 nodes) and feeds them to ``autodiff.gru_scan``, which runs the
-  h-side of the cell with a hand-written backprop through time; for its
-  backward it keeps five arrays per slot (r, z, the candidate, the
-  h-side candidate preactivation and the state) and no copy of its
-  input. The readout projects each distinct candidate row once by
-  ``w_readout``, and ``row_dot`` keeps the states and that projection.
+* The recurrent CF's ``autodiff.gru_scan`` takes the table of projected
+  pairs and the per-interaction index, and runs the h-side of the cell
+  with a hand-written backprop through time; for its backward it keeps
+  five arrays per slot (r, z, the candidate, the h-side candidate
+  preactivation and the state) and no copy of its input. The readout
+  projects each distinct candidate row once by ``w_readout``, and
+  ``row_dot`` keeps the states and that projection.
 * The attention CF's ``autodiff.prefix_attention`` takes the table of
   projected pairs and the per-interaction index, and runs, for each
   prefix length n, a (B_n, n, n) batched attention and pooling over the
@@ -282,10 +281,10 @@ def ce_encode(token_seqs, p: CeParams) -> Tensor:
     call is one graph over the ragged (total tokens, d) rows: one gather of
     token embeddings, the positional add if configured, one
     ``autodiff.ce_block`` per layer, one ``autodiff.segment_mean`` and the
-    output matmul. One gather restores input order when the sort changed
-    it. Nothing is padded or masked, and the node count does not depend on
-    how many lengths the call mixes. An empty list or an empty sequence is
-    an error; a token id outside the vocabulary raises ``IndexError``.
+    output matmul. One gather restores input order. Nothing is padded or
+    masked, and the node count does not depend on how many lengths the
+    call mixes. An empty list or an empty sequence is an error; a token id
+    outside the vocabulary raises ``IndexError``.
     """
     seqs = [list(toks)[: p.cfg.max_token_len] for toks in token_seqs]
     if not seqs:
@@ -303,8 +302,6 @@ def ce_encode(token_seqs, p: CeParams) -> Tensor:
     for lay in p.layers:
         x = ad.ce_block(x, lay.wq, lay.wk, lay.wv, lay.wo, lay.w_ff1, lay.w_ff2, lengths)
     out = ad.matmul(ad.segment_mean(x, lengths), p.w_out)
-    if np.array_equal(order, np.arange(len(seqs))):
-        return out
     return ad.gather(out, np.argsort(order))   # argsort inverts the permutation
 
 
@@ -317,7 +314,7 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     """Forward over a batch.
 
     ``enc[rows[k]]`` encodes the batch's interaction k, numbered user by
-    user as in ``Batch``. Returns (logits as an (n, 1) tensor, labels,
+    user as in ``Batch``. Returns (logits as an (n,) tensor, labels,
     item_ids, user index arrays), one entry per predicted position. Slots
     come step-major, position n >= 1 ascending and then user, the order
     the fused CF ops return.
@@ -336,7 +333,7 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
         raise ValueError("batch requires at least one user with >= 2 interactions")
     if longest > p.cfg.max_interactions:
         u = int(np.argmax(lengths))
-        raise ValueError(f"user at batch index {u} has {lengths[u]} interactions, "
+        raise ValueError(f"user {batch.users[u].user_id} has {lengths[u]} interactions, "
                          f"more than max_interactions {p.cfg.max_interactions}")
     step, user_idx = ad.slot_order(lengths)
     targets = np.cumsum(lengths)[user_idx] - lengths[user_idx] + step + 1
@@ -344,17 +341,15 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     x = ad.concat([ad.gather(enc, pairs // 2), ad.gather(p.resp_embedding, pairs % 2)], axis=1)
     if p.cfg.cf_variant == "recurrent":
         xg = ad.add(ad.matmul(x, p.w_ih), p.b_ih)
-        if not np.array_equal(pair_of, np.arange(rows.size)):  # identity in joint backprop
-            xg = ad.gather(xg, pair_of)
-        h = ad.gru_scan(xg, p.w_hh, p.b_hh, lengths)
+        h = ad.gru_scan(xg, pair_of, p.w_hh, p.b_hh, lengths)
         cands, cand_of = np.unique(rows[targets], return_inverse=True)
-        flat = ad.row_dot(h, ad.matmul(ad.gather(enc, cands), p.w_readout), cand_of)
+        logits = ad.row_dot(h, ad.matmul(ad.gather(enc, cands), p.w_readout), cand_of)
     else:
         qkv = ad.matmul(x, ad.concat([p.wq, p.wk, p.wv], axis=1))
         u = ad.prefix_attention(qkv, pair_of, p.w_pool, p.v_pool, lengths)
-        flat = ad.add(ad.row_dot(u, enc, rows[targets]), p.bias)
+        logits = ad.add(ad.row_dot(u, enc, rows[targets]), p.bias)
     labels = batch.resps[targets].astype(np.float64)
-    return ad.reshape(flat, (flat.shape[0], 1)), labels, batch.items[targets], user_idx
+    return logits, labels, batch.items[targets], user_idx
 
 
 def batch_sequence_loss(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
@@ -363,7 +358,7 @@ def batch_sequence_loss(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams
     Returns (loss tensor, number of predicted positions).
     """
     logits, labels, _, _ = batch_logits(batch, rows, enc, p)
-    y = Tensor(labels.reshape(-1, 1).astype(enc.dtype))
+    y = Tensor(labels.astype(enc.dtype))
     loss = ad.bce_loss(logits, y)
     return loss, labels.size
 
@@ -373,7 +368,7 @@ def batch_scores(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     plain arrays, one entry per predicted position. Run under no_grad."""
     with ad.no_grad():
         logits, labels, item_ids, user_idx = batch_logits(batch, rows, enc, p)
-        probs = ad.sigmoid(logits).data[:, 0]
+        probs = ad.sigmoid(logits).data
     return probs, labels, item_ids, user_idx
 
 

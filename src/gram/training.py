@@ -328,14 +328,20 @@ def _require_both_classes(split: str, users) -> None:
 def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
     """The splits, steps per epoch and window a run of ``cfg`` will use.
 
-    A validation or test split whose predicted positions hold a single
-    class is a ConfigError, since no AUC could be computed on it; so is a
+    A user longer than ``max_interactions`` is a ConfigError naming it and
+    its split; so is a validation or test split whose predicted positions
+    hold a single class, since no AUC could be computed on it, and a
     window longer than an epoch, in every mode.
     """
     seeds = seed_streams(cfg.seed)
     train_ds, test_ds, cs_items = cold_start_split(
         dataset, cfg.n_cs_items, seeds["split"], cfg.test_frac)
     train_users, val_users = split_users(train_ds.users, cfg.val_frac, seeds["val"])
+    limit = cfg.model.max_interactions
+    for split, users in (("train", train_users), ("validation", val_users), ("test", test_ds.users)):
+        for u in (u for u in users if len(u) > limit):
+            raise ConfigError(f"{split} split: user {u.user_id} has {len(u)} interactions, "
+                              f"more than max_interactions {limit}")
     _require_both_classes("validation", val_users)
     _require_both_classes("test", test_ds.users)
     steps = math.ceil(len(train_users) / cfg.cf_batch_size)
@@ -415,15 +421,21 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     """Build a TrainerState: parameters, optimizers, mode-specific extras.
 
     ``dataset`` supplies the item universe (tokens for every item the run
-    may ever encode, including evaluation-only items). ``steps_per_epoch``
-    resolves an epoch-relative ``cfg.latency``; without it such a latency
-    is a ConfigError.
+    may ever encode, including evaluation-only items); where the encoder
+    runs, a token it reads outside ``vocab_size`` is a ConfigError naming
+    the item. ``steps_per_epoch`` resolves an epoch-relative
+    ``cfg.latency``; without it such a latency is a ConfigError.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     seeds = seed_streams(cfg.seed)
     ce, cf = init_params(cfg.model, seeds["init"])
     item_ids, tokens = index_items(dataset)
+    if mode != "no_content":    # the encoder reads an item's first max_token_len tokens
+        vocab = cfg.model.vocab_size
+        for item, toks in zip(item_ids.tolist(), tokens):
+            for t in (t for t in toks[:cfg.model.max_token_len] if not 0 <= t < vocab):
+                raise ConfigError(f"item {item} has token {t}, outside vocab_size {vocab}")
     state = TrainerState(
         mode=mode, cfg=cfg, ce=ce, cf=cf,
         opt_ce=OptimizerState(cfg.opt_ce), opt_cf=OptimizerState(cfg.opt_cf),
@@ -476,10 +488,7 @@ def _write_back(targets: np.ndarray, rows, item_ids, leaf: Tensor, gmap: dict) -
     row ``rows[k]`` (distinct, so plain indexing scatters) loses row k of
     the leaf's gradient. The first row, in ``rows``' order, whose new
     target is non-finite is a NonFiniteError naming its item id."""
-    g = gmap.get(leaf)
-    if g is None:
-        return
-    new = targets[rows] - g.data
+    new = targets[rows] - gmap[leaf].data
     bad = ~np.isfinite(new).all(axis=1)
     if bad.any():
         raise NonFiniteError(f"pseudo-target for item {item_ids[rows[np.argmax(bad)]]} is non-finite")
@@ -531,10 +540,11 @@ def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
     ``batch.unique_items``.
 
     ``enc`` holds the representations the CF reads, ``enc[index[k]]`` the
-    batch's interaction k's. In ``e2e`` row k encodes interaction k; in the
-    other modes row j is item row ``rows[j]``'s, and in ``gram`` it is the
-    leaf whose gradient goes into the pseudo-targets. ``modules`` names
-    the trained modules whose gradients the batch loss's backward gives.
+    batch's interaction k's. In ``e2e`` row k encodes interaction k; in
+    ``gram`` row j is item row ``rows[j]``'s, in the leaf whose gradient
+    goes into the pseudo-targets; the baselines pass their item table, as
+    evaluation does. ``modules`` names the trained modules whose gradients
+    the batch loss's backward gives.
     """
     c = state.counters
     if state.mode == "e2e":     # one grad-tracked encoding per occurrence
@@ -550,7 +560,7 @@ def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
         c.ce_forward_calls += n_encoded
         return batch.inverse, leaf, ("cf",)
     modules = ("ce", "cf") if state.table.grad_enabled else ("cf",)
-    return batch.inverse, ad.gather(state.table, rows), modules
+    return rows[batch.inverse], state.table, modules
 
 
 def _step_phase(state: TrainerState, module: str) -> str:

@@ -230,7 +230,7 @@ def _primitive_checks():
         "bce_loss": (lambda v: ad.bce_loss(ad.reshape(ad.matmul(
             logits_w, ad.reshape(ad.mean_pool(v, axis=0), (4, 1))), (5,)), labels), x),
         "mse_half": (lambda v: ad.mse_half(v, c), x),
-        "gru_scan": (lambda v: lin(ad.gru_scan(v, w_hh, b_hh, [1, 3, 2]), w32), xg),
+        "gru_scan": (lambda v: lin(ad.gru_scan(v, np.arange(6), w_hh, b_hh, [1, 3, 2]), w32), xg),
         "prefix_attention": (lambda v: lin(ad.prefix_attention(
             ad.concat([v, ka, va], axis=1), pa_rows, w_pool, v_pool, [2, 7]), w74), qa),
         "ce_block": (lambda v: lin(ad.ce_block(v, *w_ce, [3, 4]), w74), xt),

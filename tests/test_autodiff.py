@@ -649,9 +649,11 @@ def test_determinism_bit_identical():
 # gru_scan over users of 2, 4, 1 and 3 interactions (rows 0-1, 2-5, 6 and
 # 7-9) with d_h=3: steps 0 .. 2 give 3 + 2 + 1 slots. The users are out of
 # length order, so the op's longest-first packing permutes them, and the
-# 1-interaction user has no slot.
+# 1-interaction user has no slot. Unless a test passes its own index,
+# interaction j reads row j of xg.
 GRU_LENGTHS = np.array([2, 4, 1, 3])
 GRU_SHAPES = {"xg": (10, 9), "w_hh": (3, 9), "b_hh": (9,)}
+GRU_TABLE_ROWS = np.array([2, 0, 2, 3, 0, 4, 5, 3, 1, 5])   # 6 rows; 0, 2, 3 and 5 read twice
 
 
 def gru_operand(rng, name, dtype=np.float64):
@@ -669,8 +671,9 @@ def gru_args(rng, dtype=np.float64):
     return {k: gru_operand(rng, k, dtype) for k in GRU_SHAPES}
 
 
-def gru(a, lengths=GRU_LENGTHS):
-    return gru_scan(a["xg"], a["w_hh"], a["b_hh"], lengths)
+def gru(a, lengths=GRU_LENGTHS, rows=None):
+    rows = np.arange(a["xg"].shape[0]) if rows is None else rows
+    return gru_scan(a["xg"], rows, a["w_hh"], a["b_hh"], lengths)
 
 
 @pytest.mark.parametrize("wrt", list(GRU_SHAPES))
@@ -728,6 +731,10 @@ def test_gru_scan_rejects_mixed_dtypes_and_bad_shapes():
     for lengths in ([2, 4, 1, 2], [2, 4, 1, 4], [2, 5, -1, 4]):
         with pytest.raises(ShapeError, match="gru_scan: lengths must .* sum to .* 10 rows"):
             gru(a, np.array(lengths))
+    with pytest.raises(ShapeError, match="gru_scan: ids must be 1-D"):
+        gru(a, rows=np.arange(10)[None])
+    with pytest.raises(IndexError, match=r"gru_scan: id out of range \[0, 10\)"):
+        gru(a, rows=np.r_[np.arange(9), 10])
 
 
 def test_gru_scan_raises_naming_its_step():
@@ -736,6 +743,24 @@ def test_gru_scan_raises_naming_its_step():
     a.update(xg=tensor(np.full((10, 9), 1e308)), b_hh=tensor(np.full(9, 1e308)))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="gru_scan .* step 0"):
         gru(a)
+
+
+@pytest.mark.parametrize("rows", [GRU_TABLE_ROWS, np.arange(10)], ids=["repeating", "identity"])
+def test_gru_scan_through_an_index_equals_gru_scan_over_gathered_rows(rows):
+    # reading the table through the index is reading its gather: the
+    # values agree, and every gradient equals the gather's scatter-add,
+    # summed in the same order
+    rng = np.random.default_rng(17)
+    a = gru_args(rng)
+    table = tensor(a["xg"].data[:rows.max() + 1], grad=True)
+    c = Tensor(rng.standard_normal((6, 3)))
+    via_index = gru(dict(a, xg=table), rows=rows)
+    via_gather = gru(dict(a, xg=gather(table, rows)))
+    assert np.array_equal(via_index.data, via_gather.data)
+    g_index = backward(sum_all(mul(via_index, c)))
+    g_gather = backward(sum_all(mul(via_gather, c)))
+    for t in (table, a["w_hh"], a["b_hh"]):
+        assert np.array_equal(g_index[t].data, g_gather[t].data)
 
 
 def test_gru_scan_accounts_saved_arrays_and_keeps_none_under_no_grad():
@@ -946,7 +971,7 @@ def fused_outputs(op, lengths, x):
     rng = np.random.default_rng(12)
     if op == "gru_scan":
         w_hh, b_hh = Tensor(0.5 * rng.standard_normal((3, 9))), Tensor(rng.standard_normal(9))
-        return gru_scan(x, w_hh, b_hh, lengths)
+        return gru_scan(x, np.arange(x.shape[0]), w_hh, b_hh, lengths)
     w_pool, v_pool = Tensor(0.5 * rng.standard_normal((4, 3))), Tensor(rng.standard_normal((3, 1)))
     return prefix_attention(x, np.arange(x.shape[0]), w_pool, v_pool, lengths)
 

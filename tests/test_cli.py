@@ -457,6 +457,22 @@ def test_single_class_dataset_exits_1_before_training(workdir, capsys):
     assert not (workdir / "ones").exists()
 
 
+@pytest.mark.parametrize("command", [["train", "--mode", "e2e"], ["train", "--mode", "gram"],
+                                     ["train", "--mode", "no-finetune"], ["verify"],
+                                     ["bench", "--modes", "e2e,gram"]])
+def test_token_outside_the_vocabulary_exits_1_naming_the_item(workdir, capsys, command):
+    # token 250 of item 5 has no row in the 70-token embedding table: a
+    # config error naming the item, before any step or output
+    path = workdir / "data" / "items.tsv"
+    path.write_text(re.sub(r"(?m)^(5\t.*)$", r"\1 250", path.read_text()))
+    rc = cli.main(command + ["--data", str(workdir / "data"), "--config", str(workdir / "cfg.json"),
+                             "--out", str(workdir / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("gram: config error: item 5 has token 250, "
+                                       "outside vocab_size 70\n")
+    assert not (workdir / "out").exists()
+
+
 def test_numerical_abort_exits_3(workdir, tmp_path, capsys):
     cfg = json.loads((workdir / "cfg.json").read_text())
     cfg["train"]["opt_ce"] = {"kind": "sgd", "lr": 1e200}

@@ -265,11 +265,11 @@ def test_ce_saved_elements_are_pinned_and_below_the_per_op_graphs():
 def test_ce_graph_size_does_not_grow_with_distinct_lengths():
     # one length, then MIXED's three truncated lengths, then eight: a
     # gather, two ce_blocks, segment_mean, the output matmul, and the
-    # gather back to input order whenever the sort moved a row
+    # gather back to input order
     ce, _ = small_params(seed=14, l_ce=2)
     calls = ([[1, 2, 3]] * 4, MIXED, [list(range(n)) for n in range(8, 0, -1)])
     nodes = [graph_nodes(M.ce_encode(seqs, ce)) for seqs in calls]
-    assert nodes == [5, 6, 6]
+    assert nodes == [6, 6, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +543,11 @@ def test_batch_logits_match_per_prefix_logits(variant):
             if n < len(seq):
                 hist = [(enc[it], r) for it, r in seq[:n]]
                 expected.append((u, seq[n], R.cf_logit(hist, enc[seq[n][0]], cf).item()))
-    assert logits.shape == (len(expected), 1)
+    assert logits.shape == (len(expected),)
     assert list(user_idx) == [u for u, _, _ in expected]
     assert list(zip(item_ids, labels)) == [slot for _, slot, _ in expected]
     ref = np.array([logit for _, _, logit in expected])
-    assert rel_gap(logits.data[:, 0], ref) <= 1e-9
+    assert rel_gap(logits.data, ref) <= 1e-9
 
 
 @pytest.mark.parametrize("variant,peak", [("recurrent", 445), ("attention", 361)])
@@ -640,21 +640,35 @@ def node_counts_with_a_longer_user(variant):
 def test_recurrent_batch_graph_keeps_h_independent_ops_out_of_the_time_loop():
     # the whole time loop is one gru_scan node, so a user three times as
     # long as MIXED_USERS' longest adds no node; an op recorded per update
-    # would add one per extra step; the 12 are the pair rows' two gathers
-    # and concat, the w_ih matmul and bias add, the gather of each
-    # interaction's projected row, gru_scan, the candidate rows' gather and
-    # readout matmul, row_dot, a reshape and bce_loss
-    assert node_counts_with_a_longer_user("recurrent") == [12, 12]
+    # would add one per extra step; the 10 are the pair rows' two gathers
+    # and concat, the w_ih matmul and bias add, gru_scan, the candidate
+    # rows' gather and readout matmul, row_dot and bce_loss
+    assert node_counts_with_a_longer_user("recurrent") == [10, 10]
 
 
 def test_attention_batch_graph_has_constant_size():
     # every prefix length runs inside one prefix_attention node, so a user
     # three times as long as MIXED_USERS' longest adds no node; an op
-    # recorded per prefix would add one per extra prefix length; the 10 are
+    # recorded per prefix would add one per extra prefix length; the 9 are
     # the pair rows' two gathers and concat, the concat of the q/k/v weights
-    # and one matmul, prefix_attention, row_dot and the bias add, a reshape
-    # and bce_loss
-    assert node_counts_with_a_longer_user("attention") == [10, 10]
+    # and one matmul, prefix_attention, row_dot and the bias add, and
+    # bce_loss
+    assert node_counts_with_a_longer_user("attention") == [9, 9]
+
+
+@pytest.mark.parametrize("variant,nodes", [("recurrent", 10), ("attention", 9)])
+def test_joint_and_cached_rows_build_one_loss_graph(variant, nodes):
+    # joint backprop reads one encoding row per interaction, the cached
+    # modes one per item; only the index differs, not the graph or the loss
+    _, cf = small_params(seed=22, variant=variant)
+    batch, _ = batch_of(MIXED_USERS)
+    per_item = Tensor(np.random.default_rng(22).standard_normal((batch.unique_items.size, cf.cfg.d)),
+                      grad_enabled=True)
+    per_occurrence = Tensor(per_item.data[batch.inverse], grad_enabled=True)
+    joint, _ = M.batch_sequence_loss(batch, np.arange(batch.n_interactions()), per_occurrence, cf)
+    cached, _ = M.batch_sequence_loss(batch, batch.inverse, per_item, cf)
+    assert graph_nodes(joint) == graph_nodes(cached) == nodes
+    assert rel_gap(joint.data, cached.data) <= 1e-12
 
 
 def test_recurrent_unread_encoding_row_gets_no_gradient():
@@ -696,10 +710,12 @@ def test_batch_rejects_sequences_longer_than_max_interactions(variant):
     fits = [[(0, 1), (1, 0)], [(0, 1), (1, 0), (0, 1)]]
     M.batch_sequence_loss(*batch_of(fits), stack, cf)
     too_long = fits + [[(0, 1), (1, 0), (0, 1), (1, 1)]]
-    with pytest.raises(ValueError, match="batch index 2 has 4 interactions"):
-        M.batch_sequence_loss(*batch_of(too_long), stack, cf)
+    # user ids apart from batch positions, so the error names the user
+    batch = Batch([UserSequence(10 + u, tuple(seq)) for u, seq in enumerate(too_long)])
+    with pytest.raises(ValueError, match="user 12 has 4 interactions"):
+        M.batch_sequence_loss(batch, batch.items, stack, cf)
     with pytest.raises(ValueError, match="max_interactions 3"):
-        M.batch_scores(*batch_of(too_long), stack, cf)
+        M.batch_scores(batch, batch.items, stack, cf)
 
 
 # ---------------------------------------------------------------------------

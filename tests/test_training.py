@@ -794,6 +794,42 @@ def test_single_class_split_is_rejected_before_training(monkeypatch, split):
     assert steps == []
 
 
+@pytest.mark.parametrize("split", ["train", "validation", "test"])
+def test_user_longer_than_max_interactions_is_rejected_before_training(monkeypatch, split):
+    # the CF cannot read the user, so the run stops at planning with the
+    # user and its split named, even when only the final test evaluation
+    # would have read it
+    from gram import training
+    ds = tiny_dataset(n_users=30)
+    cfg = small_config(n_cs_items=2, model=replace(SMALL_MODEL, max_interactions=12))
+    plan = training.plan_run(ds, cfg)
+    long = {"train": plan.train_users, "validation": plan.val_users,
+            "test": plan.test_users}[split][0]
+    # the splits depend on user positions and test items only, so
+    # repeating a user's own interactions keeps them
+    users = [UserSequence(u.user_id, u.interactions * 20) if u.user_id == long.user_id else u
+             for u in ds.users]
+    steps = []
+    monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match=f"{split} split: user {long.user_id} has "
+                       f"{20 * len(long)} interactions, more than max_interactions 12"):
+        train(Dataset(items=ds.items, users=users), "gram", cfg)
+    assert steps == []
+
+
+def test_vocab_check_reads_only_the_encoded_tokens():
+    # a token past max_token_len is never embedded, and no_content embeds none
+    ds, _ = dup_heavy_batch()
+    cfg = small_config(model=replace(SMALL_MODEL, max_token_len=3))
+    past = Dataset(items=ds.items[:-1] + [Item(4, (1, 2, 3, 999))], users=ds.users)
+    init_trainer(past, "e2e", cfg)
+    inside = Dataset(items=ds.items[:-1] + [Item(4, (1, -1))], users=ds.users)
+    init_trainer(inside, "no_content", cfg)
+    for mode in ("e2e", "gram", "no_finetune"):
+        with pytest.raises(ConfigError, match="item 4 has token -1, outside vocab_size 60"):
+            init_trainer(inside, mode, cfg)
+
+
 def test_train_reports_are_deterministic():
     ds = tiny_dataset(n_users=30)
     cfg = small_config(max_epochs=3, n_cs_items=2)
