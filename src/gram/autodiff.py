@@ -22,12 +22,13 @@ recurrence and backpropagates through time over the states it saved;
 it follows the per-step primitives' expressions, and its values and
 gradients agree with the per-user reference in ``tests/reference_cf.py``
 to float64 rounding. ``prefix_attention`` runs softmax attention and
-additive pooling over every proper prefix of every user's history; it
-saves nothing beyond the table and recomputes each prefix's softmaxes in
-backward, so its activation memory does not grow with the number of
-prefixes. ``ce_block`` runs one residual encoder layer over the ragged
-token rows of many items, looping only over the length groups of its
-attention; it saves its intermediates and
+additive pooling over every proper prefix of every user's history,
+building the scores and their running row maximum once for all
+prefixes; it saves nothing beyond the table and recomputes them and
+each prefix's softmaxes in backward, so its activation memory does not
+grow with the number of prefixes. ``ce_block`` runs one residual
+encoder layer over the ragged token rows of many items, looping only
+over the length groups of its attention; it saves its intermediates and
 recomputes nothing, so a joint backward stays a plain no-recompute
 backprop. ``segment_mean`` mean-pools ragged runs of rows in one node,
 and ``row_dot`` takes row-wise dot products against rows of a table
@@ -563,10 +564,10 @@ def mean_pool(a: Tensor, axis: int = 0) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows, so both np.where branches are safe to
-    # evaluate; each branch is the stable form for its sign of x
+    # exp(-|x|) never overflows; the numerator 1 for x >= 0 and e below
+    # gives each sign its stable form, 1 / (1 + e) or e / (1 + e)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -779,13 +780,25 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
     over each row, ctx = a v, pooling weights w = softmax over the n
     positions of tanh(ctx @ w_pool) @ v_pool, and the user vector is
     w^T ctx. Returns the (n_slots, d) user vectors in ``_slots``' output
-    order: prefix length ascending, then user. The scores of each prefix
-    are checked to be finite, so an overflow names its prefix length.
+    order: prefix length ascending, then user.
+
+    Every prefix's scores are a corner of its user's padded (T, T) score
+    matrix, T = max(lengths) - 1, so each call builds the (B, T, T)
+    scores of the B users with a proper prefix, and their running row
+    maximum along the keys, once. Prefix n reads its scores and their
+    softmax stabiliser as basic slices, the same values a per-prefix max
+    gives, and loops only over the softmaxes and the pooling. The live
+    scores are checked to be finite, so an overflow names the shortest
+    prefix that reads it; no prefix reads padding, so a non-finite padded
+    score raises nothing.
 
     Backward keeps nothing beyond the operands and the index: it gathers
-    through *rows* again, recomputes each prefix's attention and pooling,
-    adds each prefix's q/k/v gradients into padded per-user buffers, and
-    scatter-adds those to the table rows once, so a row several
+    through *rows* again and rebuilds the scores and their running max,
+    as FlashAttention recomputes (Dao et al. 2022, arXiv:2205.14135).
+    It recomputes each prefix's softmaxes and pooling, sums every
+    prefix's score gradient into one (B, T, T) array, and turns that
+    into the q and k gradients with two batched matmuls. The q/k/v
+    gradients are scatter-added to the table rows once, so a row several
     interactions read sums their gradients. A user's last interaction is
     read by no prefix and passes no gradient.
     """
@@ -797,29 +810,42 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
                          f"{vp.shape} must be (P, 2*d_h + d), (d, d_h) and (d_h, 1)")
     idx = _row_ids("prefix_attention", rows, x.shape[0])
     slot_rows, live, counts, ats, perm = _slots("prefix_attention", idx.size, lengths)
-    # padded (B, steps) table rows, users longest first: prefix n is the
-    # basic slice [:B_n, :n], and padding is never read
+    # padded (B, T) table rows, users longest first: prefix n is the basic
+    # slice [:B_n, :n]. Padding aliases row idx[0]; no prefix reads it, and
+    # as tensors are finite, its zero score gradients add exact zeros in
+    # backward's batched matmuls
     pad_rows, live = idx[slot_rows.T], live.T
     scale_qk = dh ** -0.5       # a Python float keeps float32 operands float32
 
     def operands():
         return x[pad_rows, :dh] * scale_qk, x[pad_rows, dh:2 * dh], x[pad_rows, 2 * dh:]
 
-    def attend(n, b, qs, kp, vpad):
-        qn, kn, vn = qs[:b, :n], kp[:b, :n], vpad[:b, :n]
-        s = qn @ kn.transpose(0, 2, 1)
+    def scores(qs, kp):
+        # padded pairs may overflow harmlessly, so the check below, not a
+        # floating-point warning, reports an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = qs @ kp.transpose(0, 2, 1)
         if not np.isfinite(s).all():
-            raise NonFiniteError(f"prefix_attention produced non-finite attention scores "
-                                 f"at prefix length {n}")
-        a = _softmax(s)
-        ctx = a @ vn
+            bad = ~np.isfinite(s) & live[:, :, None] & live[:, None, :]
+            if bad.any():
+                _, j, m = np.nonzero(bad)
+                raise NonFiniteError(f"prefix_attention produced non-finite attention scores "
+                                     f"at prefix length {np.maximum(j, m).min() + 1}")
+        return s, np.maximum.accumulate(s, axis=2)
+
+    def attend(n, b, s, smax, vpad):
+        a = s[:b, :n, :n] - smax[:b, :n, n - 1:n]
+        np.exp(a, out=a)
+        a /= a.sum(axis=2, keepdims=True)
+        ctx = a @ vpad[:b, :n]
         t = np.tanh(ctx.reshape(b * n, d) @ wp)
-        return qn, kn, vn, a, ctx, t, _softmax((t @ vp).reshape(b, 1, n))     # w is (b, 1, n)
+        return a, ctx, t, _softmax((t @ vp).reshape(b, 1, n))     # w is (b, 1, n)
 
     out = np.empty((ats[-1], d), dtype=x.dtype)
     qs, kp, vpad = operands()
+    s, smax = scores(qs, kp)
     for n, (at, b) in enumerate(zip(ats, counts), 1):
-        *_, ctx, _, w = attend(n, b, qs, kp, vpad)
+        _, ctx, _, w = attend(n, b, s, smax, vpad)
         out[at:at + b] = (w @ ctx).reshape(b, d)
     out = out[perm]
 
@@ -829,11 +855,12 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
         gs = np.empty_like(g)
         gs[perm] = g
         qs, kp, vpad = operands()
-        dqs, dkp, dvpad = np.zeros_like(qs), np.zeros_like(kp), np.zeros_like(vpad)
+        s, smax = scores(qs, kp)
+        ds, dvpad = np.zeros_like(s), np.zeros_like(vpad)
         dwp, dvp = np.zeros_like(wp), np.zeros_like(vp)
         wp_t, vp_t = wp.T, vp.T
         for n, (at, b) in enumerate(zip(ats, counts), 1):
-            qn, kn, vn, a, ctx, t, w = attend(n, b, qs, kp, vpad)
+            a, ctx, t, w = attend(n, b, s, smax, vpad)
             gu = gs[at:at + b].reshape(b, 1, d)
             dw = gu @ ctx.transpose(0, 2, 1)
             dctx = w.transpose(0, 2, 1) @ gu
@@ -842,12 +869,10 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
             dht = (dpre @ vp_t) * (1.0 - t * t)
             dwp += ctx.reshape(b * n, d).T @ dht
             dctx += (dht @ wp_t).reshape(b, n, d)
-            da = dctx @ vn.transpose(0, 2, 1)
-            ds = _softmax_backward(a, da)
-            dqs[:b, :n] += ds @ kn
-            dkp[:b, :n] += ds.transpose(0, 2, 1) @ qn
+            ds[:b, :n, :n] += _softmax_backward(a, dctx @ vpad[:b, :n].transpose(0, 2, 1))
             dvpad[:b, :n] += a.transpose(0, 2, 1) @ dctx
-        dlive = np.concatenate(((dqs * scale_qk)[live], dkp[live], dvpad[live]), axis=1)
+        dq, dk = (ds @ kp) * scale_qk, ds.transpose(0, 2, 1) @ qs
+        dlive = np.concatenate((dq[live], dk[live], dvpad[live]), axis=1)
         acc(qkv, _scatter_rows(pad_rows[live], dlive, x))
         acc(w_pool, dwp)
         acc(v_pool, dvp)

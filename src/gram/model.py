@@ -62,12 +62,16 @@ predicted slot.
   projects each distinct candidate row once by ``w_readout``, and
   ``row_dot`` keeps the states and that projection.
 * The attention CF's ``autodiff.prefix_attention`` takes the table of
-  projected pairs and the per-interaction index, and runs, for each
-  prefix length n, a (B_n, n, n) batched attention and pooling over the
-  n axis. It keeps only the table and recomputes each prefix in
-  backward, so neither the node count nor the saved activations grow
-  with the number of prefixes. ``row_dot`` reads the candidates straight
-  from ``enc`` and keeps the pooled user vectors and ``enc``.
+  projected pairs and the per-interaction index. It builds each user's
+  padded score matrix and its running row maximum once per call, and
+  runs, for each prefix length n, the softmax on a (B_n, n, n) corner of
+  those scores and the pooling over the n axis. Its backward sums every
+  prefix's score gradient before two batched matmuls give the q and k
+  gradients. It keeps only the table and recomputes the scores and each
+  prefix in backward, so neither the node count nor the saved
+  activations grow with the number of prefixes. ``row_dot`` reads the
+  candidates straight from ``enc`` and keeps the pooled user vectors
+  and ``enc``.
 
 A user's last interaction and a 1-interaction user's row feed no step,
 so they get exactly zero gradient through the CF's history side. The

@@ -325,6 +325,15 @@ def _require_both_classes(split: str, users) -> None:
                           "its AUC needs both classes")
 
 
+def _require_readable(where: str, users, cfg: TrainConfig) -> None:
+    """A user longer than ``max_interactions``, which the CF cannot read,
+    is a ConfigError naming it and *where* it is."""
+    limit = cfg.model.max_interactions
+    for u in (u for u in users if len(u) > limit):
+        raise ConfigError(f"{where}: user {u.user_id} has {len(u)} interactions, "
+                          f"more than max_interactions {limit}")
+
+
 def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
     """The splits, steps per epoch and window a run of ``cfg`` will use.
 
@@ -337,11 +346,8 @@ def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
     train_ds, test_ds, cs_items = cold_start_split(
         dataset, cfg.n_cs_items, seeds["split"], cfg.test_frac)
     train_users, val_users = split_users(train_ds.users, cfg.val_frac, seeds["val"])
-    limit = cfg.model.max_interactions
     for split, users in (("train", train_users), ("validation", val_users), ("test", test_ds.users)):
-        for u in (u for u in users if len(u) > limit):
-            raise ConfigError(f"{split} split: user {u.user_id} has {len(u)} interactions, "
-                              f"more than max_interactions {limit}")
+        _require_readable(f"{split} split", users, cfg)
     _require_both_classes("validation", val_users)
     _require_both_classes("test", test_ds.users)
     steps = math.ceil(len(train_users) / cfg.cf_batch_size)
@@ -811,7 +817,8 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     an ``e2e`` and a single-step ``gram`` trainer that hold them, compared
     per tensor. Then two k-step trajectory comparisons, one with plain SGD
     on both modules and one with Adam. All numbers are worst-case relative
-    errors; exact arithmetic would give zeros.
+    errors; exact arithmetic would give zeros. A user longer than
+    ``max_interactions`` is a ConfigError naming it, before any trial.
     """
     if cfg.precision != "f64":
         raise ConfigError("equivalence verification requires f64 precision")
@@ -820,6 +827,7 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
                           f"got {n_trials} trials and {k_steps} steps")
     if not dataset.users:
         raise ConfigError("equivalence verification needs users to batch; the dataset has none")
+    _require_readable("dataset", dataset.users, cfg)
     step_cfg = replace(cfg, latency=VERIFY_LATENCY)
     worst = {"ce": 0.0, "cf": 0.0}
     for trial in range(n_trials):

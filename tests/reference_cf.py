@@ -5,6 +5,8 @@ recurrent CF as one cell update per interaction, the attention CF as one
 attention graph per prefix. The library's batched paths
 (``batch_logits``, ``batch_sequence_loss``, ``batch_scores``) must agree
 with these to float64 roundoff; only the order of additions differs.
+``prefix_attention_loop`` is the oracle for the fused attention op
+itself: one score matmul and row maximum per prefix length.
 """
 
 import numpy as np
@@ -114,3 +116,50 @@ def sequence_loss(user, encodings, p: CfParams) -> Tensor:
     stacked = ad.stack(logits)
     labels = Tensor(np.array([float(r) for _, r in inter[1:]], dtype=stacked.dtype))
     return ad.bce_loss(stacked, labels)
+
+
+def prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g):
+    """``autodiff.prefix_attention`` in numpy with one attention per prefix
+    length: prefix n computes its own (B_n, n, n) scores and row maxima,
+    and adds its own q and k gradients by two matmuls. Returns the op's
+    output on table *x* and the gradients of sum(output * g) with respect
+    to x, w_pool and v_pool."""
+    d, dh = w_pool.shape
+    idx = np.asarray(rows)
+    slot_rows, live, counts, ats, perm = ad._slots("prefix_attention_loop", idx.size, lengths)
+    pad_rows, live = idx[slot_rows.T], live.T
+    scale_qk = dh ** -0.5
+    qs, kp, vpad = x[pad_rows, :dh] * scale_qk, x[pad_rows, dh:2 * dh], x[pad_rows, 2 * dh:]
+
+    def attend(n, b):
+        qn, kn, vn = qs[:b, :n], kp[:b, :n], vpad[:b, :n]
+        a = ad._softmax(qn @ kn.transpose(0, 2, 1))
+        ctx = a @ vn
+        t = np.tanh(ctx.reshape(b * n, d) @ w_pool)
+        return qn, kn, vn, a, ctx, t, ad._softmax((t @ v_pool).reshape(b, 1, n))
+
+    out = np.empty((ats[-1], d), dtype=x.dtype)
+    for n, (at, b) in enumerate(zip(ats, counts), 1):
+        *_, ctx, _, w = attend(n, b)
+        out[at:at + b] = (w @ ctx).reshape(b, d)
+    gs = np.empty_like(g)
+    gs[perm] = g
+    dqs, dkp, dvpad = np.zeros_like(qs), np.zeros_like(kp), np.zeros_like(vpad)
+    dwp, dvp = np.zeros_like(w_pool), np.zeros_like(v_pool)
+    for n, (at, b) in enumerate(zip(ats, counts), 1):
+        qn, kn, vn, a, ctx, t, w = attend(n, b)
+        gu = gs[at:at + b].reshape(b, 1, d)
+        dctx = w.transpose(0, 2, 1) @ gu
+        dpre = ad._softmax_backward(w, gu @ ctx.transpose(0, 2, 1)).reshape(b * n, 1)
+        dvp += t.T @ dpre
+        dht = (dpre @ v_pool.T) * (1.0 - t * t)
+        dwp += ctx.reshape(b * n, d).T @ dht
+        dctx += (dht @ w_pool.T).reshape(b, n, d)
+        ds = ad._softmax_backward(a, dctx @ vn.transpose(0, 2, 1))
+        dqs[:b, :n] += ds @ kn
+        dkp[:b, :n] += ds.transpose(0, 2, 1) @ qn
+        dvpad[:b, :n] += a.transpose(0, 2, 1) @ dctx
+    dx = np.zeros_like(x)
+    np.add.at(dx, pad_rows[live], np.concatenate(
+        ((dqs * scale_qk)[live], dkp[live], dvpad[live]), axis=1))
+    return out[perm], dx, dwp, dvp

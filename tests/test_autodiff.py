@@ -9,6 +9,7 @@ import threading
 
 import numpy as np
 import pytest
+import reference_cf as R
 
 from gram import autodiff as ad
 from gram.autodiff import (
@@ -136,6 +137,20 @@ def test_sigmoid_one_exp_matches_two_exp_formula_bitwise():
             out = sigmoid(tensor(xd)).data
         assert out.dtype == dt
         assert out.tobytes() == old.astype(dt).tobytes()
+
+
+def test_sigmoid_one_division_matches_the_two_branch_form_bitwise():
+    # the numerator picked by sign, over one shared denominator, gives the
+    # bytes of dividing in each np.where branch, NaN and signed zeros included
+    x = np.concatenate(([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-300, -1e-300],
+                        np.linspace(-40.0, 40.0, 801)))
+    for dt in (np.float64, np.float32):
+        xd = x.astype(dt)
+        e = np.exp(-np.abs(xd))
+        two_branch = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        out = ad._sigmoid(xd)
+        assert out.dtype == two_branch.dtype == dt
+        assert out.tobytes() == two_branch.tobytes()
 
 
 def test_gather_repeated_ids_accumulate():
@@ -944,6 +959,78 @@ def test_prefix_attention_raises_naming_its_prefix_length():
         a[name].data[3] = 1e200
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="prefix length 2"):
         pa(a)
+
+
+def pa_values_and_grads(x, rows, w_pool, v_pool, lengths, g):
+    """The op's output and the gradients of sum(output * g) with respect to
+    the table, w_pool and v_pool, as ``R.prefix_attention_loop`` returns them."""
+    leaves = [tensor(v, grad=True) for v in (x, w_pool, v_pool)]
+    u = prefix_attention(leaves[0], rows, leaves[1], leaves[2], lengths)
+    grads = backward(sum_all(mul(u, Tensor(g))))
+    return (u.data, *(grads[t].data for t in leaves))
+
+
+def assert_matches_the_loop(x, rows, w_pool, v_pool, lengths, rtol, seed=0):
+    """Outputs bit for bit; gradients to *rtol* of each gradient's largest
+    component, as summing the prefixes' score gradients before the q and k
+    matmuls reorders additions."""
+    g = np.random.default_rng(seed).standard_normal((int(np.maximum(lengths - 1, 0).sum()),
+                                                     w_pool.shape[0])).astype(x.dtype)
+    got = pa_values_and_grads(x, rows, w_pool, v_pool, lengths, g)
+    want = R.prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g)
+    assert np.array_equal(got[0], want[0])
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol * np.abs(b).max())
+
+
+# float32 rounds at 6e-8 where float64 rounds at 1.1e-16, so its
+# gradients get 1e-5 of their scale where float64's get 1e-12
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_prefix_attention_matches_the_per_prefix_loop(dtype, rtol):
+    # users of 0, 1 and 2 interactions among random lengths, reading a
+    # table half as long as the interactions, so rows repeat
+    rng = np.random.default_rng(21)
+    for trial in range(12):
+        lengths = rng.permutation(np.concatenate(([0, 1, 2], rng.integers(0, 14, size=5))))
+        n_rows = int(lengths.sum()) // 2
+        rows = rng.integers(0, n_rows, size=lengths.sum())
+        assert np.unique(rows).size < rows.size
+        x = rng.standard_normal((n_rows, 10)).astype(dtype)
+        w_pool = (0.5 * rng.standard_normal((4, 3))).astype(dtype)
+        v_pool = rng.standard_normal((3, 1)).astype(dtype)
+        assert_matches_the_loop(x, rows, w_pool, v_pool, lengths, rtol, seed=trial)
+
+
+def padded_overflow_table(lengths):
+    # users read rows 0.. in order, the first user longest. Padding aliases
+    # row 0: its key and every later user's queries are 1e200, so a
+    # shorter user's padded q.k overflows while its live scores stay finite
+    x = np.random.default_rng(22).standard_normal((sum(lengths), 10))
+    x[0, 3:6] = 1e200
+    x[lengths[0]:, :3] = 1e200
+    return x
+
+
+def test_prefix_attention_ignores_overflow_in_padding():
+    # neither raised nor warned about, and the values are the loop's
+    a = pa_args(np.random.default_rng(23))
+    lengths = np.array([7, 2, 4])
+    x = padded_overflow_table(lengths)
+    with np.errstate(all="raise", under="ignore"):
+        assert_matches_the_loop(x, np.arange(x.shape[0]), a["w_pool"].data, a["v_pool"].data,
+                                lengths, 1e-12)
+
+
+def test_prefix_attention_names_the_shortest_prefix_of_a_live_overflow():
+    # the last user's key at position 4 meets its 1e200 queries: the first
+    # live overflow is prefix 5's, though padded pairs overflow from prefix 2
+    a = pa_args(np.random.default_rng(24))
+    lengths = np.array([7, 2, 6])
+    x = padded_overflow_table(lengths)
+    x[9 + 4, 3:6] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="prefix length 5$"):
+        prefix_attention(tensor(x), np.arange(15), a["w_pool"], a["v_pool"], lengths)
 
 
 def test_prefix_attention_saves_only_its_operands_and_nothing_under_no_grad():

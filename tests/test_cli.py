@@ -254,6 +254,25 @@ def test_verify_on_a_dataset_without_users_is_a_config_error(workdir, capsys):
     assert err.startswith("gram: config error:") and "has none" in err
 
 
+def test_verify_names_a_user_longer_than_max_interactions_and_exits_1(workdir, capsys):
+    # user 0 repeated to 130 interactions: a config error before any trial,
+    # however few steps are asked for
+    path = workdir / "data" / "interactions.tsv"
+    first, *rest = path.read_text().splitlines(keepends=True)
+    user, inter = first.rstrip("\n").split("\t")
+    path.write_text(f"{user}\t{','.join([inter] * 13)}\n" + "".join(rest))
+    n = 13 * len(inter.split(","))
+    assert n > 64
+    for steps in ("1", "30"):
+        rc = cli.main(["verify", "--config", str(workdir / "cfg.json"),
+                       "--data", str(workdir / "data"), "--trials", "1", "--steps", steps])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"gram: config error: dataset: user {user} has {n} "
+                                "interactions, more than max_interactions 64\n")
+
+
 def test_verify_failure_exits_2(workdir, monkeypatch, capsys):
     fake = {"n_trials": 1, "k_steps": 1,
             "max_ce_grad_rel_err": 0.5, "max_cf_grad_rel_err": 0.5,

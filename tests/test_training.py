@@ -686,6 +686,23 @@ def test_verifier_requires_f64():
         verify_equivalence(ds, small_config(precision="f32"), n_trials=1)
 
 
+def test_verifier_rejects_a_user_longer_than_max_interactions_before_any_trial(monkeypatch):
+    # the trials batch users from the whole dataset, so any long user fails
+    # the run sooner or later; it is named up front, before any step
+    from gram import training
+    ds = tiny_dataset()
+    long = ds.users[-1]
+    users = [UserSequence(u.user_id, u.interactions * 20) if u is long else u for u in ds.users]
+    steps = []
+    monkeypatch.setattr(training, "step_gradients", lambda *args: steps.append(args))
+    monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
+    cfg = small_config(model=replace(SMALL_MODEL, max_interactions=12))
+    with pytest.raises(ConfigError, match=f"^dataset: user {long.user_id} has {20 * len(long)} "
+                       "interactions, more than max_interactions 12$"):
+        verify_equivalence(Dataset(items=ds.items, users=users), cfg, n_trials=1, k_steps=30)
+    assert steps == []
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
