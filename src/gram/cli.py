@@ -29,8 +29,14 @@ field has a default (the dataclass defaults of GenConfig / ModelConfig /
 TrainConfig / OptimizerConfig), and unknown keys and values of another
 type than the field's are rejected. Each config checks its values when
 built, so an error names the section, key or flag that gave it. Flags
-override file values; the ``GRAM_OUT_DIR`` environment variable
-overrides the configured output directory.
+override file values.
+
+Where each command writes: ``gen-data`` to its required ``--out``;
+``train`` under ``--out``, else ``$GRAM_OUT_DIR``, else the config's
+``out_dir``, else ``./runs``; ``bench`` under the first of ``--out``,
+``$GRAM_OUT_DIR`` and the config's ``out_dir`` that is set, and nowhere
+(it only prints) when none is; ``verify`` only with ``--out``; ``stats``
+nowhere.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
 failure, 3 numerical abort.

@@ -47,7 +47,9 @@ class Item:
 @dataclass(frozen=True)
 class UserSequence:
     """One user's (item_id, response) pairs in temporal order. Each response
-    is checked to be 0 or 1 here, once; nothing downstream checks it again."""
+    is checked to be 0 or 1 when the sequence is built; ``autodiff.bce_loss``
+    and ``metrics.check_predictions`` check the labels they are given
+    again, since they also take arrays built elsewhere."""
 
     user_id: int
     interactions: tuple[tuple[int, int], ...]  # (item_id, response) pairs
@@ -67,10 +69,11 @@ class Dataset:
     users: list[UserSequence]
 
     def __post_init__(self):
-        ids = [it.item_id for it in self.items]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate item ids")
-        known = set(ids)
+        known = set()
+        for item_id in (it.item_id for it in self.items):
+            if item_id in known:
+                raise ValueError(f"duplicate item id {item_id}")
+            known.add(item_id)
         for u in self.users:
             for item, _ in u.interactions:
                 if item not in known:
@@ -130,23 +133,34 @@ def compute_stats(d: Dataset) -> DatasetStats:
 
 
 def stats_from_metadata(path) -> DatasetStats:
-    """Stats from a metadata JSON (for corpora we do not ship): integer
-    keys n_users and n_items (>= 1) and n_interactions (>= 0), optional
-    avg_l_t / avg_l_i."""
+    """Stats from a metadata JSON object (for corpora we do not ship):
+    integer keys n_users and n_items (>= 1) and n_interactions (>= 0),
+    optional avg_l_t / avg_l_i (finite numbers >= 0). Anything else is a
+    ValueError naming the file, and the key where there is one."""
     with open(path, encoding="utf-8") as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except ValueError as e:
+            raise ValueError(f"metadata {path}: not valid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"metadata {path}: expected a JSON object, got {type(meta).__name__}")
     for key, least in (("n_users", 1), ("n_items", 1), ("n_interactions", 0)):
         if key not in meta:
             raise ValueError(f"metadata {path}: missing key {key!r}")
         v = meta[key]
         if not isinstance(v, int) or isinstance(v, bool) or v < least:
             raise ValueError(f"metadata {path}: {key!r} must be an integer >= {least}, got {v!r}")
+    avg = {"avg_l_t": 0.0, "avg_l_i": meta["n_interactions"] / meta["n_users"]}
+    for key in avg:
+        v = meta.get(key, avg[key])
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < math.inf:
+            raise ValueError(f"metadata {path}: {key!r} must be a finite number >= 0, got {v!r}")
+        avg[key] = float(v)
     return DatasetStats(
         n_users=meta["n_users"],
         n_items=meta["n_items"],
         n_interactions=meta["n_interactions"],
-        avg_l_t=float(meta.get("avg_l_t", 0.0)),
-        avg_l_i=float(meta.get("avg_l_i", meta["n_interactions"] / meta["n_users"])),
+        **avg,
         epoch_boost_ratio=meta["n_interactions"] / meta["n_items"],
     )
 

@@ -129,11 +129,11 @@ class ModelConfig:
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Tensor:
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-a, a, size=shape).astype(ad.default_dtype()), grad_enabled=True)
+    return Tensor(rng.uniform(-a, a, size=shape), grad_enabled=True)
 
 
 def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=ad.default_dtype()), grad_enabled=True)
+    return Tensor(np.zeros(shape), grad_enabled=True)
 
 
 class _Params:
@@ -219,8 +219,9 @@ def named_params(ce: CeParams | None, cf: CfParams) -> dict[str, Tensor]:
 
 
 def init_params(cfg: ModelConfig, seed: int) -> tuple[CeParams, CfParams]:
-    """Fresh parameters, uniform(-a, a) per matrix with Xavier bound a,
-    biases zero. Matrix draw order is fixed, so a seed pins every value."""
+    """Fresh float64 parameters, uniform(-a, a) per matrix with Xavier
+    bound a, biases zero. Matrix draw order is fixed, so a seed pins
+    every value."""
     rng = np.random.default_rng(seed)
     d, dff, dh = cfg.d, cfg.d_ff, cfg.d_h
 
@@ -391,7 +392,9 @@ def save_checkpoint(path, ce: CeParams, cf: CfParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[CeParams, CfParams]:
-    """Rebuild (CeParams, CfParams) from a checkpoint file."""
+    """Rebuild (CeParams, CfParams) from a checkpoint file, in the dtype of
+    its arrays: all float64 or all float32, else a ValueError naming the
+    first parameter that differs."""
     blob = np.load(path, allow_pickle=False)
     if not isinstance(blob, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not a checkpoint archive (a single array)")
@@ -404,9 +407,13 @@ def load_checkpoint(path) -> tuple[CeParams, CfParams]:
         named = named_params(ce, cf)
         if set(named) != set(blob.files) - {"format", "config"}:
             raise ValueError("checkpoint parameter names do not match config")
+        dtype = blob[next(iter(named))].dtype
         for name, t in named.items():
-            arr = blob[name].astype(ad.default_dtype())
+            arr = blob[name]
+            if arr.dtype != dtype or dtype not in (np.float64, np.float32):
+                raise ValueError(f"checkpoint parameter {name} is {arr.dtype}; "
+                                 "expected all float64 or all float32")
             if arr.shape != t.data.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name}")
-            t.data[...] = arr
+            t.data = arr
     return ce, cf

@@ -390,9 +390,9 @@ class Window:
     rows: list
 
     @classmethod
-    def empty(cls, n_items: int, d: int) -> "Window":
-        dt = ad.default_dtype()
-        return cls(np.zeros((n_items, d), dt), np.zeros((n_items, d), dt), np.zeros(n_items, bool), [])
+    def empty(cls, n_items: int, d: int, dtype) -> "Window":
+        return cls(np.zeros((n_items, d), dtype), np.zeros((n_items, d), dtype),
+                   np.zeros(n_items, bool), [])
 
 
 @dataclass
@@ -430,12 +430,18 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     may ever encode, including evaluation-only items); where the encoder
     runs, a token it reads outside ``vocab_size`` is a ConfigError naming
     the item. ``steps_per_epoch`` resolves an epoch-relative
-    ``cfg.latency``; without it such a latency is a ConfigError.
+    ``cfg.latency``; without it such a latency is a ConfigError. This is
+    where ``cfg.precision`` takes effect: the parameters, ``gram``'s
+    window and ``no_content``'s table are built in its dtype, and every
+    array computed from them follows.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     seeds = seed_streams(cfg.seed)
+    dtype = np.float64 if cfg.precision == "f64" else np.float32
     ce, cf = init_params(cfg.model, seeds["init"])
+    for t in named_params(ce, cf).values():
+        t.data = t.data.astype(dtype, copy=False)
     item_ids, tokens = index_items(dataset)
     if mode != "no_content":    # the encoder reads an item's first max_token_len tokens
         vocab = cfg.model.vocab_size
@@ -450,14 +456,14 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     )
     n_items = len(tokens)
     if mode == "gram":
-        state.window = Window.empty(n_items, cfg.model.d)
+        state.window = Window.empty(n_items, cfg.model.d, dtype)
     elif mode == "no_content":
         # Xavier-style table; rows of items never seen in training stay at
         # their random init, which is the point of this baseline.
         rng = np.random.default_rng([seeds["init"], 1])
         a = math.sqrt(6.0 / (n_items + cfg.model.d))
         table = rng.uniform(-a, a, size=(n_items, cfg.model.d))
-        state.table = Tensor(table.astype(ad.default_dtype()), grad_enabled=True)
+        state.table = Tensor(table.astype(dtype), grad_enabled=True)
         state.ce = None
     elif mode == "no_finetune":
         with ad.no_grad():
@@ -727,56 +733,51 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
     Returns (RunReport, TrainerState); the state carries the restored
     best parameters for checkpointing.
     """
-    prev_dtype = ad.default_dtype()
-    ad.set_default_dtype(np.float64 if cfg.precision == "f64" else np.float32)
-    try:
-        plan = plan_run(dataset, cfg)
-        state = init_trainer(dataset, mode, cfg, steps_per_epoch=plan.steps_per_epoch)
-        history = []
-        best_auc, best_epoch, bad_epochs = -1.0, -1, 0
-        best_params = _snapshot(state)
-        for epoch in range(cfg.max_epochs):
-            loss_sum, pred_sum = 0.0, 0
-            for batch in epoch_batches(plan.train_users, cfg, epoch):
-                rep = train_step(batch, state)
-                loss_sum += rep["loss"]
-                pred_sum += rep["n_predictions"]
-            with state.timer.measure("eval"):
-                val = evaluate(state, plan.val_users)
-            history.append({
-                "epoch": epoch,
-                "train_loss": loss_sum / max(1, pred_sum),
-                "val_auc": val["auc"],
-                "ce_forward_calls": state.counters.ce_forward_calls,
-                "wall_ns": state.train_wall_ns(),
-            })
-            if val["auc"] > best_auc:
-                best_auc, best_epoch, bad_epochs = val["auc"], epoch, 0
-                best_params = _snapshot(state)
-            else:
-                bad_epochs += 1
-                if bad_epochs >= cfg.patience > 0:
-                    break
-        _restore(state, best_params)
-
+    plan = plan_run(dataset, cfg)
+    state = init_trainer(dataset, mode, cfg, steps_per_epoch=plan.steps_per_epoch)
+    history = []
+    best_auc, best_epoch, bad_epochs = -1.0, -1, 0
+    best_params = _snapshot(state)
+    for epoch in range(cfg.max_epochs):
+        loss_sum, pred_sum = 0.0, 0
+        for batch in epoch_batches(plan.train_users, cfg, epoch):
+            rep = train_step(batch, state)
+            loss_sum += rep["loss"]
+            pred_sum += rep["n_predictions"]
         with state.timer.measure("eval"):
-            final = evaluate(state, plan.test_users, cs_items=plan.cs_items)
-        final["val_auc"] = best_auc
-        c = state.counters
-        c.wall_clock_ns = state.train_wall_ns()
-        report = RunReport(
-            mode=mode,
-            # the settings as given, plus the mode and the resolved window
-            config={"mode": mode, **asdict(cfg), "accum_steps": plan.accum_steps},
-            history=history,
-            final_metrics=final,
-            counters=c.as_dict(),
-            speed={"phase_wall_ns": dict(state.timer.totals_ns)},
-            best_epoch=best_epoch,
-        )
-        return report, state
-    finally:
-        ad.set_default_dtype(prev_dtype)
+            val = evaluate(state, plan.val_users)
+        history.append({
+            "epoch": epoch,
+            "train_loss": loss_sum / max(1, pred_sum),
+            "val_auc": val["auc"],
+            "ce_forward_calls": state.counters.ce_forward_calls,
+            "wall_ns": state.train_wall_ns(),
+        })
+        if val["auc"] > best_auc:
+            best_auc, best_epoch, bad_epochs = val["auc"], epoch, 0
+            best_params = _snapshot(state)
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience > 0:
+                break
+    _restore(state, best_params)
+
+    with state.timer.measure("eval"):
+        final = evaluate(state, plan.test_users, cs_items=plan.cs_items)
+    final["val_auc"] = best_auc
+    c = state.counters
+    c.wall_clock_ns = state.train_wall_ns()
+    report = RunReport(
+        mode=mode,
+        # the settings as given, plus the mode and the resolved window
+        config={"mode": mode, **asdict(cfg), "accum_steps": plan.accum_steps},
+        history=history,
+        final_metrics=final,
+        counters=c.as_dict(),
+        speed={"phase_wall_ns": dict(state.timer.totals_ns)},
+        best_epoch=best_epoch,
+    )
+    return report, state
 
 
 # ---------------------------------------------------------------------------

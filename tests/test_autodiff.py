@@ -5,8 +5,6 @@ Hand-computed values pin down the easy cases; central finite differences
 rule on batches of seeded random inputs.
 """
 
-import threading
-
 import numpy as np
 import pytest
 import reference_cf as R
@@ -207,17 +205,13 @@ def test_bce_confident_wrong_prediction_keeps_its_gradient():
 
 
 def test_bce_float32_confident_logits_are_finite():
-    ad.set_default_dtype(np.float32)
-    try:
-        x = tensor([20.0], grad=True)
-        right = bce_loss(x, tensor([1.0]))
-        wrong = bce_loss(x, tensor([0.0]))
-        assert right.dtype == wrong.dtype == np.float32
-        assert right.item() == pytest.approx(2.06e-9, rel=1e-2)
-        assert wrong.item() == pytest.approx(20.0, rel=1e-6)
-        assert backward(right)[x].dtype == np.float32
-    finally:
-        ad.set_default_dtype(np.float64)
+    x = tensor([20.0], grad=True, dtype=np.float32)
+    right = bce_loss(x, tensor([1.0], dtype=np.float32))
+    wrong = bce_loss(x, tensor([0.0], dtype=np.float32))
+    assert right.dtype == wrong.dtype == np.float32
+    assert right.item() == pytest.approx(2.06e-9, rel=1e-2)
+    assert wrong.item() == pytest.approx(20.0, rel=1e-6)
+    assert backward(right)[x].dtype == np.float32
 
 
 def test_bce_rejects_bad_labels():
@@ -1220,37 +1214,21 @@ def test_nonfinite_op_raises():
 
 
 def test_float32_mode():
-    ad.set_default_dtype(np.float32)
-    try:
-        x = tensor([1.0, 2.0], grad=True)
-        assert x.dtype == np.float32
-        out = sigmoid(x)
-        assert out.dtype == np.float32
-        g = backward(sum_all(out))[x]
-        assert g.dtype == np.float32
-    finally:
-        ad.set_default_dtype(np.float64)
+    x = tensor([1.0, 2.0], grad=True, dtype=np.float32)
+    assert x.dtype == np.float32
+    out = sigmoid(x)
+    assert out.dtype == np.float32
+    g = backward(sum_all(out))[x]
+    assert g.dtype == np.float32
 
 
-def test_default_dtype_is_per_thread():
-    # a thread that switches to float32 leaves the main thread at float64
-    seen = []
-
-    def worker():
-        ad.set_default_dtype(np.float32)
-        seen.extend([ad.default_dtype(), tensor([1.0]).dtype, ad.zeros(2).dtype])
-
-    t = threading.Thread(target=worker)
-    t.start()
-    t.join()
-    try:
-        assert seen == [np.float32] * 3
-        assert ad.default_dtype() == np.float64
-        assert tensor([1.0]).dtype == np.float64
-        assert ad.zeros(2).dtype == np.float64
-        assert Tensor(np.array([1, 2])).dtype == np.float64
-    finally:
-        ad.set_default_dtype(np.float64)
+def test_python_input_and_zeros_are_float64():
+    # a tensor keeps its array's float dtype; anything else becomes float64
+    assert tensor([1.0]).dtype == np.float64
+    assert ad.zeros(2).dtype == np.float64
+    assert Tensor(np.array([1, 2])).dtype == np.float64
+    assert Tensor(np.zeros(2, np.float32)).dtype == np.float32
+    assert ad.zeros(2, dtype=np.float32).dtype == np.float32
 
 
 class CountingAccountant:

@@ -196,14 +196,26 @@ def test_stats_metadata_ratios(name, ratio, capsys):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("n_items", 0), ("n_users", 0), ("n_interactions", -1), ("n_users", "5")])
+    ("n_items", 0), ("n_users", 0), ("n_interactions", -1), ("n_users", "5"),
+    ("avg_l_t", "x"), ("avg_l_i", -1.0), ("avg_l_t", float("inf")), ("avg_l_i", True),
+    # key None: the file holds value as its whole text
+    pytest.param(None, "5", id="json-scalar"),
+    pytest.param(None, '{"n_users": 5,}', id="invalid-json")])
 def test_stats_metadata_rejects_bad_counts(tmp_path, capsys, key, value):
     meta = {"n_users": 5, "n_items": 3, "n_interactions": 10, key: value}
     path = tmp_path / "meta.json"
-    path.write_text(json.dumps(meta))
+    path.write_text(value if key is None else json.dumps(meta))
     assert cli.main(["stats", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("gram: error:") and str(path) in err and repr(key) in err
+    assert err.startswith("gram: error:") and str(path) in err
+    assert key is None or repr(key) in err
+
+
+def test_stats_names_a_repeated_item_id(tmp_path, capsys):
+    (tmp_path / "items.tsv").write_text("0\t1 2\n1\t2 3\n0\t3 4\n")
+    (tmp_path / "interactions.tsv").write_text("0\t0:1,1:0\n")
+    assert cli.main(["stats", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "gram: error: duplicate item id 0\n"
 
 
 def test_verify_passes_on_tiny_config(workdir, capsys):

@@ -343,5 +343,7 @@ def test_dataset_rejects_unknown_item_refs():
 
 
 def test_dataset_rejects_duplicate_item_ids():
-    with pytest.raises(ValueError):
-        D.Dataset(items=[D.Item(0, (1,)), D.Item(0, (2,))], users=[])
+    # the error names the first id that repeats one before it
+    items = [D.Item(i, (1,)) for i in (5, 3, 7, 3, 5)]
+    with pytest.raises(ValueError, match=r"^duplicate item id 3$"):
+        D.Dataset(items=items, users=[])

@@ -7,6 +7,8 @@ agreement of the fused encoder with the per-op one in ``reference_ce``,
 and checkpoint round-trips.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,14 @@ from gram.dataset import Batch, UserSequence
 
 
 SMALL = M.ModelConfig(d=4, d_ff=6, l_ce=1, d_h=4, vocab_size=12, max_token_len=8)
+
+
+def to_f32(params):
+    """Cast a module's parameters to float32 in place, as init_trainer does
+    for an f32 run, and return the module."""
+    for t in params.named().values():
+        t.data = t.data.astype(np.float32)
+    return params
 
 
 def small_params(seed=0, variant="recurrent", l_ce=1):
@@ -218,15 +228,11 @@ def test_ce_encode_matches_per_op_reference(l_ce, positions):
 
 
 def test_ce_float32_outputs_and_gradients_stay_float32():
-    ad.set_default_dtype(np.float32)
-    try:
-        ce, _ = M.init_params(ce_config(positions=True), seed=12)
-        out = M.ce_encode(MIXED, ce)
-        assert out.dtype == np.float32
-        grads = backward(sum_all(out))
-        assert all(grads[t].dtype == np.float32 for t in ce.named().values())
-    finally:
-        ad.set_default_dtype(np.float64)
+    ce = to_f32(M.init_params(ce_config(positions=True), seed=12)[0])
+    out = M.ce_encode(MIXED, ce)
+    assert out.dtype == np.float32
+    grads = backward(sum_all(out))
+    assert all(grads[t].dtype == np.float32 for t in ce.named().values())
 
 
 def test_ce_token_id_outside_the_vocabulary_raises():
@@ -603,17 +609,13 @@ def test_float32_recurrent_batch_loss_is_finite_at_confident_logits():
     # at the default widths, large weights and encodings push several
     # logits past 17, where a float32 sigmoid rounds to exactly 1
     rng = np.random.default_rng(25)
-    ad.set_default_dtype(np.float32)
-    try:
-        _, cf = M.init_params(M.ModelConfig(), 25)
-        for t in cf.named().values():
-            t.data += rng.normal(0.0, 0.5, t.shape).astype(np.float32)
-        enc = Tensor(rng.normal(0.0, 3.0, (5, cf.cfg.d)).astype(np.float32), grad_enabled=True)
-        loss, _ = M.batch_sequence_loss(*batch_of(MIXED_USERS), enc, cf)
-        assert loss.dtype == np.float32 and np.isfinite(loss.item())
-        assert np.isfinite(backward(loss)[enc].data).all()
-    finally:
-        ad.set_default_dtype(np.float64)
+    cf = to_f32(M.init_params(M.ModelConfig(), 25)[1])
+    for t in cf.named().values():
+        t.data += rng.normal(0.0, 0.5, t.shape).astype(np.float32)
+    enc = Tensor(rng.normal(0.0, 3.0, (5, cf.cfg.d)).astype(np.float32), grad_enabled=True)
+    loss, _ = M.batch_sequence_loss(*batch_of(MIXED_USERS), enc, cf)
+    assert loss.dtype == np.float32 and np.isfinite(loss.item())
+    assert np.isfinite(backward(loss)[enc].data).all()
 
 
 def test_recurrent_batch_loss_raises_on_overflowing_gate_preactivations():
@@ -749,6 +751,25 @@ def test_checkpoint_round_trip(tmp_path, variant):
         assert np.array_equal(t.data, ce2.named()[name].data), name
     for name, t in cf.named().items():
         assert np.array_equal(t.data, cf2.named()[name].data), name
+
+
+@pytest.mark.parametrize("cast", ["int64", "float32", "all-float16"])
+def test_checkpoint_rejects_arrays_not_all_float64_or_all_float32(tmp_path, cast):
+    # a checkpoint is outside input: its arrays keep their dtype, so one of
+    # another dtype is named rather than converted
+    ce, cf = small_params(seed=20)
+    path = tmp_path / "ckpt.npz"
+    M.save_checkpoint(path, ce, cf)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    names = list(M.named_params(ce, cf))
+    bad = names[0] if cast == "all-float16" else names[3]
+    for name in names if cast == "all-float16" else [bad]:
+        arrays[name] = arrays[name].astype(cast.removeprefix("all-"))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    with pytest.raises(ValueError, match=f"checkpoint parameter {re.escape(bad)} is "):
+        M.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):

@@ -10,7 +10,7 @@ import reference_metrics as RM
 from gram import autodiff as ad
 from gram.autodiff import Tensor
 from gram.dataset import Batch, Dataset, GenConfig, Item, UserSequence, batch_iter, generate_synthetic
-from gram.model import ModelConfig, init_params, named_params
+from gram.model import ModelConfig, init_params, load_checkpoint, named_params, save_checkpoint
 from gram.training import (
     ConfigError,
     NumericalAbort,
@@ -507,6 +507,54 @@ def test_chunk_size_bounds_memory_only(latency, clip_norm):
         assert max_rel_err(params, runs[bs][0]) <= 1e-12
         assert runs[bs][1] == counters
     assert peaks[3] <= peaks[8] <= peaks[0]
+
+
+def test_init_trainer_builds_an_f32_run_in_float32():
+    # the precision is applied where the state is built, so a caller that
+    # steps the trainer without train() gets it too
+    ds = tiny_dataset()
+    cfg = small_config(precision="f32")
+    state = init_trainer(ds, "gram", cfg)
+    assert {t.dtype for t in named_params(state.ce, state.cf).values()} == {np.dtype(np.float32)}
+    assert state.window.encodings.dtype == state.window.targets.dtype == np.float32
+    for mode in ("no_content", "no_finetune"):
+        assert init_trainer(ds, mode, cfg).table.dtype == np.float32
+
+
+@pytest.mark.parametrize("mode", ["e2e", "gram", "no_content", "no_finetune"])
+def test_f32_train_keeps_every_parameter_and_moment_float32(mode):
+    ds = tiny_dataset(n_users=30)
+    rep, state = train(ds, mode, small_config(precision="f32", max_epochs=2, n_cs_items=2))
+    params = named_params(state.ce, state.cf)
+    if state.table is not None:
+        params["table"] = state.table
+    moments = [a for opt in (state.opt_ce, state.opt_cf) for a in (*opt.m.values(), *opt.v.values())]
+    assert len(rep.history) == 2 and moments
+    assert all(t.dtype == np.float32 for t in params.values())
+    assert all(a.dtype == np.float32 for a in moments)
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_f32_gram_1s_follows_e2e_to_f32_rounding(variant):
+    # the exactness claim is made in f64; an f32 run keeps it to f32 rounding
+    ds = chunk_dataset()
+    model = replace(SMALL_MODEL, cf_variant=variant)
+    cfg = small_config(model=model, cf_batch_size=8, precision="f32")
+    ref, _, _ = run_epochs(ds, "e2e", cfg, 2)
+    alt, _, _ = run_epochs(ds, "gram", cfg, 2)
+    assert all(v.dtype == np.float32 for v in (*ref.values(), *alt.values()))
+    assert max_rel_err(ref, alt) <= 1e-5
+
+
+def test_f32_checkpoint_loads_back_as_float32(tmp_path):
+    ds = tiny_dataset()
+    cfg = small_config(precision="f32")
+    state = init_trainer(ds, "gram", cfg)
+    train_step(next(iter(epoch_batches(ds.users, cfg, 0))), state)
+    save_checkpoint(tmp_path / "ckpt.npz", state.ce, state.cf)
+    loaded = named_params(*load_checkpoint(tmp_path / "ckpt.npz"))
+    for name, t in named_params(state.ce, state.cf).items():
+        assert loaded[name].dtype == np.float32 and np.array_equal(loaded[name].data, t.data), name
 
 
 def test_pseudo_loss_sums_the_window_chunks():
