@@ -394,7 +394,8 @@ def save_checkpoint(path, ce: CeParams, cf: CfParams) -> None:
 def load_checkpoint(path) -> tuple[CeParams, CfParams]:
     """Rebuild (CeParams, CfParams) from a checkpoint file, in the dtype of
     its arrays: all float64 or all float32, else a ValueError naming the
-    first parameter that differs."""
+    first parameter that differs. A parameter holding NaN or Inf is a
+    ValueError naming the file and the parameter."""
     blob = np.load(path, allow_pickle=False)
     if not isinstance(blob, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not a checkpoint archive (a single array)")
@@ -415,5 +416,7 @@ def load_checkpoint(path) -> tuple[CeParams, CfParams]:
                                  "expected all float64 or all float32")
             if arr.shape != t.data.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: checkpoint parameter {name} holds NaN or Inf")
             t.data = arr
     return ce, cf

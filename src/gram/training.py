@@ -5,26 +5,28 @@ Training modes
 --------------
 ``e2e``
     One joint graph per batch: the content encoder runs once per
-    interaction *occurrence* and both modules step simultaneously.
+    interaction *occurrence*.
 ``gram``
     Alternating: the collaborative filter reads one grad-enabled leaf of
-    item encodings. Within a window of N steps, the window ``latency``
-    resolves to, every touch of an item reads the encoding h of its first
-    touch, so the encoder runs once per *distinct* item per window, and
-    subtracts its dL/dh from the item's pseudo-target h~ = h - sum dL/dh
-    (SGD on the representation with learning rate exactly 1). When the
-    window closes the encoder regresses onto the pseudo-targets of the
-    window's items, in first-touch order, and the window empties.
+    item encodings. Within a window every touch of an item reads the
+    encoding h of its first touch, so the encoder runs once per *distinct*
+    item per window, and subtracts its dL/dh from the item's pseudo-target
+    h~ = h - sum dL/dh (SGD on the representation with learning rate
+    exactly 1). When the window closes the encoder regresses onto the
+    pseudo-targets of the window's items, in first-touch order, and the
+    window empties.
 ``no_content``
     A trainable item-embedding table replaces the encoder entirely.
 ``no_finetune``
     Encoder outputs are computed once at init and frozen as CF inputs.
 
-All four share one step. ``step_gradients`` does everything up to the
+All four share one step and one window of N steps, the window
+``latency`` resolves to. ``step_gradients`` does everything up to the
 optimizers: a per-mode builder supplies the CF's item representations,
 one backward runs through the batch loss, and in ``gram`` the leaf's
-gradient goes into the pseudo-targets and a closing window regresses
-the encoder. It returns each trained module's unclipped gradients;
+gradient goes into the pseudo-targets. The CF's gradient is handed out
+every step; the encoder's (or ``no_content``'s table's) is summed over
+the window, with ``gram``'s regression, and handed out at its close.
 ``train_step`` then clips and steps each module on its own optimizer.
 
 An item is addressed one way, from init to loss: as its row k among the
@@ -32,16 +34,14 @@ sorted item ids, found once per step. Row k holds its tokens, its
 baseline table row and, in ``gram``, its window encoding and target.
 
 The regression runs ``ce_batch_size`` cached items per graph and sums
-the chunks' gradients into one encoder step per window, so the chunk
-size bounds the encoder graph's memory and leaves the trajectory alone.
-With a one-step window (latency ``1S``) the encoder gradient of the
-regression loss equals the end-to-end encoder gradient at equal
-parameters, so the two trainers walk the same trajectory at any chunk
-size. ``verify_equivalence`` measures this on the trainer's own step: it
-compares the ``step_gradients`` of an ``e2e`` and a ``gram`` trainer that
-hold the same parameters, then the two modes' ``train_step``
-trajectories. Larger windows trade representation staleness for fewer
-encoder calls and make no equivalence claim.
+the chunks' gradients, so the chunk size bounds the encoder graph's
+memory and leaves the trajectory alone. The encoder does not move inside
+a window, so its regression gradient equals the joint-backprop encoder
+gradient summed over the window: a ``gram`` window of N steps equals
+joint backprop at update latency N. ``verify_equivalence`` measures this
+on the trainer's own step: it compares the ``step_gradients`` of an
+``e2e`` and a ``gram`` trainer that hold the same parameters, then the
+two modes' ``train_step`` trajectories at the config's latency.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ EVAL_BATCH_SIZE = 64       # users per no-grad scoring batch
 # overflows the encoder within a few steps on some seeds.
 VERIFY_SGD_LR = 1e-3
 VERIFY_ADAM_LR = 1e-3
-# the window verify_equivalence's trajectories run at, whatever the config
-# says: with single-step windows each trainer applies exactly one optimizer
-# step per module per batch
-VERIFY_LATENCY = "1S"
 
 
 class ConfigError(ValueError):
@@ -236,8 +232,8 @@ class TrainConfig:
 
     ``seed`` is the master seed; init / shuffle / split streams derive
     from it via ``seed_streams`` so different modes see identical splits
-    and initial parameters. ``latency`` is the gradient-update latency of
-    ``gram``, the window between encoder updates (see
+    and initial parameters. ``latency`` is every mode's gradient-update
+    latency, the window between encoder (or table) updates (see
     ``accumulation_latency``). ``ce_batch_size`` is the number of cached
     items the encoder regression puts in one graph (0 = the whole cache);
     it bounds that graph's memory only, since the chunks' gradients are
@@ -387,12 +383,7 @@ class Window:
     encodings: np.ndarray           # (n_items, d)
     targets: np.ndarray             # (n_items, d)
     touched: np.ndarray             # (n_items,) bool
-    rows: list
-
-    @classmethod
-    def empty(cls, n_items: int, d: int, dtype) -> "Window":
-        return cls(np.zeros((n_items, d), dtype), np.zeros((n_items, d), dtype),
-                   np.zeros(n_items, bool), [])
+    rows: list = field(default_factory=list)
 
 
 @dataclass
@@ -407,9 +398,10 @@ class TrainerState:
     opt_cf: OptimizerState
     item_ids: np.ndarray            # sorted item ids; row k of every per-item array is item_ids[k]
     tokens: list                    # tokens[k]: the token ids of item_ids[k]
-    accum_steps: int                # gram window size N, resolved from cfg.latency
+    accum_steps: int                # window size N, resolved from cfg.latency
     t: int = 0                      # batches processed so far
     window: Window | None = None    # gram's open window
+    pending: dict = field(default_factory=dict)   # the open window's summed "ce" gradient
     counters: CostCounters = field(default_factory=CostCounters)
     accountant: ActivationAccountant = field(default_factory=ActivationAccountant)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
@@ -456,7 +448,8 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     )
     n_items = len(tokens)
     if mode == "gram":
-        state.window = Window.empty(n_items, cfg.model.d, dtype)
+        shape = (n_items, cfg.model.d)
+        state.window = Window(np.zeros(shape, dtype), np.zeros(shape, dtype), np.zeros(n_items, bool))
     elif mode == "no_content":
         # Xavier-style table; rows of items never seen in training stay at
         # their random init, which is the point of this baseline.
@@ -507,25 +500,29 @@ def _write_back(targets: np.ndarray, rows, item_ids, leaf: Tensor, gmap: dict) -
     targets[rows] = new
 
 
-def _regress(ce: CeParams, tokens: list, rows: list, targets: np.ndarray, chunk_size: int):
-    """(loss, encoder gradients by name) of the half squared error between
-    the encoder's outputs for item ``rows`` and their ``targets`` rows.
+def _sum_grads(total: dict, grads: dict) -> None:
+    """Add ``grads`` into ``total`` by name; a new name takes its array as is."""
+    for name, g in grads.items():
+        total[name] = total[name] + g if name in total else g
+
+
+def _regress(ce: CeParams, tokens: list, rows: list, targets: np.ndarray, chunk_size: int,
+             grads: dict) -> float:
+    """The half squared error between the encoder's outputs for item
+    ``rows`` and their ``targets`` rows, summing its gradients into ``grads``.
 
     ``chunk_size`` rows are encoded and backpropagated per graph (0 = all
     at once), so one chunk's activations are alive at a time; the loss and
     the gradients are summed over the chunks.
     """
-    named = ce.named()
-    loss, grads = 0.0, {}
-    size = chunk_size or len(rows)
+    named, loss, size = ce.named(), 0.0, chunk_size or len(rows)
     for lo in range(0, len(rows), size):
         chunk = rows[lo:lo + size]
         pred = ce_encode([tokens[r] for r in chunk], ce)
         ploss = ad.mse_half(Tensor(targets[chunk]), pred)
-        for name, g in _named_grads(named, ad.backward(ploss)).items():
-            grads[name] = grads[name] + g if name in grads else g
+        _sum_grads(grads, _named_grads(named, ad.backward(ploss)))
         loss += ploss.item()
-    return loss, grads
+    return loss
 
 
 def _item_rows(item_ids: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -589,11 +586,11 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
     In order: (1) find the rows of the batch's items and build the CF's
     item representations, (2) one backward through the batch's sequence
     loss, (3) in ``gram``, subtract dL/dh from each item's pseudo-target,
-    advance the clock and, at a window boundary, regress the encoder onto
-    the window's pseudo-targets in one gradient summed over its chunks and
-    empty the window. The gradients are unclipped, by parameter name, per
-    trained module: "cf", and "ce" for the encoder (or ``no_content``'s
-    table) where this step updates it. In every mode an item the dataset
+    (4) add the step's "ce" gradient to the window's sum, (5) when the
+    clock closes the window, regress ``gram``'s encoder into that sum,
+    empty the window and hand the sum out. The gradients are unclipped, by
+    parameter name, per trained module: "cf", and "ce" for the encoder (or
+    ``no_content``'s table) at a close. In every mode an item the dataset
     lacks is a ValueError naming it.
     """
     with state.timer.measure(_step_phase(state, "cf")), \
@@ -608,20 +605,21 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
         except NonFiniteError as e:
             raise NumericalAbort(f"{state.mode} step {state.t}: {e}") from e
         grads = {m: _named_grads(_module_params(state, m), gmap) for m in modules}
+        _sum_grads(state.pending, grads.pop("ce", {}))
     state.counters.cf_forward_calls += len(batch.users)
     state.t += 1
-    report = {"loss": loss.item(), "n_predictions": n_preds, "step": state.t}
+    closed = state.t % state.accum_steps == 0
+    report = {"loss": loss.item(), "n_predictions": n_preds, "step": state.t,
+              "window_closed": closed}
     if state.mode == "gram":
-        window = state.window
-        closed = state.t % state.accum_steps == 0
-        report.update(cache_size=len(window.rows), window_closed=closed)
+        window, rows = state.window, state.window.rows
+        report["cache_size"] = len(rows)
         if closed:      # the window holds this step's items, so it is not empty
-            rows = window.rows
             report["ce_items"] = len(rows)
             with state.timer.measure("ce"), ad.track_activations(state.accountant):
                 try:
-                    report["pseudo_loss"], grads["ce"] = _regress(
-                        state.ce, state.tokens, rows, window.targets, state.cfg.ce_batch_size)
+                    report["pseudo_loss"] = _regress(state.ce, state.tokens, rows, window.targets,
+                                                     state.cfg.ce_batch_size, state.pending)
                 except NonFiniteError as e:
                     raise NumericalAbort(
                         f"encoder regression at step {state.t} (items "
@@ -632,6 +630,8 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
                 len(rows), float(np.mean(lens)), state.ce.cfg.d)
             window.touched[rows] = False
             window.rows = []
+    if closed and state.pending:
+        grads["ce"], state.pending = state.pending, {}
     state.counters.activation_elements_peak = state.accountant.peak
     return report, grads
 
@@ -800,8 +800,10 @@ def max_rel_err(a: dict, b: dict) -> float:
 
 
 def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int) -> dict:
-    """k training steps over cycling epochs; returns the parameter snapshot."""
-    state = init_trainer(dataset, mode, cfg)
+    """k training steps over cycling epochs of all of ``dataset``'s users,
+    windowed at ``cfg.latency``; returns the parameter snapshot."""
+    steps_per_epoch = math.ceil(len(dataset.users) / cfg.cf_batch_size)
+    state = init_trainer(dataset, mode, cfg, steps_per_epoch=steps_per_epoch)
     batches = itertools.chain.from_iterable(
         epoch_batches(dataset.users, cfg, epoch) for epoch in itertools.count())
     for batch in itertools.islice(batches, k_steps):
@@ -811,15 +813,16 @@ def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int) -> d
 
 def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
                        k_steps: int = 50) -> dict:
-    """Measure how closely accumulated single-step training matches
-    end-to-end backprop on this dataset/config.
+    """Measure how closely ``gram`` matches end-to-end backprop at the same
+    update latency on this dataset/config.
 
     Per trial: fresh parameters, one batch, and the ``step_gradients`` of
-    an ``e2e`` and a single-step ``gram`` trainer that hold them, compared
-    per tensor. Then two k-step trajectory comparisons, one with plain SGD
-    on both modules and one with Adam. All numbers are worst-case relative
-    errors; exact arithmetic would give zeros. A user longer than
-    ``max_interactions`` is a ConfigError naming it, before any trial.
+    an ``e2e`` and a ``gram`` trainer that hold them, compared per tensor.
+    Then two k-step trajectory comparisons at ``cfg.latency``, one with
+    plain SGD on both modules and one with Adam. All numbers are
+    worst-case relative errors; exact arithmetic would give zeros. A user
+    longer than ``max_interactions`` is a ConfigError naming it, before
+    any trial.
     """
     if cfg.precision != "f64":
         raise ConfigError("equivalence verification requires f64 precision")
@@ -829,7 +832,9 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     if not dataset.users:
         raise ConfigError("equivalence verification needs users to batch; the dataset has none")
     _require_readable("dataset", dataset.users, cfg)
-    step_cfg = replace(cfg, latency=VERIFY_LATENCY)
+    # a trial compares one step's gradients, and the encoder's are only
+    # handed out when a window closes, so each trial's window is one step
+    step_cfg = replace(cfg, latency="1S")
     worst = {"ce": 0.0, "cf": 0.0}
     for trial in range(n_trials):
         init_seed = int(np.random.SeedSequence([cfg.seed, trial]).generate_state(1)[0])
@@ -844,15 +849,11 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
         ref, alt = grads
         for module in worst:
             worst[module] = max(worst[module], max_rel_err(ref[module], alt[module]))
-    out = {
-        "n_trials": n_trials,
-        "max_ce_grad_rel_err": worst["ce"],
-        "max_cf_grad_rel_err": worst["cf"],
-        "max_param_grad_rel_err": max(worst.values()),
-    }
+    out = {"n_trials": n_trials, "max_ce_grad_rel_err": worst["ce"],
+           "max_cf_grad_rel_err": worst["cf"], "max_param_grad_rel_err": max(worst.values())}
     for kind, lr in (("sgd", VERIFY_SGD_LR), ("adam", VERIFY_ADAM_LR)):
         opt = OptimizerConfig(kind=kind, lr=lr, schedule="constant")
-        tcfg = replace(cfg, latency=VERIFY_LATENCY, opt_ce=opt, opt_cf=opt)
+        tcfg = replace(cfg, opt_ce=opt, opt_cf=opt)
         ref = _run_steps(dataset, "e2e", tcfg, k_steps)
         alt = _run_steps(dataset, "gram", tcfg, k_steps)
         out[f"max_trajectory_rel_err_{kind}"] = max_rel_err(ref, alt)

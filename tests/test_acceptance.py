@@ -150,19 +150,21 @@ def test_acceptance_1_gradient_equivalence(capsys):
 def test_acceptance_2_trajectory_equivalence(desk_dataset, capsys):
     t0 = time.monotonic()
     sgd = adam = 0.0
-    # whole cache, chunks of 3 and the default chunk of 8; a batch of the
-    # desk dataset touches more distinct items than either chunk holds
-    for ce_batch_size in (0, CHUNK, TrainConfig.ce_batch_size):
-        cfg = TrainConfig(seed=MASTER_SEED, ce_batch_size=ce_batch_size)
+    # whole cache, chunks of 3 and the default chunk of 8, each at its own
+    # latency; a batch of the desk dataset touches more distinct items than
+    # either chunk holds
+    cases = ((0, "1S"), (CHUNK, "10S"), (TrainConfig.ce_batch_size, "0.5E"))
+    for ce_batch_size, latency in cases:
+        cfg = TrainConfig(seed=MASTER_SEED, ce_batch_size=ce_batch_size, latency=latency)
         rep = verify_equivalence(desk_dataset, cfg, n_trials=1, k_steps=50)
         sgd = max(sgd, rep["max_trajectory_rel_err_sgd"])
         adam = max(adam, rep["max_trajectory_rel_err_adam"])
     elapsed = time.monotonic() - t0
     ok = sgd <= 1e-6 and adam <= 1e-6 and elapsed < 120
     announce(capsys, 2, ok,
-             f"50-step divergence at ce_batch_size 0, {CHUNK} and "
-             f"{TrainConfig.ce_batch_size}: sgd {sgd:.2e}, adam {adam:.2e} "
-             f"(tol 1e-6 each), {elapsed:.0f}s (budget 120s)")
+             "50-step divergence at (ce_batch_size, latency) "
+             + ", ".join(f"({b}, {lat})" for b, lat in cases)
+             + f": sgd {sgd:.2e}, adam {adam:.2e} (tol 1e-6 each), {elapsed:.0f}s (budget 120s)")
     assert sgd <= 1e-6 and adam <= 1e-6
     assert elapsed < 120
 

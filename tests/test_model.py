@@ -772,6 +772,23 @@ def test_checkpoint_rejects_arrays_not_all_float64_or_all_float32(tmp_path, cast
         M.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_a_non_finite_parameter(tmp_path, value):
+    # the archive's arrays are assigned to the tensors directly, so the
+    # check a Tensor makes on construction must be made here
+    ce, cf = small_params(seed=20)
+    path = tmp_path / "ckpt.npz"
+    M.save_checkpoint(path, ce, cf)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    arrays["ce.w_out"][0, 0] = value
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint parameter "
+                       "ce.w_out holds NaN or Inf$"):
+        M.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else"}')

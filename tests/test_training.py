@@ -302,6 +302,43 @@ def test_e2e_five_step_losses_decrease_and_match_golden():
 
 
 # ---------------------------------------------------------------------------
+# The window clock, shared by every mode
+# ---------------------------------------------------------------------------
+
+
+def _item_side(state):
+    """A copy of the item side's parameters: the encoder, or no_content's table."""
+    named = {"table": state.table} if state.mode == "no_content" else state.ce.named()
+    return {k: t.data.copy() for k, t in named.items()}
+
+
+@pytest.mark.parametrize("mode", ["e2e", "gram", "no_content"])
+def test_the_item_side_steps_once_per_window_and_the_cf_every_step(mode):
+    ds, batch = dup_heavy_batch()
+    sgd = OptimizerConfig(kind="sgd", lr=0.1)
+    state = init_trainer(ds, mode, small_config(opt_ce=sgd, opt_cf=sgd, latency="2S"))
+    item0, cf0 = _item_side(state), {k: t.data.copy() for k, t in state.cf.named().items()}
+    rep = train_step(batch, state)
+    assert not rep["window_closed"] and state.opt_ce.step == 0 and state.opt_cf.step == 1
+    assert max_rel_err(item0, _item_side(state)) == 0.0
+    assert max_rel_err(cf0, {k: t.data for k, t in state.cf.named().items()}) > 0.0
+    rep = train_step(batch, state)
+    assert rep["window_closed"] and state.opt_ce.step == 1 and state.opt_cf.step == 2
+    assert max_rel_err(item0, _item_side(state)) > 0.0
+    assert state.pending == {}
+
+
+def test_a_first_gradient_sum_copies_nothing():
+    from gram.training import _sum_grads
+    g, h = np.ones(3), np.full(3, 2.0)
+    total = {}
+    _sum_grads(total, {"w": g})
+    assert total["w"] is g
+    _sum_grads(total, {"w": h})
+    assert np.array_equal(total["w"], [3.0, 3.0, 3.0]) and np.array_equal(g, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
 # gram step
 # ---------------------------------------------------------------------------
 
@@ -491,6 +528,25 @@ def test_gram_1s_follows_e2e_at_any_chunk_size(kind, lr, ce_batch_size):
     assert len(reps) >= 30
     assert max(r["ce_items"] for r in reps) > ce_batch_size
     assert max_rel_err(ref, alt) <= 1e-12
+
+
+# chunk_dataset has 8 steps per epoch, so 0.5E is a window of 4
+@pytest.mark.parametrize("latency", ["2S", "10S", "0.5E"])
+@pytest.mark.parametrize("kind,lr", [("sgd", 1e-2), ("adam", 1e-3)])
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_gram_follows_e2e_at_the_same_latency(variant, kind, lr, latency):
+    # a gram window of N steps is joint backprop at update latency N, which
+    # is not joint backprop at 1S
+    ds = chunk_dataset()
+    opt = OptimizerConfig(kind=kind, lr=lr)
+    cfg = small_config(model=replace(SMALL_MODEL, cf_variant=variant), cf_batch_size=8,
+                       latency=latency, opt_ce=opt, opt_cf=opt)
+    ref, _, _ = run_epochs(ds, "e2e", cfg, 3)
+    alt, _, reps = run_epochs(ds, "gram", cfg, 3)
+    single, _, _ = run_epochs(ds, "e2e", replace(cfg, latency="1S"), 3)
+    assert len(reps) == 24 and any(r["window_closed"] for r in reps)
+    assert max_rel_err(ref, alt) <= 1e-12
+    assert max_rel_err(ref, single) > 1e-6
 
 
 @pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["noclip", "clip1e-3"])
@@ -726,6 +782,26 @@ def test_verifier_gradients_catch_a_fault_in_the_gram_step_inputs(monkeypatch):
     rep = verify_equivalence(ds, cfg, n_trials=2, k_steps=1)
     assert rep["max_ce_grad_rel_err"] > 1e-4
     assert rep["max_cf_grad_rel_err"] > 1e-4
+
+
+@pytest.mark.parametrize("latency,window", [("2S", 2), ("0.5E", 2)])
+def test_verifier_runs_the_trajectories_at_the_config_latency(latency, window, monkeypatch):
+    # 16 users in batches of 4 is 4 steps per epoch, so 0.5E is 2 steps
+    from gram import training
+    windows = []
+    real = training.train_step
+
+    def spy(batch, state):
+        windows.append(state.accum_steps)
+        return real(batch, state)
+
+    ds = tiny_dataset(seed=9, n_users=16, n_items=8)
+    cfg = TrainConfig(model=SMALL_MODEL, cf_batch_size=4, seed=3, latency=latency)
+    monkeypatch.setattr(training, "train_step", spy)
+    rep = verify_equivalence(ds, cfg, n_trials=2, k_steps=6)
+    assert windows == [window] * 24
+    assert rep["max_param_grad_rel_err"] <= 1e-10
+    assert rep["max_trajectory_rel_err"] <= 1e-8
 
 
 def test_verifier_requires_f64():
