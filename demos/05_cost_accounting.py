@@ -6,7 +6,6 @@ from fractions import Fraction
 
 from gram.dataset import Batch, Dataset, GenConfig, Item, UserSequence, \
     batch_iter, boost_ratio, compute_stats, generate_synthetic
-from gram.instrument import speed_report
 from gram.model import ModelConfig
 from gram.training import TrainConfig, init_trainer, train, train_step
 
@@ -51,10 +50,10 @@ def main():
     print(f"\none epoch over {st.n_users} users: joint encodes "
           f"{se.counters.ce_forward_calls} times (= every occurrence), the "
           f"epoch-window cache {sg.counters.ce_forward_calls} times (= every item)")
-    sp = speed_report(se.counters, sg.counters,
-                      theoretical_r=st.n_interactions / st.n_items)
-    print(f"call ratio {sp.measured_call_ratio:.2f} == dataset R "
-          f"{sp.theoretical_r:.2f} (speed_report raises on any mismatch)")
+    ratio = Fraction(se.counters.ce_forward_calls, sg.counters.ce_forward_calls)
+    r = Fraction(st.n_interactions, st.n_items)
+    assert ratio == r, f"call ratio {ratio} != dataset R {r}"
+    print(f"call ratio {ratio} == dataset R {r} = {float(r):.2f}, exactly")
 
     # --- activation memory ---------------------------------------------
     small = TrainConfig(cf_batch_size=4, ce_batch_size=8, max_epochs=1,

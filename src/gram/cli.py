@@ -17,7 +17,8 @@ Subcommands
     measured error exceeds tolerance.
 ``bench``
     Train several modes under identical seeds/splits for a fixed number
-    of epochs and print a side-by-side cost table with call ratios.
+    of epochs, check each mode's encoder forwards against the batch
+    stream, and print a side-by-side cost table with call ratios.
 ``stats``
     Dataset statistics, including the epoch boost ratio R
     (interactions per item). Accepts a dataset directory or a metadata
@@ -60,7 +61,6 @@ from .dataset import (
     save_dataset,
     stats_from_metadata,
 )
-from .instrument import speed_report
 from .model import ModelConfig, save_checkpoint
 from .report import RunReport
 from .training import (
@@ -380,34 +380,32 @@ def cmd_bench(args) -> int:
     modes = args.modes
     dataset = load_dataset(args.data)
     # the dry scan plans the run, so a bad config fails before any training
-    e2e_fwd, gram_fwd = expected_forward_counts(dataset, tcfg, args.epochs)
+    occurrences, window_misses = expected_forward_counts(dataset, tcfg, args.epochs)
+    expected = {"e2e": occurrences, "gram": window_misses, "no_content": 0,
+                "no_finetune": len(dataset.items)}
 
-    results = {}
+    reports = {}
     for mode in modes:
-        report, state = train(dataset, mode, tcfg)
-        results[mode] = (report, state)
+        reports[mode] = report = train(dataset, mode, tcfg)[0]
+        got = report.counters["ce_forward_calls"]
+        if got != expected[mode]:
+            raise AssertionError(f"{mode}: ce_forward_calls {got} != "
+                                 f"{expected[mode]} fixed by the batch stream")
 
     header = (f"{'mode':<12s} {'auc':>6s}  {'ce_fwd':>9s}  {'ce_bwd':>9s}  "
               f"{'flops':>10s}  {'act_peak':>9s}  {'wall':>8s}")
     lines = [header, "-" * len(header)]
-    for mode in modes:
-        lines.append(_bench_row(mode, results[mode][0]))
+    lines += [_bench_row(mode, reports[mode]) for mode in modes]
 
-    payload = {"config": results[modes[0]][0].config,
-               "modes": {m: results[m][0].to_dict() for m in modes}}
-    if "e2e" in results and "gram" in results:
-        sp = speed_report(
-            results["e2e"][1].counters, results["gram"][1].counters,
-            theoretical_r=e2e_fwd / gram_fwd,
-            cf_phase_ns=results["gram"][1].timer.totals_ns.get("cf", 0),
-            ce_phase_ns=results["gram"][1].timer.totals_ns.get("ce", 0),
-        )
-        wall_ratio = sp.e2e_wall_ns / max(1, sp.gram_wall_ns)
-        lines.append("")
-        lines.append(f"encoder call ratio (joint/cached): measured "
-                     f"{sp.measured_call_ratio:.4f}, stream {sp.theoretical_r:.4f}")
-        lines.append(f"train wall-clock speedup: {wall_ratio:.2f}x")
-        payload["speed"] = sp.as_dict()
+    payload = {"config": reports[modes[0]].config,
+               "modes": {m: reports[m].to_dict() for m in modes}}
+    if "e2e" in reports and "gram" in reports:
+        e2e, gram = (reports[m].counters for m in ("e2e", "gram"))
+        call_ratio = e2e["ce_forward_calls"] / gram["ce_forward_calls"]
+        lines += ["", f"encoder call ratio (joint/cached): {call_ratio:.4f}",
+                  f"train wall-clock speedup: "
+                  f"{e2e['wall_clock_ns'] / max(1, gram['wall_clock_ns']):.2f}x"]
+        payload["speed"] = {"measured_call_ratio": call_ratio}
 
     table = "\n".join(lines)
     print(table)

@@ -33,10 +33,6 @@ class ActivationAccountant:
         if self.current < 0:
             raise RuntimeError("activation accountant released more than acquired")
 
-    def reset(self) -> None:
-        self.current = 0
-        self.peak = 0
-
 
 @dataclass
 class CostCounters:
@@ -96,45 +92,3 @@ def gram_ce_flops_per_batch(n_unique_items: int, l_t: float, d: int) -> float:
     """Encoder cost of one accumulated batch: unique items only."""
     return 2.0 * n_unique_items * (l_t * d ** 2 + l_t ** 2 * d)
 
-
-# ---------------------------------------------------------------------------
-# Speed comparison
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpeedReport:
-    measured_call_ratio: float   # e2e CE forwards / cached-run CE forwards
-    theoretical_r: float         # interactions per unique item
-    e2e_wall_ns: int = 0
-    gram_wall_ns: int = 0
-    cf_phase_ns: int = 0
-    ce_phase_ns: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def speed_report(e2e_counters: CostCounters, gram_counters: CostCounters,
-                 theoretical_r: float, cf_phase_ns: int = 0,
-                 ce_phase_ns: int = 0) -> SpeedReport:
-    """Combine two runs' counters into a comparison.
-
-    The cached run encodes each item once per window, so the measured
-    forward-call ratio must equal the theoretical ratio exactly; any
-    mismatch means the counters or the cache are broken, so it raises.
-    """
-    if gram_counters.ce_forward_calls <= 0:
-        raise ValueError("speed_report: cached run performed no CE forwards")
-    measured = e2e_counters.ce_forward_calls / gram_counters.ce_forward_calls
-    if abs(measured - theoretical_r) > 1e-9 * max(1.0, abs(theoretical_r)):
-        raise AssertionError(
-            f"cached-mode call ratio {measured!r} != theoretical {theoretical_r!r}")
-    return SpeedReport(
-        measured_call_ratio=measured,
-        theoretical_r=theoretical_r,
-        e2e_wall_ns=e2e_counters.wall_clock_ns,
-        gram_wall_ns=gram_counters.wall_clock_ns,
-        cf_phase_ns=cf_phase_ns,
-        ce_phase_ns=ce_phase_ns,
-    )

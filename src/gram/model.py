@@ -179,8 +179,8 @@ class RecurrentCfParams(_Params):
     """Gated recurrent cell over inputs of width 2d, hidden width d_h.
 
     ``w_ih``/``w_hh`` hold the three gates side by side in the fixed column
-    order [reset | update | candidate], so a (1, 3*d_h) preactivation
-    reshaped to (3, d_h) has gate k in row k.
+    order [reset | update | candidate], each d_h wide; ``gru_scan`` slices
+    gate k from columns k*d_h to (k+1)*d_h.
     """
 
     cfg: ModelConfig
@@ -373,8 +373,7 @@ def batch_scores(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     plain arrays, one entry per predicted position. Run under no_grad."""
     with ad.no_grad():
         logits, labels, item_ids, user_idx = batch_logits(batch, rows, enc, p)
-        probs = ad.sigmoid(logits).data
-    return probs, labels, item_ids, user_idx
+    return ad._sigmoid(logits.data), labels, item_ids, user_idx
 
 
 # ---------------------------------------------------------------------------

@@ -799,10 +799,11 @@ def max_rel_err(a: dict, b: dict) -> float:
     return worst
 
 
-def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int) -> dict:
+def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int,
+               steps_per_epoch: int) -> dict:
     """k training steps over cycling epochs of all of ``dataset``'s users,
-    windowed at ``cfg.latency``; returns the parameter snapshot."""
-    steps_per_epoch = math.ceil(len(dataset.users) / cfg.cf_batch_size)
+    ``steps_per_epoch`` steps each, windowed at ``cfg.latency``; returns the
+    parameter snapshot."""
     state = init_trainer(dataset, mode, cfg, steps_per_epoch=steps_per_epoch)
     batches = itertools.chain.from_iterable(
         epoch_batches(dataset.users, cfg, epoch) for epoch in itertools.count())
@@ -821,8 +822,9 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     Then two k-step trajectory comparisons at ``cfg.latency``, one with
     plain SGD on both modules and one with Adam. All numbers are
     worst-case relative errors; exact arithmetic would give zeros. A user
-    longer than ``max_interactions`` is a ConfigError naming it, before
-    any trial.
+    longer than ``max_interactions`` is a ConfigError naming it, and so is
+    a window longer than ``k_steps``, which would leave both encoders at
+    their init; both are raised before any trial.
     """
     if cfg.precision != "f64":
         raise ConfigError("equivalence verification requires f64 precision")
@@ -832,6 +834,11 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     if not dataset.users:
         raise ConfigError("equivalence verification needs users to batch; the dataset has none")
     _require_readable("dataset", dataset.users, cfg)
+    steps_per_epoch = math.ceil(len(dataset.users) / cfg.cf_batch_size)
+    window = accumulation_latency(cfg.latency, steps_per_epoch)
+    if window > k_steps:
+        raise ConfigError(f"latency {cfg.latency} is a window of {window} steps, "
+                          f"longer than the {k_steps}-step trajectories")
     # a trial compares one step's gradients, and the encoder's are only
     # handed out when a window closes, so each trial's window is one step
     step_cfg = replace(cfg, latency="1S")
@@ -854,8 +861,8 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     for kind, lr in (("sgd", VERIFY_SGD_LR), ("adam", VERIFY_ADAM_LR)):
         opt = OptimizerConfig(kind=kind, lr=lr, schedule="constant")
         tcfg = replace(cfg, opt_ce=opt, opt_cf=opt)
-        ref = _run_steps(dataset, "e2e", tcfg, k_steps)
-        alt = _run_steps(dataset, "gram", tcfg, k_steps)
+        ref = _run_steps(dataset, "e2e", tcfg, k_steps, steps_per_epoch)
+        alt = _run_steps(dataset, "gram", tcfg, k_steps, steps_per_epoch)
         out[f"max_trajectory_rel_err_{kind}"] = max_rel_err(ref, alt)
     out["k_steps"] = k_steps
     out["max_trajectory_rel_err"] = max(out["max_trajectory_rel_err_sgd"],

@@ -25,7 +25,7 @@ from gram.dataset import (
     generate_synthetic,
     stats_from_metadata,
 )
-from gram.instrument import speed_report
+from gram.cli import expected_forward_counts
 from gram.model import ModelConfig, ce_encode, init_params, named_params
 from gram.training import (
     OptimizerConfig,
@@ -451,22 +451,24 @@ def test_acceptance_7_latency_presets(capsys):
 
 def test_acceptance_8_disclosures(desk_dataset, capsys):
     # fixed-length runs so the wall-clock comparison is epoch-for-epoch
-    cfg = accept_config(max_epochs=3, patience=0)
-    rep_e, st_e = train(desk_dataset, "e2e", cfg)
-    rep_g, st_g = train(desk_dataset, "gram", accept_config(
-        max_epochs=3, patience=0, latency="1E"))
+    cfg_e = accept_config(max_epochs=3, patience=0)
+    cfg_g = accept_config(max_epochs=3, patience=0, latency="1E")
+    rep_e = train(desk_dataset, "e2e", cfg_e)[0]
+    rep_g = train(desk_dataset, "gram", cfg_g)[0]
+    # the batch stream fixes each run's encoder forwards exactly: joint
+    # backprop encodes every occurrence, the cache every window miss
+    occurrences = expected_forward_counts(desk_dataset, cfg_e, 3)[0]
+    misses = expected_forward_counts(desk_dataset, cfg_g, 3)[1]
     e2e_fwd = rep_e.counters["ce_forward_calls"]
     gram_fwd = rep_g.counters["ce_forward_calls"]
-    # exact call-ratio assertion: raises on any counter/cache mismatch
-    sp = speed_report(st_e.counters, st_g.counters,
-                      theoretical_r=e2e_fwd / gram_fwd)
     wall_e = rep_e.counters["wall_clock_ns"] / 1e9
     wall_g = rep_g.counters["wall_clock_ns"] / 1e9
-    ok = True
+    ok = e2e_fwd == occurrences and gram_fwd == misses
     announce(capsys, 8, ok,
              "published-scale absolute metrics and accelerator wall-clock "
              "speedups are not reproduced at this scale; reported (not "
              f"asserted): 3-epoch train wall {wall_g:.2f}s cached vs "
-             f"{wall_e:.2f}s joint ({wall_e / max(wall_g, 1e-9):.2f}x), "
-             f"call ratio {sp.measured_call_ratio:.2f}x asserted exact")
-    assert sp.measured_call_ratio == e2e_fwd / gram_fwd
+             f"{wall_e:.2f}s joint ({wall_e / max(wall_g, 1e-9):.2f}x); asserted "
+             f"exact: encoder forwards {e2e_fwd} joint, {gram_fwd} cached "
+             f"(stream {occurrences}, {misses}; call ratio {e2e_fwd / gram_fwd:.2f}x)")
+    assert ok

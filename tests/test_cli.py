@@ -284,6 +284,19 @@ def test_verify_names_a_user_longer_than_max_interactions_and_exits_1(workdir, c
                                 "interactions, more than max_interactions 64\n")
 
 
+def test_verify_refuses_a_window_longer_than_its_trajectories(workdir, capsys):
+    # at 60S no window closes in 50 steps, so neither encoder would move
+    cfg = dict(TINY_CFG, train={**TINY_CFG["train"], "latency": "60S"})
+    (workdir / "cfg2.json").write_text(json.dumps(cfg))
+    rc = cli.main(["verify", "--config", str(workdir / "cfg2.json"),
+                   "--data", str(workdir / "data"), "--trials", "1", "--steps", "50"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("gram: config error: latency 60S is a window of 60 steps, "
+                            "longer than the 50-step trajectories\n")
+
+
 def test_verify_failure_exits_2(workdir, monkeypatch, capsys):
     fake = {"n_trials": 1, "k_steps": 1,
             "max_ce_grad_rel_err": 0.5, "max_cf_grad_rel_err": 0.5,
@@ -310,18 +323,37 @@ def test_verify_without_trials_or_steps_is_a_config_error(workdir, capsys, trial
     assert "gram: config error:" in captured.err
 
 
-def test_bench_checks_call_ratio(workdir, capsys):
-    rc = cli.main(["bench", "--data", str(workdir / "data"),
-                   "--config", str(workdir / "cfg.json"),
-                   "--modes", "e2e,gram", "--epochs", "2",
-                   "--out", str(workdir / "bench")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "encoder call ratio" in out
+def test_bench_checks_call_ratio(workdir, capsys, monkeypatch):
+    # every mode's encoder forwards must equal what the batch stream fixes
+    real = cli.expected_forward_counts
+    stream, extra = [], [0, 0]
+
+    def counts(*args):
+        stream[:] = real(*args)
+        return stream[0] + extra[0], stream[1] + extra[1]
+
+    monkeypatch.setattr(cli, "expected_forward_counts", counts)
+    argv = ["bench", "--data", str(workdir / "data"), "--config", str(workdir / "cfg.json"),
+            "--epochs", "2", "--out", str(workdir / "bench")]
+    assert cli.main(argv + ["--modes", "e2e,gram"]) == 0
+    assert "encoder call ratio" in capsys.readouterr().out
     payload = json.loads((workdir / "bench" / "bench.json").read_text())
-    sp = payload["speed"]
-    assert sp["measured_call_ratio"] == pytest.approx(sp["theoretical_r"])
     assert set(payload["modes"]) == {"e2e", "gram"}
+    assert payload["speed"] == {"measured_call_ratio": stream[0] / stream[1]}
+
+    assert cli.main(argv + ["--modes", "no-content,no-finetune"]) == 0
+    payload = json.loads((workdir / "bench" / "bench.json").read_text())
+    assert "speed" not in payload
+    assert [payload["modes"][m]["counters"]["ce_forward_calls"]
+            for m in ("no_content", "no_finetune")] == [0, 12]
+
+    # a stream count one off names the mode and both counts
+    for modes, mode, k in (("e2e", "e2e", 0), ("e2e,gram", "gram", 1)):
+        extra[:] = [int(k == 0), int(k == 1)]
+        with pytest.raises(AssertionError) as err:
+            cli.main(argv + ["--modes", modes])
+        assert str(err.value) == (f"{mode}: ce_forward_calls {stream[k]} != "
+                                  f"{stream[k] + 1} fixed by the batch stream")
 
 
 def test_expected_forward_counts_match_a_cached_run():

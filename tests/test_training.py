@@ -804,6 +804,23 @@ def test_verifier_runs_the_trajectories_at_the_config_latency(latency, window, m
     assert rep["max_trajectory_rel_err"] <= 1e-8
 
 
+@pytest.mark.parametrize("latency,window,k_steps", [("5S", 5, 4), ("1E", 4, 3)])
+def test_verifier_rejects_a_window_longer_than_its_trajectories(latency, window, k_steps,
+                                                                monkeypatch):
+    # 16 users in batches of 4 is 4 steps per epoch; a window no trajectory
+    # closes leaves both encoders at their init, so it is refused before any trial
+    from gram import training
+    steps = []
+    monkeypatch.setattr(training, "step_gradients", lambda *args: steps.append(args))
+    monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
+    ds = tiny_dataset(seed=9, n_users=16, n_items=8)
+    cfg = TrainConfig(model=SMALL_MODEL, cf_batch_size=4, seed=3, latency=latency)
+    with pytest.raises(ConfigError, match=f"^latency {latency} is a window of {window} steps, "
+                       f"longer than the {k_steps}-step trajectories$"):
+        verify_equivalence(ds, cfg, n_trials=1, k_steps=k_steps)
+    assert steps == []
+
+
 def test_verifier_requires_f64():
     ds = tiny_dataset()
     with pytest.raises(ConfigError):
