@@ -18,7 +18,8 @@ Subcommands
 ``bench``
     Train several modes under identical seeds/splits for a fixed number
     of epochs, check each mode's encoder forwards against the batch
-    stream, and print a side-by-side cost table with call ratios.
+    stream, and print a side-by-side cost table with call ratios and
+    minor page faults per train step.
 ``stats``
     Dataset statistics, including the epoch boost ratio R
     (interactions per item). Accepts a dataset directory or a metadata
@@ -365,12 +366,18 @@ def expected_forward_counts(dataset, cfg: TrainConfig, epochs: int):
     return occurrences, window_misses
 
 
-def _bench_row(mode, report) -> str:
+def _bench_row(mode, report, faults_per_step) -> str:
     c = report.counters
     return (f"{mode:<12s} {report.final_metrics['auc']:.4f}  "
             f"{c['ce_forward_calls']:>9d}  {c['ce_backward_calls']:>9d}  "
             f"{c['flop_estimate']:>10.3g}  {c['activation_elements_peak']:>9d}  "
-            f"{c['wall_clock_ns'] / 1e9:>7.2f}s")
+            f"{c['wall_clock_ns'] / 1e9:>7.2f}s  {faults_per_step:>8d}")
+
+
+def _minor_faults() -> int:
+    import resource     # POSIX only, and only ``bench`` reads it
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def cmd_bench(args) -> int:
@@ -383,29 +390,35 @@ def cmd_bench(args) -> int:
     occurrences, window_misses = expected_forward_counts(dataset, tcfg, args.epochs)
     expected = {"e2e": occurrences, "gram": window_misses, "no_content": 0,
                 "no_finetune": len(dataset.items)}
+    steps = plan_run(dataset, tcfg).steps_per_epoch * args.epochs
 
-    reports = {}
+    # minor page faults per train step, around the whole run; kept out of
+    # the reports, which are deterministic
+    reports, faults = {}, {}
     for mode in modes:
+        before = _minor_faults()
         reports[mode] = report = train(dataset, mode, tcfg)[0]
+        faults[mode] = round((_minor_faults() - before) / steps)
         got = report.counters["ce_forward_calls"]
         if got != expected[mode]:
             raise AssertionError(f"{mode}: ce_forward_calls {got} != "
                                  f"{expected[mode]} fixed by the batch stream")
 
     header = (f"{'mode':<12s} {'auc':>6s}  {'ce_fwd':>9s}  {'ce_bwd':>9s}  "
-              f"{'flops':>10s}  {'act_peak':>9s}  {'wall':>8s}")
+              f"{'flops':>10s}  {'act_peak':>9s}  {'wall':>8s}  {'flt/step':>8s}")
     lines = [header, "-" * len(header)]
-    lines += [_bench_row(mode, reports[mode]) for mode in modes]
+    lines += [_bench_row(mode, reports[mode], faults[mode]) for mode in modes]
 
     payload = {"config": reports[modes[0]].config,
-               "modes": {m: reports[m].to_dict() for m in modes}}
+               "modes": {m: reports[m].to_dict() for m in modes},
+               "speed": {"minor_faults_per_step": faults}}
     if "e2e" in reports and "gram" in reports:
         e2e, gram = (reports[m].counters for m in ("e2e", "gram"))
         call_ratio = e2e["ce_forward_calls"] / gram["ce_forward_calls"]
         lines += ["", f"encoder call ratio (joint/cached): {call_ratio:.4f}",
                   f"train wall-clock speedup: "
                   f"{e2e['wall_clock_ns'] / max(1, gram['wall_clock_ns']):.2f}x"]
-        payload["speed"] = {"measured_call_ratio": call_ratio}
+        payload["speed"]["measured_call_ratio"] = call_ratio
 
     table = "\n".join(lines)
     print(table)

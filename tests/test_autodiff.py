@@ -5,6 +5,9 @@ Hand-computed values pin down the easy cases; central finite differences
 rule on batches of seeded random inputs.
 """
 
+import platform
+import sys
+
 import numpy as np
 import pytest
 import reference_cf as R
@@ -1281,3 +1284,54 @@ def test_leaf_data_not_counted_as_activation():
         loss = sum_all(mul(x, w))  # both operands are leaves
     assert acct.peak == 0
     backward(loss)
+
+
+# ---------------------------------------------------------------------------
+# Heap policy
+# ---------------------------------------------------------------------------
+
+
+class FakeLibc:
+    """A C library handle whose ``mallopt`` records its calls and answers
+    from *replies*."""
+
+    def __init__(self, *replies):
+        self.calls, replies = [], list(replies)
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return replies.pop(0)
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy needs glibc")
+def test_heap_policy_takes_on_glibc():
+    assert ad._keep_freed_heap() is True
+
+
+@pytest.mark.parametrize("replies, n_calls", [((0, 1), 1), ((1, 0), 2), ((1, 1), 2)])
+def test_heap_policy_stops_at_the_first_refused_call(monkeypatch, replies, n_calls):
+    libc = FakeLibc(*replies)
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: libc)
+    assert ad._keep_freed_heap() is (replies == (1, 1))
+    assert libc.calls == list(ad._HEAP_POLICY[:n_calls])
+
+
+def test_heap_policy_without_mallopt_changes_nothing(monkeypatch):
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(sys, "platform", "linux")
+    for cdll in (no_library, lambda name: object()):
+        monkeypatch.setattr(ad.ctypes, "CDLL", cdll)
+        assert ad._keep_freed_heap() is False
+
+
+def test_heap_policy_is_a_no_op_off_linux(monkeypatch):
+    libc = FakeLibc(1, 1)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: libc)
+    assert ad._keep_freed_heap() is False
+    assert libc.calls == []

@@ -339,11 +339,11 @@ def test_bench_checks_call_ratio(workdir, capsys, monkeypatch):
     assert "encoder call ratio" in capsys.readouterr().out
     payload = json.loads((workdir / "bench" / "bench.json").read_text())
     assert set(payload["modes"]) == {"e2e", "gram"}
-    assert payload["speed"] == {"measured_call_ratio": stream[0] / stream[1]}
+    assert payload["speed"]["measured_call_ratio"] == stream[0] / stream[1]
 
     assert cli.main(argv + ["--modes", "no-content,no-finetune"]) == 0
     payload = json.loads((workdir / "bench" / "bench.json").read_text())
-    assert "speed" not in payload
+    assert "measured_call_ratio" not in payload["speed"]
     assert [payload["modes"][m]["counters"]["ce_forward_calls"]
             for m in ("no_content", "no_finetune")] == [0, 12]
 
@@ -354,6 +354,22 @@ def test_bench_checks_call_ratio(workdir, capsys, monkeypatch):
             cli.main(argv + ["--modes", modes])
         assert str(err.value) == (f"{mode}: ce_forward_calls {stream[k]} != "
                                   f"{stream[k] + 1} fixed by the batch stream")
+
+
+def test_bench_reports_each_modes_minor_faults_per_step(workdir, capsys):
+    out = workdir / "bench"
+    assert cli.main(["bench", "--data", str(workdir / "data"), "--config",
+                     str(workdir / "cfg.json"), "--epochs", "1", "--out", str(out),
+                     "--modes", "e2e,gram,no-content,no-finetune"]) == 0
+    payload = json.loads((out / "bench.json").read_text())
+    faults = payload["speed"]["minor_faults_per_step"]
+    assert list(faults) == ["e2e", "gram", "no_content", "no_finetune"]
+    assert all(type(n) is int and n >= 0 for n in faults.values()), faults
+    # the run reports stay deterministic: the faults are not in them
+    assert all(set(r["speed"]) == {"phase_wall_ns"} for r in payload["modes"].values())
+    table = (out / "bench.txt").read_text().splitlines()
+    assert table[0].split()[-1] == "flt/step"
+    assert [int(row.split()[-1]) for row in table[2:6]] == list(faults.values())
 
 
 def test_expected_forward_counts_match_a_cached_run():

@@ -1,6 +1,7 @@
 """Trainer tests: optimizers, cache/window mechanics, counters,
 gradient equivalence, baselines, and the train loop."""
 
+import platform
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -1050,3 +1051,24 @@ def test_every_step_releases_what_it_saved(mode, variant):
         train_step(batch, state)
         assert state.accountant.current == 0, f"step {state.t}"
     assert state.accountant.peak > 0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy needs glibc")
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_e2e_steps_reuse_the_heap_the_last_step_freed(variant):
+    # a joint step frees its megabyte tape; a heap that hands it back to
+    # the kernel faults it in again page by page, ~600 minor faults a step
+    import resource
+
+    ds, _ = generate_synthetic(GenConfig(), seed=1000)
+    cfg = TrainConfig(model=ModelConfig(cf_variant=variant))
+    plan = plan_run(ds, cfg)
+    state = init_trainer(ds, "e2e", cfg, steps_per_epoch=plan.steps_per_epoch)
+    for batch in epoch_batches(plan.train_users, cfg, 0):
+        train_step(batch, state)
+    batches = list(epoch_batches(plan.train_users, cfg, 1))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for batch in batches:
+        train_step(batch, state)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / len(batches) < 50, f"{faults} minor faults in {len(batches)} steps"
