@@ -15,27 +15,28 @@ of a batch. Four take one ragged convention: user (or item) i owns the
 next lengths[i] interaction (or token) rows, and nothing is padded or
 masked. ``gru_scan`` and ``prefix_attention`` share one longest-first
 slot layout: step n runs only on the users longer than n + 1, a leading
-slice of that order, and each returns one row per predicted slot. Both
-read a table of projected rows through a per-interaction index, so
-interactions may share a row. ``gru_scan`` runs a whole gated
-recurrence and backpropagates through time over the states it saved;
-it follows the per-step primitives' expressions, and its values and
-gradients agree with the per-user reference in ``tests/reference_cf.py``
-to float64 rounding. ``prefix_attention`` runs softmax attention and
-additive pooling over every proper prefix of every user's history,
-building the scores and their running row maximum once for all
-prefixes; it saves nothing beyond the table and recomputes them and
-each prefix's softmaxes in backward, so its activation memory does not
-grow with the number of prefixes. ``ce_block`` runs one residual
-encoder layer over the ragged token rows of many items, looping only
-over the length groups of its attention; it saves its intermediates and
-recomputes nothing, so a joint backward stays a plain no-recompute
-backprop. ``segment_mean`` mean-pools ragged runs of rows in one node,
-and ``row_dot`` takes row-wise dot products against rows of a table
-picked by an index, keeping the table rather than the picked rows.
-Every op that reads rows through an index (``gather``, ``row_dot``,
-``gru_scan``, ``prefix_attention``) scatter-adds their gradients with
-one bincount.
+slice of that order, and each returns one row per predicted slot in the
+order it computes them, ``slot_order``'s: step ascending, then users
+longest first, ties in user order. Both read a table of projected rows
+through a per-interaction index, so interactions may share a row.
+``gru_scan`` runs a whole gated recurrence and backpropagates through
+time over the states it saved; it follows the per-step primitives'
+expressions, and its values and gradients agree with the per-user
+reference in ``tests/reference_cf.py`` to float64 rounding.
+``prefix_attention`` runs softmax attention and additive pooling over
+every proper prefix of every user's history, building the scores and
+their running row maximum once for all prefixes; it saves nothing beyond
+the table and recomputes them and each prefix's softmaxes in backward,
+so its activation memory does not grow with the number of prefixes.
+``ce_block`` runs one residual encoder layer over the ragged token rows
+of many items, looping only over the length groups of its attention; it
+saves its intermediates and recomputes nothing, so a joint backward
+stays a plain no-recompute backprop. ``segment_mean`` mean-pools ragged
+runs of rows in one node, and ``row_dot`` takes row-wise dot products
+against rows of a table picked by an index, keeping the table rather
+than the picked rows. Every op that reads rows through an index
+(``gather``, ``row_dot``, ``gru_scan``, ``prefix_attention``)
+scatter-adds their gradients with one bincount.
 
 The training loss ``bce_loss`` takes logits, not probabilities: it sums
 the binary cross-entropy of their sigmoid in softplus form, so it is
@@ -652,13 +653,15 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def slot_order(lengths) -> tuple[np.ndarray, np.ndarray]:
-    """(step, user) of every slot of users owning lengths[i] interactions
-    each, step ascending and then user: user i has one slot per step
-    n = 0 .. lengths[i] - 2, the slot that reads its interactions 0..n and
-    predicts its interaction n + 1. ``gru_scan`` and ``prefix_attention``
-    return their slots in this order."""
-    lengths = np.asarray(lengths)
-    return np.nonzero(np.arange(1, lengths.max(initial=0))[:, None] < lengths)
+    """(user, target_row) of every slot of users owning the next lengths[i]
+    interaction rows each: user i has one slot per step n = 0 ..
+    lengths[i] - 2, the slot that reads its rows 0..n and predicts its row
+    n + 1, the slot's target_row. Slots come step ascending, then users
+    longest first, ties in user order: the order in which ``gru_scan`` and
+    ``prefix_attention`` compute and return them."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    rows, live, _, _, users = _slots("slot_order", lengths.sum(), lengths)
+    return np.broadcast_to(users, live.shape)[live], rows[live] + 1
 
 
 def _slots(op: str, n_rows: int, lengths):
@@ -668,16 +671,17 @@ def _slots(op: str, n_rows: int, lengths):
     User i owns the next lengths[i] of the *n_rows* interaction rows,
     users in order, and has one slot per step n = 0 .. lengths[i] - 2:
     the slot that reads its rows 0..n and predicts its row n + 1. Users
-    are taken longest first, so the users live at step n are a leading
-    run of that order and a step's slots are a basic slice. Returns
-    (rows, live, counts, ats, perm):
+    are taken longest first, ties in user order, so the users live at
+    step n are a leading run of that order and a step's slots are a basic
+    slice of the step-major packed order, the ops' output order. Returns
+    (rows, live, counts, ats, users):
 
     * rows[n, j] is the j-th longest user's row at position n, the row its
       step n adds (0 where the user has no slot), and live[n, j] marks
       its slots; both are (steps, users of length >= 2);
     * counts[n] and ats[n] are step n's slot count and its offset in the
-      step-major packed order, as Python ints;
-    * perm maps each output slot, in ``slot_order``, to its packed slot.
+      packed order, as Python ints;
+    * users[j] is the j-th longest user.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.min(initial=0) < 0 or lengths.sum() != n_rows:
@@ -686,18 +690,13 @@ def _slots(op: str, n_rows: int, lengths):
     steps = int(lengths.max(initial=0)) - 1
     if steps < 1:
         raise ShapeError(f"{op}: no user has a proper prefix (length >= 2)")
-    order = np.argsort(-lengths, kind="stable")
-    by_len = order[:np.count_nonzero(lengths > 1)]
+    users = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths > 1)]
     step = np.arange(steps)[:, None]
-    live = step < lengths[by_len] - 1
-    rows = np.where(live, (np.cumsum(lengths) - lengths)[by_len] + step, 0)
+    live = step < lengths[users] - 1
+    rows = np.where(live, (np.cumsum(lengths) - lengths)[users] + step, 0)
     counts = np.count_nonzero(live, axis=1)
     ats = np.concatenate(([0], np.cumsum(counts)))
-    # step n's live users are the leading run of ``order``, so a slot's
-    # packed index is its step's offset plus its user's rank in ``order``
-    n, user = slot_order(lengths)
-    perm = ats[n] + np.argsort(order)[user]
-    return rows, live, counts.tolist(), ats.tolist(), perm
+    return rows, live, counts.tolist(), ats.tolist(), users
 
 
 def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
@@ -711,7 +710,8 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     reset and update columns, c = tanh(xg_c + r * hg_c) and
     h = c + z * (h - c). The state after step n predicts the user's
     interaction n + 1, so a user's last one feeds no step. Returns the
-    (n_slots, d_h) states in ``_slots``' output order: step, then user.
+    (n_slots, d_h) states in the order it computes them, ``slot_order``'s:
+    step ascending, then users longest first.
 
     Users run longest first, so step n updates a leading slice of step
     n - 1's states and nothing is padded. Backward runs backprop through
@@ -729,11 +729,11 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     if bias.shape != (3 * dh,) or x.ndim != 2 or x.shape[1] != 3 * dh:
         raise ShapeError(f"gru_scan: xg {x.shape} and b_hh {bias.shape} do not fit w_hh {w.shape}")
     idx = _row_ids("gru_scan", rows, x.shape[0])
-    slot_rows, live, counts, ats, perm = _slots("gru_scan", idx.size, lengths)
-    at_rows = slot_rows[live]   # interaction of each packed slot, step-major
+    slot_rows, live, counts, ats, _ = _slots("gru_scan", idx.size, lengths)
+    at_rows = idx[slot_rows[live]]      # table row each slot reads, step-major
     record = is_grad_enabled() and (xg.grad_enabled or w_hh.grad_enabled or b_hh.grad_enabled)
-    xs = x[idx[at_rows]]
-    hs = np.empty((ats[-1], dh), dtype=x.dtype)     # packed states
+    xs = x[at_rows]
+    hs = np.empty((ats[-1], dh), dtype=x.dtype)
     saved = []      # (r and z, c, hg_c) per step; hg_c is copied so the rest of hg is freed
     h0 = h = np.zeros((counts[0], dh), dtype=x.dtype)
     for n, b in enumerate(counts):
@@ -758,11 +758,9 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
         # each expression, and each sum's order, is the one backward takes
         # through the per-step primitives (matmul, add, sigmoid, tanh, mul,
         # sub); only the number of rows per matmul differs
-        gs = np.empty_like(g)
-        gs[perm] = g
         dxs = np.empty((ats[-1], 3 * dh), dtype=g.dtype)
         dw = db = None
-        dh_n = gs[ats[-2]:]
+        dh_n = g[ats[-2]:]
         for n in range(len(counts) - 1, -1, -1):
             at, b = ats[n], counts[n]
             rz, c, hg_c = saved[n]
@@ -782,16 +780,14 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
             db = gb if db is None else db + gb
             if n:
                 # users past their last step pass on only their own slot's gradient
-                dh_n = gs[ats[n - 1]:at].copy()
+                dh_n = g[ats[n - 1]:at].copy()
                 dh_n[:b] += ds
                 dh_n[:b] += dhg @ w.T
-        dx = np.zeros((idx.size, 3 * dh), dtype=x.dtype)
-        dx[at_rows] = dxs       # each interaction is one slot's, so assignment scatters
-        acc(xg, _scatter_rows(idx, dx, x))
+        acc(xg, _scatter_rows(at_rows, dxs, x))
         acc(w_hh, dw)
         acc(b_hh, db)
 
-    return _result(hs[perm], (xg, w_hh, b_hh), run, op="gru_scan", saved_elements=5 * hs.size)
+    return _result(hs, (xg, w_hh, b_hh), run, op="gru_scan", saved_elements=5 * hs.size)
 
 
 def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths) -> Tensor:
@@ -807,8 +803,9 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
     attend over their first n interactions: a = softmax(q k^T / sqrt(d_h))
     over each row, ctx = a v, pooling weights w = softmax over the n
     positions of tanh(ctx @ w_pool) @ v_pool, and the user vector is
-    w^T ctx. Returns the (n_slots, d) user vectors in ``_slots``' output
-    order: prefix length ascending, then user.
+    w^T ctx. Returns the (n_slots, d) user vectors in the order it
+    computes them, ``slot_order``'s: prefix length ascending, then users
+    longest first.
 
     Every prefix's scores are a corner of its user's padded (T, T) score
     matrix, T = max(lengths) - 1, so each call builds the (B, T, T)
@@ -837,7 +834,7 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
         raise ShapeError(f"prefix_attention: qkv {x.shape}, w_pool {wp.shape} and v_pool "
                          f"{vp.shape} must be (P, 2*d_h + d), (d, d_h) and (d_h, 1)")
     idx = _row_ids("prefix_attention", rows, x.shape[0])
-    slot_rows, live, counts, ats, perm = _slots("prefix_attention", idx.size, lengths)
+    slot_rows, live, counts, ats, _ = _slots("prefix_attention", idx.size, lengths)
     # padded (B, T) table rows, users longest first: prefix n is the basic
     # slice [:B_n, :n]. Padding aliases row idx[0]; no prefix reads it, and
     # as tensors are finite, its zero score gradients add exact zeros in
@@ -875,13 +872,10 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
     for n, (at, b) in enumerate(zip(ats, counts), 1):
         _, ctx, _, w = attend(n, b, s, smax, vpad)
         out[at:at + b] = (w @ ctx).reshape(b, d)
-    out = out[perm]
 
     def run(g, acc):
         # each expression follows the backward of the primitive it fuses
         # (matmul, softmax, tanh, reshape, transpose)
-        gs = np.empty_like(g)
-        gs[perm] = g
         qs, kp, vpad = operands()
         s, smax = scores(qs, kp)
         ds, dvpad = np.zeros_like(s), np.zeros_like(vpad)
@@ -889,7 +883,7 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
         wp_t, vp_t = wp.T, vp.T
         for n, (at, b) in enumerate(zip(ats, counts), 1):
             a, ctx, t, w = attend(n, b, s, smax, vpad)
-            gu = gs[at:at + b].reshape(b, 1, d)
+            gu = g[at:at + b].reshape(b, 1, d)
             dw = gu @ ctx.transpose(0, 2, 1)
             dctx = w.transpose(0, 2, 1) @ gu
             dpre = _softmax_backward(w, dw).reshape(b * n, 1)
@@ -1130,14 +1124,20 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     return result
 
 
+def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| / (max|a| + max|b| + 1e-12), 0.0 for empty arrays, so a
+    component far below both arrays' scale is not judged by its rounding."""
+    if not a.size:
+        return 0.0
+    return float(np.abs(a - b).max()) / (float(np.abs(a).max() + np.abs(b).max()) + 1e-12)
+
+
 def grad_check(f, x: Tensor, eps: float = 1e-6) -> float:
     """Compare reverse-mode gradients of scalar-valued ``f`` at ``x``
     against central finite differences.
 
-    Returns max|analytic - numeric| / (max|analytic| + max|numeric| +
-    1e-12), the relative error ``training.max_rel_err`` takes per tensor,
-    so a component far smaller than the gradient's scale is not judged by
-    its own rounding.
+    Returns their ``_rel_err``, the relative error ``training.max_rel_err``
+    takes per tensor.
     """
     if not x.grad_enabled:
         raise AutodiffError("grad_check: x must be a grad-enabled leaf")
@@ -1159,7 +1159,4 @@ def grad_check(f, x: Tensor, eps: float = 1e-6) -> float:
             fm = float(f(Tensor._wrap(xm)).data)
             flat_num[i] = (fp - fm) / (2.0 * eps)
 
-    if not x.data.size:
-        return 0.0
-    gap = np.abs(analytic - numeric).max()
-    return float(gap / (np.abs(analytic).max() + np.abs(numeric).max() + 1e-12))
+    return _rel_err(analytic, numeric)

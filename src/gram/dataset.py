@@ -247,11 +247,6 @@ class Latents:
     item_difficulty: np.ndarray  # (n_items,) float
     user_ability: np.ndarray     # (n_users, n_topics) float
 
-    def response_prob(self, user_id: int, item_id: int) -> float:
-        """Pre-noise probability of a correct/positive response."""
-        a = self.user_ability[user_id, self.item_topic[item_id]]
-        return float(1.0 / (1.0 + np.exp(-(a - self.item_difficulty[item_id]))))
-
 
 def _pools(cfg: GenConfig):
     """Partition the vocab into per-topic and per-difficulty-band pools."""

@@ -52,7 +52,7 @@ against its candidate, so a loss graph has 10 nodes (recurrent) or 9
 padded: step n of a fused op reads interactions 0..n of each user longer
 than n + 1 and predicts interaction n + 1, the users run longest first
 so each step's users are a leading slice, and the op returns one row per
-predicted slot.
+predicted slot in the order it computes them.
 
 * The recurrent CF's ``autodiff.gru_scan`` takes the table of projected
   pairs and the per-interaction index, and runs the h-side of the cell
@@ -321,8 +321,9 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     ``enc[rows[k]]`` encodes the batch's interaction k, numbered user by
     user as in ``Batch``. Returns (logits as an (n,) tensor, labels,
     item_ids, user index arrays), one entry per predicted position. Slots
-    come step-major, position n >= 1 ascending and then user, the order
-    the fused CF ops return.
+    come in ``autodiff.slot_order``'s order, the one the fused CF ops
+    compute in: position n >= 1 ascending, then users longest first, ties
+    in batch order.
 
     Each distinct (encoding row, response) pair is projected once, and the
     fused op reads it through a per-interaction index, so the gradients of
@@ -340,8 +341,7 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
         u = int(np.argmax(lengths))
         raise ValueError(f"user {batch.users[u].user_id} has {lengths[u]} interactions, "
                          f"more than max_interactions {p.cfg.max_interactions}")
-    step, user_idx = ad.slot_order(lengths)
-    targets = np.cumsum(lengths)[user_idx] - lengths[user_idx] + step + 1
+    user_idx, targets = ad.slot_order(lengths)
     pairs, pair_of = np.unique(rows * 2 + batch.resps, return_inverse=True)
     x = ad.concat([ad.gather(enc, pairs // 2), ad.gather(p.resp_embedding, pairs % 2)], axis=1)
     if p.cfg.cf_variant == "recurrent":
@@ -393,8 +393,9 @@ def save_checkpoint(path, ce: CeParams, cf: CfParams) -> None:
 def load_checkpoint(path) -> tuple[CeParams, CfParams]:
     """Rebuild (CeParams, CfParams) from a checkpoint file, in the dtype of
     its arrays: all float64 or all float32, else a ValueError naming the
-    first parameter that differs. A parameter holding NaN or Inf is a
-    ValueError naming the file and the parameter."""
+    first parameter that differs. A missing or malformed config, or a
+    parameter holding NaN or Inf, is a ValueError naming the file (and the
+    parameter)."""
     blob = np.load(path, allow_pickle=False)
     if not isinstance(blob, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not a checkpoint archive (a single array)")
@@ -402,7 +403,10 @@ def load_checkpoint(path) -> tuple[CeParams, CfParams]:
         fmt = str(blob["format"]) if "format" in blob.files else None
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"unrecognized checkpoint format {fmt!r}")
-        cfg = ModelConfig(**json.loads(str(blob["config"])))
+        try:
+            cfg = ModelConfig(**json.loads(str(blob["config"])))
+        except (KeyError, TypeError, ValueError) as e:   # JSONDecodeError is a ValueError
+            raise ValueError(f"{path}: malformed checkpoint config: {e}") from e
         ce, cf = init_params(cfg, seed=0)
         named = named_params(ce, cf)
         if set(named) != set(blob.files) - {"format", "config"}:

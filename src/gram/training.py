@@ -786,17 +786,11 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
 
 
 def max_rel_err(a: dict, b: dict) -> float:
-    """Worst per-tensor relative gap: |a-b|_inf / (|a|_inf + |b|_inf)."""
+    """Worst per-tensor relative gap ``autodiff._rel_err``:
+    |a-b|_inf / (|a|_inf + |b|_inf + 1e-12)."""
     if set(a) != set(b):
         raise ValueError(f"mismatched tensor sets: {sorted(set(a) ^ set(b))}")
-    worst = 0.0
-    for k in a:
-        x = np.asarray(a[k])
-        y = np.asarray(b[k])
-        gap = float(np.max(np.abs(x - y))) if x.size else 0.0
-        ref = float(np.max(np.abs(x)) + np.max(np.abs(y))) if x.size else 0.0
-        worst = max(worst, gap / (ref + 1e-12))
-    return worst
+    return max([0.0] + [ad._rel_err(np.asarray(a[k]), np.asarray(b[k])) for k in a])
 
 
 def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int,
@@ -821,18 +815,22 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     an ``e2e`` and a ``gram`` trainer that hold them, compared per tensor.
     Then two k-step trajectory comparisons at ``cfg.latency``, one with
     plain SGD on both modules and one with Adam. All numbers are
-    worst-case relative errors; exact arithmetic would give zeros. A user
-    longer than ``max_interactions`` is a ConfigError naming it, and so is
-    a window longer than ``k_steps``, which would leave both encoders at
-    their init; both are raised before any trial.
+    worst-case relative errors; exact arithmetic would give zeros. Users
+    of fewer than 2 interactions are left out, as training's split leaves
+    them out. No user left, a user longer than ``max_interactions`` (named)
+    and a window longer than ``k_steps``, which would leave both encoders
+    at their init, are each a ConfigError raised before any trial.
     """
     if cfg.precision != "f64":
         raise ConfigError("equivalence verification requires f64 precision")
     if n_trials < 1 or k_steps < 1:
         raise ConfigError(f"equivalence verification needs >= 1 trial and >= 1 trajectory step, "
                           f"got {n_trials} trials and {k_steps} steps")
+    # a batch of users of fewer than 2 interactions has no slot to predict
+    dataset = replace(dataset, users=[u for u in dataset.users if len(u) >= 2])
     if not dataset.users:
-        raise ConfigError("equivalence verification needs users to batch; the dataset has none")
+        raise ConfigError("equivalence verification needs users of >= 2 interactions to batch; "
+                          "the dataset has none")
     _require_readable("dataset", dataset.users, cfg)
     steps_per_epoch = math.ceil(len(dataset.users) / cfg.cf_batch_size)
     window = accumulation_latency(cfg.latency, steps_per_epoch)

@@ -126,7 +126,7 @@ def prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g):
     to x, w_pool and v_pool."""
     d, dh = w_pool.shape
     idx = np.asarray(rows)
-    slot_rows, live, counts, ats, perm = ad._slots("prefix_attention_loop", idx.size, lengths)
+    slot_rows, live, counts, ats, _ = ad._slots("prefix_attention_loop", idx.size, lengths)
     pad_rows, live = idx[slot_rows.T], live.T
     scale_qk = dh ** -0.5
     qs, kp, vpad = x[pad_rows, :dh] * scale_qk, x[pad_rows, dh:2 * dh], x[pad_rows, 2 * dh:]
@@ -142,13 +142,11 @@ def prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g):
     for n, (at, b) in enumerate(zip(ats, counts), 1):
         *_, ctx, _, w = attend(n, b)
         out[at:at + b] = (w @ ctx).reshape(b, d)
-    gs = np.empty_like(g)
-    gs[perm] = g
     dqs, dkp, dvpad = np.zeros_like(qs), np.zeros_like(kp), np.zeros_like(vpad)
     dwp, dvp = np.zeros_like(w_pool), np.zeros_like(v_pool)
     for n, (at, b) in enumerate(zip(ats, counts), 1):
         qn, kn, vn, a, ctx, t, w = attend(n, b)
-        gu = gs[at:at + b].reshape(b, 1, d)
+        gu = g[at:at + b].reshape(b, 1, d)
         dctx = w.transpose(0, 2, 1) @ gu
         dpre = ad._softmax_backward(w, gu @ ctx.transpose(0, 2, 1)).reshape(b * n, 1)
         dvp += t.T @ dpre
@@ -162,4 +160,4 @@ def prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g):
     dx = np.zeros_like(x)
     np.add.at(dx, pad_rows[live], np.concatenate(
         ((dqs * scale_qk)[live], dkp[live], dvpad[live]), axis=1))
-    return out[perm], dx, dwp, dvp
+    return out, dx, dwp, dvp

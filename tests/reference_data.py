@@ -5,6 +5,8 @@ This is the per-interaction loop: items are picked with
 response and its noise flip with two scalar ``random()`` calls. The
 library draws the same uniforms in fewer calls, so for every config and
 seed it must return the same dataset and latents as this loop.
+``response_prob`` is the generator's pre-noise response probability, the
+oracle scorer the dataset tests rank against.
 """
 
 import numpy as np
@@ -64,3 +66,9 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
         users.append(UserSequence(user_id=u, interactions=tuple(inter)))
 
     return Dataset(items=items, users=users), Latents(item_topic, item_difficulty, user_ability)
+
+
+def response_prob(latents: Latents, user_id: int, item_id: int) -> float:
+    """Pre-noise probability of a correct/positive response."""
+    a = latents.user_ability[user_id, latents.item_topic[item_id]]
+    return float(1.0 / (1.0 + np.exp(-(a - latents.item_difficulty[item_id]))))

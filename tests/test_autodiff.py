@@ -660,7 +660,7 @@ def test_determinism_bit_identical():
 
 # gru_scan over users of 2, 4, 1 and 3 interactions (rows 0-1, 2-5, 6 and
 # 7-9) with d_h=3: steps 0 .. 2 give 3 + 2 + 1 slots. The users are out of
-# length order, so the op's longest-first packing permutes them, and the
+# length order, so the op's longest-first slot order is not theirs, and the
 # 1-interaction user has no slot. Unless a test passes its own index,
 # interaction j reads row j of xg.
 GRU_LENGTHS = np.array([2, 4, 1, 3])
@@ -698,21 +698,29 @@ def test_fd_gru_scan(wrt):
     run_trials(make_f, lambda rng: gru_operand(rng, wrt))
 
 
+def gru_user_states(x, w, b, rows):
+    """The cell run over table rows *rows* in turn from h = 0: the state
+    after each of them."""
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    dh, h, states = w.shape[0], np.zeros(w.shape[0]), []
+    for r in rows:
+        hg = h @ w + b
+        rz = sig(x[r, :2 * dh] + hg[:2 * dh])
+        c = np.tanh(x[r, 2 * dh:] + rz[:dh] * hg[2 * dh:])
+        h = c + rz[dh:] * (h - c)
+        states.append(h)
+    return states
+
+
 def test_gru_scan_matches_a_per_user_loop():
-    # the cell run user by user from h = 0, slots ordered step then user
+    # the cell run user by user; slots ordered step, then users longest first
     a = gru_args(np.random.default_rng(2))
     x, w, b = (a[k].data for k in GRU_SHAPES)
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     slots, first = [], np.cumsum(GRU_LENGTHS) - GRU_LENGTHS
     for u, (f, n_u) in enumerate(zip(first, GRU_LENGTHS)):
-        h = np.zeros(3)
-        for n in range(n_u - 1):
-            hg = h @ w + b
-            r, z = sig(x[f + n, :3] + hg[:3]), sig(x[f + n, 3:6] + hg[3:6])
-            c = np.tanh(x[f + n, 6:] + r * hg[6:])
-            h = c + z * (h - c)
-            slots.append((n, u, h))
-    expected = np.array([h for *_, h in sorted(slots, key=lambda s: s[:2])])
+        for n, h in enumerate(gru_user_states(x, w, b, range(f, f + n_u - 1))):
+            slots.append((n, -n_u, u, h))
+    expected = np.array([h for *_, h in sorted(slots, key=lambda s: s[:3])])
     assert np.allclose(gru(a).data, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -1077,6 +1085,43 @@ def test_fused_ops_accept_users_without_interactions(op, width):
     x = tensor(np.random.default_rng(14).standard_normal((6, width)))
     with_empty = fused_outputs(op, FUSED_LENGTHS, x).data
     assert np.array_equal(with_empty, fused_outputs(op, FUSED_LENGTHS[[0, 1, 3]], x).data)
+
+
+def attention_user_vector(x, w_pool, v_pool, rows):
+    """The pooled user vector of one prefix reading table rows *rows*."""
+    dh = w_pool.shape[1]
+    q, k, v = x[rows, :dh], x[rows, dh:2 * dh], x[rows, 2 * dh:]
+    ctx = ad._softmax(q @ k.T / np.sqrt(dh)) @ v
+    w = ad._softmax(np.tanh(ctx @ w_pool) @ v_pool, axis=0)
+    return (w.T @ ctx)[0]
+
+
+def test_fused_ops_return_their_slots_in_slot_order():
+    # row k of each op is the state of slot_order's k-th (user, target_row)
+    # pair, computed user by user. Lengths hold a tie, users of 0 and 1
+    # interactions and one user longer than all others; rows repeat
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        lengths = rng.permutation(np.concatenate(([0, 1, 3, 3, 9], rng.integers(0, 7, size=4))))
+        first = np.cumsum(lengths) - lengths
+        rows = rng.integers(0, lengths.sum(), size=lengths.sum())
+        users, targets = ad.slot_order(lengths)
+        assert sorted(zip(users.tolist(), targets.tolist())) == [
+            (u, f + n) for u, (f, n_u) in enumerate(zip(first, lengths)) for n in range(1, n_u)]
+        # step ascending, then users longest first, ties in user order
+        order = np.lexsort((users, -lengths[users], targets - first[users]))
+        assert np.array_equal(order, np.arange(users.size))
+
+        x, w, b = (0.5 * rng.standard_normal(s) for s in ((lengths.sum(), 9), (3, 9), (9,)))
+        states = [gru_user_states(x, w, b, rows[f:f + n_u - 1]) for f, n_u in zip(first, lengths)]
+        h = gru_scan(tensor(x), rows, tensor(w), tensor(b), lengths).data
+        want = [states[u][t - first[u] - 1] for u, t in zip(users, targets)]
+        np.testing.assert_allclose(h, want, rtol=1e-12, atol=1e-14)
+
+        x, wp, vp = (rng.standard_normal(s) for s in ((lengths.sum(), 10), (4, 3), (3, 1)))
+        u_vec = prefix_attention(tensor(x), rows, tensor(wp), tensor(vp), lengths).data
+        want = [attention_user_vector(x, wp, vp, rows[first[u]:t]) for u, t in zip(users, targets)]
+        np.testing.assert_allclose(u_vec, want, rtol=1e-12, atol=1e-14)
 
 
 # ce_block over items of 3, 3, 1 and 4 tokens with d=4 and d_ff=5: the two

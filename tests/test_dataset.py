@@ -94,7 +94,7 @@ def test_epoch_ratio_equals_whole_dataset_batch_ratio():
 
 
 def oracle_auc(d, latents):
-    scores = [latents.response_prob(user.user_id, item)
+    scores = [reference_data.response_prob(latents, user.user_id, item)
               for user in d.users for item, _ in user.interactions]
     labels = [r for user in d.users for _, r in user.interactions]
     return auc(np.array(scores, dtype=np.float64), np.array(labels))

@@ -7,6 +7,7 @@ agreement of the fused encoder with the per-op one in ``reference_ce``,
 and checkpoint round-trips.
 """
 
+import json
 import re
 
 import numpy as np
@@ -544,8 +545,10 @@ def test_batch_logits_match_per_prefix_logits(variant):
     stack = ad.concat([enc[i] for i in items], axis=0)
     logits, labels, item_ids, user_idx = M.batch_logits(*batch_of(MIXED_USERS), stack, cf)
     expected = []
+    longest_first = sorted(range(len(MIXED_USERS)), key=lambda u: -len(MIXED_USERS[u]))
     for n in range(1, max(len(u) for u in MIXED_USERS)):
-        for u, seq in enumerate(MIXED_USERS):
+        for u in longest_first:     # slots: step, then users longest first, ties in batch order
+            seq = MIXED_USERS[u]
             if n < len(seq):
                 hist = [(enc[it], r) for it, r in seq[:n]]
                 expected.append((u, seq[n], R.cf_logit(hist, enc[seq[n][0]], cf).item()))
@@ -786,6 +789,27 @@ def test_checkpoint_rejects_a_non_finite_parameter(tmp_path, value):
         np.savez(f, **arrays)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint parameter "
                        "ce.w_out holds NaN or Inf$"):
+        M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("config", [
+    {"d": 4, "bogus": 1}, {"d": 0}, "{not json", None],
+    ids=["unknown-key", "out-of-range", "bad-json", "missing"])
+def test_checkpoint_names_the_file_of_a_malformed_config(tmp_path, config):
+    # each would otherwise surface as a TypeError, a bare ValueError, a
+    # JSONDecodeError or a KeyError that does not say which file is at fault
+    ce, cf = small_params(seed=20)
+    path = tmp_path / "ckpt.npz"
+    M.save_checkpoint(path, ce, cf)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    if config is None:
+        del arrays["config"]
+    else:
+        arrays["config"] = np.array(config if isinstance(config, str) else json.dumps(config))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed checkpoint config"):
         M.load_checkpoint(path)
 
 

@@ -828,6 +828,34 @@ def test_verifier_requires_f64():
         verify_equivalence(ds, small_config(precision="f32"), n_trials=1)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_verifier_skips_users_with_nothing_to_predict(seed):
+    # training's split drops users of fewer than 2 interactions; a trial
+    # batch holding only such users has no slot, so the verifier drops them
+    # too. Here 7 of every 8 users keep only their first interaction
+    ds = tiny_dataset(seed=9, n_users=16, n_items=8)
+    users = [u if k % 8 == 0 else UserSequence(u.user_id, u.interactions[:1])
+             for k, u in enumerate(ds.users)]
+    ds = Dataset(items=ds.items, users=users)
+    cfg = TrainConfig(model=SMALL_MODEL, cf_batch_size=2, seed=seed)
+    rep = verify_equivalence(ds, cfg, n_trials=2, k_steps=2)
+    assert rep["max_param_grad_rel_err"] <= 1e-10
+    assert rep["max_trajectory_rel_err"] <= 1e-8
+
+
+def test_verifier_without_a_user_to_predict_is_a_config_error_before_any_trial(monkeypatch):
+    from gram import training
+    steps = []
+    monkeypatch.setattr(training, "step_gradients", lambda *args: steps.append(args))
+    monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
+    ds = tiny_dataset()
+    ds = Dataset(items=ds.items,
+                 users=[UserSequence(u.user_id, u.interactions[:1]) for u in ds.users])
+    with pytest.raises(ConfigError, match="users of >= 2 interactions .* has none$"):
+        verify_equivalence(ds, small_config(), n_trials=1, k_steps=1)
+    assert steps == []
+
+
 def test_verifier_rejects_a_user_longer_than_max_interactions_before_any_trial(monkeypatch):
     # the trials batch users from the whole dataset, so any long user fails
     # the run sooner or later; it is named up front, before any step
