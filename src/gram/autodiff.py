@@ -20,9 +20,13 @@ order it computes them, ``slot_order``'s: step ascending, then users
 longest first, ties in user order. Both read a table of projected rows
 through a per-interaction index, so interactions may share a row.
 ``gru_scan`` runs a whole gated recurrence and backpropagates through
-time over the states it saved; it follows the per-step primitives'
-expressions, and its values and gradients agree with the per-user
-reference in ``tests/reference_cf.py`` to float64 rounding.
+time over the states it saved, and its time loops run only the
+recurrence: the forward skips its per-step finiteness checks when a bound
+on the preactivations shows that none can overflow, and the backward
+forms the gate factors and the w_hh and b_hh gradients in bulk, looping
+only to carry the state's gradient back. Its values and gradients agree
+with the per-user reference in ``tests/reference_cf.py`` to float64
+rounding, not bit for bit.
 ``prefix_attention`` runs softmax attention and additive pooling over
 every proper prefix of every user's history, building the scores and
 their running row maximum once for all prefixes; it saves nothing beyond
@@ -711,15 +715,24 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     h = c + z * (h - c). The state after step n predicts the user's
     interaction n + 1, so a user's last one feeds no step. Returns the
     (n_slots, d_h) states in the order it computes them, ``slot_order``'s:
-    step ascending, then users longest first.
+    step ascending, then users longest first. Its values and gradients
+    agree with the per-user reference to float64 rounding, not bit for
+    bit: the gates take sigmoid's tanh form, tanh(pre / 2) / 2 + 1 / 2,
+    which lies in [0, 1] exactly.
 
     Users run longest first, so step n updates a leading slice of step
-    n - 1's states and nothing is padded. Backward runs backprop through
-    time over the saved r, z, c, hg_c and states, sums w_hh's and b_hh's
-    per-step gradients from the last step to the first, and scatter-adds
-    the interactions' gradients into the rows they read, as ``gather``
-    does; a row no step reads gets zero gradient. Under no_grad nothing
-    is kept per step.
+    n - 1's states and nothing is padded. The time loop runs only the
+    recurrence. |h| <= 1, so no preactivation exceeds bound = max|xg read|
+    + max|b_hh| + d_h * max|w_hh|; while 2 * bound is below the dtype's
+    largest value nothing can overflow and the per-step finiteness checks
+    are skipped, else each step checks its preactivations and an overflow
+    raises naming the step. Backward runs backprop through time over the
+    saved r, z, c, hg_c and states: it forms every slot's gate-derivative
+    factors at once, loops over the steps carrying only the state's
+    gradient, then takes w_hh's and b_hh's gradients with one matmul and
+    one sum and scatter-adds the interactions' gradients into the rows
+    they read, as ``gather`` does; a row no step reads gets zero gradient.
+    Under no_grad only the states are kept.
     """
     _check_dtypes("gru_scan", xg, w_hh, b_hh)
     x, w, bias = xg.data, w_hh.data, b_hh.data
@@ -733,57 +746,55 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     at_rows = idx[slot_rows[live]]      # table row each slot reads, step-major
     record = is_grad_enabled() and (xg.grad_enabled or w_hh.grad_enabled or b_hh.grad_enabled)
     xs = x[at_rows]
-    hs = np.empty((ats[-1], dh), dtype=x.dtype)
-    saved = []      # (r and z, c, hg_c) per step; hg_c is copied so the rest of hg is freed
-    h0 = h = np.zeros((counts[0], dh), dtype=x.dtype)
+    x_rz, x_c = xs[:, :2 * dh], xs[:, 2 * dh:]
+    bound = (float(np.abs(xs).max(initial=0.0)) + float(np.abs(bias).max(initial=0.0))
+             + dh * float(np.abs(w).max(initial=0.0)))
+    check = not 2.0 * bound < float(np.finfo(x.dtype).max)     # a NaN bound checks too
+    hs, rzs, cs, hg_cs = [], [], [], []
+    h = np.zeros((counts[0], dh), dtype=x.dtype)
     for n, b in enumerate(counts):
-        xn = xs[ats[n]:ats[n] + b]
-        hg = h[:b] @ w + bias
-        pre = xn + hg
-        if not np.isfinite(pre).all():
+        at, h_prev = ats[n], h[:b]
+        hg = h_prev @ w + bias
+        pre = x_rz[at:at + b] + hg[:, :2 * dh]
+        if check and not np.isfinite(pre).all():
             raise NonFiniteError(f"gru_scan produced non-finite gate preactivations at step {n}")
-        rz = _sigmoid(pre[:, :2 * dh])
-        r, z = rz[:, :dh], rz[:, dh:]
+        rz = np.tanh(0.5 * pre) * 0.5 + 0.5
         hg_c = hg[:, 2 * dh:]
-        c = xn[:, 2 * dh:] + r * hg_c
-        if not np.isfinite(c).all():
+        c = x_c[at:at + b] + rz[:, :dh] * hg_c
+        if check and not np.isfinite(c).all():
             raise NonFiniteError(f"gru_scan produced non-finite candidate preactivations at step {n}")
         c = np.tanh(c)
-        h_prev, h = h[:b], hs[ats[n]:ats[n] + b]
-        np.add(c, z * (h_prev - c), out=h)
+        h = c + rz[:, dh:] * (h_prev - c)
+        hs.append(h)
         if record:
-            saved.append((rz, c, hg_c.copy()))
+            rzs.append(rz)
+            cs.append(c)
+            hg_cs.append(hg_c)
+    hs = np.concatenate(hs)
+    if record:
+        rz, c, hg_c = np.concatenate(rzs), np.concatenate(cs), np.concatenate(hg_cs)
 
     def run(g, acc):
-        # each expression, and each sum's order, is the one backward takes
-        # through the per-step primitives (matmul, add, sigmoid, tanh, mul,
-        # sub); only the number of rows per matmul differs
-        dxs = np.empty((ats[-1], 3 * dh), dtype=g.dtype)
-        dw = db = None
-        dh_n = g[ats[-2]:]
-        for n in range(len(counts) - 1, -1, -1):
-            at, b = ats[n], counts[n]
-            rz, c, hg_c = saved[n]
-            r, z = rz[:, :dh], rz[:, dh:]
-            h_prev = hs[ats[n - 1]:ats[n - 1] + b] if n else h0
-            ds = dh_n * z
-            da = (dh_n - ds) * (1.0 - c * c)
-            drz = np.concatenate((da * hg_c, dh_n * (h_prev - c)), axis=1)
-            dx_n = dxs[at:at + b]
-            dx_n[:, :2 * dh] = drz * rz * (1.0 - rz)
-            dx_n[:, 2 * dh:] = da
-            dhg = dx_n.copy()
-            dhg[:, 2 * dh:] = da * r
-            gw = h_prev.T @ dhg
-            gb = dhg.sum(axis=0)
-            dw = gw if dw is None else dw + gw
-            db = gb if db is None else db + gb
-            if n:
-                # users past their last step pass on only their own slot's gradient
-                dh_n = g[ats[n - 1]:at].copy()
-                dh_n[:b] += ds
-                dh_n[:b] += dhg @ w.T
-        acc(xg, _scatter_rows(at_rows, dxs, x))
+        # slot ats[n] + j's state came from slot ats[n - 1] + j; step 0's from h = 0
+        first = counts[0]
+        prev = (np.asarray(ats[:-2], dtype=np.intp)[:, None] + np.arange(live.shape[1]))[live[1:]]
+        h_prev = np.zeros_like(hs)
+        h_prev[first:] = hs[prev]
+        r, z = rz[:, :dh], rz[:, dh:]
+        drz = rz * (1.0 - rz)
+        k1 = (1.0 - z) * (1.0 - c * c)
+        # dhg = dh (x) k: the state's gradient times each gate block's factor
+        k = np.concatenate((k1 * hg_c * drz[:, :dh], (h_prev - c) * drz[:, dh:], k1 * r),
+                           axis=1).reshape(-1, 3, dh)
+        dhs = g.copy()
+        for n in range(len(counts) - 1, 0, -1):
+            at, b, pa = ats[n], counts[n], ats[n - 1]
+            d = dhs[at:at + b]
+            dhs[pa:pa + b] += d * z[at:at + b] + (d[:, None] * k[at:at + b]).reshape(b, 3 * dh) @ w.T
+        dhg = (dhs[:, None] * k).reshape(-1, 3 * dh)
+        dw, db = h_prev[first:].T @ dhg[first:], dhg.sum(axis=0)
+        dhg[:, 2 * dh:] = dhs * k1      # the candidate's input side is not scaled by r
+        acc(xg, _scatter_rows(at_rows, dhg, x))
         acc(w_hh, dw)
         acc(b_hh, db)
 

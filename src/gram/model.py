@@ -393,16 +393,15 @@ def save_checkpoint(path, ce: CeParams, cf: CfParams) -> None:
 def load_checkpoint(path) -> tuple[CeParams, CfParams]:
     """Rebuild (CeParams, CfParams) from a checkpoint file, in the dtype of
     its arrays: all float64 or all float32, else a ValueError naming the
-    first parameter that differs. A missing or malformed config, or a
-    parameter holding NaN or Inf, is a ValueError naming the file (and the
-    parameter)."""
+    first parameter that differs. Every rejection of an archive is a
+    ValueError that starts with the file's path."""
     blob = np.load(path, allow_pickle=False)
     if not isinstance(blob, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not a checkpoint archive (a single array)")
     with blob:
         fmt = str(blob["format"]) if "format" in blob.files else None
         if fmt != CHECKPOINT_FORMAT:
-            raise ValueError(f"unrecognized checkpoint format {fmt!r}")
+            raise ValueError(f"{path}: unrecognized checkpoint format {fmt!r}")
         try:
             cfg = ModelConfig(**json.loads(str(blob["config"])))
         except (KeyError, TypeError, ValueError) as e:   # JSONDecodeError is a ValueError
@@ -410,15 +409,15 @@ def load_checkpoint(path) -> tuple[CeParams, CfParams]:
         ce, cf = init_params(cfg, seed=0)
         named = named_params(ce, cf)
         if set(named) != set(blob.files) - {"format", "config"}:
-            raise ValueError("checkpoint parameter names do not match config")
+            raise ValueError(f"{path}: checkpoint parameter names do not match config")
         dtype = blob[next(iter(named))].dtype
         for name, t in named.items():
             arr = blob[name]
             if arr.dtype != dtype or dtype not in (np.float64, np.float32):
-                raise ValueError(f"checkpoint parameter {name} is {arr.dtype}; "
+                raise ValueError(f"{path}: checkpoint parameter {name} is {arr.dtype}; "
                                  "expected all float64 or all float32")
             if arr.shape != t.data.shape:
-                raise ValueError(f"checkpoint shape mismatch for {name}")
+                raise ValueError(f"{path}: checkpoint shape mismatch for {name}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}: checkpoint parameter {name} holds NaN or Inf")
             t.data = arr

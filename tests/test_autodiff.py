@@ -724,12 +724,41 @@ def test_gru_scan_matches_a_per_user_loop():
     assert np.allclose(gru(a).data, expected, rtol=1e-12, atol=1e-14)
 
 
+GRU_ONE_STEP = np.array([2, 2, 2, 2, 2])     # every user predicts one slot, at step 0
+
+
+def test_gru_scan_of_one_step_matches_a_per_user_loop():
+    a = gru_args(np.random.default_rng(7))
+    x, w, b = (a[k].data for k in GRU_SHAPES)
+    expected = [gru_user_states(x, w, b, [f])[0] for f in range(0, 10, 2)]
+    assert np.allclose(gru(a, GRU_ONE_STEP).data, expected, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("wrt", list(GRU_SHAPES))
+def test_fd_gru_scan_of_one_step(wrt):
+    # from h = 0 the one step reads no w_hh: its gradient must be exactly 0
+    def make_f(rng):
+        args = gru_args(rng)
+        c = Tensor(rng.standard_normal((5, 3)))
+        return lambda x: sum_all(mul(gru(dict(args, **{wrt: x}), GRU_ONE_STEP), c))
+
+    run_trials(make_f, lambda rng: gru_operand(rng, wrt))
+
+
 def test_gru_scan_float32_outputs_and_gradients():
-    args = gru_args(np.random.default_rng(3), np.float32)
-    h = gru(args)
+    # the f32 op agrees with the f64 op on the same operands
+    rng = np.random.default_rng(3)
+    args = gru_args(rng, np.float32)
+    wide = {k: tensor(t.data.astype(np.float64), grad=True) for k, t in args.items()}
+    c = rng.standard_normal((6, 3))
+    h, h64 = gru(args), gru(wide)
     assert h.shape == (6, 3) and h.dtype == np.float32
-    grads = backward(sum_all(h))
-    assert all(grads[t].dtype == np.float32 and grads[t].shape == t.shape for t in args.values())
+    assert ad._rel_err(h.data.astype(np.float64), h64.data) <= 1e-5
+    grads = backward(sum_all(mul(h, Tensor(c.astype(np.float32)))))
+    grads64 = backward(sum_all(mul(h64, Tensor(c))))
+    for k, t in args.items():
+        assert grads[t].dtype == np.float32 and grads[t].shape == t.shape
+        assert ad._rel_err(grads[t].data.astype(np.float64), grads64[wide[k]].data) <= 1e-5, k
 
 
 def test_gru_scan_rejects_mixed_dtypes_and_bad_shapes():
@@ -763,6 +792,32 @@ def test_gru_scan_raises_naming_its_step():
     a.update(xg=tensor(np.full((10, 9), 1e308)), b_hh=tensor(np.full(9, 1e308)))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="gru_scan .* step 0"):
         gru(a)
+
+
+def test_gru_scan_names_an_overflow_first_at_step_1():
+    # from h = 0 step 0 reads no w_hh and stays finite; the state it leaves
+    # is near (1, 1, 1), so step 1's h @ w_hh overflows
+    a = gru_args(np.random.default_rng(5))
+    xg = np.tile(np.r_[np.full(6, -30.0), np.full(3, 30.0)], (10, 1))
+    a.update(xg=tensor(xg), w_hh=tensor(np.full((3, 9), 1e308)), b_hh=tensor(np.ones(9)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match="gru_scan .* step 1$"):
+        gru(a)
+
+
+@pytest.mark.parametrize("b_hh,n_checks", [(None, 1), (1e308, 1 + 2 * 3)], ids=["bounded", "unbounded"])
+def test_gru_scan_checks_its_steps_only_when_an_overflow_is_possible(monkeypatch, b_hh, n_checks):
+    # the output's own check always runs; a b_hh of 1e308 lifts the bound
+    # past the dtype's range, so each of the 3 steps checks both
+    # preactivations, though none overflows
+    a = gru_args(np.random.default_rng(8))
+    if b_hh is not None:
+        a.update(b_hh=tensor(np.full(9, b_hh)))
+    calls, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda v: calls.append(1) or isfinite(v))
+    with no_grad():
+        gru(a)
+    assert len(calls) == n_checks
 
 
 @pytest.mark.parametrize("rows", [GRU_TABLE_ROWS, np.arange(10)], ids=["repeating", "identity"])

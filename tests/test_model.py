@@ -813,6 +813,41 @@ def test_checkpoint_names_the_file_of_a_malformed_config(tmp_path, config):
         M.load_checkpoint(path)
 
 
+def _other_format(arrays):
+    arrays["format"] = np.array("other")
+
+
+def _drop_w_out(arrays):
+    del arrays["ce.w_out"]
+
+
+def _narrow_w_out(arrays):
+    arrays["ce.w_out"] = arrays["ce.w_out"].astype(np.float32)
+
+
+def _reshape_w_out(arrays):
+    arrays["ce.w_out"] = arrays["ce.w_out"][:-1]
+
+
+@pytest.mark.parametrize("alter,message", [
+    (_other_format, "unrecognized checkpoint format 'other'"),
+    (_drop_w_out, "checkpoint parameter names do not match config"),
+    (_narrow_w_out, "checkpoint parameter ce.w_out is float32"),
+    (_reshape_w_out, "checkpoint shape mismatch for ce.w_out"),
+], ids=["format", "missing-name", "dtype", "shape"])
+def test_checkpoint_rejections_name_the_file(tmp_path, alter, message):
+    ce, cf = small_params(seed=20)
+    path = tmp_path / "ckpt.npz"
+    M.save_checkpoint(path, ce, cf)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    alter(arrays)
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+        M.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else"}')
