@@ -5,8 +5,8 @@ Two modules cooperate:
 * the content encoder (CE) maps an item's token sequence to a length-d
   encoding: embedding lookup -> ``l_ce`` blocks of residual single-head
   self-attention plus a residual two-layer feed-forward -> mean pooling
-  over the token axis -> output projection. ``ce_encode`` takes a list of
-  items and returns one row per item from one graph of about six nodes,
+  over the token axis -> output projection. ``ce_encode`` takes rows of
+  a ``TokenTable`` and encodes each in one graph of about six nodes,
   whatever mix of token lengths the call holds: each block is one fused
   ``autodiff.ce_block`` node over the ragged token rows of every item,
   whose projections and feed-forward are 2-D matmuls over all rows and
@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,32 +278,46 @@ def positional_table(n: int, d: int, dtype) -> np.ndarray:
     return pe.astype(dtype)
 
 
-def ce_encode(token_seqs, p: CeParams) -> Tensor:
-    """Encode a list of items' token-id sequences to an (n, d) tensor.
+class TokenTable(NamedTuple):
+    """Row r's token ids are ``ids[starts[r]:starts[r] + lengths[r]]``."""
 
-    Row k encodes ``token_seqs[k]`` truncated to ``max_token_len``; a single
-    item is ``ce_encode([tokens], p)``. Items are sorted by truncated
-    length (stably), so items of equal length are adjacent, and the whole
-    call is one graph over the ragged (total tokens, d) rows: one gather of
-    token embeddings, the positional add if configured, one
-    ``autodiff.ce_block`` per layer, one ``autodiff.segment_mean`` and the
-    output matmul. One gather restores input order. Nothing is padded or
-    masked, and the node count does not depend on how many lengths the
-    call mixes. An empty list or an empty sequence is an error; a token id
-    outside the vocabulary raises ``IndexError``.
-    """
-    seqs = [list(toks)[: p.cfg.max_token_len] for toks in token_seqs]
-    if not seqs:
-        raise ValueError("ce_encode: no token sequences")
-    for k, toks in enumerate(seqs):
-        if not toks:
-            raise ValueError(f"ce_encode: empty token sequence at position {k}")
-    lengths = np.array([len(toks) for toks in seqs], dtype=np.intp)
+    ids: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+
+def token_table(items, cfg: ModelConfig) -> tuple[np.ndarray, TokenTable]:
+    """(item_ids, table): the ids of ``dataset.Item``s ``items``, sorted, and
+    the table whose row k holds item ``item_ids[k]``'s first
+    ``max_token_len`` tokens. Row k is how the trainer addresses that item."""
+    items = sorted(items, key=lambda it: it.item_id)
+    toks = [it.tokens[:cfg.max_token_len] for it in items]
+    lengths = np.array([len(t) for t in toks], dtype=np.intp)
+    ids = np.array([t for ts in toks for t in ts], dtype=np.intp)
+    return (np.array([it.item_id for it in items], dtype=np.intp),
+            TokenTable(ids, np.cumsum(lengths) - lengths, lengths))
+
+
+def ce_encode(rows: np.ndarray, table: TokenTable, p: CeParams) -> Tensor:
+    """Encode rows ``rows`` (an index array) of a token table to an (n, d)
+    tensor: one graph over their ragged token rows, stably sorted by
+    length and never padded, of an embedding gather, the positional add if
+    configured, a ``ce_block`` per layer, ``segment_mean``, the output
+    matmul and a gather back to input order. No rows, or a row empty or
+    longer than ``max_token_len`` (a table built for another config), is
+    a ValueError naming it; a token outside the vocabulary an IndexError."""
+    if not len(rows):
+        raise ValueError("ce_encode: no rows")
+    lengths = table.lengths[rows]
+    bad = (lengths < 1) | (lengths > p.cfg.max_token_len)
+    if bad.any():
+        raise ValueError(f"ce_encode: row {rows[np.argmax(bad)]} has {lengths[np.argmax(bad)]} "
+                         f"tokens, outside 1..max_token_len {p.cfg.max_token_len}")
     order = np.argsort(lengths, kind="stable")
     lengths = lengths[order]
-    x = ad.gather(p.token_embedding, np.concatenate([seqs[k] for k in order]))
+    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    x = ad.gather(p.token_embedding, table.ids[np.repeat(table.starts[rows[order]], lengths) + pos])
     if p.cfg.positional_encoding:
-        pos = np.concatenate([np.arange(n) for n in lengths])
         x = ad.add(x, Tensor(positional_table(int(lengths[-1]), p.cfg.d, x.dtype)[pos]))
     for lay in p.layers:
         x = ad.ce_block(x, lay.wq, lay.wk, lay.wv, lay.wo, lay.w_ff1, lay.w_ff2, lengths)

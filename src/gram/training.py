@@ -30,8 +30,8 @@ the window, with ``gram``'s regression, and handed out at its close.
 ``train_step`` then clips and steps each module on its own optimizer.
 
 An item is addressed one way, from init to loss: as its row k among the
-sorted item ids, found once per step. Row k holds its tokens, its
-baseline table row and, in ``gram``, its window encoding and target.
+sorted item ids, found once per step. Row k holds its row of the token
+table, its baseline table row and, in ``gram``, its window state.
 
 The regression runs ``ce_batch_size`` cached items per graph and sums
 the chunks' gradients, so the chunk size bounds the encoder graph's
@@ -46,6 +46,7 @@ two modes' ``train_step`` trajectories at the config's latency.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import re
@@ -70,11 +71,13 @@ from .model import (
     CeParams,
     CfParams,
     ModelConfig,
+    TokenTable,
     batch_scores,
     batch_sequence_loss,
     ce_encode,
     init_params,
     named_params,
+    token_table,
 )
 from .report import RunReport
 
@@ -98,6 +101,15 @@ class ConfigError(ValueError):
 
 class NumericalAbort(RuntimeError):
     """Training produced non-finite values; the message says where."""
+
+
+@contextlib.contextmanager
+def _aborts(where: str):
+    """Turn a NonFiniteError in the body into a NumericalAbort naming ``where``."""
+    try:
+        yield
+    except NonFiniteError as e:
+        raise NumericalAbort(f"{where}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +377,6 @@ def epoch_batches(users, cfg: TrainConfig, epoch: int):
 # ---------------------------------------------------------------------------
 
 
-def index_items(dataset: Dataset) -> tuple[np.ndarray, list]:
-    """(item_ids, tokens): the dataset's item ids, sorted, and the token
-    sequence of item ``item_ids[k]`` at ``tokens[k]``. Row k is how the
-    trainer addresses that item everywhere."""
-    items = sorted(dataset.items, key=lambda it: it.item_id)
-    return np.array([it.item_id for it in items], dtype=np.intp), [it.tokens for it in items]
-
-
 @dataclass
 class Window:
     """``gram``'s open window over item rows: ``rows`` in first-touch order,
@@ -397,7 +401,7 @@ class TrainerState:
     opt_ce: OptimizerState
     opt_cf: OptimizerState
     item_ids: np.ndarray            # sorted item ids; row k of every per-item array is item_ids[k]
-    tokens: list                    # tokens[k]: the token ids of item_ids[k]
+    tokens: TokenTable              # row k: the encoder's token ids of item_ids[k]
     accum_steps: int                # window size N, resolved from cfg.latency
     t: int = 0                      # batches processed so far
     window: Window | None = None    # gram's open window
@@ -434,19 +438,19 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     ce, cf = init_params(cfg.model, seeds["init"])
     for t in named_params(ce, cf).values():
         t.data = t.data.astype(dtype, copy=False)
-    item_ids, tokens = index_items(dataset)
-    if mode != "no_content":    # the encoder reads an item's first max_token_len tokens
-        vocab = cfg.model.vocab_size
-        for item, toks in zip(item_ids.tolist(), tokens):
-            for t in (t for t in toks[:cfg.model.max_token_len] if not 0 <= t < vocab):
-                raise ConfigError(f"item {item} has token {t}, outside vocab_size {vocab}")
+    item_ids, tokens = token_table(dataset.items, cfg.model)
+    bad = (tokens.ids < 0) | (tokens.ids >= cfg.model.vocab_size)
+    if mode != "no_content" and bad.any():
+        t = np.argmax(bad)
+        raise ConfigError(f"item {item_ids[np.searchsorted(tokens.starts, t, 'right') - 1]} has "
+                          f"token {tokens.ids[t]}, outside vocab_size {cfg.model.vocab_size}")
     state = TrainerState(
         mode=mode, cfg=cfg, ce=ce, cf=cf,
         opt_ce=OptimizerState(cfg.opt_ce), opt_cf=OptimizerState(cfg.opt_cf),
         item_ids=item_ids, tokens=tokens,
         accum_steps=accumulation_latency(cfg.latency, steps_per_epoch),
     )
-    n_items = len(tokens)
+    n_items = len(item_ids)
     if mode == "gram":
         shape = (n_items, cfg.model.d)
         state.window = Window(np.zeros(shape, dtype), np.zeros(shape, dtype), np.zeros(n_items, bool))
@@ -459,8 +463,7 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
         state.table = Tensor(table.astype(dtype), grad_enabled=True)
         state.ce = None
     elif mode == "no_finetune":
-        with ad.no_grad():
-            state.table = ce_encode(tokens, ce)
+        state.table = eval_encodings(state)
         state.counters.ce_forward_calls += n_items
     return state
 
@@ -470,7 +473,7 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
-def _cache_leaves(rows: np.ndarray, window: Window, ce: CeParams, tokens: list):
+def _cache_leaves(rows: np.ndarray, window: Window, ce: CeParams, tokens: TokenTable):
     """The CF's input for a gram step: one grad-enabled (n, d) leaf whose
     row k is the window-start encoding of item row ``rows[k]``.
 
@@ -481,8 +484,7 @@ def _cache_leaves(rows: np.ndarray, window: Window, ce: CeParams, tokens: list):
     new = rows[~window.touched[rows]]
     if new.size:
         with ad.no_grad():
-            window.encodings[new] = window.targets[new] = ce_encode(
-                [tokens[r] for r in new.tolist()], ce).data
+            window.encodings[new] = window.targets[new] = ce_encode(new, tokens, ce).data
         window.touched[new] = True
         window.rows.extend(new.tolist())
     return Tensor(window.encodings[rows], grad_enabled=True), new.size
@@ -506,8 +508,8 @@ def _sum_grads(total: dict, grads: dict) -> None:
         total[name] = total[name] + g if name in total else g
 
 
-def _regress(ce: CeParams, tokens: list, rows: list, targets: np.ndarray, chunk_size: int,
-             grads: dict) -> float:
+def _regress(ce: CeParams, tokens: TokenTable, rows: list, targets: np.ndarray,
+             chunk_size: int, grads: dict) -> float:
     """The half squared error between the encoder's outputs for item
     ``rows`` and their ``targets`` rows, summing its gradients into ``grads``.
 
@@ -517,8 +519,8 @@ def _regress(ce: CeParams, tokens: list, rows: list, targets: np.ndarray, chunk_
     """
     named, loss, size = ce.named(), 0.0, chunk_size or len(rows)
     for lo in range(0, len(rows), size):
-        chunk = rows[lo:lo + size]
-        pred = ce_encode([tokens[r] for r in chunk], ce)
+        chunk = np.array(rows[lo:lo + size])
+        pred = ce_encode(chunk, tokens, ce)
         ploss = ad.mse_half(Tensor(targets[chunk]), pred)
         _sum_grads(grads, _named_grads(named, ad.backward(ploss)))
         loss += ploss.item()
@@ -557,13 +559,13 @@ def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
     """
     c = state.counters
     if state.mode == "e2e":     # one grad-tracked encoding per occurrence
-        seqs = [state.tokens[r] for r in rows[batch.inverse].tolist()]
-        lens = [min(len(toks), state.ce.cfg.max_token_len) for toks in seqs]
+        occ = rows[batch.inverse]
+        lens = state.tokens.lengths[occ]
         c.ce_forward_calls += len(lens)
         c.ce_backward_calls += len(lens)
         c.flop_estimate += e2e_ce_flops_per_batch(
             len(batch.users), len(lens) / len(batch.users), float(np.mean(lens)), state.ce.cfg.d)
-        return np.arange(len(lens)), ce_encode(seqs, state.ce), ("ce", "cf")
+        return np.arange(len(lens)), ce_encode(occ, state.tokens, state.ce), ("ce", "cf")
     if state.mode == "gram":
         leaf, n_encoded = _cache_leaves(rows, state.window, state.ce, state.tokens)
         c.ce_forward_calls += n_encoded
@@ -594,16 +596,13 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
     lacks is a ValueError naming it.
     """
     with state.timer.measure(_step_phase(state, "cf")), \
-            ad.track_activations(state.accountant):
-        try:
-            rows = _item_rows(state.item_ids, batch.unique_items)
-            index, enc, modules = _step_inputs(batch, rows, state)
-            loss, n_preds = batch_sequence_loss(batch, index, enc, state.cf)
-            gmap = ad.backward(loss)
-            if state.mode == "gram":
-                _write_back(state.window.targets, rows, state.item_ids, enc, gmap)
-        except NonFiniteError as e:
-            raise NumericalAbort(f"{state.mode} step {state.t}: {e}") from e
+            ad.track_activations(state.accountant), _aborts(f"{state.mode} step {state.t}"):
+        rows = _item_rows(state.item_ids, batch.unique_items)
+        index, enc, modules = _step_inputs(batch, rows, state)
+        loss, n_preds = batch_sequence_loss(batch, index, enc, state.cf)
+        gmap = ad.backward(loss)
+        if state.mode == "gram":
+            _write_back(state.window.targets, rows, state.item_ids, enc, gmap)
         grads = {m: _named_grads(_module_params(state, m), gmap) for m in modules}
         _sum_grads(state.pending, grads.pop("ce", {}))
     state.counters.cf_forward_calls += len(batch.users)
@@ -616,18 +615,14 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
         report["cache_size"] = len(rows)
         if closed:      # the window holds this step's items, so it is not empty
             report["ce_items"] = len(rows)
-            with state.timer.measure("ce"), ad.track_activations(state.accountant):
-                try:
-                    report["pseudo_loss"] = _regress(state.ce, state.tokens, rows, window.targets,
-                                                     state.cfg.ce_batch_size, state.pending)
-                except NonFiniteError as e:
-                    raise NumericalAbort(
-                        f"encoder regression at step {state.t} (items "
-                        f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]}): {e}") from e
+            with state.timer.measure("ce"), ad.track_activations(state.accountant), \
+                    _aborts(f"encoder regression at step {state.t} (items "
+                            f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]})"):
+                report["pseudo_loss"] = _regress(state.ce, state.tokens, rows, window.targets,
+                                                 state.cfg.ce_batch_size, state.pending)
             state.counters.ce_backward_calls += len(rows)
-            lens = [min(len(state.tokens[r]), state.ce.cfg.max_token_len) for r in rows]
             state.counters.flop_estimate += gram_ce_flops_per_batch(
-                len(rows), float(np.mean(lens)), state.ce.cfg.d)
+                len(rows), float(np.mean(state.tokens.lengths[rows])), state.ce.cfg.d)
             window.touched[rows] = False
             window.rows = []
     if closed and state.pending:
@@ -666,7 +661,7 @@ def eval_encodings(state: TrainerState) -> Tensor:
     if state.table is not None:
         return state.table
     with ad.no_grad():
-        return ce_encode(state.tokens, state.ce)
+        return ce_encode(np.arange(len(state.item_ids)), state.tokens, state.ce)
 
 
 def scored_pairs(users, item_ids: np.ndarray, enc: Tensor, cf: CfParams):
@@ -744,7 +739,7 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
             rep = train_step(batch, state)
             loss_sum += rep["loss"]
             pred_sum += rep["n_predictions"]
-        with state.timer.measure("eval"):
+        with state.timer.measure("eval"), _aborts(f"validation evaluation at epoch {epoch}"):
             val = evaluate(state, plan.val_users)
         history.append({
             "epoch": epoch,
@@ -762,7 +757,7 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
                 break
     _restore(state, best_params)
 
-    with state.timer.measure("eval"):
+    with state.timer.measure("eval"), _aborts(f"test evaluation at best epoch {best_epoch}"):
         final = evaluate(state, plan.test_users, cs_items=plan.cs_items)
     final["val_auc"] = best_auc
     c = state.counters

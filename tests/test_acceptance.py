@@ -26,14 +26,13 @@ from gram.dataset import (
     stats_from_metadata,
 )
 from gram.cli import expected_forward_counts
-from gram.model import ModelConfig, ce_encode, init_params, named_params
+from gram.model import ModelConfig, init_params, named_params
 from gram.training import (
     OptimizerConfig,
     TrainConfig,
     accumulation_latency,
     init_trainer,
     max_rel_err,
-    seed_streams,
     step_gradients,
     train,
     train_step,

@@ -5,6 +5,8 @@ rename fails here instead of only in a traced benchmark run."""
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import harness  # noqa: E402
@@ -98,3 +100,39 @@ def test_prepare_and_equivalence_gates_run_on_a_tiny_single_step_workload():
     harness.check_report(gates, w, p, report, {})
     harness.check_equivalence(gates, w, [p])
     assert gates.attempted == 4 and gates.failures == []
+
+
+@pytest.mark.parametrize("mode", ["e2e", "gram", "no_finetune"])
+def test_traced_training_counts_every_encoder_call(mode):
+    # the benchmark's model.ce_encode.{grad,nograd} metrics count these
+    # spans, so an encoder call the tracer no longer sees would read 0
+    # there without failing. e2e encodes with grad once per step; gram at
+    # 1S encodes without grad once per step (each opens a new window) and
+    # with grad once per regression chunk; both encode every item without
+    # grad once per evaluation; no_finetune encodes once, at init
+    from gram import training
+    from gram.dataset import GenConfig, generate_synthetic
+    from gram.model import ModelConfig
+    gen = GenConfig(n_users=40, n_items=12, n_topics=3, vocab_size=70,
+                    seq_len_range=(5, 12), token_len_range=(3, 7))
+    ds, _ = generate_synthetic(gen, seed=1)
+    cfg = training.TrainConfig(model=ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=70),
+                               latency="1S", ce_batch_size=3, cf_batch_size=8,
+                               n_cs_items=2, max_epochs=2, patience=0)
+    plan = training.plan_run(ds, cfg)
+    batches = [b for epoch in range(cfg.max_epochs)
+               for b in training.epoch_batches(plan.train_users, cfg, epoch)]
+    chunks = sum(-(-len(b.unique_items) // cfg.ce_batch_size) for b in batches)
+    evaluations = cfg.max_epochs + 1
+    tracer = Tracer()
+    try:
+        harness.install_tracer(tracer)
+        training.train(ds, mode, cfg)
+    finally:
+        tracer.restore()
+    spans = tracer.aggregate()
+    calls = {k: spans.get(f"model.ce_encode.{k}", (0,))[0] for k in ("grad", "nograd")}
+    assert (len(batches), chunks) == (8, 28)
+    assert calls == {"e2e": {"grad": len(batches), "nograd": evaluations},
+                     "gram": {"grad": chunks, "nograd": len(batches) + evaluations},
+                     "no_finetune": {"grad": 0, "nograd": 1}}[mode]

@@ -565,6 +565,29 @@ def test_numerical_abort_exits_3(workdir, tmp_path, capsys):
     assert "numerical abort" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["e2e", "no-finetune"])
+def test_non_finite_evaluation_exits_3_naming_the_split(tmp_path, capsys, mode):
+    # one SGD step at lr 1e300 stays finite, but the validation scores do
+    # not: e2e overflows in the encoder, no_finetune in the scoring matmul
+    cfg = {"seed": 3,
+           "gen": {"n_users": 60, "n_items": 30, "n_topics": 3, "vocab_size": 70},
+           "model": {"d": 8, "d_ff": 12, "d_h": 8, "vocab_size": 70},
+           "train": {"max_epochs": 1, "cf_batch_size": 64, "n_cs_items": 2,
+                     "opt_ce": {"kind": "sgd", "lr": 1e300},
+                     "opt_cf": {"kind": "sgd", "lr": 1e300}}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert cli.main(["gen-data", "--out", str(tmp_path / "data"), "--config", str(p)]) == 0
+    capsys.readouterr()
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["train", "--data", str(tmp_path / "data"), "--mode", mode,
+                       "--config", str(p), "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "gram: numerical abort: validation evaluation at epoch 0: ")
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "gram.cli", "stats",

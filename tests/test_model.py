@@ -18,10 +18,16 @@ import reference_cf as R
 from gram import autodiff as ad
 from gram import model as M
 from gram.autodiff import Tensor, backward, grad_check, sum_all, mul
-from gram.dataset import Batch, UserSequence
+from gram.dataset import Batch, Item, UserSequence
 
 
 SMALL = M.ModelConfig(d=4, d_ff=6, l_ce=1, d_h=4, vocab_size=12, max_token_len=8)
+
+
+def encode(seqs, ce):
+    """``M.ce_encode`` of lists of token ids: rows 0..n-1 of their token table."""
+    _, table = M.token_table([Item(k, tuple(toks)) for k, toks in enumerate(seqs)], ce.cfg)
+    return M.ce_encode(np.arange(len(seqs)), table, ce)
 
 
 def to_f32(params):
@@ -95,21 +101,21 @@ def zeroed_ce(cfg):
 
 def test_ce_zero_weights_single_token_is_embedding_row():
     ce = zeroed_ce(SMALL)
-    out = M.ce_encode([[3]], ce)
+    out = encode([[3]], ce)
     assert np.allclose(out.data[0], ce.token_embedding.data[3])
 
 
 def test_ce_duplicate_tokens_match_single_token():
     ce, _ = small_params(seed=2)
-    one = M.ce_encode([[5]], ce)
-    two = M.ce_encode([[5, 5]], ce)
+    one = encode([[5]], ce)
+    two = encode([[5, 5]], ce)
     assert np.allclose(one.data, two.data, atol=1e-12)
 
 
 def test_ce_permutation_invariant_without_positions():
     ce, _ = small_params(seed=3)
-    a = M.ce_encode([[1, 4, 7, 2]], ce)
-    b = M.ce_encode([[7, 2, 1, 4]], ce)
+    a = encode([[1, 4, 7, 2]], ce)
+    b = encode([[7, 2, 1, 4]], ce)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -117,23 +123,49 @@ def test_ce_positional_encoding_breaks_permutation_invariance():
     cfg = M.ModelConfig(d=4, d_ff=6, l_ce=1, d_h=4, vocab_size=12,
                         max_token_len=8, positional_encoding=True)
     ce, _ = M.init_params(cfg, seed=3)
-    a = M.ce_encode([[1, 4, 7, 2]], ce)
-    b = M.ce_encode([[7, 2, 1, 4]], ce)
+    a = encode([[1, 4, 7, 2]], ce)
+    b = encode([[7, 2, 1, 4]], ce)
     assert not np.allclose(a.data, b.data)
 
 
-def test_ce_empty_tokens_rejected():
+def test_token_table_of_no_items_encodes_no_rows():
     ce, _ = small_params()
-    for seqs in ([[]], [], [[1, 2], []]):
-        with pytest.raises(ValueError):
-            M.ce_encode(seqs, ce)
+    item_ids, table = M.token_table([], SMALL)
+    assert item_ids.size == table.ids.size == table.lengths.size == 0
+    with pytest.raises(ValueError, match="no rows"):
+        M.ce_encode(np.arange(0), table, ce)
 
 
-def test_ce_truncates_long_input():
+def test_ce_rejects_an_empty_row():
+    # token_table never builds one, since an Item has tokens
+    ce, _ = small_params()
+    with pytest.raises(ValueError, match="has no tokens"):
+        Item(0, ())
+    table = M.TokenTable(ids=np.array([1, 2]), starts=np.array([0, 2]), lengths=np.array([2, 0]))
+    with pytest.raises(ValueError, match="row 1 has 0 tokens"):
+        M.ce_encode(np.array([0, 1]), table, ce)
+
+
+def test_token_table_truncates_at_max_token_len_and_sorts_by_item_id():
     ce, _ = small_params(seed=4)
     base = list(range(8))
-    assert np.allclose(M.ce_encode([base + [9, 9]], ce).data,
-                       M.ce_encode([base], ce).data)
+    items = [Item(7, tuple(base + [9, 9])), Item(3, (4, 5)), Item(5, tuple(base))]
+    item_ids, table = M.token_table(items, SMALL)
+    assert item_ids.tolist() == [3, 5, 7]
+    assert table.lengths.tolist() == [2, 8, 8] and table.starts.tolist() == [0, 2, 10]
+    assert table.ids.tolist() == [4, 5] + base + base
+    assert np.allclose(encode([base + [9, 9]], ce).data,
+                       encode([base], ce).data)
+
+
+def test_ce_rejects_a_row_longer_than_its_max_token_len():
+    # a table built for a config that keeps more tokens than the encoder's
+    ce, _ = small_params()
+    long = M.ModelConfig(d=4, d_ff=6, l_ce=1, d_h=4, vocab_size=12, max_token_len=10)
+    _, table = M.token_table([Item(0, (1, 2)), Item(1, tuple(range(10)))], long)
+    M.ce_encode(np.array([0, 0]), table, ce)
+    with pytest.raises(ValueError, match="row 1 has 10 tokens, outside 1..max_token_len 8"):
+        M.ce_encode(np.array([0, 1]), table, ce)
 
 
 def test_ce_gradient_vs_finite_differences():
@@ -143,7 +175,7 @@ def test_ce_gradient_vs_finite_differences():
     readout = Tensor(rng.standard_normal((1, SMALL.d)))
 
     def forward():
-        return sum_all(mul(M.ce_encode([tokens], ce), readout))
+        return sum_all(mul(encode([tokens], ce), readout))
 
     for name in ce.named():
         f = swapped_forward(ce, name, forward)
@@ -167,17 +199,17 @@ def test_ce_batched_rows_match_single_item_calls(positions):
     cfg = M.ModelConfig(d=4, d_ff=6, l_ce=2, d_h=4, vocab_size=12,
                         max_token_len=8, positional_encoding=positions)
     ce, _ = M.init_params(cfg, seed=7)
-    batched = M.ce_encode(MIXED, ce).data
+    batched = encode(MIXED, ce).data
     assert batched.shape == (len(MIXED), cfg.d)
     for k, toks in enumerate(MIXED):
-        assert rel_gap(batched[k], M.ce_encode([toks], ce).data[0]) <= 1e-12, k
+        assert rel_gap(batched[k], encode([toks], ce).data[0]) <= 1e-12, k
     assert rel_gap(batched[2], batched[0]) <= 1e-12   # a repeated item
 
 
 def test_ce_batched_rows_follow_input_order():
     ce, _ = small_params(seed=8)
-    forward = M.ce_encode(MIXED, ce).data
-    backward_order = M.ce_encode(MIXED[::-1], ce).data
+    forward = encode(MIXED, ce).data
+    backward_order = encode(MIXED[::-1], ce).data
     assert rel_gap(backward_order[::-1], forward) <= 1e-12
     # rows of distinct items differ, so a wrong order cannot pass
     assert not np.allclose(forward[0], forward[1])
@@ -187,10 +219,10 @@ def test_ce_batched_gradients_equal_sum_of_per_item_gradients():
     rng = np.random.default_rng(9)
     ce, _ = small_params(seed=9, l_ce=2)
     readout = rng.standard_normal((len(MIXED), SMALL.d))
-    gmap = backward(sum_all(mul(M.ce_encode(MIXED, ce), Tensor(readout))))
+    gmap = backward(sum_all(mul(encode(MIXED, ce), Tensor(readout))))
     total = {name: np.zeros_like(t.data) for name, t in ce.named().items()}
     for k, toks in enumerate(MIXED):
-        g_k = backward(sum_all(mul(M.ce_encode([toks], ce), Tensor(readout[k:k + 1]))))
+        g_k = backward(sum_all(mul(encode([toks], ce), Tensor(readout[k:k + 1]))))
         for name, t in ce.named().items():
             total[name] += g_k[t].data
     for name, t in ce.named().items():
@@ -202,10 +234,10 @@ def test_ce_batched_call_saves_as_many_elements_as_per_item_calls():
     ce, _ = small_params(seed=10, l_ce=2)
     batched, per_item = ActivationAccountant(), ActivationAccountant()
     with ad.track_activations(batched):
-        M.ce_encode(MIXED, ce)
+        encode(MIXED, ce)
     with ad.track_activations(per_item):
         for toks in MIXED:
-            M.ce_encode([toks], ce)
+            encode([toks], ce)
     assert batched.current == per_item.current > 0
 
 
@@ -220,7 +252,7 @@ def test_ce_encode_matches_per_op_reference(l_ce, positions):
     # values and every parameter gradient, MIXED's truncation included
     ce, _ = M.init_params(ce_config(l_ce, positions), seed=11)
     readout = Tensor(np.random.default_rng(11).standard_normal((len(MIXED), 4)))
-    fused, ref = M.ce_encode(MIXED, ce), RC.ce_encode(MIXED, ce)
+    fused, ref = encode(MIXED, ce), RC.ce_encode(MIXED, ce)
     assert rel_gap(fused.data, ref.data) <= 1e-12
     g_fused = backward(sum_all(mul(fused, readout)))
     g_ref = backward(sum_all(mul(ref, readout)))
@@ -230,7 +262,7 @@ def test_ce_encode_matches_per_op_reference(l_ce, positions):
 
 def test_ce_float32_outputs_and_gradients_stay_float32():
     ce = to_f32(M.init_params(ce_config(positions=True), seed=12)[0])
-    out = M.ce_encode(MIXED, ce)
+    out = encode(MIXED, ce)
     assert out.dtype == np.float32
     grads = backward(sum_all(out))
     assert all(grads[t].dtype == np.float32 for t in ce.named().values())
@@ -240,7 +272,7 @@ def test_ce_token_id_outside_the_vocabulary_raises():
     ce, _ = small_params()
     for bad in (-1, SMALL.vocab_size):
         with pytest.raises(IndexError):
-            M.ce_encode([[1, 2], [3, bad, 4]], ce)
+            encode([[1, 2], [3, bad, 4]], ce)
 
 
 def test_ce_overflowing_embedding_names_the_op_and_token_length():
@@ -249,7 +281,7 @@ def test_ce_overflowing_embedding_names_the_op_and_token_length():
     ce.token_embedding.data[9] = 1e200
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             ad.NonFiniteError, match="ce_block .* token length 5"):
-        M.ce_encode(MIXED, ce)
+        encode(MIXED, ce)
 
 
 def test_ce_saved_elements_are_pinned_and_below_the_per_op_graphs():
@@ -262,7 +294,7 @@ def test_ce_saved_elements_are_pinned_and_below_the_per_op_graphs():
     ce, _ = small_params(seed=10, l_ce=2)
     fused, per_op = ActivationAccountant(), ActivationAccountant()
     with ad.track_activations(fused):
-        M.ce_encode(MIXED, ce)
+        encode(MIXED, ce)
     with ad.track_activations(per_op):
         RC.ce_encode(MIXED, ce)
     assert fused.peak == 2 * (30 * 30 + 180) + 24 == 2184
@@ -275,7 +307,7 @@ def test_ce_graph_size_does_not_grow_with_distinct_lengths():
     # gather back to input order
     ce, _ = small_params(seed=14, l_ce=2)
     calls = ([[1, 2, 3]] * 4, MIXED, [list(range(n)) for n in range(8, 0, -1)])
-    nodes = [graph_nodes(M.ce_encode(seqs, ce)) for seqs in calls]
+    nodes = [graph_nodes(encode(seqs, ce)) for seqs in calls]
     assert nodes == [6, 6, 6]
 
 

@@ -391,7 +391,7 @@ def test_window_reads_first_touch_encoding_and_accumulates_gradients():
     from gram.model import ce_encode
     rows = np.searchsorted(once.item_ids, batch.unique_items)
     with ad.no_grad():
-        h = {r: ce_encode([once.tokens[r]], once.ce).data[0] for r in rows}
+        h = {r: ce_encode(np.array([r]), once.tokens, once.ce).data[0] for r in rows}
     for r in rows:
         g = h[r] - once.window.targets[r]
         assert np.any(g != 0.0)
@@ -414,7 +414,7 @@ def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
     rows = np.searchsorted(state.item_ids, batch.unique_items)
     with ad.no_grad():
         from gram.model import ce_encode
-        h = {r: ce_encode([state.tokens[r]], ce0).data[0] for r in rows}
+        h = {r: ce_encode(np.array([r]), state.tokens, ce0).data[0] for r in rows}
     train_step(batch, state)
     for r in rows:
         # the pseudo-target differs from h by the raw gradient (no lr scaling)
