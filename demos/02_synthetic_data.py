@@ -26,9 +26,9 @@ def main():
           "(interactions per item: the cached scheme's per-epoch encoder saving)")
 
     u = dataset.users[0]
-    print(f"\nuser {u.user_id}: {len(u.interactions)} interactions, "
-          f"first five: {u.interactions[:5]}")
-    item = dataset.items[u.interactions[0][0]]
+    print(f"\nuser {u.user_id}: {len(u)} interactions, first five items "
+          f"{u.items[:5].tolist()} with responses {u.resps[:5].tolist()}")
+    item = dataset.items[u.items[0]]
     print(f"item {item.item_id} tokens: {item.tokens}")
     print(f"user skill (hidden from models): {latents.user_ability[u.user_id][0]:+.1f}")
 

@@ -13,11 +13,10 @@ from gram.training import TrainConfig, init_trainer, train, train_step
 def toy_batch():
     """Three users, twelve interactions, five distinct items."""
     items = [Item(i, tuple(range(1, 4 + i % 3))) for i in range(5)]
-    users = [
-        UserSequence(0, ((0, 1), (1, 0), (2, 1), (3, 0))),
-        UserSequence(1, ((1, 1), (2, 0), (3, 1), (4, 0))),
-        UserSequence(2, ((0, 0), (2, 1), (4, 1), (1, 1))),
-    ]
+    # user u saw items[u] and gave responses resps[u]
+    items_of = [(0, 1, 2, 3), (1, 2, 3, 4), (0, 2, 4, 1)]
+    resps_of = [(1, 0, 1, 0), (1, 0, 1, 0), (0, 1, 1, 1)]
+    users = [UserSequence(u, items_of[u], resps_of[u]) for u in range(3)]
     return Dataset(items=items, users=users), Batch(users=users)
 
 

@@ -15,7 +15,8 @@ File formats (UTF-8, LF, no header):
 * interactions file — one line per user:
   ``user_id<TAB>item:resp,item:resp,...`` in temporal order.
 
-Both round-trip exactly (``load(save(D)) == D``).
+Both round-trip exactly (``load(save(D)) == D``). In memory a user's
+interactions are two integer arrays: its item ids and its responses.
 """
 
 from __future__ import annotations
@@ -44,23 +45,36 @@ class Item:
             raise ValueError(f"item {self.item_id} has no tokens")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserSequence:
-    """One user's (item_id, response) pairs in temporal order. Each response
-    is checked to be 0 or 1 when the sequence is built; ``autodiff.bce_loss``
-    and ``metrics.check_predictions`` check the labels they are given
-    again, since they also take arrays built elsewhere."""
+    """One user's interactions in temporal order: ``items[k]`` drew response
+    ``resps[k]``, as 1-D intp arrays (not copied if they already are). Its
+    ``Dataset`` checks items and responses (0 or 1); ``autodiff.bce_loss``
+    and ``metrics.check_predictions`` check the labels they are given again."""
 
     user_id: int
-    interactions: tuple[tuple[int, int], ...]  # (item_id, response) pairs
+    items: np.ndarray
+    resps: np.ndarray
 
     def __post_init__(self):
-        for item, resp in self.interactions:
-            if resp not in (0, 1):
-                raise ValueError(f"user {self.user_id}: response {resp!r} not in {{0,1}}")
+        object.__setattr__(self, "items", np.asarray(self.items, dtype=np.intp))
+        object.__setattr__(self, "resps", np.asarray(self.resps, dtype=np.intp))
+        if self.items.ndim != 1 or self.items.shape != self.resps.shape:
+            raise ValueError(f"user {self.user_id}: items and responses must be 1-D of one length")
 
     def __len__(self):
-        return len(self.interactions)
+        return self.items.size
+
+    def __eq__(self, other):
+        return (isinstance(other, UserSequence) and self.user_id == other.user_id and
+                np.array_equal(self.items, other.items) and np.array_equal(self.resps, other.resps))
+
+
+def _flat(users: list[UserSequence]):
+    """(lengths, items, resps) of every interaction of *users*, user by user."""
+    return (np.array([len(u) for u in users], dtype=np.intp),
+            np.concatenate([np.empty(0, np.intp), *(u.items for u in users)]),
+            np.concatenate([np.empty(0, np.intp), *(u.resps for u in users)]))
 
 
 @dataclass
@@ -74,10 +88,12 @@ class Dataset:
             if item_id in known:
                 raise ValueError(f"duplicate item id {item_id}")
             known.add(item_id)
-        for u in self.users:
-            for item, _ in u.interactions:
-                if item not in known:
-                    raise ValueError(f"user {u.user_id} references unknown item {item}")
+        lengths, items, resps = _flat(self.users)
+        unknown = ~np.isin(items, list(known))
+        for k in np.flatnonzero(unknown | (resps < 0) | (resps > 1))[:1]:
+            uid = self.users[np.searchsorted(lengths.cumsum(), k, side="right")].user_id
+            raise ValueError(f"user {uid} references unknown item {items[k]}" if unknown[k]
+                             else f"user {uid}: response {resps[k]} not in {{0,1}}")
 
     def n_interactions(self) -> int:
         return sum(len(u) for u in self.users)
@@ -85,9 +101,9 @@ class Dataset:
 
 @dataclass(eq=False)
 class Batch:
-    """A batch of users and their interactions as arrays, built once.
-    Interactions are numbered user by user, so user u owns the next
-    ``lengths[u]`` of them, and ``unique_items[inverse[k]] == items[k]``."""
+    """A batch of users and their interactions: its users' arrays, joined once
+    (their ``Dataset`` checked them). Interactions are numbered user by user,
+    so user u owns the next ``lengths[u]`` of them, and ``unique_items[inverse[k]] == items[k]``."""
 
     users: list[UserSequence]
     lengths: np.ndarray = field(init=False)         # interactions per user
@@ -97,10 +113,7 @@ class Batch:
     inverse: np.ndarray = field(init=False)         # index in unique_items of interaction k's item
 
     def __post_init__(self):
-        pairs = [pair for u in self.users for pair in u.interactions]
-        self.lengths = np.array([len(u) for u in self.users], dtype=np.intp)
-        self.items = np.array([item for item, _ in pairs], dtype=np.intp)
-        self.resps = np.array([resp for _, resp in pairs], dtype=np.intp)
+        self.lengths, self.items, self.resps = _flat(self.users)
         self.unique_items, self.inverse = np.unique(self.items, return_inverse=True)
 
     def n_interactions(self) -> int:
@@ -324,8 +337,7 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
         chosen = cdf.searchsorted(uniform[:length], side="right")
         p = 1.0 / (1.0 + np.exp(-(user_ability[u, item_topic[chosen]] - item_difficulty[chosen])))
         resp = (uniform[length::2] < p) != (uniform[length + 1::2] < cfg.noise)
-        users.append(UserSequence(user_id=u, interactions=tuple(
-            zip(chosen.tolist(), resp.astype(int).tolist()))))
+        users.append(UserSequence(user_id=u, items=chosen, resps=resp))
 
     return Dataset(items=items, users=users), Latents(item_topic, item_difficulty, user_ability)
 
@@ -362,21 +374,17 @@ def cold_start_split(d: Dataset, n_cs_items: int, seed: int, test_frac: float = 
     rng = np.random.default_rng(s_pick)
     train_users, test_users = split_users(d.users, test_frac, s_split)
 
-    test_item_pool = sorted({item for u in test_users for item, _ in u.interactions})
+    test_item_pool = np.unique(_flat(test_users)[1])
     if len(test_item_pool) < n_cs_items:
         raise ValueError(
             f"infeasible split: only {len(test_item_pool)} items occur in test sequences")
-    cs_items = set(int(i) for i in rng.choice(test_item_pool, size=n_cs_items, replace=False))
+    cs_items = set(rng.choice(test_item_pool, size=n_cs_items, replace=False).tolist())
 
-    stripped = []
-    for u in train_users:
-        kept = tuple((item, r) for item, r in u.interactions if item not in cs_items)
-        if len(kept) >= 2:
-            stripped.append(UserSequence(user_id=u.user_id, interactions=kept))
-
-    train = Dataset(items=d.items, users=stripped)
-    test = Dataset(items=d.items, users=test_users)
-    return train, test, cs_items
+    is_cs = np.isin(np.arange(max(it.item_id for it in d.items) + 1), list(cs_items))
+    kept = ((u, ~is_cs[u.items]) for u in train_users)
+    stripped = [UserSequence(u.user_id, u.items[k], u.resps[k])
+                for u, k in kept if np.count_nonzero(k) >= 2]
+    return Dataset(d.items, stripped), Dataset(d.items, test_users), cs_items
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +436,7 @@ def load_items(path) -> list[Item]:
 def save_interactions(users: list[UserSequence], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for u in users:
-            body = ",".join(f"{item}:{r}" for item, r in u.interactions)
+            body = ",".join(f"{i}:{r}" for i, r in zip(u.items.tolist(), u.resps.tolist()))
             f.write(f"{u.user_id}\t{body}\n")
 
 
@@ -441,10 +449,11 @@ def load_interactions(path) -> list[UserSequence]:
                 continue
             try:
                 sid, body = line.split("\t")
-                inter = tuple(
-                    (int(pair.split(":")[0]), int(pair.split(":")[1]))
-                    for pair in body.split(","))
-                users.append(UserSequence(user_id=int(sid), interactions=inter))
+                pairs = [pair.split(":") for pair in body.split(",")] if body else []
+                items, resps = [int(p[0]) for p in pairs], [int(p[1]) for p in pairs]
+                if not set(resps) <= {0, 1}:
+                    raise ValueError("response not in {0,1}")
+                users.append(UserSequence(int(sid), items, resps))
             except (ValueError, IndexError) as e:
                 raise ValueError(f"{path}:{lineno}: malformed interaction line") from e
     return users

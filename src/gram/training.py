@@ -325,10 +325,10 @@ class RunPlan(NamedTuple):
 
 def _require_both_classes(split: str, users) -> None:
     """AUC needs a positive and a negative among the predicted positions."""
-    labels = [r for u in users for _, r in u.interactions[1:]]
-    pos = sum(labels)
-    if pos == 0 or pos == len(labels):
-        raise ConfigError(f"{split} split has {pos} positive and {len(labels) - pos} "
+    labels = np.concatenate([np.empty(0, np.intp), *(u.resps[1:] for u in users)])
+    pos = int(labels.sum())
+    if pos == 0 or pos == labels.size:
+        raise ConfigError(f"{split} split has {pos} positive and {labels.size - pos} "
                           "negative responses at its predicted positions; "
                           "its AUC needs both classes")
 

@@ -23,8 +23,9 @@ def _check_response(r) -> int:
 
 
 def _interactions_of(user):
-    """(item, response) pairs of a ``UserSequence`` or of a raw list."""
-    inter = getattr(user, "interactions", user)
+    """(item, response) pairs of a raw list, or zipped from a
+    ``UserSequence``'s ``items`` and ``resps`` arrays."""
+    inter = zip(user.items.tolist(), user.resps.tolist()) if hasattr(user, "items") else user
     return [(item, _check_response(resp)) for item, resp in inter]
 
 

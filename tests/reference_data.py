@@ -4,7 +4,10 @@ This is the per-interaction loop: items are picked with
 ``Generator.choice(p=popularity)``, and each interaction draws its
 response and its noise flip with two scalar ``random()`` calls. The
 library draws the same uniforms in fewer calls, so for every config and
-seed it must return the same dataset and latents as this loop.
+seed it must return the same dataset and latents as this loop. The loop
+collects each user's (item, response) pairs and builds its
+``UserSequence`` from them, so the generator's arrays are checked value
+for value.
 ``response_prob`` is the generator's pre-noise response probability, the
 oracle scorer the dataset tests rank against.
 """
@@ -63,7 +66,7 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
             if rng.random() < cfg.noise:
                 r = 1 - r
             inter.append((int(i), r))
-        users.append(UserSequence(user_id=u, interactions=tuple(inter)))
+        users.append(UserSequence(u, [i for i, _ in inter], [r for _, r in inter]))
 
     return Dataset(items=items, users=users), Latents(item_topic, item_difficulty, user_ability)
 

@@ -60,6 +60,11 @@ def accept_config(**overrides):
     return TrainConfig(**{**ACCEPT_TRAIN, **overrides})
 
 
+def user(uid, pairs):
+    """A ``UserSequence`` of (item, response) pairs."""
+    return UserSequence(uid, [i for i, _ in pairs], [r for _, r in pairs])
+
+
 @pytest.fixture(scope="module")
 def desk_dataset():
     ds, _ = generate_synthetic(GenConfig(), seed=DATASET_SEED)
@@ -99,13 +104,13 @@ def _random_trial(trial: int):
     users = []
     for u in range(int(rng.integers(3, 7))):
         ids = rng.integers(0, n_items, size=int(rng.integers(2, 8)))
-        users.append(UserSequence(u, tuple(
-            (int(i), int(rng.integers(0, 2))) for i in ids)))
+        users.append(user(u, [(int(i), int(rng.integers(0, 2))) for i in ids]))
     # every trial must exercise the duplicate-occurrence path
-    occ = Counter(i for u in users for i, _ in u.interactions)
+    occ = Counter(i for u in users for i in u.items.tolist())
     if occ.most_common(1)[0][1] < 2:
-        first = users[0].interactions
-        users[0] = UserSequence(0, first + (first[0],))
+        first = users[0]
+        users[0] = UserSequence(0, np.append(first.items, first.items[0]),
+                                np.append(first.resps, first.resps[0]))
     ce, cf = init_params(cfg, int(rng.integers(0, 2 ** 31)))
     batch = Batch(users=users)
     # item i is row i
@@ -247,8 +252,8 @@ def _model_fd_check(variant: str, rng, n_coords=3):
     rounding noise, not correctness)."""
     cfg = ModelConfig(d=6, d_ff=10, d_h=6, vocab_size=30, cf_variant=variant)
     tokens = [tuple(int(t) for t in rng.integers(1, 30, size=4)) for _ in range(4)]
-    users = [UserSequence(0, ((0, 1), (1, 0), (2, 1))),
-             UserSequence(1, ((1, 1), (3, 0), (0, 0)))]
+    users = [user(0, ((0, 1), (1, 0), (2, 1))),
+             user(1, ((1, 1), (3, 0), (0, 0)))]
     batch = Batch(users=users)
     ce, cf = init_params(cfg, int(rng.integers(0, 2 ** 31)))
     ds = Dataset(items=[Item(i, toks) for i, toks in enumerate(tokens)], users=users)
@@ -303,9 +308,9 @@ def test_acceptance_3_finite_differences(capsys):
 def _dup_heavy_batch():
     items = [Item(i, tuple(range(1, 4 + i % 3))) for i in range(5)]
     users = [
-        UserSequence(0, ((0, 1), (1, 0), (2, 1), (3, 0))),
-        UserSequence(1, ((1, 1), (2, 0), (3, 1), (4, 0))),
-        UserSequence(2, ((0, 0), (2, 1), (4, 1), (1, 1))),
+        user(0, ((0, 1), (1, 0), (2, 1), (3, 0))),
+        user(1, ((1, 1), (2, 0), (3, 1), (4, 0))),
+        user(2, ((0, 0), (2, 1), (4, 1), (1, 1))),
     ]
     return Dataset(items=items, users=users), Batch(users=users)
 

@@ -67,7 +67,7 @@ def test_traced_evaluation_records_every_metric_span():
     ds, _ = generate_synthetic(gen, seed=5)
     cfg = training.TrainConfig(model=ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=60))
     state = training.init_trainer(ds, "gram", cfg)
-    cs_items = {ds.users[0].interactions[1][0]}
+    cs_items = {int(ds.users[0].items[1])}
     tracer = Tracer()
     try:
         harness.install_tracer(tracer)
@@ -95,6 +95,11 @@ def test_prepare_and_equivalence_gates_run_on_a_tiny_single_step_workload():
     w = harness.Workload("tiny-1S", "gram", gen, cfg, datasets=1)
     (p,) = harness.prepare(w, seed=1)
     assert p.cfg.seed == 1 and 0 < p.expected_ce_forwards < p.occurrences
+    # the cf_forward_calls gate reads the benchmark's own split, which
+    # must be the one training makes
+    plan = training.plan_run(p.data, p.cfg)
+    assert p.train_users == len(plan.train_users)
+    assert p.test_users == plan.test_users
     gates = harness.Gates()
     report, _ = training.train(p.data, w.mode, p.cfg)
     harness.check_report(gates, w, p, report, {})

@@ -13,7 +13,7 @@ from gram.metrics import auc
 
 
 def u(uid, pairs):
-    return D.UserSequence(user_id=uid, interactions=tuple(pairs))
+    return D.UserSequence(uid, [i for i, _ in pairs], [r for _, r in pairs])
 
 
 def dup_heavy_batch():
@@ -95,9 +95,9 @@ def test_epoch_ratio_equals_whole_dataset_batch_ratio():
 
 def oracle_auc(d, latents):
     scores = [reference_data.response_prob(latents, user.user_id, item)
-              for user in d.users for item, _ in user.interactions]
-    labels = [r for user in d.users for _, r in user.interactions]
-    return auc(np.array(scores, dtype=np.float64), np.array(labels))
+              for user in d.users for item in user.items]
+    labels = np.concatenate([user.resps for user in d.users])
+    return auc(np.array(scores, dtype=np.float64), labels)
 
 
 def test_generator_is_deterministic(tmp_path):
@@ -128,7 +128,7 @@ def test_generator_respects_ranges():
         assert all(0 <= t < 60 for t in it.tokens)
     for user in d.users:
         assert 3 <= len(user) <= 9
-        assert all(r in (0, 1) for _, r in user.interactions)
+        assert set(user.resps.tolist()) <= {0, 1}
     assert latents.item_topic.shape == (25,)
     assert latents.user_ability.shape == (50, 5)
 
@@ -180,8 +180,7 @@ def test_generator_matches_the_per_interaction_reference(tmp_path, cfg, seed):
     ref, ref_latents = reference_data.generate_synthetic(cfg, seed)
     assert d.items == ref.items
     assert d.users == ref.users
-    assert all(type(i) is int and type(r) is int
-               for user in d.users for i, r in user.interactions)
+    assert all(user.items.dtype == user.resps.dtype == np.intp for user in d.users)
     for name in ("item_topic", "item_difficulty", "user_ability"):
         assert np.array_equal(getattr(latents, name), getattr(ref_latents, name))
     D.save_dataset(d, tmp_path / "new")
@@ -213,7 +212,7 @@ def test_default_config_leaves_learning_headroom():
 
 def test_default_config_every_item_occurs():
     d, _ = D.generate_synthetic(D.GenConfig(), seed=2024)
-    seen = {item for user in d.users for item, _ in user.interactions}
+    seen = {item for user in d.users for item in user.items.tolist()}
     assert seen == {it.item_id for it in d.items}
 
 
@@ -221,7 +220,7 @@ def test_zipf_popularity_skews_occurrences():
     d, _ = D.generate_synthetic(D.GenConfig(zipf_exponent=1.0), seed=5)
     counts = np.zeros(80)
     for user in d.users:
-        for item, _ in user.interactions:
+        for item in user.items:
             counts[item] += 1
     top = np.sort(counts)[::-1]
     # the most popular item should dwarf the median one
@@ -237,9 +236,9 @@ def test_cold_start_split_invariants():
     d, _ = D.generate_synthetic(D.GenConfig(n_users=100, n_items=30), seed=1)
     train, test, cs_items = D.cold_start_split(d, n_cs_items=5, seed=9)
     assert len(cs_items) == 5
-    train_items = {item for user in train.users for item, _ in user.interactions}
+    train_items = {item for user in train.users for item in user.items.tolist()}
     assert train_items.isdisjoint(cs_items)
-    test_items = {item for user in test.users for item, _ in user.interactions}
+    test_items = {item for user in test.users for item in user.items.tolist()}
     assert cs_items <= test_items
     assert all(len(user) >= 2 for user in train.users)
     assert len(train.users) + len(test.users) <= len(d.users)
@@ -302,6 +301,13 @@ def test_round_trip_identity(tmp_path):
     assert D.load_dataset(tmp_path) == d
 
 
+def test_round_trip_keeps_a_user_with_no_interactions(tmp_path):
+    d = D.Dataset([D.Item(0, (1,))], [u(0, [(0, 1), (0, 0)]), u(1, [])])
+    D.save_dataset(d, tmp_path)
+    assert (tmp_path / D.INTERACTIONS_FILENAME).read_text() == "0\t0:1,0:0\n1\t\n"
+    assert D.load_dataset(tmp_path) == d
+
+
 def test_file_format_exact_layout(tmp_path):
     d = D.Dataset(
         items=[D.Item(0, (5, 6)), D.Item(1, (7,))],
@@ -323,6 +329,13 @@ def test_malformed_files_raise(tmp_path):
         D.load_interactions(inter)
 
 
+def test_load_interactions_names_the_line_of_a_response_out_of_range(tmp_path):
+    inter = tmp_path / "inter.tsv"
+    inter.write_text("0\t1:1,2:0\n1\t1:0,2:2\n")
+    with pytest.raises(ValueError, match=r"inter\.tsv:2: malformed interaction line$"):
+        D.load_interactions(inter)
+
+
 def test_compute_stats_hand_case():
     d = D.Dataset(
         items=[D.Item(0, (1, 2, 3)), D.Item(1, (4,))],
@@ -338,8 +351,24 @@ def test_compute_stats_hand_case():
 
 
 def test_dataset_rejects_unknown_item_refs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^user 0 references unknown item 3$"):
         D.Dataset(items=[D.Item(0, (1,))], users=[u(0, [(3, 1), (0, 0)])])
+    # the error names the first bad user, past one with no interactions
+    users = [u(4, [(0, 1), (0, 0)]), u(5, []), u(6, [(0, 1), (9, 0)]), u(7, [(8, 1)])]
+    with pytest.raises(ValueError, match=r"^user 6 references unknown item 9$"):
+        D.Dataset(items=[D.Item(0, (1,))], users=users)
+
+
+def test_dataset_rejects_a_response_out_of_range():
+    with pytest.raises(ValueError, match=r"^user 6: response -1 not in \{0,1\}$"):
+        D.Dataset(items=[D.Item(0, (1,))], users=[
+            u(4, [(0, 1), (0, 0)]), u(5, []), u(6, [(0, 1), (0, -1)]), u(7, [(0, 2)])])
+
+
+@pytest.mark.parametrize("items,resps", [([1, 2], [1]), ([[1, 2]], [[1, 0]]), (1, 0)])
+def test_user_sequence_needs_two_1d_arrays_of_one_length(items, resps):
+    with pytest.raises(ValueError, match="^user 3: items and responses must be 1-D of one length$"):
+        D.UserSequence(3, items, resps)
 
 
 def test_dataset_rejects_duplicate_item_ids():

@@ -24,6 +24,11 @@ from gram.dataset import Batch, Item, UserSequence
 SMALL = M.ModelConfig(d=4, d_ff=6, l_ce=1, d_h=4, vocab_size=12, max_token_len=8)
 
 
+def user(uid, pairs):
+    """A ``UserSequence`` of (item, response) pairs."""
+    return UserSequence(uid, [i for i, _ in pairs], [r for _, r in pairs])
+
+
 def encode(seqs, ce):
     """``M.ce_encode`` of lists of token ids: rows 0..n-1 of their token table."""
     _, table = M.token_table([Item(k, tuple(toks)) for k, toks in enumerate(seqs)], ce.cfg)
@@ -442,7 +447,7 @@ def batch_of(seqs):
     """(batch, rows) for the batched paths: a Batch of the raw (item,
     response) lists ``seqs``, read from an ``enc`` whose row i encodes
     item i."""
-    batch = Batch([UserSequence(u, tuple(seq)) for u, seq in enumerate(seqs)])
+    batch = Batch([user(u, seq) for u, seq in enumerate(seqs)])
     return batch, batch.items
 
 
@@ -748,7 +753,7 @@ def test_batch_rejects_sequences_longer_than_max_interactions(variant):
     M.batch_sequence_loss(*batch_of(fits), stack, cf)
     too_long = fits + [[(0, 1), (1, 0), (0, 1), (1, 1)]]
     # user ids apart from batch positions, so the error names the user
-    batch = Batch([UserSequence(10 + u, tuple(seq)) for u, seq in enumerate(too_long)])
+    batch = Batch([user(10 + u, seq) for u, seq in enumerate(too_long)])
     with pytest.raises(ValueError, match="user 12 has 4 interactions"):
         M.batch_sequence_loss(batch, batch.items, stack, cf)
     with pytest.raises(ValueError, match="max_interactions 3"):

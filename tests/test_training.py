@@ -36,6 +36,11 @@ from gram.training import (
 SMALL_MODEL = ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=60)
 
 
+def user(uid, pairs):
+    """A ``UserSequence`` of (item, response) pairs."""
+    return UserSequence(uid, [i for i, _ in pairs], [r for _, r in pairs])
+
+
 def small_config(**kw):
     base = dict(model=SMALL_MODEL, cf_batch_size=4, seed=11)
     base.update(kw)
@@ -53,9 +58,9 @@ def dup_heavy_batch():
     """3 users, 12 interactions, 5 unique items."""
     items = [Item(i, tuple(range(1, 4 + i % 3))) for i in range(5)]
     users = [
-        UserSequence(0, ((0, 1), (1, 0), (2, 1), (3, 0))),
-        UserSequence(1, ((1, 1), (2, 0), (3, 1), (4, 0))),
-        UserSequence(2, ((0, 0), (2, 1), (4, 1), (1, 1))),
+        user(0, ((0, 1), (1, 0), (2, 1), (3, 0))),
+        user(1, ((1, 1), (2, 0), (3, 1), (4, 0))),
+        user(2, ((0, 0), (2, 1), (4, 1), (1, 1))),
     ]
     return Dataset(items=items, users=users), Batch(users=users)
 
@@ -253,9 +258,9 @@ def test_window_longer_than_epoch_rejected():
 
 def test_e2e_counts_per_occurrence():
     ds, _ = dup_heavy_batch()
-    user = UserSequence(0, ((0, 1), (1, 0)))
+    one = user(0, ((0, 1), (1, 0)))
     state = init_trainer(ds, "e2e", small_config())
-    train_step(Batch(users=[user]), state)
+    train_step(Batch(users=[one]), state)
     assert state.counters.ce_forward_calls == 2
     assert state.counters.ce_backward_calls == 2
     assert state.counters.cf_forward_calls == 1
@@ -429,7 +434,7 @@ def test_untouched_cache_entry_keeps_pseudo_target():
     train_step(batch, state)
     row = np.searchsorted(state.item_ids, 4)
     kept = state.window.targets[row].copy()
-    sub = Batch(users=[UserSequence(9, ((0, 1), (1, 0), (2, 1)))])
+    sub = Batch(users=[user(9, ((0, 1), (1, 0), (2, 1)))])
     train_step(sub, state)
     assert np.array_equal(state.window.targets[row], kept)
 
@@ -466,8 +471,8 @@ def test_single_occurrence_zero_cf_lr_gradient_equality():
     # every item occurs once and CF does not move: the regression gradient
     # must equal the joint-backprop encoder gradient
     items = [Item(i, (1 + i, 2 + i, 3)) for i in range(6)]
-    users = [UserSequence(0, ((0, 1), (1, 0), (2, 1))),
-             UserSequence(1, ((3, 0), (4, 1), (5, 0)))]
+    users = [user(0, ((0, 1), (1, 0), (2, 1))),
+             user(1, ((3, 0), (4, 1), (5, 0)))]
     ds = Dataset(items=items, users=users)
     batch = Batch(users=users)
     ce, cf = init_params(SMALL_MODEL, 3)
@@ -655,7 +660,7 @@ def test_numerical_abort_names_the_step():
 def test_unknown_item_fails_the_same_way_in_every_mode(mode):
     ds, _ = dup_heavy_batch()
     state = init_trainer(ds, mode, small_config())
-    batch = Batch(users=[UserSequence(0, ((0, 1), (999, 0), (2, 1)))])
+    batch = Batch(users=[user(0, ((0, 1), (999, 0), (2, 1)))])
     with pytest.raises(ValueError, match="item 999 is not in the dataset"):
         train_step(batch, state)
 
@@ -834,7 +839,7 @@ def test_verifier_skips_users_with_nothing_to_predict(seed):
     # batch holding only such users has no slot, so the verifier drops them
     # too. Here 7 of every 8 users keep only their first interaction
     ds = tiny_dataset(seed=9, n_users=16, n_items=8)
-    users = [u if k % 8 == 0 else UserSequence(u.user_id, u.interactions[:1])
+    users = [u if k % 8 == 0 else UserSequence(u.user_id, u.items[:1], u.resps[:1])
              for k, u in enumerate(ds.users)]
     ds = Dataset(items=ds.items, users=users)
     cfg = TrainConfig(model=SMALL_MODEL, cf_batch_size=2, seed=seed)
@@ -850,7 +855,7 @@ def test_verifier_without_a_user_to_predict_is_a_config_error_before_any_trial(m
     monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
     ds = tiny_dataset()
     ds = Dataset(items=ds.items,
-                 users=[UserSequence(u.user_id, u.interactions[:1]) for u in ds.users])
+                 users=[UserSequence(u.user_id, u.items[:1], u.resps[:1]) for u in ds.users])
     with pytest.raises(ConfigError, match="users of >= 2 interactions .* has none$"):
         verify_equivalence(ds, small_config(), n_trials=1, k_steps=1)
     assert steps == []
@@ -862,7 +867,8 @@ def test_verifier_rejects_a_user_longer_than_max_interactions_before_any_trial(m
     from gram import training
     ds = tiny_dataset()
     long = ds.users[-1]
-    users = [UserSequence(u.user_id, u.interactions * 20) if u is long else u for u in ds.users]
+    users = [UserSequence(u.user_id, np.tile(u.items, 20), np.tile(u.resps, 20)) if u is long else u
+             for u in ds.users]
     steps = []
     monkeypatch.setattr(training, "step_gradients", lambda *args: steps.append(args))
     monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
@@ -886,7 +892,7 @@ def test_evaluate_equals_the_per_prediction_oracle(variant):
     plan = plan_run(ds, cfg)
     # every third user answers every item wrong, so its group has no positive;
     # 80 users make two scoring batches
-    some_without = [UserSequence(u.user_id, tuple((i, 0) for i, _ in u.interactions))
+    some_without = [UserSequence(u.user_id, u.items, np.zeros_like(u.resps))
                     if k % 3 == 0 else u for k, u in enumerate(ds.users)]
     for users, cs_items in ((plan.test_users, plan.cs_items), (plan.test_users, None),
                             (some_without, plan.cs_items)):
@@ -900,14 +906,14 @@ def test_evaluate_skips_users_without_a_predictable_position():
     # skipping them leaves every metric as it is without them
     ds, _ = generate_synthetic(GenConfig(n_users=300), 5)
     state = init_trainer(ds, "gram", TrainConfig())
-    singles = [UserSequence(1000 + k, ((k % 80, k % 2),)) for k in range(100)]
+    singles = [user(1000 + k, ((k % 80, k % 2),)) for k in range(100)]
     assert evaluate(state, singles + ds.users) == evaluate(state, ds.users)
 
 
 def test_evaluate_names_an_item_outside_the_dataset():
     ds = tiny_dataset()
     state = init_trainer(ds, "gram", small_config())
-    stranger = UserSequence(99, ((0, 1), (77, 0), (1, 1)))
+    stranger = user(99, ((0, 1), (77, 0), (1, 1)))
     with pytest.raises(ValueError, match="item 77 is not in the dataset"):
         evaluate(state, ds.users + [stranger])
 
@@ -971,7 +977,7 @@ def test_single_class_split_is_rejected_before_training(monkeypatch, split):
     members = plan.val_users if split == "validation" else plan.test_users
     flip = {u.user_id for u in members}
     # the splits depend on seeds and items only, so flipping responses keeps them
-    users = [UserSequence(u.user_id, tuple((i, 1) for i, _ in u.interactions))
+    users = [UserSequence(u.user_id, u.items, np.ones_like(u.resps))
              if u.user_id in flip else u for u in ds.users]
     n_pos = sum(len(u) - 1 for u in members)
     steps = []
@@ -994,7 +1000,8 @@ def test_user_longer_than_max_interactions_is_rejected_before_training(monkeypat
             "test": plan.test_users}[split][0]
     # the splits depend on user positions and test items only, so
     # repeating a user's own interactions keeps them
-    users = [UserSequence(u.user_id, u.interactions * 20) if u.user_id == long.user_id else u
+    users = [UserSequence(u.user_id, np.tile(u.items, 20), np.tile(u.resps, 20))
+             if u.user_id == long.user_id else u
              for u in ds.users]
     steps = []
     monkeypatch.setattr(training, "train_step", lambda *args: steps.append(args))
