@@ -48,19 +48,20 @@ class Item:
 @dataclass(frozen=True, eq=False)
 class UserSequence:
     """One user's interactions in temporal order: ``items[k]`` drew response
-    ``resps[k]``, as 1-D intp arrays (not copied if they already are). Its
-    ``Dataset`` checks items and responses (0 or 1); ``autodiff.bce_loss``
-    and ``metrics.check_predictions`` check the labels they are given again."""
+    ``resps[k]``. Both are 1-D intp arrays, cast only from integer or bool input
+    (not copied if already intp). Its ``Dataset`` checks items and responses (0 or 1);
+    ``autodiff.bce_loss`` and ``metrics.check_predictions`` check the labels they get again."""
 
     user_id: int
     items: np.ndarray
     resps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "items", np.asarray(self.items, dtype=np.intp))
-        object.__setattr__(self, "resps", np.asarray(self.resps, dtype=np.intp))
-        if self.items.ndim != 1 or self.items.shape != self.resps.shape:
-            raise ValueError(f"user {self.user_id}: items and responses must be 1-D of one length")
+        for name in ("items", "resps"):
+            a = np.asarray(getattr(self, name))
+            if a.ndim != 1 or a.size and a.dtype.kind not in "biu" or len(a) != len(self.items):
+                raise ValueError(f"user {self.user_id}: items, resps must be 1-D integers of one length")
+            object.__setattr__(self, name, a.astype(np.intp, copy=False))
 
     def __len__(self):
         return self.items.size
@@ -380,10 +381,10 @@ def cold_start_split(d: Dataset, n_cs_items: int, seed: int, test_frac: float = 
             f"infeasible split: only {len(test_item_pool)} items occur in test sequences")
     cs_items = set(rng.choice(test_item_pool, size=n_cs_items, replace=False).tolist())
 
-    is_cs = np.isin(np.arange(max(it.item_id for it in d.items) + 1), list(cs_items))
-    kept = ((u, ~is_cs[u.items]) for u in train_users)
+    lengths, items, _ = _flat(train_users)
+    kept = np.split(~np.isin(items, list(cs_items)), lengths.cumsum()[:-1])
     stripped = [UserSequence(u.user_id, u.items[k], u.resps[k])
-                for u, k in kept if np.count_nonzero(k) >= 2]
+                for u, k in zip(train_users, kept) if np.count_nonzero(k) >= 2]
     return Dataset(d.items, stripped), Dataset(d.items, test_users), cs_items
 
 

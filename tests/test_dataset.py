@@ -180,7 +180,6 @@ def test_generator_matches_the_per_interaction_reference(tmp_path, cfg, seed):
     ref, ref_latents = reference_data.generate_synthetic(cfg, seed)
     assert d.items == ref.items
     assert d.users == ref.users
-    assert all(user.items.dtype == user.resps.dtype == np.intp for user in d.users)
     for name in ("item_topic", "item_difficulty", "user_ability"):
         assert np.array_equal(getattr(latents, name), getattr(ref_latents, name))
     D.save_dataset(d, tmp_path / "new")
@@ -243,6 +242,22 @@ def test_cold_start_split_invariants():
     assert all(len(user) >= 2 for user in train.users)
     assert len(train.users) + len(test.users) <= len(d.users)
     assert {u_.user_id for u_ in train.users}.isdisjoint({u_.user_id for u_ in test.users})
+
+
+def test_cold_start_split_takes_item_ids_of_any_size():
+    # ids near 10**12: the split must not size anything by the largest id
+    ids = [10**12 + k for k in range(4)]
+    items = [D.Item(i, (1,)) for i in ids]
+    users = [u(k, [(ids[(k + j) % 4], (k + j) % 2) for j in range(8)]) for k in range(10)]
+    train, test, cs_items = D.cold_start_split(D.Dataset(items, users), n_cs_items=1, seed=0)
+    assert len(cs_items) == 1 and cs_items <= set(ids)
+    assert len(train.users) == 8 and len(test.users) == 2
+    by_id = {user.user_id: user for user in users}
+    for user in train.users:
+        whole = by_id[user.user_id]
+        kept = [k for k, i in enumerate(whole.items.tolist()) if i not in cs_items]
+        assert user == D.UserSequence(user.user_id, whole.items[kept], whole.resps[kept])
+        assert len(user) == 6
 
 
 def test_cold_start_split_infeasible():
@@ -365,9 +380,10 @@ def test_dataset_rejects_a_response_out_of_range():
             u(4, [(0, 1), (0, 0)]), u(5, []), u(6, [(0, 1), (0, -1)]), u(7, [(0, 2)])])
 
 
-@pytest.mark.parametrize("items,resps", [([1, 2], [1]), ([[1, 2]], [[1, 0]]), (1, 0)])
+@pytest.mark.parametrize("items,resps", [
+    ([1, 2], [1]), ([[1, 2]], [[1, 0]]), (1, 0), ([0, 1], [1, 0.5]), ([0, 2.7], [1, 0])])
 def test_user_sequence_needs_two_1d_arrays_of_one_length(items, resps):
-    with pytest.raises(ValueError, match="^user 3: items and responses must be 1-D of one length$"):
+    with pytest.raises(ValueError, match="^user 3: items, resps must be 1-D integers of one length$"):
         D.UserSequence(3, items, resps)
 
 
