@@ -27,11 +27,12 @@ forms the gate factors and the w_hh and b_hh gradients in bulk, looping
 only to carry the state's gradient back. Its values and gradients agree
 with the per-user reference in ``tests/reference_cf.py`` to float64
 rounding, not bit for bit.
-``prefix_attention`` runs softmax attention and additive pooling over
-every proper prefix of every user's history, building the scores and
-their running row maximum once for all prefixes; it saves nothing beyond
-the table and recomputes them and each prefix's softmaxes in backward,
-so its activation memory does not grow with the number of prefixes.
+``prefix_attention`` runs causal softmax attention and additive pooling
+over every proper prefix of every user's history with no loop: a
+position attends only to the positions before it and itself, so each
+prefix's pooling is one row of a second causal softmax; it saves nothing
+beyond the table and recomputes the forward in backward, so its
+activation memory does not grow with the number of prefixes.
 ``ce_block`` runs one residual encoder layer over the ragged token rows
 of many items, looping only over the length groups of its attention; it
 saves its intermediates and recomputes nothing, so a joint backward
@@ -801,39 +802,64 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     return _result(hs, (xg, w_hh, b_hh), run, op="gru_scan", saved_elements=5 * hs.size)
 
 
+def _softmax_backward_inplace(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_softmax_backward`` along the last axis of 3-D arrays, written
+    into *g*, with no temporary the size of *out*. Returns *g*."""
+    g -= np.einsum("bij,bij->bi", g, out)[..., None]
+    g *= out
+    return g
+
+
+def _causal_softmax(s: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Softmax of each row i of the (B, T, T) *s* over its keys j <= i, in
+    place: the keys *above* the diagonal are set to -inf, so they get
+    weight 0, and each row is stabilised by its own maximum. Returns *s*."""
+    np.copyto(s, -np.inf, where=above)
+    s -= s.max(axis=2, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=2, keepdims=True)
+    return s
+
+
 def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths) -> Tensor:
-    """Self-attention plus additive pooling over every proper prefix of
-    every user's history, as one node.
+    """Causal self-attention plus additive pooling over every proper prefix
+    of every user's history, as one node.
 
     Rows of *qkv* (P, 2*d_h + d) are projected interactions, with the
     query, key and value side by side in the column order [q | k | v],
     d_h, d_h and d wide; d and d_h are *w_pool*'s shape. Interaction j
     reads row rows[j] of *qkv*, so interactions that share a projection
-    share a row; user i owns the next lengths[i] interactions. For each
-    prefix length n = 1 .. max(lengths) - 1, the B_n users longer than n
-    attend over their first n interactions: a = softmax(q k^T / sqrt(d_h))
-    over each row, ctx = a v, pooling weights w = softmax over the n
-    positions of tanh(ctx @ w_pool) @ v_pool, and the user vector is
-    w^T ctx. Returns the (n_slots, d) user vectors in the order it
-    computes them, ``slot_order``'s: prefix length ascending, then users
+    share a row; user i owns the next lengths[i] interactions. Position i
+    of a user attends causally, to its positions j <= i only, as SAKT does
+    (Pandey & Karypis 2019, arXiv:1907.06837): a = softmax over j <= i of
+    q_i k_j / sqrt(d_h) and ctx_i = sum_j a_ij v_j, so a position's context
+    does not depend on the prefix that holds it. Each position scores
+    e_i = tanh(ctx_i @ w_pool) @ v_pool, and the user vector of a user's
+    prefix of length n, 1 <= n < its length, is sum_{j<n} w_j ctx_j, with
+    pooling weights w = softmax of e_0 .. e_{n-1}. Returns the (n_slots, d)
+    user vectors in ``slot_order``: prefix length ascending, then users
     longest first.
 
-    Every prefix's scores are a corner of its user's padded (T, T) score
-    matrix, T = max(lengths) - 1, so each call builds the (B, T, T)
-    scores of the B users with a proper prefix, and their running row
-    maximum along the keys, once. Prefix n reads its scores and their
-    softmax stabiliser as basic slices, the same values a per-prefix max
-    gives, and loops only over the softmaxes and the pooling. The live
-    scores are checked to be finite, so an overflow names the shortest
-    prefix that reads it; no prefix reads padding, so a non-finite padded
-    score raises nothing.
+    The B users with a proper prefix are laid out padded, (B, T) with
+    T = max(lengths) - 1, and padded positions are zeroed. There is no
+    loop: one batched matmul gives the (B, T, T) scores, a causal softmax
+    turns them into a and ctx = a v, and the pooling of every prefix is a
+    second causal softmax, row i over e_0 .. e_i for the prefix of length
+    i + 1, applied by one (B, T, T) @ (B, T, d) matmul. Every row of both
+    softmaxes is stabilised by its own maximum, so one code path is exact
+    whatever the scale of v_pool. A live position reads only live
+    positions, so padding changes no live value and a padded row, whose
+    scores are 0, computes only finite values. A non-finite score that a
+    prefix reads, at (i, j) with j <= i, raises naming prefix length
+    i + 1, the shortest that reads it; scores above the diagonal are
+    read by none and raise nothing.
 
     Backward keeps nothing beyond the operands and the index: it gathers
-    through *rows* again and rebuilds the scores and their running max,
-    as FlashAttention recomputes (Dao et al. 2022, arXiv:2205.14135).
-    It recomputes each prefix's softmaxes and pooling, sums every
-    prefix's score gradient into one (B, T, T) array, and turns that
-    into the q and k gradients with two batched matmuls. The q/k/v
+    through *rows* again and recomputes the forward, as FlashAttention
+    does (Dao et al. 2022, arXiv:2205.14135), then runs the chain back
+    with batched matmuls. Both softmaxes' gradients are formed in place
+    and the pooling's arrays are dropped before the attention's, so
+    backward holds at most three (B, T, T) arrays at once. The q/k/v
     gradients are scatter-added to the table rows once, so a row several
     interactions read sums their gradients. A user's last interaction is
     read by no prefix and passes no gradient.
@@ -845,65 +871,54 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
         raise ShapeError(f"prefix_attention: qkv {x.shape}, w_pool {wp.shape} and v_pool "
                          f"{vp.shape} must be (P, 2*d_h + d), (d, d_h) and (d_h, 1)")
     idx = _row_ids("prefix_attention", rows, x.shape[0])
-    slot_rows, live, counts, ats, _ = _slots("prefix_attention", idx.size, lengths)
-    # padded (B, T) table rows, users longest first: prefix n is the basic
-    # slice [:B_n, :n]. Padding aliases row idx[0]; no prefix reads it, and
-    # as tensors are finite, its zero score gradients add exact zeros in
-    # backward's batched matmuls
+    slot_rows, live, _, _, _ = _slots("prefix_attention", idx.size, lengths)
+    # padded (B, T) table rows, users longest first; live.T is step-major,
+    # the output order
     pad_rows, live = idx[slot_rows.T], live.T
+    above = np.triu(np.ones((live.shape[1],) * 2, dtype=bool), 1)      # key j > query i
     scale_qk = dh ** -0.5       # a Python float keeps float32 operands float32
 
-    def operands():
-        return x[pad_rows, :dh] * scale_qk, x[pad_rows, dh:2 * dh], x[pad_rows, 2 * dh:]
-
-    def scores(qs, kp):
-        # padded pairs may overflow harmlessly, so the check below, not a
-        # floating-point warning, reports an overflow
+    def attend():
+        """The padded operands, a, ctx, tanh(ctx @ w_pool) and the pooling
+        weights of every position."""
+        xp = x[pad_rows]
+        xp[~live] = 0.0
+        qs, kp, vpad = xp[..., :dh] * scale_qk, xp[..., dh:2 * dh], xp[..., 2 * dh:]
+        # a score above the diagonal may overflow harmlessly, so the check
+        # below, not a floating-point warning, reports an overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            s = qs @ kp.transpose(0, 2, 1)
-        if not np.isfinite(s).all():
-            bad = ~np.isfinite(s) & live[:, :, None] & live[:, None, :]
+            a = qs @ kp.transpose(0, 2, 1)
+        if not np.isfinite(a).all():
+            bad = ~np.isfinite(a) & ~above
             if bad.any():
-                _, j, m = np.nonzero(bad)
                 raise NonFiniteError(f"prefix_attention produced non-finite attention scores "
-                                     f"at prefix length {np.maximum(j, m).min() + 1}")
-        return s, np.maximum.accumulate(s, axis=2)
+                                     f"at prefix length {np.nonzero(bad)[1].min() + 1}")
+        ctx = _causal_softmax(a, above) @ vpad
+        t = np.tanh(ctx.reshape(-1, d) @ wp)
+        pw = np.empty_like(a)
+        np.copyto(pw, (t @ vp).reshape(a.shape[0], 1, -1))     # pw[b, i, j] = e[b, j]
+        return qs, kp, vpad, a, ctx, t, _causal_softmax(pw, above)
 
-    def attend(n, b, s, smax, vpad):
-        a = s[:b, :n, :n] - smax[:b, :n, n - 1:n]
-        np.exp(a, out=a)
-        a /= a.sum(axis=2, keepdims=True)
-        ctx = a @ vpad[:b, :n]
-        t = np.tanh(ctx.reshape(b * n, d) @ wp)
-        return a, ctx, t, _softmax((t @ vp).reshape(b, 1, n))     # w is (b, 1, n)
-
-    out = np.empty((ats[-1], d), dtype=x.dtype)
-    qs, kp, vpad = operands()
-    s, smax = scores(qs, kp)
-    for n, (at, b) in enumerate(zip(ats, counts), 1):
-        _, ctx, _, w = attend(n, b, s, smax, vpad)
-        out[at:at + b] = (w @ ctx).reshape(b, d)
+    *_, ctx, _, pw = attend()
+    out = (pw @ ctx).transpose(1, 0, 2)[live.T]
 
     def run(g, acc):
         # each expression follows the backward of the primitive it fuses
         # (matmul, softmax, tanh, reshape, transpose)
-        qs, kp, vpad = operands()
-        s, smax = scores(qs, kp)
-        ds, dvpad = np.zeros_like(s), np.zeros_like(vpad)
-        dwp, dvp = np.zeros_like(wp), np.zeros_like(vp)
-        wp_t, vp_t = wp.T, vp.T
-        for n, (at, b) in enumerate(zip(ats, counts), 1):
-            a, ctx, t, w = attend(n, b, s, smax, vpad)
-            gu = g[at:at + b].reshape(b, 1, d)
-            dw = gu @ ctx.transpose(0, 2, 1)
-            dctx = w.transpose(0, 2, 1) @ gu
-            dpre = _softmax_backward(w, dw).reshape(b * n, 1)
-            dvp += t.T @ dpre
-            dht = (dpre @ vp_t) * (1.0 - t * t)
-            dwp += ctx.reshape(b * n, d).T @ dht
-            dctx += (dht @ wp_t).reshape(b, n, d)
-            ds[:b, :n, :n] += _softmax_backward(a, dctx @ vpad[:b, :n].transpose(0, 2, 1))
-            dvpad[:b, :n] += a.transpose(0, 2, 1) @ dctx
+        qs, kp, vpad, a, ctx, t, pw = attend()
+        gu = np.zeros_like(ctx)
+        gu.transpose(1, 0, 2)[live.T] = g
+        dpw = gu @ ctx.transpose(0, 2, 1)
+        dctx = pw.transpose(0, 2, 1) @ gu
+        de = _softmax_backward_inplace(pw, dpw).sum(axis=1).reshape(-1, 1)     # e_j sums column j
+        del pw, dpw
+        dvp = t.T @ de
+        dht = (de @ vp.T) * (1.0 - t * t)
+        dwp = ctx.reshape(-1, d).T @ dht
+        dctx += (dht @ wp.T).reshape(dctx.shape)
+        dvpad = a.transpose(0, 2, 1) @ dctx
+        ds = _softmax_backward_inplace(a, dctx @ vpad.transpose(0, 2, 1))
+        del a
         dq, dk = (ds @ kp) * scale_qk, ds.transpose(0, 2, 1) @ qs
         dlive = np.concatenate((dq[live], dk[live], dvpad[live]), axis=1)
         acc(qkv, _scatter_rows(pad_rows[live], dlive, x))

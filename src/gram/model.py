@@ -19,9 +19,9 @@ Two modules cooperate:
   - ``recurrent``: a gated recurrent cell consumes (encoding (+) response
     embedding) inputs; the score for a candidate is
     sigmoid(hidden . readout(candidate)).
-  - ``attention``: single-head self-attention over the history's
-    interaction vectors, additive-attention pooling to a user vector u,
-    score sigmoid(u . candidate + b).
+  - ``attention``: causal single-head self-attention over the history's
+    interaction vectors (position i attends to positions 0..i), additive
+    pooling to a user vector u, score sigmoid(u . candidate + b).
 
 Sequence losses do next-response prediction: position n >= 1 is predicted
 from interactions 0..n-1 only (no leakage), and the loss is the sum of the
@@ -48,11 +48,11 @@ datasets), so the kept projections follow the pairs; in joint backprop
 every pair is distinct. One fused op then runs the users' ragged
 sequences, and one ``autodiff.row_dot`` scores every predicted slot
 against its candidate, so a loss graph has 10 nodes (recurrent) or 9
-(attention) in every mode and for any sequence length. Nothing is
-padded: step n of a fused op reads interactions 0..n of each user longer
-than n + 1 and predicts interaction n + 1, the users run longest first
-so each step's users are a leading slice, and the op returns one row per
-predicted slot in the order it computes them.
+(attention) in every mode and for any sequence length. Step n of a fused
+op reads interactions 0..n of each user longer than n + 1 and predicts
+interaction n + 1, the users run longest first so each step's users are
+a leading slice, and the op returns one row per predicted slot in the
+order it computes them.
 
 * The recurrent CF's ``autodiff.gru_scan`` takes the table of projected
   pairs and the per-interaction index, and runs the h-side of the cell
@@ -62,16 +62,15 @@ predicted slot in the order it computes them.
   projects each distinct candidate row once by ``w_readout``, and
   ``row_dot`` keeps the states and that projection.
 * The attention CF's ``autodiff.prefix_attention`` takes the table of
-  projected pairs and the per-interaction index. It builds each user's
-  padded score matrix and its running row maximum once per call, and
-  runs, for each prefix length n, the softmax on a (B_n, n, n) corner of
-  those scores and the pooling over the n axis. Its backward sums every
-  prefix's score gradient before two batched matmuls give the q and k
-  gradients. It keeps only the table and recomputes the scores and each
-  prefix in backward, so neither the node count nor the saved
-  activations grow with the number of prefixes. ``row_dot`` reads the
-  candidates straight from ``enc`` and keeps the pooled user vectors
-  and ``enc``.
+  projected pairs and the per-interaction index. Its attention is causal,
+  so a position's context does not depend on the prefix that holds it,
+  and it runs every prefix at once on the users' padded (B, T) layout:
+  one masked (B, T, T) softmax gives every context, and a second gives
+  every prefix's pooling weights, one row per prefix. It keeps only the
+  table and recomputes the forward in backward, so neither the node
+  count nor the saved activations grow with the number of prefixes.
+  ``row_dot`` reads the candidates straight from ``enc`` and keeps the
+  pooled user vectors and ``enc``.
 
 A user's last interaction and a 1-interaction user's row feed no step,
 so they get exactly zero gradient through the CF's history side. The
@@ -195,8 +194,9 @@ class RecurrentCfParams(_Params):
 
 @dataclass
 class AttentionCfParams(_Params):
-    """Self-attention over history interaction vectors plus additive
-    pooling; the pooled user vector scores candidates by dot product."""
+    """Causal self-attention over history interaction vectors plus
+    additive pooling; the pooled user vector scores candidates by dot
+    product."""
 
     cfg: ModelConfig
     resp_embedding: Tensor      # (2, d)

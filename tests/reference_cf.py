@@ -2,11 +2,12 @@
 
 Each user's history runs as its own graph, one interaction at a time: the
 recurrent CF as one cell update per interaction, the attention CF as one
-attention graph per prefix. The library's batched paths
-(``batch_logits``, ``batch_sequence_loss``, ``batch_scores``) must agree
-with these to float64 roundoff; only the order of additions differs.
+attention graph per prefix, in which position i attends over positions
+0..i only. The library's batched paths (``batch_logits``,
+``batch_sequence_loss``, ``batch_scores``) must agree with these to
+float64 roundoff; only the order of additions differs.
 ``prefix_attention_loop`` is the oracle for the fused attention op
-itself: one score matmul and row maximum per prefix length.
+itself: one causal attention per prefix length.
 """
 
 import numpy as np
@@ -48,13 +49,19 @@ def _gru_step(h: Tensor, x: Tensor, p: RecurrentCfParams) -> Tensor:
 
 
 def _attend_pool(xs: list[Tensor], p: AttentionCfParams) -> Tensor:
-    """Self-attend over history rows and pool to a (1, d) user vector."""
+    """Causally self-attend over history rows, position i over rows 0..i
+    only, and pool to a (1, d) user vector."""
     x = ad.concat(xs, axis=0) if len(xs) > 1 else xs[0]
     q = ad.matmul(x, p.wq)
     k = ad.matmul(x, p.wk)
     v = ad.matmul(x, p.wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(p.cfg.d_h))
-    ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
+    ctxs = []
+    for i in range(len(xs)):
+        seen = list(range(i + 1))
+        scores = ad.scale(ad.matmul(ad.gather(q, [i]), ad.transpose(ad.gather(k, seen))),
+                          1.0 / np.sqrt(p.cfg.d_h))
+        ctxs.append(ad.matmul(ad.softmax(scores, axis=-1), ad.gather(v, seen)))
+    ctx = ad.concat(ctxs, axis=0) if len(ctxs) > 1 else ctxs[0]
     w = ad.softmax(ad.matmul(ad.tanh(ad.matmul(ctx, p.w_pool)), p.v_pool), axis=0)
     return ad.matmul(ad.transpose(w), ctx)
 
@@ -121,10 +128,11 @@ def sequence_loss(user, encodings, p: CfParams) -> Tensor:
 
 def prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g):
     """``autodiff.prefix_attention`` in numpy with one attention per prefix
-    length: prefix n computes its own (B_n, n, n) scores and row maxima,
-    and adds its own q and k gradients by two matmuls. Returns the op's
-    output on table *x* and the gradients of sum(output * g) with respect
-    to x, w_pool and v_pool."""
+    length: prefix n computes its own (B_n, n, n) scores, masks the keys
+    after each query and takes the softmax, pooling and their gradients
+    over its n positions alone. Returns the op's output on table *x* and
+    the gradients of sum(output * g) with respect to x, w_pool and
+    v_pool."""
     d, dh = w_pool.shape
     idx = np.asarray(rows)
     slot_rows, live, counts, ats, _ = ad._slots("prefix_attention_loop", idx.size, lengths)
@@ -134,7 +142,7 @@ def prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g):
 
     def attend(n, b):
         qn, kn, vn = qs[:b, :n], kp[:b, :n], vpad[:b, :n]
-        a = ad._softmax(qn @ kn.transpose(0, 2, 1))
+        a = ad._softmax(np.where(np.tri(n, dtype=bool), qn @ kn.transpose(0, 2, 1), -np.inf))
         ctx = a @ vn
         t = np.tanh(ctx.reshape(b * n, d) @ w_pool)
         return qn, kn, vn, a, ctx, t, ad._softmax((t @ v_pool).reshape(b, 1, n))

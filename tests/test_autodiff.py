@@ -1031,17 +1031,17 @@ def pa_values_and_grads(x, rows, w_pool, v_pool, lengths, g):
 
 
 def assert_matches_the_loop(x, rows, w_pool, v_pool, lengths, rtol, seed=0):
-    """Outputs bit for bit; gradients to *rtol* of each gradient's largest
-    component, as summing the prefixes' score gradients before the q and k
-    matmuls reorders additions."""
+    """Outputs and gradients to *rtol* of each array's largest component,
+    as the op's matmuls over padded (T, T) rows, whose masked terms are
+    exact zeros, add in another order than the loop's over n positions."""
     g = np.random.default_rng(seed).standard_normal((int(np.maximum(lengths - 1, 0).sum()),
                                                      w_pool.shape[0])).astype(x.dtype)
     got = pa_values_and_grads(x, rows, w_pool, v_pool, lengths, g)
     want = R.prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g)
-    assert np.array_equal(got[0], want[0])
-    for a, b in zip(got[1:], want[1:]):
+    for a, b in zip(got, want):
         assert a.dtype == b.dtype
         np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol * np.abs(b).max())
+    return got
 
 
 # float32 rounds at 6e-8 where float64 rounds at 1.1e-16, so its
@@ -1080,6 +1080,23 @@ def test_prefix_attention_ignores_overflow_in_padding():
     with np.errstate(all="raise", under="ignore"):
         assert_matches_the_loop(x, np.arange(x.shape[0]), a["w_pool"].data, a["v_pool"].data,
                                 lengths, 1e-12)
+    # a leading 1-interaction user's row 0 is read by no prefix, so padding
+    # aliases it. Its query and key at 1e200 overflow q.k, yet every output
+    # and gradient is finite and equals those with a finite row 0, which
+    # gets no gradient
+    lengths = np.array([1, 7, 2, 4])
+    x = np.vstack((np.random.default_rng(25).standard_normal((1, 10)),
+                   padded_overflow_table(lengths[1:])))
+    x_inf = x.copy()
+    x_inf[0, :6] = 1e200
+    g = np.random.default_rng(26).standard_normal((10, 4))
+    with np.errstate(all="raise", under="ignore"):
+        want = pa_values_and_grads(x, np.arange(14), a["w_pool"].data, a["v_pool"].data, lengths, g)
+        got = pa_values_and_grads(x_inf, np.arange(14), a["w_pool"].data, a["v_pool"].data,
+                                  lengths, g)
+    for v, w in zip(got, want):
+        assert np.isfinite(v).all() and np.array_equal(v, w)
+    assert np.all(got[1][0] == 0.0)
 
 
 def test_prefix_attention_names_the_shortest_prefix_of_a_live_overflow():
@@ -1091,6 +1108,24 @@ def test_prefix_attention_names_the_shortest_prefix_of_a_live_overflow():
     x[9 + 4, 3:6] = 1e200
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="prefix length 5$"):
         prefix_attention(tensor(x), np.arange(15), a["w_pool"], a["v_pool"], lengths)
+
+
+# ||v_pool||_1 bounds each pooling score, so scores of one user lie up to
+# 2 * ||v_pool||_1 apart: 2 000 in float64 and 200 in float32, past where
+# exp of their spread underflows the dtype (about 745 and 104). One
+# stabiliser per user would need a second path there; each softmax row has
+# its own maximum, so one path stays exact
+@pytest.mark.parametrize("dtype,norm,rtol", [(np.float64, 1000.0, 1e-12), (np.float32, 100.0, 1e-5)])
+def test_prefix_attention_is_exact_at_any_pooling_scale(dtype, norm, rtol):
+    rng = np.random.default_rng(27)
+    lengths = np.array([9, 4, 12, 1, 6])
+    x = rng.standard_normal((lengths.sum(), 10)).astype(dtype)
+    w_pool = (0.5 * rng.standard_normal((4, 3))).astype(dtype)
+    v_pool = rng.standard_normal((3, 1))
+    v_pool = (v_pool * norm / np.abs(v_pool).sum()).astype(dtype)
+    with np.errstate(all="raise", under="ignore"):
+        got = assert_matches_the_loop(x, np.arange(x.shape[0]), w_pool, v_pool, lengths, rtol)
+    assert all(np.isfinite(v).all() for v in got)
 
 
 def test_prefix_attention_saves_only_its_operands_and_nothing_under_no_grad():
@@ -1143,10 +1178,11 @@ def test_fused_ops_accept_users_without_interactions(op, width):
 
 
 def attention_user_vector(x, w_pool, v_pool, rows):
-    """The pooled user vector of one prefix reading table rows *rows*."""
+    """The pooled user vector of one prefix reading table rows *rows*,
+    position i attending over positions 0..i."""
     dh = w_pool.shape[1]
     q, k, v = x[rows, :dh], x[rows, dh:2 * dh], x[rows, 2 * dh:]
-    ctx = ad._softmax(q @ k.T / np.sqrt(dh)) @ v
+    ctx = ad._softmax(np.where(np.tri(len(rows), dtype=bool), q @ k.T / np.sqrt(dh), -np.inf)) @ v
     w = ad._softmax(np.tanh(ctx @ w_pool) @ v_pool, axis=0)
     return (w.T @ ctx)[0]
 
