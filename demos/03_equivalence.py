@@ -1,5 +1,6 @@
-"""The core claim, step by step: training the encoder against
-pseudo-targets reproduces joint backpropagation exactly.
+"""The core claim, step by step: summing each item encoding's gradient
+over its touches and backpropagating that sum through the encoder
+reproduces joint backpropagation exactly.
 
 Part 1 shows the mechanics on one batch; part 2 lets the built-in
 verifier sweep gradients and full 50-step trajectories.
@@ -40,8 +41,9 @@ def main():
     print(f"joint-backprop loss {rep_ref['loss']:.6f}, cached loss {rep_alt['loss']:.6f}")
     print(f"encoder-gradient max rel err: {max_rel_err(ref['ce'], alt['ce']):.2e}")
     print(f"(the cached step encodes each of the {rep_alt['ce_items']} unique items "
-          "once, regresses the encoder onto encoding-minus-gradient targets, "
-          "and recovers the same parameter gradients up to float rounding)")
+          "once, sums each item's dL/dh over its touches, backpropagates the sums "
+          "through the encoder, and recovers the same parameter gradients up to "
+          "float rounding)")
 
     # --- gradients and trajectories, both optimizers -------------------
     cfg = TrainConfig(model=model, cf_batch_size=8, seed=3)

@@ -1090,16 +1090,23 @@ def mse_half(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def backward(loss: Tensor) -> dict[Tensor, Tensor]:
-    """Reverse-mode gradients of a scalar loss.
+def backward(loss: Tensor, grad: np.ndarray | None = None) -> dict[Tensor, Tensor]:
+    """Reverse-mode gradients of *loss*, seeded with ``grad``.
+
+    Without ``grad`` the seed is a scalar 1, so *loss* must be a scalar.
+    A seed of *loss*'s shape is its cotangent dL/dloss for some scalar L
+    outside the graph, so the result is the chain rule's dL/dleaf: the
+    gradients of ``sum_all(mul(loss, Tensor(grad)))``, bit for bit. A seed
+    of another shape is a ShapeError; the seed is copied, never written.
 
     Returns a map from every grad-enabled leaf reachable from *loss* to
     its gradient. The graph is consumed: saved activations are released
     and a second backward over any of its nodes raises
     ``GraphConsumedError``.
     """
-    if loss.data.ndim != 0:
-        raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
+    seed = np.ones((), loss.data.dtype) if grad is None else np.array(grad, loss.data.dtype)
+    if seed.shape != loss.shape:
+        raise ShapeError(f"backward: seed shape {seed.shape} for output shape {loss.shape}")
     if not loss.grad_enabled:
         raise AutodiffError("backward: loss does not participate in any gradient")
     if loss._consumed:
@@ -1124,7 +1131,7 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
                 raise GraphConsumedError("backward: graph shares nodes with a consumed graph")
             work.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
+    grads: dict[int, np.ndarray] = {id(loss): seed}
 
     def acc(t: Tensor, g: np.ndarray) -> None:
         if not t.grad_enabled:

@@ -451,11 +451,11 @@ def load_interactions(path) -> list[UserSequence]:
             try:
                 sid, body = line.split("\t")
                 pairs = [pair.split(":") for pair in body.split(",")] if body else []
-                items, resps = [int(p[0]) for p in pairs], [int(p[1]) for p in pairs]
+                items, resps = [int(i) for i, _ in pairs], [int(r) for _, r in pairs]
                 if not set(resps) <= {0, 1}:
                     raise ValueError("response not in {0,1}")
                 users.append(UserSequence(int(sid), items, resps))
-            except (ValueError, IndexError) as e:
+            except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: malformed interaction line") from e
     return users
 

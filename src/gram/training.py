@@ -10,11 +10,10 @@ Training modes
     Alternating: the collaborative filter reads one grad-enabled leaf of
     item encodings. Within a window every touch of an item reads the
     encoding h of its first touch, so the encoder runs once per *distinct*
-    item per window, and subtracts its dL/dh from the item's pseudo-target
-    h~ = h - sum dL/dh (SGD on the representation with learning rate
-    exactly 1). When the window closes the encoder regresses onto the
-    pseudo-targets of the window's items, in first-touch order, and the
-    window empties.
+    item per window, and adds its dL/dh to the item's sum. When the window
+    closes the encoder re-encodes the window's items, in first-touch
+    order, backpropagates each item's summed dL/dh from its encoding, and
+    the window empties.
 ``no_content``
     A trainable item-embedding table replaces the encoder entirely.
 ``no_finetune``
@@ -24,22 +23,24 @@ All four share one step and one window of N steps, the window
 ``latency`` resolves to. ``step_gradients`` does everything up to the
 optimizers: a per-mode builder supplies the CF's item representations,
 one backward runs through the batch loss, and in ``gram`` the leaf's
-gradient goes into the pseudo-targets. The CF's gradient is handed out
+gradient is added to the window's sums. The CF's gradient is handed out
 every step; the encoder's (or ``no_content``'s table's) is summed over
-the window, with ``gram``'s regression, and handed out at its close.
+the window, with ``gram``'s backward from the sums, and handed out at its
+close.
 ``train_step`` then clips and steps each module on its own optimizer.
 
 An item is addressed one way, from init to loss: as its row k among the
 sorted item ids, found once per step. Row k holds its row of the token
 table, its baseline table row and, in ``gram``, its window state.
 
-The regression runs ``ce_batch_size`` cached items per graph and sums
-the chunks' gradients, so the chunk size bounds the encoder graph's
+The window's backward runs ``ce_batch_size`` cached items per graph and
+sums the chunks' gradients, so the chunk size bounds the encoder graph's
 memory and leaves the trajectory alone. The encoder does not move inside
-a window, so its regression gradient equals the joint-backprop encoder
-gradient summed over the window: a ``gram`` window of N steps equals
-joint backprop at update latency N. ``verify_equivalence`` measures this
-on the trainer's own step: it compares the ``step_gradients`` of an
+a window, so by the chain rule J^T sum dL/dh, J the Jacobian of each
+item's encoding at the window-start parameters, is the joint-backprop
+encoder gradient summed over the window: a ``gram`` window of N steps
+equals joint backprop at update latency N. ``verify_equivalence``
+measures this on the trainer's own step: it compares the ``step_gradients`` of an
 ``e2e`` and a ``gram`` trainer that hold the same parameters, then the
 two modes' ``train_step`` trajectories at the config's latency.
 """
@@ -247,9 +248,9 @@ class TrainConfig:
     and initial parameters. ``latency`` is every mode's gradient-update
     latency, the window between encoder (or table) updates (see
     ``accumulation_latency``). ``ce_batch_size`` is the number of cached
-    items the encoder regression puts in one graph (0 = the whole cache);
-    it bounds that graph's memory only, since the chunks' gradients are
-    summed into one encoder step per window. The config is frozen and
+    items the window's encoder backward puts in one graph (0 = the whole
+    cache); it bounds that graph's memory only, since the chunks'
+    gradients are summed into one encoder step per window. The config is frozen and
     checks itself when built (``dataclasses.replace`` included), as its
     nested configs do: a value out of range raises ConfigError.
     """
@@ -381,11 +382,11 @@ def epoch_batches(users, cfg: TrainConfig, epoch: int):
 class Window:
     """``gram``'s open window over item rows: ``rows`` in first-touch order,
     marked in ``touched``. Touched row r holds its first-touch encoding,
-    which every touch reads, in ``encodings[r]`` and its pseudo-target h~
-    in ``targets[r]``; other rows are stale and unread."""
+    which every touch reads, in ``encodings[r]`` and the sum of its
+    touches' dL/dh in ``dh[r]``; other rows are stale and unread."""
 
     encodings: np.ndarray           # (n_items, d)
-    targets: np.ndarray             # (n_items, d)
+    dh: np.ndarray                  # (n_items, d)
     touched: np.ndarray             # (n_items,) bool
     rows: list = field(default_factory=list)
 
@@ -478,28 +479,29 @@ def _cache_leaves(rows: np.ndarray, window: Window, ce: CeParams, tokens: TokenT
     row k is the window-start encoding of item row ``rows[k]``.
 
     Rows new to the window are encoded in one no-grad call; that encoding
-    is what every later touch reads, and it seeds the row's pseudo-target.
+    is what every later touch reads, and the row's dL/dh sum starts at zero.
     Returns (leaf, encoder forwards).
     """
     new = rows[~window.touched[rows]]
     if new.size:
         with ad.no_grad():
-            window.encodings[new] = window.targets[new] = ce_encode(new, tokens, ce).data
+            window.encodings[new] = ce_encode(new, tokens, ce).data
+        window.dh[new] = 0.0
         window.touched[new] = True
         window.rows.extend(new.tolist())
     return Tensor(window.encodings[rows], grad_enabled=True), new.size
 
 
-def _write_back(targets: np.ndarray, rows, item_ids, leaf: Tensor, gmap: dict) -> None:
-    """Accumulate h~ = h - sum of dL/dh over the window into ``targets``:
-    row ``rows[k]`` (distinct, so plain indexing scatters) loses row k of
-    the leaf's gradient. The first row, in ``rows``' order, whose new
-    target is non-finite is a NonFiniteError naming its item id."""
-    new = targets[rows] - gmap[leaf].data
+def _write_back(dh: np.ndarray, rows, item_ids, leaf: Tensor, gmap: dict) -> None:
+    """Sum dL/dh over the window in ``dh``: row ``rows[k]`` (distinct, so
+    plain indexing scatters) gains row k of the leaf's gradient. The first
+    row, in ``rows``' order, whose new sum is non-finite is a
+    NonFiniteError naming its item id."""
+    new = dh[rows] + gmap[leaf].data
     bad = ~np.isfinite(new).all(axis=1)
     if bad.any():
-        raise NonFiniteError(f"pseudo-target for item {item_ids[rows[np.argmax(bad)]]} is non-finite")
-    targets[rows] = new
+        raise NonFiniteError(f"dL/dh sum for item {item_ids[rows[np.argmax(bad)]]} is non-finite")
+    dh[rows] = new
 
 
 def _sum_grads(total: dict, grads: dict) -> None:
@@ -508,23 +510,19 @@ def _sum_grads(total: dict, grads: dict) -> None:
         total[name] = total[name] + g if name in total else g
 
 
-def _regress(ce: CeParams, tokens: TokenTable, rows: list, targets: np.ndarray,
-             chunk_size: int, grads: dict) -> float:
-    """The half squared error between the encoder's outputs for item
-    ``rows`` and their ``targets`` rows, summing its gradients into ``grads``.
+def _encoder_backward(ce: CeParams, tokens: TokenTable, rows: list, dh: np.ndarray,
+                      chunk_size: int, grads: dict) -> None:
+    """Sum into ``grads`` the encoder's gradient J^T dh over item ``rows``:
+    each row's encoding is backpropagated with its ``dh`` row as the seed.
 
     ``chunk_size`` rows are encoded and backpropagated per graph (0 = all
-    at once), so one chunk's activations are alive at a time; the loss and
-    the gradients are summed over the chunks.
+    at once), so one chunk's activations are alive at a time; the
+    gradients are summed over the chunks.
     """
-    named, loss, size = ce.named(), 0.0, chunk_size or len(rows)
+    named, size = ce.named(), chunk_size or len(rows)
     for lo in range(0, len(rows), size):
         chunk = np.array(rows[lo:lo + size])
-        pred = ce_encode(chunk, tokens, ce)
-        ploss = ad.mse_half(Tensor(targets[chunk]), pred)
-        _sum_grads(grads, _named_grads(named, ad.backward(ploss)))
-        loss += ploss.item()
-    return loss
+        _sum_grads(grads, _named_grads(named, ad.backward(ce_encode(chunk, tokens, ce), dh[chunk])))
 
 
 def _item_rows(item_ids: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -553,8 +551,8 @@ def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
     ``enc`` holds the representations the CF reads, ``enc[index[k]]`` the
     batch's interaction k's. In ``e2e`` row k encodes interaction k; in
     ``gram`` row j is item row ``rows[j]``'s, in the leaf whose gradient
-    goes into the pseudo-targets; the baselines pass their item table, as
-    evaluation does. ``modules`` names the trained modules whose gradients
+    goes into the window's dL/dh sums; the baselines pass their item
+    table, as evaluation does. ``modules`` names the trained modules whose gradients
     the batch loss's backward gives.
     """
     c = state.counters
@@ -587,10 +585,12 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
 
     In order: (1) find the rows of the batch's items and build the CF's
     item representations, (2) one backward through the batch's sequence
-    loss, (3) in ``gram``, subtract dL/dh from each item's pseudo-target,
-    (4) add the step's "ce" gradient to the window's sum, (5) when the
-    clock closes the window, regress ``gram``'s encoder into that sum,
-    empty the window and hand the sum out. The gradients are unclipped, by
+    loss, (3) in ``gram``, add dL/dh to each item's window sum, (4) add
+    the step's "ce" gradient to the window's sum, (5) when the clock
+    closes the window, backpropagate ``gram``'s dL/dh sums through the
+    encoder into that sum, empty the window and hand the sum out. The
+    ``gram`` report's ``pseudo_loss`` is half the squared norm of the
+    closed window's dL/dh sums. The gradients are unclipped, by
     parameter name, per trained module: "cf", and "ce" for the encoder (or
     ``no_content``'s table) at a close. In every mode an item the dataset
     lacks is a ValueError naming it.
@@ -602,7 +602,7 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
         loss, n_preds = batch_sequence_loss(batch, index, enc, state.cf)
         gmap = ad.backward(loss)
         if state.mode == "gram":
-            _write_back(state.window.targets, rows, state.item_ids, enc, gmap)
+            _write_back(state.window.dh, rows, state.item_ids, enc, gmap)
         grads = {m: _named_grads(_module_params(state, m), gmap) for m in modules}
         _sum_grads(state.pending, grads.pop("ce", {}))
     state.counters.cf_forward_calls += len(batch.users)
@@ -615,11 +615,12 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
         report["cache_size"] = len(rows)
         if closed:      # the window holds this step's items, so it is not empty
             report["ce_items"] = len(rows)
+            report["pseudo_loss"] = 0.5 * float(np.sum(np.square(window.dh[rows])))
             with state.timer.measure("ce"), ad.track_activations(state.accountant), \
-                    _aborts(f"encoder regression at step {state.t} (items "
+                    _aborts(f"encoder backward at step {state.t} (items "
                             f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]})"):
-                report["pseudo_loss"] = _regress(state.ce, state.tokens, rows, window.targets,
-                                                 state.cfg.ce_batch_size, state.pending)
+                _encoder_backward(state.ce, state.tokens, rows, window.dh,
+                                  state.cfg.ce_batch_size, state.pending)
             state.counters.ce_backward_calls += len(rows)
             state.counters.flop_estimate += gram_ce_flops_per_batch(
                 len(rows), float(np.mean(state.tokens.lengths[rows])), state.ce.cfg.d)

@@ -591,8 +591,18 @@ def test_backward_on_shared_consumed_subgraph_raises():
 
 def test_backward_requires_scalar():
     x = tensor([1.0, 2.0], grad=True)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"seed shape \(\) for output shape \(2,\)"):
         backward(mul(x, x))
+
+
+def test_backward_seed_must_have_the_output_shape():
+    x = tensor([1.0, 2.0], grad=True)
+    with pytest.raises(ShapeError, match=r"seed shape \(3,\) for output shape \(2,\)"):
+        backward(mul(x, x), np.ones(3))
+    with pytest.raises(ShapeError, match=r"seed shape \(1,\) for output shape \(\)"):
+        backward(sum_all(x), np.ones(1))
+    g = np.array([3.0, -0.5])
+    assert np.array_equal(backward(mul(x, x), g)[x].data, 2.0 * x.data * g)
 
 
 def test_gather_gradient_mass_conservation():

@@ -351,6 +351,15 @@ def test_load_interactions_names_the_line_of_a_response_out_of_range(tmp_path):
         D.load_interactions(inter)
 
 
+@pytest.mark.parametrize("pair", ["0:1:9", "0", "0:"])
+def test_load_interactions_refuses_a_pair_of_other_than_two_fields(tmp_path, pair):
+    # "0:1:9" once loaded as item 0, response 1, dropping the ":9"
+    inter = tmp_path / "inter.tsv"
+    inter.write_text(f"6\t2:1\n7\t{pair},1:0\n")
+    with pytest.raises(ValueError, match=r"inter\.tsv:2: malformed interaction line$"):
+        D.load_interactions(inter)
+
+
 def test_compute_stats_hand_case():
     d = D.Dataset(
         items=[D.Item(0, (1, 2, 3)), D.Item(1, (4,))],

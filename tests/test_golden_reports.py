@@ -1,33 +1,35 @@
 """Golden reports: twelve small runs must reproduce the committed counters
-exactly and their losses and metrics to a relative 1e-9 (a BLAS build
+exactly and their losses and metrics to a relative ``RTOL`` (a BLAS build
 may order sums differently). ``make_golden_reports.py`` regenerates the
 file when a change moves a value on purpose."""
 
 import json
 
-import pytest
-
-from make_golden_reports import EXACT_COUNTERS, PATH, golden_reports
-
-RTOL = 1e-9
-
-
-def _moves(path, got, want):
-    """Each place where ``got`` departs from ``want``, as (path, got, want)."""
-    if isinstance(want, dict) and isinstance(got, dict):
-        if set(got) != set(want):
-            return [(path, sorted(got), sorted(want))]
-        return [m for k in want for m in _moves(f"{path}.{k}", got[k], want[k])]
-    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
-        return [m for k, (g, w) in enumerate(zip(got, want)) for m in _moves(f"{path}[{k}]", g, w)]
-    exact = path.rsplit(".", 1)[-1] in EXACT_COUNTERS or not isinstance(want, float)
-    if got == want if exact else got == pytest.approx(want, rel=RTOL, abs=0):
-        return []
-    return [(path, got, want)]
+from make_golden_reports import PATH, RTOL, golden_reports, merged, moves
 
 
 def test_reports_match_golden():
     want = json.loads(PATH.read_text(encoding="utf-8"))
     assert len(want) == 12
-    moves = _moves("", golden_reports(), want)
-    assert not moves, "\n".join(f"{p}: {g!r} != golden {w!r}" for p, g, w in moves)
+    found = moves("", golden_reports(), want)
+    assert not found, "\n".join(f"{p}: {g!r} != golden {w!r}" for p, g, w in found)
+
+
+def test_regeneration_rewrites_only_moved_values():
+    want = {"r": {"counters": {"flop_estimate": 3.0e12, "activation_elements_peak": 58233},
+                  "history": [{"ce_forward_calls": 7, "train_loss": 0.5}],
+                  "final_metrics": {"auc": 0.7, "cs_auc": None}}}
+    got = {"r": {"counters": {"flop_estimate": 3.0e12 + 1.0, "activation_elements_peak": 58234},
+                 "history": [{"ce_forward_calls": 7, "train_loss": 0.5 * (1 + RTOL / 2)}],
+                 "final_metrics": {"auc": 0.7 * (1 + 2 * RTOL), "cs_auc": None}}}
+    assert merged(got, want) == {
+        "r": {"counters": {"flop_estimate": 3.0e12 + 1.0,       # a counter: any difference
+                           "activation_elements_peak": 58234},
+              "history": [{"ce_forward_calls": 7, "train_loss": 0.5}],   # inside RTOL
+              "final_metrics": {"auc": 0.7 * (1 + 2 * RTOL), "cs_auc": None}}}  # outside
+    assert [p for p, _, _ in moves("", got, want)] == [
+        ".r.counters.flop_estimate", ".r.counters.activation_elements_peak",
+        ".r.final_metrics.auc"]
+    # a run that is new, or lost its keys, is taken whole
+    assert merged({"s": {"auc": 0.5}}, {"s": {}}) == {"s": {"auc": 0.5}}
+    assert merged({"s": 1}, {}) == {"s": 1}

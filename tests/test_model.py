@@ -234,6 +234,20 @@ def test_ce_batched_gradients_equal_sum_of_per_item_gradients():
         assert rel_gap(gmap[t].data, total[name]) <= 1e-12, name
 
 
+@pytest.mark.parametrize("positions", [False, True])
+def test_ce_seeded_backward_equals_the_summed_product_bit_for_bit(positions):
+    # backward(out, g) is the chain rule through sum(out * g), the form in
+    # which a gram window backpropagates its dL/dh sums
+    ce, _ = M.init_params(ce_config(positions=positions), seed=12)
+    g = np.random.default_rng(12).standard_normal((len(MIXED), ce.cfg.d))
+    kept = g.copy()
+    seeded = backward(encode(MIXED, ce), g)
+    summed = backward(sum_all(mul(encode(MIXED, ce), Tensor(g))))
+    assert np.array_equal(g, kept)              # the seed is read, not written
+    for name, t in ce.named().items():
+        assert np.array_equal(seeded[t].data, summed[t].data), name
+
+
 def test_ce_batched_call_saves_as_many_elements_as_per_item_calls():
     from gram.instrument import ActivationAccountant
     ce, _ = small_params(seed=10, l_ce=2)

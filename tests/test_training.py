@@ -11,7 +11,15 @@ import reference_metrics as RM
 from gram import autodiff as ad
 from gram.autodiff import Tensor
 from gram.dataset import Batch, Dataset, GenConfig, Item, UserSequence, batch_iter, generate_synthetic
-from gram.model import ModelConfig, init_params, load_checkpoint, named_params, save_checkpoint
+from gram.model import (
+    ModelConfig,
+    batch_sequence_loss,
+    ce_encode,
+    init_params,
+    load_checkpoint,
+    named_params,
+    save_checkpoint,
+)
 from gram.training import (
     ConfigError,
     NumericalAbort,
@@ -71,7 +79,6 @@ def dup_heavy_batch():
 
 
 def test_sgd_lr_one_is_plain_subtraction():
-    # the same rule the pseudo-target update uses
     p = Tensor(np.array([1.0, 2.0, 3.0]), grad_enabled=True)
     g = np.array([0.5, -1.0, 2.0])
     opt = OptimizerState(OptimizerConfig(kind="sgd", lr=1.0))
@@ -385,7 +392,7 @@ def test_gram_cache_hits_skip_encoder():
 def test_window_reads_first_touch_encoding_and_accumulates_gradients():
     # both modules frozen, so a second identical step in the window reads
     # the same first-touch encoding and sees the same leaf gradient g; a
-    # read of the carried h - g would give a different second gradient
+    # read of h moved by g would give a different second gradient
     ds, batch = dup_heavy_batch()
     zero = OptimizerConfig(kind="sgd", lr=0.0)
     cfg = small_config(opt_ce=zero, opt_cf=zero, latency="4S")
@@ -393,69 +400,67 @@ def test_window_reads_first_touch_encoding_and_accumulates_gradients():
     train_step(batch, once)
     train_step(batch, twice)
     train_step(batch, twice)
-    from gram.model import ce_encode
     rows = np.searchsorted(once.item_ids, batch.unique_items)
     with ad.no_grad():
         h = {r: ce_encode(np.array([r]), once.tokens, once.ce).data[0] for r in rows}
     for r in rows:
-        g = h[r] - once.window.targets[r]
+        g = once.window.dh[r]
         assert np.any(g != 0.0)
-        assert np.allclose(h[r] - twice.window.targets[r], 2.0 * g, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(twice.window.dh[r], 2.0 * g)
         assert np.allclose(twice.window.encodings[r], h[r], rtol=1e-12, atol=1e-15)
 
 
-def test_pseudo_target_is_h_minus_grad_regardless_of_lr():
-    # representation update uses learning rate exactly 1 even though the
-    # CF optimizer uses its own lr
+def leaf_gradient(batch, state):
+    """dL/dh of the batch loss at the state's parameters, row j for item
+    ``batch.unique_items[j]``, from a leaf of their encodings."""
+    rows = np.searchsorted(state.item_ids, batch.unique_items)
+    with ad.no_grad():
+        leaf = Tensor(ce_encode(rows, state.tokens, state.ce).data, grad_enabled=True)
+    loss, _ = batch_sequence_loss(batch, batch.inverse, leaf, state.cf)
+    return rows, ad.backward(loss)[leaf].data
+
+
+def test_window_sums_the_raw_leaf_gradient_regardless_of_lr():
+    # the window adds dL/dh itself, with no learning-rate scaling, though
+    # the CF optimizer uses its own lr
     ds, batch = dup_heavy_batch()
     zero = OptimizerConfig(kind="sgd", lr=0.0)
     cfg = small_config(opt_ce=zero, opt_cf=OptimizerConfig(kind="sgd", lr=0.37),
                        latency="2S")
     state = init_trainer(ds, "gram", cfg)
-    # the same step, stopped before the optimizers, under another CF lr
-    ref = init_trainer(ds, "gram", replace(cfg, opt_cf=OptimizerConfig(kind="sgd", lr=1.0)))
-    step_gradients(batch, ref)
-    ce0, _ = init_params(cfg.model, seed_streams(cfg.seed)["init"])
-    rows = np.searchsorted(state.item_ids, batch.unique_items)
-    with ad.no_grad():
-        from gram.model import ce_encode
-        h = {r: ce_encode(np.array([r]), state.tokens, ce0).data[0] for r in rows}
+    rows, g = leaf_gradient(batch, state)
     train_step(batch, state)
-    for r in rows:
-        # the pseudo-target differs from h by the raw gradient (no lr scaling)
-        assert state.window.targets[r].shape == h[r].shape
-        assert not np.array_equal(state.window.targets[r], h[r])
-        assert np.array_equal(state.window.targets[r], ref.window.targets[r])
+    assert np.any(g != 0.0)
+    assert np.array_equal(state.window.dh[rows], g)
 
 
-def test_untouched_cache_entry_keeps_pseudo_target():
+def test_untouched_window_row_keeps_its_dh_sum():
     ds, batch = dup_heavy_batch()
     state = init_trainer(ds, "gram", small_config(latency="5S"))
     train_step(batch, state)
     row = np.searchsorted(state.item_ids, 4)
-    kept = state.window.targets[row].copy()
+    kept = state.window.dh[row].copy()
     sub = Batch(users=[user(9, ((0, 1), (1, 0), (2, 1)))])
     train_step(sub, state)
-    assert np.array_equal(state.window.targets[row], kept)
+    assert np.array_equal(state.window.dh[row], kept)
 
 
-def test_perfect_pseudo_targets_give_zero_ce_gradient():
-    # if the pseudo-target equals the current encoder output, the regression loss and
-    # its gradient vanish (items with zero loss gradient contribute nothing)
-    ds, batch = dup_heavy_batch()
-    state = init_trainer(ds, "gram", small_config())
-    before = {k: v.data.copy() for k, v in state.ce.named().items()}
-    # a zero readout gives the leaf a zero gradient, so each pseudo-target
-    # stays the first-touch encoding: one call over the same items
-    # _regress encodes in one chunk, so the targets match its outputs bit
-    # for bit
+@pytest.mark.parametrize("ce_batch_size", [0, 1, 3, 8])
+def test_zero_dh_gives_an_exactly_zero_ce_gradient_at_any_chunk_size(ce_batch_size):
+    # a zero readout gives every leaf row a zero dL/dh, and the encoder's
+    # window gradient is J^T dh, so it is zero however the window's items
+    # are chunked
+    ds, _ = generate_synthetic(GenConfig(), seed=1000)
+    cfg = TrainConfig(latency="1S", ce_batch_size=ce_batch_size, seed=1)
+    plan = plan_run(ds, cfg)
+    state = init_trainer(ds, "gram", cfg, steps_per_epoch=plan.steps_per_epoch)
+    batch = next(iter(epoch_batches(plan.train_users, cfg, 0)))
     state.cf.w_readout.data = np.zeros_like(state.cf.w_readout.data)
     rep, grads = step_gradients(batch, state)
-    assert rep["window_closed"] and rep["ce_items"] == len(batch.unique_items)
+    assert rep["window_closed"] and rep["ce_items"] == len(batch.unique_items) > 8
     assert rep["pseudo_loss"] == 0.0
-    for k, v in state.ce.named().items():
-        assert not grads["ce"][k].any()            # zero gradient
-        assert np.array_equal(v.data, before[k])
+    assert grads["ce"].keys() == state.ce.named().keys()
+    assert not any(g.any() for g in grads["ce"].values())
     assert len(state.window.rows) == 0             # emptied exactly once
     assert not state.window.touched.any()
 
@@ -578,7 +583,7 @@ def test_init_trainer_builds_an_f32_run_in_float32():
     cfg = small_config(precision="f32")
     state = init_trainer(ds, "gram", cfg)
     assert {t.dtype for t in named_params(state.ce, state.cf).values()} == {np.dtype(np.float32)}
-    assert state.window.encodings.dtype == state.window.targets.dtype == np.float32
+    assert state.window.encodings.dtype == state.window.dh.dtype == np.float32
     for mode in ("no_content", "no_finetune"):
         assert init_trainer(ds, mode, cfg).table.dtype == np.float32
 
@@ -619,32 +624,33 @@ def test_f32_checkpoint_loads_back_as_float32(tmp_path):
         assert loaded[name].dtype == np.float32 and np.array_equal(loaded[name].data, t.data), name
 
 
-def test_pseudo_loss_sums_the_window_chunks():
+@pytest.mark.parametrize("ce_batch_size", [0, 2])
+def test_pseudo_loss_is_half_the_squared_dh_sum(ce_batch_size):
     ds, batch = dup_heavy_batch()       # 5 distinct items: chunks of 2, 2 and 1
-    whole = train_step(batch, init_trainer(ds, "gram", small_config(ce_batch_size=0)))
-    chunked = train_step(batch, init_trainer(ds, "gram", small_config(ce_batch_size=2)))
-    assert chunked["pseudo_loss"] == pytest.approx(whole["pseudo_loss"], rel=1e-12, abs=0)
+    state = init_trainer(ds, "gram", small_config(ce_batch_size=ce_batch_size))
+    _, g = leaf_gradient(batch, state)
+    assert train_step(batch, state)["pseudo_loss"] == 0.5 * float(np.sum(np.square(g)))
 
 
-def test_write_back_subtracts_each_row_and_names_a_non_finite_item():
+def test_write_back_adds_each_row_and_names_a_non_finite_item():
     from gram.training import _write_back
     rng = np.random.default_rng(0)
     item_ids = np.array([2, 5, 9])
-    before = rng.standard_normal((3, 3))       # one target row per item
+    before = rng.standard_normal((3, 3))       # one dL/dh sum per item
     rows = np.array([2, 0, 1])                 # items 9, 2 and 5
     leaf = Tensor(np.zeros((3, 3)), grad_enabled=True)
     g = rng.standard_normal((3, 3))
-    targets = before.copy()
-    _write_back(targets, rows, item_ids, leaf, {leaf: Tensor(g)})
+    dh = before.copy()
+    _write_back(dh, rows, item_ids, leaf, {leaf: Tensor(g)})
     for k, r in enumerate(rows):
-        assert targets[r].shape == (3,)
-        assert np.array_equal(targets[r], before[r] - g[k])
+        assert dh[r].shape == (3,)
+        assert np.array_equal(dh[r], before[r] + g[k])
     grad = Tensor(g)        # a Tensor refuses non-finite data, so corrupt it after
     grad.data[1, 0] = grad.data[2, 2] = np.inf
-    targets = before.copy()
-    with pytest.raises(ad.NonFiniteError, match="pseudo-target for item 2 is non-finite"):
-        _write_back(targets, rows, item_ids, leaf, {leaf: grad})
-    assert np.array_equal(targets, before)     # a failed write-back writes nothing
+    dh = before.copy()
+    with pytest.raises(ad.NonFiniteError, match="dL/dh sum for item 2 is non-finite"):
+        _write_back(dh, rows, item_ids, leaf, {leaf: grad})
+    assert np.array_equal(dh, before)     # a failed write-back writes nothing
 
 
 def test_numerical_abort_names_the_step():
