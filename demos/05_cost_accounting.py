@@ -64,7 +64,10 @@ def main():
     print(f"\npeak live activation elements, one epoch: cached {pg}, joint {pe} "
           f"({pg / pe:.0%})")
     print("joint backprop keeps the encoder activations of every occurrence alive; the")
-    print("cached scheme's peak is one predictor batch plus one encoder chunk")
+    print("cached scheme's peak is the larger of one predictor batch and one encoder")
+    print("chunk, which are never alive together. At ce_batch_size 0 the window keeps")
+    print("each first-touch encoder graph until its close instead, so those graphs")
+    print("add to the predictor batch's")
 
 
 if __name__ == "__main__":

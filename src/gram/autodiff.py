@@ -35,11 +35,11 @@ beyond the table and recomputes the forward in backward, so its
 activation memory does not grow with the number of prefixes.
 ``ce_block`` runs one residual encoder layer over the ragged token rows
 of many items, looping only over the length groups of its attention; it
-saves its intermediates and recomputes nothing, so a joint backward
-stays a plain no-recompute backprop. ``segment_mean`` mean-pools ragged
-runs of rows in one node, and ``row_dot`` takes row-wise dot products
-against rows of a table picked by an index, keeping the table rather
-than the picked rows. Every op that reads rows through an index
+saves its input, the attention probabilities and the attended values,
+and its backward recomputes the rest with three matmuls.
+``segment_mean`` mean-pools ragged runs of rows in one node, and
+``row_dot`` takes row-wise dot products against rows of a table picked
+by an index, keeping the table rather than the picked rows. Every op that reads rows through an index
 (``gather``, ``row_dot``, ``gru_scan``, ``prefix_attention``)
 scatter-adds their gradients with one bincount.
 
@@ -933,6 +933,16 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
 # ---------------------------------------------------------------------------
 
 
+def _ce_block_rows(xd, attended, w_o, w_1):
+    """``ce_block``'s residual x1 = x + attended @ w_o and relu output
+    relu(x1 @ w_1), computed the same way in its forward and backward."""
+    x1 = attended @ w_o
+    x1 += xd
+    h = x1 @ w_1
+    np.maximum(h, 0.0, out=h)
+    return x1, h
+
+
 def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: Tensor,
              w_ff2: Tensor, lengths) -> Tensor:
     """One residual encoder layer over the token rows of many items, as one
@@ -948,10 +958,12 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
     of equal length L; nothing is padded or masked. The scores of each run
     are checked to be finite, so an overflow names its token length.
 
-    Backward recomputes nothing: the node keeps x, the q/k/v projection,
-    the attention probabilities, the attended values, x1 and the relu
-    output, and its gradients are those of the per-op graph, up to the
-    order of additions.
+    The node keeps only x, the attention probabilities and the attended
+    values. Backward recomputes the q/k/v projection, x1 and the relu
+    output from them with the weight arrays the forward read, three
+    matmuls over the token rows that repeat the forward's bit for bit, so
+    a later replacement of a weight's ``data`` leaves the gradients alone.
+    They are those of the per-op graph, up to the order of additions.
     """
     ts = (x, wq, wk, wv, wo, w_ff1, w_ff2)
     _check_dtypes("ce_block", *ts)
@@ -974,48 +986,61 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
     scale_qk = d ** -0.5        # a Python float keeps float32 operands float32
 
     w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    w_o, w_1, w_2 = wo.data, w_ff1.data, w_ff2.data
     qkv = xd @ w_qkv
     attended = np.empty_like(xd)
     probs = []
     for r0, b, n in runs:
         blk = qkv[r0:r0 + b * n].reshape(b, n, 3 * d)
-        s = (blk[..., :d] @ blk[..., d:2 * d].transpose(0, 2, 1)) * scale_qk
-        if not np.isfinite(s).all():
+        a = blk[..., :d] @ blk[..., d:2 * d].transpose(0, 2, 1)
+        a *= scale_qk
+        if not np.isfinite(a).all():
             raise NonFiniteError(f"ce_block produced non-finite attention scores at token "
                                  f"length {n}")
-        a = _softmax(s)
-        attended[r0:r0 + b * n] = (a @ blk[..., 2 * d:]).reshape(b * n, d)
+        a -= a.max(axis=-1, keepdims=True)      # _softmax, in place
+        np.exp(a, out=a)
+        a /= a.sum(axis=-1, keepdims=True)
+        np.matmul(a, blk[..., 2 * d:], out=attended[r0:r0 + b * n].reshape(b, n, d))
         probs.append(a)
-    x1 = xd + attended @ wo.data
-    h = np.maximum(x1 @ w_ff1.data, 0.0)
-    out = x1 + h @ w_ff2.data
+    x1, h = _ce_block_rows(xd, attended, w_o, w_1)
+    out = h @ w_2
+    out += x1
 
     def run(g, acc):
-        # each expression follows the backward of the primitive it fuses
+        # the forward's expressions over the arrays it read, then each
+        # expression follows the backward of the primitive it fuses
         # (matmul, softmax, scale, relu, add)
-        dpre = (g @ w_ff2.data.T) * (h > 0)
+        qkv = xd @ w_qkv
+        x1, h = _ce_block_rows(xd, attended, w_o, w_1)
+        dpre = g @ w_2.T
+        dpre *= h > 0
         acc(w_ff2, h.T @ g)
         acc(w_ff1, x1.T @ dpre)
-        dx1 = g + dpre @ w_ff1.data.T
+        dx1 = dpre @ w_1.T
+        dx1 += g
         acc(wo, attended.T @ dx1)
-        dat = dx1 @ wo.data.T
+        dat = dx1 @ w_o.T
         dqkv = np.empty_like(qkv)
         for (r0, b, n), a in zip(runs, probs):
             blk = qkv[r0:r0 + b * n].reshape(b, n, 3 * d)
             dblk = dqkv[r0:r0 + b * n].reshape(b, n, 3 * d)
             gat = dat[r0:r0 + b * n].reshape(b, n, d)
-            da = gat @ blk[..., 2 * d:].transpose(0, 2, 1)
-            ds = _softmax_backward(a, da) * scale_qk
-            dblk[..., :d] = ds @ blk[..., d:2 * d]
-            dblk[..., d:2 * d] = ds.transpose(0, 2, 1) @ blk[..., :d]
-            dblk[..., 2 * d:] = a.transpose(0, 2, 1) @ gat
+            ds = gat @ blk[..., 2 * d:].transpose(0, 2, 1)
+            ds -= (ds * a).sum(axis=-1, keepdims=True)      # _softmax_backward, in place
+            ds *= a
+            ds *= scale_qk
+            np.matmul(ds, blk[..., d:2 * d], out=dblk[..., :d])
+            np.matmul(ds.transpose(0, 2, 1), blk[..., :d], out=dblk[..., d:2 * d])
+            np.matmul(a.transpose(0, 2, 1), gat, out=dblk[..., 2 * d:])
         dw = xd.T @ dqkv
         acc(wq, dw[:, :d])
         acc(wk, dw[:, d:2 * d])
         acc(wv, dw[:, 2 * d:])
-        acc(x, dx1 + dqkv @ w_qkv.T)
+        dx = dqkv @ w_qkv.T
+        dx += dx1
+        acc(x, dx)
 
-    saved = qkv.size + sum(a.size for a in probs) + attended.size + x1.size + h.size
+    saved = sum(a.size for a in probs) + attended.size
     return _result(out, ts, run, saved=(x,), op="ce_block", saved_elements=saved)
 
 

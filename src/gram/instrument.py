@@ -42,12 +42,15 @@ class CostCounters:
 
     In ``e2e`` every interaction occurrence is one forward and one
     backward, and ``flop_estimate`` costs that joint pass. In ``gram`` an
-    item is encoded without grad at its first touch in a window, and only
-    those forwards count in ``ce_forward_calls``. At window close every
-    cached item is encoded again, with grad, and its summed dL/dh is
-    backpropagated; that re-encode is not a counted forward, but its
-    backward is what ``ce_backward_calls`` counts, and ``flop_estimate``
-    costs only this forward-and-backward pass, not the first-touch
+    item is encoded at its first touch in a window, and only those
+    forwards count in ``ce_forward_calls``. At window close each cached
+    item's summed dL/dh is backpropagated through its encoding, one
+    backward per item in ``ce_backward_calls``, and ``flop_estimate``
+    costs one forward-and-backward pass per item. At ``ce_batch_size`` 0
+    that is what ran: the close backpropagates the first-touch graphs. At
+    a positive ``ce_batch_size`` the first touch runs without grad and the
+    close encodes every cached item again, with grad; that re-encode is
+    not a counted forward, and the estimate leaves out the first-touch
     forwards."""
 
     ce_forward_calls: int = 0

@@ -11,9 +11,8 @@ Training modes
     item encodings. Within a window every touch of an item reads the
     encoding h of its first touch, so the encoder runs once per *distinct*
     item per window, and adds its dL/dh to the item's sum. When the window
-    closes the encoder re-encodes the window's items, in first-touch
-    order, backpropagates each item's summed dL/dh from its encoding, and
-    the window empties.
+    closes each item's summed dL/dh is backpropagated from its encoding
+    and the window empties.
 ``no_content``
     A trainable item-embedding table replaces the encoder entirely.
 ``no_finetune``
@@ -33,9 +32,14 @@ An item is addressed one way, from init to loss: as its row k among the
 sorted item ids, found once per step. Row k holds its row of the token
 table, its baseline table row and, in ``gram``, its window state.
 
-The window's backward runs ``ce_batch_size`` cached items per graph and
-sums the chunks' gradients, so the chunk size bounds the encoder graph's
-memory and leaves the trajectory alone. The encoder does not move inside
+At ``ce_batch_size`` 0 an item's first-touch encoding runs with grad,
+and the window keeps that graph until its close, where it is
+backpropagated, so each item is encoded once per window. At a positive
+``ce_batch_size`` the first touch encodes without grad, and the close
+re-encodes the window's items, in first-touch order, ``ce_batch_size``
+per graph, and sums the chunks' gradients: the chunk bounds the encoder
+graph's memory at the price of a second forward, and leaves the
+trajectory alone. The encoder does not move inside
 a window, so by the chain rule J^T sum dL/dh, J the Jacobian of each
 item's encoding at the window-start parameters, is the joint-backprop
 encoder gradient summed over the window: a ``gram`` window of N steps
@@ -248,9 +252,11 @@ class TrainConfig:
     and initial parameters. ``latency`` is every mode's gradient-update
     latency, the window between encoder (or table) updates (see
     ``accumulation_latency``). ``ce_batch_size`` is the number of cached
-    items the window's encoder backward puts in one graph (0 = the whole
-    cache); it bounds that graph's memory only, since the chunks'
-    gradients are summed into one encoder step per window. The config is frozen and
+    items the window's encoder backward re-encodes in one graph; it bounds
+    that graph's memory only, since the chunks' gradients are summed into
+    one encoder step per window. At 0 nothing is re-encoded: the window
+    keeps every first-touch encoder graph until its close, so each item is
+    encoded once, and the graphs' memory grows with the window. The config is frozen and
     checks itself when built (``dataclasses.replace`` included), as its
     nested configs do: a value out of range raises ConfigError.
     """
@@ -277,7 +283,8 @@ class TrainConfig:
         if self.cf_batch_size < 1:
             raise ConfigError("cf_batch_size must be positive")
         if self.ce_batch_size < 0:
-            raise ConfigError("ce_batch_size must be >= 0 (0 = whole cache)")
+            raise ConfigError("ce_batch_size must be >= 0 (0 = keep each first-touch "
+                              "encoder graph, no re-encode)")
         if not (0.0 < self.val_frac < 1.0 and 0.0 < self.test_frac < 1.0):
             raise ConfigError("val_frac and test_frac must lie in (0, 1)")
         if self.max_epochs < 1 or self.patience < 0:
@@ -383,12 +390,16 @@ class Window:
     """``gram``'s open window over item rows: ``rows`` in first-touch order,
     marked in ``touched``. Touched row r holds its first-touch encoding,
     which every touch reads, in ``encodings[r]`` and the sum of its
-    touches' dL/dh in ``dh[r]``; other rows are stale and unread."""
+    touches' dL/dh in ``dh[r]``; other rows are stale and unread. At
+    ``ce_batch_size`` 0, ``graphs`` keeps each first-touch encode as a
+    (rows, encoding) pair, its graph alive until the close backpropagates
+    it."""
 
     encodings: np.ndarray           # (n_items, d)
     dh: np.ndarray                  # (n_items, d)
     touched: np.ndarray             # (n_items,) bool
     rows: list = field(default_factory=list)
+    graphs: list = field(default_factory=list)
 
 
 @dataclass
@@ -474,18 +485,24 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
-def _cache_leaves(rows: np.ndarray, window: Window, ce: CeParams, tokens: TokenTable):
+def _cache_leaves(rows: np.ndarray, window: Window, ce: CeParams, tokens: TokenTable,
+                  keep_graph: bool):
     """The CF's input for a gram step: one grad-enabled (n, d) leaf whose
     row k is the window-start encoding of item row ``rows[k]``.
 
-    Rows new to the window are encoded in one no-grad call; that encoding
-    is what every later touch reads, and the row's dL/dh sum starts at zero.
-    Returns (leaf, encoder forwards).
+    Rows new to the window are encoded in one call; that encoding is what
+    every later touch reads, and the row's dL/dh sum starts at zero. With
+    ``keep_graph`` the call runs with grad and the window keeps its graph
+    for the close; without, it runs without grad. Returns (leaf, encoder
+    forwards).
     """
     new = rows[~window.touched[rows]]
     if new.size:
-        with ad.no_grad():
-            window.encodings[new] = ce_encode(new, tokens, ce).data
+        with contextlib.nullcontext() if keep_graph else ad.no_grad():
+            enc = ce_encode(new, tokens, ce)
+        if keep_graph:
+            window.graphs.append((new, enc))
+        window.encodings[new] = enc.data
         window.dh[new] = 0.0
         window.touched[new] = True
         window.rows.extend(new.tolist())
@@ -510,19 +527,24 @@ def _sum_grads(total: dict, grads: dict) -> None:
         total[name] = total[name] + g if name in total else g
 
 
-def _encoder_backward(ce: CeParams, tokens: TokenTable, rows: list, dh: np.ndarray,
-                      chunk_size: int, grads: dict) -> None:
-    """Sum into ``grads`` the encoder's gradient J^T dh over item ``rows``:
-    each row's encoding is backpropagated with its ``dh`` row as the seed.
+def _re_encoded(ce: CeParams, tokens: TokenTable, rows: list, chunk_size: int):
+    """Item ``rows`` encoded again with grad, ``chunk_size`` per graph, as
+    (rows, encoding) pairs. A generator, so each chunk is encoded only when
+    the one before it has been backpropagated, and one chunk's activations
+    are alive at a time."""
+    for lo in range(0, len(rows), chunk_size):
+        chunk = np.array(rows[lo:lo + chunk_size])
+        yield chunk, ce_encode(chunk, tokens, ce)
 
-    ``chunk_size`` rows are encoded and backpropagated per graph (0 = all
-    at once), so one chunk's activations are alive at a time; the
-    gradients are summed over the chunks.
-    """
-    named, size = ce.named(), chunk_size or len(rows)
-    for lo in range(0, len(rows), size):
-        chunk = np.array(rows[lo:lo + size])
-        _sum_grads(grads, _named_grads(named, ad.backward(ce_encode(chunk, tokens, ce), dh[chunk])))
+
+def _encoder_backward(ce: CeParams, graphs, dh: np.ndarray, grads: dict) -> None:
+    """Sum into ``grads`` the encoder's gradient J^T dh over the item rows
+    of ``graphs``, (rows, encoding) pairs: each encoding is backpropagated
+    with its rows of ``dh`` as the seed, and the gradients are summed over
+    the graphs."""
+    named = ce.named()
+    for rows, enc in graphs:
+        _sum_grads(grads, _named_grads(named, ad.backward(enc, dh[rows])))
 
 
 def _item_rows(item_ids: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -565,7 +587,8 @@ def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
             len(batch.users), len(lens) / len(batch.users), float(np.mean(lens)), state.ce.cfg.d)
         return np.arange(len(lens)), ce_encode(occ, state.tokens, state.ce), ("ce", "cf")
     if state.mode == "gram":
-        leaf, n_encoded = _cache_leaves(rows, state.window, state.ce, state.tokens)
+        leaf, n_encoded = _cache_leaves(rows, state.window, state.ce, state.tokens,
+                                        state.cfg.ce_batch_size == 0)
         c.ce_forward_calls += n_encoded
         return batch.inverse, leaf, ("cf",)
     modules = ("ce", "cf") if state.table.grad_enabled else ("cf",)
@@ -619,13 +642,14 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
             with state.timer.measure("ce"), ad.track_activations(state.accountant), \
                     _aborts(f"encoder backward at step {state.t} (items "
                             f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]})"):
-                _encoder_backward(state.ce, state.tokens, rows, window.dh,
-                                  state.cfg.ce_batch_size, state.pending)
+                size = state.cfg.ce_batch_size
+                graphs = _re_encoded(state.ce, state.tokens, rows, size) if size else window.graphs
+                _encoder_backward(state.ce, graphs, window.dh, state.pending)
             state.counters.ce_backward_calls += len(rows)
             state.counters.flop_estimate += gram_ce_flops_per_batch(
                 len(rows), float(np.mean(state.tokens.lengths[rows])), state.ce.cfg.d)
             window.touched[rows] = False
-            window.rows = []
+            window.rows, window.graphs = [], []
     if closed and state.pending:
         grads["ce"], state.pending = state.pending, {}
     state.counters.activation_elements_peak = state.accountant.peak

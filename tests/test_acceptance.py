@@ -117,7 +117,7 @@ def _random_trial(trial: int):
     ds = Dataset(items=[Item(i, toks) for i, toks in enumerate(tokens)], users=users)
     ref = _trial_gradients(ds, "e2e", cfg, 0, ce, cf, batch)
     worst_ce = worst_cf = 0.0
-    # the whole cache in one regression graph, and in chunks of 3 items
+    # the kept first-touch graph, and the window re-encoded in chunks of 3 items
     for ce_batch_size in (0, CHUNK):
         alt = _trial_gradients(ds, "gram", cfg, ce_batch_size, ce, cf, batch)
         worst_ce = max(worst_ce, max_rel_err(ref["ce"], alt["ce"]))
@@ -154,7 +154,7 @@ def test_acceptance_1_gradient_equivalence(capsys):
 def test_acceptance_2_trajectory_equivalence(desk_dataset, capsys):
     t0 = time.monotonic()
     sgd = adam = 0.0
-    # whole cache, chunks of 3 and the default chunk of 8, each at its own
+    # kept first-touch graphs, chunks of 3 and the default chunk of 8, each at its own
     # latency; a batch of the desk dataset touches more distinct items than
     # either chunk holds
     cases = ((0, "1S"), (CHUNK, "10S"), (TrainConfig.ce_batch_size, "0.5E"))

@@ -304,11 +304,11 @@ def test_ce_overflowing_embedding_names_the_op_and_token_length():
 
 
 def test_ce_saved_elements_are_pinned_and_below_the_per_op_graphs():
-    # per layer ce_block keeps x, the q/k/v projection, the probabilities,
-    # the attended values, x1 and the relu output: 30 elements per token
-    # (30 tokens) plus sum(L^2) = 180; the output matmul keeps the (6, 4)
-    # pooled rows. The per-op graphs keep x three times, q, k and v again,
-    # the probabilities twice and the relu output twice.
+    # per layer ce_block keeps x, the probabilities and the attended
+    # values: 8 elements per token (30 tokens) plus sum(L^2) = 180; the
+    # output matmul keeps the (6, 4) pooled rows. The per-op graphs keep x
+    # three times, q, k, v, x1 and the relu output, the probabilities twice
+    # and the relu output again.
     from gram.instrument import ActivationAccountant
     ce, _ = small_params(seed=10, l_ce=2)
     fused, per_op = ActivationAccountant(), ActivationAccountant()
@@ -316,7 +316,7 @@ def test_ce_saved_elements_are_pinned_and_below_the_per_op_graphs():
         encode(MIXED, ce)
     with ad.track_activations(per_op):
         RC.ce_encode(MIXED, ce)
-    assert fused.peak == 2 * (30 * 30 + 180) + 24 == 2184
+    assert fused.peak == 2 * (8 * 30 + 180) + 24 == 864
     assert per_op.peak == 3384
 
 

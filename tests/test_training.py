@@ -576,6 +576,60 @@ def test_chunk_size_bounds_memory_only(latency, clip_norm):
     assert peaks[3] <= peaks[8] <= peaks[0]
 
 
+def test_gram_1s_at_ce_batch_size_0_encodes_each_item_once(monkeypatch):
+    # the window keeps the first-touch graph and backpropagates it at the
+    # close: one encoder forward per step, none at the close
+    import gram.training as T
+    calls = []
+
+    def counting_encode(*args):
+        calls.append(ad.is_grad_enabled())
+        return ce_encode(*args)
+
+    monkeypatch.setattr(T, "ce_encode", counting_encode)
+    ds, batch = dup_heavy_batch()
+    state = init_trainer(ds, "gram", small_config(ce_batch_size=0))
+    rep, grads = step_gradients(batch, state)
+    assert rep["window_closed"] and grads["ce"]
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("latency", ["1S", "2S", "10S"])
+@pytest.mark.parametrize("kind,lr", [("sgd", 1e-2), ("adam", 1e-3)])
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_kept_graphs_follow_the_one_chunk_re_encode(variant, kind, lr, latency):
+    # at 1S the kept graph is the one-chunk re-encode's graph over the same
+    # rows, so the runs agree bit for bit; a longer window backpropagates
+    # one kept graph per step where the re-encode builds one for all rows
+    ds = chunk_dataset()
+    opt = OptimizerConfig(kind=kind, lr=lr)
+    cfg = small_config(model=replace(SMALL_MODEL, cf_variant=variant), cf_batch_size=8,
+                       latency=latency, opt_ce=opt, opt_cf=opt)
+    kept, counters, reps = run_epochs(ds, "gram", replace(cfg, ce_batch_size=0), 4)
+    one_chunk, counters_1, _ = run_epochs(ds, "gram", replace(cfg, ce_batch_size=10 ** 6), 4)
+    assert len(reps) >= 30 and sum(r["window_closed"] for r in reps) >= 3
+    assert counters.pop("activation_elements_peak") >= counters_1.pop("activation_elements_peak")
+    assert counters == counters_1
+    if latency == "1S":
+        assert all(np.array_equal(kept[k], one_chunk[k]) for k in kept)
+    else:
+        assert max_rel_err(kept, one_chunk) <= 1e-12
+
+
+@pytest.mark.parametrize("mode,ce_batch_size,latency", [
+    ("gram", 0, "1S"), ("gram", 0, "2S"), ("gram", 3, "1S"), ("gram", 3, "2S"), ("e2e", 0, "1S")])
+def test_no_graph_outlives_its_window(mode, ce_batch_size, latency):
+    ds = chunk_dataset()
+    cfg = small_config(cf_batch_size=8, latency=latency, ce_batch_size=ce_batch_size)
+    state = init_trainer(ds, mode, cfg, steps_per_epoch=8)
+    closes = 0
+    for batch in epoch_batches(ds.users, cfg, 0):
+        if train_step(batch, state)["window_closed"]:
+            closes += 1
+            assert state.accountant.current == 0
+    assert closes == 8 // state.accum_steps and state.accountant.peak > 0
+
+
 def test_init_trainer_builds_an_f32_run_in_float32():
     # the precision is applied where the state is built, so a caller that
     # steps the trainer without train() gets it too
