@@ -36,24 +36,21 @@ class ActivationAccountant:
 
 @dataclass
 class CostCounters:
-    """Per-run counters. Forward/backward CE counts are the quantities the
-    boost ratio speaks about: encoding-producing forwards, and gradient
-    computations through the encoder, one per item row.
-
-    In ``e2e`` every interaction occurrence is one forward and one
-    backward, and ``flop_estimate`` costs that joint pass. In ``gram`` an
-    item is encoded at its first touch in a window, and only those
-    forwards count in ``ce_forward_calls``. At window close each cached
-    item's summed dL/dh is backpropagated through its encoding, one
-    backward per item in ``ce_backward_calls``, and ``flop_estimate``
-    costs one forward-and-backward pass per item. At ``ce_batch_size`` 0
-    that is what ran: the close backpropagates the first-touch graphs. At
-    a positive ``ce_batch_size`` the first touch runs without grad and the
-    close encodes every cached item again, with grad; that re-encode is
-    not a counted forward, and the estimate leaves out the first-touch
-    forwards."""
+    """Per-run counters, one per encoder forward, encoder backward (per
+    item row) and CF batch row. ``e2e`` runs one of each encoder pass per
+    interaction occurrence, and ``flop_estimate`` costs that joint pass.
+    ``gram`` counts in ``ce_forward_calls`` the first touch of an item in
+    a window, and in ``ce_backward_calls`` the close's backpropagation of
+    each cached item's summed dL/dh; ``flop_estimate`` costs one forward
+    and backward per item. At a positive ``ce_batch_size`` the first touch
+    runs without grad and the close encodes each cached item again with
+    grad, one forward each in ``ce_reencode_calls``: the forwards that ran
+    are the two counts' sum, and the estimate leaves out the first touch.
+    At ``ce_batch_size`` 0 the close backpropagates the first-touch graphs
+    and nothing is re-encoded."""
 
     ce_forward_calls: int = 0
+    ce_reencode_calls: int = 0
     ce_backward_calls: int = 0
     cf_forward_calls: int = 0
     activation_elements_peak: int = 0

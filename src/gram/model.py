@@ -137,11 +137,20 @@ def _zeros(shape) -> Tensor:
 
 
 class _Params:
-    """A module's parameters. ``named()`` lists its tensors in field order,
-    the key order of checkpoints, Adam state and the clip-norm sum; a list
-    of layers gives each layer's tensors as ``layer<i>.<name>``."""
+    """A module's parameters as one 1-D float array ``flat``, each tensor's
+    data a view into it in ``named()`` order. The optimizer, clipping, the
+    window's gradient sum and snapshots each work on ``flat``; an update
+    ``bind``s a new array, never writing into the old one, so the arrays a
+    graph captured keep their values."""
+
+    def __post_init__(self):
+        self._names, self.tensors = zip(*self.named().items())
+        self._ends = np.cumsum([t.size for t in self.tensors]).tolist()
+        self.bind(np.concatenate([t.data.ravel() for t in self.tensors]))
 
     def named(self) -> dict[str, Tensor]:
+        """The tensors by checkpoint name, in field order; a list of layers
+        (plain dataclasses) gives each layer's as ``layer<i>.<name>``."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -149,15 +158,23 @@ class _Params:
                 out[f.name] = value
             elif isinstance(value, list):
                 for i, layer in enumerate(value):
-                    out.update({f"layer{i}.{k}": t for k, t in layer.named().items()})
+                    out.update({f"layer{i}.{k}": t for k, t in _Params.named(layer).items()})
         return out
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.named().values())
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """``flat``, laid out as ``self.flat``, split into named tensor shapes."""
+        return {name: flat[end - t.size:end].reshape(t.shape)
+                for name, t, end in zip(self._names, self.tensors, self._ends)}
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Make ``flat`` the parameters: each tensor's data becomes its view."""
+        self.flat = flat
+        for t, end in zip(self.tensors, self._ends):
+            t.data = flat[end - t.size:end].reshape(t.shape)
 
 
 @dataclass
-class CeLayer(_Params):
+class CeLayer:
     wq: Tensor
     wk: Tensor
     wv: Tensor
@@ -209,6 +226,14 @@ class AttentionCfParams(_Params):
 
 
 CfParams = RecurrentCfParams | AttentionCfParams
+
+
+@dataclass
+class ItemTable(_Params):
+    """One row per item, read in place of the encoder's output:
+    ``no_content``'s trained table, or ``no_finetune``'s frozen encodings."""
+
+    embedding: Tensor           # (n_items, d)
 
 
 def named_params(ce: CeParams | None, cf: CfParams) -> dict[str, Tensor]:
@@ -436,4 +461,6 @@ def load_checkpoint(path) -> tuple[CeParams, CfParams]:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}: checkpoint parameter {name} holds NaN or Inf")
             t.data = arr
+    for p in (ce, cf):      # each module's arrays, copied into one flat array
+        p.bind(np.concatenate([t.data.ravel() for t in p.tensors]))
     return ce, cf

@@ -75,8 +75,10 @@ from .metrics import UndefinedMetricError, auc, check_predictions, cs_auc, group
 from .model import (
     CeParams,
     CfParams,
+    ItemTable,
     ModelConfig,
     TokenTable,
+    _Params,
     batch_scores,
     batch_sequence_loss,
     ce_encode,
@@ -165,66 +167,48 @@ class OptimizerConfig:
 @dataclass
 class OptimizerState:
     """One optimizer's run state: its settings, the step count and Adam's
-    moment buffers (name -> array, created on first use)."""
+    moment buffers, each one array laid out as its module's ``flat``,
+    created on first use."""
 
     cfg: OptimizerConfig
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def optimizer_apply(opt: OptimizerState, params: dict, grads: dict) -> dict:
-    """One optimizer step over named parameters.
-
-    ``params`` maps name -> leaf Tensor, ``grads`` maps name -> ndarray;
-    parameters without a gradient entry are left untouched. Parameter
-    arrays are replaced, not mutated, so consumed graphs stay valid.
-    """
+def optimizer_apply(opt: OptimizerState, p: _Params, g: np.ndarray) -> None:
+    """One optimizer step of module ``p`` on ``g``, its gradient laid out as
+    ``p.flat``. The update is elementwise over the whole flat array. It
+    binds a new array, not writing into the old one, so the arrays a graph
+    captured keep their values."""
     cfg = opt.cfg
+    if g.shape != p.flat.shape:
+        raise ConfigError(f"gradient shape {g.shape} does not match the module's {p.flat.shape}")
     opt.step += 1
     lr = cfg.lr_at(opt.step)
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if np.shape(g) != p.data.shape:
-            raise ConfigError(
-                f"gradient shape {np.shape(g)} does not match parameter {name} {p.data.shape}")
-        if cfg.kind == "sgd":
-            p.data = p.data - lr * g
-            continue
-        m = opt.m.get(name)
-        if m is None:
-            m = opt.m[name] = np.zeros_like(p.data)
-            opt.v[name] = np.zeros_like(p.data)
-        v = opt.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1 ** opt.step)
-        v_hat = v / (1.0 - cfg.beta2 ** opt.step)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    return params
+    if cfg.kind == "sgd":
+        p.bind(p.flat - lr * g)
+        return
+    if opt.m is None:
+        opt.m, opt.v = np.zeros_like(p.flat), np.zeros_like(p.flat)
+    opt.m *= cfg.beta1
+    opt.m += (1.0 - cfg.beta1) * g
+    opt.v *= cfg.beta2
+    opt.v += (1.0 - cfg.beta2) * (g * g)
+    m_hat = opt.m / (1.0 - cfg.beta1 ** opt.step)
+    v_hat = opt.v / (1.0 - cfg.beta2 ** opt.step)
+    p.bind(p.flat - lr * m_hat / (np.sqrt(v_hat) + cfg.eps))
 
 
-def clip_by_global_norm(grads: dict, max_norm: float) -> dict:
-    """Scale the whole gradient set so its global L2 norm is <= max_norm."""
-    total = math.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
-    if total > max_norm > 0.0:
-        s = max_norm / total
-        return {k: g * s for k, g in grads.items()}
-    return grads
+def clip_by_global_norm(g: np.ndarray, max_norm: float) -> np.ndarray:
+    """A module's flat gradient ``g``, scaled so its L2 norm is <= max_norm."""
+    total = math.sqrt(float(np.dot(g, g)))
+    return g * (max_norm / total) if total > max_norm > 0.0 else g
 
 
-def _named_grads(named: dict, gmap: dict) -> dict:
-    """Pull this parameter set's gradients out of a backward() result."""
-    out = {}
-    for name, p in named.items():
-        g = gmap.get(p)
-        if g is not None:
-            out[name] = g.data
-    return out
+def _flat_grad(p: _Params, gmap: dict) -> np.ndarray:
+    """Module ``p``'s gradient in a ``backward`` result, laid out as ``p.flat``."""
+    return np.concatenate([gmap[t].data.ravel() for t in p.tensors])
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +401,11 @@ class TrainerState:
     accum_steps: int                # window size N, resolved from cfg.latency
     t: int = 0                      # batches processed so far
     window: Window | None = None    # gram's open window
-    pending: dict = field(default_factory=dict)   # the open window's summed "ce" gradient
+    pending: np.ndarray | None = None   # the open window's summed "ce" gradient, flat
     counters: CostCounters = field(default_factory=CostCounters)
     accountant: ActivationAccountant = field(default_factory=ActivationAccountant)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
-    # baselines: one row per item of item_ids, read in place of the
-    # encoder; no_content's is trained on opt_ce, no_finetune's is the
-    # initial encoder's output, frozen
-    table: Tensor | None = None
+    table: ItemTable | None = None  # the baselines' item table; no_content trains it on opt_ce
 
     def train_wall_ns(self) -> int:
         return sum(self.timer.totals_ns.get(k, 0) for k in _TRAIN_PHASES)
@@ -448,8 +429,8 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     seeds = seed_streams(cfg.seed)
     dtype = np.float64 if cfg.precision == "f64" else np.float32
     ce, cf = init_params(cfg.model, seeds["init"])
-    for t in named_params(ce, cf).values():
-        t.data = t.data.astype(dtype, copy=False)
+    for p in (ce, cf):
+        p.bind(p.flat.astype(dtype, copy=False))
     item_ids, tokens = token_table(dataset.items, cfg.model)
     bad = (tokens.ids < 0) | (tokens.ids >= cfg.model.vocab_size)
     if mode != "no_content" and bad.any():
@@ -472,10 +453,10 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
         rng = np.random.default_rng([seeds["init"], 1])
         a = math.sqrt(6.0 / (n_items + cfg.model.d))
         table = rng.uniform(-a, a, size=(n_items, cfg.model.d))
-        state.table = Tensor(table.astype(dtype), grad_enabled=True)
+        state.table = ItemTable(Tensor(table.astype(dtype), grad_enabled=True))
         state.ce = None
     elif mode == "no_finetune":
-        state.table = eval_encodings(state)
+        state.table = ItemTable(eval_encodings(state))
         state.counters.ce_forward_calls += n_items
     return state
 
@@ -521,10 +502,9 @@ def _write_back(dh: np.ndarray, rows, item_ids, leaf: Tensor, gmap: dict) -> Non
     dh[rows] = new
 
 
-def _sum_grads(total: dict, grads: dict) -> None:
-    """Add ``grads`` into ``total`` by name; a new name takes its array as is."""
-    for name, g in grads.items():
-        total[name] = total[name] + g if name in total else g
+def _sum_grads(total: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+    """``total + g``; a first sum, ``total`` None, is ``g`` as is."""
+    return g if total is None else total + g
 
 
 def _re_encoded(ce: CeParams, tokens: TokenTable, rows: list, chunk_size: int):
@@ -535,16 +515,6 @@ def _re_encoded(ce: CeParams, tokens: TokenTable, rows: list, chunk_size: int):
     for lo in range(0, len(rows), chunk_size):
         chunk = np.array(rows[lo:lo + chunk_size])
         yield chunk, ce_encode(chunk, tokens, ce)
-
-
-def _encoder_backward(ce: CeParams, graphs, dh: np.ndarray, grads: dict) -> None:
-    """Sum into ``grads`` the encoder's gradient J^T dh over the item rows
-    of ``graphs``, (rows, encoding) pairs: each encoding is backpropagated
-    with its rows of ``dh`` as the seed, and the gradients are summed over
-    the graphs."""
-    named = ce.named()
-    for rows, enc in graphs:
-        _sum_grads(grads, _named_grads(named, ad.backward(enc, dh[rows])))
 
 
 def _item_rows(item_ids: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -558,12 +528,10 @@ def _item_rows(item_ids: np.ndarray, items: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _module_params(state: TrainerState, module: str) -> dict:
-    """The named parameters of trained module ``module``: "cf" is the
-    collaborative filter, "ce" the encoder or ``no_content``'s table."""
-    if module == "cf":
-        return state.cf.named()
-    return {"table": state.table} if state.mode == "no_content" else state.ce.named()
+def _module(state: TrainerState, module: str) -> _Params:
+    """Module ``module``'s parameters: "cf" is the collaborative filter,
+    "ce" the encoder or, without one, ``no_content``'s table."""
+    return state.cf if module == "cf" else state.ce or state.table
 
 
 def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
@@ -591,8 +559,8 @@ def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
                                         state.cfg.ce_batch_size == 0)
         c.ce_forward_calls += n_encoded
         return batch.inverse, leaf, ("cf",)
-    modules = ("ce", "cf") if state.table.grad_enabled else ("cf",)
-    return rows[batch.inverse], state.table, modules
+    modules = ("ce", "cf") if state.mode == "no_content" else ("cf",)
+    return rows[batch.inverse], state.table.embedding, modules
 
 
 def _step_phase(state: TrainerState, module: str) -> str:
@@ -613,10 +581,10 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
     closes the window, backpropagate ``gram``'s dL/dh sums through the
     encoder into that sum, empty the window and hand the sum out. The
     ``gram`` report's ``pseudo_loss`` is half the squared norm of the
-    closed window's dL/dh sums. The gradients are unclipped, by
-    parameter name, per trained module: "cf", and "ce" for the encoder (or
-    ``no_content``'s table) at a close. In every mode an item the dataset
-    lacks is a ValueError naming it.
+    closed window's dL/dh sums. The gradients are unclipped, one array
+    per trained module laid out as its ``flat``: "cf", and "ce" for the
+    encoder (or ``no_content``'s table) at a close. In every mode an item
+    the dataset lacks is a ValueError naming it.
     """
     with state.timer.measure(_step_phase(state, "cf")), \
             ad.track_activations(state.accountant), _aborts(f"{state.mode} step {state.t}"):
@@ -626,8 +594,9 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
         gmap = ad.backward(loss)
         if state.mode == "gram":
             _write_back(state.window.dh, rows, state.item_ids, enc, gmap)
-        grads = {m: _named_grads(_module_params(state, m), gmap) for m in modules}
-        _sum_grads(state.pending, grads.pop("ce", {}))
+        grads = {m: _flat_grad(_module(state, m), gmap) for m in modules}
+        if "ce" in grads:
+            state.pending = _sum_grads(state.pending, grads.pop("ce"))
     state.counters.cf_forward_calls += len(batch.users)
     state.t += 1
     closed = state.t % state.accum_steps == 0
@@ -644,14 +613,18 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
                             f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]})"):
                 size = state.cfg.ce_batch_size
                 graphs = _re_encoded(state.ce, state.tokens, rows, size) if size else window.graphs
-                _encoder_backward(state.ce, graphs, window.dh, state.pending)
+                for r, enc in graphs:       # J^T dh, summed over the graphs
+                    g = _flat_grad(state.ce, ad.backward(enc, window.dh[r]))
+                    state.pending = _sum_grads(state.pending, g)
             state.counters.ce_backward_calls += len(rows)
+            if size:
+                state.counters.ce_reencode_calls += len(rows)
             state.counters.flop_estimate += gram_ce_flops_per_batch(
                 len(rows), float(np.mean(state.tokens.lengths[rows])), state.ce.cfg.d)
             window.touched[rows] = False
             window.rows, window.graphs = [], []
-    if closed and state.pending:
-        grads["ce"], state.pending = state.pending, {}
+    if closed and state.pending is not None:
+        grads["ce"], state.pending = state.pending, None
     state.counters.activation_elements_peak = state.accountant.peak
     return report, grads
 
@@ -666,7 +639,7 @@ def train_step(batch: Batch, state: TrainerState) -> dict:
             if state.cfg.clip_norm is not None:
                 g = clip_by_global_norm(g, state.cfg.clip_norm)
             opt = state.opt_ce if module == "ce" else state.opt_cf
-            optimizer_apply(opt, _module_params(state, module), g)
+            optimizer_apply(opt, _module(state, module), g)
     return report
 
 
@@ -684,7 +657,7 @@ def eval_encodings(state: TrainerState) -> Tensor:
     table. Never touches the cost counters.
     """
     if state.table is not None:
-        return state.table
+        return state.table.embedding
     with ad.no_grad():
         return ce_encode(np.arange(len(state.item_ids)), state.tokens, state.ce)
 
@@ -732,18 +705,15 @@ def evaluate(state: TrainerState, users, cs_items=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(state: TrainerState) -> dict:
-    params = {k: v.data.copy() for k, v in named_params(state.ce, state.cf).items()}
-    if state.table is not None:
-        params["table"] = state.table.data.copy()
-    return params
+def _snapshot(state: TrainerState) -> list:
+    """The "ce" and "cf" modules' flat arrays. Parameter arrays are
+    replaced, not mutated, so holding them keeps their values."""
+    return [_module(state, m).flat for m in ("ce", "cf")]
 
 
-def _restore(state: TrainerState, snap: dict) -> None:
-    for k, v in named_params(state.ce, state.cf).items():
-        v.data = snap[k].copy()
-    if state.table is not None:
-        state.table.data = snap["table"].copy()
+def _restore(state: TrainerState, snap: list) -> None:
+    for m, flat in zip(("ce", "cf"), snap):
+        _module(state, m).bind(flat)
 
 
 def train(dataset: Dataset, mode: str, cfg: TrainConfig):
@@ -817,13 +787,13 @@ def _run_steps(dataset: Dataset, mode: str, cfg: TrainConfig, k_steps: int,
                steps_per_epoch: int) -> dict:
     """k training steps over cycling epochs of all of ``dataset``'s users,
     ``steps_per_epoch`` steps each, windowed at ``cfg.latency``; returns the
-    parameter snapshot."""
+    parameters by name."""
     state = init_trainer(dataset, mode, cfg, steps_per_epoch=steps_per_epoch)
     batches = itertools.chain.from_iterable(
         epoch_batches(dataset.users, cfg, epoch) for epoch in itertools.count())
     for batch in itertools.islice(batches, k_steps):
         train_step(batch, state)
-    return _snapshot(state)
+    return {k: t.data for k, t in named_params(state.ce, state.cf).items()}
 
 
 def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
@@ -872,8 +842,9 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
             state.ce, state.cf = ce, cf
             grads.append(step_gradients(batch, state)[1])
         ref, alt = grads
-        for module in worst:
-            worst[module] = max(worst[module], max_rel_err(ref[module], alt[module]))
+        for module, p in (("ce", ce), ("cf", cf)):
+            worst[module] = max(worst[module],
+                                max_rel_err(p.views(ref[module]), p.views(alt[module])))
     out = {"n_trials": n_trials, "max_ce_grad_rel_err": worst["ce"],
            "max_cf_grad_rel_err": worst["cf"], "max_param_grad_rel_err": max(worst.values())}
     for kind, lr in (("sgd", VERIFY_SGD_LR), ("adam", VERIFY_ADAM_LR)):

@@ -120,8 +120,8 @@ def _random_trial(trial: int):
     # the kept first-touch graph, and the window re-encoded in chunks of 3 items
     for ce_batch_size in (0, CHUNK):
         alt = _trial_gradients(ds, "gram", cfg, ce_batch_size, ce, cf, batch)
-        worst_ce = max(worst_ce, max_rel_err(ref["ce"], alt["ce"]))
-        worst_cf = max(worst_cf, max_rel_err(ref["cf"], alt["cf"]))
+        worst_ce = max(worst_ce, max_rel_err(ce.views(ref["ce"]), ce.views(alt["ce"])))
+        worst_cf = max(worst_cf, max_rel_err(cf.views(ref["cf"]), cf.views(alt["cf"])))
     return worst_ce, worst_cf, len(batch.unique_items) > CHUNK
 
 
@@ -260,11 +260,11 @@ def _model_fd_check(variant: str, rng, n_coords=3):
     state = init_trainer(ds, "e2e", TrainConfig(model=cfg))
     state.ce, state.cf = ce, cf
     _, grads = step_gradients(batch, state)
+    grads = {f"{m}.{k}": g for m, p in (("ce", ce), ("cf", cf)) for k, g in p.views(grads[m]).items()}
     loss = lambda: step_gradients(batch, state)[0]["loss"]
     worst = 0.0
     for key, param in named_params(ce, cf).items():
-        module, name = key.split(".", 1)
-        g = np.asarray(grads[module][name]).ravel()
+        g = grads[key].ravel()
         flat = param.data.ravel()
         for i in np.argsort(-np.abs(g))[:n_coords]:
             if abs(g[i]) < 1e-5:

@@ -336,10 +336,14 @@ def test_bench_checks_call_ratio(workdir, capsys, monkeypatch):
     argv = ["bench", "--data", str(workdir / "data"), "--config", str(workdir / "cfg.json"),
             "--epochs", "2", "--out", str(workdir / "bench")]
     assert cli.main(argv + ["--modes", "e2e,gram"]) == 0
-    assert "encoder call ratio" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "encoder call ratio" in out and "encoder forwards run ratio" in out
     payload = json.loads((workdir / "bench" / "bench.json").read_text())
     assert set(payload["modes"]) == {"e2e", "gram"}
     assert payload["speed"]["measured_call_ratio"] == stream[0] / stream[1]
+    # the re-encodes at the window closes ran too
+    reencodes = payload["modes"]["gram"]["counters"]["ce_reencode_calls"]
+    assert payload["speed"]["forwards_run_ratio"] == stream[0] / (stream[1] + reencodes)
 
     assert cli.main(argv + ["--modes", "no-content,no-finetune"]) == 0
     payload = json.loads((workdir / "bench" / "bench.json").read_text())

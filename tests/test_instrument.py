@@ -53,7 +53,7 @@ def test_counters_as_dict_keys():
     c = CostCounters(ce_forward_calls=3)
     d = c.as_dict()
     assert d["ce_forward_calls"] == 3
-    assert list(d) == ["ce_forward_calls", "ce_backward_calls", "cf_forward_calls",
+    assert list(d) == ["ce_forward_calls", "ce_reencode_calls", "ce_backward_calls", "cf_forward_calls",
                        "activation_elements_peak", "flop_estimate", "wall_clock_ns"]
 
 

@@ -36,10 +36,9 @@ def encode(seqs, ce):
 
 
 def to_f32(params):
-    """Cast a module's parameters to float32 in place, as init_trainer does
-    for an f32 run, and return the module."""
-    for t in params.named().values():
-        t.data = t.data.astype(np.float32)
+    """Cast a module's parameters to float32, as init_trainer does for an
+    f32 run, and return the module."""
+    params.bind(params.flat.astype(np.float32))
     return params
 
 
@@ -436,8 +435,8 @@ def test_param_counts_match_closed_form():
         cfg = M.ModelConfig(d=16, d_ff=32, l_ce=2, d_h=12, vocab_size=50,
                             cf_variant=variant)
         ce, cf = M.init_params(cfg, seed=0)
-        assert ce.param_count() == ce_param_count(cfg)
-        assert cf.param_count() == cf_param_count(cfg)
+        assert ce.flat.size == ce_param_count(cfg)
+        assert cf.flat.size == cf_param_count(cfg)
 
 
 def test_init_is_deterministic_and_seed_sensitive():
@@ -780,7 +779,7 @@ def test_batch_rejects_sequences_longer_than_max_interactions(variant):
 
 
 def test_parameter_names_follow_field_order():
-    # checkpoints, Adam state and the clip-norm sum all iterate in this order
+    # checkpoints and each module's flat array follow this order
     layer = ["wq", "wk", "wv", "wo", "w_ff1", "w_ff2"]
     ce, rec = small_params(variant="recurrent", l_ce=2)
     _, att = small_params(variant="attention")

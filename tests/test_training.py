@@ -1,17 +1,20 @@
 """Trainer tests: optimizers, cache/window mechanics, counters,
 gradient equivalence, baselines, and the train loop."""
 
+import json
 import platform
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
 
 import reference_metrics as RM
+from reference_optimizer import ReferenceOptimizer
 from gram import autodiff as ad
 from gram.autodiff import Tensor
 from gram.dataset import Batch, Dataset, GenConfig, Item, UserSequence, batch_iter, generate_synthetic
 from gram.model import (
+    ItemTable,
     ModelConfig,
     batch_sequence_loss,
     ce_encode,
@@ -78,38 +81,45 @@ def dup_heavy_batch():
 # ---------------------------------------------------------------------------
 
 
+def one_tensor(data):
+    """A module of one trained tensor holding ``data``."""
+    return ItemTable(Tensor(np.asarray(data, dtype=np.float64), grad_enabled=True))
+
+
 def test_sgd_lr_one_is_plain_subtraction():
-    p = Tensor(np.array([1.0, 2.0, 3.0]), grad_enabled=True)
+    p = one_tensor([1.0, 2.0, 3.0])
     g = np.array([0.5, -1.0, 2.0])
     opt = OptimizerState(OptimizerConfig(kind="sgd", lr=1.0))
-    optimizer_apply(opt, {"p": p}, {"p": g})
-    assert np.array_equal(p.data, np.array([0.5, 3.0, 1.0]))
+    optimizer_apply(opt, p, g)
+    assert np.array_equal(p.flat, np.array([0.5, 3.0, 1.0]))
+    assert np.array_equal(p.embedding.data, p.flat)
 
 
 def test_sgd_zero_lr_keeps_params():
-    p = Tensor(np.array([1.0, 2.0]), grad_enabled=True)
-    before = p.data.copy()
-    optimizer_apply(OptimizerState(OptimizerConfig(kind="sgd", lr=0.0)), {"p": p}, {"p": np.ones(2)})
-    assert np.array_equal(p.data, before)
+    p = one_tensor([1.0, 2.0])
+    before = p.flat.copy()
+    optimizer_apply(OptimizerState(OptimizerConfig(kind="sgd", lr=0.0)), p, np.ones(2))
+    assert np.array_equal(p.flat, before)
 
 
 def test_adam_first_step_magnitude():
     # bias correction makes the first update ~lr per component when |g| >> eps
-    p = Tensor(np.zeros(4), grad_enabled=True)
+    p = one_tensor(np.zeros(4))
     g = np.array([1.0, -2.0, 0.5, 10.0])
     opt = OptimizerState(OptimizerConfig(kind="adam", lr=1e-3))
-    optimizer_apply(opt, {"p": p}, {"p": g})
-    assert np.allclose(np.abs(p.data), 1e-3, rtol=1e-6)
-    assert np.array_equal(np.sign(p.data), -np.sign(g))
+    optimizer_apply(opt, p, g)
+    assert np.allclose(np.abs(p.flat), 1e-3, rtol=1e-6)
+    assert np.array_equal(np.sign(p.flat), -np.sign(g))
 
 
 def test_adam_moment_buffers_mirror_shapes():
-    p = Tensor(np.zeros((3, 2)), grad_enabled=True)
+    p = one_tensor(np.zeros((3, 2)))
     opt = OptimizerState(OptimizerConfig(kind="adam", lr=1e-3))
-    optimizer_apply(opt, {"p": p}, {"p": np.ones((3, 2))})
-    assert opt.m["p"].shape == (3, 2) and opt.v["p"].shape == (3, 2)
+    assert opt.m is None and opt.v is None
+    optimizer_apply(opt, p, np.ones(6))
+    assert opt.m.shape == opt.v.shape == p.flat.shape == (6,)
     assert opt.step == 1
-    optimizer_apply(opt, {"p": p}, {"p": np.ones((3, 2))})
+    optimizer_apply(opt, p, np.ones(6))
     assert opt.step == 2
 
 
@@ -121,30 +131,38 @@ def test_noam_peaks_at_warmup():
 
 
 def test_optimizer_rejects_shape_mismatch():
-    p = Tensor(np.zeros(()), grad_enabled=True)
+    p = one_tensor(np.zeros(()))
+    opt = OptimizerState(OptimizerConfig(kind="sgd"))
     with pytest.raises(ConfigError):
-        optimizer_apply(OptimizerState(OptimizerConfig(kind="sgd")), {"p": p},
-                        {"p": np.ones(1)})
+        optimizer_apply(opt, p, np.ones(2))
+    assert opt.step == 0
 
 
-def test_optimizer_skips_missing_grads():
-    p = Tensor(np.ones(2), grad_enabled=True)
-    q = Tensor(np.ones(2), grad_enabled=True)
-    optimizer_apply(OptimizerState(OptimizerConfig(kind="sgd", lr=1.0)), {"p": p, "q": q},
-                    {"p": np.ones(2)})
-    assert np.array_equal(q.data, np.ones(2))
-    assert np.array_equal(p.data, np.zeros(2))
+@pytest.mark.parametrize("schedule", ["constant", "noam"])
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_optimizer_apply_matches_the_per_tensor_oracle_bit_for_bit(kind, schedule):
+    # SGD and Adam are elementwise, so one flat update equals stepping
+    # each tensor on its own
+    cfg = OptimizerConfig(kind=kind, lr=1e-2, schedule=schedule, warmup=5)
+    rng = np.random.default_rng(4)
+    for module in init_params(SMALL_MODEL, 2):
+        opt, ref = OptimizerState(cfg), ReferenceOptimizer(cfg)
+        want = {k: t.data.copy() for k, t in module.named().items()}
+        for _ in range(20):
+            g = rng.standard_normal(module.flat.shape)
+            optimizer_apply(opt, module, g)
+            want = ref.apply(want, module.views(g))
+            for name, t in module.named().items():
+                assert np.array_equal(t.data, want[name]), name
 
 
 def test_clip_by_global_norm():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}  # norm 5
-    clipped = clip_by_global_norm(grads, 1.0)
-    total = np.sqrt(sum(np.sum(g * g) for g in clipped.values()))
-    assert total == pytest.approx(1.0)
-    assert np.allclose(clipped["a"], [0.6, 0.0])
+    g = np.array([3.0, 0.0, 0.0, 4.0])      # norm 5
+    clipped = clip_by_global_norm(g, 1.0)
+    assert np.sqrt(np.sum(clipped * clipped)) == pytest.approx(1.0)
+    assert np.allclose(clipped, [0.6, 0.0, 0.0, 0.8])
     # under the bound: untouched
-    same = clip_by_global_norm(grads, 100.0)
-    assert same["a"] is grads["a"]
+    assert clip_by_global_norm(g, 100.0) is g
 
 
 def test_each_trainer_starts_with_zeroed_optimizer_state():
@@ -153,10 +171,112 @@ def test_each_trainer_starts_with_zeroed_optimizer_state():
     cfg = small_config(opt_ce=OptimizerConfig(kind="adam"))
     first = init_trainer(ds, "e2e", cfg)
     train_step(batch, first)
-    assert first.opt_ce.step == 1 and first.opt_ce.m
+    assert first.opt_ce.step == 1 and first.opt_ce.m is not None
     second = init_trainer(ds, "e2e", cfg)
-    assert second.opt_ce.step == 0 and not second.opt_ce.m and not second.opt_ce.v
+    assert second.opt_ce.step == 0 and second.opt_ce.m is None and second.opt_ce.v is None
     assert second.opt_ce.cfg is cfg.opt_ce
+
+
+# ---------------------------------------------------------------------------
+# Flat parameter storage
+# ---------------------------------------------------------------------------
+
+
+def assert_views_its_flat(module):
+    """Each of ``module``'s tensors is a view of its region of ``module.flat``,
+    in ``named()`` order."""
+    flat = module.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous
+    lo = 0
+    for name, t in module.named().items():
+        region = flat[lo:lo + t.size]
+        assert t.data.dtype == flat.dtype and t.data.flags.c_contiguous, name
+        assert t.data.ctypes.data == region.ctypes.data, name
+        lo += t.size
+    assert lo == flat.size
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("mode", ["e2e", "gram", "no_content", "no_finetune"])
+def test_init_trainer_builds_modules_that_view_their_flat_array(mode, precision):
+    ds, _ = dup_heavy_batch()
+    state = init_trainer(ds, mode, small_config(precision=precision))
+    dtype = np.float64 if precision == "f64" else np.float32
+    for module in (m for m in (state.ce, state.table, state.cf) if m is not None):
+        assert module.flat.dtype == dtype
+        assert_views_its_flat(module)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_steps_restores_and_loads_keep_every_tensor_a_view_of_its_flat_array(kind, tmp_path):
+    from gram.training import _restore, _snapshot
+    ds, batch = dup_heavy_batch()
+    opt = OptimizerConfig(kind=kind, lr=0.1)
+    state = init_trainer(ds, "gram", small_config(opt_ce=opt, opt_cf=opt))
+    snap = _snapshot(state)
+    train_step(batch, state)              # 1S: both modules step
+    assert state.opt_ce.step == state.opt_cf.step == 1
+    for module, before in zip((state.ce, state.cf), snap):
+        assert not np.array_equal(module.flat, before)
+        assert_views_its_flat(module)
+    _restore(state, snap)
+    for module, before in zip((state.ce, state.cf), snap):
+        assert module.flat is before
+        assert_views_its_flat(module)
+    save_checkpoint(tmp_path / "ckpt.npz", state.ce, state.cf)
+    for module in load_checkpoint(tmp_path / "ckpt.npz"):
+        assert_views_its_flat(module)
+
+
+def test_a_step_replaces_parameter_arrays_and_mutates_none():
+    # a snapshot holds the flat arrays themselves, and a graph the views it
+    # was built on; a step binds new arrays, so both keep their values and
+    # the graph backpropagates as it would have before the step
+    from gram.training import _snapshot
+    ds, batch = dup_heavy_batch()
+    adam = OptimizerConfig(kind="adam", lr=0.1)
+    state = init_trainer(ds, "e2e", small_config(opt_ce=adam, opt_cf=adam))
+    snap = _snapshot(state)
+    kept = [a.copy() for a in snap]
+    rows = np.arange(len(ds.items))
+    seed = np.random.default_rng(0).standard_normal((len(rows), SMALL_MODEL.d))
+    early, late = (ce_encode(rows, state.tokens, state.ce) for _ in range(2))
+    want = ad.backward(early, seed)
+    train_step(batch, state)
+    assert all(np.array_equal(a, b) for a, b in zip(snap, kept))
+    assert all(a is not m.flat for a, m in zip(snap, (state.ce, state.cf)))
+    got = ad.backward(late, seed)
+    for name, t in state.ce.named().items():
+        assert np.array_equal(got[t].data, want[t].data), name
+
+
+def test_loads_a_checkpoint_written_the_v1_way(tmp_path):
+    # named arrays, the format tag and the config, written without
+    # save_checkpoint: the archive layout that files already on disk have
+    cfg = ModelConfig(d=4, d_ff=6, d_h=3, vocab_size=10, l_ce=2)
+    d, h = cfg.d, cfg.d_h
+    shapes = {"ce.token_embedding": (cfg.vocab_size, d)}
+    for i in range(cfg.l_ce):
+        shapes.update({f"ce.layer{i}.{n}": (d, d) for n in ("wq", "wk", "wv", "wo")})
+        shapes.update({f"ce.layer{i}.w_ff1": (d, cfg.d_ff), f"ce.layer{i}.w_ff2": (cfg.d_ff, d)})
+    shapes.update({"ce.w_out": (d, d), "cf.resp_embedding": (2, d), "cf.w_ih": (2 * d, 3 * h),
+                   "cf.w_hh": (h, 3 * h), "cf.b_ih": (3 * h,), "cf.b_hh": (3 * h,),
+                   "cf.w_readout": (d, h)})
+    rng = np.random.default_rng(3)
+    for dtype in (np.float64, np.float32):
+        arrays = {k: rng.standard_normal(shape).astype(dtype) for k, shape in shapes.items()}
+        path = tmp_path / f"{np.dtype(dtype).name}.npz"
+        with open(path, "wb") as f:
+            np.savez(f, format=np.array("gram-checkpoint-v1"),
+                     config=np.array(json.dumps(asdict(cfg))), **arrays)
+        ce, cf = load_checkpoint(path)
+        assert ce.cfg == cfg
+        loaded = named_params(ce, cf)
+        assert list(loaded) == list(shapes)
+        for name, arr in arrays.items():
+            assert loaded[name].dtype == dtype and np.array_equal(loaded[name].data, arr), name
+        for module in (ce, cf):
+            assert_views_its_flat(module)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +441,8 @@ def test_e2e_five_step_losses_decrease_and_match_golden():
 
 def _item_side(state):
     """A copy of the item side's parameters: the encoder, or no_content's table."""
-    named = {"table": state.table} if state.mode == "no_content" else state.ce.named()
-    return {k: t.data.copy() for k, t in named.items()}
+    module = state.table if state.mode == "no_content" else state.ce
+    return {k: t.data.copy() for k, t in module.named().items()}
 
 
 @pytest.mark.parametrize("mode", ["e2e", "gram", "no_content"])
@@ -338,17 +458,16 @@ def test_the_item_side_steps_once_per_window_and_the_cf_every_step(mode):
     rep = train_step(batch, state)
     assert rep["window_closed"] and state.opt_ce.step == 1 and state.opt_cf.step == 2
     assert max_rel_err(item0, _item_side(state)) > 0.0
-    assert state.pending == {}
+    assert state.pending is None
 
 
 def test_a_first_gradient_sum_copies_nothing():
     from gram.training import _sum_grads
     g, h = np.ones(3), np.full(3, 2.0)
-    total = {}
-    _sum_grads(total, {"w": g})
-    assert total["w"] is g
-    _sum_grads(total, {"w": h})
-    assert np.array_equal(total["w"], [3.0, 3.0, 3.0]) and np.array_equal(g, np.ones(3))
+    total = _sum_grads(None, g)
+    assert total is g
+    total = _sum_grads(total, h)
+    assert np.array_equal(total, [3.0, 3.0, 3.0]) and np.array_equal(g, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +574,12 @@ def test_zero_dh_gives_an_exactly_zero_ce_gradient_at_any_chunk_size(ce_batch_si
     plan = plan_run(ds, cfg)
     state = init_trainer(ds, "gram", cfg, steps_per_epoch=plan.steps_per_epoch)
     batch = next(iter(epoch_batches(plan.train_users, cfg, 0)))
-    state.cf.w_readout.data = np.zeros_like(state.cf.w_readout.data)
+    state.cf.w_readout.data[...] = 0.0
     rep, grads = step_gradients(batch, state)
     assert rep["window_closed"] and rep["ce_items"] == len(batch.unique_items) > 8
     assert rep["pseudo_loss"] == 0.0
-    assert grads["ce"].keys() == state.ce.named().keys()
-    assert not any(g.any() for g in grads["ce"].values())
+    assert grads["ce"].shape == state.ce.flat.shape
+    assert not grads["ce"].any()
     assert len(state.window.rows) == 0             # emptied exactly once
     assert not state.window.touched.any()
 
@@ -484,8 +603,8 @@ def test_single_occurrence_zero_cf_lr_gradient_equality():
     cfg = small_config(ce_batch_size=0)
     ref = _step_grads(ds, "e2e", cfg, ce, cf, batch)
     alt = _step_grads(ds, "gram", cfg, ce, cf, batch)
-    for module in ("ce", "cf"):
-        assert max_rel_err(ref[module], alt[module]) <= 1e-12
+    for module, p in (("ce", ce), ("cf", cf)):
+        assert max_rel_err(p.views(ref[module]), p.views(alt[module])) <= 1e-12
 
 
 def test_duplicate_occurrences_accumulate_like_joint_backprop():
@@ -494,8 +613,8 @@ def test_duplicate_occurrences_accumulate_like_joint_backprop():
     cfg = small_config(ce_batch_size=0)
     ref = _step_grads(ds, "e2e", cfg, ce, cf, batch)
     alt = _step_grads(ds, "gram", cfg, ce, cf, batch)
-    for module in ("ce", "cf"):
-        assert max_rel_err(ref[module], alt[module]) <= 1e-10
+    for module, p in (("ce", ce), ("cf", cf)):
+        assert max_rel_err(p.views(ref[module]), p.views(alt[module])) <= 1e-10
 
 
 def test_multi_step_never_more_forwards_than_single_step():
@@ -570,6 +689,8 @@ def test_chunk_size_bounds_memory_only(latency, clip_norm):
     runs = {bs: run_epochs(ds, "gram", replace(cfg, ce_batch_size=bs), 2) for bs in (0, 3, 8)}
     params, counters, _ = runs[0]
     peaks = {bs: c.pop("activation_elements_peak") for bs, (_, c, _) in runs.items()}
+    reencodes = {bs: c.pop("ce_reencode_calls") for bs, (_, c, _) in runs.items()}
+    assert reencodes == {0: 0, 3: counters["ce_backward_calls"], 8: counters["ce_backward_calls"]}
     for bs in (3, 8):
         assert max_rel_err(params, runs[bs][0]) <= 1e-12
         assert runs[bs][1] == counters
@@ -590,8 +711,32 @@ def test_gram_1s_at_ce_batch_size_0_encodes_each_item_once(monkeypatch):
     ds, batch = dup_heavy_batch()
     state = init_trainer(ds, "gram", small_config(ce_batch_size=0))
     rep, grads = step_gradients(batch, state)
-    assert rep["window_closed"] and grads["ce"]
+    assert rep["window_closed"] and grads["ce"].any()
     assert calls == [True]
+
+
+def test_counted_forwards_and_re_encodes_are_the_rows_training_encoded(monkeypatch):
+    # at the default ce_batch_size the first touch encodes without grad
+    # and the close encodes the window's items again, with grad: the
+    # forwards that ran are the counted ones plus the re-encodes
+    import gram.training as T
+    encoded = []
+
+    def counting_encode(rows, *args):
+        encoded.append(len(rows))
+        return ce_encode(rows, *args)
+
+    ds, _ = generate_synthetic(GenConfig(), seed=1000)
+    cfg = TrainConfig(seed=1)
+    assert cfg.latency == "1S" and cfg.ce_batch_size > 0
+    plan = plan_run(ds, cfg)
+    state = init_trainer(ds, "gram", cfg, steps_per_epoch=plan.steps_per_epoch)
+    monkeypatch.setattr(T, "ce_encode", counting_encode)
+    for batch in epoch_batches(plan.train_users, cfg, 0):
+        train_step(batch, state)
+    c = state.counters
+    assert c.ce_reencode_calls == c.ce_backward_calls == c.ce_forward_calls > 0
+    assert c.ce_forward_calls + c.ce_reencode_calls == sum(encoded)
 
 
 @pytest.mark.parametrize("latency", ["1S", "2S", "10S"])
@@ -609,6 +754,8 @@ def test_kept_graphs_follow_the_one_chunk_re_encode(variant, kind, lr, latency):
     one_chunk, counters_1, _ = run_epochs(ds, "gram", replace(cfg, ce_batch_size=10 ** 6), 4)
     assert len(reps) >= 30 and sum(r["window_closed"] for r in reps) >= 3
     assert counters.pop("activation_elements_peak") >= counters_1.pop("activation_elements_peak")
+    assert counters.pop("ce_reencode_calls") == 0
+    assert counters_1.pop("ce_reencode_calls") == counters_1["ce_backward_calls"]
     assert counters == counters_1
     if latency == "1S":
         assert all(np.array_equal(kept[k], one_chunk[k]) for k in kept)
@@ -639,19 +786,17 @@ def test_init_trainer_builds_an_f32_run_in_float32():
     assert {t.dtype for t in named_params(state.ce, state.cf).values()} == {np.dtype(np.float32)}
     assert state.window.encodings.dtype == state.window.dh.dtype == np.float32
     for mode in ("no_content", "no_finetune"):
-        assert init_trainer(ds, mode, cfg).table.dtype == np.float32
+        assert init_trainer(ds, mode, cfg).table.flat.dtype == np.float32
 
 
 @pytest.mark.parametrize("mode", ["e2e", "gram", "no_content", "no_finetune"])
 def test_f32_train_keeps_every_parameter_and_moment_float32(mode):
     ds = tiny_dataset(n_users=30)
     rep, state = train(ds, mode, small_config(precision="f32", max_epochs=2, n_cs_items=2))
-    params = named_params(state.ce, state.cf)
-    if state.table is not None:
-        params["table"] = state.table
-    moments = [a for opt in (state.opt_ce, state.opt_cf) for a in (*opt.m.values(), *opt.v.values())]
+    modules = [m for m in (state.ce, state.table, state.cf) if m is not None]
+    moments = [a for opt in (state.opt_ce, state.opt_cf) for a in (opt.m, opt.v) if a is not None]
     assert len(rep.history) == 2 and moments
-    assert all(t.dtype == np.float32 for t in params.values())
+    assert all(a.dtype == np.float32 for m in modules for a in (m.flat, *(t.data for t in m.tensors)))
     assert all(a.dtype == np.float32 for a in moments)
 
 
@@ -758,13 +903,13 @@ def test_no_content_trains_only_touched_rows():
     state = init_trainer(ds2, "no_content", small_config(
         opt_ce=OptimizerConfig(kind="sgd", lr=0.1),
         opt_cf=OptimizerConfig(kind="sgd", lr=0.1)))
-    before = state.table.data.copy()
+    before = state.table.embedding.data.copy()
     train_step(batch, state)
     row99 = np.searchsorted(state.item_ids, 99)
     assert state.item_ids[row99] == 99
-    assert np.array_equal(state.table.data[row99], before[row99])
+    assert np.array_equal(state.table.embedding.data[row99], before[row99])
     changed = np.searchsorted(state.item_ids, batch.unique_items)
-    assert not np.array_equal(state.table.data[changed], before[changed])
+    assert not np.array_equal(state.table.embedding.data[changed], before[changed])
 
 
 def test_no_finetune_encodes_once_at_init():
@@ -825,9 +970,7 @@ def test_train_step_applies_what_step_gradients_returns(mode, monkeypatch):
     assert set(expected) == ({"cf"} if mode == "no_finetune" else {"ce", "cf"})
     assert sorted(module for module, _ in calls) == sorted(expected)
     for module, applied in calls:
-        assert applied.keys() == expected[module].keys()
-        for name, g in expected[module].items():
-            assert np.array_equal(applied[name], g), (module, name)
+        assert np.array_equal(applied, expected[module]), module
 
 
 def test_verifier_gradients_catch_a_fault_in_the_gram_step_inputs(monkeypatch):
