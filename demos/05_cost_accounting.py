@@ -53,6 +53,10 @@ def main():
     r = Fraction(st.n_interactions, st.n_items)
     assert ratio == r, f"call ratio {ratio} != dataset R {r}"
     print(f"call ratio {ratio} == dataset R {r} = {float(r):.2f}, exactly")
+    ran = se.counters.ce_forward_calls / (sg.counters.ce_forward_calls
+                                          + sg.counters.ce_reencode_calls)
+    print(f"encoder forwards run ratio {ran:.2f}: the window's close encodes its "
+          f"{sg.counters.ce_reencode_calls} items again, with grad")
 
     # --- activation memory ---------------------------------------------
     small = TrainConfig(cf_batch_size=4, ce_batch_size=8, max_epochs=1,
@@ -65,9 +69,9 @@ def main():
           f"({pg / pe:.0%})")
     print("joint backprop keeps the encoder activations of every occurrence alive; the")
     print("cached scheme's peak is the larger of one predictor batch and one encoder")
-    print("chunk, which are never alive together. At ce_batch_size 0 the window keeps")
-    print("each first-touch encoder graph until its close instead, so those graphs")
-    print("add to the predictor batch's")
+    print("chunk, which are never alive together. A single-step window re-encodes")
+    print("nothing: its step's one graph holds the encoder activations of the batch's")
+    print("distinct items beside the predictor's")
 
 
 if __name__ == "__main__":

@@ -319,9 +319,11 @@ def cmd_verify(args) -> int:
     rep = verify_equivalence(dataset, tcfg, n_trials=args.trials,
                              k_steps=args.steps)
     rep.update(trajectory_latency=tcfg.latency)
+    # ce_batch_size only chunks a multi-step window's close
+    path = "single-step graph" if rep["window_steps"] == 1 else f"ce_batch_size {tcfg.ce_batch_size}"
     lines = [
         f"equivalence over {rep['n_trials']} trials, {rep['k_steps']} steps "
-        f"at latency {tcfg.latency}, ce_batch_size {tcfg.ce_batch_size}",
+        f"at latency {tcfg.latency}, {path}",
         f"max encoder-gradient rel err   {rep['max_ce_grad_rel_err']:.3e}",
         f"max predictor-gradient rel err {rep['max_cf_grad_rel_err']:.3e}",
         f"max trajectory rel err (sgd)   {rep['max_trajectory_rel_err_sgd']:.3e}",

@@ -39,15 +39,13 @@ class CostCounters:
     """Per-run counters, one per encoder forward, encoder backward (per
     item row) and CF batch row. ``e2e`` runs one of each encoder pass per
     interaction occurrence, and ``flop_estimate`` costs that joint pass.
-    ``gram`` counts in ``ce_forward_calls`` the first touch of an item in
-    a window, and in ``ce_backward_calls`` the close's backpropagation of
-    each cached item's summed dL/dh; ``flop_estimate`` costs one forward
-    and backward per item. At a positive ``ce_batch_size`` the first touch
-    runs without grad and the close encodes each cached item again with
-    grad, one forward each in ``ce_reencode_calls``: the forwards that ran
-    are the two counts' sum, and the estimate leaves out the first touch.
-    At ``ce_batch_size`` 0 the close backpropagates the first-touch graphs
-    and nothing is re-encoded."""
+    ``gram`` counts in ``ce_forward_calls`` an item's first touch in a
+    window and in ``ce_backward_calls`` its backpropagation, and
+    ``flop_estimate`` costs one of each per item. A single-step window is
+    one graph that re-encodes nothing. A multi-step window's first touch
+    runs without grad, and its close encodes each item again, with grad,
+    one forward each in ``ce_reencode_calls``: the forwards that ran are
+    the two counts' sum."""
 
     ce_forward_calls: int = 0
     ce_reencode_calls: int = 0

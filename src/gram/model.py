@@ -84,6 +84,7 @@ fan_out)); bias vectors start at zero.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -171,6 +172,13 @@ class _Params:
         self.flat = flat
         for t, end in zip(self.tensors, self._ends):
             t.data = flat[end - t.size:end].reshape(t.shape)
+
+    def __deepcopy__(self, memo):
+        """A copy whose tensors view the copy's own ``flat``."""
+        new = object.__new__(type(self))
+        new.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        new.bind(new.flat)
+        return new
 
 
 @dataclass

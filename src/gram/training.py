@@ -7,12 +7,13 @@ Training modes
     One joint graph per batch: the content encoder runs once per
     interaction *occurrence*.
 ``gram``
-    Alternating: the collaborative filter reads one grad-enabled leaf of
-    item encodings. Within a window every touch of an item reads the
-    encoding h of its first touch, so the encoder runs once per *distinct*
-    item per window, and adds its dL/dh to the item's sum. When the window
-    closes each item's summed dL/dh is backpropagated from its encoding
-    and the window empties.
+    The encoder runs once per *distinct* item per window. A single-step
+    window is one joint graph over the batch's distinct items, whose
+    gather sums each item's occurrences' gradients. A multi-step window
+    encodes an item without grad at its first touch; every touch reads
+    that encoding h through a grad-enabled leaf and adds its dL/dh to the
+    item's sum. When the window closes each item's summed dL/dh is
+    backpropagated from its encoding and the window empties.
 ``no_content``
     A trainable item-embedding table replaces the encoder entirely.
 ``no_finetune``
@@ -21,25 +22,22 @@ Training modes
 All four share one step and one window of N steps, the window
 ``latency`` resolves to. ``step_gradients`` does everything up to the
 optimizers: a per-mode builder supplies the CF's item representations,
-one backward runs through the batch loss, and in ``gram`` the leaf's
-gradient is added to the window's sums. The CF's gradient is handed out
-every step; the encoder's (or ``no_content``'s table's) is summed over
-the window, with ``gram``'s backward from the sums, and handed out at its
-close.
+one backward runs through the batch loss, and in a multi-step ``gram``
+window the leaf's gradient is added to the window's sums. The CF's
+gradient is handed out every step; the encoder's (or ``no_content``'s
+table's) is summed over the window, with the multi-step window's
+backward from the sums, and handed out at its close.
 ``train_step`` then clips and steps each module on its own optimizer.
 
 An item is addressed one way, from init to loss: as its row k among the
 sorted item ids, found once per step. Row k holds its row of the token
-table, its baseline table row and, in ``gram``, its window state.
+table, its baseline table row and its multi-step window state.
 
-At ``ce_batch_size`` 0 an item's first-touch encoding runs with grad,
-and the window keeps that graph until its close, where it is
-backpropagated, so each item is encoded once per window. At a positive
-``ce_batch_size`` the first touch encodes without grad, and the close
-re-encodes the window's items, in first-touch order, ``ce_batch_size``
-per graph, and sums the chunks' gradients: the chunk bounds the encoder
-graph's memory at the price of a second forward, and leaves the
-trajectory alone. The encoder does not move inside
+A multi-step window's close re-encodes its items with grad, in
+first-touch order, ``ce_batch_size`` per graph (0: all in one graph),
+and sums the chunks' gradients: the chunk bounds the encoder graph's
+memory at the price of a second forward, and leaves the trajectory
+alone. The encoder does not move inside
 a window, so by the chain rule J^T sum dL/dh, J the Jacobian of each
 item's encoding at the window-start parameters, is the joint-backprop
 encoder gradient summed over the window: a ``gram`` window of N steps
@@ -236,11 +234,10 @@ class TrainConfig:
     and initial parameters. ``latency`` is every mode's gradient-update
     latency, the window between encoder (or table) updates (see
     ``accumulation_latency``). ``ce_batch_size`` is the number of cached
-    items the window's encoder backward re-encodes in one graph; it bounds
-    that graph's memory only, since the chunks' gradients are summed into
-    one encoder step per window. At 0 nothing is re-encoded: the window
-    keeps every first-touch encoder graph until its close, so each item is
-    encoded once, and the graphs' memory grows with the window. The config is frozen and
+    items a multi-step ``gram`` window's close re-encodes in one graph, 0
+    for all of them in one; it bounds that graph's memory only, since the
+    chunks' gradients are summed into one encoder step per window. A
+    single-step window re-encodes nothing and ignores it. The config is frozen and
     checks itself when built (``dataclasses.replace`` included), as its
     nested configs do: a value out of range raises ConfigError.
     """
@@ -267,8 +264,8 @@ class TrainConfig:
         if self.cf_batch_size < 1:
             raise ConfigError("cf_batch_size must be positive")
         if self.ce_batch_size < 0:
-            raise ConfigError("ce_batch_size must be >= 0 (0 = keep each first-touch "
-                              "encoder graph, no re-encode)")
+            raise ConfigError("ce_batch_size must be >= 0 (0 = re-encode a window's "
+                              "items in one graph)")
         if not (0.0 < self.val_frac < 1.0 and 0.0 < self.test_frac < 1.0):
             raise ConfigError("val_frac and test_frac must lie in (0, 1)")
         if self.max_epochs < 1 or self.patience < 0:
@@ -371,19 +368,16 @@ def epoch_batches(users, cfg: TrainConfig, epoch: int):
 
 @dataclass
 class Window:
-    """``gram``'s open window over item rows: ``rows`` in first-touch order,
-    marked in ``touched``. Touched row r holds its first-touch encoding,
-    which every touch reads, in ``encodings[r]`` and the sum of its
-    touches' dL/dh in ``dh[r]``; other rows are stale and unread. At
-    ``ce_batch_size`` 0, ``graphs`` keeps each first-touch encode as a
-    (rows, encoding) pair, its graph alive until the close backpropagates
-    it."""
+    """A multi-step ``gram`` window over item rows: ``rows`` in first-touch
+    order, marked in ``touched``. Touched row r holds its first-touch
+    encoding, which every touch reads, in ``encodings[r]`` and the sum of
+    its touches' dL/dh in ``dh[r]``; other rows are stale and unread. No
+    encoder graph outlives the step that built it."""
 
     encodings: np.ndarray           # (n_items, d)
     dh: np.ndarray                  # (n_items, d)
     touched: np.ndarray             # (n_items,) bool
     rows: list = field(default_factory=list)
-    graphs: list = field(default_factory=list)
 
 
 @dataclass
@@ -400,7 +394,7 @@ class TrainerState:
     tokens: TokenTable              # row k: the encoder's token ids of item_ids[k]
     accum_steps: int                # window size N, resolved from cfg.latency
     t: int = 0                      # batches processed so far
-    window: Window | None = None    # gram's open window
+    window: Window | None = None    # a multi-step gram run's open window
     pending: np.ndarray | None = None   # the open window's summed "ce" gradient, flat
     counters: CostCounters = field(default_factory=CostCounters)
     accountant: ActivationAccountant = field(default_factory=ActivationAccountant)
@@ -420,8 +414,8 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
     runs, a token it reads outside ``vocab_size`` is a ConfigError naming
     the item. ``steps_per_epoch`` resolves an epoch-relative
     ``cfg.latency``; without it such a latency is a ConfigError. This is
-    where ``cfg.precision`` takes effect: the parameters, ``gram``'s
-    window and ``no_content``'s table are built in its dtype, and every
+    where ``cfg.precision`` takes effect: the parameters, a multi-step
+    ``gram`` window and ``no_content``'s table are built in its dtype, and every
     array computed from them follows.
     """
     if mode not in MODES:
@@ -444,7 +438,7 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
         accum_steps=accumulation_latency(cfg.latency, steps_per_epoch),
     )
     n_items = len(item_ids)
-    if mode == "gram":
+    if mode == "gram" and state.accum_steps > 1:
         shape = (n_items, cfg.model.d)
         state.window = Window(np.zeros(shape, dtype), np.zeros(shape, dtype), np.zeros(n_items, bool))
     elif mode == "no_content":
@@ -466,24 +460,18 @@ def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
-def _cache_leaves(rows: np.ndarray, window: Window, ce: CeParams, tokens: TokenTable,
-                  keep_graph: bool):
-    """The CF's input for a gram step: one grad-enabled (n, d) leaf whose
-    row k is the window-start encoding of item row ``rows[k]``.
+def _cache_leaves(rows: np.ndarray, window: Window, ce: CeParams, tokens: TokenTable):
+    """The CF's input for a multi-step gram step: one grad-enabled (n, d)
+    leaf whose row k is the window-start encoding of item row ``rows[k]``.
 
-    Rows new to the window are encoded in one call; that encoding is what
-    every later touch reads, and the row's dL/dh sum starts at zero. With
-    ``keep_graph`` the call runs with grad and the window keeps its graph
-    for the close; without, it runs without grad. Returns (leaf, encoder
-    forwards).
+    Rows new to the window are encoded without grad in one call; that
+    encoding is what every later touch reads, and the row's dL/dh sum
+    starts at zero. Returns (leaf, encoder forwards).
     """
     new = rows[~window.touched[rows]]
     if new.size:
-        with contextlib.nullcontext() if keep_graph else ad.no_grad():
-            enc = ce_encode(new, tokens, ce)
-        if keep_graph:
-            window.graphs.append((new, enc))
-        window.encodings[new] = enc.data
+        with ad.no_grad():
+            window.encodings[new] = ce_encode(new, tokens, ce).data
         window.dh[new] = 0.0
         window.touched[new] = True
         window.rows.extend(new.tolist())
@@ -539,28 +527,29 @@ def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
     ``batch.unique_items``.
 
     ``enc`` holds the representations the CF reads, ``enc[index[k]]`` the
-    batch's interaction k's. In ``e2e`` row k encodes interaction k; in
-    ``gram`` row j is item row ``rows[j]``'s, in the leaf whose gradient
-    goes into the window's dL/dh sums; the baselines pass their item
-    table, as evaluation does. ``modules`` names the trained modules whose gradients
-    the batch loss's backward gives.
+    batch's interaction k's. In ``e2e`` row k encodes interaction k, and
+    in single-step ``gram`` item row ``rows[k]``, in the step's graph. In
+    multi-step ``gram`` row k is item row ``rows[k]``'s, in the leaf whose
+    gradient goes into the window's dL/dh sums; the baselines pass their
+    item table, as evaluation does. ``modules`` names the trained modules
+    whose gradients the batch loss's backward gives.
     """
     c = state.counters
-    if state.mode == "e2e":     # one grad-tracked encoding per occurrence
-        occ = rows[batch.inverse]
-        lens = state.tokens.lengths[occ]
-        c.ce_forward_calls += len(lens)
-        c.ce_backward_calls += len(lens)
-        c.flop_estimate += e2e_ce_flops_per_batch(
-            len(batch.users), len(lens) / len(batch.users), float(np.mean(lens)), state.ce.cfg.d)
-        return np.arange(len(lens)), ce_encode(occ, state.tokens, state.ce), ("ce", "cf")
-    if state.mode == "gram":
-        leaf, n_encoded = _cache_leaves(rows, state.window, state.ce, state.tokens,
-                                        state.cfg.ce_batch_size == 0)
+    if state.window is not None:
+        leaf, n_encoded = _cache_leaves(rows, state.window, state.ce, state.tokens)
         c.ce_forward_calls += n_encoded
         return batch.inverse, leaf, ("cf",)
-    modules = ("ce", "cf") if state.mode == "no_content" else ("cf",)
-    return rows[batch.inverse], state.table.embedding, modules
+    if state.mode not in ("e2e", "gram"):
+        modules = ("ce", "cf") if state.mode == "no_content" else ("cf",)
+        return rows[batch.inverse], state.table.embedding, modules
+    e2e = state.mode == "e2e"
+    index, encoded = (np.arange(len(batch.inverse)), rows[batch.inverse]) if e2e else (batch.inverse, rows)
+    n, l_t, d = len(encoded), float(np.mean(state.tokens.lengths[encoded])), state.ce.cfg.d
+    c.ce_forward_calls += n
+    c.ce_backward_calls += n
+    c.flop_estimate += (e2e_ce_flops_per_batch(len(batch.users), n / len(batch.users), l_t, d)
+                        if e2e else gram_ce_flops_per_batch(n, l_t, d))
+    return index, ce_encode(encoded, state.tokens, state.ce), ("ce", "cf")
 
 
 def _step_phase(state: TrainerState, module: str) -> str:
@@ -576,12 +565,13 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
 
     In order: (1) find the rows of the batch's items and build the CF's
     item representations, (2) one backward through the batch's sequence
-    loss, (3) in ``gram``, add dL/dh to each item's window sum, (4) add
-    the step's "ce" gradient to the window's sum, (5) when the clock
-    closes the window, backpropagate ``gram``'s dL/dh sums through the
-    encoder into that sum, empty the window and hand the sum out. The
-    ``gram`` report's ``pseudo_loss`` is half the squared norm of the
-    closed window's dL/dh sums. The gradients are unclipped, one array
+    loss, (3) in a multi-step window, add dL/dh to each item's window sum,
+    (4) add the step's "ce" gradient to the window's sum, (5) when the
+    clock closes the window, backpropagate a multi-step window's dL/dh
+    sums through the encoder into that sum, empty the window and hand the
+    sum out. The ``gram`` report's ``cache_size`` and ``ce_items`` count
+    the window's items; a multi-step close's ``pseudo_loss`` is half the
+    squared norm of its dL/dh sums. The gradients are unclipped, one array
     per trained module laid out as its ``flat``: "cf", and "ce" for the
     encoder (or ``no_content``'s table) at a close. In every mode an item
     the dataset lacks is a ValueError naming it.
@@ -592,7 +582,7 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
         index, enc, modules = _step_inputs(batch, rows, state)
         loss, n_preds = batch_sequence_loss(batch, index, enc, state.cf)
         gmap = ad.backward(loss)
-        if state.mode == "gram":
+        if state.window is not None:
             _write_back(state.window.dh, rows, state.item_ids, enc, gmap)
         grads = {m: _flat_grad(_module(state, m), gmap) for m in modules}
         if "ce" in grads:
@@ -602,7 +592,9 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
     closed = state.t % state.accum_steps == 0
     report = {"loss": loss.item(), "n_predictions": n_preds, "step": state.t,
               "window_closed": closed}
-    if state.mode == "gram":
+    if state.mode == "gram" and state.window is None:   # the step is its window
+        report["cache_size"] = report["ce_items"] = len(rows)
+    elif state.window is not None:
         window, rows = state.window, state.window.rows
         report["cache_size"] = len(rows)
         if closed:      # the window holds this step's items, so it is not empty
@@ -611,18 +603,16 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
             with state.timer.measure("ce"), ad.track_activations(state.accountant), \
                     _aborts(f"encoder backward at step {state.t} (items "
                             f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]})"):
-                size = state.cfg.ce_batch_size
-                graphs = _re_encoded(state.ce, state.tokens, rows, size) if size else window.graphs
-                for r, enc in graphs:       # J^T dh, summed over the graphs
-                    g = _flat_grad(state.ce, ad.backward(enc, window.dh[r]))
+                for r, enc in _re_encoded(state.ce, state.tokens, rows,
+                                          state.cfg.ce_batch_size or len(rows)):
+                    g = _flat_grad(state.ce, ad.backward(enc, window.dh[r]))   # J^T dh
                     state.pending = _sum_grads(state.pending, g)
             state.counters.ce_backward_calls += len(rows)
-            if size:
-                state.counters.ce_reencode_calls += len(rows)
+            state.counters.ce_reencode_calls += len(rows)
             state.counters.flop_estimate += gram_ce_flops_per_batch(
                 len(rows), float(np.mean(state.tokens.lengths[rows])), state.ce.cfg.d)
             window.touched[rows] = False
-            window.rows, window.graphs = [], []
+            window.rows = []
     if closed and state.pending is not None:
         grads["ce"], state.pending = state.pending, None
     state.counters.activation_elements_peak = state.accountant.peak
@@ -803,13 +793,14 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
 
     Per trial: fresh parameters, one batch, and the ``step_gradients`` of
     an ``e2e`` and a ``gram`` trainer that hold them, compared per tensor.
-    Then two k-step trajectory comparisons at ``cfg.latency``, one with
-    plain SGD on both modules and one with Adam. All numbers are
-    worst-case relative errors; exact arithmetic would give zeros. Users
-    of fewer than 2 interactions are left out, as training's split leaves
-    them out. No user left, a user longer than ``max_interactions`` (named)
-    and a window longer than ``k_steps``, which would leave both encoders
-    at their init, are each a ConfigError raised before any trial.
+    Then two k-step trajectory comparisons at ``cfg.latency``, a window of
+    ``window_steps``, one with plain SGD on both modules and one with
+    Adam. The errors are worst-case relative; exact arithmetic would give
+    zeros. Users of fewer than 2 interactions are left out, as training's
+    split leaves them out. No user left, a user longer than
+    ``max_interactions`` (named) and a window longer than ``k_steps``,
+    which would leave both encoders at their init, are each a ConfigError
+    raised before any trial.
     """
     if cfg.precision != "f64":
         raise ConfigError("equivalence verification requires f64 precision")
@@ -854,6 +845,7 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
         alt = _run_steps(dataset, "gram", tcfg, k_steps, steps_per_epoch)
         out[f"max_trajectory_rel_err_{kind}"] = max_rel_err(ref, alt)
     out["k_steps"] = k_steps
+    out["window_steps"] = window
     out["max_trajectory_rel_err"] = max(out["max_trajectory_rel_err_sgd"],
                                         out["max_trajectory_rel_err_adam"])
     return out

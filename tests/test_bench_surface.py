@@ -112,9 +112,10 @@ def test_traced_training_counts_every_encoder_call(mode):
     # the benchmark's model.ce_encode.{grad,nograd} metrics count these
     # spans, so an encoder call the tracer no longer sees would read 0
     # there without failing. e2e encodes with grad once per step; gram at
-    # 1S encodes without grad once per step (each opens a new window) and
-    # with grad once per regression chunk; both encode every item without
-    # grad once per evaluation; no_finetune encodes once, at init
+    # 2S encodes without grad at each step that touches an item new to its
+    # window and with grad once per re-encode chunk at the close; both
+    # encode every item without grad once per evaluation; no_finetune
+    # encodes once, at init
     from gram import training
     from gram.dataset import GenConfig, generate_synthetic
     from gram.model import ModelConfig
@@ -122,12 +123,14 @@ def test_traced_training_counts_every_encoder_call(mode):
                     seq_len_range=(5, 12), token_len_range=(3, 7))
     ds, _ = generate_synthetic(gen, seed=1)
     cfg = training.TrainConfig(model=ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=70),
-                               latency="1S", ce_batch_size=3, cf_batch_size=8,
+                               latency="2S", ce_batch_size=3, cf_batch_size=8,
                                n_cs_items=2, max_epochs=2, patience=0)
     plan = training.plan_run(ds, cfg)
-    batches = [b for epoch in range(cfg.max_epochs)
+    batches = [set(b.unique_items.tolist()) for epoch in range(cfg.max_epochs)
                for b in training.epoch_batches(plan.train_users, cfg, epoch)]
-    chunks = sum(-(-len(b.unique_items) // cfg.ce_batch_size) for b in batches)
+    windows = [(first, first | second) for first, second in zip(batches[::2], batches[1::2])]
+    chunks = sum(-(-len(items) // cfg.ce_batch_size) for _, items in windows)
+    first_touches = sum(1 + (len(items) > len(first)) for first, items in windows)
     evaluations = cfg.max_epochs + 1
     tracer = Tracer()
     try:
@@ -137,7 +140,7 @@ def test_traced_training_counts_every_encoder_call(mode):
         tracer.restore()
     spans = tracer.aggregate()
     calls = {k: spans.get(f"model.ce_encode.{k}", (0,))[0] for k in ("grad", "nograd")}
-    assert (len(batches), chunks) == (8, 28)
+    assert (len(batches), chunks, first_touches) == (8, 16, 6)
     assert calls == {"e2e": {"grad": len(batches), "nograd": evaluations},
-                     "gram": {"grad": chunks, "nograd": len(batches) + evaluations},
+                     "gram": {"grad": chunks, "nograd": first_touches + evaluations},
                      "no_finetune": {"grad": 0, "nograd": 1}}[mode]

@@ -235,18 +235,21 @@ def test_verify_passes_on_tiny_config(workdir, capsys):
 def test_verify_names_the_setting_it_verified(workdir, capsys, train):
     # the trajectories run at the config's own latency and ce_batch_size
     cfg = dict(TINY_CFG, train={**TINY_CFG["train"], **train})
-    ce_batch_size = train.get("ce_batch_size", cli.TrainConfig.ce_batch_size)
     latency = train.get("latency", "1S")
+    # 5 steps per epoch: 0.5E is a window of 3; a one-step window ignores ce_batch_size
+    path = ("single-step graph" if latency == "1S" else
+            f"ce_batch_size {train.get('ce_batch_size', cli.TrainConfig.ce_batch_size)}")
     (workdir / "cfg2.json").write_text(json.dumps(cfg))
     rc = cli.main(["verify", "--config", str(workdir / "cfg2.json"),
                    "--data", str(workdir / "data"), "--trials", "1", "--steps", "4",
                    "--out", str(workdir / "v")])
     assert rc == 0
     out = capsys.readouterr().out
-    assert f"at latency {latency}, ce_batch_size {ce_batch_size}" in out.splitlines()[0]
+    assert out.splitlines()[0].endswith(f"at latency {latency}, {path}")
     assert out.splitlines()[-1] == "PASS"
     rep = json.loads((workdir / "v" / "verify.json").read_text())
     assert rep["trajectory_latency"] == latency and "trajectory_ce_batch_size" not in rep
+    assert rep["window_steps"] == {"1S": 1, "2S": 2, "0.5E": 3}[latency]
     assert (workdir / "v" / "verify.txt").read_text() == out
 
 
@@ -298,7 +301,7 @@ def test_verify_refuses_a_window_longer_than_its_trajectories(workdir, capsys):
 
 
 def test_verify_failure_exits_2(workdir, monkeypatch, capsys):
-    fake = {"n_trials": 1, "k_steps": 1,
+    fake = {"n_trials": 1, "k_steps": 1, "window_steps": 1,
             "max_ce_grad_rel_err": 0.5, "max_cf_grad_rel_err": 0.5,
             "max_param_grad_rel_err": 0.5,
             "max_trajectory_rel_err_sgd": 0.5,
