@@ -1,5 +1,6 @@
-"""Cost accounting: encoder call counters, live-activation peaks, FLOP
-estimates, and wall-clock phase timers.
+"""Cost accounting: encoder call counters, live-activation peaks, the
+encoder's FLOP estimate, and wall-clock phase timers (training and
+evaluation).
 
 Memory is measured in live saved-activation *elements*, not bytes, and
 excludes parameter/input leaves (both training styles hold those equally).
@@ -38,10 +39,10 @@ class ActivationAccountant:
 class CostCounters:
     """Per-run counters, one per encoder forward, encoder backward (per
     item row) and CF batch row. ``e2e`` runs one of each encoder pass per
-    interaction occurrence, and ``flop_estimate`` costs that joint pass.
-    ``gram`` counts in ``ce_forward_calls`` an item's first touch in a
-    window and in ``ce_backward_calls`` its backpropagation, and
-    ``flop_estimate`` costs one of each per item. A single-step window is
+    interaction occurrence. ``gram`` counts in ``ce_forward_calls`` an
+    item's first touch in a window and in ``ce_backward_calls`` its
+    backpropagation. ``flop_estimate`` adds ``ce_flops`` of the rows each
+    encoder graph with grad encodes. A single-step window is
     one graph that re-encodes nothing. A multi-step window's first touch
     runs without grad, and its close encodes each item again, with grad,
     one forward each in ``ce_reencode_calls``: the forwards that ran are
@@ -61,7 +62,8 @@ class CostCounters:
 
 @dataclass
 class PhaseTimer:
-    """Accumulates wall-clock per named phase (cf / ce / eval / ...)."""
+    """Accumulates wall-clock per named phase (a run times "train" and
+    "eval")."""
 
     totals_ns: dict = field(default_factory=dict)
 
@@ -77,17 +79,13 @@ class PhaseTimer:
 
 
 # ---------------------------------------------------------------------------
-# FLOP estimates (closed forms, constant 2 per multiply-add)
+# FLOP estimate (closed form, constant 2 per multiply-add)
 # ---------------------------------------------------------------------------
 
 
-def e2e_ce_flops_per_batch(n_users: int, l_i: float, l_t: float, d: int) -> float:
-    """Encoder cost of one end-to-end batch: every interaction occurrence
-    runs the encoder, so cost scales with users x interactions."""
-    return 2.0 * n_users * l_i * (l_t ** 2 * d + l_t * d ** 2)
-
-
-def gram_ce_flops_per_batch(n_unique_items: int, l_t: float, d: int) -> float:
-    """Encoder cost of one accumulated batch: unique items only."""
-    return 2.0 * n_unique_items * (l_t * d ** 2 + l_t ** 2 * d)
-
+def ce_flops(n_rows: int, l_t: float, d: int) -> float:
+    """Encoder cost of encoding ``n_rows`` item rows of mean token length
+    ``l_t``: one row is an attention term l_t^2 d and a projection term
+    l_t d^2. Joint backprop encodes a row per occurrence, ``gram`` one per
+    distinct item."""
+    return 2.0 * n_rows * (l_t * d ** 2 + l_t ** 2 * d)

@@ -27,7 +27,8 @@ window the leaf's gradient is added to the window's sums. The CF's
 gradient is handed out every step; the encoder's (or ``no_content``'s
 table's) is summed over the window, with the multi-step window's
 backward from the sums, and handed out at its close.
-``train_step`` then clips and steps each module on its own optimizer.
+``train_step`` then clips and steps each module on its own optimizer,
+and its wall time is the run's one training phase, "train".
 
 An item is addressed one way, from init to loss: as its row k among the
 sorted item ids, found once per step. Row k holds its row of the token
@@ -42,9 +43,10 @@ a window, so by the chain rule J^T sum dL/dh, J the Jacobian of each
 item's encoding at the window-start parameters, is the joint-backprop
 encoder gradient summed over the window: a ``gram`` window of N steps
 equals joint backprop at update latency N. ``verify_equivalence``
-measures this on the trainer's own step: it compares the ``step_gradients`` of an
-``e2e`` and a ``gram`` trainer that hold the same parameters, then the
-two modes' ``train_step`` trajectories at the config's latency.
+measures this on the trainer's own step: it compares the ``step_gradients``
+of an ``e2e`` and a ``gram`` trainer that hold the same parameters over
+one window, then the two modes' ``train_step`` trajectories, both at the
+config's latency.
 """
 
 from __future__ import annotations
@@ -62,13 +64,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
 from .dataset import Batch, Dataset, batch_iter, cold_start_split, split_users
-from .instrument import (
-    ActivationAccountant,
-    CostCounters,
-    PhaseTimer,
-    e2e_ce_flops_per_batch,
-    gram_ce_flops_per_batch,
-)
+from .instrument import ActivationAccountant, CostCounters, PhaseTimer, ce_flops
 from .metrics import UndefinedMetricError, auc, check_predictions, cs_auc, group_by, mrr, ndcg_at_k
 from .model import (
     CeParams,
@@ -87,10 +83,6 @@ from .model import (
 from .report import RunReport
 
 MODES = ("e2e", "gram", "no_content", "no_finetune")
-
-# Training-phase timer keys; eval time is tracked but not part of the
-# run's wall_clock_ns counter.
-_TRAIN_PHASES = ("e2e", "cf", "ce")
 
 EVAL_BATCH_SIZE = 64       # users per no-grad scoring batch
 # verify_equivalence's trajectory learning rates. The batch loss is a sum
@@ -334,15 +326,23 @@ def _require_readable(where: str, users, cfg: TrainConfig) -> None:
 def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
     """The splits, steps per epoch and window a run of ``cfg`` will use.
 
-    A user longer than ``max_interactions`` is a ConfigError naming it and
-    its split; so is a validation or test split whose predicted positions
-    hold a single class, since no AUC could be computed on it, and a
-    window longer than an epoch, in every mode.
+    A training split the other splits leave empty is a ConfigError giving
+    their counts. A user longer than ``max_interactions`` is a ConfigError
+    naming it and its split; so is a validation or test split whose
+    predicted positions hold a single class, since no AUC could be computed
+    on it, and a window longer than an epoch, in every mode.
     """
     seeds = seed_streams(cfg.seed)
     train_ds, test_ds, cs_items = cold_start_split(
         dataset, cfg.n_cs_items, seeds["split"], cfg.test_frac)
     train_users, val_users = split_users(train_ds.users, cfg.val_frac, seeds["val"])
+    if not train_users:
+        n_test = len(test_ds.users)
+        raise ConfigError(
+            f"training split is empty after the test, cold-start and validation splits: of "
+            f"{len(dataset.users)} users, test took {n_test}, removing the {len(cs_items)} "
+            f"cold-start items left {len(dataset.users) - n_test - len(train_ds.users)} with "
+            f"fewer than 2 interactions, and validation took {len(val_users)}")
     for split, users in (("train", train_users), ("validation", val_users), ("test", test_ds.users)):
         _require_readable(f"{split} split", users, cfg)
     _require_both_classes("validation", val_users)
@@ -400,9 +400,6 @@ class TrainerState:
     accountant: ActivationAccountant = field(default_factory=ActivationAccountant)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
     table: ItemTable | None = None  # the baselines' item table; no_content trains it on opt_ce
-
-    def train_wall_ns(self) -> int:
-        return sum(self.timer.totals_ns.get(k, 0) for k in _TRAIN_PHASES)
 
 
 def init_trainer(dataset: Dataset, mode: str, cfg: TrainConfig,
@@ -542,21 +539,17 @@ def _step_inputs(batch: Batch, rows: np.ndarray, state: TrainerState):
     if state.mode not in ("e2e", "gram"):
         modules = ("ce", "cf") if state.mode == "no_content" else ("cf",)
         return rows[batch.inverse], state.table.embedding, modules
-    e2e = state.mode == "e2e"
-    index, encoded = (np.arange(len(batch.inverse)), rows[batch.inverse]) if e2e else (batch.inverse, rows)
-    n, l_t, d = len(encoded), float(np.mean(state.tokens.lengths[encoded])), state.ce.cfg.d
-    c.ce_forward_calls += n
-    c.ce_backward_calls += n
-    c.flop_estimate += (e2e_ce_flops_per_batch(len(batch.users), n / len(batch.users), l_t, d)
-                        if e2e else gram_ce_flops_per_batch(n, l_t, d))
+    index, encoded = ((np.arange(len(batch.inverse)), rows[batch.inverse]) if state.mode == "e2e"
+                      else (batch.inverse, rows))
+    c.ce_forward_calls += len(encoded)
+    c.ce_backward_calls += len(encoded)
+    c.flop_estimate += _ce_flops(state, encoded)
     return index, ce_encode(encoded, state.tokens, state.ce), ("ce", "cf")
 
 
-def _step_phase(state: TrainerState, module: str) -> str:
-    """The timer phase that computes and applies ``module``'s update."""
-    if state.mode == "e2e":
-        return "e2e"
-    return "ce" if module == "ce" and state.mode == "gram" else "cf"
+def _ce_flops(state: TrainerState, rows) -> float:
+    """``ce_flops`` of encoding item ``rows`` at their mean token length."""
+    return ce_flops(len(rows), float(np.mean(state.tokens.lengths[rows])), state.ce.cfg.d)
 
 
 def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
@@ -576,8 +569,7 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
     encoder (or ``no_content``'s table) at a close. In every mode an item
     the dataset lacks is a ValueError naming it.
     """
-    with state.timer.measure(_step_phase(state, "cf")), \
-            ad.track_activations(state.accountant), _aborts(f"{state.mode} step {state.t}"):
+    with ad.track_activations(state.accountant), _aborts(f"{state.mode} step {state.t}"):
         rows = _item_rows(state.item_ids, batch.unique_items)
         index, enc, modules = _step_inputs(batch, rows, state)
         loss, n_preds = batch_sequence_loss(batch, index, enc, state.cf)
@@ -600,7 +592,7 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
         if closed:      # the window holds this step's items, so it is not empty
             report["ce_items"] = len(rows)
             report["pseudo_loss"] = 0.5 * float(np.sum(np.square(window.dh[rows])))
-            with state.timer.measure("ce"), ad.track_activations(state.accountant), \
+            with ad.track_activations(state.accountant), \
                     _aborts(f"encoder backward at step {state.t} (items "
                             f"{state.item_ids[rows[0]]}..{state.item_ids[rows[-1]]})"):
                 for r, enc in _re_encoded(state.ce, state.tokens, rows,
@@ -609,8 +601,7 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
                     state.pending = _sum_grads(state.pending, g)
             state.counters.ce_backward_calls += len(rows)
             state.counters.ce_reencode_calls += len(rows)
-            state.counters.flop_estimate += gram_ce_flops_per_batch(
-                len(rows), float(np.mean(state.tokens.lengths[rows])), state.ce.cfg.d)
+            state.counters.flop_estimate += _ce_flops(state, rows)
             window.touched[rows] = False
             window.rows = []
     if closed and state.pending is not None:
@@ -622,10 +613,11 @@ def step_gradients(batch: Batch, state: TrainerState) -> tuple[dict, dict]:
 def train_step(batch: Batch, state: TrainerState) -> dict:
     """One training step of ``state.mode`` on one batch: ``step_gradients``,
     then each trained module's gradients clipped on their own and applied
-    by its own optimizer. Returns the step's report."""
-    report, grads = step_gradients(batch, state)
-    for module, g in grads.items():
-        with state.timer.measure(_step_phase(state, module)):
+    by its own optimizer, all timed as the "train" phase. Returns the
+    step's report."""
+    with state.timer.measure("train"):
+        report, grads = step_gradients(batch, state)
+        for module, g in grads.items():
             if state.cfg.clip_norm is not None:
                 g = clip_by_global_norm(g, state.cfg.clip_norm)
             opt = state.opt_ce if module == "ce" else state.opt_cf
@@ -731,7 +723,7 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
             "train_loss": loss_sum / max(1, pred_sum),
             "val_auc": val["auc"],
             "ce_forward_calls": state.counters.ce_forward_calls,
-            "wall_ns": state.train_wall_ns(),
+            "wall_ns": state.timer.totals_ns.get("train", 0),
         })
         if val["auc"] > best_auc:
             best_auc, best_epoch, bad_epochs = val["auc"], epoch, 0
@@ -746,7 +738,7 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
         final = evaluate(state, plan.test_users, cs_items=plan.cs_items)
     final["val_auc"] = best_auc
     c = state.counters
-    c.wall_clock_ns = state.train_wall_ns()
+    c.wall_clock_ns = state.timer.totals_ns.get("train", 0)
     report = RunReport(
         mode=mode,
         # the settings as given, plus the mode and the resolved window
@@ -791,10 +783,12 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     """Measure how closely ``gram`` matches end-to-end backprop at the same
     update latency on this dataset/config.
 
-    Per trial: fresh parameters, one batch, and the ``step_gradients`` of
-    an ``e2e`` and a ``gram`` trainer that hold them, compared per tensor.
-    Then two k-step trajectory comparisons at ``cfg.latency``, a window of
-    ``window_steps``, one with plain SGD on both modules and one with
+    Per trial: fresh parameters, held by an ``e2e`` and a ``gram`` trainer
+    at ``cfg.latency``, a window of ``window_steps``, and the
+    ``step_gradients`` of both over one window of batches, compared per
+    tensor: the "cf" gradients of every step and the "ce" gradients the
+    close hands out. Then two k-step trajectory comparisons at
+    ``cfg.latency``, one with plain SGD on both modules and one with
     Adam. The errors are worst-case relative; exact arithmetic would give
     zeros. Users of fewer than 2 interactions are left out, as training's
     split leaves them out. No user left, a user longer than
@@ -818,24 +812,22 @@ def verify_equivalence(dataset: Dataset, cfg: TrainConfig, n_trials: int = 10,
     if window > k_steps:
         raise ConfigError(f"latency {cfg.latency} is a window of {window} steps, "
                           f"longer than the {k_steps}-step trajectories")
-    # a trial compares one step's gradients, and the encoder's are only
-    # handed out when a window closes, so each trial's window is one step
-    step_cfg = replace(cfg, latency="1S")
     worst = {"ce": 0.0, "cf": 0.0}
     for trial in range(n_trials):
         init_seed = int(np.random.SeedSequence([cfg.seed, trial]).generate_state(1)[0])
         ce, cf = init_params(cfg.model, init_seed)
-        batch = next(batch_iter(dataset.users, cfg.cf_batch_size,
-                                shuffle_seed=[init_seed, 1]))
-        grads = []
-        for mode in ("e2e", "gram"):
-            state = init_trainer(dataset, mode, step_cfg)
+        states = [init_trainer(dataset, mode, cfg, steps_per_epoch) for mode in ("e2e", "gram")]
+        for state in states:
             state.ce, state.cf = ce, cf
-            grads.append(step_gradients(batch, state)[1])
-        ref, alt = grads
-        for module, p in (("ce", ce), ("cf", cf)):
-            worst[module] = max(worst[module],
-                                max_rel_err(p.views(ref[module]), p.views(alt[module])))
+        batches = itertools.chain.from_iterable(
+            batch_iter(dataset.users, cfg.cf_batch_size, shuffle_seed=[init_seed, 1 + e])
+            for e in itertools.count())
+        for batch in itertools.islice(batches, window):
+            ref, alt = (step_gradients(batch, state)[1] for state in states)
+            for module in ref:      # "cf" every step, "ce" at the window's close
+                p = ce if module == "ce" else cf
+                worst[module] = max(worst[module],
+                                    max_rel_err(p.views(ref[module]), p.views(alt[module])))
     out = {"n_trials": n_trials, "max_ce_grad_rel_err": worst["ce"],
            "max_cf_grad_rel_err": worst["cf"], "max_param_grad_rel_err": max(worst.values())}
     for kind, lr in (("sgd", VERIFY_SGD_LR), ("adam", VERIFY_ADAM_LR)):

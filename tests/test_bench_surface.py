@@ -107,6 +107,24 @@ def test_prepare_and_equivalence_gates_run_on_a_tiny_single_step_workload():
     assert gates.attempted == 4 and gates.failures == []
 
 
+@pytest.mark.parametrize("mode", ["e2e", "gram", "no_content", "no_finetune"])
+def test_training_reports_the_two_phases_the_benchmark_folds(mode):
+    # the benchmark's training.phase.{train,eval}_s sum RunReport.speed's
+    # phases, counting every phase but "eval" as training
+    from gram import training
+    from gram.dataset import GenConfig, generate_synthetic
+    from gram.model import ModelConfig
+    gen = GenConfig(n_users=40, n_items=12, n_topics=3, vocab_size=70,
+                    seq_len_range=(5, 12), token_len_range=(3, 7))
+    ds, _ = generate_synthetic(gen, seed=1)
+    cfg = training.TrainConfig(model=ModelConfig(d=8, d_ff=12, d_h=8, vocab_size=70),
+                               latency="2S", cf_batch_size=8, n_cs_items=2, max_epochs=2)
+    report, _ = training.train(ds, mode, cfg)
+    phases = report.speed["phase_wall_ns"]
+    assert set(phases) == {"train", "eval"}
+    assert report.counters["wall_clock_ns"] == phases["train"] == report.history[-1]["wall_ns"]
+
+
 @pytest.mark.parametrize("mode", ["e2e", "gram", "no_finetune"])
 def test_traced_training_counts_every_encoder_call(mode):
     # the benchmark's model.ce_encode.{grad,nograd} metrics count these

@@ -259,6 +259,20 @@ def test_verify_passes_at_the_default_config_on_seed_2(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_train_with_an_empty_training_split_exits_1(tmp_path, capsys):
+    # of 2 users, the test split takes 1 and validation the other
+    cfg = {"seed": 0, "gen": {"n_users": 2, "n_items": 30, "n_topics": 2, "seq_len_range": [30, 40]},
+           "train": {"n_cs_items": 2}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    args = ["--config", str(tmp_path / "cfg.json")]
+    assert cli.main(["gen-data", "--out", str(tmp_path / "data")] + args) == 0
+    rc = cli.main(["train", "--data", str(tmp_path / "data"), "--mode", "gram",
+                   "--out", str(tmp_path / "runs")] + args)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("gram: config error: training split is empty after "
+                                              "the test, cold-start and validation splits: of 2 users")
+
+
 def test_verify_on_a_dataset_without_users_is_a_config_error(workdir, capsys):
     (workdir / "data" / "interactions.tsv").write_text("")
     rc = cli.main(["verify", "--config", str(workdir / "cfg.json"),

@@ -4,13 +4,7 @@ import time
 
 import pytest
 
-from gram.instrument import (
-    ActivationAccountant,
-    CostCounters,
-    PhaseTimer,
-    e2e_ce_flops_per_batch,
-    gram_ce_flops_per_batch,
-)
+from gram.instrument import ActivationAccountant, CostCounters, PhaseTimer, ce_flops
 
 
 def test_accountant_tracks_peak():
@@ -58,9 +52,9 @@ def test_counters_as_dict_keys():
 
 
 def test_flop_closed_forms():
-    # one user, one interaction: the two forms coincide at one unique item
-    assert e2e_ce_flops_per_batch(1, 1, 5, 4) == 2 * (25 * 4 + 5 * 16)
-    assert gram_ce_flops_per_batch(1, 5, 4) == 2 * (5 * 16 + 25 * 4)
-    # e2e scales with occurrences, accumulated form with unique items
-    assert e2e_ce_flops_per_batch(3, 4, 5, 4) == 12 * gram_ce_flops_per_batch(1, 5, 4)
+    # one row of 5 tokens at d=4: attention l_t^2 d plus projection l_t d^2
+    assert ce_flops(1, 5, 4) == 2 * (25 * 4 + 5 * 16)
+    # e2e's batch of 3 users x 4 interactions is the rule on its 12
+    # occurrence rows, and gram's the rule on its distinct items' rows
+    assert ce_flops(3 * 4, 5, 4) == 12 * ce_flops(1, 5, 4)
 

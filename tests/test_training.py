@@ -4,6 +4,7 @@ gradient equivalence, baselines, and the train loop."""
 import itertools
 import json
 import platform
+import re
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
@@ -382,6 +383,17 @@ def test_init_trainer_needs_steps_per_epoch_for_an_epoch_latency():
     ds, _ = dup_heavy_batch()
     with pytest.raises(ConfigError, match="steps_per_epoch"):
         init_trainer(ds, "gram", small_config(latency="1E"))
+
+
+def test_an_empty_training_split_is_a_config_error_giving_the_split_counts():
+    # of 2 users, the test split takes 1 and validation the other
+    ds, _ = generate_synthetic(GenConfig(n_users=2, n_items=30, n_topics=2,
+                                         seq_len_range=(30, 40)), 0)
+    with pytest.raises(ConfigError, match=re.escape(
+            "training split is empty after the test, cold-start and validation splits: of 2 "
+            "users, test took 1, removing the 2 cold-start items left 0 with fewer than 2 "
+            "interactions, and validation took 1")):
+        plan_run(ds, small_config(n_cs_items=2))
 
 
 def test_window_longer_than_epoch_rejected():
@@ -1056,6 +1068,21 @@ def test_verifier_runs_the_trajectories_at_the_config_latency(latency, window, m
     assert windows == [window] * 24
     assert rep["max_param_grad_rel_err"] <= 1e-10
     assert rep["max_trajectory_rel_err"] <= 1e-8
+
+
+def test_verifier_gradients_catch_a_window_that_drops_a_touch(monkeypatch):
+    # each trial steps one whole window, so a write-back that keeps only an
+    # item's last touch shows in the encoder's gradient at the close
+    from gram import training
+
+    def overwrite(dh, rows, item_ids, leaf, gmap):
+        dh[rows] = gmap[leaf].data
+
+    ds = tiny_dataset(seed=9, n_users=16, n_items=8)
+    cfg = TrainConfig(model=SMALL_MODEL, cf_batch_size=4, seed=3, latency="2S")
+    monkeypatch.setattr(training, "_write_back", overwrite)
+    rep = verify_equivalence(ds, cfg, n_trials=2, k_steps=6)
+    assert rep["max_ce_grad_rel_err"] > 1e-3
 
 
 @pytest.mark.parametrize("latency,window,k_steps", [("5S", 5, 4), ("1E", 4, 3)])
