@@ -19,8 +19,9 @@ slice of that order, and each returns one row per predicted slot in the
 order it computes them, ``slot_order``'s: step ascending, then users
 longest first, ties in user order. Both read a table of projected rows
 through a per-interaction index, so interactions may share a row.
-``gru_scan`` runs a whole gated recurrence and backpropagates through
-time over the states it saved, and its time loops run only the
+``gru_scan`` runs a whole gated recurrence and keeps only its states,
+its output: its backward rebuilds every slot's gates from them in one
+bulk pass and backpropagates through time. Its time loops run only the
 recurrence: the forward skips its per-step finiteness checks when a bound
 on the preactivations shows that none can overflow, and the backward
 forms the gate factors and the w_hh and b_hh gradients in bulk, looping
@@ -35,13 +36,18 @@ beyond the table and recomputes the forward in backward, so its
 activation memory does not grow with the number of prefixes.
 ``ce_block`` runs one residual encoder layer over the ragged token rows
 of many items, looping only over the length groups of its attention; it
-saves its input, the attention probabilities and the attended values,
-and its backward recomputes the rest with three matmuls.
+saves its input and the attention probabilities, and its backward
+recomputes the rest: three matmuls over the token rows and one per
+length group.
 ``segment_mean`` mean-pools ragged runs of rows in one node, and
 ``row_dot`` takes row-wise dot products against rows of a table picked
 by an index, keeping the table rather than the picked rows. Every op that reads rows through an index
 (``gather``, ``row_dot``, ``gru_scan``, ``prefix_attention``)
 scatter-adds their gradients with one bincount.
+The fused ops follow one rule (activation recomputation, Chen et al.
+2016, arXiv:1604.06174): a node keeps across the step only its operands,
+its index arrays and what its backward cannot rebuild cheaply, and its
+backward frees each transient after its last use.
 
 The training loss ``bce_loss`` takes logits, not probabilities: it sums
 the binary cross-entropy of their sigmoid in softplus form, so it is
@@ -727,13 +733,17 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     + max|b_hh| + d_h * max|w_hh|; while 2 * bound is below the dtype's
     largest value nothing can overflow and the per-step finiteness checks
     are skipped, else each step checks its preactivations and an overflow
-    raises naming the step. Backward runs backprop through time over the
-    saved r, z, c, hg_c and states: it forms every slot's gate-derivative
-    factors at once, loops over the steps carrying only the state's
-    gradient, then takes w_hh's and b_hh's gradients with one matmul and
-    one sum and scatter-adds the interactions' gradients into the rows
-    they read, as ``gather`` does; a row no step reads gets zero gradient.
-    Under no_grad only the states are kept.
+    raises naming the step. The forward writes each step's states into one
+    (n_slots, d_h) array, and the node keeps only it, its output; its count
+    is hs.size. Backward rebuilds every slot's previous state from it, then
+    hg, r, z, c and hg_c with one (n_slots, d_h) @ w_hh and a few
+    elementwise ops, re-gathering the rows of *xg* that the slots read. It
+    runs backprop through time over them: it forms every slot's
+    gate-derivative factors at once, frees what they no longer need, loops
+    over the steps carrying only the state's gradient, then takes w_hh's
+    and b_hh's gradients with one matmul and one sum and scatter-adds the
+    interactions' gradients into the rows they read, as ``gather`` does; a
+    row no step reads gets zero gradient.
     """
     _check_dtypes("gru_scan", xg, w_hh, b_hh)
     x, w, bias = xg.data, w_hh.data, b_hh.data
@@ -745,13 +755,12 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     idx = _row_ids("gru_scan", rows, x.shape[0])
     slot_rows, live, counts, ats, _ = _slots("gru_scan", idx.size, lengths)
     at_rows = idx[slot_rows[live]]      # table row each slot reads, step-major
-    record = is_grad_enabled() and (xg.grad_enabled or w_hh.grad_enabled or b_hh.grad_enabled)
     xs = x[at_rows]
     x_rz, x_c = xs[:, :2 * dh], xs[:, 2 * dh:]
     bound = (float(np.abs(xs).max(initial=0.0)) + float(np.abs(bias).max(initial=0.0))
              + dh * float(np.abs(w).max(initial=0.0)))
     check = not 2.0 * bound < float(np.finfo(x.dtype).max)     # a NaN bound checks too
-    hs, rzs, cs, hg_cs = [], [], [], []
+    hs = np.empty((at_rows.size, dh), dtype=x.dtype)
     h = np.zeros((counts[0], dh), dtype=x.dtype)
     for n, b in enumerate(counts):
         at, h_prev = ats[n], h[:b]
@@ -760,20 +769,14 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
         if check and not np.isfinite(pre).all():
             raise NonFiniteError(f"gru_scan produced non-finite gate preactivations at step {n}")
         rz = np.tanh(0.5 * pre) * 0.5 + 0.5
-        hg_c = hg[:, 2 * dh:]
-        c = x_c[at:at + b] + rz[:, :dh] * hg_c
+        c = x_c[at:at + b] + rz[:, :dh] * hg[:, 2 * dh:]
         if check and not np.isfinite(c).all():
             raise NonFiniteError(f"gru_scan produced non-finite candidate preactivations at step {n}")
         c = np.tanh(c)
-        h = c + rz[:, dh:] * (h_prev - c)
-        hs.append(h)
-        if record:
-            rzs.append(rz)
-            cs.append(c)
-            hg_cs.append(hg_c)
-    hs = np.concatenate(hs)
-    if record:
-        rz, c, hg_c = np.concatenate(rzs), np.concatenate(cs), np.concatenate(hg_cs)
+        h = hs[at:at + b]
+        np.subtract(h_prev, c, out=h)       # c + z * (h_prev - c), in place
+        h *= rz[:, dh:]
+        h += c
 
     def run(g, acc):
         # slot ats[n] + j's state came from slot ats[n - 1] + j; step 0's from h = 0
@@ -781,25 +784,46 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
         prev = (np.asarray(ats[:-2], dtype=np.intp)[:, None] + np.arange(live.shape[1]))[live[1:]]
         h_prev = np.zeros_like(hs)
         h_prev[first:] = hs[prev]
-        r, z = rz[:, :dh], rz[:, dh:]
+        # the forward's gates and candidates, every slot at once
+        xs = x[at_rows]
+        hg = h_prev @ w
+        hg += bias
+        rz = xs[:, :2 * dh] + hg[:, :2 * dh]
+        rz *= 0.5
+        np.tanh(rz, out=rz)
+        rz *= 0.5
+        rz += 0.5
+        hg_c = hg[:, 2 * dh:].copy()
+        del hg
+        c = rz[:, :dh] * hg_c
+        c += xs[:, 2 * dh:]
+        del xs
+        np.tanh(c, out=c)
+        r, z = rz[:, :dh].copy(), rz[:, dh:].copy()
         drz = rz * (1.0 - rz)
+        del rz
         k1 = (1.0 - z) * (1.0 - c * c)
         # dhg = dh (x) k: the state's gradient times each gate block's factor
         k = np.concatenate((k1 * hg_c * drz[:, :dh], (h_prev - c) * drz[:, dh:], k1 * r),
                            axis=1).reshape(-1, 3, dh)
+        del r, c, hg_c, drz
         dhs = g.copy()
         for n in range(len(counts) - 1, 0, -1):
             at, b, pa = ats[n], counts[n], ats[n - 1]
             d = dhs[at:at + b]
             dhs[pa:pa + b] += d * z[at:at + b] + (d[:, None] * k[at:at + b]).reshape(b, 3 * dh) @ w.T
+        del z
         dhg = (dhs[:, None] * k).reshape(-1, 3 * dh)
+        del k
         dw, db = h_prev[first:].T @ dhg[first:], dhg.sum(axis=0)
+        del h_prev
         dhg[:, 2 * dh:] = dhs * k1      # the candidate's input side is not scaled by r
+        del dhs, k1
         acc(xg, _scatter_rows(at_rows, dhg, x))
         acc(w_hh, dw)
         acc(b_hh, db)
 
-    return _result(hs, (xg, w_hh, b_hh), run, op="gru_scan", saved_elements=5 * hs.size)
+    return _result(hs, (xg, w_hh, b_hh), run, op="gru_scan", saved_elements=hs.size)
 
 
 def _softmax_backward_inplace(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -933,14 +957,20 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
 # ---------------------------------------------------------------------------
 
 
-def _ce_block_rows(xd, attended, w_o, w_1):
-    """``ce_block``'s residual x1 = x + attended @ w_o and relu output
-    relu(x1 @ w_1), computed the same way in its forward and backward."""
+def _ce_block_rows(xd, qkv, probs, runs, w_o, w_1):
+    """``ce_block``'s attended values a v, residual x1 = x + (a v) @ w_o
+    and relu output relu(x1 @ w_1), from the q/k/v projection and the
+    probabilities, computed the same way in its forward and backward."""
+    d = xd.shape[1]
+    attended = np.empty_like(xd)
+    for (r0, b, n), a in zip(runs, probs):
+        np.matmul(a, qkv[r0:r0 + b * n].reshape(b, n, 3 * d)[..., 2 * d:],
+                  out=attended[r0:r0 + b * n].reshape(b, n, d))
     x1 = attended @ w_o
     x1 += xd
     h = x1 @ w_1
     np.maximum(h, 0.0, out=h)
-    return x1, h
+    return attended, x1, h
 
 
 def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: Tensor,
@@ -958,12 +988,15 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
     of equal length L; nothing is padded or masked. The scores of each run
     are checked to be finite, so an overflow names its token length.
 
-    The node keeps only x, the attention probabilities and the attended
-    values. Backward recomputes the q/k/v projection, x1 and the relu
-    output from them with the weight arrays the forward read, three
-    matmuls over the token rows that repeat the forward's bit for bit, so
-    a later replacement of a weight's ``data`` leaves the gradients alone.
-    They are those of the per-op graph, up to the order of additions.
+    The node keeps only x and the attention probabilities (rebuilding
+    those would cost the whole softmax). Backward recomputes the q/k/v
+    projection, the attended values, x1 and the relu output from them with
+    the weight arrays the forward read: the forward's own matmuls on the
+    same shapes, three over the token rows and one per length run, so the
+    values repeat the forward's bit for bit and a later replacement of a
+    weight's ``data`` leaves the gradients alone. It frees each of them
+    after its last use. The gradients are those of the per-op graph, up to
+    the order of additions.
     """
     ts = (x, wq, wk, wv, wo, w_ff1, w_ff2)
     _check_dtypes("ce_block", *ts)
@@ -985,10 +1018,9 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
             for s, e in zip(starts, np.append(starts[1:], lengths.size))]
     scale_qk = d ** -0.5        # a Python float keeps float32 operands float32
 
-    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
-    w_o, w_1, w_2 = wo.data, w_ff1.data, w_ff2.data
+    w_q, w_k, w_v, w_o, w_1, w_2 = (t.data for t in ts[1:])
+    w_qkv = np.concatenate((w_q, w_k, w_v), axis=1)
     qkv = xd @ w_qkv
-    attended = np.empty_like(xd)
     probs = []
     for r0, b, n in runs:
         blk = qkv[r0:r0 + b * n].reshape(b, n, 3 * d)
@@ -1000,25 +1032,30 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
         a -= a.max(axis=-1, keepdims=True)      # _softmax, in place
         np.exp(a, out=a)
         a /= a.sum(axis=-1, keepdims=True)
-        np.matmul(a, blk[..., 2 * d:], out=attended[r0:r0 + b * n].reshape(b, n, d))
         probs.append(a)
-    x1, h = _ce_block_rows(xd, attended, w_o, w_1)
+    _, x1, h = _ce_block_rows(xd, qkv, probs, runs, w_o, w_1)
     out = h @ w_2
     out += x1
 
     def run(g, acc):
         # the forward's expressions over the arrays it read, then each
         # expression follows the backward of the primitive it fuses
-        # (matmul, softmax, scale, relu, add)
+        # (matmul, softmax, scale, relu, add); each array is freed after
+        # its last use
+        w_qkv = np.concatenate((w_q, w_k, w_v), axis=1)
         qkv = xd @ w_qkv
-        x1, h = _ce_block_rows(xd, attended, w_o, w_1)
+        attended, x1, h = _ce_block_rows(xd, qkv, probs, runs, w_o, w_1)
         dpre = g @ w_2.T
         dpre *= h > 0
         acc(w_ff2, h.T @ g)
+        del h
         acc(w_ff1, x1.T @ dpre)
+        del x1
         dx1 = dpre @ w_1.T
+        del dpre
         dx1 += g
         acc(wo, attended.T @ dx1)
+        del attended
         dat = dx1 @ w_o.T
         dqkv = np.empty_like(qkv)
         for (r0, b, n), a in zip(runs, probs):
@@ -1032,15 +1069,17 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
             np.matmul(ds, blk[..., d:2 * d], out=dblk[..., :d])
             np.matmul(ds.transpose(0, 2, 1), blk[..., :d], out=dblk[..., d:2 * d])
             np.matmul(a.transpose(0, 2, 1), gat, out=dblk[..., 2 * d:])
+        del dat, qkv, blk, dblk, gat, ds
         dw = xd.T @ dqkv
         acc(wq, dw[:, :d])
         acc(wk, dw[:, d:2 * d])
         acc(wv, dw[:, 2 * d:])
         dx = dqkv @ w_qkv.T
+        del dqkv
         dx += dx1
         acc(x, dx)
 
-    saved = sum(a.size for a in probs) + attended.size
+    saved = sum(a.size for a in probs)
     return _result(out, ts, run, saved=(x,), op="ce_block", saved_elements=saved)
 
 

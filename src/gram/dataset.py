@@ -361,6 +361,10 @@ def split_users(users: list[UserSequence], frac: float, seed: int):
     return a, b
 
 
+class InfeasibleSplitError(ValueError):
+    """A cold-start split cannot pick as many cold-start items as asked."""
+
+
 def cold_start_split(d: Dataset, n_cs_items: int, seed: int, test_frac: float = 0.2):
     """User-level train/test split plus cold-start item designation.
 
@@ -368,17 +372,19 @@ def cold_start_split(d: Dataset, n_cs_items: int, seed: int, test_frac: float = 
     then removes every train interaction on those items; train users left
     with fewer than 2 interactions are dropped. Test sequences are kept
     intact, so each chosen item retains at least one test interaction.
+    More items than the test sequences hold, or every item, is an
+    InfeasibleSplitError giving the test split's user and item counts.
     """
-    if n_cs_items >= len(d.items):
-        raise ValueError("n_cs_items must be smaller than the item count")
     s_split, s_pick = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(s_pick)
     train_users, test_users = split_users(d.users, test_frac, s_split)
 
     test_item_pool = np.unique(_flat(test_users)[1])
-    if len(test_item_pool) < n_cs_items:
-        raise ValueError(
-            f"infeasible split: only {len(test_item_pool)} items occur in test sequences")
+    if n_cs_items > len(test_item_pool) or n_cs_items >= len(d.items):
+        raise InfeasibleSplitError(
+            f"cannot pick {n_cs_items} cold-start items: the test split's {len(test_users)} "
+            f"users hold {len(test_item_pool)} distinct items of the {len(d.items)}; at most "
+            f"{len(test_item_pool)}, and fewer than {len(d.items)}, can be cold-start")
     cs_items = set(rng.choice(test_item_pool, size=n_cs_items, replace=False).tolist())
 
     lengths, items, _ = _flat(train_users)

@@ -11,7 +11,9 @@ Two modules cooperate:
   ``autodiff.ce_block`` node over the ragged token rows of every item,
   whose projections and feed-forward are 2-D matmuls over all rows and
   whose attention loops over length groups in numpy, with no padding or
-  mask, and the pooling is one ``autodiff.segment_mean``. The per-op
+  mask, and the pooling is one ``autodiff.segment_mean``. For its
+  backward a block keeps only its input and the attention probabilities
+  and recomputes the rest. The per-op
   encoder it replaced lives in ``tests/reference_ce.py`` as its oracle;
 * the collaborative filter (CF) maps a user's interaction history plus a
   candidate encoding to a response probability. Two variants:
@@ -57,8 +59,8 @@ order it computes them.
 * The recurrent CF's ``autodiff.gru_scan`` takes the table of projected
   pairs and the per-interaction index, and runs the h-side of the cell
   with a hand-written backprop through time; for its backward it keeps
-  five arrays per slot (r, z, the candidate, the h-side candidate
-  preactivation and the state) and no copy of its input. The readout
+  only its states, one row per slot, and no copy of its input, and the
+  backward rebuilds every slot's gates from them in one pass. The readout
   projects each distinct candidate row once by ``w_readout``, and
   ``row_dot`` keeps the states and that projection.
 * The attention CF's ``autodiff.prefix_attention`` takes the table of

@@ -63,7 +63,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
-from .dataset import Batch, Dataset, batch_iter, cold_start_split, split_users
+from .dataset import (Batch, Dataset, InfeasibleSplitError, batch_iter, cold_start_split,
+                      split_users)
 from .instrument import ActivationAccountant, CostCounters, PhaseTimer, ce_flops
 from .metrics import UndefinedMetricError, auc, check_predictions, cs_auc, group_by, mrr, ndcg_at_k
 from .model import (
@@ -326,15 +327,20 @@ def _require_readable(where: str, users, cfg: TrainConfig) -> None:
 def plan_run(dataset: Dataset, cfg: TrainConfig) -> RunPlan:
     """The splits, steps per epoch and window a run of ``cfg`` will use.
 
-    A training split the other splits leave empty is a ConfigError giving
-    their counts. A user longer than ``max_interactions`` is a ConfigError
-    naming it and its split; so is a validation or test split whose
+    More cold-start items than the test split holds, or every item, is a
+    ConfigError naming ``n_cs_items`` and giving the test split's user and
+    item counts. A training split the other splits leave empty is a
+    ConfigError giving their counts. A user longer than
+    ``max_interactions`` is a ConfigError naming it and its split; so is a validation or test split whose
     predicted positions hold a single class, since no AUC could be computed
     on it, and a window longer than an epoch, in every mode.
     """
     seeds = seed_streams(cfg.seed)
-    train_ds, test_ds, cs_items = cold_start_split(
-        dataset, cfg.n_cs_items, seeds["split"], cfg.test_frac)
+    try:
+        train_ds, test_ds, cs_items = cold_start_split(
+            dataset, cfg.n_cs_items, seeds["split"], cfg.test_frac)
+    except InfeasibleSplitError as e:
+        raise ConfigError(f"n_cs_items: {e}") from e
     train_users, val_users = split_users(train_ds.users, cfg.val_frac, seeds["val"])
     if not train_users:
         n_test = len(test_ds.users)

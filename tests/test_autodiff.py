@@ -7,6 +7,7 @@ rule on batches of seeded random inputs.
 
 import platform
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -856,7 +857,8 @@ def test_gru_scan_accounts_saved_arrays_and_keeps_none_under_no_grad():
             gru(a)
         assert acct.peak == 0
         loss = sum_all(gru(a))
-    assert acct.current == 5 * 6 * 3        # r, z, c, hg_c and h per slot
+    # only the states, 6 slots of d_h = 3; backward rebuilds r, z, c and hg_c
+    assert acct.current == 6 * 3
     backward(loss)
     assert acct.current == 0
 
@@ -1343,11 +1345,72 @@ def test_ce_block_accounts_saved_arrays_and_keeps_none_under_no_grad():
             cb(a)
         assert acct.peak == 0
         loss = sum_all(cb(dict(a, x=scale(a["x"], 1.0))))
-    # x, the 3*3 + 3*3 + 1 + 4*4 probabilities and the attended values;
-    # backward recomputes the q/k/v projection, x1 and the relu output
-    assert acct.current == 44 + 35 + 44
+    # the (11, 4) x and the 3*3 + 3*3 + 1 + 4*4 probabilities: 44 + 35;
+    # backward recomputes the q/k/v projection, the attended values, x1
+    # and the relu output
+    assert acct.current == 44 + 35 == 79
     backward(loss)
     assert acct.current == 0
+
+
+def traced_bytes(make):
+    """The bytes tracemalloc counts as newly held once make() returns, with
+    its result kept, and the result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = make()
+        return tracemalloc.get_traced_memory()[0] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+def graph_bytes(make):
+    """What the graph of make()'s output holds: (bytes beyond a no-grad run
+    that keeps the same output, the accountant's count, the output). A
+    first call warms numpy's one-time caches."""
+    with no_grad():
+        make()
+        free, _ = traced_bytes(make)
+    acct = CountingAccountant()
+    with track_activations(acct):
+        held, out = traced_bytes(make)
+    return held - free, acct.current, out
+
+
+# a few small Python objects per graph: the node, its closure, the slot
+# offsets or the run table; well below one of the arrays an op may drop
+GRAPH_SLACK = 8 * 1024
+
+
+def test_gru_scan_graph_holds_only_its_states_and_index_arrays():
+    # 100 users of 1..39 interactions, d_h = 16: ~1 900 slots, so one
+    # (slots, d_h) array is ~240 KiB. The states are the output, which the
+    # no-grad run keeps too, so beyond it the graph holds only the row
+    # each slot reads and the (steps, users) live mask.
+    rng = np.random.default_rng(40)
+    lengths = rng.integers(1, 40, size=100)
+    p, dh = int(lengths.sum()), 16
+    xg, w, b = (tensor(0.5 * rng.standard_normal(s), grad=True)
+                for s in ((p, 3 * dh), (dh, 3 * dh), (3 * dh,)))
+    extra, counted, out = graph_bytes(lambda: gru_scan(xg, np.arange(p), w, b, lengths))
+    assert counted == out.data.size
+    index = out.shape[0] * np.dtype(np.intp).itemsize + lengths.max() * lengths.size
+    assert extra <= (counted - out.data.size) * out.data.itemsize + index + GRAPH_SLACK
+
+
+def test_ce_block_graph_holds_only_its_probabilities():
+    # 60 items of 1..11 tokens, longest first as the encoder lays them out,
+    # d = 16: x is a leaf, so the probabilities are all the node counts,
+    # and the attended values it drops are (N, 16), ~50 KiB
+    rng = np.random.default_rng(41)
+    lengths = np.sort(rng.integers(1, 12, size=60))[::-1]
+    d = 16
+    x = tensor(rng.standard_normal((int(lengths.sum()), d)), grad=True)
+    ws = [tensor(0.3 * rng.standard_normal(s), grad=True) for s in [(d, d)] * 4 + [(d, 24), (24, d)]]
+    extra, counted, out = graph_bytes(lambda: ad.ce_block(x, *ws, lengths))
+    assert counted == int((lengths ** 2).sum())
+    assert extra <= counted * out.data.itemsize + GRAPH_SLACK
 
 
 def test_fd_segment_mean():

@@ -273,6 +273,20 @@ def test_train_with_an_empty_training_split_exits_1(tmp_path, capsys):
                                               "the test, cold-start and validation splits: of 2 users")
 
 
+def test_train_with_an_infeasible_cold_start_split_exits_1(tmp_path, capsys):
+    # the default n_cs_items 24 exceeds the 13 items of the one test user
+    cfg = {"seed": 0, "gen": {"n_users": 2, "n_items": 30, "n_topics": 2, "seq_len_range": [30, 40]}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    args = ["--config", str(tmp_path / "cfg.json")]
+    assert cli.main(["gen-data", "--out", str(tmp_path / "data")] + args) == 0
+    rc = cli.main(["train", "--data", str(tmp_path / "data"), "--mode", "gram",
+                   "--out", str(tmp_path / "runs")] + args)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "gram: config error: n_cs_items: cannot pick 24 cold-start items: the test split's 1 users "
+        "hold 13 distinct items of the 30")
+
+
 def test_verify_on_a_dataset_without_users_is_a_config_error(workdir, capsys):
     (workdir / "data" / "interactions.tsv").write_text("")
     rc = cli.main(["verify", "--config", str(workdir / "cfg.json"),

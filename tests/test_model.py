@@ -303,9 +303,9 @@ def test_ce_overflowing_embedding_names_the_op_and_token_length():
 
 
 def test_ce_saved_elements_are_pinned_and_below_the_per_op_graphs():
-    # per layer ce_block keeps x, the probabilities and the attended
-    # values: 8 elements per token (30 tokens) plus sum(L^2) = 180; the
-    # output matmul keeps the (6, 4) pooled rows. The per-op graphs keep x
+    # per layer ce_block keeps x and the probabilities: 4 elements per
+    # token (30 tokens) plus sum(L^2) = 180; the output matmul keeps the
+    # (6, 4) pooled rows. The per-op graphs keep x
     # three times, q, k, v, x1 and the relu output, the probabilities twice
     # and the relu output again.
     from gram.instrument import ActivationAccountant
@@ -315,7 +315,7 @@ def test_ce_saved_elements_are_pinned_and_below_the_per_op_graphs():
         encode(MIXED, ce)
     with ad.track_activations(per_op):
         RC.ce_encode(MIXED, ce)
-    assert fused.peak == 2 * (8 * 30 + 180) + 24 == 864
+    assert fused.peak == 2 * (4 * 30 + 180) + 24 == 624
     assert per_op.peak == 3384
 
 
@@ -609,17 +609,17 @@ def test_batch_logits_match_per_prefix_logits(variant):
     assert rel_gap(logits.data, ref) <= 1e-9
 
 
-@pytest.mark.parametrize("variant,peak", [("recurrent", 445), ("attention", 361)])
+@pytest.mark.parametrize("variant,peak", [("recurrent", 237), ("attention", 361)])
 def test_batch_loss_saved_activations(variant, peak):
     # MIXED_USERS has 18 interactions, 13 predicted slots and 10 distinct
     # (item, response) pairs; enc (5, 4) is a leaf, so nothing keeps it on
     # the count. Both: the projecting matmul keeps the (10, 8) pair rows
     # (80) and bce_loss the 13 logits; row_dot keeps its (13, 4) left
-    # operand (52) and its table. Recurrent: gru_scan keeps five (13, 4)
-    # arrays, one row per slot (r, z, c, hg_c, h: 260); the readout matmul
-    # keeps the (5, 4) gather of the 5 distinct candidate rows (20), and
-    # row_dot its (5, 4) projection (20): 80 + 260 + 20 + 52 + 20 + 13 =
-    # 445. Attention: the matmul also keeps the (8, 12) concatenated
+    # operand (52) and its table. Recurrent: gru_scan keeps only its
+    # (13, 4) states, one row per slot (52), and rebuilds its gates in
+    # backward; the readout matmul keeps the (5, 4) gather of the 5
+    # distinct candidate rows (20), and row_dot its (5, 4) projection (20):
+    # 80 + 52 + 20 + 52 + 20 + 13 = 237. Attention: the matmul also keeps the (8, 12) concatenated
     # weights (96), prefix_attention keeps only its (10, 12) pair table
     # (120) and recomputes every prefix in backward, and row_dot's table is
     # enc itself: 80 + 96 + 120 + 52 + 13 = 361. After backward nothing may

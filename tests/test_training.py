@@ -396,6 +396,19 @@ def test_an_empty_training_split_is_a_config_error_giving_the_split_counts():
         plan_run(ds, small_config(n_cs_items=2))
 
 
+@pytest.mark.parametrize("n_cs_items", [24, 30])
+def test_an_infeasible_cold_start_split_is_a_config_error_giving_the_test_split(n_cs_items):
+    # of 2 users the test split takes 1, whose 30..40 interactions hold 16
+    # of the 30 items: neither 24 (more than 16) nor 30 (every item) can
+    # be cold-start
+    ds, _ = generate_synthetic(GenConfig(n_users=2, n_items=30, n_topics=2,
+                                         seq_len_range=(30, 40)), 0)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"n_cs_items: cannot pick {n_cs_items} cold-start items: the test split's 1 users "
+            f"hold 16 distinct items of the 30; at most 16, and fewer than 30, can be cold-start")):
+        plan_run(ds, small_config(n_cs_items=n_cs_items))
+
+
 def test_window_longer_than_epoch_rejected():
     ds = tiny_dataset(n_users=12)
     cfg = small_config(latency="50S", max_epochs=1, n_cs_items=2)
