@@ -17,23 +17,26 @@ masked. ``gru_scan`` and ``prefix_attention`` share one longest-first
 slot layout: step n runs only on the users longer than n + 1, a leading
 slice of that order, and each returns one row per predicted slot in the
 order it computes them, ``slot_order``'s: step ascending, then users
-longest first, ties in user order. Both read a table of projected rows
-through a per-interaction index, so interactions may share a row.
-``gru_scan`` runs a whole gated recurrence and keeps only its states,
-its output: its backward rebuilds every slot's gates from them in one
-bulk pass and backpropagates through time. Its time loops run only the
-recurrence: the forward skips its per-step finiteness checks when a bound
-on the preactivations shows that none can overflow, and the backward
-forms the gate factors and the w_hh and b_hh gradients in bulk, looping
-only to carry the state's gradient back. Its values and gradients agree
-with the per-user reference in ``tests/reference_cf.py`` to float64
-rounding, not bit for bit.
+longest first, ties in user order. Both take input rows and their input
+weights, project the rows inside the op with one matmul, and read the
+projected table through a per-interaction index, so interactions may
+share a row; each keeps the input rows, not the table, and its backward
+projects them again with the forward's expression, bit for bit.
+``gru_scan`` runs a whole gated recurrence and keeps only its input rows
+and its states, its output: its backward rebuilds every slot's gates
+from them in one bulk pass and backpropagates through time. Its time
+loops run only the recurrence: the forward skips its per-step finiteness
+checks when a bound on the preactivations shows that none can overflow,
+and the backward forms the gate factors and the w_hh and b_hh gradients
+in bulk, looping only to carry the state's gradient back. Its values and
+gradients agree with the per-user reference in ``tests/reference_cf.py``
+to float64 rounding, not bit for bit.
 ``prefix_attention`` runs causal softmax attention and additive pooling
 over every proper prefix of every user's history with no loop: a
 position attends only to the positions before it and itself, so each
-prefix's pooling is one row of a second causal softmax; it saves nothing
-beyond the table and recomputes the forward in backward, so its
-activation memory does not grow with the number of prefixes.
+prefix's pooling is one row of a second causal softmax; it keeps only its
+input rows and recomputes the projection and the forward in backward, so
+its activation memory does not grow with the number of prefixes.
 ``ce_block`` runs one residual encoder layer over the ragged token rows
 of many items, looping only over the length groups of its attention; it
 saves its input and the attention probabilities, and its backward
@@ -83,7 +86,11 @@ Design constraints, chosen to keep gradient code honest at desk scale:
 Activation accounting: when an accountant is installed via
 ``track_activations``, each node reports the element count of non-leaf
 arrays its backward closure retains (leaf data -- parameters and inputs --
-is excluded; both training styles hold it equally). The count is acquired
+is excluded; both training styles hold it equally). The rule is exact for
+every op the models build: a node's count is the size of the float arrays
+its closure holds, less the data of its leaf parents, so an op lists
+every operand it reads, labels included, as a parent, and rebuilds small
+derived arrays such as a length column in backward. The count is acquired
 at node creation and released when backward consumes the node, which makes
 the accountant's peak a deterministic, allocator-independent proxy for
 activation memory.
@@ -710,11 +717,13 @@ def _slots(op: str, n_rows: int, lengths):
     return rows, live, counts.tolist(), ats.tolist(), users
 
 
-def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
+def gru_scan(x: Tensor, rows, w_ih: Tensor, b_ih: Tensor, w_hh: Tensor, b_hh: Tensor,
+             lengths) -> Tensor:
     """A gated recurrent cell over every user's interactions, as one node.
 
-    Rows of *xg* are input-side gate preactivations, in the column order
-    [reset | update | candidate], each d_h wide; interaction j reads row
+    Rows of *x* (P, k) are input rows; the op projects them to input-side
+    gate preactivations xg = x @ w_ih + b_ih, in the column order
+    [reset | update | candidate], each d_h wide. Interaction j reads row
     rows[j], and user i owns the next lengths[i] interactions. From h = 0,
     step n reads interaction n of each user longer than n + 1 and computes
     hg = h @ w_hh + b_hh, pre = xg_n + hg, r and z = sigmoid of pre's
@@ -734,34 +743,38 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
     largest value nothing can overflow and the per-step finiteness checks
     are skipped, else each step checks its preactivations and an overflow
     raises naming the step. The forward writes each step's states into one
-    (n_slots, d_h) array, and the node keeps only it, its output; its count
-    is hs.size. Backward rebuilds every slot's previous state from it, then
-    hg, r, z, c and hg_c with one (n_slots, d_h) @ w_hh and a few
-    elementwise ops, re-gathering the rows of *xg* that the slots read. It
-    runs backprop through time over them: it forms every slot's
-    gate-derivative factors at once, frees what they no longer need, loops
-    over the steps carrying only the state's gradient, then takes w_hh's
-    and b_hh's gradients with one matmul and one sum and scatter-adds the
-    interactions' gradients into the rows they read, as ``gather`` does; a
-    row no step reads gets zero gradient.
+    (n_slots, d_h) array, and the node keeps only *x* and it, its output;
+    its count is x.size + hs.size. Backward projects *x* again with the
+    forward's expression, so xg repeats bit for bit, rebuilds every slot's
+    previous state from the states, then hg, r, z, c and hg_c with one
+    (n_slots, d_h) @ w_hh and a few elementwise ops. It runs backprop
+    through time over them: it forms every slot's gate-derivative factors
+    at once, frees what they no longer need, loops over the steps carrying
+    only the state's gradient, then takes w_hh's and b_hh's gradients with
+    one matmul and one sum. It scatter-adds the interactions' gradients
+    into the rows of xg they read, as ``gather`` does, so a row no step
+    reads gets zero gradient, and takes x's, w_ih's and b_ih's gradients
+    from that table with two matmuls and one sum.
     """
-    _check_dtypes("gru_scan", xg, w_hh, b_hh)
-    x, w, bias = xg.data, w_hh.data, b_hh.data
+    _check_dtypes("gru_scan", x, w_ih, b_ih, w_hh, b_hh)
+    xd, wi, bi, w, bias = x.data, w_ih.data, b_ih.data, w_hh.data, b_hh.data
     if w.ndim != 2 or w.shape[1] != 3 * w.shape[0]:
         raise ShapeError(f"gru_scan: w_hh must be (d_h, 3*d_h), got {w.shape}")
     dh = w.shape[0]
-    if bias.shape != (3 * dh,) or x.ndim != 2 or x.shape[1] != 3 * dh:
-        raise ShapeError(f"gru_scan: xg {x.shape} and b_hh {bias.shape} do not fit w_hh {w.shape}")
-    idx = _row_ids("gru_scan", rows, x.shape[0])
+    if (bias.shape != (3 * dh,) or bi.shape != (3 * dh,) or xd.ndim != 2
+            or wi.shape != (xd.shape[1], 3 * dh)):
+        raise ShapeError(f"gru_scan: x {xd.shape}, w_ih {wi.shape}, b_ih {bi.shape} and b_hh "
+                         f"{bias.shape} do not fit w_hh {w.shape}")
+    idx = _row_ids("gru_scan", rows, xd.shape[0])
     slot_rows, live, counts, ats, _ = _slots("gru_scan", idx.size, lengths)
     at_rows = idx[slot_rows[live]]      # table row each slot reads, step-major
-    xs = x[at_rows]
+    xs = (xd @ wi + bi)[at_rows]
     x_rz, x_c = xs[:, :2 * dh], xs[:, 2 * dh:]
     bound = (float(np.abs(xs).max(initial=0.0)) + float(np.abs(bias).max(initial=0.0))
              + dh * float(np.abs(w).max(initial=0.0)))
-    check = not 2.0 * bound < float(np.finfo(x.dtype).max)     # a NaN bound checks too
-    hs = np.empty((at_rows.size, dh), dtype=x.dtype)
-    h = np.zeros((counts[0], dh), dtype=x.dtype)
+    check = not 2.0 * bound < float(np.finfo(xd.dtype).max)    # a NaN bound checks too
+    hs = np.empty((at_rows.size, dh), dtype=xd.dtype)
+    h = np.zeros((counts[0], dh), dtype=xd.dtype)
     for n, b in enumerate(counts):
         at, h_prev = ats[n], h[:b]
         hg = h_prev @ w + bias
@@ -784,8 +797,9 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
         prev = (np.asarray(ats[:-2], dtype=np.intp)[:, None] + np.arange(live.shape[1]))[live[1:]]
         h_prev = np.zeros_like(hs)
         h_prev[first:] = hs[prev]
-        # the forward's gates and candidates, every slot at once
-        xs = x[at_rows]
+        # the forward's projection, gates and candidates, every slot at once
+        xg = xd @ wi + bi
+        xs = xg[at_rows]
         hg = h_prev @ w
         hg += bias
         rz = xs[:, :2 * dh] + hg[:, :2 * dh]
@@ -819,11 +833,16 @@ def gru_scan(xg: Tensor, rows, w_hh: Tensor, b_hh: Tensor, lengths) -> Tensor:
         del h_prev
         dhg[:, 2 * dh:] = dhs * k1      # the candidate's input side is not scaled by r
         del dhs, k1
-        acc(xg, _scatter_rows(at_rows, dhg, x))
+        dxg = _scatter_rows(at_rows, dhg, xg)
+        del dhg, xg
         acc(w_hh, dw)
         acc(b_hh, db)
+        acc(b_ih, dxg.sum(axis=0))
+        acc(x, dxg @ wi.T)
+        acc(w_ih, xd.T @ dxg)
 
-    return _result(hs, (xg, w_hh, b_hh), run, op="gru_scan", saved_elements=hs.size)
+    return _result(hs, (x, w_ih, b_ih, w_hh, b_hh), run, saved=(x,), op="gru_scan",
+                   saved_elements=hs.size)
 
 
 def _softmax_backward_inplace(out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -845,24 +864,26 @@ def _causal_softmax(s: np.ndarray, above: np.ndarray) -> np.ndarray:
     return s
 
 
-def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths) -> Tensor:
+def prefix_attention(x: Tensor, rows, wq: Tensor, wk: Tensor, wv: Tensor, w_pool: Tensor,
+                     v_pool: Tensor, lengths) -> Tensor:
     """Causal self-attention plus additive pooling over every proper prefix
     of every user's history, as one node.
 
-    Rows of *qkv* (P, 2*d_h + d) are projected interactions, with the
-    query, key and value side by side in the column order [q | k | v],
-    d_h, d_h and d wide; d and d_h are *w_pool*'s shape. Interaction j
-    reads row rows[j] of *qkv*, so interactions that share a projection
-    share a row; user i owns the next lengths[i] interactions. Position i
-    of a user attends causally, to its positions j <= i only, as SAKT does
-    (Pandey & Karypis 2019, arXiv:1907.06837): a = softmax over j <= i of
-    q_i k_j / sqrt(d_h) and ctx_i = sum_j a_ij v_j, so a position's context
-    does not depend on the prefix that holds it. Each position scores
-    e_i = tanh(ctx_i @ w_pool) @ v_pool, and the user vector of a user's
-    prefix of length n, 1 <= n < its length, is sum_{j<n} w_j ctx_j, with
-    pooling weights w = softmax of e_0 .. e_{n-1}. Returns the (n_slots, d)
-    user vectors in ``slot_order``: prefix length ascending, then users
-    longest first.
+    Rows of *x* (P, k) are input rows; the op projects them to a (P,
+    2*d_h + d) table qkv = x @ [wq | wk | wv], the query, key and value
+    side by side, with one matmul against the three weights concatenated,
+    as ``ce_block`` does; d and d_h are *w_pool*'s shape. Interaction j
+    reads row rows[j] of the table, so interactions that share an input
+    row share a projection; user i owns the next lengths[i] interactions.
+    Position i of a user attends causally, to its positions j <= i only, as
+    SAKT does (Pandey & Karypis 2019, arXiv:1907.06837): a = softmax over
+    j <= i of q_i k_j / sqrt(d_h) and ctx_i = sum_j a_ij v_j, so a
+    position's context does not depend on the prefix that holds it. Each
+    position scores e_i = tanh(ctx_i @ w_pool) @ v_pool, and the user
+    vector of a user's prefix of length n, 1 <= n < its length, is
+    sum_{j<n} w_j ctx_j, with pooling weights w = softmax of e_0 ..
+    e_{n-1}. Returns the (n_slots, d) user vectors in ``slot_order``:
+    prefix length ascending, then users longest first.
 
     The B users with a proper prefix are laid out padded, (B, T) with
     T = max(lengths) - 1, and padded positions are zeroed. There is no
@@ -878,23 +899,29 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
     i + 1, the shortest that reads it; scores above the diagonal are
     read by none and raise nothing.
 
-    Backward keeps nothing beyond the operands and the index: it gathers
-    through *rows* again and recomputes the forward, as FlashAttention
-    does (Dao et al. 2022, arXiv:2205.14135), then runs the chain back
-    with batched matmuls. Both softmaxes' gradients are formed in place
-    and the pooling's arrays are dropped before the attention's, so
-    backward holds at most three (B, T, T) arrays at once. The q/k/v
-    gradients are scatter-added to the table rows once, so a row several
-    interactions read sums their gradients. A user's last interaction is
-    read by no prefix and passes no gradient.
+    The node keeps only *x* and the index; its count is x.size. Backward
+    projects *x* again with the forward's expression, so the table repeats
+    bit for bit, gathers through *rows* again and recomputes the forward,
+    as FlashAttention does (Dao et al. 2022, arXiv:2205.14135), then runs
+    the chain back with batched matmuls. Both softmaxes' gradients are
+    formed in place and the pooling's arrays are dropped before the
+    attention's, so backward holds at most three (B, T, T) arrays at once.
+    The q/k/v gradients are scatter-added to the table rows once, so a row
+    several interactions read sums their gradients, and x's and the three
+    weights' gradients come from that table with two matmuls. A user's
+    last interaction is read by no prefix and passes no gradient.
     """
-    _check_dtypes("prefix_attention", qkv, w_pool, v_pool)
-    x, wp, vp = qkv.data, w_pool.data, v_pool.data
+    ts = (x, wq, wk, wv, w_pool, v_pool)
+    _check_dtypes("prefix_attention", *ts)
+    xd, w_q, w_k, w_v, wp, vp = (t.data for t in ts)
     d, dh = wp.shape if wp.ndim == 2 else (0, 0)
-    if x.ndim != 2 or dh == 0 or x.shape[1] != 2 * dh + d or vp.shape != (dh, 1):
-        raise ShapeError(f"prefix_attention: qkv {x.shape}, w_pool {wp.shape} and v_pool "
-                         f"{vp.shape} must be (P, 2*d_h + d), (d, d_h) and (d_h, 1)")
-    idx = _row_ids("prefix_attention", rows, x.shape[0])
+    k = xd.shape[1] if xd.ndim == 2 else 0
+    if (xd.ndim != 2 or dh == 0 or w_q.shape != (k, dh) or w_k.shape != (k, dh)
+            or w_v.shape != (k, d) or vp.shape != (dh, 1)):
+        raise ShapeError(f"prefix_attention: x {xd.shape}, wq/wk/wv {[t.shape for t in ts[1:4]]}, "
+                         f"w_pool {wp.shape} and v_pool {vp.shape} must be (P, k), (k, d_h) twice "
+                         f"and (k, d), (d, d_h) and (d_h, 1)")
+    idx = _row_ids("prefix_attention", rows, xd.shape[0])
     slot_rows, live, _, _, _ = _slots("prefix_attention", idx.size, lengths)
     # padded (B, T) table rows, users longest first; live.T is step-major,
     # the output order
@@ -902,10 +929,10 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
     above = np.triu(np.ones((live.shape[1],) * 2, dtype=bool), 1)      # key j > query i
     scale_qk = dh ** -0.5       # a Python float keeps float32 operands float32
 
-    def attend():
-        """The padded operands, a, ctx, tanh(ctx @ w_pool) and the pooling
-        weights of every position."""
-        xp = x[pad_rows]
+    def attend(qkv):
+        """The padded operands read from the projected table *qkv*, a, ctx,
+        tanh(ctx @ w_pool) and the pooling weights of every position."""
+        xp = qkv[pad_rows]
         xp[~live] = 0.0
         qs, kp, vpad = xp[..., :dh] * scale_qk, xp[..., dh:2 * dh], xp[..., 2 * dh:]
         # a score above the diagonal may overflow harmlessly, so the check
@@ -923,13 +950,16 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
         np.copyto(pw, (t @ vp).reshape(a.shape[0], 1, -1))     # pw[b, i, j] = e[b, j]
         return qs, kp, vpad, a, ctx, t, _causal_softmax(pw, above)
 
-    *_, ctx, _, pw = attend()
+    *_, ctx, _, pw = attend(xd @ np.concatenate((w_q, w_k, w_v), axis=1))
     out = (pw @ ctx).transpose(1, 0, 2)[live.T]
 
     def run(g, acc):
-        # each expression follows the backward of the primitive it fuses
-        # (matmul, softmax, tanh, reshape, transpose)
-        qs, kp, vpad, a, ctx, t, pw = attend()
+        # the forward's projection, then each expression follows the
+        # backward of the primitive it fuses (matmul, softmax, tanh,
+        # reshape, transpose, concat)
+        w_qkv = np.concatenate((w_q, w_k, w_v), axis=1)
+        qkv = xd @ w_qkv
+        qs, kp, vpad, a, ctx, t, pw = attend(qkv)
         gu = np.zeros_like(ctx)
         gu.transpose(1, 0, 2)[live.T] = g
         dpw = gu @ ctx.transpose(0, 2, 1)
@@ -945,11 +975,17 @@ def prefix_attention(qkv: Tensor, rows, w_pool: Tensor, v_pool: Tensor, lengths)
         del a
         dq, dk = (ds @ kp) * scale_qk, ds.transpose(0, 2, 1) @ qs
         dlive = np.concatenate((dq[live], dk[live], dvpad[live]), axis=1)
-        acc(qkv, _scatter_rows(pad_rows[live], dlive, x))
+        dqkv = _scatter_rows(pad_rows[live], dlive, qkv)
+        del qkv, dq, dk, dvpad, dlive
         acc(w_pool, dwp)
         acc(v_pool, dvp)
+        acc(x, dqkv @ w_qkv.T)
+        dw = xd.T @ dqkv
+        acc(wq, dw[:, :dh])
+        acc(wk, dw[:, dh:2 * dh])
+        acc(wv, dw[:, 2 * dh:])
 
-    return _result(out, (qkv, w_pool, v_pool), run, saved=(qkv,), op="prefix_attention")
+    return _result(out, ts, run, saved=(x,), op="prefix_attention")
 
 
 # ---------------------------------------------------------------------------
@@ -1091,13 +1127,13 @@ def segment_mean(x: Tensor, lengths) -> Tensor:
             or lengths.sum() != x.shape[0]):
         raise ShapeError(f"segment_mean: lengths must be positive and sum to the rows of a "
                          f"2-D x, got {lengths} for {x.shape}")
-    n = lengths.astype(x.data.dtype)[:, None]
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
 
     def run(g, acc):
-        acc(x, np.repeat(g / n, lengths, axis=0))
+        acc(x, np.repeat(g / lengths.astype(g.dtype)[:, None], lengths, axis=0))
 
-    return _result(np.add.reduceat(x.data, starts, axis=0) / n, (x,), run, op="segment_mean")
+    return _result(np.add.reduceat(x.data, starts, axis=0) / lengths.astype(x.data.dtype)[:, None],
+                   (x,), run, op="segment_mean")
 
 
 # ---------------------------------------------------------------------------
@@ -1112,7 +1148,7 @@ def bce_loss(logits: Tensor, y: Tensor) -> Tensor:
     Each term is computed from the logit x in softplus form,
     max(x, 0) - y*x + log1p(exp(-|x|)), which is finite for every finite
     x, and its gradient sigmoid(x) - y is never clipped. Gradients flow to
-    the logits only; labels are data.
+    the logits only; the labels are data, a parent that takes none.
     """
     if logits.shape != y.shape:
         raise ShapeError(f"bce_loss: shape mismatch {logits.shape} vs {y.shape}")
@@ -1127,7 +1163,7 @@ def bce_loss(logits: Tensor, y: Tensor) -> Tensor:
     def run(g, acc):
         acc(logits, g * (_sigmoid(x) - yd))
 
-    return _result(np.asarray(terms.sum(), dtype=x.dtype), (logits,), run,
+    return _result(np.asarray(terms.sum(), dtype=x.dtype), (logits, y), run,
                    saved=(logits,), op="bce_loss")
 
 

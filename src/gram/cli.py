@@ -277,6 +277,8 @@ def _train_table(report: RunReport) -> str:
         f"counters: ce_fwd {c['ce_forward_calls']}  ce_bwd {c['ce_backward_calls']}  "
         f"cf_fwd {c['cf_forward_calls']}  flops {c['flop_estimate']:.3g}  "
         f"act_peak {c['activation_elements_peak']}",
+        f"window {report.config['accum_steps']} steps  "
+        f"unapplied_window_steps {report.unapplied_window_steps}",
         f"train wall {c['wall_clock_ns'] / 1e9:.2f}s",
     ]
     return "\n".join(lines)

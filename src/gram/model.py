@@ -40,39 +40,42 @@ per item, the batch's in ``gram`` and the item table's in the
 baselines, so every occurrence of an item reads the same row.
 
 Both variants build a batch the same way. Each distinct (encoding row,
-response) pair gets one (encoding (+) response) row and one projection,
-by ``w_ih`` or by the q/k/v weights side by side; an interaction reads
-its pair's projected row through an index, so the gradients of a pair's
-repeats add up in that index's scatter, as the cached modes add up an
-item's gradients in its encoding row. In the cached modes a batch holds
-far fewer pairs than interactions (about 72 for 249 on the benchmark's
-datasets), so the kept projections follow the pairs; in joint backprop
-every pair is distinct. One fused op then runs the users' ragged
-sequences, and one ``autodiff.row_dot`` scores every predicted slot
-against its candidate, so a loss graph has 10 nodes (recurrent) or 9
-(attention) in every mode and for any sequence length. Step n of a fused
-op reads interactions 0..n of each user longer than n + 1 and predicts
-interaction n + 1, the users run longest first so each step's users are
-a leading slice, and the op returns one row per predicted slot in the
-order it computes them.
+response) pair gets one (encoding (+) response) row, and one fused op
+takes those pair rows with its input weights, ``w_ih`` and ``b_ih`` or
+the q/k/v weights, projects each pair once and keeps only the pair rows,
+rebuilding the projection in backward. An interaction reads its pair's
+projected row through an index, so the gradients of a pair's repeats add
+up in that index's scatter, as the cached modes add up an item's
+gradients in its encoding row. In the cached modes a batch holds far
+fewer pairs than interactions (about 72 for 249 on the benchmark's
+datasets), so the kept rows follow the pairs; in joint backprop every
+pair is distinct. The fused op runs the users' ragged sequences, and one
+``autodiff.row_dot`` scores every predicted slot against its candidate,
+so a loss graph has 8 nodes (recurrent) or 7 (attention) in every mode
+and for any sequence length. Step n of a fused op reads interactions
+0..n of each user longer than n + 1 and predicts interaction n + 1, the
+users run longest first so each step's users are a leading slice, and
+the op returns one row per predicted slot in the order it computes them.
 
-* The recurrent CF's ``autodiff.gru_scan`` takes the table of projected
-  pairs and the per-interaction index, and runs the h-side of the cell
-  with a hand-written backprop through time; for its backward it keeps
-  only its states, one row per slot, and no copy of its input, and the
-  backward rebuilds every slot's gates from them in one pass. The readout
-  projects each distinct candidate row once by ``w_readout``, and
-  ``row_dot`` keeps the states and that projection.
-* The attention CF's ``autodiff.prefix_attention`` takes the table of
-  projected pairs and the per-interaction index. Its attention is causal,
-  so a position's context does not depend on the prefix that holds it,
-  and it runs every prefix at once on the users' padded (B, T) layout:
-  one masked (B, T, T) softmax gives every context, and a second gives
-  every prefix's pooling weights, one row per prefix. It keeps only the
-  table and recomputes the forward in backward, so neither the node
-  count nor the saved activations grow with the number of prefixes.
-  ``row_dot`` reads the candidates straight from ``enc`` and keeps the
-  pooled user vectors and ``enc``.
+* The recurrent CF's ``autodiff.gru_scan(x, pair_of, w_ih, b_ih, w_hh,
+  b_hh, lengths)`` projects the pair rows to gate preactivations and runs
+  the h-side of the cell with a hand-written backprop through time; for
+  its backward it keeps only the pair rows and its states, one row per
+  slot, and the backward rebuilds the projection and every slot's gates
+  from them in one pass. The readout projects each distinct candidate row
+  once by ``w_readout``, and ``row_dot`` keeps the states and that
+  projection.
+* The attention CF's ``autodiff.prefix_attention(x, pair_of, wq, wk, wv,
+  w_pool, v_pool, lengths)`` projects the pair rows with the three
+  weights side by side. Its attention is causal, so a position's context
+  does not depend on the prefix that holds it, and it runs every prefix
+  at once on the users' padded (B, T) layout: one masked (B, T, T)
+  softmax gives every context, and a second gives every prefix's pooling
+  weights, one row per prefix. It keeps only the pair rows and recomputes
+  the projection and the forward in backward, so neither the node count
+  nor the saved activations grow with the number of prefixes. ``row_dot``
+  reads the candidates straight from ``enc`` and keeps the pooled user
+  vectors and ``enc``.
 
 A user's last interaction and a 1-interaction user's row feed no step,
 so they get exactly zero gradient through the CF's history side. The
@@ -375,13 +378,13 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     compute in: position n >= 1 ascending, then users longest first, ties
     in batch order.
 
-    Each distinct (encoding row, response) pair is projected once, and the
-    fused op reads it through a per-interaction index, so the gradients of
-    a pair's repeats add up in the index's scatter. The recurrent CF dots
-    ``gru_scan``'s state for each slot with the candidate's readout row,
-    projecting each distinct candidate row once; the attention CF dots
-    ``prefix_attention``'s pooled user vector with the candidate's
-    encoding and adds a bias.
+    Each distinct (encoding row, response) pair is one row, which the
+    fused op projects once and reads through a per-interaction index, so
+    the gradients of a pair's repeats add up in the index's scatter. The
+    recurrent CF dots ``gru_scan``'s state for each slot with the
+    candidate's readout row, projecting each distinct candidate row once;
+    the attention CF dots ``prefix_attention``'s pooled user vector with
+    the candidate's encoding and adds a bias.
     """
     lengths = batch.lengths
     longest = int(lengths.max(initial=0))
@@ -395,13 +398,11 @@ def batch_logits(batch: Batch, rows: np.ndarray, enc: Tensor, p: CfParams):
     pairs, pair_of = np.unique(rows * 2 + batch.resps, return_inverse=True)
     x = ad.concat([ad.gather(enc, pairs // 2), ad.gather(p.resp_embedding, pairs % 2)], axis=1)
     if p.cfg.cf_variant == "recurrent":
-        xg = ad.add(ad.matmul(x, p.w_ih), p.b_ih)
-        h = ad.gru_scan(xg, pair_of, p.w_hh, p.b_hh, lengths)
+        h = ad.gru_scan(x, pair_of, p.w_ih, p.b_ih, p.w_hh, p.b_hh, lengths)
         cands, cand_of = np.unique(rows[targets], return_inverse=True)
         logits = ad.row_dot(h, ad.matmul(ad.gather(enc, cands), p.w_readout), cand_of)
     else:
-        qkv = ad.matmul(x, ad.concat([p.wq, p.wk, p.wv], axis=1))
-        u = ad.prefix_attention(qkv, pair_of, p.w_pool, p.v_pool, lengths)
+        u = ad.prefix_attention(x, pair_of, p.wq, p.wk, p.wv, p.w_pool, p.v_pool, lengths)
         logits = ad.add(ad.row_dot(u, enc, rows[targets]), p.bias)
     labels = batch.resps[targets].astype(np.float64)
     return logits, labels, batch.items[targets], user_idx

@@ -30,6 +30,7 @@ class RunReport:
     mode: str
     config: dict
     best_epoch: int = -1
+    unapplied_window_steps: int = 0     # steps of the window left open at the end
     final_metrics: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
     speed: dict = field(default_factory=dict)

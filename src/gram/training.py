@@ -226,7 +226,10 @@ class TrainConfig:
     from it via ``seed_streams`` so different modes see identical splits
     and initial parameters. ``latency`` is every mode's gradient-update
     latency, the window between encoder (or table) updates (see
-    ``accumulation_latency``). ``ce_batch_size`` is the number of cached
+    ``accumulation_latency``), on the run's step clock: a run that ends
+    mid-window, at ``max_epochs`` or under ``patience``, drops the open
+    window's encoder gradient and reports its steps as
+    ``unapplied_window_steps``. ``ce_batch_size`` is the number of cached
     items a multi-step ``gram`` window's close re-encodes in one graph, 0
     for all of them in one; it bounds that graph's memory only, since the
     chunks' gradients are summed into one encoder step per window. A
@@ -279,6 +282,14 @@ def accumulation_latency(latency: str, steps_per_epoch: int | None = None) -> in
     ``<k>S`` is k steps (k >= 1). ``<f>E`` is ceil(f * steps_per_epoch)
     steps for 0 < f <= 1 of an epoch and needs ``steps_per_epoch``. The
     paper's settings are 1S (single-step) and 10S, 0.5E, 1E (multi-step).
+
+    Windows follow the run's step clock: a window closes after step t,
+    counted over the whole run, when N divides t, in every mode. So an
+    ``E`` window may straddle epochs (at 37 steps per epoch, 0.5E is 19
+    steps and its second window is steps 20..38, across the first
+    epoch's end), and a run that stops mid-window never applies the open
+    window's encoder (or table) gradient; ``train`` reports those steps
+    as the RunReport's ``unapplied_window_steps``.
     """
     m = re.fullmatch(r"(\d+)S|(\d*\.?\d+)E", latency) if isinstance(latency, str) else None
     if m is None or (m[1] and int(m[1]) < 1) or (m[2] and not 0 < Fraction(m[2]) <= 1):
@@ -738,6 +749,9 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
             bad_epochs += 1
             if bad_epochs >= cfg.patience > 0:
                 break
+    # a window still holding a gradient sum or items was never applied
+    open_window = state.pending is not None or (state.window is not None and state.window.rows)
+    unapplied = state.t % state.accum_steps if open_window else 0
     _restore(state, best_params)
 
     with state.timer.measure("eval"), _aborts(f"test evaluation at best epoch {best_epoch}"):
@@ -754,6 +768,7 @@ def train(dataset: Dataset, mode: str, cfg: TrainConfig):
         counters=c.as_dict(),
         speed={"phase_wall_ns": dict(state.timer.totals_ns)},
         best_epoch=best_epoch,
+        unapplied_window_steps=unapplied,
     )
     return report, state
 

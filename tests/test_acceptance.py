@@ -195,11 +195,12 @@ def _primitive_checks():
                 grad_enabled=True)    # kept away from the relu kink
     logits_w = const((5, 4))
     labels = Tensor((rng.random(5) > 0.5).astype(float))
-    xg = Tensor(0.5 * rng.standard_normal((6, 6)), grad_enabled=True)   # users of 1, 3, 2 rows, d_h 2
+    xi = Tensor(0.5 * rng.standard_normal((6, 4)), grad_enabled=True)   # users of 1, 3, 2 rows, d_h 2
+    w_ih, b_ih = Tensor(0.5 * rng.standard_normal((4, 6))), const((6,))
     w_hh, b_hh = Tensor(0.5 * rng.standard_normal((2, 6))), const((6,))  # 3 slots, read by w32
-    qa = t((9, 3))      # users of 2 and 7 interactions, d_h 3, d 4: 7 slots
-    ka, va, w74 = const((9, 3)), const((9, 4)), const((7, 4))
-    pa_rows = np.array([2, 0, 2, 3, 0, 4, 5, 3, 1])    # read rows 0-5 of the table; 2 and 3 twice
+    xa = t((6, 5))      # users of 2 and 7 interactions, d_h 3, d 4: 7 slots
+    w_qkv, w74 = [Tensor(0.5 * rng.standard_normal((5, n))) for n in (3, 3, 4)], const((7, 4))
+    pa_rows = np.array([2, 0, 2, 3, 0, 4, 5, 3, 1])    # read rows 0-5 of xa; 2 and 3 twice
     w_pool = Tensor(0.5 * rng.standard_normal((4, 3)))
     vp = rng.standard_normal((3, 1))
     v_pool = Tensor(np.sign(vp) * (0.5 + np.abs(vp)))     # away from 0, as in test_autodiff
@@ -233,9 +234,10 @@ def _primitive_checks():
         "bce_loss": (lambda v: ad.bce_loss(ad.reshape(ad.matmul(
             logits_w, ad.reshape(ad.mean_pool(v, axis=0), (4, 1))), (5,)), labels), x),
         "mse_half": (lambda v: ad.mse_half(v, c), x),
-        "gru_scan": (lambda v: lin(ad.gru_scan(v, np.arange(6), w_hh, b_hh, [1, 3, 2]), w32), xg),
+        "gru_scan": (lambda v: lin(ad.gru_scan(v, np.arange(6), w_ih, b_ih, w_hh, b_hh, [1, 3, 2]),
+                                   w32), xi),
         "prefix_attention": (lambda v: lin(ad.prefix_attention(
-            ad.concat([v, ka, va], axis=1), pa_rows, w_pool, v_pool, [2, 7]), w74), qa),
+            v, pa_rows, *w_qkv, w_pool, v_pool, [2, 7]), w74), xa),
         "ce_block": (lambda v: lin(ad.ce_block(v, *w_ce, [3, 4]), w74), xt),
         "segment_mean": (lambda v: lin(ad.segment_mean(v, [3, 4]), w42), xt),
     }
@@ -387,24 +389,30 @@ def _train_traced(monkeypatch, ds, mode, cfg):
 
 
 def test_acceptance_5_activation_memory(desk_dataset, capsys, monkeypatch):
-    # the counted ratio is asserted; the traced-bytes ratio, which also
-    # holds each backward's transients and gradients, is only reported
+    # the counted ratio is asserted on each CF variant; the traced-bytes
+    # ratio, which also holds each backward's transients and gradients, is
+    # only reported
     t0 = time.monotonic()
-    rep_g, rise_g = _train_traced(monkeypatch, desk_dataset, "gram", accept_config(
-        cf_batch_size=4, ce_batch_size=8, max_epochs=1, patience=0, latency="1E"))
-    rep_e, rise_e = _train_traced(monkeypatch, desk_dataset, "e2e", accept_config(
-        cf_batch_size=4, ce_batch_size=8, max_epochs=1, patience=0))
-    peak_g = rep_g.counters["activation_elements_peak"]
-    peak_e = rep_e.counters["activation_elements_peak"]
-    ratio = peak_g / peak_e
+    ratios, details = {}, []
+    for variant in ("recurrent", "attention"):
+        model = ModelConfig(cf_variant=variant)
+        rep_g, rise_g = _train_traced(monkeypatch, desk_dataset, "gram", accept_config(
+            model=model, cf_batch_size=4, ce_batch_size=8, max_epochs=1, patience=0,
+            latency="1E"))
+        rep_e, rise_e = _train_traced(monkeypatch, desk_dataset, "e2e", accept_config(
+            model=model, cf_batch_size=4, ce_batch_size=8, max_epochs=1, patience=0))
+        peak_g = rep_g.counters["activation_elements_peak"]
+        peak_e = rep_e.counters["activation_elements_peak"]
+        ratios[variant] = peak_g / peak_e
+        details.append(f"{variant}: window-per-epoch {peak_g} vs joint {peak_e} — ratio "
+                       f"{ratios[variant]:.4f}, traced rise {rise_g / 2**20:.2f} vs "
+                       f"{rise_e / 2**20:.2f} MiB — ratio {rise_g / rise_e:.4f}")
     elapsed = time.monotonic() - t0
-    ok = ratio < 0.45
+    ok = all(r < 0.45 for r in ratios.values())
     announce(capsys, 5, ok,
-             f"peak live activation elements: window-per-epoch {peak_g} vs "
-             f"joint {peak_e} — ratio {ratio:.4f} (< 0.45); largest traced rise in one "
-             f"train_step (reported, not asserted): {rise_g / 2**20:.2f} vs "
-             f"{rise_e / 2**20:.2f} MiB — ratio {rise_g / rise_e:.4f}; {elapsed:.0f}s")
-    assert ok
+             f"peak live activation elements (ratio < 0.45 asserted; largest traced rise in "
+             f"one train_step reported, not asserted): {'; '.join(details)}; {elapsed:.0f}s")
+    assert ok, ratios
 
 
 # ---------------------------------------------------------------------------

@@ -673,9 +673,14 @@ def test_determinism_bit_identical():
 # 7-9) with d_h=3: steps 0 .. 2 give 3 + 2 + 1 slots. The users are out of
 # length order, so the op's longest-first slot order is not theirs, and the
 # 1-interaction user has no slot. Unless a test passes its own index,
-# interaction j reads row j of xg.
+# interaction j reads row j of xg. ``gru`` hands the op the gate
+# preactivations xg as its input rows, with an identity projection; the
+# tests of the projection itself give it (10, 5) input rows x, w_ih and
+# b_ih.
 GRU_LENGTHS = np.array([2, 4, 1, 3])
 GRU_SHAPES = {"xg": (10, 9), "w_hh": (3, 9), "b_hh": (9,)}
+GRU_IN_SHAPES = {"x": (10, 5), "w_ih": (5, 9), "b_ih": (9,)}
+GRU_PROJECTION_SHAPES = {**GRU_IN_SHAPES, "w_hh": (3, 9), "b_hh": (9,)}
 GRU_TABLE_ROWS = np.array([2, 0, 2, 3, 0, 4, 5, 3, 1, 5])   # 6 rows; 0, 2, 3 and 5 read twice
 
 
@@ -684,19 +689,30 @@ def gru_operand(rng, name, dtype=np.float64):
     # so small that central differences measure mostly rounding. For the
     # same reason b_hh keeps away from 0: from h = 0 the first step's
     # reset-gate gradient is proportional to b_hh's candidate part.
-    v = 0.5 * rng.standard_normal(GRU_SHAPES[name])
+    v = 0.5 * rng.standard_normal({**GRU_SHAPES, **GRU_IN_SHAPES}[name])
     if name == "b_hh":
         v = np.sign(v) * (0.5 + np.abs(v))
     return tensor(v.astype(dtype), grad=True)
 
 
-def gru_args(rng, dtype=np.float64):
-    return {k: gru_operand(rng, k, dtype) for k in GRU_SHAPES}
+def gru_args(rng, dtype=np.float64, shapes=GRU_SHAPES):
+    return {k: gru_operand(rng, k, dtype) for k in shapes}
+
+
+def identity_projection(width, dtype=np.float64):
+    """A weight and bias that project rows to themselves: x @ I + 0 is x
+    and g @ I.T is g, exactly, so a fused op reads its input rows as they
+    are and passes them their gradients as they are."""
+    return tensor(np.eye(width, dtype=dtype)), tensor(np.zeros(width, dtype=dtype))
 
 
 def gru(a, lengths=GRU_LENGTHS, rows=None):
-    rows = np.arange(a["xg"].shape[0]) if rows is None else rows
-    return gru_scan(a["xg"], rows, a["w_hh"], a["b_hh"], lengths)
+    """gru_scan over a["xg"]'s rows, or over a["x"]'s rows projected by
+    a["w_ih"] and a["b_ih"] when those are given."""
+    x = a.get("x", a.get("xg"))
+    w_ih, b_ih = (a["w_ih"], a["b_ih"]) if "w_ih" in a else identity_projection(9, x.dtype)
+    rows = np.arange(x.shape[0]) if rows is None else rows
+    return gru_scan(x, rows, w_ih, b_ih, a["w_hh"], a["b_hh"], lengths)
 
 
 @pytest.mark.parametrize("wrt", list(GRU_SHAPES))
@@ -707,6 +723,34 @@ def test_fd_gru_scan(wrt):
         return lambda x: sum_all(mul(gru(dict(args, **{wrt: x})), c))
 
     run_trials(make_f, lambda rng: gru_operand(rng, wrt))
+
+
+@pytest.mark.parametrize("wrt", list(GRU_IN_SHAPES))
+def test_fd_gru_scan_projection(wrt):
+    def make_f(rng):
+        args = gru_args(rng, shapes=GRU_PROJECTION_SHAPES)
+        c = Tensor(rng.standard_normal((6, 3)))
+        return lambda x: sum_all(mul(gru(dict(args, **{wrt: x})), c))
+
+    run_trials(make_f, lambda rng: gru_operand(rng, wrt))
+
+
+def test_gru_scan_projection_equals_the_per_op_projection_it_fuses():
+    # the op's x @ w_ih + b_ih against the matmul and bias add it replaced,
+    # fed to the op over an identity projection, on a 6-row table read
+    # through a repeating index: values and gradients agree bit for bit
+    rng = np.random.default_rng(18)
+    a = gru_args(rng, shapes=GRU_PROJECTION_SHAPES)
+    a["x"] = tensor(a["x"].data[:6], grad=True)
+    c = Tensor(rng.standard_normal((6, 3)))
+    fused = gru(a, rows=GRU_TABLE_ROWS)
+    per_op = gru({"xg": add(matmul(a["x"], a["w_ih"]), a["b_ih"]), "w_hh": a["w_hh"],
+                  "b_hh": a["b_hh"]}, rows=GRU_TABLE_ROWS)
+    assert np.array_equal(fused.data, per_op.data)
+    g_fused = backward(sum_all(mul(fused, c)))
+    g_per_op = backward(sum_all(mul(per_op, c)))
+    for k, t in a.items():
+        assert np.array_equal(g_fused[t].data, g_per_op[t].data), k
 
 
 def gru_user_states(x, w, b, rows):
@@ -759,7 +803,7 @@ def test_fd_gru_scan_of_one_step(wrt):
 def test_gru_scan_float32_outputs_and_gradients():
     # the f32 op agrees with the f64 op on the same operands
     rng = np.random.default_rng(3)
-    args = gru_args(rng, np.float32)
+    args = gru_args(rng, np.float32, GRU_PROJECTION_SHAPES)
     wide = {k: tensor(t.data.astype(np.float64), grad=True) for k, t in args.items()}
     c = rng.standard_normal((6, 3))
     h, h64 = gru(args), gru(wide)
@@ -777,10 +821,16 @@ def test_gru_scan_rejects_mixed_dtypes_and_bad_shapes():
     a = gru_args(rng)
     with pytest.raises(TypeError):
         gru(dict(a, w_hh=tensor(a["w_hh"].data.astype(np.float32))))
+    with pytest.raises(TypeError):
+        gru(dict(a, x=a["xg"], w_ih=tensor(np.eye(9, dtype=np.float32)), b_ih=tensor(np.zeros(9))))
+    w_ih, b_ih = identity_projection(9)
     bad = [
         (dict(a, w_hh=tensor(np.zeros((3, 6)))), GRU_LENGTHS),   # w_hh not (d_h, 3*d_h)
         (dict(a, b_hh=tensor(np.zeros(6))), GRU_LENGTHS),
-        (dict(a, xg=tensor(np.zeros((10, 6)))), GRU_LENGTHS),
+        (dict(a, xg=tensor(np.zeros((10, 6)))), GRU_LENGTHS),   # x does not fit w_ih
+        (dict(a, x=a["xg"], w_ih=tensor(np.zeros((9, 6))), b_ih=b_ih), GRU_LENGTHS),
+        (dict(a, x=a["xg"], w_ih=w_ih, b_ih=tensor(np.zeros(6))), GRU_LENGTHS),
+        (dict(a, x=tensor(np.zeros(9)), w_ih=w_ih, b_ih=b_ih), GRU_LENGTHS),   # a 1-D x
         (a, np.array([1] * 10)),                                 # no step
         (dict(a, xg=tensor(np.zeros((0, 9)))), GRU_LENGTHS[:0]),
         (a, GRU_LENGTHS[None]),
@@ -824,6 +874,8 @@ def test_gru_scan_checks_its_steps_only_when_an_overflow_is_possible(monkeypatch
     a = gru_args(np.random.default_rng(8))
     if b_hh is not None:
         a.update(b_hh=tensor(np.full(9, b_hh)))
+    w_ih, b_ih = identity_projection(9)    # built before counting: a tensor checks its data
+    a.update(x=a["xg"], w_ih=w_ih, b_ih=b_ih)
     calls, isfinite = [], np.isfinite
     monkeypatch.setattr(np, "isfinite", lambda v: calls.append(1) or isfinite(v))
     with no_grad():
@@ -835,7 +887,8 @@ def test_gru_scan_checks_its_steps_only_when_an_overflow_is_possible(monkeypatch
 def test_gru_scan_through_an_index_equals_gru_scan_over_gathered_rows(rows):
     # reading the table through the index is reading its gather: the
     # values agree, and every gradient equals the gather's scatter-add,
-    # summed in the same order
+    # summed in the same order (the identity projection passes each row
+    # its gradient as it is)
     rng = np.random.default_rng(17)
     a = gru_args(rng)
     table = tensor(a["xg"].data[:rows.max() + 1], grad=True)
@@ -857,20 +910,30 @@ def test_gru_scan_accounts_saved_arrays_and_keeps_none_under_no_grad():
             gru(a)
         assert acct.peak == 0
         loss = sum_all(gru(a))
-    # only the states, 6 slots of d_h = 3; backward rebuilds r, z, c and hg_c
-    assert acct.current == 6 * 3
-    backward(loss)
+        # xg is a leaf, so only the states, 6 slots of d_h = 3; backward
+        # rebuilds the projection, r, z, c and hg_c
+        assert acct.current == 6 * 3
+        backward(loss)
+        assert acct.current == 0
+        # a non-leaf input adds its (10, 9) rows and nothing else
+        loss = sum_all(gru(dict(a, xg=scale(a["xg"], 1.0))))
+        assert acct.current == 10 * 9 + 6 * 3
+        backward(loss)
     assert acct.current == 0
 
 
 # prefix_attention over users of 2 and 7 interactions (rows 0-1 and 2-8)
 # with d_h=3 and d=4: prefix lengths 1 .. 6 give 2 + 5 * 1 slots. The
 # 2-interaction user appears only at n=1, where both softmaxes have one
-# element and pass no gradient to q, k or the pooling weights. The op's
-# (9, 3 + 3 + 4) qkv operand is built by concat from q_all, k_all and
-# v_all, so each finite-difference check covers one column block of it.
+# element and pass no gradient to q, k or the pooling weights. ``pa``
+# hands the op a (9, 3 + 3 + 4) table built by concat from q_all, k_all
+# and v_all as its input rows, with an identity projection, so each
+# finite-difference check covers one column block of it; the tests of the
+# projection itself give it (6, 5) input rows x, read through
+# PA_TABLE_ROWS, and wq, wk and wv.
 PA_LENGTHS = np.array([2, 7])
 PA_SHAPES = {"q_all": (9, 3), "k_all": (9, 3), "v_all": (9, 4), "w_pool": (4, 3), "v_pool": (3, 1)}
+PA_IN_SHAPES = {"x": (6, 5), "wq": (5, 3), "wk": (5, 3), "wv": (5, 4)}
 
 
 def pa_operand(rng, name, dtype=np.float64):
@@ -878,22 +941,37 @@ def pa_operand(rng, name, dtype=np.float64):
     # column j of w_pool's gradient is proportional to v_pool[j], and a
     # near-zero column is so small that central differences measure
     # mostly rounding.
-    v = rng.standard_normal(PA_SHAPES[name])
-    if name == "w_pool":
+    v = rng.standard_normal({**PA_SHAPES, **PA_IN_SHAPES}[name])
+    if name in ("w_pool", "wq", "wk", "wv"):
         v = 0.5 * v
     if name == "v_pool":
         v = np.sign(v) * (0.5 + np.abs(v))
     return tensor(v.astype(dtype), grad=True)
 
 
-def pa_args(rng, dtype=np.float64):
-    return {k: pa_operand(rng, k, dtype) for k in PA_SHAPES}
+def pa_args(rng, dtype=np.float64, shapes=PA_SHAPES):
+    return {k: pa_operand(rng, k, dtype) for k in shapes}
+
+
+def qkv_identity(dh=3, d=4, dtype=np.float64):
+    """wq, wk and wv that read a (P, 2*dh + d) table as its q, k and v
+    column blocks: side by side they are the identity (see
+    ``identity_projection``)."""
+    eye = np.eye(2 * dh + d, dtype=dtype)
+    return [tensor(eye[:, lo:hi]) for lo, hi in ((0, dh), (dh, 2 * dh), (2 * dh, 2 * dh + d))]
 
 
 def pa(a, lengths=PA_LENGTHS, rows=None):
-    qkv = concat([a["q_all"], a["k_all"], a["v_all"]], axis=1)
-    rows = np.arange(qkv.shape[0]) if rows is None else rows
-    return prefix_attention(qkv, rows, a["w_pool"], a["v_pool"], lengths)
+    """prefix_attention over the table concat([q_all, k_all, v_all]), or
+    over a["x"]'s rows projected by a["wq"], a["wk"] and a["wv"] when
+    those are given."""
+    if "x" in a:
+        x, ws = a["x"], [a["wq"], a["wk"], a["wv"]]
+    else:
+        x = concat([a["q_all"], a["k_all"], a["v_all"]], axis=1)
+        ws = qkv_identity(dtype=x.dtype)
+    rows = np.arange(x.shape[0]) if rows is None else rows
+    return prefix_attention(x, rows, *ws, a["w_pool"], a["v_pool"], lengths)
 
 
 @pytest.mark.parametrize("wrt", list(PA_SHAPES))
@@ -904,6 +982,37 @@ def test_fd_prefix_attention(wrt):
         return lambda x: sum_all(mul(pa(dict(args, **{wrt: x})), c))
 
     run_trials(make_f, lambda rng: pa_operand(rng, wrt))
+
+
+PA_PROJECTION_SHAPES = {**PA_IN_SHAPES, "w_pool": (4, 3), "v_pool": (3, 1)}
+
+
+@pytest.mark.parametrize("wrt", list(PA_IN_SHAPES))
+def test_fd_prefix_attention_projection(wrt):
+    def make_f(rng):
+        args = pa_args(rng, shapes=PA_PROJECTION_SHAPES)
+        c = Tensor(rng.standard_normal((7, 4)))
+        return lambda x: sum_all(mul(pa(dict(args, **{wrt: x}), rows=PA_TABLE_ROWS), c))
+
+    run_trials(make_f, lambda rng: pa_operand(rng, wrt))
+
+
+def test_prefix_attention_projection_equals_the_per_op_projection_it_fuses():
+    # the op's x @ [wq | wk | wv] against the weight concat and matmul it
+    # replaced, fed to the op over an identity projection: values and
+    # gradients agree bit for bit
+    rng = np.random.default_rng(19)
+    a = pa_args(rng, shapes=PA_PROJECTION_SHAPES)
+    c = Tensor(rng.standard_normal((7, 4)))
+    fused = pa(a, rows=PA_TABLE_ROWS)
+    table = matmul(a["x"], concat([a["wq"], a["wk"], a["wv"]], axis=1))
+    per_op = prefix_attention(table, PA_TABLE_ROWS, *qkv_identity(), a["w_pool"], a["v_pool"],
+                              PA_LENGTHS)
+    assert np.array_equal(fused.data, per_op.data)
+    g_fused = backward(sum_all(mul(fused, c)))
+    g_per_op = backward(sum_all(mul(per_op, c)))
+    for k, t in a.items():
+        assert np.array_equal(g_fused[t].data, g_per_op[t].data), k
 
 
 # The same users reading a 6-row table through an index: table row 2 is
@@ -937,8 +1046,9 @@ def test_prefix_attention_through_an_index_equals_attention_over_gathered_rows()
     a = pa_table_args(np.random.default_rng(15))
     qkv = tensor(concat([a["q_all"], a["k_all"], a["v_all"]], axis=1).data, grad=True)
     c = Tensor(np.random.default_rng(16).standard_normal((7, 4)))
-    via_index = prefix_attention(qkv, PA_TABLE_ROWS, a["w_pool"], a["v_pool"], PA_LENGTHS)
-    via_gather = prefix_attention(gather(qkv, PA_TABLE_ROWS), np.arange(9), a["w_pool"],
+    ws = qkv_identity()
+    via_index = prefix_attention(qkv, PA_TABLE_ROWS, *ws, a["w_pool"], a["v_pool"], PA_LENGTHS)
+    via_gather = prefix_attention(gather(qkv, PA_TABLE_ROWS), np.arange(9), *ws, a["w_pool"],
                                   a["v_pool"], PA_LENGTHS)
     assert np.array_equal(via_index.data, via_gather.data)
     g_index = backward(sum_all(mul(via_index, c)))[qkv].data
@@ -973,12 +1083,13 @@ def test_prefix_attention_keeps_the_table_not_a_row_per_interaction():
     # the accountant counts exactly the table
     a = pa_table_args(np.random.default_rng(17))
     qkv = concat([a["q_all"], a["k_all"], a["v_all"]], axis=1)    # non-leaf; concat keeps nothing
+    ws = qkv_identity()
     acct = CountingAccountant()
     with track_activations(acct):
-        u = prefix_attention(qkv, PA_TABLE_ROWS, a["w_pool"], a["v_pool"], PA_LENGTHS)
+        u = prefix_attention(qkv, PA_TABLE_ROWS, *ws, a["w_pool"], a["v_pool"], PA_LENGTHS)
         assert acct.current == qkv.size == 6 * 10
         floats = [arr for arr in closure_arrays(u._backward) if arr.dtype.kind == "f"]
-        weights = (qkv.data, a["w_pool"].data, a["v_pool"].data)
+        weights = (qkv.data, a["w_pool"].data, a["v_pool"].data, *(w.data for w in ws))
         assert floats and all(any(arr is w for w in weights) for arr in floats)
         assert all(arr.ndim == 0 or arr.shape[0] != 9 for arr in closure_arrays(u._backward)
                    if arr.dtype.kind == "f")
@@ -998,6 +1109,14 @@ def test_prefix_attention_rejects_mixed_dtypes_and_bad_shapes():
     a = pa_args(np.random.default_rng(8))
     with pytest.raises(TypeError):
         pa(dict(a, v_pool=tensor(a["v_pool"].data.astype(np.float32))))
+    x = concat([a["q_all"], a["k_all"], a["v_all"]], axis=1)
+    wq, wk, wv = qkv_identity()
+    with pytest.raises(TypeError):
+        pa(dict(a, x=x, wq=wq, wk=wk, wv=tensor(wv.data.astype(np.float32))))
+    for ws in ([wq, wk, tensor(np.zeros((10, 3)))], [tensor(np.zeros((9, 3))), wk, wv],
+               [wq, tensor(np.zeros((10, 4))), wv]):
+        with pytest.raises(ShapeError, match="prefix_attention"):
+            pa(dict(a, x=x, wq=ws[0], wk=ws[1], wv=ws[2]))
     bad = [
         (dict(a, k_all=tensor(np.zeros((9, 2)))), PA_LENGTHS),  # qkv not 2*d_h + d wide
         (dict(a, v_all=tensor(np.zeros((9, 5)))), PA_LENGTHS),
@@ -1010,8 +1129,9 @@ def test_prefix_attention_rejects_mixed_dtypes_and_bad_shapes():
     for args, lengths in bad:
         with pytest.raises(ShapeError, match="prefix_attention"):
             pa(args, lengths)
-    with pytest.raises(ShapeError):                 # a 1-D qkv
-        prefix_attention(tensor(np.zeros(10)), np.arange(9), a["w_pool"], a["v_pool"], PA_LENGTHS)
+    with pytest.raises(ShapeError):                 # a 1-D x
+        prefix_attention(tensor(np.zeros(10)), np.arange(9), wq, wk, wv, a["w_pool"], a["v_pool"],
+                         PA_LENGTHS)
     with pytest.raises(ShapeError, match="prefix_attention: ids must be 1-D"):
         pa(a, rows=np.arange(9)[None])
     for rows in ([0, 1, 2, 3, 4, 5, 6, 7, 9], [-1, 1, 2, 3, 4, 5, 6, 7, 8]):
@@ -1037,7 +1157,8 @@ def pa_values_and_grads(x, rows, w_pool, v_pool, lengths, g):
     """The op's output and the gradients of sum(output * g) with respect to
     the table, w_pool and v_pool, as ``R.prefix_attention_loop`` returns them."""
     leaves = [tensor(v, grad=True) for v in (x, w_pool, v_pool)]
-    u = prefix_attention(leaves[0], rows, leaves[1], leaves[2], lengths)
+    u = prefix_attention(leaves[0], rows, *qkv_identity(dtype=x.dtype), leaves[1], leaves[2],
+                         lengths)
     grads = backward(sum_all(mul(u, Tensor(g))))
     return (u.data, *(grads[t].data for t in leaves))
 
@@ -1119,7 +1240,8 @@ def test_prefix_attention_names_the_shortest_prefix_of_a_live_overflow():
     x = padded_overflow_table(lengths)
     x[9 + 4, 3:6] = 1e200
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="prefix length 5$"):
-        prefix_attention(tensor(x), np.arange(15), a["w_pool"], a["v_pool"], lengths)
+        prefix_attention(tensor(x), np.arange(15), *qkv_identity(), a["w_pool"], a["v_pool"],
+                         lengths)
 
 
 # ||v_pool||_1 bounds each pooling score, so scores of one user lie up to
@@ -1162,12 +1284,15 @@ FUSED_LENGTHS = np.array([3, 1, 0, 2])
 
 
 def fused_outputs(op, lengths, x):
+    # x's rows are projected by random weights, with widths d_h = 3, d = 4
     rng = np.random.default_rng(12)
     if op == "gru_scan":
+        w_ih, b_ih = Tensor(0.5 * rng.standard_normal((x.shape[1], 9))), Tensor(rng.standard_normal(9))
         w_hh, b_hh = Tensor(0.5 * rng.standard_normal((3, 9))), Tensor(rng.standard_normal(9))
-        return gru_scan(x, np.arange(x.shape[0]), w_hh, b_hh, lengths)
+        return gru_scan(x, np.arange(x.shape[0]), w_ih, b_ih, w_hh, b_hh, lengths)
+    wq, wk, wv = (Tensor(0.5 * rng.standard_normal((x.shape[1], n))) for n in (3, 3, 4))
     w_pool, v_pool = Tensor(0.5 * rng.standard_normal((4, 3))), Tensor(rng.standard_normal((3, 1)))
-    return prefix_attention(x, np.arange(x.shape[0]), w_pool, v_pool, lengths)
+    return prefix_attention(x, np.arange(x.shape[0]), wq, wk, wv, w_pool, v_pool, lengths)
 
 
 @pytest.mark.parametrize("op,width", [("gru_scan", 9), ("prefix_attention", 10)])
@@ -1217,12 +1342,13 @@ def test_fused_ops_return_their_slots_in_slot_order():
 
         x, w, b = (0.5 * rng.standard_normal(s) for s in ((lengths.sum(), 9), (3, 9), (9,)))
         states = [gru_user_states(x, w, b, rows[f:f + n_u - 1]) for f, n_u in zip(first, lengths)]
-        h = gru_scan(tensor(x), rows, tensor(w), tensor(b), lengths).data
+        h = gru_scan(tensor(x), rows, *identity_projection(9), tensor(w), tensor(b), lengths).data
         want = [states[u][t - first[u] - 1] for u, t in zip(users, targets)]
         np.testing.assert_allclose(h, want, rtol=1e-12, atol=1e-14)
 
         x, wp, vp = (rng.standard_normal(s) for s in ((lengths.sum(), 10), (4, 3), (3, 1)))
-        u_vec = prefix_attention(tensor(x), rows, tensor(wp), tensor(vp), lengths).data
+        u_vec = prefix_attention(tensor(x), rows, *qkv_identity(), tensor(wp), tensor(vp),
+                                 lengths).data
         want = [attention_user_vector(x, wp, vp, rows[first[u]:t]) for u, t in zip(users, targets)]
         np.testing.assert_allclose(u_vec, want, rtol=1e-12, atol=1e-14)
 
@@ -1383,20 +1509,59 @@ def graph_bytes(make):
 GRAPH_SLACK = 8 * 1024
 
 
+def fused_predictor_operands(rng, lengths, dh=16, d=16):
+    """Input rows x (P, 2d), P = lengths.sum(), and each fused predictor
+    op's weights, at the model's shapes, as leaves."""
+    p = int(lengths.sum())
+    leaf = lambda *shape: tensor(0.3 * rng.standard_normal(shape), grad=True)
+    gru_w = (leaf(2 * d, 3 * dh), leaf(3 * dh), leaf(dh, 3 * dh), leaf(3 * dh))
+    pa_w = (leaf(2 * d, dh), leaf(2 * d, dh), leaf(2 * d, d), leaf(d, dh), leaf(dh, 1))
+    return leaf(p, 2 * d), {"gru_scan": gru_w, "prefix_attention": pa_w}
+
+
+def fused_predictor_index_bytes(op, lengths):
+    """The index arrays a fused predictor op's backward keeps. gru_scan:
+    the row each slot reads and the (steps, users) live mask.
+    prefix_attention: the padded (B, T) table rows, their live mask and
+    the (T, T) causal mask."""
+    slots = int(np.maximum(lengths - 1, 0).sum())
+    if op == "gru_scan":
+        return slots * np.dtype(np.intp).itemsize + lengths.max() * lengths.size
+    b, t = np.count_nonzero(lengths > 1), int(lengths.max()) - 1
+    return b * t * (np.dtype(np.intp).itemsize + 1) + t * t
+
+
 def test_gru_scan_graph_holds_only_its_states_and_index_arrays():
     # 100 users of 1..39 interactions, d_h = 16: ~1 900 slots, so one
     # (slots, d_h) array is ~240 KiB. The states are the output, which the
-    # no-grad run keeps too, so beyond it the graph holds only the row
-    # each slot reads and the (steps, users) live mask.
+    # no-grad run keeps too, and x is a leaf, so beyond them the graph
+    # holds only its index arrays: not the (P, 3*d_h) projected table.
     rng = np.random.default_rng(40)
     lengths = rng.integers(1, 40, size=100)
-    p, dh = int(lengths.sum()), 16
-    xg, w, b = (tensor(0.5 * rng.standard_normal(s), grad=True)
-                for s in ((p, 3 * dh), (dh, 3 * dh), (3 * dh,)))
-    extra, counted, out = graph_bytes(lambda: gru_scan(xg, np.arange(p), w, b, lengths))
+    x, ops = fused_predictor_operands(rng, lengths)
+    extra, counted, out = graph_bytes(lambda: gru_scan(x, np.arange(x.shape[0]),
+                                                       *ops["gru_scan"], lengths))
     assert counted == out.data.size
-    index = out.shape[0] * np.dtype(np.intp).itemsize + lengths.max() * lengths.size
+    index = fused_predictor_index_bytes("gru_scan", lengths)
     assert extra <= (counted - out.data.size) * out.data.itemsize + index + GRAPH_SLACK
+
+
+@pytest.mark.parametrize("op", ["gru_scan", "prefix_attention"])
+def test_fused_predictor_graph_holds_only_its_input_rows_and_index_arrays(op):
+    # the same users with a non-leaf x, as the model's pair rows are: the
+    # node counts x (and gru_scan its states), and beyond the no-grad run,
+    # which keeps only the output, the graph holds only what it counts and
+    # its index arrays; the projected table it rebuilds is (P, 48), ~370 KiB
+    rng = np.random.default_rng(42)
+    lengths = rng.integers(1, 40, size=100)
+    x, ops = fused_predictor_operands(rng, lengths)
+    fn = gru_scan if op == "gru_scan" else prefix_attention
+    extra, counted, out = graph_bytes(lambda: fn(scale(x, 1.0), np.arange(x.shape[0]), *ops[op],
+                                                 lengths))
+    states = out.data.size if op == "gru_scan" else 0
+    assert counted == x.data.size + states
+    index = fused_predictor_index_bytes(op, lengths)
+    assert extra <= (counted - states) * out.data.itemsize + index + GRAPH_SLACK
 
 
 def test_ce_block_graph_holds_only_its_probabilities():

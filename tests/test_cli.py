@@ -58,6 +58,17 @@ def test_train_writes_report_history_checkpoint(workdir, capsys):
     assert (out / "report.txt").read_text() in capsys.readouterr().out + "\n"
 
 
+def test_train_prints_the_unapplied_window_steps(workdir, capsys):
+    # 2 epochs of 4 steps at 3S: the window of steps 7 and 8 stays open
+    rc = cli.main(["train", "--data", str(workdir / "data"), "--mode", "e2e",
+                   "--config", str(workdir / "cfg.json"), "--latency", "3S",
+                   "--max-epochs", "2", "--out", str(workdir / "runs")])
+    assert rc == 0
+    report = RunReport.from_json((workdir / "runs" / "e2e" / "report.json").read_text())
+    assert report.unapplied_window_steps == 2
+    assert "window 3 steps  unapplied_window_steps 2" in capsys.readouterr().out
+
+
 def test_train_checkpoint_is_an_npz_of_every_parameter(workdir):
     import numpy as np
     from gram.dataset import load_dataset

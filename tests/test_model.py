@@ -609,20 +609,19 @@ def test_batch_logits_match_per_prefix_logits(variant):
     assert rel_gap(logits.data, ref) <= 1e-9
 
 
-@pytest.mark.parametrize("variant,peak", [("recurrent", 237), ("attention", 361)])
+@pytest.mark.parametrize("variant,peak", [("recurrent", 237), ("attention", 145)])
 def test_batch_loss_saved_activations(variant, peak):
     # MIXED_USERS has 18 interactions, 13 predicted slots and 10 distinct
     # (item, response) pairs; enc (5, 4) is a leaf, so nothing keeps it on
-    # the count. Both: the projecting matmul keeps the (10, 8) pair rows
-    # (80) and bce_loss the 13 logits; row_dot keeps its (13, 4) left
-    # operand (52) and its table. Recurrent: gru_scan keeps only its
-    # (13, 4) states, one row per slot (52), and rebuilds its gates in
-    # backward; the readout matmul keeps the (5, 4) gather of the 5
-    # distinct candidate rows (20), and row_dot its (5, 4) projection (20):
-    # 80 + 52 + 20 + 52 + 20 + 13 = 237. Attention: the matmul also keeps the (8, 12) concatenated
-    # weights (96), prefix_attention keeps only its (10, 12) pair table
-    # (120) and recomputes every prefix in backward, and row_dot's table is
-    # enc itself: 80 + 96 + 120 + 52 + 13 = 361. After backward nothing may
+    # the count. Both: the fused op keeps the (10, 8) pair rows (80) and
+    # rebuilds their projection in backward, and bce_loss keeps the 13
+    # logits; row_dot keeps its (13, 4) left operand (52) and its table.
+    # Recurrent: gru_scan also keeps its (13, 4) states, one row per slot
+    # (52), and rebuilds its gates from them; the readout matmul keeps the
+    # (5, 4) gather of the 5 distinct candidate rows (20), and row_dot its
+    # (5, 4) projection (20): 80 + 52 + 20 + 52 + 20 + 13 = 237. Attention:
+    # prefix_attention recomputes every prefix in backward, and row_dot's
+    # table is enc itself: 80 + 52 + 13 = 145. After backward nothing may
     # stay counted, which an op no logit reads would.
     from gram.instrument import ActivationAccountant
     _, cf = small_params(seed=22, variant=variant)
@@ -633,6 +632,60 @@ def test_batch_loss_saved_activations(variant, peak):
         assert acct.peak == peak
         backward(loss)
     assert acct.current == 0
+
+
+def closure_contents(fn):
+    """The float arrays and the tensors a backward closure holds, each
+    once: its cells, through lists, tuples and nested functions, not into
+    tensors."""
+    arrays, tensors, seen = [], [], set()
+    todo = [c.cell_contents for c in fn.__closure__ or ()]
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray) and v.dtype.kind == "f":
+            arrays.append(v)
+        elif isinstance(v, Tensor):
+            tensors.append(v)
+        elif isinstance(v, (list, tuple)):
+            todo.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            todo.extend(c.cell_contents for c in v.__closure__)
+    return arrays, tensors
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "attention"])
+def test_every_node_counts_the_arrays_its_backward_keeps(variant):
+    # autodiff's accounting rule, on every op that ce_encode (two layers,
+    # positional add) and the batch loss build, with a non-leaf enc: a
+    # node counts the float arrays its backward closure holds, less its
+    # leaf parents' data, and every tensor the closure holds is a parent
+    from gram.instrument import ActivationAccountant
+    cfg = M.ModelConfig(d=4, d_ff=6, l_ce=2, d_h=4, vocab_size=12, max_token_len=8,
+                        cf_variant=variant, positional_encoding=True)
+    ce, cf = M.init_params(cfg, 26)
+    with ad.track_activations(ActivationAccountant()):
+        loss, _ = M.batch_sequence_loss(*batch_of(MIXED_USERS), encode(MIXED[:5], ce), cf)
+    nodes, todo = {}, [loss]
+    while todo:
+        t = todo.pop()
+        if not t.is_leaf() and id(t) not in nodes:
+            nodes[id(t)] = t
+            todo.extend(t._parents)
+    ops = set()
+    for node in nodes.values():
+        op = node._backward.__qualname__.split(".")[0]
+        ops.add(op)
+        arrays, tensors = closure_contents(node._backward)
+        assert all(any(t is p for p in node._parents) for t in tensors), op
+        leaf_data = [p.data for p in node._parents if p.is_leaf()]
+        kept = sum(a.size for a in arrays if not any(a is d for d in leaf_data))
+        assert node._saved == kept, op
+    fused = "gru_scan" if variant == "recurrent" else "prefix_attention"
+    assert ops == {"gather", "add", "ce_block", "segment_mean", "matmul", "concat", fused,
+                   "row_dot", "bce_loss"}
 
 
 @pytest.mark.parametrize("variant", ["recurrent", "attention"])
@@ -695,23 +748,22 @@ def node_counts_with_a_longer_user(variant):
 def test_recurrent_batch_graph_keeps_h_independent_ops_out_of_the_time_loop():
     # the whole time loop is one gru_scan node, so a user three times as
     # long as MIXED_USERS' longest adds no node; an op recorded per update
-    # would add one per extra step; the 10 are the pair rows' two gathers
-    # and concat, the w_ih matmul and bias add, gru_scan, the candidate
-    # rows' gather and readout matmul, row_dot and bce_loss
-    assert node_counts_with_a_longer_user("recurrent") == [10, 10]
+    # would add one per extra step; the 8 are the pair rows' two gathers
+    # and concat, gru_scan, which projects them, the candidate rows' gather
+    # and readout matmul, row_dot and bce_loss
+    assert node_counts_with_a_longer_user("recurrent") == [8, 8]
 
 
 def test_attention_batch_graph_has_constant_size():
     # every prefix length runs inside one prefix_attention node, so a user
     # three times as long as MIXED_USERS' longest adds no node; an op
-    # recorded per prefix would add one per extra prefix length; the 9 are
-    # the pair rows' two gathers and concat, the concat of the q/k/v weights
-    # and one matmul, prefix_attention, row_dot and the bias add, and
-    # bce_loss
-    assert node_counts_with_a_longer_user("attention") == [9, 9]
+    # recorded per prefix would add one per extra prefix length; the 7 are
+    # the pair rows' two gathers and concat, prefix_attention, which
+    # projects them, row_dot and the bias add, and bce_loss
+    assert node_counts_with_a_longer_user("attention") == [7, 7]
 
 
-@pytest.mark.parametrize("variant,nodes", [("recurrent", 10), ("attention", 9)])
+@pytest.mark.parametrize("variant,nodes", [("recurrent", 8), ("attention", 7)])
 def test_joint_and_cached_rows_build_one_loss_graph(variant, nodes):
     # joint backprop reads one encoding row per interaction, the cached
     # modes one per item; only the index differs, not the graph or the loss

@@ -1332,6 +1332,32 @@ def test_train_restores_best_checkpoint():
     assert len(rep.history) <= cfg.max_epochs
 
 
+@pytest.mark.parametrize("mode", ["e2e", "gram", "no_content"])
+def test_a_run_ending_mid_window_reports_its_unapplied_steps(mode):
+    # windows follow the run's step clock: two epochs of 22 steps at 10S
+    # close windows at steps 10, 20, 30 and 40, so steps 41-44's encoder
+    # (or table) gradient is never applied, in every mode that trains one
+    ds = tiny_dataset(n_users=32)
+    cfg = small_config(cf_batch_size=1, latency="10S", max_epochs=2, patience=0, n_cs_items=2)
+    assert plan_run(ds, cfg).steps_per_epoch == 22
+    report, state = train(ds, mode, cfg)
+    assert state.t == 44 and report.unapplied_window_steps == 4
+    assert json.loads(report.deterministic_json())["unapplied_window_steps"] == 4
+
+
+def test_early_stopping_mid_window_reports_its_unapplied_steps():
+    # patience 1 stops after two of eight epochs of 5 steps: at 4S the
+    # window of steps 9 and 10 is open; at 1S, and where nothing is
+    # windowed (no_finetune trains only the predictor), nothing is unapplied
+    ds = tiny_dataset(n_users=30)
+    cfg = small_config(latency="4S", patience=1, max_epochs=8, n_cs_items=2)
+    report, state = train(ds, "gram", cfg)
+    assert len(report.history) == 2 and state.t == 10
+    assert report.unapplied_window_steps == 2
+    assert train(ds, "gram", replace(cfg, latency="1S"))[0].unapplied_window_steps == 0
+    assert train(ds, "no_finetune", cfg)[0].unapplied_window_steps == 0
+
+
 def test_train_counter_window_identity():
     # cached windows: encoder forwards per epoch == distinct items that
     # epoch touched; joint backprop == interaction occurrences
