@@ -42,9 +42,9 @@ def main():
     ce_err = max_rel_err(ce.views(ref["ce"]), ce.views(alt["ce"]))    # per tensor
     print(f"encoder-gradient max rel err: {ce_err:.2e}")
     print(f"(the cached step encodes each of the {rep_alt['ce_items']} unique items "
-          "once, sums each item's dL/dh over its touches, backpropagates the sums "
-          "through the encoder, and recovers the same parameter gradients up to "
-          "float rounding)")
+          "once, in one graph with the predictor; the ops that read each touch's "
+          "encoding add the touches' gradients into its item's row in backward, and "
+          "one backward recovers the same parameter gradients up to float rounding)")
 
     # --- gradients and trajectories, both optimizers -------------------
     cfg = TrainConfig(model=model, cf_batch_size=8, seed=3)

@@ -50,7 +50,10 @@ scatter-adds their gradients with one bincount.
 The fused ops follow one rule (activation recomputation, Chen et al.
 2016, arXiv:1604.06174): a node keeps across the step only its operands,
 its index arrays and what its backward cannot rebuild cheaply, and its
-backward frees each transient after its last use.
+backward frees each transient after its last use. ``prefix_attention``,
+``ce_block`` and the ``softmax`` op share one softmax, in place along
+the last axis with an optional causal mask, and one in-place backward;
+the four ragged ops share one check of their lengths.
 
 The training loss ``bce_loss`` takes logits, not probabilities: it sums
 the binary cross-entropy of their sigmoid in softplus form, so it is
@@ -520,6 +523,16 @@ def _row_ids(op: str, ids, n_rows: int) -> np.ndarray:
     return idx
 
 
+def _run_lengths(op: str, lengths, n_rows: int, least: int) -> np.ndarray:
+    """*lengths* as a 1-D index array of runs that take the op's *n_rows*
+    rows in order, each run at least *least* rows long."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < least or lengths.sum() != n_rows:
+        raise ShapeError(f"{op}: lengths must be a non-empty 1-D array of ints >= {least} that "
+                         f"sum to its {n_rows} rows, got {lengths}")
+    return lengths
+
+
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Row j of *g* added into row idx[j] of a zero array shaped like the
     2-D *table*, in its dtype. One bincount over flattened (row, column)
@@ -644,25 +657,37 @@ def relu(a: Tensor) -> Tensor:
     return _result(out, (a,), run, op="relu", saved_elements=out.size)
 
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax_last(s: np.ndarray, above: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of *s* along its last axis, in place, each row stabilised by
+    its own maximum. Entries where the boolean *above* (broadcast against
+    *s*) is set become -inf first and get weight 0, which masks the keys
+    above a causal diagonal. Returns *s*."""
+    if above is not None:
+        np.copyto(s, -np.inf, where=above)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
-def _softmax_backward(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Gradient at the input of a softmax whose output is *out*."""
-    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+def _softmax_last_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of ``_softmax_last`` from its output *p* and
+    output gradient *g*, p * (g - sum(g * p)) along the last axis, written
+    into *g* with no temporary the size of *p*. Returns *g*."""
+    g -= np.einsum("...j,...j->...", g, p)[..., None]
+    g *= p
+    return g
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along *axis* (max-subtracted)."""
-    ax = axis if axis >= 0 else axis + a.data.ndim
-    out = _softmax(a.data, ax)
+    """Numerically stable softmax along *axis* (max-subtracted), computed
+    on a copy of *a* with *axis* moved last."""
+    out = _softmax_last(np.moveaxis(a.data, axis, -1).copy())
 
     def run(g, acc):
-        acc(a, _softmax_backward(out, g, ax))
+        acc(a, np.moveaxis(_softmax_last_backward(out, np.moveaxis(g, axis, -1).copy()), -1, axis))
 
-    return _result(out, (a,), run, op="softmax", saved_elements=out.size)
+    return _result(np.moveaxis(out, -1, axis), (a,), run, op="softmax", saved_elements=out.size)
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +726,8 @@ def _slots(op: str, n_rows: int, lengths):
       packed order, as Python ints;
     * users[j] is the j-th longest user.
     """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.ndim != 1 or lengths.min(initial=0) < 0 or lengths.sum() != n_rows:
-        raise ShapeError(f"{op}: lengths must be non-negative and sum to the interactions' "
-                         f"{n_rows} rows, got {lengths}")
-    steps = int(lengths.max(initial=0)) - 1
+    lengths = _run_lengths(op, lengths, n_rows, 0)
+    steps = int(lengths.max()) - 1
     if steps < 1:
         raise ShapeError(f"{op}: no user has a proper prefix (length >= 2)")
     users = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths > 1)]
@@ -845,25 +867,6 @@ def gru_scan(x: Tensor, rows, w_ih: Tensor, b_ih: Tensor, w_hh: Tensor, b_hh: Te
                    saved_elements=hs.size)
 
 
-def _softmax_backward_inplace(out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``_softmax_backward`` along the last axis of 3-D arrays, written
-    into *g*, with no temporary the size of *out*. Returns *g*."""
-    g -= np.einsum("bij,bij->bi", g, out)[..., None]
-    g *= out
-    return g
-
-
-def _causal_softmax(s: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """Softmax of each row i of the (B, T, T) *s* over its keys j <= i, in
-    place: the keys *above* the diagonal are set to -inf, so they get
-    weight 0, and each row is stabilised by its own maximum. Returns *s*."""
-    np.copyto(s, -np.inf, where=above)
-    s -= s.max(axis=2, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=2, keepdims=True)
-    return s
-
-
 def prefix_attention(x: Tensor, rows, wq: Tensor, wk: Tensor, wv: Tensor, w_pool: Tensor,
                      v_pool: Tensor, lengths) -> Tensor:
     """Causal self-attention plus additive pooling over every proper prefix
@@ -944,11 +947,11 @@ def prefix_attention(x: Tensor, rows, wq: Tensor, wk: Tensor, wv: Tensor, w_pool
             if bad.any():
                 raise NonFiniteError(f"prefix_attention produced non-finite attention scores "
                                      f"at prefix length {np.nonzero(bad)[1].min() + 1}")
-        ctx = _causal_softmax(a, above) @ vpad
+        ctx = _softmax_last(a, above) @ vpad
         t = np.tanh(ctx.reshape(-1, d) @ wp)
         pw = np.empty_like(a)
         np.copyto(pw, (t @ vp).reshape(a.shape[0], 1, -1))     # pw[b, i, j] = e[b, j]
-        return qs, kp, vpad, a, ctx, t, _causal_softmax(pw, above)
+        return qs, kp, vpad, a, ctx, t, _softmax_last(pw, above)
 
     *_, ctx, _, pw = attend(xd @ np.concatenate((w_q, w_k, w_v), axis=1))
     out = (pw @ ctx).transpose(1, 0, 2)[live.T]
@@ -964,14 +967,14 @@ def prefix_attention(x: Tensor, rows, wq: Tensor, wk: Tensor, wv: Tensor, w_pool
         gu.transpose(1, 0, 2)[live.T] = g
         dpw = gu @ ctx.transpose(0, 2, 1)
         dctx = pw.transpose(0, 2, 1) @ gu
-        de = _softmax_backward_inplace(pw, dpw).sum(axis=1).reshape(-1, 1)     # e_j sums column j
+        de = _softmax_last_backward(pw, dpw).sum(axis=1).reshape(-1, 1)     # e_j sums column j
         del pw, dpw
         dvp = t.T @ de
         dht = (de @ vp.T) * (1.0 - t * t)
         dwp = ctx.reshape(-1, d).T @ dht
         dctx += (dht @ wp.T).reshape(dctx.shape)
         dvpad = a.transpose(0, 2, 1) @ dctx
-        ds = _softmax_backward_inplace(a, dctx @ vpad.transpose(0, 2, 1))
+        ds = _softmax_last_backward(a, dctx @ vpad.transpose(0, 2, 1))
         del a
         dq, dk = (ds @ kp) * scale_qk, ds.transpose(0, 2, 1) @ qs
         dlive = np.concatenate((dq[live], dk[live], dvpad[live]), axis=1)
@@ -1043,10 +1046,7 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
             or w_ff1.shape != (d, dff) or w_ff2.shape != (dff, d)):
         raise ShapeError(f"ce_block: x {xd.shape} needs (d, d) wq/wk/wv/wo, (d, d_ff) w_ff1 "
                          f"and (d_ff, d) w_ff2, got {[t.shape for t in ts[1:]]}")
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != xd.shape[0]:
-        raise ShapeError(f"ce_block: lengths must be positive and sum to the {xd.shape[0]} rows "
-                         f"of x, got {lengths}")
+    lengths = _run_lengths("ce_block", lengths, xd.shape[0], 1)
     # (first row, items, length) of each run of consecutive equal lengths
     starts = np.flatnonzero(np.diff(lengths, prepend=0))
     row0 = np.concatenate(([0], np.cumsum(lengths)))
@@ -1065,10 +1065,7 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
         if not np.isfinite(a).all():
             raise NonFiniteError(f"ce_block produced non-finite attention scores at token "
                                  f"length {n}")
-        a -= a.max(axis=-1, keepdims=True)      # _softmax, in place
-        np.exp(a, out=a)
-        a /= a.sum(axis=-1, keepdims=True)
-        probs.append(a)
+        probs.append(_softmax_last(a))
     _, x1, h = _ce_block_rows(xd, qkv, probs, runs, w_o, w_1)
     out = h @ w_2
     out += x1
@@ -1099,8 +1096,7 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
             dblk = dqkv[r0:r0 + b * n].reshape(b, n, 3 * d)
             gat = dat[r0:r0 + b * n].reshape(b, n, d)
             ds = gat @ blk[..., 2 * d:].transpose(0, 2, 1)
-            ds -= (ds * a).sum(axis=-1, keepdims=True)      # _softmax_backward, in place
-            ds *= a
+            _softmax_last_backward(a, ds)
             ds *= scale_qk
             np.matmul(ds, blk[..., d:2 * d], out=dblk[..., :d])
             np.matmul(ds.transpose(0, 2, 1), blk[..., :d], out=dblk[..., d:2 * d])
@@ -1122,11 +1118,9 @@ def ce_block(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, w_ff1: T
 def segment_mean(x: Tensor, lengths) -> Tensor:
     """Mean of each run of rows: item i owns the next lengths[i] rows of
     *x* (N, d), items in order; returns the (len(lengths), d) means."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if (x.data.ndim != 2 or lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1
-            or lengths.sum() != x.shape[0]):
-        raise ShapeError(f"segment_mean: lengths must be positive and sum to the rows of a "
-                         f"2-D x, got {lengths} for {x.shape}")
+    if x.data.ndim != 2:
+        raise ShapeError(f"segment_mean: x must be 2-D, got {x.shape}")
+    lengths = _run_lengths("segment_mean", lengths, x.shape[0], 1)
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
 
     def run(g, acc):

@@ -291,7 +291,7 @@ def cmd_train(args) -> int:
 
     out_dir = os.path.join(resolve_out_dir(args.out, cfg_out), args.mode)
     os.makedirs(out_dir, exist_ok=True)
-    _write_text(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
+    _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     with open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8",
               newline="") as f:
         w = csv.DictWriter(f, fieldnames=list(report.history[0]))

@@ -89,6 +89,11 @@ class Dataset:
             if item_id in known:
                 raise ValueError(f"duplicate item id {item_id}")
             known.add(item_id)
+        seen = set()
+        for user_id in (us.user_id for us in self.users):
+            if user_id in seen:
+                raise ValueError(f"duplicate user id {user_id}")
+            seen.add(user_id)
         lengths, items, resps = _flat(self.users)
         unknown = ~np.isin(items, list(known))
         for k in np.flatnonzero(unknown | (resps < 0) | (resps > 1))[:1]:

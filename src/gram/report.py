@@ -39,9 +39,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
     def deterministic_json(self) -> str:
         """Serialization with wall-clock fields removed, for diffing."""
         return json.dumps(strip_wall_clock(self.to_dict()), indent=2) + "\n"

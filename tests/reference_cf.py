@@ -7,7 +7,9 @@ attention graph per prefix, in which position i attends over positions
 ``batch_sequence_loss``, ``batch_scores``) must agree with these to
 float64 roundoff; only the order of additions differs.
 ``prefix_attention_loop`` is the oracle for the fused attention op
-itself: one causal attention per prefix length.
+itself: one causal attention per prefix length. ``softmax`` and
+``softmax_backward`` are the oracles' own, in plain numpy, so no oracle
+runs the softmax code of the op it checks.
 """
 
 import numpy as np
@@ -15,6 +17,18 @@ import numpy as np
 from gram import autodiff as ad
 from gram.autodiff import Tensor
 from gram.model import AttentionCfParams, CfParams, RecurrentCfParams
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along *axis*, stabilised by the maximum along it."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a last-axis softmax whose output is *out*,
+    from the output gradient *g*."""
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
 def _check_response(r) -> int:
@@ -142,10 +156,10 @@ def prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g):
 
     def attend(n, b):
         qn, kn, vn = qs[:b, :n], kp[:b, :n], vpad[:b, :n]
-        a = ad._softmax(np.where(np.tri(n, dtype=bool), qn @ kn.transpose(0, 2, 1), -np.inf))
+        a = softmax(np.where(np.tri(n, dtype=bool), qn @ kn.transpose(0, 2, 1), -np.inf))
         ctx = a @ vn
         t = np.tanh(ctx.reshape(b * n, d) @ w_pool)
-        return qn, kn, vn, a, ctx, t, ad._softmax((t @ v_pool).reshape(b, 1, n))
+        return qn, kn, vn, a, ctx, t, softmax((t @ v_pool).reshape(b, 1, n))
 
     out = np.empty((ats[-1], d), dtype=x.dtype)
     for n, (at, b) in enumerate(zip(ats, counts), 1):
@@ -157,12 +171,12 @@ def prefix_attention_loop(x, rows, w_pool, v_pool, lengths, g):
         qn, kn, vn, a, ctx, t, w = attend(n, b)
         gu = g[at:at + b].reshape(b, 1, d)
         dctx = w.transpose(0, 2, 1) @ gu
-        dpre = ad._softmax_backward(w, gu @ ctx.transpose(0, 2, 1)).reshape(b * n, 1)
+        dpre = softmax_backward(w, gu @ ctx.transpose(0, 2, 1)).reshape(b * n, 1)
         dvp += t.T @ dpre
         dht = (dpre @ v_pool.T) * (1.0 - t * t)
         dwp += ctx.reshape(b * n, d).T @ dht
         dctx += (dht @ w_pool.T).reshape(b, n, d)
-        ds = ad._softmax_backward(a, dctx @ vn.transpose(0, 2, 1))
+        ds = softmax_backward(a, dctx @ vn.transpose(0, 2, 1))
         dqs[:b, :n] += ds @ kn
         dkp[:b, :n] += ds.transpose(0, 2, 1) @ qn
         dvpad[:b, :n] += a.transpose(0, 2, 1) @ dctx

@@ -401,12 +401,13 @@ def test_fd_relu():
     run_trials(make_f, make_x)
 
 
-def test_fd_softmax():
+@pytest.mark.parametrize("axis", [-1, 0, 1])
+def test_fd_softmax(axis):
     def make_f(rng):
-        c = Tensor(rng.standard_normal((4, 5)))
-        return lambda x: sum_all(mul(softmax(x, axis=-1), c))
+        c = Tensor(rng.standard_normal((3, 4, 5)))
+        return lambda x: sum_all(mul(softmax(x, axis=axis), c))
 
-    run_trials(make_f, lambda rng: leaf(rng, (4, 5)))
+    run_trials(make_f, lambda rng: leaf(rng, (3, 4, 5)))
 
 
 def test_fd_transpose_reshape():
@@ -1319,8 +1320,8 @@ def attention_user_vector(x, w_pool, v_pool, rows):
     position i attending over positions 0..i."""
     dh = w_pool.shape[1]
     q, k, v = x[rows, :dh], x[rows, dh:2 * dh], x[rows, 2 * dh:]
-    ctx = ad._softmax(np.where(np.tri(len(rows), dtype=bool), q @ k.T / np.sqrt(dh), -np.inf)) @ v
-    w = ad._softmax(np.tanh(ctx @ w_pool) @ v_pool, axis=0)
+    ctx = R.softmax(np.where(np.tri(len(rows), dtype=bool), q @ k.T / np.sqrt(dh), -np.inf)) @ v
+    w = R.softmax(np.tanh(ctx @ w_pool) @ v_pool, axis=0)
     return (w.T @ ctx)[0]
 
 

@@ -58,6 +58,24 @@ def test_train_writes_report_history_checkpoint(workdir, capsys):
     assert (out / "report.txt").read_text() in capsys.readouterr().out + "\n"
 
 
+def test_every_json_file_written_ends_in_one_newline_and_loads(workdir):
+    data, out = str(workdir / "data"), workdir / "out"
+    cfg = ["--config", str(workdir / "cfg.json")]
+    assert cli.main(["train", "--data", data, "--mode", "gram", "--max-epochs", "1",
+                     "--out", str(out / "train")] + cfg) == 0
+    assert cli.main(["verify", "--data", data, "--trials", "1", "--steps", "2",
+                     "--out", str(out / "verify")] + cfg) == 0
+    assert cli.main(["bench", "--data", data, "--epochs", "1", "--modes", "e2e,gram",
+                     "--out", str(out / "bench")] + cfg) == 0
+    written = sorted(p.relative_to(workdir).as_posix() for p in workdir.rglob("*.json"))
+    assert written == ["cfg.json", "data/stats.json", "out/bench/bench.json",
+                       "out/train/gram/report.json", "out/verify/verify.json"]
+    for name in written[1:]:
+        text = (workdir / name).read_text(encoding="utf-8")
+        assert text.endswith("}\n") and not text.endswith("\n\n"), name
+        json.loads(text)
+
+
 def test_train_prints_the_unapplied_window_steps(workdir, capsys):
     # 2 epochs of 4 steps at 3S: the window of steps 7 and 8 stays open
     rc = cli.main(["train", "--data", str(workdir / "data"), "--mode", "e2e",

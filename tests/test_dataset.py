@@ -401,3 +401,15 @@ def test_dataset_rejects_duplicate_item_ids():
     items = [D.Item(i, (1,)) for i in (5, 3, 7, 3, 5)]
     with pytest.raises(ValueError, match=r"^duplicate item id 3$"):
         D.Dataset(items=items, users=[])
+
+
+def test_dataset_rejects_duplicate_user_ids(tmp_path):
+    # one line per user: the error names the first id that repeats one before it
+    items = [D.Item(i, (1,)) for i in (0, 1)]
+    users = [u(4, [(0, 1)]), u(2, [(1, 0)]), u(9, [(0, 0)]), u(2, [(0, 1)]), u(4, [(1, 1)])]
+    with pytest.raises(ValueError, match=r"^duplicate user id 2$"):
+        D.Dataset(items=items, users=users)
+    D.save_items(items, tmp_path / D.ITEMS_FILENAME)
+    (tmp_path / D.INTERACTIONS_FILENAME).write_text("3\t0:1\n3\t1:0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^duplicate user id 3$"):
+        D.load_dataset(tmp_path)
