@@ -30,7 +30,7 @@ def main():
           f"{u.items[:5].tolist()} with responses {u.resps[:5].tolist()}")
     item = dataset.items[u.items[0]]
     print(f"item {item.item_id} tokens: {item.tokens}")
-    print(f"user skill (hidden from models): {latents.user_ability[u.user_id][0]:+.1f}")
+    print(f"user skill (hidden from models): {latents.user_ability[u.user_id]:+.1f}")
 
     # popularity is Zipf-shaped, so batches repeat items; that repetition
     # is the entire speed story

@@ -296,10 +296,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A leaf tensor sharing this tensor's values, outside any graph."""
-        return Tensor._wrap(self.data)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.grad_enabled else ""
         return f"Tensor(shape={self.shape}{flag})\n{self.data!r}"

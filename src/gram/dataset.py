@@ -4,10 +4,10 @@ splitting, batching, boost-ratio statistics, and plain-text file formats.
 The synthetic generator uses a latent skill model so that item content
 genuinely predicts responses: every item has a topic and a difficulty,
 its tokens are drawn from a topic pool plus a difficulty-band pool (so
-content reveals both latents), every user has a per-topic ability, and
-responses are Bernoulli(sigmoid(ability - difficulty)) with optional
-label-flip noise. The latents are returned alongside the dataset so tests
-can evaluate oracle scorers against them.
+content reveals both latents), every user has one skill level, good or
+bad, and responses are Bernoulli(sigmoid(ability - difficulty)) with
+optional label-flip noise. The latents are returned alongside the dataset
+so tests can evaluate oracle scorers against them.
 
 File formats (UTF-8, LF, no header):
 
@@ -205,11 +205,17 @@ def boost_ratio(b: Batch) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+ABILITY = 3.0            # every user's skill is +ABILITY or -ABILITY
+N_BANDS = 4              # difficulty bands, each with its own token pool
+TOPIC_TOKEN_FRAC = 0.7   # share of the vocab (and of each item's tokens) carrying topic
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Size and latent scales of a synthetic dataset. The config checks
-    itself when built (``dataclasses.replace`` included): a value out of
-    range raises ValueError naming it."""
+    """Size of a synthetic dataset and its label noise; the latent model's
+    shape is fixed. The config checks itself when built
+    (``dataclasses.replace`` included): a value out of range raises
+    ValueError naming it."""
 
     n_users: int = 500
     n_items: int = 80
@@ -218,15 +224,6 @@ class GenConfig:
     seq_len_range: tuple[int, int] = (10, 40)
     token_len_range: tuple[int, int] = (4, 12)
     noise: float = 0.1
-    zipf_exponent: float = 1.0
-    ability_dist: str = "bimodal"  # "bimodal": ability = ±ability_std; "normal": N(0, ability_std²)
-    ability_std: float = 3.0
-    per_topic_ability: bool = False  # False: one skill level per user (every
-    # observation informs every prediction); True: independent per topic,
-    # which caps what any history-based predictor can reach early on
-    difficulty_std: float = 1.0
-    n_difficulty_bands: int = 4
-    topic_token_frac: float = 0.7  # share of vocab (and of tokens) carrying topic
 
     def __post_init__(self):
         if min(self.n_users, self.n_items, self.n_topics, self.vocab_size) < 1:
@@ -239,22 +236,10 @@ class GenConfig:
             raise ValueError("token_len_range must be (lo, hi) with 1 <= lo <= hi")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must lie in [0, 1]")
-        if not 0.0 < self.topic_token_frac < 1.0:
-            raise ValueError("topic_token_frac must lie in (0, 1)")
-        for name in ("ability_std", "difficulty_std"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        if not math.isfinite(self.zipf_exponent):
-            raise ValueError(f"zipf_exponent must be finite, got {self.zipf_exponent!r}")
-        if self.n_difficulty_bands < 1:
-            raise ValueError(f"n_difficulty_bands must be positive, got {self.n_difficulty_bands}")
-        if self.ability_dist not in ("bimodal", "normal"):
-            raise ValueError(f"unknown ability_dist {self.ability_dist!r}")
-        n_topic_tokens = int(self.vocab_size * self.topic_token_frac)
+        n_topic_tokens = int(self.vocab_size * TOPIC_TOKEN_FRAC)
         if n_topic_tokens < self.n_topics:
             raise ValueError("vocab too small to give every topic a token pool")
-        if self.vocab_size - n_topic_tokens < self.n_difficulty_bands:
+        if self.vocab_size - n_topic_tokens < N_BANDS:
             raise ValueError("vocab too small to give every difficulty band a token pool")
 
 
@@ -264,15 +249,14 @@ class Latents:
 
     item_topic: np.ndarray       # (n_items,) int
     item_difficulty: np.ndarray  # (n_items,) float
-    user_ability: np.ndarray     # (n_users, n_topics) float
+    user_ability: np.ndarray     # (n_users,) float
 
 
 def _pools(cfg: GenConfig):
     """Partition the vocab into per-topic and per-difficulty-band pools."""
-    n_topic_tokens = int(cfg.vocab_size * cfg.topic_token_frac)
+    n_topic_tokens = int(cfg.vocab_size * TOPIC_TOKEN_FRAC)
     topic_pools = np.array_split(np.arange(n_topic_tokens), cfg.n_topics)
-    band_pools = np.array_split(np.arange(n_topic_tokens, cfg.vocab_size),
-                                cfg.n_difficulty_bands)
+    band_pools = np.array_split(np.arange(n_topic_tokens, cfg.vocab_size), N_BANDS)
     return topic_pools, band_pools
 
 
@@ -285,7 +269,8 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
     1. item topics, then item difficulties;
     2. per item: its token count, its topic-or-band mask, then its tokens
        from the topic pool and from the difficulty-band pool;
-    3. the user abilities, then the item popularity ranking;
+    3. one normal draw per user, whose sign is its ability, then the item
+       popularity ranking;
     4. per user: its length, then one ``random(3 * length)``. The first
        ``length`` uniforms pick its items by inverse CDF of the popularity
        (as ``Generator.choice(p=popularity)`` does with the same uniforms);
@@ -299,16 +284,15 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
     topic_pools, band_pools = _pools(cfg)
 
     item_topic = rng.integers(0, cfg.n_topics, size=cfg.n_items)
-    item_difficulty = rng.standard_normal(cfg.n_items) * cfg.difficulty_std
+    item_difficulty = rng.standard_normal(cfg.n_items)
     # difficulty band by quantile, so every band is populated
-    band = np.searchsorted(
-        np.quantile(item_difficulty, np.linspace(0, 1, cfg.n_difficulty_bands + 1)[1:-1]),
-        item_difficulty)
+    band = np.searchsorted(np.quantile(item_difficulty, np.linspace(0, 1, N_BANDS + 1)[1:-1]),
+                           item_difficulty)
 
     items = []
     for i in range(cfg.n_items):
         l_t = int(rng.integers(cfg.token_len_range[0], cfg.token_len_range[1] + 1))
-        from_topic = rng.random(l_t) < cfg.topic_token_frac
+        from_topic = rng.random(l_t) < TOPIC_TOKEN_FRAC
         toks = np.where(
             from_topic,
             rng.choice(topic_pools[item_topic[i]], size=l_t),
@@ -316,23 +300,13 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
         )
         items.append(Item(item_id=i, tokens=tuple(int(t) for t in toks)))
 
-    if cfg.per_topic_ability:
-        draws = rng.standard_normal((cfg.n_users, cfg.n_topics))
-    else:
-        draws = np.repeat(rng.standard_normal((cfg.n_users, 1)), cfg.n_topics, axis=1)
-    if cfg.ability_dist == "bimodal":
-        # clean good/bad skill levels: the strongest learnable signal
-        user_ability = cfg.ability_std * np.sign(draws + (draws == 0))
-    else:
-        user_ability = draws * cfg.ability_std
+    # clean good/bad skill levels: the strongest learnable signal
+    user_ability = np.where(rng.standard_normal(cfg.n_users) >= 0, ABILITY, -ABILITY)
 
-    # Zipf-like popularity over a random item ranking
+    # Zipf popularity (exponent 1) over a random item ranking
     ranks = rng.permutation(cfg.n_items) + 1
-    weights = ranks.astype(np.float64) ** (-cfg.zipf_exponent)
-    total = weights.sum()
-    if not np.isfinite(total):
-        raise ValueError(f"zipf_exponent {cfg.zipf_exponent} gives non-finite item popularity")
-    popularity = weights / total
+    weights = 1.0 / ranks
+    popularity = weights / weights.sum()
     cdf = popularity.cumsum()
     cdf /= cdf[-1]
 
@@ -341,7 +315,7 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
         length = int(rng.integers(cfg.seq_len_range[0], cfg.seq_len_range[1] + 1))
         uniform = rng.random(3 * length)
         chosen = cdf.searchsorted(uniform[:length], side="right")
-        p = 1.0 / (1.0 + np.exp(-(user_ability[u, item_topic[chosen]] - item_difficulty[chosen])))
+        p = 1.0 / (1.0 + np.exp(-(user_ability[u] - item_difficulty[chosen])))
         resp = (uniform[length::2] < p) != (uniform[length + 1::2] < cfg.noise)
         users.append(UserSequence(user_id=u, items=chosen, resps=resp))
 

@@ -631,14 +631,19 @@ def train_step(batch: Batch, state: TrainerState) -> dict:
     """One training step of ``state.mode`` on one batch: ``step_gradients``,
     then each trained module's gradients clipped on their own and applied
     by its own optimizer, all timed as the "train" phase. Returns the
-    step's report."""
+    step's report. An update giving a module non-finite parameters is a
+    NumericalAbort naming the step and the module."""
     with state.timer.measure("train"):
         report, grads = step_gradients(batch, state)
         for module, g in grads.items():
             if state.cfg.clip_norm is not None:
                 g = clip_by_global_norm(g, state.cfg.clip_norm)
             opt = state.opt_ce if module == "ce" else state.opt_cf
-            optimizer_apply(opt, _module(state, module), g)
+            p = _module(state, module)
+            optimizer_apply(opt, p, g)
+            if not np.isfinite(p.flat).all():
+                raise NumericalAbort(f"{state.mode} step {state.t - 1}: the {module} update "
+                                     "produced non-finite parameters")
     return report
 
 

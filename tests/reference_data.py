@@ -14,7 +14,8 @@ oracle scorer the dataset tests rank against.
 
 import numpy as np
 
-from gram.dataset import Dataset, GenConfig, Item, Latents, UserSequence, _pools
+from gram.dataset import (ABILITY, N_BANDS, TOPIC_TOKEN_FRAC, Dataset, GenConfig, Item, Latents,
+                          UserSequence, _pools)
 
 
 def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
@@ -23,16 +24,15 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
     topic_pools, band_pools = _pools(cfg)
 
     item_topic = rng.integers(0, cfg.n_topics, size=cfg.n_items)
-    item_difficulty = rng.standard_normal(cfg.n_items) * cfg.difficulty_std
+    item_difficulty = rng.standard_normal(cfg.n_items)
     # difficulty band by quantile, so every band is populated
-    band = np.searchsorted(
-        np.quantile(item_difficulty, np.linspace(0, 1, cfg.n_difficulty_bands + 1)[1:-1]),
-        item_difficulty)
+    band = np.searchsorted(np.quantile(item_difficulty, np.linspace(0, 1, N_BANDS + 1)[1:-1]),
+                           item_difficulty)
 
     items = []
     for i in range(cfg.n_items):
         l_t = int(rng.integers(cfg.token_len_range[0], cfg.token_len_range[1] + 1))
-        from_topic = rng.random(l_t) < cfg.topic_token_frac
+        from_topic = rng.random(l_t) < TOPIC_TOKEN_FRAC
         toks = np.where(
             from_topic,
             rng.choice(topic_pools[item_topic[i]], size=l_t),
@@ -40,19 +40,12 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
         )
         items.append(Item(item_id=i, tokens=tuple(int(t) for t in toks)))
 
-    if cfg.per_topic_ability:
-        draws = rng.standard_normal((cfg.n_users, cfg.n_topics))
-    else:
-        draws = np.repeat(rng.standard_normal((cfg.n_users, 1)), cfg.n_topics, axis=1)
-    if cfg.ability_dist == "bimodal":
-        # clean good/bad skill levels: the strongest learnable signal
-        user_ability = cfg.ability_std * np.sign(draws + (draws == 0))
-    else:
-        user_ability = draws * cfg.ability_std
+    user_ability = np.array([ABILITY if rng.standard_normal() >= 0 else -ABILITY
+                             for _ in range(cfg.n_users)])
 
-    # Zipf-like popularity over a random item ranking
+    # Zipf popularity (exponent 1) over a random item ranking
     ranks = rng.permutation(cfg.n_items) + 1
-    weights = ranks.astype(np.float64) ** (-cfg.zipf_exponent)
+    weights = 1.0 / ranks
     popularity = weights / weights.sum()
 
     users = []
@@ -61,7 +54,7 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
         chosen = rng.choice(cfg.n_items, size=length, p=popularity)
         inter = []
         for i in chosen:
-            p = 1.0 / (1.0 + np.exp(-(user_ability[u, item_topic[i]] - item_difficulty[i])))
+            p = 1.0 / (1.0 + np.exp(-(user_ability[u] - item_difficulty[i])))
             r = int(rng.random() < p)
             if rng.random() < cfg.noise:
                 r = 1 - r
@@ -73,5 +66,5 @@ def generate_synthetic(cfg: GenConfig, seed: int) -> tuple[Dataset, Latents]:
 
 def response_prob(latents: Latents, user_id: int, item_id: int) -> float:
     """Pre-noise probability of a correct/positive response."""
-    a = latents.user_ability[user_id, latents.item_topic[item_id]]
+    a = latents.user_ability[user_id]
     return float(1.0 / (1.0 + np.exp(-(a - latents.item_difficulty[item_id]))))

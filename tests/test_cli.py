@@ -476,6 +476,19 @@ def test_unknown_nested_key_exits_1(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["zipf_exponent", "ability_dist", "ability_std",
+                                 "per_topic_ability", "difficulty_std", "n_difficulty_bands",
+                                 "topic_token_frac"])
+def test_config_naming_a_removed_generator_setting_exits_1(tmp_path, capsys, key):
+    # the latent model's shape is fixed; a file still setting it is refused
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps({"gen": {key: 1.0}}))
+    rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"gram: config error: {p}.gen: unknown keys [{key!r}]\n"
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("section,key", [
     ("opt_ce", "step"), ("opt_ce", "m"), ("opt_ce", "v"),
     (None, "accum_steps"), (None, "ce_passes"), (None, "eval_batch_size"),
@@ -496,7 +509,7 @@ def test_config_rejects_run_state_and_removed_settings(section, key):
     ({"train": {"opt_cf": 3}}, "train.opt_cf"),
     ({"train": [1]}, "train"),
     ({"model": {"d": 8.0}}, "model.d"),
-    ({"gen": {"per_topic_ability": 1}}, "gen.per_topic_ability"),
+    ({"model": {"positional_encoding": 1}}, "model.positional_encoding"),
     ({"gen": {"seq_len_range": [2.5, 10]}}, "gen.seq_len_range"),
     ({"gen": {"seq_len_range": [2, 5, 10]}}, "gen.seq_len_range"),
     ({"seed": 1.7}, "seed"),
@@ -520,9 +533,9 @@ def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, data, wh
     ({"gen": {"noise": 2}}, "gen", "noise must lie in [0, 1]"),
     ({"train": {"cf_batch_size": 0}}, "train", "cf_batch_size must be positive"),
     ({"precision": "f16"}, "precision", "precision must be f64 or f32, got 'f16'"),
-    ({"gen": {"ability_std": float("nan")}}, "gen",
-     "ability_std must be finite and non-negative, got nan"),
-    ({"gen": {"n_difficulty_bands": 0}}, "gen", "n_difficulty_bands must be positive, got 0"),
+    ({"gen": {"vocab_size": 10, "n_topics": 2}}, "gen",
+     "vocab too small to give every difficulty band a token pool"),
+    ({"gen": {"seq_len_range": [1, 5]}}, "gen", "seq_len_range must be (lo, hi) with 2 <= lo <= hi"),
     ({"train": {"opt_ce": {"lr": -1}}}, "train.opt_ce",
      "learning rate must be finite and non-negative, got -1"),
     ({"seed": -1}, "seed", "seed must be >= 0, got -1"),

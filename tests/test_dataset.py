@@ -130,7 +130,7 @@ def test_generator_respects_ranges():
         assert 3 <= len(user) <= 9
         assert set(user.resps.tolist()) <= {0, 1}
     assert latents.item_topic.shape == (25,)
-    assert latents.user_ability.shape == (50, 5)
+    assert latents.user_ability.shape == (50,)
 
 
 def test_generator_config_validation():
@@ -144,32 +144,13 @@ def test_generator_config_validation():
         D.GenConfig(noise=1.5)
 
 
-@pytest.mark.parametrize("field,value", [
-    ("ability_std", float("nan")), ("ability_std", float("inf")), ("ability_std", -1.0),
-    ("difficulty_std", float("nan")), ("difficulty_std", -0.5),
-    ("zipf_exponent", float("nan")), ("zipf_exponent", float("-inf")),
-    ("n_difficulty_bands", 0),
-])
-def test_generator_config_rejects_bad_latent_scales(field, value):
-    with pytest.raises(ValueError, match=field):
-        D.GenConfig(**{field: value})
-    with pytest.raises(ValueError, match=field):
-        D.generate_synthetic(D.GenConfig(**{field: value}), seed=0)
-
-
-def test_generator_rejects_an_exponent_with_non_finite_popularity():
-    # finite, so GenConfig accepts it, but ranks ** 2000 overflows
-    with pytest.raises(ValueError, match="zipf_exponent -2000"), np.errstate(over="ignore"):
-        D.generate_synthetic(D.GenConfig(zipf_exponent=-2000.0), seed=0)
-
-
 ORACLE_CASES = [(D.GenConfig(), seed) for seed in range(1000, 1005)] + [
-    (D.GenConfig(ability_dist="normal", per_topic_ability=True), 7),
+    (D.GenConfig(n_users=120, n_items=30, n_topics=5, vocab_size=100), 7),
     (D.GenConfig(noise=0.0), 8),
     (D.GenConfig(noise=1.0), 9),
     (D.GenConfig(seq_len_range=(2, 3)), 10),
-    (D.GenConfig(zipf_exponent=0.0, n_items=300), 11),
-    (D.GenConfig(zipf_exponent=2.0, n_items=300), 12),
+    (D.GenConfig(n_items=300), 11),     # Zipf popularity over a large catalogue
+    (D.GenConfig(n_items=300), 12),
 ]
 
 
@@ -194,10 +175,8 @@ def test_full_noise_destroys_signal():
     assert oracle_auc(d, latents) == pytest.approx(0.5, abs=0.03)
 
 
-@pytest.mark.parametrize("dist", ["normal", "bimodal"])
-def test_oracle_auc_high_when_ability_dominates(dist):
-    cfg = D.GenConfig(n_users=200, n_items=40, noise=0.0, ability_dist=dist,
-                      ability_std=3.0, difficulty_std=0.3)
+def test_oracle_auc_high_when_ability_dominates():
+    cfg = D.GenConfig(n_users=200, n_items=40, noise=0.0)
     d, latents = D.generate_synthetic(cfg, seed=8)
     assert oracle_auc(d, latents) >= 0.9
 
@@ -216,7 +195,7 @@ def test_default_config_every_item_occurs():
 
 
 def test_zipf_popularity_skews_occurrences():
-    d, _ = D.generate_synthetic(D.GenConfig(zipf_exponent=1.0), seed=5)
+    d, _ = D.generate_synthetic(D.GenConfig(), seed=5)
     counts = np.zeros(80)
     for user in d.users:
         for item in user.items:

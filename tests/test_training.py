@@ -931,6 +931,23 @@ def test_numerical_abort_names_the_step():
             train_step(batch, state)
 
 
+@pytest.mark.parametrize("mode,module", [("e2e", "cf"), ("gram", "cf"), ("no_content", "cf"),
+                                         ("no_finetune", "cf"), ("e2e", "ce"), ("gram", "ce"),
+                                         ("no_content", "ce")])
+def test_a_non_finite_update_aborts_at_the_step_that_made_it(mode, module):
+    # one step per epoch and one epoch: before the check, the overflowing
+    # update was first met by the validation evaluation
+    ds, _ = generate_synthetic(GenConfig(n_users=60), seed=5)
+    huge = {f"opt_{module}": OptimizerConfig(kind="sgd", lr=1e308)}
+    cfg = TrainConfig(model=ModelConfig(d=8, d_ff=12, d_h=8), cf_batch_size=64, max_epochs=1,
+                      seed=11, **huge)
+    assert plan_run(ds, cfg).steps_per_epoch == 1
+    with pytest.raises(NumericalAbort, match=re.escape(
+            f"{mode} step 0: the {module} update produced non-finite parameters")), \
+            np.errstate(over="ignore", invalid="ignore"):
+        train(ds, mode, cfg)
+
+
 @pytest.mark.parametrize("mode", ["e2e", "gram", "no_content", "no_finetune"])
 def test_unknown_item_fails_the_same_way_in_every_mode(mode):
     ds, _ = dup_heavy_batch()
